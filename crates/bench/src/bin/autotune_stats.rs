@@ -8,7 +8,9 @@
 //! the joint `(RuleOptions, launch)` space with the canonical seeded strategy. The report
 //! records both numbers; the `improvement` field is the ratio, and the CI perf gate
 //! (`perf_gate`) fails the build when a committed tuned best-time regresses by more than
-//! the threshold.
+//! the threshold. Each entry also records how many kernel launches the run executed on the
+//! virtual GPU and how many it recalled from its score memo (`kernels_executed`,
+//! `kernels_reused`); both are deterministic and the gate compares them exactly.
 
 use std::time::Instant;
 
@@ -45,7 +47,7 @@ fn main() {
             let tuned = result.best_variant.as_ref().map(|b| b.estimated_time);
             println!(
                 "{:16} on {:18}: default {} -> tuned {} ({} points, {} rule searches, \
-                 {} cache hits, {:.1} ms)",
+                 {} cache hits, {} kernels executed, {} recalled, {:.1} ms)",
                 workload.name,
                 device.name,
                 default_best.map_or("-".to_string(), |t| format!("{t:10.1}")),
@@ -53,6 +55,8 @@ fn main() {
                 result.points_evaluated,
                 result.enumerations,
                 result.enumeration_cache_hits,
+                result.kernels_executed,
+                result.kernels_reused,
                 wall_ms,
             );
             if let (Some(point), Some(best)) = (&result.best_point, &result.best_variant) {

@@ -15,6 +15,9 @@
 //! * every `(workload, device)` tuned best-time in the baseline must still exist and must
 //!   not exceed `baseline × (1 + threshold)` — estimated times come from the deterministic
 //!   cost model, so this comparison is machine-independent,
+//! * every `(workload, device)` `kernels_executed` / `kernels_reused` count in the baseline
+//!   must be reproduced exactly — they are deterministic counts of what the tuning run
+//!   measured on the virtual GPU and what it recalled from its score memo,
 //! * a workload present only in the *current* report (newly added, baseline not yet
 //!   committed) is reported as `[new]` and never trips the gate.
 //!

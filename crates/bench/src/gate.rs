@@ -9,6 +9,9 @@
 //!   the slotted interpreter on the current report's per-engine comparison probe,
 //! * every `(workload, device)` tuned best-time present in the *baseline* must still exist
 //!   and must not exceed `baseline × (1 + threshold)`,
+//! * every `(workload, device)` kernel-launch count in the baseline (`kernels_executed`,
+//!   `kernels_reused` — what a tuning run measured on the virtual GPU and what it recalled
+//!   from its score memo) must be reproduced exactly,
 //! * on every device the current report tunes both on, the 2D-tiled MM (`mm_tiled`) must
 //!   be at least as fast as the plain 1D-best `matrix_multiply` (no threshold).
 //!
@@ -143,8 +146,12 @@ fn rejection_summary(telemetry: &Json) -> Option<String> {
     Some(format!("[info] rejection reasons: {}", parts.join(", ")))
 }
 
-/// `(workload, device) → tuned_best_time` for every entry that has one.
-fn tuned_times(doc: &Json, label: &str) -> Result<HashMap<(String, String), f64>, String> {
+/// `(workload, device) → field` for every autotune entry that has the numeric `field`.
+fn entry_numbers(
+    doc: &Json,
+    label: &str,
+    field: &str,
+) -> Result<HashMap<(String, String), f64>, String> {
     let results = doc
         .get("results")
         .and_then(Json::as_arr)
@@ -159,8 +166,8 @@ fn tuned_times(doc: &Json, label: &str) -> Result<HashMap<(String, String), f64>
             .get("device")
             .and_then(Json::as_str)
             .ok_or_else(|| format!("{label}: entry without device"))?;
-        if let Some(time) = entry.get("tuned_best_time").and_then(Json::as_f64) {
-            out.insert((workload.to_string(), device.to_string()), time);
+        if let Some(value) = entry.get(field).and_then(Json::as_f64) {
+            out.insert((workload.to_string(), device.to_string()), value);
         }
     }
     Ok(out)
@@ -239,8 +246,10 @@ pub fn check_reports(
 
     // 3. Tuned best-times: higher is a regression (deterministic cost model, so any drift
     //    beyond the threshold is a real change in generated code or search quality).
-    let baseline_times = tuned_times(baseline_autotune, "baseline autotune report")?;
-    let current_times = tuned_times(current_autotune, "current autotune report")?;
+    let baseline_label = "baseline autotune report";
+    let current_label = "current autotune report";
+    let baseline_times = entry_numbers(baseline_autotune, baseline_label, "tuned_best_time")?;
+    let current_times = entry_numbers(current_autotune, current_label, "tuned_best_time")?;
     let mut keys: Vec<_> = baseline_times.keys().collect();
     keys.sort();
     for key in keys {
@@ -269,6 +278,32 @@ pub fn check_reports(
             }
         }
         push_breakdown_for_failure(&mut lines, telemetry, &format!("tune:{}", key.0));
+    }
+
+    // 3b. Kernel launches a tuning run executed and recalled: the search is deterministic,
+    //     so these are exact counts, not measurements — any drift means the candidate set,
+    //     the launch identity or the score memo changed. Baselines that predate the counts
+    //     have no entries here.
+    for field in ["kernels_executed", "kernels_reused"] {
+        let baseline_counts = entry_numbers(baseline_autotune, baseline_label, field)?;
+        let current_counts = entry_numbers(current_autotune, current_label, field)?;
+        let mut keys: Vec<_> = baseline_counts.keys().collect();
+        keys.sort();
+        for key in keys {
+            let baseline = baseline_counts[key];
+            let current = current_counts.get(key).copied();
+            let ok = current == Some(baseline);
+            lines.push(GateLine {
+                ok,
+                message: format!(
+                    "[{}] autotune {}/{}: {field} {} (baseline {baseline:.0}, must match)",
+                    if ok { "ok" } else { "FAIL" },
+                    key.0,
+                    key.1,
+                    current.map_or("missing".to_string(), |c| format!("{c:.0}")),
+                ),
+            });
+        }
     }
 
     // 4. Workloads only in the current report never trip the gate: a new workload's first
@@ -525,6 +560,32 @@ mod tests {
             parse(r#"{"max_candidates_4000": {"candidates_per_sec": 100.0}, "engines": {}}"#)
                 .unwrap();
         assert!(check_reports(&baseline, &malformed, &autotune, &autotune, None, 0.25).is_err());
+    }
+
+    #[test]
+    fn kernel_launch_counts_must_match_the_baseline_exactly() {
+        let doc = |executed: &str| {
+            parse(&format!(
+                r#"{{"results": [{{"workload": "dot", "device": "nv", "tuned_best_time": 100,
+                    "kernels_reused": 658{executed}}}]}}"#
+            ))
+            .unwrap()
+        };
+        let explore = explore_doc(100.0);
+        let check = |baseline: &Json, current: &Json| {
+            check_reports(&explore, &explore, baseline, current, None, 0.25).unwrap()
+        };
+        let baseline = doc(r#", "kernels_executed": 507"#);
+        assert!(check(&baseline, &baseline).passed());
+        // One launch more or fewer is a change in what the search measures, not noise.
+        let outcome = check(&baseline, &doc(r#", "kernels_executed": 508"#));
+        assert!(!outcome.passed());
+        assert!(outcome.lines.iter().any(|l| !l.ok
+            && l.message
+                .contains("kernels_executed 508 (baseline 507, must match)")));
+        // A current report that dropped the count fails; a baseline without it asks nothing.
+        assert!(!check(&baseline, &doc("")).passed());
+        assert!(check(&doc(""), &baseline).passed());
     }
 
     #[test]

@@ -78,6 +78,11 @@ pub fn autotune_entry(
             "enumeration_cache_hits",
             Json::num(result.enumeration_cache_hits as f64),
         ),
+        (
+            "kernels_executed",
+            Json::num(result.kernels_executed as f64),
+        ),
+        ("kernels_reused", Json::num(result.kernels_reused as f64)),
         ("wall_ms", Json::num(wall_ms)),
         ("points_per_sec", Json::num(points_per_sec)),
         (
@@ -454,6 +459,8 @@ mod tests {
             points_evaluated: 0,
             enumerations: 0,
             enumeration_cache_hits: 0,
+            kernels_executed: 0,
+            kernels_reused: 0,
         };
         let entry = autotune_entry("empty", &Strategy::Exhaustive, None, &result, 0.0);
         assert_eq!(

@@ -25,8 +25,10 @@
 //! * frontier expansion and the compile+validate+score stage fan out over
 //!   [`std::thread::scope`] workers ([`ExplorationConfig::threads`]) with a deterministic
 //!   in-order merge, so results are identical to the sequential run,
-//! * identical kernels (several derivations frequently lower to byte-identical OpenCL) are
-//!   executed on the virtual GPU once and their counters shared, and
+//! * a launch the virtual GPU has already run — several derivations frequently lower to
+//!   byte-identical OpenCL, and an auto-tuner meets the same `(candidate, launch)` pair at
+//!   many of its points — is never run again: scoring goes through a [`ScoreMemo`] that
+//!   recalls the first verdict, and
 //! * beam selection keeps the best `beam_width` candidates with a bounded binary heap
 //!   instead of sorting the whole frontier expansion.
 
@@ -34,9 +36,10 @@ use std::collections::{BinaryHeap, HashMap, HashSet};
 use std::sync::Mutex;
 
 use lift_arith::Environment;
-use lift_codegen::{compile_program, CodegenError, CompilationOptions};
+use lift_codegen::{compile_program, CodegenError, CompilationOptions, CompiledProgram};
 use lift_interp::{evaluate_with_sizes, Value};
 use lift_ir::{infer_types, Program, Type, TypeError};
+use lift_ocl::Module;
 use lift_telemetry::{Collector, Event, Null, RejectReason, SoundnessIncident, SoundnessReport};
 use lift_vgpu::{
     estimated_sequence_time, outputs_match, CostCounters, DeviceProfile, EngineSelection,
@@ -92,9 +95,9 @@ pub struct ExplorationConfig {
     /// ([`ExecutionRequest::race_detection`]), so a racy candidate that the static
     /// parallelism-ownership pass missed is rejected as a typed
     /// [`SoundnessIncident::DataRace`] instead of (at best) a silent wrong-output
-    /// rejection. On by default: identical kernels are executed once per exploration
-    /// (see [`Exploration::executed_kernels`]), so the per-access shadow bookkeeping is
-    /// paid a handful of times per search, not per candidate.
+    /// rejection. On by default: a launch is executed once per [`ScoreMemo`] (see
+    /// [`Exploration::executed_kernels`]), so the per-access shadow bookkeeping is paid a
+    /// handful of times per search, not per candidate.
     pub detect_races: bool,
     /// Which virtual-GPU execution tier scores the candidates
     /// ([`ExecutionRequest::engine`]). The default [`EngineSelection::Auto`] runs the
@@ -211,9 +214,16 @@ pub struct Exploration {
     pub soundness: SoundnessReport,
     /// Distinct fully lowered candidates that reached scoring.
     pub lowered: usize,
-    /// Distinct kernels actually executed on the virtual GPU (identical kernel sources are
-    /// executed once and share their counters).
+    /// Distinct launches (kernel source + arguments + launch plan) this scoring pass needed
+    /// a verdict for; candidates that lower to the same launch share one.
     pub executed_kernels: usize,
+    /// How many of [`Exploration::executed_kernels`] were recalled from the [`ScoreMemo`]
+    /// instead of run: the virtual GPU executed `executed_kernels - reused_kernels` launches
+    /// in this pass. Always 0 under a fresh memo ([`Enumerated::score`]).
+    pub reused_kernels: usize,
+    /// Candidates whose compile outcome was recalled from the [`ScoreMemo`], skipping type
+    /// inference, code generation and argument marshalling. Always 0 under a fresh memo.
+    pub reused_compiles: usize,
 }
 
 /// Errors from the exploration driver.
@@ -308,6 +318,9 @@ struct Candidate {
     high_level_left: usize,
     /// Cached `term.body.size()` (used by the size gate and beam selection).
     size: usize,
+    /// Cached [`Term::dedup_key`]: the enumeration's dedup key and the candidate half of the
+    /// [`ScoreMemo`] compile key.
+    key: DedupKey,
 }
 
 /// Everything produced for one enumerated rewrite, in deterministic enumeration order. The
@@ -325,8 +338,8 @@ enum Outcome {
         reason: RejectReason,
         site: Option<Box<str>>,
     },
-    /// A well-typed derived candidate and its dedup key.
-    Derived(Box<Candidate>, DedupKey),
+    /// A well-typed derived candidate.
+    Derived(Box<Candidate>),
 }
 
 /// Cache key for per-site rule applicability: the raw structural hash of the site subtree
@@ -370,8 +383,7 @@ type RuleCache = Mutex<HashMap<SiteKey, u32>>;
 #[derive(Clone, Debug)]
 pub struct Enumerated {
     complete: Vec<Candidate>,
-    inputs: Vec<PreparedInput>,
-    reference: Vec<f32>,
+    data: ScoreData,
     search: Exploration,
 }
 
@@ -409,15 +421,12 @@ impl Enumerated {
     ) -> Result<Enumerated, ExploreError> {
         let mut typed = program.clone();
         infer_types(&mut typed)?;
-        let inputs = generate_inputs(&typed, &config.sizes).map_err(ExploreError::Reference)?;
-        let input_values: Vec<Value> = inputs.iter().map(|i| i.value.clone()).collect();
-        let reference = evaluate_with_sizes(&typed, &input_values, &config.sizes)
-            .map_err(|e| ExploreError::Reference(e.to_string()))?
-            .flatten_f32();
+        let data = ScoreData::generate(&typed, &config.sizes)?;
         let term = crate::provenance::replay(program, steps, &config.rule_options)?;
         let candidate = Candidate {
             high_level_left: high_level_count(&term.body),
             size: term.body.size(),
+            key: term.dedup_key(),
             steps: steps.to_vec(),
             term,
         };
@@ -427,15 +436,15 @@ impl Enumerated {
         };
         Ok(Enumerated {
             complete: vec![candidate],
-            inputs,
-            reference,
+            data,
             search,
         })
     }
 
     /// Compiles, validates and ranks the enumerated candidates under the launch
     /// configuration, compiler options and device profile of `config` (the search knobs of
-    /// `config` are ignored — they were consumed by [`enumerate`]).
+    /// `config` are ignored — they were consumed by [`enumerate`]). Scores against a fresh
+    /// [`ScoreMemo`]: every distinct launch is executed and validated by this call.
     ///
     /// The `sizes` environment must bind the same symbolic sizes as the enumerating call:
     /// the deterministic inputs and the reference output were generated from it.
@@ -459,21 +468,32 @@ impl Enumerated {
         config: &ExplorationConfig,
         collector: &dyn Collector,
     ) -> Result<Exploration, ExploreError> {
+        self.score_in(config, &mut ScoreMemo::new(), collector)
+    }
+
+    /// Like [`Enumerated::score_with`], but recalls from — and records into — `memo` instead
+    /// of a fresh one: a launch `memo` has a verdict for is not executed again, and a
+    /// `(candidate, launch)` pair it has compiled is not compiled again. An auto-tuner
+    /// threads one memo through every point of a run; the returned [`Exploration`] is
+    /// identical to what [`Enumerated::score_with`] returns, except that
+    /// [`Exploration::reused_kernels`] and [`Exploration::reused_compiles`] say how much of
+    /// it was recalled.
+    ///
+    /// # Errors
+    ///
+    /// Returns [`ExploreError::Launch`] if `config.launch` is invalid for `config.device`.
+    pub fn score_in(
+        &self,
+        config: &ExplorationConfig,
+        memo: &mut ScoreMemo,
+        collector: &dyn Collector,
+    ) -> Result<Exploration, ExploreError> {
         config
             .device
             .validate_launch(&config.launch)
             .map_err(ExploreError::Launch)?;
-        let workers = worker_count(config);
         let mut stats = self.search.clone();
-        score_all(
-            &self.complete,
-            &self.inputs,
-            &self.reference,
-            config,
-            workers,
-            &mut stats,
-            collector,
-        );
+        score_all(self, config, memo, &mut stats, collector);
         Ok(stats)
     }
 }
@@ -607,11 +627,7 @@ fn enumerate_impl(
     infer_types(&mut typed)?;
 
     // Deterministic inputs + the reference output from the interpreter.
-    let inputs = generate_inputs(&typed, &config.sizes).map_err(ExploreError::Reference)?;
-    let input_values: Vec<Value> = inputs.iter().map(|i| i.value.clone()).collect();
-    let reference = evaluate_with_sizes(&typed, &input_values, &config.sizes)
-        .map_err(|e| ExploreError::Reference(e.to_string()))?
-        .flatten_f32();
+    let data = ScoreData::generate(&typed, &config.sizes)?;
 
     let root = Term::from_program(&typed)?;
     let workers = worker_count(config);
@@ -623,10 +639,11 @@ fn enumerate_impl(
     let start = Candidate {
         high_level_left: high_level_count(&root.body),
         size: root.body.size(),
+        key: root.dedup_key(),
         steps: Vec::new(),
         term: root,
     };
-    seen.insert(start.term.dedup_key());
+    seen.insert(start.key);
     if start.high_level_left == 0 {
         complete.push(start.clone());
     }
@@ -683,8 +700,8 @@ fn enumerate_impl(
                             }
                         }
                     }
-                    Outcome::Derived(cand, key) => {
-                        if !seen.insert(key) {
+                    Outcome::Derived(cand) => {
+                        if !seen.insert(cand.key) {
                             stats.dedup_hits += 1;
                             if telemetry {
                                 round.expanded += 1;
@@ -748,8 +765,7 @@ fn enumerate_impl(
     stats.lowered = complete.len();
     Ok(Enumerated {
         complete,
-        inputs,
-        reference,
+        data,
         search: stats,
     })
 }
@@ -889,7 +905,7 @@ fn expand(
                     out.push(reject_site(RejectReason::IllTyped));
                     continue;
                 }
-                let dedup = term.dedup_key();
+                let key = term.dedup_key();
                 let mut steps = cand.steps.clone();
                 steps.push(DerivationStep {
                     rule: rule.name,
@@ -898,15 +914,13 @@ fn expand(
                     path: site.location.clone(),
                     alternative,
                 });
-                out.push(Outcome::Derived(
-                    Box::new(Candidate {
-                        high_level_left: high_level_count(&term.body),
-                        size,
-                        term,
-                        steps,
-                    }),
-                    dedup,
-                ));
+                out.push(Outcome::Derived(Box::new(Candidate {
+                    high_level_left: high_level_count(&term.body),
+                    size,
+                    key,
+                    term,
+                    steps,
+                })));
             }
         }
         // A mask recorded from a truncated rule sweep would be incomplete — never cache it.
@@ -959,25 +973,85 @@ fn high_level_count(e: &TermExpr) -> usize {
     }
 }
 
-#[derive(Clone)]
+#[derive(Clone, Debug)]
 enum ScoreError {
     Compile,
     Incorrect,
     /// The candidate was rejected for a soundness reason — statically by the ownership
     /// pass, or dynamically by the race detector / barrier-divergence check — and the
-    /// typed incident carries the details.
-    Unsound(SoundnessIncident),
+    /// typed incident carries the details (boxed: rejections are rare, and every memo
+    /// entry is as wide as this enum).
+    Unsound(Box<SoundnessIncident>),
 }
 
-/// One prepared root-parameter input: the interpreter value and its flat buffer form.
+/// The launch-independent scoring data of one enumeration: the deterministic inputs in flat
+/// buffer form and the reference output, each hashed once here instead of per candidate.
 #[derive(Clone, Debug)]
-struct PreparedInput {
-    value: Value,
-    buffer: Vec<f32>,
+struct ScoreData {
+    /// One flat buffer per root parameter.
+    inputs: Vec<Vec<f32>>,
+    /// [`hash_floats`] of each input buffer (parallel to `inputs`).
+    input_hashes: Vec<u64>,
+    /// The interpreter's output for the *original* program on `inputs`.
+    reference: Vec<f32>,
+    /// Hash over the inputs and the reference: the data half of a [`ScoreContext`].
+    fingerprint: u64,
+}
+
+impl ScoreData {
+    /// Generates the deterministic pseudo-random inputs for the root parameters of `typed`
+    /// and evaluates the reference output with the interpreter.
+    fn generate(typed: &Program, sizes: &Environment) -> Result<ScoreData, ExploreError> {
+        use std::hash::Hasher;
+        let values = generate_inputs(typed, sizes).map_err(ExploreError::Reference)?;
+        let reference = evaluate_with_sizes(typed, &values, sizes)
+            .map_err(|e| ExploreError::Reference(e.to_string()))?
+            .flatten_f32();
+        let inputs: Vec<Vec<f32>> = values.iter().map(Value::flatten_f32).collect();
+        let input_hashes: Vec<u64> = inputs.iter().map(|b| hash_floats(b)).collect();
+        let mut h = StableHasher::new();
+        for hash in &input_hashes {
+            h.write_u64(*hash);
+        }
+        h.write_u64(hash_floats(&reference));
+        Ok(ScoreData {
+            inputs,
+            input_hashes,
+            reference,
+            fingerprint: h.finish(),
+        })
+    }
+
+    /// [`hash_floats`] of a marshalled buffer argument. An argument that is one of the
+    /// inputs, bit for bit, takes the hash computed once in [`ScoreData::generate`].
+    fn buffer_hash(&self, buffer: &[f32]) -> u64 {
+        let is_buffer = |input: &Vec<f32>| {
+            input.len() == buffer.len()
+                && input
+                    .iter()
+                    .zip(buffer)
+                    .all(|(a, b)| a.to_bits() == b.to_bits())
+        };
+        match self.inputs.iter().position(is_buffer) {
+            Some(i) => self.input_hashes[i],
+            None => hash_floats(buffer),
+        }
+    }
+}
+
+/// Content hash of a float buffer (length, then the bit pattern of every element).
+fn hash_floats(data: &[f32]) -> u64 {
+    use std::hash::Hasher;
+    let mut h = StableHasher::new();
+    h.write_usize(data.len());
+    for v in data {
+        h.write_u32(v.to_bits());
+    }
+    h.finish()
 }
 
 /// Deterministic pseudo-random inputs derived from the root parameter types.
-fn generate_inputs(program: &Program, sizes: &Environment) -> Result<Vec<PreparedInput>, String> {
+fn generate_inputs(program: &Program, sizes: &Environment) -> Result<Vec<Value>, String> {
     let params = program.root_params().to_vec();
     let mut out = Vec::with_capacity(params.len());
     for (i, p) in params.iter().enumerate() {
@@ -989,8 +1063,7 @@ fn generate_inputs(program: &Program, sizes: &Environment) -> Result<Vec<Prepare
         let mut state = 0x9e37u32.wrapping_add(i as u32 * 0x85eb);
         let value = value_of_type(&ty, sizes, &mut state)
             .ok_or_else(|| format!("cannot generate an input of type {ty}"))?;
-        let buffer = value.flatten_f32();
-        out.push(PreparedInput { value, buffer });
+        out.push(value);
     }
     Ok(out)
 }
@@ -1028,110 +1101,331 @@ fn value_of_type(ty: &Type, sizes: &Environment, state: &mut u32) -> Option<Valu
     }
 }
 
-/// A complete candidate compiled and readied for execution.
-struct PreparedScore {
-    program: Program,
-    module: lift_ocl::Module,
-    /// The kernel sequence in launch order (one entry for single-kernel candidates).
-    stages: Vec<KernelLaunchSpec>,
-    kernel_source: String,
-    args: Vec<KernelArg>,
-    output_buffer_index: usize,
-    /// Hash of (kernel source, arguments): candidates with equal keys execute identically,
-    /// so the virtual GPU runs each distinct key once.
-    exec_key: u64,
+/// What a verdict depends on besides the candidate and the launch. Every [`ScoreMemo`]
+/// entry is bound to the context it was recorded under (compared field by field, not
+/// hashed), so a memo handed a different device, engine, race-detection setting, compiler
+/// options, size bindings or input data misses instead of serving the other context's
+/// verdict.
+#[derive(Clone, Debug, PartialEq)]
+struct ScoreContext {
+    device: DeviceProfile,
+    engine: EngineSelection,
+    detect_races: bool,
+    /// `ExplorationConfig::compile_options` with the launch sizes zeroed: scoring overwrites
+    /// them from the launch, which is part of every key.
+    compile_options: CompilationOptions,
+    sizes: Environment,
+    /// [`ScoreData::fingerprint`]: the generated inputs and the reference output.
+    data: u64,
 }
 
-/// Compiles, deduplicates, executes, validates and ranks the complete candidates. The four
-/// phases (typecheck → compile → execute → score) are bracketed with collector spans, so a
+/// The identity of one virtual-GPU launch sequence: everything
+/// [`ExecutionRequest::launch_sequence`] is handed (kernel source, marshalled arguments,
+/// per-stage launch plan) under one [`ScoreContext`]. Two candidates with equal keys
+/// execute identically, so the second takes the first one's verdict.
+///
+/// Collision policy: the key holds hashes, not the launch itself, so two different launches
+/// are told apart only as far as the hashes go. The three components are hashed separately
+/// (64 bits each) and the source length rides along: a false match needs the source hashes,
+/// the source lengths, the argument hashes and the plan hashes of two different launches to
+/// agree at once. No single 64-bit collision can make one launch answer for another.
+#[derive(Clone, Copy, Debug, PartialEq, Eq, Hash)]
+struct ExecKey {
+    /// Index of the [`ScoreContext`] in its [`ScoreMemo`].
+    context: u32,
+    source: u64,
+    source_len: usize,
+    args: u64,
+    plan: u64,
+}
+
+impl ExecKey {
+    fn new(
+        context: u32,
+        source: &str,
+        args: &[KernelArg],
+        plan: &[KernelLaunchSpec],
+        data: &ScoreData,
+    ) -> ExecKey {
+        use std::hash::{Hash, Hasher};
+        let mut source_hash = StableHasher::new();
+        source_hash.write(source.as_bytes());
+        let mut args_hash = StableHasher::new();
+        for arg in args {
+            match arg {
+                KernelArg::Buffer(buffer) => {
+                    args_hash.write_u8(0);
+                    args_hash.write_u64(data.buffer_hash(buffer));
+                }
+                KernelArg::Float(v) => {
+                    args_hash.write_u8(1);
+                    args_hash.write_u32(v.to_bits());
+                }
+                KernelArg::Int(v) => {
+                    args_hash.write_u8(2);
+                    args_hash.write_i64(*v);
+                }
+            }
+        }
+        let mut plan_hash = StableHasher::new();
+        for stage in plan {
+            plan_hash.write_str(&stage.kernel);
+            stage.launch.hash(&mut plan_hash);
+        }
+        ExecKey {
+            context,
+            source: source_hash.finish(),
+            source_len: source.len(),
+            args: args_hash.finish(),
+            plan: plan_hash.finish(),
+        }
+    }
+}
+
+/// What one validated execution yields.
+#[derive(Clone, Debug)]
+struct Scored {
+    /// Counters summed over all stages.
+    counters: CostCounters,
+    /// The sequence's estimated time under the context's device profile.
+    time: f64,
+    /// Per-stage counters, in launch order.
+    stage_counters: Vec<CostCounters>,
+}
+
+/// What a candidate compiled to: its rejection, or the key of its launch.
+type CompileOutcome = Result<ExecKey, ScoreError>;
+
+/// The verdicts of one scoring run: what every `(candidate, launch)` pair compiled to, and
+/// what every distinct launch did on the virtual GPU.
+///
+/// [`Enumerated::score_in`] consults the memo before it compiles or executes anything and
+/// records what it had to work out, on two levels:
+///
+/// * **compilation** — `(`[`Term::dedup_key`]`, `[`LaunchConfig`]`)` → the compile
+///   rejection, or the key of the launch the candidate compiled to. A recalled candidate
+///   skips type inference, code generation and argument marshalling.
+/// * **execution** — launch key (kernel source + marshalled arguments + launch plan) → the
+///   complete verdict: counters, estimated time and per-stage counters, or the typed
+///   rejection ([`SoundnessIncident`] included). A recalled launch does not touch the
+///   virtual GPU.
+///
+/// Every launch is still executed under the configured race detection and validated against
+/// the interpreter's reference the first time the memo sees it; only byte-identical repeats
+/// are elided, so scoring through a shared memo returns exactly what scoring through a
+/// fresh one returns. Entries are bound to the context they were recorded under (device,
+/// engine, race detection, compiler options, size bindings, input data): under any other
+/// context they are not found.
+///
+/// A memo is meant to live as long as one tuning run, whose points meet the same candidates
+/// and launches again and again; nothing in it is persisted.
+#[derive(Debug, Default)]
+pub struct ScoreMemo {
+    contexts: Vec<ScoreContext>,
+    /// Compile outcomes per `(context, launch)`, by candidate ([`Term::dedup_key`]).
+    compiled: HashMap<(u32, LaunchConfig), HashMap<DedupKey, CompileOutcome>>,
+    executed: HashMap<ExecKey, Result<Scored, ScoreError>>,
+}
+
+impl ScoreMemo {
+    /// An empty memo.
+    pub fn new() -> ScoreMemo {
+        ScoreMemo::default()
+    }
+
+    /// The index of the context `config` and `data` describe, registering it if new.
+    fn context(&mut self, config: &ExplorationConfig, data: &ScoreData) -> u32 {
+        let context = ScoreContext {
+            device: config.device.clone(),
+            engine: config.engine,
+            detect_races: config.detect_races,
+            compile_options: config.compile_options.clone().with_launch([0; 3], [0; 3]),
+            sizes: config.sizes.clone(),
+            data: data.fingerprint,
+        };
+        let index = self
+            .contexts
+            .iter()
+            .position(|known| *known == context)
+            .unwrap_or_else(|| {
+                self.contexts.push(context);
+                self.contexts.len() - 1
+            });
+        u32::try_from(index).expect("a memo holds a handful of contexts")
+    }
+}
+
+/// The parts of a compiled candidate a returned [`Variant`] carries.
+struct Materials {
+    program: Program,
+    kernel_source: String,
+    stage_names: Vec<String>,
+}
+
+impl Materials {
+    fn new(program: Program, compiled: &CompiledProgram) -> Materials {
+        Materials {
+            program,
+            kernel_source: compiled.source(),
+            stage_names: compiled.kernels.iter().map(|k| k.name.clone()).collect(),
+        }
+    }
+}
+
+/// A launch the memo has no verdict for, readied for execution.
+struct Job {
+    key: ExecKey,
+    module: Module,
+    /// The kernel sequence in launch order (one entry for single-kernel candidates).
+    stages: Vec<KernelLaunchSpec>,
+    args: Vec<KernelArg>,
+    output_buffer_index: usize,
+}
+
+/// Phase-1 result for one candidate.
+enum Staged {
+    /// The memo knows what the candidate compiles to under this launch.
+    Recalled(CompileOutcome),
+    /// The candidate has to be compiled; this is its typed arena form.
+    Typed(Result<Program, ScoreError>),
+}
+
+/// Variant ranking: lowest estimated time first, discovery order among equal times — so
+/// the order does not depend on which verdicts were recalled and which were measured.
+fn rank_order(a: &(f64, usize), b: &(f64, usize)) -> std::cmp::Ordering {
+    a.0.total_cmp(&b.0).then(a.1.cmp(&b.1))
+}
+
+/// Compiles, deduplicates, executes, validates and ranks the complete candidates, recalling
+/// from `memo` whatever it has on record and recording the rest. The four phases
+/// (typecheck → compile → execute → score) are bracketed with collector spans, so a
 /// recorded trace breaks a scoring pass down into the wall time of each.
-#[allow(clippy::too_many_arguments)]
 fn score_all(
-    complete: &[Candidate],
-    inputs: &[PreparedInput],
-    reference: &[f32],
+    enumerated: &Enumerated,
     config: &ExplorationConfig,
-    workers: usize,
+    memo: &mut ScoreMemo,
     stats: &mut Exploration,
     collector: &dyn Collector,
 ) {
-    // Phase 1 (cheap, serial): arena conversion + type inference for every candidate.
+    let complete = &enumerated.complete;
+    let data = &enumerated.data;
+    let context = memo.context(config, data);
+    let executed = &mut memo.executed;
+    let recorded = memo.compiled.entry((context, config.launch)).or_default();
+
+    // Phase 1 (cheap, serial): arena conversion + type inference for every candidate whose
+    // compile outcome is not on record. A recorded outcome stands in for compiling again if
+    // it is a rejection, or a launch whose verdict is on record too.
     collector.span_begin("typecheck");
-    let typed: Vec<Result<Program, ScoreError>> =
-        complete.iter().map(typecheck_candidate).collect();
+    let staged: Vec<Staged> = complete
+        .iter()
+        .map(|cand| match recorded.get(&cand.key) {
+            Some(Ok(launch)) if executed.contains_key(launch) => Staged::Recalled(Ok(*launch)),
+            Some(Err(e)) => Staged::Recalled(Err(e.clone())),
+            _ => Staged::Typed(typecheck_candidate(cand)),
+        })
+        .collect();
     collector.span_end("typecheck");
 
-    // Phase 2 (serial): compilation + argument marshalling.
+    // Phase 2 (serial): compilation + argument marshalling, streamed. A candidate is reduced
+    // to its launch key as soon as it is compiled; the module and arguments survive only as
+    // the job of a launch nobody has run yet, the program and source only as the materials
+    // of a possible variant.
     collector.span_begin("compile");
-    let prepared: Vec<Result<PreparedScore, ScoreError>> = typed
-        .into_iter()
-        .map(|t| t.and_then(|program| compile_candidate(program, inputs, config)))
-        .collect();
+    let mut outcomes: Vec<CompileOutcome> = Vec::with_capacity(complete.len());
+    let mut materials: Vec<Option<Materials>> = Vec::with_capacity(complete.len());
+    let mut needed: HashSet<ExecKey> = HashSet::new();
+    let mut jobs: Vec<Job> = Vec::new();
+    for (cand, staged) in complete.iter().zip(staged) {
+        let (outcome, fresh) = match staged {
+            Staged::Recalled(outcome) => {
+                stats.reused_compiles += 1;
+                (outcome, None)
+            }
+            Staged::Typed(typed) => {
+                let fresh =
+                    typed.and_then(|program| compile_candidate(program, data, config, context));
+                let outcome = match &fresh {
+                    Ok((_, job)) => Ok(job.key),
+                    Err(e) => Err(e.clone()),
+                };
+                recorded.insert(cand.key, outcome.clone());
+                (outcome, fresh.ok())
+            }
+        };
+        let new_launch = outcome
+            .as_ref()
+            .is_ok_and(|launch| needed.insert(*launch) && !executed.contains_key(launch));
+        materials.push(fresh.map(|(kept, job)| {
+            if new_launch {
+                jobs.push(job);
+            }
+            kept
+        }));
+        outcomes.push(outcome);
+    }
     collector.span_end("compile");
 
-    // Phase 3: execute each distinct kernel once, fanning out over scoped threads. The job
-    // list is in first-occurrence order and the results are merged by key, so scheduling
-    // cannot influence the outcome.
+    // Phase 3: execute each launch without a verdict once, fanning out over scoped threads.
+    // The job list is in first-occurrence order and the verdicts are recorded in that order,
+    // so scheduling cannot influence the outcome.
     collector.span_begin("execute");
-    let mut exec_seen: HashSet<u64> = HashSet::new();
-    let jobs: Vec<&PreparedScore> = prepared
-        .iter()
-        .filter_map(|p| p.as_ref().ok())
-        .filter(|p| exec_seen.insert(p.exec_key))
-        .collect();
-    stats.executed_kernels = jobs.len();
-    // What one execution yields: merged counters, the sequence's estimated time, and the
-    // per-stage counters (for [`Variant::stage_counters`] / execution profiles).
-    type Scored = (CostCounters, f64, Vec<CostCounters>);
-    let run = |p: &PreparedScore| -> (u64, Result<Scored, ScoreError>) {
-        let result = ExecutionRequest::new(&p.module)
+    stats.executed_kernels = needed.len();
+    stats.reused_kernels = needed.len() - jobs.len();
+    let run = |job: &Job| -> Result<Scored, ScoreError> {
+        let result = ExecutionRequest::new(&job.module)
             .on_device(&config.device)
             .engine(config.engine)
             .race_detection(config.detect_races)
             .collector(collector)
-            .launch_sequence(&p.stages, p.args.clone());
-        let verdict = match result {
+            .launch_sequence(&job.stages, job.args.clone());
+        match result {
             Err(VgpuError::DataRace {
                 buffer,
                 index,
                 writers,
                 epoch,
-            }) => Err(ScoreError::Unsound(SoundnessIncident::DataRace {
+            }) => Err(ScoreError::Unsound(Box::new(SoundnessIncident::DataRace {
                 buffer,
                 index,
                 writers,
                 epoch,
-            })),
+            }))),
             Err(VgpuError::DivergentBarrier {
                 group,
                 arrived,
                 expected,
-            }) => Err(ScoreError::Unsound(SoundnessIncident::DivergentBarrier {
-                group,
-                arrived,
-                expected,
-            })),
+            }) => Err(ScoreError::Unsound(Box::new(
+                SoundnessIncident::DivergentBarrier {
+                    group,
+                    arrived,
+                    expected,
+                },
+            ))),
             Err(_) => Err(ScoreError::Incorrect),
             Ok(result) => {
-                if outputs_match(&result.buffers[p.output_buffer_index], reference) {
+                if outputs_match(&result.buffers[job.output_buffer_index], &data.reference) {
                     let stage_counters = result.stage_counters();
-                    let time = estimated_sequence_time(&stage_counters, &config.device);
-                    Ok((result.merged_counters(), time, stage_counters))
+                    Ok(Scored {
+                        counters: result.merged_counters(),
+                        time: estimated_sequence_time(&stage_counters, &config.device),
+                        stage_counters,
+                    })
                 } else {
                     Err(ScoreError::Incorrect)
                 }
             }
-        };
-        (p.exec_key, verdict)
+        }
     };
-    let executed: HashMap<u64, Result<Scored, ScoreError>> = if workers <= 1 || jobs.len() <= 1 {
-        jobs.iter().map(|p| run(p)).collect()
+    let workers = worker_count(config);
+    let verdicts: Vec<Result<Scored, ScoreError>> = if workers <= 1 || jobs.len() <= 1 {
+        jobs.iter().map(run).collect()
     } else {
         let chunk = jobs.len().div_ceil(workers);
         std::thread::scope(|s| {
             let handles: Vec<_> = jobs
                 .chunks(chunk)
-                .map(|part| s.spawn(move || part.iter().map(|p| run(p)).collect::<Vec<_>>()))
+                .map(|part| s.spawn(move || part.iter().map(run).collect::<Vec<_>>()))
                 .collect();
             handles
                 .into_iter()
@@ -1139,37 +1433,50 @@ fn score_all(
                 .collect()
         })
     };
+    executed.extend(jobs.iter().map(|job| job.key).zip(verdicts));
+    drop(jobs);
     collector.span_end("execute");
 
-    // Phase 4 (serial): per-candidate verdicts in candidate order, then ranking.
+    // Phase 4 (serial): per-candidate verdicts in candidate order, then ranking. Only the
+    // `best_n` survivors become full variants; one whose compilation was recalled is
+    // compiled again here for its program and source.
     collector.span_begin("score");
-    let mut variants: Vec<Variant> = Vec::new();
-    for (cand, prep) in complete.iter().zip(prepared) {
-        match prep {
+    let verdict_of = |index: usize| -> Result<&Scored, ScoreError> {
+        let launch = outcomes[index].as_ref().map_err(Clone::clone)?;
+        let verdict = executed
+            .get(launch)
+            .expect("every needed launch has a verdict after the execute phase");
+        verdict.as_ref().map_err(Clone::clone)
+    };
+    let mut ranked: Vec<(f64, usize)> = Vec::new();
+    for (index, cand) in complete.iter().enumerate() {
+        match verdict_of(index) {
+            Ok(scored) => ranked.push((scored.time, index)),
             Err(e) => reject_candidate(stats, collector, cand, e),
-            Ok(p) => match executed.get(&p.exec_key) {
-                Some(Ok((counters, time, stage_counters))) => variants.push(Variant {
-                    program: p.program,
-                    derivation: cand.steps.clone(),
-                    kernel_source: p.kernel_source,
-                    kernel_count: stage_counters.len(),
-                    counters: *counters,
-                    stage_counters: stage_counters.clone(),
-                    stage_names: p.stages.iter().map(|s| s.kernel.clone()).collect(),
-                    estimated_time: *time,
-                }),
-                Some(Err(e)) => reject_candidate(stats, collector, cand, e.clone()),
-                None => stats.rejected_incorrect += 1,
-            },
         }
     }
-    variants.sort_by(|a, b| {
-        a.estimated_time
-            .partial_cmp(&b.estimated_time)
-            .unwrap_or(std::cmp::Ordering::Equal)
-    });
-    variants.truncate(config.best_n);
-    stats.variants = variants;
+    ranked.sort_unstable_by(rank_order);
+    ranked.truncate(config.best_n);
+    stats.variants = ranked
+        .into_iter()
+        .map(|(_, index)| {
+            let cand = &complete[index];
+            let scored = verdict_of(index).expect("ranked candidates are validated");
+            let kept = materials[index]
+                .take()
+                .unwrap_or_else(|| rematerialise(cand, config));
+            Variant {
+                program: kept.program,
+                derivation: cand.steps.clone(),
+                kernel_source: kept.kernel_source,
+                kernel_count: scored.stage_counters.len(),
+                counters: scored.counters,
+                stage_counters: scored.stage_counters.clone(),
+                stage_names: kept.stage_names,
+                estimated_time: scored.time,
+            }
+        })
+        .collect();
     collector.span_end("score");
     if collector.enabled() {
         collector.record(Event::Counter {
@@ -1203,7 +1510,7 @@ fn reject_candidate(
         ScoreError::Compile => stats.rejected_compile += 1,
         ScoreError::Incorrect => stats.rejected_incorrect += 1,
         ScoreError::Unsound(incident) => {
-            match &incident {
+            match &*incident {
                 SoundnessIncident::OwnershipViolation { .. } => stats.rejected_unsound += 1,
                 SoundnessIncident::DataRace { .. } => stats.rejected_race += 1,
                 SoundnessIncident::DivergentBarrier { .. } => stats.rejected_divergence += 1,
@@ -1215,7 +1522,7 @@ fn reject_candidate(
                     reason: incident.reason(),
                 });
             }
-            stats.soundness.record(incident);
+            stats.soundness.record(*incident);
         }
     }
 }
@@ -1228,17 +1535,16 @@ fn typecheck_candidate(cand: &Candidate) -> Result<Program, ScoreError> {
     Ok(program)
 }
 
-fn compile_candidate(
-    program: Program,
-    inputs: &[PreparedInput],
+/// Code generation for one typed candidate under the launch of `config`.
+fn compile_typed(
+    program: &Program,
     config: &ExplorationConfig,
-) -> Result<PreparedScore, ScoreError> {
-    use std::hash::Hasher;
+) -> Result<CompiledProgram, ScoreError> {
     let options = config
         .compile_options
         .clone()
         .with_launch(config.launch.global, config.launch.local);
-    let compiled = compile_program(&program, &options).map_err(|e| match e {
+    compile_program(program, &options).map_err(|e| match e {
         // The ownership pass's typed rejection survives as a typed incident; every other
         // compile failure stays an undifferentiated compile rejection.
         CodegenError::OwnershipViolation {
@@ -1246,51 +1552,52 @@ fn compile_candidate(
             writer_level,
             owner_level,
             site,
-        } => ScoreError::Unsound(SoundnessIncident::OwnershipViolation {
+        } => ScoreError::Unsound(Box::new(SoundnessIncident::OwnershipViolation {
             buffer,
             writer_level: writer_level.label(),
             owner_level: owner_level.label(),
             site,
-        }),
+        })),
         _ => ScoreError::Compile,
-    })?;
-    let input_buffers: Vec<Vec<f32>> = inputs.iter().map(|i| i.buffer.clone()).collect();
-    let (args, output_buffer_index) = compiled
-        .bind_args(&input_buffers, &config.sizes)
-        .map_err(|_| ScoreError::Compile)?;
-
-    let stages = compiled.launch_plan(config.launch);
-    let kernel_source = compiled.source();
-    let mut h = StableHasher::new();
-    h.write(kernel_source.as_bytes());
-    for arg in &args {
-        match arg {
-            KernelArg::Buffer(data) => {
-                h.write_u8(0);
-                h.write_usize(data.len());
-                for v in data {
-                    h.write_u32(v.to_bits());
-                }
-            }
-            KernelArg::Float(v) => {
-                h.write_u8(1);
-                h.write_u32(v.to_bits());
-            }
-            KernelArg::Int(v) => {
-                h.write_u8(2);
-                h.write_i64(*v);
-            }
-        }
-    }
-    Ok(PreparedScore {
-        program,
-        module: compiled.module,
-        stages,
-        kernel_source,
-        args,
-        output_buffer_index,
-        exec_key: h.finish(),
     })
+}
+
+/// Phase-2 work for one typed candidate: code generation, argument marshalling and the
+/// launch key.
+fn compile_candidate(
+    program: Program,
+    data: &ScoreData,
+    config: &ExplorationConfig,
+    context: u32,
+) -> Result<(Materials, Job), ScoreError> {
+    let compiled = compile_typed(&program, config)?;
+    let (args, output_buffer_index) = compiled
+        .bind_args(&data.inputs, &config.sizes)
+        .map_err(|_| ScoreError::Compile)?;
+    let stages = compiled.launch_plan(config.launch);
+    let kept = Materials::new(program, &compiled);
+    let key = ExecKey::new(context, &kept.kernel_source, &args, &stages, data);
+    Ok((
+        kept,
+        Job {
+            key,
+            module: compiled.module,
+            stages,
+            args,
+            output_buffer_index,
+        },
+    ))
+}
+
+/// Compiles a candidate whose compilation was recalled once more, for the program and
+/// source its [`Variant`] carries.
+fn rematerialise(cand: &Candidate, config: &ExplorationConfig) -> Materials {
+    let program = typecheck_candidate(cand);
+    let compiled = program.and_then(|program| {
+        let compiled = compile_typed(&program, config)?;
+        Ok(Materials::new(program, &compiled))
+    });
+    compiled.expect("a candidate the memo recorded as compiled compiles again")
 }
 
 #[cfg(test)]
@@ -1503,6 +1810,192 @@ mod tests {
                 }
             )),
             "expected an ownership-violation Event::Rejection"
+        );
+    }
+
+    #[test]
+    fn a_recalled_rejection_carries_the_same_typed_incident() {
+        let program = racy_per_item_staging();
+        let config = ExplorationConfig {
+            max_depth: 1,
+            beam_width: 8,
+            max_candidates: 200,
+            launch: LaunchConfig::d1(16, 4),
+            ..ExplorationConfig::default()
+        };
+        let enumerated = enumerate(&program, &config).expect("enumeration runs");
+        let mut memo = ScoreMemo::new();
+        let first = enumerated
+            .score_in(&config, &mut memo, &Null)
+            .expect("scoring runs");
+        assert!(first.rejected_unsound >= 1);
+        assert_eq!(first.reused_compiles, 0);
+
+        // The static rejection is recalled from the compile level — nothing is compiled —
+        // with the incident intact, and still reported as a first-class event.
+        let collector = lift_telemetry::InMemory::new();
+        let again = enumerated
+            .score_in(&config, &mut memo, &collector)
+            .expect("scoring runs");
+        assert_eq!(again.reused_compiles, again.lowered);
+        assert_eq!(again.rejected_unsound, first.rejected_unsound);
+        assert_eq!(again.soundness, first.soundness);
+        assert!(collector.events().iter().any(|t| matches!(
+            &t.event,
+            Event::Rejection {
+                reason: RejectReason::OwnershipViolation,
+                ..
+            }
+        )));
+
+        // A dynamic rejection is recalled from the execution level the same way. No
+        // derivation of the tracked workloads races (the ownership pass sees to that), so
+        // the verdict of one validated launch is replaced by a detector finding here.
+        let program = high_level_partial_dot(512);
+        let config = ExplorationConfig {
+            max_depth: 5,
+            beam_width: 32,
+            max_candidates: 1500,
+            launch: LaunchConfig::d1(16, 4),
+            ..config
+        };
+        let enumerated = enumerate(&program, &config).expect("enumeration runs");
+        let mut memo = ScoreMemo::new();
+        let sound = enumerated
+            .score_in(&config, &mut memo, &Null)
+            .expect("scoring runs");
+        let race = SoundnessIncident::DataRace {
+            buffer: "out".to_string(),
+            index: 3,
+            writers: [0, 1],
+            epoch: 0,
+        };
+        let verdict = memo
+            .executed
+            .values_mut()
+            .find(|verdict| verdict.is_ok())
+            .expect("a launch validated");
+        *verdict = Err(ScoreError::Unsound(Box::new(race.clone())));
+        let recalled = enumerated
+            .score_in(&config, &mut memo, &Null)
+            .expect("scoring runs");
+        assert_eq!(recalled.reused_kernels, recalled.executed_kernels);
+        assert!(recalled.rejected_race >= 1);
+        assert!(recalled
+            .soundness
+            .dynamic_rejections
+            .iter()
+            .all(|incident| *incident == race));
+        assert_eq!(
+            recalled.soundness.dynamic_rejections.len(),
+            recalled.rejected_race
+        );
+        assert!(sound.soundness.is_clean());
+    }
+
+    #[test]
+    fn the_launch_key_covers_source_arguments_and_plan() {
+        let data = ScoreData {
+            inputs: vec![vec![1.0, 2.0]],
+            input_hashes: vec![hash_floats(&[1.0, 2.0])],
+            reference: vec![3.0],
+            fingerprint: 0,
+        };
+        let plan = |global| {
+            vec![KernelLaunchSpec {
+                kernel: "k".to_string(),
+                launch: LaunchConfig::d1(global, 4),
+            }]
+        };
+        let args = vec![KernelArg::Buffer(vec![1.0, 2.0]), KernelArg::Int(2)];
+        let key = ExecKey::new(0, "kernel void k() {}", &args, &plan(16), &data);
+        assert_eq!(
+            key,
+            ExecKey::new(0, "kernel void k() {}", &args, &plan(16), &data)
+        );
+        // The same source and arguments under another launch plan is another launch.
+        assert_ne!(
+            key,
+            ExecKey::new(0, "kernel void k() {}", &args, &plan(32), &data)
+        );
+        assert_ne!(
+            key,
+            ExecKey::new(0, "kernel void j() {}", &args, &plan(16), &data)
+        );
+        assert_ne!(
+            key,
+            ExecKey::new(0, "kernel void k() {}", &args[..1], &plan(16), &data)
+        );
+        assert_ne!(
+            key,
+            ExecKey::new(1, "kernel void k() {}", &args, &plan(16), &data)
+        );
+        // An argument equal to an input takes the input's precomputed hash; the shortcut
+        // compares bit patterns, so `-0.0` is not mistaken for `0.0`.
+        assert_eq!(data.buffer_hash(&[1.0, 2.0]), hash_floats(&[1.0, 2.0]));
+        let zero = ScoreData {
+            inputs: vec![vec![0.0]],
+            input_hashes: vec![hash_floats(&[0.0])],
+            ..data
+        };
+        assert_ne!(zero.buffer_hash(&[-0.0]), zero.buffer_hash(&[0.0]));
+    }
+
+    #[test]
+    fn ranking_keeps_discovery_order_among_equal_times() {
+        let mut ranked = [(2.0, 0), (1.0, 3), (1.0, 1), (f64::NAN, 2), (1.0, 2)];
+        ranked.sort_unstable_by(rank_order);
+        assert_eq!(
+            ranked.iter().map(|r| r.1).collect::<Vec<_>>(),
+            [1, 2, 3, 0, 2]
+        );
+
+        // Whether a verdict was measured or recalled does not enter the ranking: a memo that
+        // holds half of an enumeration's verdicts (recorded through an overlapping
+        // enumeration) ranks like a fresh one, equal times included.
+        let program = high_level_partial_dot(512);
+        let config = ExplorationConfig {
+            max_depth: 5,
+            beam_width: 32,
+            max_candidates: 1500,
+            rule_options: RuleOptions {
+                split_sizes: vec![2, 4],
+                vector_widths: vec![4],
+                tile_sizes: vec![],
+            },
+            launch: LaunchConfig::d1(16, 4),
+            best_n: usize::MAX,
+            ..ExplorationConfig::default()
+        };
+        let narrow = ExplorationConfig {
+            rule_options: RuleOptions {
+                split_sizes: vec![4],
+                ..config.rule_options.clone()
+            },
+            ..config.clone()
+        };
+        let mut memo = ScoreMemo::new();
+        enumerate(&program, &narrow)
+            .expect("enumeration runs")
+            .score_in(&narrow, &mut memo, &Null)
+            .expect("scoring runs");
+        let enumerated = enumerate(&program, &config).expect("enumeration runs");
+        let mixed = enumerated
+            .score_in(&config, &mut memo, &Null)
+            .expect("scoring runs");
+        let fresh = enumerated.score(&config).expect("scoring runs");
+        assert!(0 < mixed.reused_compiles && mixed.reused_compiles < mixed.lowered);
+        let order = |e: &Exploration| -> Vec<(u64, Vec<DerivationStep>)> {
+            e.variants
+                .iter()
+                .map(|v| (v.estimated_time.to_bits(), v.derivation.clone()))
+                .collect()
+        };
+        assert_eq!(order(&mixed), order(&fresh));
+        let times: Vec<f64> = fresh.variants.iter().map(|v| v.estimated_time).collect();
+        assert!(
+            times.windows(2).any(|pair| pair[0] == pair[1]),
+            "the probe should contain equal-time variants"
         );
     }
 

@@ -91,7 +91,7 @@ pub mod typecheck;
 
 pub use explore::{
     canonical_key, enumerate, enumerate_with, explore, explore_with, CanonicalKey, DedupKey,
-    DerivationStep, Enumerated, Exploration, ExplorationConfig, ExploreError, Variant,
+    DerivationStep, Enumerated, Exploration, ExplorationConfig, ExploreError, ScoreMemo, Variant,
 };
 pub use provenance::{explain, replay, ExplainedStep, Explanation, ReplayError};
 pub use rules::{

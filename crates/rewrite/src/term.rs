@@ -573,7 +573,7 @@ impl std::hash::Hasher for StableHasher {
 impl StableHasher {
     /// Hashes a string with a length prefix, so sequences of variable-length names are
     /// unambiguous (`["x", "xx"]` must not collide with `["xx", "x"]`).
-    fn write_str(&mut self, s: &str) {
+    pub(crate) fn write_str(&mut self, s: &str) {
         use std::hash::Hasher;
         self.write_usize(s.len());
         self.write(s.as_bytes());

@@ -343,6 +343,10 @@ pub enum Event {
         improved: bool,
         /// Whether the point re-used a cached rule search.
         cache_hit: bool,
+        /// Kernel launches the point executed on the virtual GPU.
+        kernels_executed: u32,
+        /// Kernel launches the point needed whose verdict an earlier point had measured.
+        kernels_reused: u32,
     },
     /// An accepted hill-climb move of a tuning search.
     TunerMove {
@@ -499,6 +503,8 @@ impl Event {
                 variants,
                 improved,
                 cache_hit,
+                kernels_executed,
+                kernels_reused,
             } => {
                 field_int(out, "index", u64::from(*index));
                 field_str(out, "point", point);
@@ -510,6 +516,8 @@ impl Event {
                 field_int(out, "variants", u64::from(*variants));
                 field_raw(out, "improved", if *improved { "true" } else { "false" });
                 field_raw(out, "cache_hit", if *cache_hit { "true" } else { "false" });
+                field_int(out, "kernels_executed", u64::from(*kernels_executed));
+                field_int(out, "kernels_reused", u64::from(*kernels_reused));
             }
             Event::TunerMove {
                 step,
@@ -952,6 +960,8 @@ mod tests {
             variants: 0,
             improved: false,
             cache_hit: true,
+            kernels_executed: 0,
+            kernels_reused: 0,
         });
         let text = String::from_utf8(sink.into_inner()).expect("utf8");
         let lines: Vec<&str> = text.lines().collect();
@@ -961,6 +971,7 @@ mod tests {
         assert!(lines[0].contains("\\\"quoted\\\""), "{}", lines[0]);
         assert!(lines[1].contains("\"best_time\":null"));
         assert!(lines[1].contains("\"cache_hit\":true"));
+        assert!(lines[1].contains("\"kernels_reused\":0"));
         for line in lines {
             assert!(line.starts_with('{') && line.ends_with('}'));
         }

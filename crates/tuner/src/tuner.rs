@@ -7,12 +7,16 @@
 //! validation against the interpreter, cost counters) → the device cost model. Points that
 //! share rule options share one [`Enumerated`] candidate set — the launch only affects
 //! scoring — so a launch sweep re-uses the expensive rule search instead of repeating it.
+//! All points of a run score through one [`ScoreMemo`]: rule-option sets overlap in the
+//! candidates they derive, so most `(candidate, launch)` pairs and most kernel launches a
+//! point needs were already compiled, executed and validated at an earlier point, and are
+//! recalled instead of repeated.
 
 use std::collections::HashMap;
 
 use lift_codegen::CompilationOptions;
 use lift_ir::Program;
-use lift_rewrite::{Enumerated, ExplorationConfig, ExploreError};
+use lift_rewrite::{Enumerated, ExplorationConfig, ExploreError, ScoreMemo};
 use lift_telemetry::{Collector, Event, Null};
 use lift_vgpu::DeviceProfile;
 
@@ -153,6 +157,12 @@ pub struct TuningResult {
     pub enumerations: usize,
     /// Point evaluations that re-used a cached rule search.
     pub enumeration_cache_hits: usize,
+    /// Kernel launches the run executed (and validated) on the virtual GPU: each distinct
+    /// launch once, however many points needed it.
+    pub kernels_executed: usize,
+    /// Kernel launches points needed whose verdict an earlier point of the run had already
+    /// measured, recalled instead of executed.
+    pub kernels_reused: usize,
 }
 
 struct Evaluator<'a> {
@@ -163,12 +173,15 @@ struct Evaluator<'a> {
     enumerated: HashMap<(usize, usize, usize), Enumerated>,
     /// Memoised objective per visited index (strategies may revisit).
     memo: HashMap<PointIndex, Option<f64>>,
+    /// Compile outcomes and kernel verdicts of the run so far, shared by all its points.
+    scores: ScoreMemo,
     result: TuningResult,
 }
 
 impl Evaluator<'_> {
-    /// Emits the [`Event::TunerPoint`] for the trajectory entry just pushed.
-    fn record_point(&self, entry: &TrajectoryEntry, cache_hit: bool) {
+    /// Emits the [`Event::TunerPoint`] for the trajectory entry just pushed. `kernels` is
+    /// the point's `(executed, reused)` launch count.
+    fn record_point(&self, entry: &TrajectoryEntry, cache_hit: bool, kernels: (usize, usize)) {
         if self.collector.enabled() {
             self.collector.record(Event::TunerPoint {
                 index: (self.result.points_evaluated - 1) as u32,
@@ -178,6 +191,8 @@ impl Evaluator<'_> {
                 variants: entry.variants as u32,
                 improved: entry.improved,
                 cache_hit,
+                kernels_executed: kernels.0 as u32,
+                kernels_reused: kernels.1 as u32,
             });
         }
     }
@@ -205,7 +220,7 @@ impl Evaluator<'_> {
             self.enumerated.insert(key, enumerated);
         }
         let enumerated = &self.enumerated[&key];
-        let scored = match enumerated.score_with(&config, self.collector) {
+        let scored = match enumerated.score_in(&config, &mut self.scores, self.collector) {
             Ok(scored) => scored,
             // A launch the device rejects is an infeasible point, not a failed tuning run.
             Err(ExploreError::Launch(_)) => {
@@ -221,6 +236,7 @@ impl Evaluator<'_> {
                 self.record_point(
                     self.result.trajectory.last().expect("entry just pushed"),
                     cache_hit,
+                    (0, 0),
                 );
                 return Ok(None);
             }
@@ -254,9 +270,16 @@ impl Evaluator<'_> {
             variants: scored.variants.len(),
             improved,
         });
+        let kernels = (
+            scored.executed_kernels - scored.reused_kernels,
+            scored.reused_kernels,
+        );
+        self.result.kernels_executed += kernels.0;
+        self.result.kernels_reused += kernels.1;
         self.record_point(
             self.result.trajectory.last().expect("entry just pushed"),
             cache_hit,
+            kernels,
         );
         self.memo.insert(index, best_time);
         Ok(best_time)
@@ -298,6 +321,7 @@ pub fn tune_with(
         collector,
         enumerated: HashMap::new(),
         memo: HashMap::new(),
+        scores: ScoreMemo::new(),
         result: TuningResult {
             device: config.device.name.clone(),
             best_point: None,
@@ -306,6 +330,8 @@ pub fn tune_with(
             points_evaluated: 0,
             enumerations: 0,
             enumeration_cache_hits: 0,
+            kernels_executed: 0,
+            kernels_reused: 0,
         },
     };
     drive(

@@ -1,0 +1,283 @@
+//! Differential pins for the run-scoped score memo (`lift::rewrite::ScoreMemo`): recalling a
+//! verdict must be indistinguishable from measuring it again.
+//!
+//! 1. **A tuning run through one shared memo equals the same walk scored point by point
+//!    through fresh memos** — trajectory, winner, and every point's `Exploration` (variants,
+//!    rejection counts, soundness report), for all seven workloads on both device profiles,
+//!    sequentially and with two scoring workers.
+//! 2. **A memo never answers for another context**: handed a different device, size binding
+//!    or race-detection setting it recalls nothing and returns what a fresh memo returns.
+//! 3. **A replayed derivation is re-proven on every call**: `from_derivation(..).score(..)`
+//!    compiles, executes and validates its candidate each time.
+
+use std::collections::HashMap;
+
+use lift::arith::Environment;
+use lift::rewrite::{
+    enumerate, Enumerated, Exploration, ExplorationConfig, ExploreError, RuleOptions, ScoreMemo,
+};
+use lift::telemetry::Null;
+use lift::tuner::{tune, Strategy, TuningConfig, Workload};
+use lift::vgpu::{DeviceProfile, LaunchConfig};
+use lift_bench::autotune_config;
+
+/// Asserts that two scoring passes over the same candidates agree on everything a caller
+/// can observe except how much was recalled.
+fn assert_same_exploration(shared: &Exploration, fresh: &Exploration, at: &str) {
+    assert_eq!(shared.explored, fresh.explored, "{at}");
+    assert_eq!(shared.rejected_typecheck, fresh.rejected_typecheck, "{at}");
+    assert_eq!(shared.dedup_hits, fresh.dedup_hits, "{at}");
+    assert_eq!(shared.lowered, fresh.lowered, "{at}");
+    assert_eq!(shared.rejected_compile, fresh.rejected_compile, "{at}");
+    assert_eq!(shared.rejected_incorrect, fresh.rejected_incorrect, "{at}");
+    assert_eq!(shared.rejected_unsound, fresh.rejected_unsound, "{at}");
+    assert_eq!(shared.rejected_race, fresh.rejected_race, "{at}");
+    assert_eq!(
+        shared.rejected_divergence, fresh.rejected_divergence,
+        "{at}"
+    );
+    assert_eq!(shared.soundness, fresh.soundness, "{at}");
+    assert_eq!(shared.executed_kernels, fresh.executed_kernels, "{at}");
+    assert_eq!(shared.variants.len(), fresh.variants.len(), "{at}");
+    for (a, b) in shared.variants.iter().zip(&fresh.variants) {
+        assert_eq!(a.program.to_string(), b.program.to_string(), "{at}");
+        assert_eq!(a.derivation, b.derivation, "{at}");
+        assert_eq!(a.kernel_source, b.kernel_source, "{at}");
+        assert_eq!(a.kernel_count, b.kernel_count, "{at}");
+        assert_eq!(a.counters, b.counters, "{at}");
+        assert_eq!(a.stage_counters, b.stage_counters, "{at}");
+        assert_eq!(a.stage_names, b.stage_names, "{at}");
+        assert_eq!(
+            a.estimated_time.to_bits(),
+            b.estimated_time.to_bits(),
+            "{at}"
+        );
+    }
+}
+
+/// The workload's canonical search budgets over a corner of its tuning space, walked
+/// exhaustively: two nested split sets at two launches. Points that differ only in their
+/// rule options derive overlapping candidates at the same launch, which is what both memo
+/// levels recall; the corner keeps an unoptimised test build quick.
+fn corner_walk(workload: &Workload, device: &DeviceProfile, threads: usize) -> TuningConfig {
+    let mut config = autotune_config(workload, device);
+    let space = &mut config.space;
+    space.split_sets = vec![vec![2, 4], vec![2, 4, 8]];
+    space.width_sets.truncate(1);
+    space.tile_sets.truncate(1);
+    space.launches = vec![space.launches[0], space.launches[space.launches.len() - 1]];
+    config.strategy = Strategy::Exhaustive;
+    config.base.threads = threads;
+    config
+}
+
+/// The differential property for one workload on one device: the tuner's run through its
+/// shared memo — sequential and with two scoring workers — against the same walk scored
+/// point by point through fresh memos.
+fn shared_memo_run_equals_fresh_memo_walk(workload: &Workload, device: &DeviceProfile) {
+    let at = format!("{}/{}", workload.name, device.name);
+    let config = corner_walk(workload, device, 1);
+    let tuned = tune(&workload.program, &config).expect("tuning runs");
+    assert!(tuned.best_variant.is_some(), "{at}: nothing survived");
+    let two_workers = tune(&workload.program, &corner_walk(workload, device, 2));
+    assert_eq!(two_workers.expect("tuning runs"), tuned, "{at}");
+
+    // Re-walk the tuned trajectory: every point scored through a fresh memo (the reference)
+    // and through one memo per worker count shared by the whole walk.
+    let mut shared = [ScoreMemo::new(), ScoreMemo::new()];
+    let mut enumerations: HashMap<(usize, usize, usize), Enumerated> = HashMap::new();
+    let mut best: Option<(usize, f64)> = None;
+    let (mut needed, mut executed, mut reused) = (0, 0, 0);
+    for (i, entry) in tuned.trajectory.iter().enumerate() {
+        let at = format!("{at}/point {i}");
+        let index = entry.point.index;
+        let point = ExplorationConfig {
+            rule_options: entry.point.rule_options.clone(),
+            launch: entry.point.launch,
+            device: device.clone(),
+            ..config.base.clone()
+        };
+        let enumerated = enumerations
+            .entry((index.split_set, index.width_set, index.tile_set))
+            .or_insert_with(|| enumerate(&workload.program, &point).expect("enumeration runs"));
+        let fresh = match enumerated.score(&point) {
+            Ok(fresh) => fresh,
+            Err(ExploreError::Launch(_)) => {
+                assert_eq!(entry.best_time, None, "{at}");
+                continue;
+            }
+            Err(e) => panic!("{at}: {e}"),
+        };
+        assert_eq!((fresh.reused_kernels, fresh.reused_compiles), (0, 0));
+        for (memo, threads) in shared.iter_mut().zip([1, 2]) {
+            let point = ExplorationConfig {
+                threads,
+                ..point.clone()
+            };
+            let recalled = enumerated
+                .score_in(&point, memo, &Null)
+                .expect("shared-memo scoring runs");
+            assert_same_exploration(&recalled, &fresh, &format!("{at}/threads={threads}"));
+            if threads == 1 {
+                executed += recalled.executed_kernels - recalled.reused_kernels;
+                reused += recalled.reused_kernels;
+            }
+        }
+        needed += fresh.executed_kernels;
+
+        // The tuner saw exactly what the fresh scoring sees.
+        let best_time = fresh.variants.first().map(|v| v.estimated_time);
+        assert_eq!(entry.best_time, best_time, "{at}");
+        assert_eq!(entry.lowered, fresh.lowered, "{at}");
+        assert_eq!(entry.variants, fresh.variants.len(), "{at}");
+        let improved = best_time.is_some_and(|t| best.is_none_or(|(_, b)| t < b));
+        assert_eq!(entry.improved, improved, "{at}");
+        if improved {
+            best = best_time.map(|t| (i, t));
+            if tuned.best_point.as_ref() == Some(&entry.point) {
+                let winner = &fresh.variants[0];
+                let served = tuned.best_variant.as_ref().expect("a winner");
+                assert_eq!(served.steps, winner.derivation, "{at}");
+                assert_eq!(served.kernel_source, winner.kernel_source, "{at}");
+            }
+        }
+    }
+    let (best_index, best_time) = best.expect("a point improved");
+    assert_eq!(
+        tuned.best_point.as_ref(),
+        Some(&tuned.trajectory[best_index].point),
+        "{at}"
+    );
+    assert_eq!(
+        tuned.best_variant.as_ref().map(|v| v.estimated_time),
+        Some(best_time),
+        "{at}"
+    );
+    // The run's own counts are those of the shared-memo walk, and together they cover
+    // every launch the fresh-memo walk executed.
+    assert_eq!(
+        (tuned.kernels_executed, tuned.kernels_reused),
+        (executed, reused),
+        "{at}"
+    );
+    assert_eq!(executed + reused, needed, "{at}");
+    assert!(reused > 0, "{at}: the walk recalled nothing");
+}
+
+#[test]
+fn a_shared_memo_run_equals_a_fresh_memo_per_point_run_on_nvidia() {
+    for workload in Workload::all() {
+        shared_memo_run_equals_fresh_memo_walk(&workload, &DeviceProfile::nvidia());
+    }
+}
+
+#[test]
+fn a_shared_memo_run_equals_a_fresh_memo_per_point_run_on_amd() {
+    for workload in Workload::all() {
+        shared_memo_run_equals_fresh_memo_walk(&workload, &DeviceProfile::amd());
+    }
+}
+
+/// A small dot-product search at one launch, and a memo that has scored it on NVIDIA.
+fn scored_dot_product() -> (Enumerated, ExplorationConfig, ScoreMemo) {
+    let config = ExplorationConfig {
+        max_depth: 5,
+        beam_width: 32,
+        max_candidates: 1500,
+        rule_options: RuleOptions {
+            split_sizes: vec![2, 4],
+            vector_widths: vec![4],
+            tile_sizes: vec![],
+        },
+        launch: LaunchConfig::d1(16, 4),
+        threads: 1,
+        ..ExplorationConfig::default()
+    };
+    let enumerated =
+        enumerate(&Workload::dot_product().program, &config).expect("enumeration runs");
+    let mut memo = ScoreMemo::new();
+    let first = enumerated
+        .score_in(&config, &mut memo, &Null)
+        .expect("scoring runs");
+    assert!(first.executed_kernels > 0 && !first.variants.is_empty());
+    assert_eq!((first.reused_kernels, first.reused_compiles), (0, 0));
+    (enumerated, config, memo)
+}
+
+#[test]
+fn a_memo_recalls_only_under_the_context_it_recorded() {
+    let (enumerated, config, mut memo) = scored_dot_product();
+
+    // Same context: everything is recalled, nothing is executed, the result is the same.
+    let again = enumerated
+        .score_in(&config, &mut memo, &Null)
+        .expect("scoring runs");
+    assert_eq!(again.reused_kernels, again.executed_kernels);
+    assert_eq!(again.reused_compiles, again.lowered);
+    assert_same_exploration(&again, &enumerated.score(&config).unwrap(), "same context");
+
+    // Any other context misses: the memo behaves like a fresh one.
+    let other_contexts = [
+        (
+            "device",
+            ExplorationConfig {
+                device: DeviceProfile::amd(),
+                ..config.clone()
+            },
+        ),
+        (
+            "detect_races",
+            ExplorationConfig {
+                detect_races: false,
+                ..config.clone()
+            },
+        ),
+        (
+            "sizes",
+            ExplorationConfig {
+                sizes: Environment::new().bind("N", 512),
+                ..config.clone()
+            },
+        ),
+    ];
+    for (what, other) in other_contexts {
+        let scored = enumerated
+            .score_in(&other, &mut memo, &Null)
+            .expect("scoring runs");
+        assert_eq!(
+            (scored.reused_kernels, scored.reused_compiles),
+            (0, 0),
+            "a memo recorded under another {what} must miss"
+        );
+        assert_same_exploration(&scored, &enumerated.score(&other).unwrap(), what);
+    }
+    // The AMD cost model ranks by different times, so a leaked NVIDIA verdict would show.
+    let nvidia = enumerated.score(&config).unwrap();
+    let amd = enumerated
+        .score(&ExplorationConfig {
+            device: DeviceProfile::amd(),
+            ..config
+        })
+        .unwrap();
+    assert_ne!(
+        nvidia.variants[0].estimated_time,
+        amd.variants[0].estimated_time
+    );
+}
+
+#[test]
+fn a_replayed_derivation_is_executed_and_validated_on_every_score() {
+    let (enumerated, config, _) = scored_dot_product();
+    let winner = &enumerated.score(&config).unwrap().variants[0];
+    let program = Workload::dot_product().program;
+    let replayed = Enumerated::from_derivation(&program, &winner.derivation, &config)
+        .expect("the chain replays");
+    for _ in 0..2 {
+        let scored = replayed.score(&config).expect("scoring runs");
+        assert_eq!(scored.lowered, 1);
+        assert_eq!(scored.executed_kernels, 1);
+        assert_eq!((scored.reused_kernels, scored.reused_compiles), (0, 0));
+        assert_eq!(scored.variants[0].kernel_source, winner.kernel_source);
+        assert_eq!(scored.variants[0].estimated_time, winner.estimated_time);
+    }
+}
