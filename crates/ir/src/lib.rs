@@ -51,9 +51,7 @@ pub use node::{
     ExprId, ExprKind, ExprNode, FunDecl, FunDeclId, Literal, PadMode, Pattern, Program, Reorder,
 };
 pub use scalar::{BinOp, ScalarExpr, UnOp, UserFun, UserFunError};
-pub use typecheck::{
-    check_pad_width, check_slide_divisibility, infer_call_types, infer_types, TypeError,
-};
+pub use typecheck::{infer_call_types, infer_types, pattern_type, user_fun_type, TypeError};
 pub use types::{AddressSpace, ParallelismLevel, ScalarKind, Type};
 
 /// Commonly used items, re-exported for convenience.

@@ -170,57 +170,61 @@ impl PadMode {
 }
 
 /// The predefined patterns of the Lift IL (Section 3.2).
+///
+/// Generic over the handle `F` of the nested function, so the one vocabulary serves every
+/// program container: the arena stores `Pattern<FunDeclId>` (the default), the rewrite
+/// engine's tree form stores `Pattern<Box<TermFun>>`.
 #[derive(Clone, Debug, PartialEq)]
-pub enum Pattern {
+pub enum Pattern<F = FunDeclId> {
     /// High-level, backend-agnostic map (Section 3.1). Programs are written with `map` and
     /// lowered to one of the OpenCL-specific map variants by the rewrite rules of
     /// `lift-rewrite`; the code generator only accepts the lowered forms.
     Map {
         /// Function applied to every element.
-        f: FunDeclId,
+        f: F,
     },
     /// High-level, backend-agnostic reduction; called with two arguments: the initial value
     /// and the input array. Lowered to [`Pattern::ReduceSeq`] (possibly under a memory-space
     /// wrapper) by the rewrite rules.
     Reduce {
         /// Binary reduction function of type `(acc, elem) -> acc`.
-        f: FunDeclId,
+        f: F,
     },
     /// Sequential map.
     MapSeq {
         /// Function applied to every element.
-        f: FunDeclId,
+        f: F,
     },
     /// Map over global work items in dimension `dim`.
     MapGlb {
         /// OpenCL dimension (0, 1 or 2).
         dim: u8,
         /// Function applied to every element.
-        f: FunDeclId,
+        f: F,
     },
     /// Map over work groups in dimension `dim`.
     MapWrg {
         /// OpenCL dimension (0, 1 or 2).
         dim: u8,
         /// Function applied to every element.
-        f: FunDeclId,
+        f: F,
     },
     /// Map over local work items in dimension `dim`; must be nested inside a [`Pattern::MapWrg`].
     MapLcl {
         /// OpenCL dimension (0, 1 or 2).
         dim: u8,
         /// Function applied to every element.
-        f: FunDeclId,
+        f: F,
     },
     /// Map a scalar function over the lanes of a vector value.
     MapVec {
         /// Scalar function applied per lane.
-        f: FunDeclId,
+        f: F,
     },
     /// Sequential reduction; called with two arguments: the initial value and the input array.
     ReduceSeq {
         /// Binary reduction function of type `(acc, elem) -> acc`.
-        f: FunDeclId,
+        f: F,
     },
     /// The identity function.
     Id,
@@ -229,7 +233,7 @@ pub enum Pattern {
         /// Number of iterations (a compile-time constant in all the paper's programs).
         n: u64,
         /// The iterated function.
-        f: FunDeclId,
+        f: F,
     },
     /// Add a dimension: `[T]_n -> [[T]_chunk]_{n/chunk}`.
     Split {
@@ -282,17 +286,17 @@ pub enum Pattern {
     /// Write the result of `f` to global memory.
     ToGlobal {
         /// The wrapped function.
-        f: FunDeclId,
+        f: F,
     },
     /// Write the result of `f` to local memory.
     ToLocal {
         /// The wrapped function.
-        f: FunDeclId,
+        f: F,
     },
     /// Write the result of `f` to private memory.
     ToPrivate {
         /// The wrapped function.
-        f: FunDeclId,
+        f: F,
     },
     /// Reinterpret `[scalar]_n` as `[vector_width]_{n/width}`.
     AsVector {
@@ -303,7 +307,7 @@ pub enum Pattern {
     AsScalar,
 }
 
-impl Pattern {
+impl<F> Pattern<F> {
     /// The number of arguments a call to this pattern expects.
     pub fn arity(&self) -> usize {
         match self {
@@ -320,7 +324,7 @@ impl Pattern {
     }
 
     /// The nested function of the pattern, if it has one.
-    pub fn nested_fun(&self) -> Option<FunDeclId> {
+    pub fn nested(&self) -> Option<&F> {
         match self {
             Pattern::Map { f }
             | Pattern::Reduce { f }
@@ -333,8 +337,84 @@ impl Pattern {
             | Pattern::Iterate { f, .. }
             | Pattern::ToGlobal { f }
             | Pattern::ToLocal { f }
-            | Pattern::ToPrivate { f } => Some(*f),
+            | Pattern::ToPrivate { f } => Some(f),
             _ => None,
+        }
+    }
+
+    /// Mutable access to the nested function of the pattern.
+    pub fn nested_mut(&mut self) -> Option<&mut F> {
+        match self {
+            Pattern::Map { f }
+            | Pattern::Reduce { f }
+            | Pattern::MapSeq { f }
+            | Pattern::MapGlb { f, .. }
+            | Pattern::MapWrg { f, .. }
+            | Pattern::MapLcl { f, .. }
+            | Pattern::MapVec { f }
+            | Pattern::ReduceSeq { f }
+            | Pattern::Iterate { f, .. }
+            | Pattern::ToGlobal { f }
+            | Pattern::ToLocal { f }
+            | Pattern::ToPrivate { f } => Some(f),
+            _ => None,
+        }
+    }
+
+    /// The same pattern over another nested-function handle: `convert` translates the nested
+    /// function (when there is one) and every knob is copied. This is the whole conversion
+    /// between program containers, e.g. arena ids to boxed trees and back.
+    pub fn map_nested<G>(&self, convert: impl FnOnce(&F) -> G) -> Pattern<G> {
+        match self {
+            Pattern::Map { f } => Pattern::Map { f: convert(f) },
+            Pattern::Reduce { f } => Pattern::Reduce { f: convert(f) },
+            Pattern::MapSeq { f } => Pattern::MapSeq { f: convert(f) },
+            Pattern::MapGlb { dim, f } => Pattern::MapGlb {
+                dim: *dim,
+                f: convert(f),
+            },
+            Pattern::MapWrg { dim, f } => Pattern::MapWrg {
+                dim: *dim,
+                f: convert(f),
+            },
+            Pattern::MapLcl { dim, f } => Pattern::MapLcl {
+                dim: *dim,
+                f: convert(f),
+            },
+            Pattern::MapVec { f } => Pattern::MapVec { f: convert(f) },
+            Pattern::ReduceSeq { f } => Pattern::ReduceSeq { f: convert(f) },
+            Pattern::Id => Pattern::Id,
+            Pattern::Iterate { n, f } => Pattern::Iterate {
+                n: *n,
+                f: convert(f),
+            },
+            Pattern::Split { chunk } => Pattern::Split {
+                chunk: chunk.clone(),
+            },
+            Pattern::Join => Pattern::Join,
+            Pattern::Gather { reorder } => Pattern::Gather {
+                reorder: reorder.clone(),
+            },
+            Pattern::Scatter { reorder } => Pattern::Scatter {
+                reorder: reorder.clone(),
+            },
+            Pattern::Transpose => Pattern::Transpose,
+            Pattern::Zip { arity } => Pattern::Zip { arity: *arity },
+            Pattern::Get { index } => Pattern::Get { index: *index },
+            Pattern::Slide { size, step } => Pattern::Slide {
+                size: size.clone(),
+                step: step.clone(),
+            },
+            Pattern::Pad { left, right, mode } => Pattern::Pad {
+                left: left.clone(),
+                right: right.clone(),
+                mode: *mode,
+            },
+            Pattern::ToGlobal { f } => Pattern::ToGlobal { f: convert(f) },
+            Pattern::ToLocal { f } => Pattern::ToLocal { f: convert(f) },
+            Pattern::ToPrivate { f } => Pattern::ToPrivate { f: convert(f) },
+            Pattern::AsVector { width } => Pattern::AsVector { width: *width },
+            Pattern::AsScalar => Pattern::AsScalar,
         }
     }
 
@@ -368,6 +448,13 @@ impl Pattern {
             Pattern::AsVector { width } => format!("asVector{width}"),
             Pattern::AsScalar => "asScalar".into(),
         }
+    }
+}
+
+impl Pattern {
+    /// The nested function declaration of the pattern, if it has one.
+    pub fn nested_fun(&self) -> Option<FunDeclId> {
+        self.nested().copied()
     }
 }
 
@@ -593,6 +680,9 @@ impl fmt::Display for Program {
 mod tests {
     use super::*;
 
+    /// Names the default handle where no nested function pins it.
+    type ArenaPattern = Pattern;
+
     #[test]
     fn arena_hands_out_sequential_ids() {
         let mut p = Program::new("t");
@@ -617,8 +707,8 @@ mod tests {
         let mut p = Program::new("t");
         let add = p.add_decl(FunDecl::UserFun(UserFun::add()));
         assert_eq!(Pattern::ReduceSeq { f: add }.arity(), 2);
-        assert_eq!(Pattern::Zip { arity: 3 }.arity(), 3);
-        assert_eq!(Pattern::Join.arity(), 1);
+        assert_eq!(ArenaPattern::Zip { arity: 3 }.arity(), 3);
+        assert_eq!(ArenaPattern::Join.arity(), 1);
         assert_eq!(Pattern::MapSeq { f: add }.nested_fun(), Some(add));
         assert_eq!(Pattern::Join.nested_fun(), None);
     }
@@ -659,14 +749,14 @@ mod tests {
         let f = p.add_decl(FunDecl::UserFun(UserFun::id_float()));
         assert_eq!(Pattern::MapWrg { dim: 0, f }.name(), "mapWrg0");
         assert_eq!(
-            Pattern::Split {
+            ArenaPattern::Split {
                 chunk: ArithExpr::cst(128)
             }
             .name(),
             "split128"
         );
         assert_eq!(Pattern::Iterate { n: 6, f }.name(), "iterate6");
-        assert_eq!(Pattern::AsVector { width: 4 }.name(), "asVector4");
+        assert_eq!(ArenaPattern::AsVector { width: 4 }.name(), "asVector4");
     }
 
     #[test]

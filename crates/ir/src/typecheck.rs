@@ -10,7 +10,8 @@ use std::fmt;
 
 use lift_arith::ArithExpr;
 
-use crate::node::{ExprId, ExprKind, FunDecl, FunDeclId, Pattern, Program};
+use crate::node::{ExprId, ExprKind, FunDecl, FunDeclId, PadMode, Pattern, Program};
+use crate::scalar::UserFun;
 use crate::types::Type;
 
 /// Errors reported by type inference.
@@ -234,27 +235,35 @@ pub(crate) fn infer_call(
             }
             infer_expr(program, body)
         }
-        FunDecl::UserFun(uf) => {
-            if uf.arity() != arg_types.len() {
-                return Err(TypeError::WrongArity {
-                    function: uf.name().to_string(),
-                    expected: uf.arity(),
-                    found: arg_types.len(),
-                });
-            }
-            for (expected, found) in uf.param_types().iter().zip(arg_types) {
-                if expected != found {
-                    return Err(TypeError::Mismatch {
-                        context: format!("call to user function `{}`", uf.name()),
-                        expected: expected.to_string(),
-                        found: found.to_string(),
-                    });
-                }
-            }
-            Ok(uf.return_type().clone())
-        }
-        FunDecl::Pattern(p) => infer_pattern(program, &p, arg_types),
+        FunDecl::UserFun(uf) => user_fun_type(&uf, arg_types),
+        FunDecl::Pattern(p) => pattern_type(&p, arg_types, |f, args| infer_call(program, *f, args)),
     }
+}
+
+/// The typing rule of a user-function call: the argument types must equal the declared
+/// parameter types exactly.
+///
+/// # Errors
+///
+/// [`TypeError::WrongArity`] or [`TypeError::Mismatch`] when they do not.
+pub fn user_fun_type(uf: &UserFun, arg_types: &[Type]) -> Result<Type, TypeError> {
+    if uf.arity() != arg_types.len() {
+        return Err(TypeError::WrongArity {
+            function: uf.name().to_string(),
+            expected: uf.arity(),
+            found: arg_types.len(),
+        });
+    }
+    for (expected, found) in uf.param_types().iter().zip(arg_types) {
+        if expected != found {
+            return Err(TypeError::Mismatch {
+                context: format!("call to user function `{}`", uf.name()),
+                expected: expected.to_string(),
+                found: found.to_string(),
+            });
+        }
+    }
+    Ok(uf.return_type().clone())
 }
 
 /// The arith-checked `slide` side condition: `(len - size) mod step` must provably
@@ -263,7 +272,7 @@ pub(crate) fn infer_call(
 /// split factor, stated once at the type level so *both* the type-level window count
 /// `(len - size)/step + 1` and the interpreter's greedy window walk describe the same set of
 /// windows.
-pub fn check_slide_divisibility(
+fn check_slide_divisibility(
     len: &ArithExpr,
     size: &ArithExpr,
     step: &ArithExpr,
@@ -284,13 +293,13 @@ pub fn check_slide_divisibility(
 /// either end, so both pad amounts must be provably `<= len` (clamp and wrap handle any
 /// amount). Provability uses the `max` smart constructor: `max(amount, len)` collapsing to
 /// `len` is exactly the range analysis proving `amount <= len`.
-pub fn check_pad_width(
+fn check_pad_width(
     left: &ArithExpr,
     right: &ArithExpr,
-    mode: crate::node::PadMode,
+    mode: PadMode,
     len: &ArithExpr,
 ) -> Result<(), TypeError> {
-    if mode != crate::node::PadMode::Mirror {
+    if mode != PadMode::Mirror {
         return Ok(());
     }
     let fits = |amount: &ArithExpr| amount.clone().max_of(len.clone()) == *len;
@@ -305,11 +314,18 @@ pub fn check_pad_width(
     }
 }
 
-/// The typing rules of the predefined patterns (Section 3.2).
-fn infer_pattern(
-    program: &mut Program,
-    pattern: &Pattern,
+/// The typing rules of the predefined patterns (Sections 3.2 and 5.1), stated once for every
+/// program container: `call` types the pattern's nested function (an arena id, a boxed tree,
+/// …) at the argument types the rule hands it, so each driver only supplies how *it* binds
+/// lambda parameters and what it records on the way.
+///
+/// # Errors
+///
+/// The [`TypeError`] of the first violated rule, or whatever `call` returns.
+pub fn pattern_type<'p, F>(
+    pattern: &'p Pattern<F>,
     arg_types: &[Type],
+    mut call: impl FnMut(&'p F, &[Type]) -> Result<Type, TypeError>,
 ) -> Result<Type, TypeError> {
     // The memory-placement wrappers are transparent: they accept whatever their nested
     // function accepts (e.g. `toPrivate(reduceSeq(f))` is called with two arguments), so
@@ -326,7 +342,7 @@ fn infer_pattern(
             found: arg_types.len(),
         });
     }
-    let array_of = |pattern: &Pattern, t: &Type| -> Result<(Type, ArithExpr), TypeError> {
+    let array_of = |t: &Type| -> Result<(Type, ArithExpr), TypeError> {
         match t.as_array() {
             Some((elem, len)) => Ok((elem.clone(), len.clone())),
             None => Err(TypeError::NotAnArray {
@@ -342,13 +358,13 @@ fn infer_pattern(
         | Pattern::MapGlb { f, .. }
         | Pattern::MapWrg { f, .. }
         | Pattern::MapLcl { f, .. } => {
-            let (elem, len) = array_of(pattern, &arg_types[0])?;
-            let out_elem = infer_call(program, *f, &[elem])?;
+            let (elem, len) = array_of(&arg_types[0])?;
+            let out_elem = call(f, &[elem])?;
             Ok(Type::array(out_elem, len))
         }
         Pattern::MapVec { f } => match &arg_types[0] {
             Type::Vector(kind, width) => {
-                let out = infer_call(program, *f, &[Type::Scalar(*kind)])?;
+                let out = call(f, &[Type::Scalar(*kind)])?;
                 match out {
                     Type::Scalar(out_kind) => Ok(Type::Vector(out_kind, *width)),
                     other => Err(TypeError::Mismatch {
@@ -366,8 +382,8 @@ fn infer_pattern(
         },
         Pattern::Reduce { f } | Pattern::ReduceSeq { f } => {
             let init = arg_types[0].clone();
-            let (elem, _len) = array_of(pattern, &arg_types[1])?;
-            let acc = infer_call(program, *f, &[init.clone(), elem])?;
+            let (elem, _len) = array_of(&arg_types[1])?;
+            let acc = call(f, &[init.clone(), elem])?;
             if acc != init {
                 return Err(TypeError::Mismatch {
                     context: format!("{} accumulator", pattern.name()),
@@ -381,48 +397,50 @@ fn infer_pattern(
         Pattern::Iterate { n, f } => {
             let mut current = arg_types[0].clone();
             for _ in 0..*n {
-                current = infer_call(program, *f, &[current])?;
+                current = call(f, &[current])?;
             }
             Ok(current)
         }
         Pattern::Split { chunk } => {
-            let (elem, len) = array_of(pattern, &arg_types[0])?;
+            let (elem, len) = array_of(&arg_types[0])?;
             let outer = len / chunk.clone();
             Ok(Type::array(Type::array(elem, chunk.clone()), outer))
         }
         Pattern::Join => {
-            let (elem, outer) = array_of(pattern, &arg_types[0])?;
-            let (inner_elem, inner) = array_of(pattern, &elem)?;
+            let (elem, outer) = array_of(&arg_types[0])?;
+            let (inner_elem, inner) = array_of(&elem)?;
             Ok(Type::array(inner_elem, outer * inner))
         }
         Pattern::Gather { .. } | Pattern::Scatter { .. } => Ok(arg_types[0].clone()),
         Pattern::Transpose => {
-            let (row, n) = array_of(pattern, &arg_types[0])?;
-            let (elem, m) = array_of(pattern, &row)?;
+            let (row, n) = array_of(&arg_types[0])?;
+            let (elem, m) = array_of(&row)?;
             Ok(Type::array(Type::array(elem, n), m))
         }
         Pattern::Zip { .. } => {
+            // `zip(0)` passes the arity check with no arguments but has no length to give
+            // its result.
+            let Some((first, rest)) = arg_types.split_first() else {
+                return Err(TypeError::Mismatch {
+                    context: "zip".into(),
+                    expected: "at least one array".into(),
+                    found: "no arguments".into(),
+                });
+            };
+            let (elem, len) = array_of(first)?;
             let mut elems = Vec::with_capacity(arg_types.len());
-            let mut len: Option<ArithExpr> = None;
-            for t in arg_types {
-                let (elem, l) = array_of(pattern, t)?;
-                match &len {
-                    None => len = Some(l),
-                    Some(first) => {
-                        if *first != l {
-                            return Err(TypeError::ZipLengthMismatch {
-                                first: first.to_string(),
-                                other: l.to_string(),
-                            });
-                        }
-                    }
+            elems.push(elem);
+            for t in rest {
+                let (elem, l) = array_of(t)?;
+                if len != l {
+                    return Err(TypeError::ZipLengthMismatch {
+                        first: len.to_string(),
+                        other: l.to_string(),
+                    });
                 }
                 elems.push(elem);
             }
-            Ok(Type::array(
-                Type::Tuple(elems),
-                len.expect("zip has at least one argument"),
-            ))
+            Ok(Type::array(Type::Tuple(elems), len))
         }
         Pattern::Get { index } => match &arg_types[0] {
             Type::Tuple(elems) => {
@@ -441,21 +459,21 @@ fn infer_pattern(
             }),
         },
         Pattern::Slide { size, step } => {
-            let (elem, len) = array_of(pattern, &arg_types[0])?;
+            let (elem, len) = array_of(&arg_types[0])?;
             check_slide_divisibility(&len, size, step)?;
             let windows = (len - size.clone()) / step.clone() + 1;
             Ok(Type::array(Type::array(elem, size.clone()), windows))
         }
         Pattern::Pad { left, right, mode } => {
-            let (elem, len) = array_of(pattern, &arg_types[0])?;
+            let (elem, len) = array_of(&arg_types[0])?;
             check_pad_width(left, right, *mode, &len)?;
             Ok(Type::array(elem, left.clone() + len + right.clone()))
         }
         Pattern::ToGlobal { f } | Pattern::ToLocal { f } | Pattern::ToPrivate { f } => {
-            infer_call(program, *f, arg_types)
+            call(f, arg_types)
         }
         Pattern::AsVector { width } => {
-            let (elem, len) = array_of(pattern, &arg_types[0])?;
+            let (elem, len) = array_of(&arg_types[0])?;
             match elem {
                 Type::Scalar(kind) => Ok(Type::array(
                     Type::Vector(kind, *width),
@@ -469,7 +487,7 @@ fn infer_pattern(
             }
         }
         Pattern::AsScalar => {
-            let (elem, len) = array_of(pattern, &arg_types[0])?;
+            let (elem, len) = array_of(&arg_types[0])?;
             match elem {
                 Type::Vector(kind, width) => Ok(Type::array(
                     Type::Scalar(kind),
@@ -580,6 +598,15 @@ mod tests {
         );
         let err = infer_types(&mut p).unwrap_err();
         assert!(matches!(err, TypeError::ZipLengthMismatch { .. }));
+
+        // `zip(0)` applied to nothing passes the arity check (0 == 0) and has no length to
+        // give its result: a typed error, where the checker used to panic.
+        let mut p = Program::new("t0");
+        let z = p.zip(0);
+        p.with_root(vec![], |p, _| p.apply(z, []));
+        let err = infer_types(&mut p).unwrap_err();
+        assert!(matches!(err, TypeError::Mismatch { .. }), "{err}");
+        assert!(err.to_string().contains("zip"), "{err}");
     }
 
     #[test]

@@ -961,8 +961,10 @@ fn high_level_count(e: &TermExpr) -> usize {
     fn count_fun(f: &TermFun) -> usize {
         match f {
             TermFun::Lambda { body, .. } => high_level_count(body),
-            TermFun::Map(g) | TermFun::Reduce(g) => 1 + count_fun(g),
-            other => other.nested().map_or(0, count_fun),
+            TermFun::Pattern(p) => {
+                usize::from(p.is_high_level()) + p.nested().map_or(0, |g| count_fun(g))
+            }
+            TermFun::UserFun(_) => 0,
         }
     }
     match e {

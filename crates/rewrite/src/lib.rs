@@ -6,8 +6,8 @@
 //! semantics-preserving rewrite rules. This crate supplies that missing front half of the
 //! pipeline:
 //!
-//! * [`term`] — a tree-shaped mirror of the arena IR that rules pattern-match on, with
-//!   lossless conversions in both directions,
+//! * [`term`] — the tree-shaped program container rules pattern-match on (the pattern
+//!   vocabulary is `lift_ir::Pattern` itself), with lossless conversions in both directions,
 //! * [`traversal`] — location-based traversal: every application site, its enclosing
 //!   parallel-pattern context and derived argument types,
 //! * [`rules`] — the algorithmic rules (map fusion, split-join with arithmetically checked

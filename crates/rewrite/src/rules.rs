@@ -21,9 +21,10 @@
 
 use lift_arith::ArithExpr;
 use lift_interp::Value;
-use lift_ir::Type;
+use lift_ir::{Pattern as P, Type};
 
-use crate::term::{FreshNames, TermExpr, TermFun};
+use crate::term::TermFun::{self, Pattern as Pat};
+use crate::term::{FreshNames, TermExpr};
 use crate::traversal::{infer_type, NestContext, TypeEnv};
 
 /// Which family a rule belongs to.
@@ -371,11 +372,32 @@ pub fn all_rules() -> &'static [Rule] {
 fn as_map(site: &TermExpr) -> Option<(&TermFun, &TermExpr)> {
     match site {
         TermExpr::Apply {
-            f: TermFun::Map(g),
+            f: Pat(P::Map { f: g }),
             args,
         } if args.len() == 1 => Some((g, &args[0])),
         _ => None,
     }
+}
+
+/// The pattern `pattern(f)` in function position, with its nested function boxed:
+/// `nest(|f| P::MapLcl { dim: 0, f }, g)` is `mapLcl⁰(g)`.
+fn nest(pattern: impl FnOnce(Box<TermFun>) -> P<Box<TermFun>>, f: TermFun) -> TermFun {
+    Pat(pattern(Box::new(f)))
+}
+
+/// `split c` for a constant chunk.
+fn split_by(chunk: i64) -> TermFun {
+    Pat(P::Split {
+        chunk: ArithExpr::cst(chunk),
+    })
+}
+
+/// `slide size step` for a constant window.
+fn slide_by(size: i64, step: i64) -> TermFun {
+    Pat(P::Slide {
+        size: ArithExpr::cst(size),
+        step: ArithExpr::cst(step),
+    })
 }
 
 /// `λx. outer(inner(x))`.
@@ -393,13 +415,13 @@ fn composed(outer: &TermFun, inner: &TermFun, fresh: &mut FreshNames) -> TermFun
 /// `map(f)` with the nested function eta-wrapped when it is itself a pattern (keeping the
 /// invariant that pattern applications stay visible to the traversal).
 fn map_of(f: TermFun, fresh: &mut FreshNames) -> TermFun {
-    TermFun::Map(Box::new(f.eta(fresh)))
+    nest(|f| P::Map { f }, f.eta(fresh))
 }
 
 /// Does the subtree introduce work-item/work-group parallelism already?
 fn fun_contains_parallel(f: &TermFun) -> bool {
     match f {
-        TermFun::MapGlb(..) | TermFun::MapWrg(..) | TermFun::MapLcl(..) => true,
+        Pat(P::MapGlb { .. }) | Pat(P::MapWrg { .. }) | Pat(P::MapLcl { .. }) => true,
         TermFun::Lambda { body, .. } => expr_contains_parallel(body),
         other => other.nested().is_some_and(fun_contains_parallel),
     }
@@ -444,7 +466,7 @@ fn map_fusion(site: &TermExpr, cx: &mut RuleCx) -> Vec<TermExpr> {
         return Vec::new();
     };
     vec![TermExpr::apply1(
-        TermFun::Map(Box::new(composed(f, g, cx.fresh))),
+        nest(|f| P::Map { f }, composed(f, g, cx.fresh)),
         x.clone(),
     )]
 }
@@ -453,7 +475,7 @@ fn map_fusion(site: &TermExpr, cx: &mut RuleCx) -> Vec<TermExpr> {
 /// lowered `reduceSeq`/`mapSeq` pair via [`reduce_seq_map_seq_fusion`].
 fn reduce_map_fusion(site: &TermExpr, cx: &mut RuleCx) -> Vec<TermExpr> {
     let TermExpr::Apply {
-        f: TermFun::Reduce(op),
+        f: Pat(P::Reduce { f: op }),
         args,
     } = site
     else {
@@ -466,7 +488,10 @@ fn reduce_map_fusion(site: &TermExpr, cx: &mut RuleCx) -> Vec<TermExpr> {
         return Vec::new();
     };
     vec![TermExpr::Apply {
-        f: TermFun::Reduce(Box::new(fused_reduction_operator(op, g, cx.fresh))),
+        f: nest(
+            |f| P::Reduce { f },
+            fused_reduction_operator(op, g, cx.fresh),
+        ),
         args: vec![init.clone(), x.clone()],
     }]
 }
@@ -475,7 +500,7 @@ fn reduce_map_fusion(site: &TermExpr, cx: &mut RuleCx) -> Vec<TermExpr> {
 /// the rewrite paper: the fusion that avoids materialising the mapped array).
 fn reduce_seq_map_seq_fusion(site: &TermExpr, cx: &mut RuleCx) -> Vec<TermExpr> {
     let TermExpr::Apply {
-        f: TermFun::ReduceSeq(op),
+        f: Pat(P::ReduceSeq { f: op }),
         args,
     } = site
     else {
@@ -485,7 +510,7 @@ fn reduce_seq_map_seq_fusion(site: &TermExpr, cx: &mut RuleCx) -> Vec<TermExpr> 
         return Vec::new();
     };
     let TermExpr::Apply {
-        f: TermFun::MapSeq(g),
+        f: Pat(P::MapSeq { f: g }),
         args: inner_args,
     } = input
     else {
@@ -495,7 +520,10 @@ fn reduce_seq_map_seq_fusion(site: &TermExpr, cx: &mut RuleCx) -> Vec<TermExpr> 
         return Vec::new();
     };
     vec![TermExpr::Apply {
-        f: TermFun::ReduceSeq(Box::new(fused_reduction_operator(op, g, cx.fresh))),
+        f: nest(
+            |f| P::ReduceSeq { f },
+            fused_reduction_operator(op, g, cx.fresh),
+        ),
         args: vec![init.clone(), x.clone()],
     }]
 }
@@ -530,13 +558,10 @@ fn split_join(site: &TermExpr, cx: &mut RuleCx) -> Vec<TermExpr> {
     cx.dividing_splits(&len)
         .into_iter()
         .map(|c| {
-            let inner = map_of(TermFun::Map(Box::new(f.clone())), cx.fresh);
+            let inner = map_of(nest(|f| P::Map { f }, f.clone()), cx.fresh);
             TermExpr::apply1(
-                TermFun::Join,
-                TermExpr::apply1(
-                    inner,
-                    TermExpr::apply1(TermFun::Split(ArithExpr::cst(c)), x.clone()),
-                ),
+                Pat(P::Join),
+                TermExpr::apply1(inner, TermExpr::apply1(split_by(c), x.clone())),
             )
         })
         .collect()
@@ -555,7 +580,7 @@ fn partial_reduce(site: &TermExpr, cx: &mut RuleCx) -> Vec<TermExpr> {
         return Vec::new();
     }
     let TermExpr::Apply {
-        f: TermFun::Reduce(op),
+        f: Pat(P::Reduce { f: op }),
         args,
     } = site
     else {
@@ -582,19 +607,19 @@ fn partial_reduce(site: &TermExpr, cx: &mut RuleCx) -> Vec<TermExpr> {
             let per_chunk = TermFun::Lambda {
                 params: vec![chunk.clone()],
                 body: Box::new(TermExpr::Apply {
-                    f: TermFun::Reduce(op.clone()),
+                    f: Pat(P::Reduce { f: op.clone() }),
                     args: vec![init.clone(), TermExpr::Param(chunk)],
                 }),
             };
             TermExpr::Apply {
-                f: TermFun::Reduce(op.clone()),
+                f: Pat(P::Reduce { f: op.clone() }),
                 args: vec![
                     init.clone(),
                     TermExpr::apply1(
-                        TermFun::Join,
+                        Pat(P::Join),
                         TermExpr::apply1(
-                            TermFun::Map(Box::new(per_chunk)),
-                            TermExpr::apply1(TermFun::Split(ArithExpr::cst(c)), x.clone()),
+                            nest(|f| P::Map { f }, per_chunk),
+                            TermExpr::apply1(split_by(c), x.clone()),
                         ),
                     ),
                 ],
@@ -606,7 +631,7 @@ fn partial_reduce(site: &TermExpr, cx: &mut RuleCx) -> Vec<TermExpr> {
 /// `iterate n f` → `f ∘ iterate (n-1) f` (and `iterate 0 f` → `id`).
 fn iterate_decomposition(site: &TermExpr, _cx: &mut RuleCx) -> Vec<TermExpr> {
     let TermExpr::Apply {
-        f: TermFun::Iterate(n, g),
+        f: Pat(P::Iterate { n, f: g }),
         args,
     } = site
     else {
@@ -620,7 +645,13 @@ fn iterate_decomposition(site: &TermExpr, _cx: &mut RuleCx) -> Vec<TermExpr> {
         1 => vec![TermExpr::apply1((**g).clone(), x.clone())],
         n => vec![TermExpr::apply1(
             (**g).clone(),
-            TermExpr::apply1(TermFun::Iterate(n - 1, g.clone()), x.clone()),
+            TermExpr::apply1(
+                Pat(P::Iterate {
+                    n: n - 1,
+                    f: g.clone(),
+                }),
+                x.clone(),
+            ),
         )],
     }
 }
@@ -629,14 +660,14 @@ fn iterate_decomposition(site: &TermExpr, _cx: &mut RuleCx) -> Vec<TermExpr> {
 /// when the inner type is derivable and the outer length matches).
 fn split_join_id(site: &TermExpr, cx: &mut RuleCx) -> Vec<TermExpr> {
     let TermExpr::Apply {
-        f: TermFun::Join,
+        f: Pat(P::Join),
         args,
     } = site
     else {
         return Vec::new();
     };
     let [TermExpr::Apply {
-        f: TermFun::Split(c),
+        f: Pat(P::Split { chunk: c }),
         args: inner,
     }] = args.as_slice()
     else {
@@ -660,14 +691,14 @@ fn split_join_id(site: &TermExpr, cx: &mut RuleCx) -> Vec<TermExpr> {
 /// `transpose ∘ transpose` → `id`.
 fn transpose_transpose_id(site: &TermExpr, _cx: &mut RuleCx) -> Vec<TermExpr> {
     let TermExpr::Apply {
-        f: TermFun::Transpose,
+        f: Pat(P::Transpose),
         args,
     } = site
     else {
         return Vec::new();
     };
     let [TermExpr::Apply {
-        f: TermFun::Transpose,
+        f: Pat(P::Transpose),
         args: inner,
     }] = args.as_slice()
     else {
@@ -695,7 +726,8 @@ fn gather_scatter_id(site: &TermExpr, _cx: &mut RuleCx) -> Vec<TermExpr> {
         return Vec::new();
     };
     match (outer, inner) {
-        (TermFun::Scatter(a), TermFun::Gather(b)) | (TermFun::Gather(a), TermFun::Scatter(b))
+        (Pat(P::Scatter { reorder: a }), Pat(P::Gather { reorder: b }))
+        | (Pat(P::Gather { reorder: a }), Pat(P::Scatter { reorder: b }))
             if a == b =>
         {
             vec![x.clone()]
@@ -710,7 +742,7 @@ fn map_join_promotion(site: &TermExpr, cx: &mut RuleCx) -> Vec<TermExpr> {
         return Vec::new();
     };
     let TermExpr::Apply {
-        f: TermFun::Join,
+        f: Pat(P::Join),
         args: inner,
     } = input
     else {
@@ -719,9 +751,9 @@ fn map_join_promotion(site: &TermExpr, cx: &mut RuleCx) -> Vec<TermExpr> {
     let [x] = inner.as_slice() else {
         return Vec::new();
     };
-    let mapped = map_of(TermFun::Map(Box::new(f.clone())), cx.fresh);
+    let mapped = map_of(nest(|f| P::Map { f }, f.clone()), cx.fresh);
     vec![TermExpr::apply1(
-        TermFun::Join,
+        Pat(P::Join),
         TermExpr::apply1(mapped, x.clone()),
     )]
 }
@@ -729,7 +761,7 @@ fn map_join_promotion(site: &TermExpr, cx: &mut RuleCx) -> Vec<TermExpr> {
 /// `split n ∘ map f` → `map(map f) ∘ split n`.
 fn split_map_promotion(site: &TermExpr, cx: &mut RuleCx) -> Vec<TermExpr> {
     let TermExpr::Apply {
-        f: TermFun::Split(c),
+        f: Pat(P::Split { chunk: c }),
         args,
     } = site
     else {
@@ -741,10 +773,10 @@ fn split_map_promotion(site: &TermExpr, cx: &mut RuleCx) -> Vec<TermExpr> {
     let Some((f, x)) = as_map(input) else {
         return Vec::new();
     };
-    let mapped = map_of(TermFun::Map(Box::new(f.clone())), cx.fresh);
+    let mapped = map_of(nest(|f| P::Map { f }, f.clone()), cx.fresh);
     vec![TermExpr::apply1(
         mapped,
-        TermExpr::apply1(TermFun::Split(c.clone()), x.clone()),
+        TermExpr::apply1(Pat(P::Split { chunk: c.clone() }), x.clone()),
     )]
 }
 
@@ -753,7 +785,7 @@ fn split_map_promotion(site: &TermExpr, cx: &mut RuleCx) -> Vec<TermExpr> {
 /// Matches `slide(size, 1)(x)` with a constant window size, returning `(size, x)`.
 fn as_unit_step_slide(site: &TermExpr) -> Option<(i64, &TermExpr)> {
     let TermExpr::Apply {
-        f: TermFun::Slide(size, step),
+        f: Pat(P::Slide { size, step }),
         args,
     } = site
     else {
@@ -787,18 +819,12 @@ fn slide_tiling(site: &TermExpr, cx: &mut RuleCx) -> Vec<TermExpr> {
     cx.dividing_tiles(&window_count)
         .into_iter()
         .map(|v| {
-            let inner = map_of(
-                TermFun::Slide(ArithExpr::cst(size), ArithExpr::cst(1)),
-                cx.fresh,
-            );
+            let inner = map_of(slide_by(size, 1), cx.fresh);
             TermExpr::apply1(
-                TermFun::Join,
+                Pat(P::Join),
                 TermExpr::apply1(
                     inner,
-                    TermExpr::apply1(
-                        TermFun::Slide(ArithExpr::cst(size + v - 1), ArithExpr::cst(v)),
-                        x.clone(),
-                    ),
+                    TermExpr::apply1(slide_by(size + v - 1, v), x.clone()),
                 ),
             )
         })
@@ -814,7 +840,7 @@ fn pad_map_commute(site: &TermExpr, _cx: &mut RuleCx) -> Vec<TermExpr> {
         return Vec::new();
     };
     let TermExpr::Apply {
-        f: TermFun::Pad(left, right, mode),
+        f: Pat(P::Pad { left, right, mode }),
         args: inner,
     } = input
     else {
@@ -824,8 +850,12 @@ fn pad_map_commute(site: &TermExpr, _cx: &mut RuleCx) -> Vec<TermExpr> {
         return Vec::new();
     };
     vec![TermExpr::apply1(
-        TermFun::Pad(left.clone(), right.clone(), *mode),
-        TermExpr::apply1(TermFun::Map(Box::new(f.clone())), x.clone()),
+        Pat(P::Pad {
+            left: left.clone(),
+            right: right.clone(),
+            mode: *mode,
+        }),
+        TermExpr::apply1(nest(|f| P::Map { f }, f.clone()), x.clone()),
     )]
 }
 
@@ -834,14 +864,24 @@ fn pad_map_commute(site: &TermExpr, _cx: &mut RuleCx) -> Vec<TermExpr> {
 /// the array on the second application, so the rule is restricted to clamp.
 fn pad_pad_merge(site: &TermExpr, _cx: &mut RuleCx) -> Vec<TermExpr> {
     let TermExpr::Apply {
-        f: TermFun::Pad(a, b, lift_ir::PadMode::Clamp),
+        f:
+            Pat(P::Pad {
+                left: a,
+                right: b,
+                mode: lift_ir::PadMode::Clamp,
+            }),
         args,
     } = site
     else {
         return Vec::new();
     };
     let [TermExpr::Apply {
-        f: TermFun::Pad(c, d, lift_ir::PadMode::Clamp),
+        f:
+            Pat(P::Pad {
+                left: c,
+                right: d,
+                mode: lift_ir::PadMode::Clamp,
+            }),
         args: inner,
     }] = args.as_slice()
     else {
@@ -851,11 +891,11 @@ fn pad_pad_merge(site: &TermExpr, _cx: &mut RuleCx) -> Vec<TermExpr> {
         return Vec::new();
     };
     vec![TermExpr::apply1(
-        TermFun::Pad(
-            a.clone() + c.clone(),
-            b.clone() + d.clone(),
-            lift_ir::PadMode::Clamp,
-        ),
+        Pat(P::Pad {
+            left: a.clone() + c.clone(),
+            right: b.clone() + d.clone(),
+            mode: lift_ir::PadMode::Clamp,
+        }),
         x.clone(),
     )]
 }
@@ -873,7 +913,7 @@ fn reduce_to_iterate(site: &TermExpr, cx: &mut RuleCx) -> Vec<TermExpr> {
         return Vec::new();
     }
     let TermExpr::Apply {
-        f: TermFun::Reduce(op),
+        f: Pat(P::Reduce { f: op }),
         args,
     } = site
     else {
@@ -904,7 +944,7 @@ fn reduce_to_iterate(site: &TermExpr, cx: &mut RuleCx) -> Vec<TermExpr> {
     let halve_pairs = TermFun::Lambda {
         params: vec![pair.clone()],
         body: Box::new(TermExpr::Apply {
-            f: TermFun::Reduce(op.clone()),
+            f: Pat(P::Reduce { f: op.clone() }),
             args: vec![init.clone(), TermExpr::Param(pair)],
         }),
     };
@@ -912,15 +952,15 @@ fn reduce_to_iterate(site: &TermExpr, cx: &mut RuleCx) -> Vec<TermExpr> {
     let halve = TermFun::Lambda {
         params: vec![level.clone()],
         body: Box::new(TermExpr::apply1(
-            TermFun::Join,
+            Pat(P::Join),
             TermExpr::apply1(
-                TermFun::Map(Box::new(halve_pairs)),
-                TermExpr::apply1(TermFun::Split(ArithExpr::cst(2)), TermExpr::Param(level)),
+                nest(|f| P::Map { f }, halve_pairs),
+                TermExpr::apply1(split_by(2), TermExpr::Param(level)),
             ),
         )),
     };
     vec![TermExpr::apply1(
-        TermFun::Iterate(k, Box::new(halve)),
+        nest(|f| P::Iterate { n: k, f }, halve),
         x.clone(),
     )]
 }
@@ -965,30 +1005,27 @@ fn stencil_wrg_tiling(site: &TermExpr, cx: &mut RuleCx) -> Vec<TermExpr> {
         .map(|v| {
             let tile = cx.fresh.next("tile");
             let copy = TermExpr::apply1(
-                TermFun::ToLocal(Box::new(TermFun::MapLcl(
-                    0,
-                    Box::new(TermFun::UserFun(lift_ir::UserFun::id_float())),
-                ))),
+                nest(
+                    |f| P::ToLocal { f },
+                    nest(
+                        |f| P::MapLcl { dim: 0, f },
+                        TermFun::UserFun(lift_ir::UserFun::id_float()),
+                    ),
+                ),
                 TermExpr::Param(tile.clone()),
             );
-            let local_windows = TermExpr::apply1(
-                TermFun::Slide(ArithExpr::cst(size), ArithExpr::cst(1)),
-                copy,
-            );
+            let local_windows = TermExpr::apply1(slide_by(size, 1), copy);
             let per_window =
-                TermExpr::apply1(TermFun::MapLcl(0, Box::new(f.clone())), local_windows);
+                TermExpr::apply1(nest(|f| P::MapLcl { dim: 0, f }, f.clone()), local_windows);
             let wrg_fun = TermFun::Lambda {
                 params: vec![tile],
                 body: Box::new(per_window),
             };
             TermExpr::apply1(
-                TermFun::Join,
+                Pat(P::Join),
                 TermExpr::apply1(
-                    TermFun::MapWrg(0, Box::new(wrg_fun)),
-                    TermExpr::apply1(
-                        TermFun::Slide(ArithExpr::cst(size + v - 1), ArithExpr::cst(v)),
-                        x.clone(),
-                    ),
+                    nest(|f| P::MapWrg { dim: 0, f }, wrg_fun),
+                    TermExpr::apply1(slide_by(size + v - 1, v), x.clone()),
                 ),
             )
         })
@@ -1030,7 +1067,7 @@ fn mm_tiled_2d(site: &TermExpr, cx: &mut RuleCx) -> Vec<TermExpr> {
         return Vec::new();
     };
     let TermExpr::Apply {
-        f: TermFun::Join,
+        f: Pat(P::Join),
         args,
     } = body.as_ref()
     else {
@@ -1046,7 +1083,7 @@ fn mm_tiled_2d(site: &TermExpr, cx: &mut RuleCx) -> Vec<TermExpr> {
         return Vec::new();
     }
     let TermExpr::Apply {
-        f: TermFun::Transpose,
+        f: Pat(P::Transpose),
         args: t_args,
     } = cols
     else {
@@ -1090,7 +1127,7 @@ fn mm_tiled_2d(site: &TermExpr, cx: &mut RuleCx) -> Vec<TermExpr> {
             // then runs the original per-element computation with `row` rebound to the
             // private copy and `g` applied to the work item's B column.
             let arow_private = TermExpr::apply1(
-                TermFun::ToPrivate(Box::new(TermFun::MapSeq(Box::new(id_copy())))),
+                nest(|f| P::ToPrivate { f }, nest(|f| P::MapSeq { f }, id_copy())),
                 TermExpr::Param(arow.clone()),
             );
             let per_pair = TermExpr::apply1(
@@ -1107,19 +1144,19 @@ fn mm_tiled_2d(site: &TermExpr, cx: &mut RuleCx) -> Vec<TermExpr> {
             // Compute nest over the staged tiles: columns on dim 0, rows on dim 1; the
             // join collapses the per-pair `[1]float` reduction results into the column.
             let column_block = TermExpr::apply1(
-                TermFun::Join,
+                Pat(P::Join),
                 TermExpr::apply1(
-                    TermFun::MapLcl(1, Box::new(per_arow)),
+                    nest(|f| P::MapLcl { dim: 1, f }, per_arow),
                     TermExpr::Param(atl.clone()),
                 ),
             );
             let compute = TermExpr::apply1(
-                TermFun::MapLcl(
-                    0,
-                    Box::new(TermFun::Lambda {
+                nest(
+                    |f| P::MapLcl { dim: 0, f },
+                    TermFun::Lambda {
                         params: vec![bcol],
                         body: Box::new(column_block),
-                    }),
+                    },
                 ),
                 TermExpr::Param(btl.clone()),
             );
@@ -1127,17 +1164,23 @@ fn mm_tiled_2d(site: &TermExpr, cx: &mut RuleCx) -> Vec<TermExpr> {
             // work-item copies (each tile's copy loops over the dimensions in its own
             // natural order, so consecutive work items copy consecutive elements).
             let atile_staged = TermExpr::apply1(
-                TermFun::ToLocal(Box::new(TermFun::MapLcl(
-                    1,
-                    Box::new(TermFun::MapLcl(0, Box::new(id_copy()))),
-                ))),
+                nest(
+                    |f| P::ToLocal { f },
+                    nest(
+                        |f| P::MapLcl { dim: 1, f },
+                        nest(|f| P::MapLcl { dim: 0, f }, id_copy()),
+                    ),
+                ),
                 TermExpr::Param(atile.clone()),
             );
             let btile_staged = TermExpr::apply1(
-                TermFun::ToLocal(Box::new(TermFun::MapLcl(
-                    0,
-                    Box::new(TermFun::MapLcl(1, Box::new(id_copy()))),
-                ))),
+                nest(
+                    |f| P::ToLocal { f },
+                    nest(
+                        |f| P::MapLcl { dim: 0, f },
+                        nest(|f| P::MapLcl { dim: 1, f }, id_copy()),
+                    ),
+                ),
                 TermExpr::Param(btile.clone()),
             );
             let with_atl = TermExpr::apply1(
@@ -1162,27 +1205,27 @@ fn mm_tiled_2d(site: &TermExpr, cx: &mut RuleCx) -> Vec<TermExpr> {
             // join/transpose/join un-tile the [m/tm][tm][n] blocks back to [m][n] purely
             // through views.
             let btiles = TermExpr::apply1(
-                TermFun::Split(ArithExpr::cst(tile.x)),
-                TermExpr::apply1(TermFun::Transpose, (*b).clone()),
+                split_by(tile.x),
+                TermExpr::apply1(Pat(P::Transpose), (*b).clone()),
             );
             let row_block = TermExpr::apply1(
-                TermFun::Transpose,
+                Pat(P::Transpose),
                 TermExpr::apply1(
-                    TermFun::Join,
-                    TermExpr::apply1(TermFun::MapWrg(0, Box::new(per_col_tile)), btiles),
+                    Pat(P::Join),
+                    TermExpr::apply1(nest(|f| P::MapWrg { dim: 0, f }, per_col_tile), btiles),
                 ),
             );
             TermExpr::apply1(
-                TermFun::Join,
+                Pat(P::Join),
                 TermExpr::apply1(
-                    TermFun::MapWrg(
-                        1,
-                        Box::new(TermFun::Lambda {
+                    nest(
+                        |f| P::MapWrg { dim: 1, f },
+                        TermFun::Lambda {
                             params: vec![atile],
                             body: Box::new(row_block),
-                        }),
+                        },
                     ),
-                    TermExpr::apply1(TermFun::Split(ArithExpr::cst(tile.y)), a.clone()),
+                    TermExpr::apply1(split_by(tile.y), a.clone()),
                 ),
             )
         })
@@ -1197,7 +1240,7 @@ fn map_to_map_seq(site: &TermExpr, _cx: &mut RuleCx) -> Vec<TermExpr> {
         return Vec::new();
     };
     vec![TermExpr::apply1(
-        TermFun::MapSeq(Box::new(f.clone())),
+        nest(|f| P::MapSeq { f }, f.clone()),
         x.clone(),
     )]
 }
@@ -1212,7 +1255,7 @@ fn map_to_map_glb(site: &TermExpr, cx: &mut RuleCx) -> Vec<TermExpr> {
         return Vec::new();
     }
     vec![TermExpr::apply1(
-        TermFun::MapGlb(0, Box::new(f.clone())),
+        nest(|f| P::MapGlb { dim: 0, f }, f.clone()),
         x.clone(),
     )]
 }
@@ -1235,15 +1278,15 @@ fn map_to_wrg_lcl(site: &TermExpr, cx: &mut RuleCx) -> Vec<TermExpr> {
             let wrg_fun = TermFun::Lambda {
                 params: vec![t.clone()],
                 body: Box::new(TermExpr::apply1(
-                    TermFun::MapLcl(0, Box::new(f.clone())),
+                    nest(|f| P::MapLcl { dim: 0, f }, f.clone()),
                     TermExpr::Param(t),
                 )),
             };
             TermExpr::apply1(
-                TermFun::Join,
+                Pat(P::Join),
                 TermExpr::apply1(
-                    TermFun::MapWrg(0, Box::new(wrg_fun)),
-                    TermExpr::apply1(TermFun::Split(ArithExpr::cst(c)), x.clone()),
+                    nest(|f| P::MapWrg { dim: 0, f }, wrg_fun),
+                    TermExpr::apply1(split_by(c), x.clone()),
                 ),
             )
         })
@@ -1265,7 +1308,7 @@ fn map_to_map_lcl(site: &TermExpr, cx: &mut RuleCx) -> Vec<TermExpr> {
     let free = cx.context.wrg_dims & !cx.context.lcl_dims;
     (0u8..8)
         .filter(|d| free & (1 << d) != 0)
-        .map(|d| TermExpr::apply1(TermFun::MapLcl(d, Box::new(f.clone())), x.clone()))
+        .map(|d| TermExpr::apply1(nest(|f| P::MapLcl { dim: d, f }, f.clone()), x.clone()))
         .collect()
 }
 
@@ -1301,10 +1344,13 @@ fn map_vectorise(site: &TermExpr, cx: &mut RuleCx) -> Vec<TermExpr> {
     widths
         .into_iter()
         .map(|w| {
-            let lanes = map_of(TermFun::MapVec(Box::new(f.clone())), cx.fresh);
+            let lanes = map_of(nest(|f| P::MapVec { f }, f.clone()), cx.fresh);
             TermExpr::apply1(
-                TermFun::AsScalar,
-                TermExpr::apply1(lanes, TermExpr::apply1(TermFun::AsVector(w), x.clone())),
+                Pat(P::AsScalar),
+                TermExpr::apply1(
+                    lanes,
+                    TermExpr::apply1(Pat(P::AsVector { width: w }), x.clone()),
+                ),
             )
         })
         .collect()
@@ -1314,14 +1360,14 @@ fn map_vectorise(site: &TermExpr, cx: &mut RuleCx) -> Vec<TermExpr> {
 /// primitive the backend provides, exactly as in the paper).
 fn reduce_to_reduce_seq(site: &TermExpr, _cx: &mut RuleCx) -> Vec<TermExpr> {
     let TermExpr::Apply {
-        f: TermFun::Reduce(op),
+        f: Pat(P::Reduce { f: op }),
         args,
     } = site
     else {
         return Vec::new();
     };
     vec![TermExpr::Apply {
-        f: TermFun::ReduceSeq(op.clone()),
+        f: Pat(P::ReduceSeq { f: op.clone() }),
         args: args.clone(),
     }]
 }
@@ -1332,7 +1378,7 @@ fn wrap_in(site: &TermExpr, wrap: fn(Box<TermFun>) -> TermFun) -> Vec<TermExpr> 
         return Vec::new();
     };
     match f {
-        TermFun::MapSeq(_) | TermFun::ReduceSeq(_) | TermFun::MapVec(_) => {
+        Pat(P::MapSeq { .. }) | Pat(P::ReduceSeq { .. }) | Pat(P::MapVec { .. }) => {
             vec![TermExpr::Apply {
                 f: wrap(Box::new(f.clone())),
                 args: args.clone(),
@@ -1348,7 +1394,7 @@ fn wrap_to_local(site: &TermExpr, cx: &mut RuleCx) -> Vec<TermExpr> {
     if !cx.context.in_work_group() {
         return Vec::new();
     }
-    wrap_in(site, TermFun::ToLocal)
+    wrap_in(site, |f| Pat(P::ToLocal { f }))
 }
 
 /// `mapSeq/reduceSeq f` → `toGlobal(…)`: write the result to global memory. Inside a work
@@ -1359,13 +1405,13 @@ fn wrap_to_global(site: &TermExpr, cx: &mut RuleCx) -> Vec<TermExpr> {
     if !cx.context.in_work_group() && !cx.context.inside_glb {
         return Vec::new();
     }
-    wrap_in(site, TermFun::ToGlobal)
+    wrap_in(site, |f| Pat(P::ToGlobal { f }))
 }
 
 /// `mapSeq/reduceSeq f` → `toPrivate(…)`: stage the result in private memory. Allowed in any
 /// context — private staging is useful even in purely sequential single-work-item kernels.
 fn wrap_to_private(site: &TermExpr, _cx: &mut RuleCx) -> Vec<TermExpr> {
-    wrap_in(site, TermFun::ToPrivate)
+    wrap_in(site, |f| Pat(P::ToPrivate { f }))
 }
 
 #[cfg(test)]

@@ -1,9 +1,13 @@
-//! A tree-shaped mirror of the arena-based Lift IR.
+//! The tree-shaped program container the rewrite rules work on.
 //!
 //! Rewrite rules are far easier to express over recursive trees than over arena ids: a rule
 //! matches a subtree and returns a replacement subtree, and substitution is a purely
-//! functional rebuild along a path. This module defines that tree form ([`TermExpr`] /
-//! [`TermFun`]) together with lossless conversions from and to [`lift_ir::Program`].
+//! functional rebuild along a path. [`TermExpr`] / [`TermFun`] are that tree. They are a
+//! second *container*, not a second vocabulary: a [`TermFun`] is a lambda, a user function
+//! or a [`lift_ir::Pattern`] whose nested function is a boxed subtree where the arena's
+//! [`FunDecl`] has a [`FunDeclId`] — so converting from and to [`lift_ir::Program`] is one
+//! [`Pattern::map_nested`] per pattern, and the typing rules are shared (see
+//! [`mod@crate::typecheck`]).
 //!
 //! Two normalisations happen during conversion:
 //!
@@ -19,10 +23,8 @@
 
 use std::collections::HashMap;
 
-use lift_arith::ArithExpr;
 use lift_ir::{
-    ExprId, ExprKind, FunDecl, FunDeclId, Literal, PadMode, Pattern, Program, Reorder, Type,
-    UserFun,
+    ExprId, ExprKind, FunDecl, FunDeclId, Literal, Pattern, Program, Reorder, Type, UserFun,
 };
 
 /// Errors raised while converting between the arena IR and the tree form.
@@ -50,7 +52,8 @@ impl std::fmt::Display for TermError {
 
 impl std::error::Error for TermError {}
 
-/// A function in tree form: lambdas, user functions and the predefined patterns.
+/// A function in tree form — the shape of [`FunDecl`], with boxed subtrees where the arena
+/// has ids: the pattern vocabulary is [`lift_ir::Pattern`] itself, not a copy of it.
 #[derive(Clone, Debug, PartialEq)]
 pub enum TermFun {
     /// An anonymous function.
@@ -62,72 +65,15 @@ pub enum TermFun {
     },
     /// A user-defined scalar function.
     UserFun(UserFun),
-    /// High-level `map`.
-    Map(Box<TermFun>),
-    /// High-level `reduce`.
-    Reduce(Box<TermFun>),
-    /// `mapSeq`.
-    MapSeq(Box<TermFun>),
-    /// `mapGlb^dim`.
-    MapGlb(u8, Box<TermFun>),
-    /// `mapWrg^dim`.
-    MapWrg(u8, Box<TermFun>),
-    /// `mapLcl^dim`.
-    MapLcl(u8, Box<TermFun>),
-    /// `mapVec`.
-    MapVec(Box<TermFun>),
-    /// `reduceSeq`.
-    ReduceSeq(Box<TermFun>),
-    /// `iterate^n`.
-    Iterate(u64, Box<TermFun>),
-    /// `toGlobal`.
-    ToGlobal(Box<TermFun>),
-    /// `toLocal`.
-    ToLocal(Box<TermFun>),
-    /// `toPrivate`.
-    ToPrivate(Box<TermFun>),
-    /// The identity pattern.
-    Id,
-    /// `split^chunk`.
-    Split(ArithExpr),
-    /// `join`.
-    Join,
-    /// `gather`.
-    Gather(Reorder),
-    /// `scatter`.
-    Scatter(Reorder),
-    /// `transpose`.
-    Transpose,
-    /// `zip` of `arity` arrays.
-    Zip(usize),
-    /// Tuple projection.
-    Get(usize),
-    /// `slide(size, step)`.
-    Slide(ArithExpr, ArithExpr),
-    /// `pad(left, right, mode)`.
-    Pad(ArithExpr, ArithExpr, PadMode),
-    /// `asVector^width`.
-    AsVector(usize),
-    /// `asScalar`.
-    AsScalar,
+    /// A predefined pattern whose nested function (if any) is a subtree.
+    Pattern(Pattern<Box<TermFun>>),
 }
 
 impl TermFun {
     /// The nested function of a pattern, if it has one.
     pub fn nested(&self) -> Option<&TermFun> {
         match self {
-            TermFun::Map(f)
-            | TermFun::Reduce(f)
-            | TermFun::MapSeq(f)
-            | TermFun::MapGlb(_, f)
-            | TermFun::MapWrg(_, f)
-            | TermFun::MapLcl(_, f)
-            | TermFun::MapVec(f)
-            | TermFun::ReduceSeq(f)
-            | TermFun::Iterate(_, f)
-            | TermFun::ToGlobal(f)
-            | TermFun::ToLocal(f)
-            | TermFun::ToPrivate(f) => Some(f),
+            TermFun::Pattern(p) => p.nested().map(|f| &**f),
             _ => None,
         }
     }
@@ -135,18 +81,7 @@ impl TermFun {
     /// Mutable access to the nested function of a pattern.
     pub fn nested_mut(&mut self) -> Option<&mut TermFun> {
         match self {
-            TermFun::Map(f)
-            | TermFun::Reduce(f)
-            | TermFun::MapSeq(f)
-            | TermFun::MapGlb(_, f)
-            | TermFun::MapWrg(_, f)
-            | TermFun::MapLcl(_, f)
-            | TermFun::MapVec(f)
-            | TermFun::ReduceSeq(f)
-            | TermFun::Iterate(_, f)
-            | TermFun::ToGlobal(f)
-            | TermFun::ToLocal(f)
-            | TermFun::ToPrivate(f) => Some(f),
+            TermFun::Pattern(p) => p.nested_mut().map(|f| &mut **f),
             _ => None,
         }
     }
@@ -155,30 +90,25 @@ impl TermFun {
     /// unchanged; patterns are wrapped in `λx. pattern(x)` (or `λ(a, x). pattern(a, x)` for
     /// the binary reductions), so the pattern application becomes a rewritable expression.
     pub fn eta(self, fresh: &mut FreshNames) -> TermFun {
-        match self {
-            TermFun::Lambda { .. } | TermFun::UserFun(_) => self,
-            TermFun::Reduce(_) | TermFun::ReduceSeq(_) => {
-                let a = fresh.next("acc");
-                let x = fresh.next("xs");
-                TermFun::Lambda {
-                    params: vec![a.clone(), x.clone()],
-                    body: Box::new(TermExpr::Apply {
-                        f: self,
-                        args: vec![TermExpr::Param(a), TermExpr::Param(x)],
-                    }),
-                }
+        let params = match &self {
+            TermFun::Lambda { .. } | TermFun::UserFun(_) => return self,
+            TermFun::Pattern(Pattern::Reduce { .. } | Pattern::ReduceSeq { .. }) => {
+                vec![fresh.next("acc"), fresh.next("xs")]
             }
-            _ => {
-                let x = fresh.next("x");
-                TermFun::Lambda {
-                    params: vec![x.clone()],
-                    body: Box::new(TermExpr::Apply {
-                        f: self,
-                        args: vec![TermExpr::Param(x)],
-                    }),
-                }
-            }
-        }
+            TermFun::Pattern(_) => vec![fresh.next("x")],
+        };
+        eta_lambda(self, params)
+    }
+}
+
+/// `λparams. f(params)`.
+fn eta_lambda(f: TermFun, params: Vec<String>) -> TermFun {
+    TermFun::Lambda {
+        body: Box::new(TermExpr::Apply {
+            f,
+            args: params.iter().cloned().map(TermExpr::Param).collect(),
+        }),
+        params,
     }
 }
 
@@ -278,7 +208,7 @@ impl Term {
                 None => return Err(TermError::UntypedRootParam(name)),
             }
         }
-        let body = beta_normalize(&cx.expr(body_id)?);
+        let body = beta_normalize(&cx.expr(body_id));
         Ok(Term {
             name: program.name().to_string(),
             params,
@@ -348,12 +278,6 @@ fn skeleton_expr(e: &TermExpr, out: &mut String) {
 }
 
 fn skeleton_fun(f: &TermFun, out: &mut String) {
-    let nest = |tag: &str, g: &TermFun, out: &mut String| {
-        out.push_str(tag);
-        out.push('[');
-        skeleton_fun(g, out);
-        out.push(']');
-    };
     match f {
         TermFun::Lambda { body, .. } => {
             out.push_str("fn{");
@@ -361,33 +285,25 @@ fn skeleton_fun(f: &TermFun, out: &mut String) {
             out.push('}');
         }
         TermFun::UserFun(_) => out.push_str("uf"),
-        TermFun::Map(g) => nest("map", g, out),
-        TermFun::Reduce(g) => nest("reduce", g, out),
-        TermFun::MapSeq(g) => nest("mapSeq", g, out),
-        TermFun::MapGlb(d, g) => nest(&format!("mapGlb{d}"), g, out),
-        TermFun::MapWrg(d, g) => nest(&format!("mapWrg{d}"), g, out),
-        TermFun::MapLcl(d, g) => nest(&format!("mapLcl{d}"), g, out),
-        TermFun::MapVec(g) => nest("mapVec", g, out),
-        TermFun::ReduceSeq(g) => nest("reduceSeq", g, out),
-        TermFun::Iterate(_, g) => nest("iterate", g, out),
-        TermFun::ToGlobal(g) => nest("toGlobal", g, out),
-        TermFun::ToLocal(g) => nest("toLocal", g, out),
-        TermFun::ToPrivate(g) => nest("toPrivate", g, out),
-        TermFun::Id => out.push_str("id"),
-        TermFun::Split(_) => out.push_str("split"),
-        TermFun::Join => out.push_str("join"),
-        TermFun::Gather(_) => out.push_str("gather"),
-        TermFun::Scatter(_) => out.push_str("scatter"),
-        TermFun::Transpose => out.push_str("transpose"),
-        TermFun::Zip(n) => {
-            out.push_str("zip");
-            out.push_str(&n.to_string());
+        TermFun::Pattern(p) => {
+            // `Pattern::name` renders the numeric knobs; the skeleton erases them. Map
+            // dimensions and zip arities are shape, not knobs, and stay.
+            match p {
+                Pattern::Iterate { .. } => out.push_str("iterate"),
+                Pattern::Split { .. } => out.push_str("split"),
+                Pattern::Zip { arity } => out.push_str(&format!("zip{arity}")),
+                Pattern::Get { .. } => out.push_str("get"),
+                Pattern::Slide { .. } => out.push_str("slide"),
+                Pattern::Pad { .. } => out.push_str("pad"),
+                Pattern::AsVector { .. } => out.push_str("asVector"),
+                knob_free => out.push_str(&knob_free.name()),
+            }
+            if let Some(g) = p.nested() {
+                out.push('[');
+                skeleton_fun(g, out);
+                out.push(']');
+            }
         }
-        TermFun::Get(_) => out.push_str("get"),
-        TermFun::Slide(_, _) => out.push_str("slide"),
-        TermFun::Pad(_, _, _) => out.push_str("pad"),
-        TermFun::AsVector(_) => out.push_str("asVector"),
-        TermFun::AsScalar => out.push_str("asScalar"),
     }
 }
 
@@ -533,7 +449,7 @@ fn display_prefix(name: &str) -> &str {
 // * parameter names are hashed by their *display* prefix (the `#id` uniqueness suffix is
 //   stripped by `to_program`, so alpha-variants that print identically hash identically), and
 // * eta-redexes in pattern-nested position (`λx. p(x)` where `p` is not a lambda and does not
-//   capture `x`) are contracted on the fly, mirroring [`ToProgram::nested`].
+//   capture `x`) are contracted on the fly ([`eta_contracted`], shared with the converter).
 //
 // Everything the printed form distinguishes, the hash distinguishes (plus a little more:
 // reorder functions and zip arities, which the printer elides but no rewrite rule varies
@@ -637,9 +553,14 @@ fn hash_expr_canon(e: &TermExpr, h: &mut StableHasher) {
     }
 }
 
-/// Mirrors [`ToProgram::nested`]: contracts `λx. p(x)` to `p` before hashing, under exactly
-/// the conditions the converter contracts it.
-fn hash_nested_canon(f: &TermFun, h: &mut StableHasher) {
+/// The function a nested position denotes once eta-redexes are contracted: `λx. p(x)` is
+/// `p`, everything else is itself. [`Term::to_program`] contracts this way so nested
+/// patterns regain their compact form, and the canonical hash contracts the same way so
+/// it equates exactly what the printed program equates.
+///
+/// Contraction requires that the parameters do not *also* occur free inside `p` itself
+/// (e.g. `λx. mapSeq(λy. add(x, y))(x)` must keep its binder, or `x` becomes unbound).
+fn eta_contracted(f: &TermFun) -> &TermFun {
     if let TermFun::Lambda { params, body } = f {
         if let TermExpr::Apply { f: inner, args } = body.as_ref() {
             let direct = params.len() == args.len()
@@ -650,17 +571,15 @@ fn hash_nested_canon(f: &TermFun, h: &mut StableHasher) {
                 && !matches!(inner, TermFun::Lambda { .. })
                 && params.iter().all(|p| count_uses_fun(inner, p) == 0);
             if direct {
-                hash_fun_canon(inner, h);
-                return;
+                return inner;
             }
         }
     }
-    hash_fun_canon(f, h);
+    f
 }
 
-#[allow(clippy::too_many_lines)]
 fn hash_fun_canon(f: &TermFun, h: &mut StableHasher) {
-    use std::hash::{Hash, Hasher};
+    use std::hash::Hasher;
     match f {
         TermFun::Lambda { params, body } => {
             h.write_u8(10);
@@ -675,97 +594,84 @@ fn hash_fun_canon(f: &TermFun, h: &mut StableHasher) {
             h.write_str(uf.name());
             h.write_usize(uf.arity());
         }
-        TermFun::Map(g) => {
-            h.write_u8(12);
-            hash_nested_canon(g, h);
+        TermFun::Pattern(p) => {
+            hash_pattern_head(p, h);
+            if let Some(g) = p.nested() {
+                hash_fun_canon(eta_contracted(g), h);
+            }
         }
-        TermFun::Reduce(g) => {
-            h.write_u8(13);
-            hash_nested_canon(g, h);
-        }
-        TermFun::MapSeq(g) => {
-            h.write_u8(14);
-            hash_nested_canon(g, h);
-        }
-        TermFun::MapGlb(dim, g) => {
+    }
+}
+
+/// Hashes a pattern's kind and knobs — everything but its nested function. The tag bytes
+/// (12–35) are part of every stored dedup and cache key, so they never change; both the
+/// canonical and the raw walk hash a pattern through this one table.
+fn hash_pattern_head<F>(p: &Pattern<F>, h: &mut StableHasher) {
+    use std::hash::{Hash, Hasher};
+    match p {
+        Pattern::Map { .. } => h.write_u8(12),
+        Pattern::Reduce { .. } => h.write_u8(13),
+        Pattern::MapSeq { .. } => h.write_u8(14),
+        Pattern::MapGlb { dim, .. } => {
             h.write_u8(15);
             h.write_u8(*dim);
-            hash_nested_canon(g, h);
         }
-        TermFun::MapWrg(dim, g) => {
+        Pattern::MapWrg { dim, .. } => {
             h.write_u8(16);
             h.write_u8(*dim);
-            hash_nested_canon(g, h);
         }
-        TermFun::MapLcl(dim, g) => {
+        Pattern::MapLcl { dim, .. } => {
             h.write_u8(17);
             h.write_u8(*dim);
-            hash_nested_canon(g, h);
         }
-        TermFun::MapVec(g) => {
-            h.write_u8(18);
-            hash_nested_canon(g, h);
-        }
-        TermFun::ReduceSeq(g) => {
-            h.write_u8(19);
-            hash_nested_canon(g, h);
-        }
-        TermFun::Iterate(n, g) => {
+        Pattern::MapVec { .. } => h.write_u8(18),
+        Pattern::ReduceSeq { .. } => h.write_u8(19),
+        Pattern::Iterate { n, .. } => {
             h.write_u8(20);
             h.write_u64(*n);
-            hash_nested_canon(g, h);
         }
-        TermFun::ToGlobal(g) => {
-            h.write_u8(21);
-            hash_nested_canon(g, h);
-        }
-        TermFun::ToLocal(g) => {
-            h.write_u8(22);
-            hash_nested_canon(g, h);
-        }
-        TermFun::ToPrivate(g) => {
-            h.write_u8(23);
-            hash_nested_canon(g, h);
-        }
-        TermFun::Id => h.write_u8(24),
-        TermFun::Split(chunk) => {
+        Pattern::ToGlobal { .. } => h.write_u8(21),
+        Pattern::ToLocal { .. } => h.write_u8(22),
+        Pattern::ToPrivate { .. } => h.write_u8(23),
+        Pattern::Id => h.write_u8(24),
+        Pattern::Split { chunk } => {
             h.write_u8(25);
             chunk.hash(h);
         }
-        TermFun::Join => h.write_u8(26),
-        TermFun::Gather(r) => {
+        Pattern::Join => h.write_u8(26),
+        Pattern::Gather { reorder } => {
             h.write_u8(27);
-            hash_reorder(r, h);
+            hash_reorder(reorder, h);
         }
-        TermFun::Scatter(r) => {
+        Pattern::Scatter { reorder } => {
             h.write_u8(28);
-            hash_reorder(r, h);
+            hash_reorder(reorder, h);
         }
-        TermFun::Transpose => h.write_u8(29),
-        TermFun::Zip(arity) => {
+        Pattern::Transpose => h.write_u8(29),
+        Pattern::Zip { arity } => {
             h.write_u8(30);
             h.write_usize(*arity);
         }
-        TermFun::Get(index) => {
+        Pattern::Get { index } => {
             h.write_u8(31);
             h.write_usize(*index);
         }
-        TermFun::Slide(size, step) => {
+        Pattern::Slide { size, step } => {
             h.write_u8(32);
             size.hash(h);
             step.hash(h);
         }
-        TermFun::Pad(left, right, mode) => {
+        Pattern::Pad { left, right, mode } => {
             h.write_u8(35);
             left.hash(h);
             right.hash(h);
             h.write_u8(*mode as u8);
         }
-        TermFun::AsVector(width) => {
+        Pattern::AsVector { width } => {
             h.write_u8(33);
             h.write_usize(*width);
         }
-        TermFun::AsScalar => h.write_u8(34),
+        Pattern::AsScalar => h.write_u8(34),
     }
 }
 
@@ -830,15 +736,12 @@ fn hash_fun_raw(f: &TermFun, h: &mut StableHasher) {
             h.write_u8(u8::from(uf.is_assoc_commutative()));
             hash_scalar_expr(uf.body(), h);
         }
-        other => match other.nested() {
-            Some(g) => {
-                hash_fun_tag(other, h);
+        TermFun::Pattern(p) => {
+            hash_pattern_head(p, h);
+            if let Some(g) = p.nested() {
                 hash_fun_raw(g, h);
             }
-            // Leaf patterns carry no names and no nested function: the canonical walk
-            // already hashes their full structure.
-            None => hash_fun_canon(other, h),
-        },
+        }
     }
 }
 
@@ -890,37 +793,6 @@ fn hash_scalar_expr(e: &lift_ir::ScalarExpr, h: &mut StableHasher) {
     }
 }
 
-fn hash_fun_tag(f: &TermFun, h: &mut StableHasher) {
-    use std::hash::Hasher;
-    match f {
-        TermFun::Map(_) => h.write_u8(12),
-        TermFun::Reduce(_) => h.write_u8(13),
-        TermFun::MapSeq(_) => h.write_u8(14),
-        TermFun::MapGlb(dim, _) => {
-            h.write_u8(15);
-            h.write_u8(*dim);
-        }
-        TermFun::MapWrg(dim, _) => {
-            h.write_u8(16);
-            h.write_u8(*dim);
-        }
-        TermFun::MapLcl(dim, _) => {
-            h.write_u8(17);
-            h.write_u8(*dim);
-        }
-        TermFun::MapVec(_) => h.write_u8(18),
-        TermFun::ReduceSeq(_) => h.write_u8(19),
-        TermFun::Iterate(n, _) => {
-            h.write_u8(20);
-            h.write_u64(*n);
-        }
-        TermFun::ToGlobal(_) => h.write_u8(21),
-        TermFun::ToLocal(_) => h.write_u8(22),
-        TermFun::ToPrivate(_) => h.write_u8(23),
-        _ => unreachable!("only patterns with a nested function reach hash_fun_tag"),
-    }
-}
-
 struct FromProgram<'a> {
     program: &'a Program,
     names: HashMap<ExprId, String>,
@@ -941,89 +813,42 @@ impl FromProgram<'_> {
         unique
     }
 
-    fn expr(&mut self, id: ExprId) -> Result<TermExpr, TermError> {
-        match self.program.expr(id).kind.clone() {
-            ExprKind::Literal(l) => Ok(TermExpr::Literal(l)),
-            ExprKind::Param { .. } => Ok(TermExpr::Param(self.bind(id))),
-            ExprKind::FunCall { f, args } => {
-                let f = self.fun(f)?;
-                let args = args
-                    .iter()
-                    .map(|a| self.expr(*a))
-                    .collect::<Result<Vec<_>, _>>()?;
-                Ok(TermExpr::Apply { f, args })
-            }
+    fn expr(&mut self, id: ExprId) -> TermExpr {
+        let program = self.program;
+        match &program.expr(id).kind {
+            ExprKind::Literal(l) => TermExpr::Literal(*l),
+            ExprKind::Param { .. } => TermExpr::Param(self.bind(id)),
+            ExprKind::FunCall { f, args } => TermExpr::Apply {
+                f: self.fun(*f),
+                args: args.iter().map(|a| self.expr(*a)).collect(),
+            },
         }
     }
 
     /// Converts a nested function position, eta-expanding patterns nested in patterns.
-    fn nested_fun(&mut self, id: FunDeclId) -> Result<Box<TermFun>, TermError> {
-        let f = self.fun(id)?;
-        Ok(Box::new(match f {
-            TermFun::Lambda { .. } | TermFun::UserFun(_) => f,
-            pattern => {
-                // Use the arena ids for the synthetic parameter names: decl ids are unique
-                // within the source program, so `#e{id}` cannot collide with `#{expr_id}`.
-                let unique = format!("x#e{}", id.index());
-                if matches!(pattern, TermFun::Reduce(_) | TermFun::ReduceSeq(_)) {
-                    let acc = format!("acc#e{}", id.index());
-                    TermFun::Lambda {
-                        params: vec![acc.clone(), unique.clone()],
-                        body: Box::new(TermExpr::Apply {
-                            f: pattern,
-                            args: vec![TermExpr::Param(acc), TermExpr::Param(unique)],
-                        }),
-                    }
-                } else {
-                    TermFun::Lambda {
-                        params: vec![unique.clone()],
-                        body: Box::new(TermExpr::Apply {
-                            f: pattern,
-                            args: vec![TermExpr::Param(unique)],
-                        }),
-                    }
-                }
-            }
-        }))
+    fn nested_fun(&mut self, id: FunDeclId) -> Box<TermFun> {
+        let f = self.fun(id);
+        let TermFun::Pattern(pattern) = &f else {
+            return Box::new(f);
+        };
+        // Use the arena ids for the synthetic parameter names: decl ids are unique within
+        // the source program, so `#e{id}` cannot collide with `#{expr_id}`.
+        let mut params = vec![format!("x#e{}", id.index())];
+        if matches!(pattern, Pattern::Reduce { .. } | Pattern::ReduceSeq { .. }) {
+            params.insert(0, format!("acc#e{}", id.index()));
+        }
+        Box::new(eta_lambda(f, params))
     }
 
-    fn fun(&mut self, id: FunDeclId) -> Result<TermFun, TermError> {
-        match self.program.decl(id).clone() {
-            FunDecl::Lambda { params, body } => {
-                let names = params.iter().map(|p| self.bind(*p)).collect();
-                let body = self.expr(body)?;
-                Ok(TermFun::Lambda {
-                    params: names,
-                    body: Box::new(body),
-                })
-            }
-            FunDecl::UserFun(uf) => Ok(TermFun::UserFun(uf)),
-            FunDecl::Pattern(p) => Ok(match p {
-                Pattern::Map { f } => TermFun::Map(self.nested_fun(f)?),
-                Pattern::Reduce { f } => TermFun::Reduce(self.nested_fun(f)?),
-                Pattern::MapSeq { f } => TermFun::MapSeq(self.nested_fun(f)?),
-                Pattern::MapGlb { dim, f } => TermFun::MapGlb(dim, self.nested_fun(f)?),
-                Pattern::MapWrg { dim, f } => TermFun::MapWrg(dim, self.nested_fun(f)?),
-                Pattern::MapLcl { dim, f } => TermFun::MapLcl(dim, self.nested_fun(f)?),
-                Pattern::MapVec { f } => TermFun::MapVec(self.nested_fun(f)?),
-                Pattern::ReduceSeq { f } => TermFun::ReduceSeq(self.nested_fun(f)?),
-                Pattern::Iterate { n, f } => TermFun::Iterate(n, self.nested_fun(f)?),
-                Pattern::ToGlobal { f } => TermFun::ToGlobal(self.nested_fun(f)?),
-                Pattern::ToLocal { f } => TermFun::ToLocal(self.nested_fun(f)?),
-                Pattern::ToPrivate { f } => TermFun::ToPrivate(self.nested_fun(f)?),
-                Pattern::Id => TermFun::Id,
-                Pattern::Split { chunk } => TermFun::Split(chunk),
-                Pattern::Join => TermFun::Join,
-                Pattern::Gather { reorder } => TermFun::Gather(reorder),
-                Pattern::Scatter { reorder } => TermFun::Scatter(reorder),
-                Pattern::Transpose => TermFun::Transpose,
-                Pattern::Zip { arity } => TermFun::Zip(arity),
-                Pattern::Get { index } => TermFun::Get(index),
-                Pattern::Slide { size, step } => TermFun::Slide(size, step),
-                Pattern::Pad { left, right, mode } => TermFun::Pad(left, right, mode),
-                Pattern::AsVector { width } => TermFun::AsVector(width),
-                Pattern::AsScalar => TermFun::AsScalar,
-            }),
+    fn fun(&mut self, id: FunDeclId) -> TermFun {
+        let program = self.program;
+        match program.decl(id) {
+            FunDecl::Lambda { params, body } => TermFun::Lambda {
+                params: params.iter().map(|p| self.bind(*p)).collect(),
+                body: Box::new(self.expr(*body)),
+            },
+            FunDecl::UserFun(uf) => TermFun::UserFun(uf.clone()),
+            FunDecl::Pattern(p) => TermFun::Pattern(p.map_nested(|f| self.nested_fun(*f))),
         }
     }
 }
@@ -1058,25 +883,8 @@ impl ToProgram<'_> {
     }
 
     /// Converts a function in nested position, contracting eta-redexes (`λx. p(x)` → `p`).
-    ///
-    /// Contraction requires that the parameters do not *also* occur free inside `p` itself
-    /// (e.g. `λx. mapSeq(λy. add(x, y))(x)` must keep its binder, or `x` becomes unbound).
     fn nested(&mut self, f: &TermFun) -> FunDeclId {
-        if let TermFun::Lambda { params, body } = f {
-            if let TermExpr::Apply { f: inner, args } = body.as_ref() {
-                let direct = params.len() == args.len()
-                    && params.iter().zip(args).all(|(p, a)| match a {
-                        TermExpr::Param(n) => n == p,
-                        _ => false,
-                    })
-                    && !matches!(inner, TermFun::Lambda { .. })
-                    && params.iter().all(|p| count_uses_fun(inner, p) == 0);
-                if direct {
-                    return self.fun(inner);
-                }
-            }
-        }
-        self.fun(f)
+        self.fun(eta_contracted(f))
     }
 
     fn fun(&mut self, f: &TermFun) -> FunDeclId {
@@ -1093,66 +901,10 @@ impl ToProgram<'_> {
                 self.program.add_decl(FunDecl::Lambda { params: ids, body })
             }
             TermFun::UserFun(uf) => self.program.user_fun(uf.clone()),
-            TermFun::Map(g) => {
-                let g = self.nested(g);
-                self.program.map(g)
+            TermFun::Pattern(p) => {
+                let pattern = p.map_nested(|g| self.nested(g));
+                self.program.add_decl(FunDecl::Pattern(pattern))
             }
-            TermFun::Reduce(g) => {
-                let g = self.nested(g);
-                self.program.reduce_pattern(g)
-            }
-            TermFun::MapSeq(g) => {
-                let g = self.nested(g);
-                self.program.map_seq(g)
-            }
-            TermFun::MapGlb(dim, g) => {
-                let g = self.nested(g);
-                self.program.map_glb(*dim, g)
-            }
-            TermFun::MapWrg(dim, g) => {
-                let g = self.nested(g);
-                self.program.map_wrg(*dim, g)
-            }
-            TermFun::MapLcl(dim, g) => {
-                let g = self.nested(g);
-                self.program.map_lcl(*dim, g)
-            }
-            TermFun::MapVec(g) => {
-                let g = self.nested(g);
-                self.program.map_vec(g)
-            }
-            TermFun::ReduceSeq(g) => {
-                let g = self.nested(g);
-                self.program.reduce_seq_pattern(g)
-            }
-            TermFun::Iterate(n, g) => {
-                let g = self.nested(g);
-                self.program.iterate(*n, g)
-            }
-            TermFun::ToGlobal(g) => {
-                let g = self.nested(g);
-                self.program.to_global(g)
-            }
-            TermFun::ToLocal(g) => {
-                let g = self.nested(g);
-                self.program.to_local(g)
-            }
-            TermFun::ToPrivate(g) => {
-                let g = self.nested(g);
-                self.program.to_private(g)
-            }
-            TermFun::Id => self.program.id_pattern(),
-            TermFun::Split(chunk) => self.program.split(chunk.clone()),
-            TermFun::Join => self.program.join(),
-            TermFun::Gather(r) => self.program.gather(r.clone()),
-            TermFun::Scatter(r) => self.program.scatter(r.clone()),
-            TermFun::Transpose => self.program.transpose(),
-            TermFun::Zip(arity) => self.program.zip(*arity),
-            TermFun::Get(index) => self.program.get(*index),
-            TermFun::Slide(size, step) => self.program.slide(size.clone(), step.clone()),
-            TermFun::Pad(left, right, mode) => self.program.pad(left.clone(), right.clone(), *mode),
-            TermFun::AsVector(width) => self.program.as_vector(*width),
-            TermFun::AsScalar => self.program.as_scalar(),
         }
     }
 }
@@ -1209,7 +961,7 @@ mod tests {
         let term = Term::from_program(&p).expect("converts");
         // The eta-expanded tree exposes the inner pattern application…
         let TermExpr::Apply {
-            f: TermFun::MapSeq(nested),
+            f: TermFun::Pattern(Pattern::MapSeq { f: nested }),
             ..
         } = &term.body
         else {

@@ -7,12 +7,22 @@
 //! [`NestContext`] of enclosing parallel patterns (which decides which lowering rules are
 //! legal there) and the types of its arguments (used e.g. for arithmetically checked
 //! divisibility of `split` factors).
+//!
+//! The walk that finds the sites is also what types them, and it types patterns with the
+//! one rule statement, [`lift_ir::pattern_type`] — this module adds the per-pattern
+//! [`NestContext`] updates and the bookkeeping of locations, nothing about types. The rule
+//! is strict where a site enumerator would like to be lenient, and that is sound because of
+//! what reaches it: [`sites`] and [`infer_type`] are only handed terms that already passed
+//! [`crate::typecheck()`] — the seed after `infer_types`, and candidates the enumeration gate
+//! admitted. (The one exception, replaying a stored derivation chain that no longer fits its
+//! program, at worst finds no site to apply a step at; whatever it does produce is re-proven
+//! in full before it is served.) On an ill-typed term the walk records the sites it reached
+//! before the error and stops.
 
 use std::collections::HashMap;
 use std::sync::Arc;
 
-use lift_arith::ArithExpr;
-use lift_ir::Type;
+use lift_ir::{pattern_type, user_fun_type, Pattern, Type, TypeError};
 
 use crate::term::{StableHasher, Term, TermExpr, TermFun};
 
@@ -100,6 +110,31 @@ impl NestContext {
             || self.inside_seq
             || self.inside_pending
     }
+
+    /// The context of the function nested in `pattern`, for a `pattern` applied in `self`.
+    fn inside<F>(mut self, pattern: &Pattern<F>) -> NestContext {
+        match pattern {
+            Pattern::Map { .. } => self.inside_pending = true,
+            Pattern::MapSeq { .. }
+            | Pattern::MapVec { .. }
+            | Pattern::Reduce { .. }
+            | Pattern::ReduceSeq { .. } => self.inside_seq = true,
+            Pattern::MapGlb { .. } => self.inside_glb = true,
+            Pattern::MapWrg { dim, .. } => {
+                self.inside_wrg = true;
+                self.wrg_dims |= 1u8 << (*dim).min(7);
+            }
+            Pattern::MapLcl { dim, .. } => {
+                self.inside_lcl = true;
+                self.lcl_dims |= 1u8 << (*dim).min(7);
+            }
+            // The body runs at a different length every iteration, so length-specialising
+            // rules are fenced off whenever it runs more than once.
+            Pattern::Iterate { n, .. } if *n > 1 => self.inside_iterate = true,
+            _ => {}
+        }
+        self
+    }
 }
 
 /// Parameter-name → type environment at a site.
@@ -154,19 +189,12 @@ impl Scope {
         }
     }
 
-    /// A child scope with the lambda parameters bound (or unbound, for untypeable
-    /// arguments) — the only place environments change during a walk.
-    fn bind(&self, params: &[String], arg_types: &[Option<Type>]) -> Scope {
+    /// A child scope with the lambda parameters bound — the only place environments change
+    /// during a walk.
+    fn bind(&self, params: &[String], arg_types: &[Type]) -> Scope {
         let mut env = (*self.env).clone();
         for (p, t) in params.iter().zip(arg_types) {
-            match t {
-                Some(t) => {
-                    env.insert(p.clone(), t.clone());
-                }
-                None => {
-                    env.remove(p);
-                }
-            }
+            env.insert(p.clone(), t.clone());
         }
         Scope::new(env)
     }
@@ -177,7 +205,9 @@ pub fn sites(term: &Term) -> Vec<Site> {
     let scope = Scope::new(term.params.iter().cloned().collect());
     let mut out = Vec::new();
     let mut loc = Vec::new();
-    walk_expr(
+    // The sites recorded before a type error are still sites; the error itself belongs to
+    // `typecheck`, which gates every term before it is enumerated.
+    let _ = walk_expr(
         &term.body,
         &scope,
         &mut loc,
@@ -187,9 +217,8 @@ pub fn sites(term: &Term) -> Vec<Site> {
     out
 }
 
-/// Infers the type of an expression under the given environment (best effort: returns `None`
-/// where the lightweight tree-level rules cannot decide; the arena type checker remains the
-/// authoritative gate for every derived program).
+/// Infers the type of an expression under the given environment, or `None` where it is
+/// ill-typed there.
 pub fn infer_type(e: &TermExpr, env: &TypeEnv) -> Option<Type> {
     let scope = Scope {
         env: Arc::new(env.clone()),
@@ -198,7 +227,7 @@ pub fn infer_type(e: &TermExpr, env: &TypeEnv) -> Option<Type> {
         hash: 0,
     };
     let mut loc = Vec::new();
-    walk_expr(e, &scope, &mut loc, NestContext::default(), None)
+    walk_expr(e, &scope, &mut loc, NestContext::default(), None).ok()
 }
 
 /// Returns the subexpression at `loc`.
@@ -253,54 +282,56 @@ fn get_mut<'a>(e: &'a mut TermExpr, loc: &[Step]) -> Option<&'a mut TermExpr> {
     }
 }
 
-/// Walks an expression, recording application sites and returning the expression's type where
-/// derivable. `out == None` turns the walk into a pure type query.
+/// Walks an expression, recording application sites and returning the expression's type.
+/// `out == None` turns the walk into a pure type query.
 fn walk_expr(
     e: &TermExpr,
     scope: &Scope,
     loc: &mut Location,
     ctx: NestContext,
     mut out: Option<&mut Vec<Site>>,
-) -> Option<Type> {
+) -> Result<Type, TypeError> {
     match e {
-        TermExpr::Literal(l) => Some(l.ty()),
-        TermExpr::Param(name) => scope.env.get(name).cloned(),
+        TermExpr::Literal(l) => Ok(l.ty()),
+        TermExpr::Param(name) => scope
+            .env
+            .get(name)
+            .cloned()
+            .ok_or_else(|| TypeError::UntypedParam { name: name.clone() }),
         TermExpr::Apply { f, args } => {
             let mut arg_types = Vec::with_capacity(args.len());
             for (i, a) in args.iter().enumerate() {
                 loc.push(Step::Arg(i));
-                let t = walk_expr(a, scope, loc, ctx, out.as_deref_mut());
+                arg_types.push(walk_expr(a, scope, loc, ctx, out.as_deref_mut()));
                 loc.pop();
-                arg_types.push(t);
             }
             if let Some(recorder) = out.as_deref_mut() {
                 recorder.push(Site {
                     location: loc.clone(),
                     context: ctx,
-                    arg_types: arg_types.clone(),
+                    arg_types: arg_types.iter().map(|t| t.as_ref().ok().cloned()).collect(),
                     env: Arc::clone(&scope.env),
                     env_hash: scope.hash,
                 });
             }
+            let arg_types = arg_types.into_iter().collect::<Result<Vec<_>, _>>()?;
             walk_fun(f, &arg_types, scope, loc, ctx, out, 0)
         }
     }
 }
 
-/// Walks a function position applied to arguments of the given types.
-#[allow(clippy::too_many_lines)]
+/// Walks a function position applied to arguments of the given types. Patterns are typed by
+/// the one rule statement, [`lift_ir::pattern_type`]; what this driver adds is where the
+/// nested function's sites live (`peel`) and which patterns enclose them.
 fn walk_fun(
     f: &TermFun,
-    arg_types: &[Option<Type>],
+    arg_types: &[Type],
     scope: &Scope,
     loc: &mut Location,
     ctx: NestContext,
-    out: Option<&mut Vec<Site>>,
+    mut out: Option<&mut Vec<Site>>,
     peel: usize,
-) -> Option<Type> {
-    let array_of = |t: &Option<Type>| -> Option<(Type, ArithExpr)> {
-        t.as_ref()?.as_array().map(|(e, l)| (e.clone(), l.clone()))
-    };
+) -> Result<Type, TypeError> {
     match f {
         TermFun::Lambda { params, body } => {
             let inner = scope.bind(params, arg_types);
@@ -309,144 +340,15 @@ fn walk_fun(
             loc.pop();
             result
         }
-        TermFun::UserFun(uf) => Some(uf.return_type().clone()),
-        TermFun::Map(g)
-        | TermFun::MapSeq(g)
-        | TermFun::MapGlb(_, g)
-        | TermFun::MapWrg(_, g)
-        | TermFun::MapLcl(_, g) => {
-            let elem_len = array_of(&arg_types[0]);
-            let mut inner = ctx;
-            match f {
-                TermFun::Map(_) => inner.inside_pending = true,
-                TermFun::MapSeq(_) => inner.inside_seq = true,
-                TermFun::MapGlb(..) => inner.inside_glb = true,
-                TermFun::MapWrg(d, _) => {
-                    inner.inside_wrg = true;
-                    inner.wrg_dims |= 1u8 << (*d).min(7);
-                }
-                TermFun::MapLcl(d, _) => {
-                    inner.inside_lcl = true;
-                    inner.lcl_dims |= 1u8 << (*d).min(7);
-                }
-                _ => unreachable!(),
-            }
-            let elem = elem_len.as_ref().map(|(e, _)| e.clone());
-            let out_elem = walk_fun(g, &[elem], scope, loc, inner, out, peel + 1)?;
-            let (_, len) = elem_len?;
-            Some(Type::array(out_elem, len))
-        }
-        TermFun::MapVec(g) => {
-            let mut inner = ctx;
-            inner.inside_seq = true;
-            let lane = match arg_types[0].as_ref() {
-                Some(Type::Vector(kind, _)) => Some(Type::Scalar(*kind)),
-                _ => None,
-            };
-            let out_lane = walk_fun(g, &[lane], scope, loc, inner, out, peel + 1)?;
-            match (arg_types[0].as_ref(), out_lane) {
-                (Some(Type::Vector(_, width)), Type::Scalar(kind)) => {
-                    Some(Type::Vector(kind, *width))
-                }
-                _ => None,
-            }
-        }
-        TermFun::Reduce(g) | TermFun::ReduceSeq(g) => {
-            let mut inner = ctx;
-            inner.inside_seq = true;
-            let init = arg_types.first().cloned().flatten();
-            let elem = arg_types.get(1).and_then(array_of).map(|(e, _)| e);
-            walk_fun(g, &[init.clone(), elem], scope, loc, inner, out, peel + 1);
-            init.map(|t| Type::array(t, 1usize))
-        }
-        TermFun::Iterate(n, g) => {
-            // Walk the body once to record its sites; iterate the type function only for
-            // small n (the paper's programs use constants like 6). The body runs at a
-            // different length every iteration, so length-specialising rules are fenced off
-            // via `inside_iterate` whenever it runs more than once.
-            let mut inner = ctx;
-            if *n > 1 {
-                inner.inside_iterate = true;
-            }
-            let mut current = arg_types[0].clone();
-            let first = walk_fun(g, &[current.clone()], scope, loc, inner, out, peel + 1);
-            if *n == 0 {
-                return current;
-            }
-            current = first;
-            for _ in 1..*n {
-                current = walk_fun(g, &[current.clone()], scope, loc, ctx, None, peel + 1);
-            }
-            current
-        }
-        TermFun::ToGlobal(g) | TermFun::ToLocal(g) | TermFun::ToPrivate(g) => {
-            walk_fun(g, arg_types, scope, loc, ctx, out, peel + 1)
-        }
-        TermFun::Id => arg_types[0].clone(),
-        TermFun::Split(chunk) => {
-            let (elem, len) = array_of(&arg_types[0])?;
-            Some(Type::array(
-                Type::array(elem, chunk.clone()),
-                len / chunk.clone(),
-            ))
-        }
-        TermFun::Join => {
-            let (row, outer) = array_of(&arg_types[0])?;
-            let (elem, inner) = row.as_array()?;
-            Some(Type::array(elem.clone(), outer * inner.clone()))
-        }
-        TermFun::Gather(_) | TermFun::Scatter(_) => arg_types[0].clone(),
-        TermFun::Transpose => {
-            let (row, n) = array_of(&arg_types[0])?;
-            let (elem, m) = row.as_array()?;
-            Some(Type::array(Type::array(elem.clone(), n), m.clone()))
-        }
-        TermFun::Zip(arity) => {
-            let mut elems = Vec::with_capacity(*arity);
-            let mut len = None;
-            for t in arg_types {
-                let (e, l) = array_of(t)?;
-                elems.push(e);
-                len.get_or_insert(l);
-            }
-            Some(Type::array(Type::Tuple(elems), len?))
-        }
-        TermFun::Get(index) => match arg_types[0].as_ref()? {
-            Type::Tuple(elems) => elems.get(*index).cloned(),
-            _ => None,
-        },
-        TermFun::Slide(size, step) => {
-            let (elem, len) = array_of(&arg_types[0])?;
-            // Mirror the typed side condition: an indivisible step means the site is not
-            // usefully typeable (the arena checker will reject any such candidate).
-            lift_ir::check_slide_divisibility(&len, size, step).ok()?;
-            let windows = (len - size.clone()) / step.clone() + 1;
-            Some(Type::array(Type::array(elem, size.clone()), windows))
-        }
-        TermFun::Pad(left, right, mode) => {
-            let (elem, len) = array_of(&arg_types[0])?;
-            lift_ir::check_pad_width(left, right, *mode, &len).ok()?;
-            Some(Type::array(elem, left.clone() + len + right.clone()))
-        }
-        TermFun::AsVector(width) => {
-            let (elem, len) = array_of(&arg_types[0])?;
-            match elem {
-                Type::Scalar(kind) => Some(Type::array(
-                    Type::Vector(kind, *width),
-                    len / ArithExpr::cst(*width as i64),
-                )),
-                _ => None,
-            }
-        }
-        TermFun::AsScalar => {
-            let (elem, len) = array_of(&arg_types[0])?;
-            match elem {
-                Type::Vector(kind, width) => Some(Type::array(
-                    Type::Scalar(kind),
-                    len * ArithExpr::cst(width as i64),
-                )),
-                _ => None,
-            }
+        TermFun::UserFun(uf) => user_fun_type(uf, arg_types),
+        TermFun::Pattern(p) => {
+            let inner = ctx.inside(p);
+            // Only `iterate` types its function more than once. Its sites are recorded on
+            // the first pass, with the first iteration's types; the later passes are pure
+            // type queries.
+            pattern_type(p, arg_types, |g, args| {
+                walk_fun(g, args, scope, loc, inner, out.take(), peel + 1)
+            })
         }
     }
 }
@@ -454,7 +356,7 @@ fn walk_fun(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use lift_ir::{Program, Type, UserFun};
+    use lift_ir::{Program, UserFun};
 
     fn sample() -> Term {
         // join(map(reduce(add,0))(split 4 (map(mult)(zip(x, y)))))
@@ -510,7 +412,7 @@ mod tests {
                 matches!(
                     get(&term.body, &s.location),
                     Some(TermExpr::Apply {
-                        f: TermFun::Split(_),
+                        f: TermFun::Pattern(Pattern::Split { .. }),
                         ..
                     })
                 )
@@ -525,7 +427,7 @@ mod tests {
             .find(|s| {
                 matches!(
                     get(&term.body, &s.location),
-                    Some(TermExpr::Apply { f: TermFun::Map(g), .. })
+                    Some(TermExpr::Apply { f: TermFun::Pattern(Pattern::Map { f: g }), .. })
                         if matches!(g.as_ref(), TermFun::UserFun(_))
                 )
             })

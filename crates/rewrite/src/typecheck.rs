@@ -2,18 +2,19 @@
 //!
 //! The exploration driver derives thousands of candidate terms per search; converting each
 //! one to an arena [`lift_ir::Program`] just to run [`lift_ir::infer_types`] dominated the
-//! enumeration cost. This module re-states the typing rules of Section 5.1 over
-//! [`TermExpr`]/[`TermFun`] so candidates are checked *in place*: the arena round-trip now
-//! happens only for candidates that survive dedup, complete lowering, and reach the scoring
-//! stage (where the arena form is needed for code generation anyway).
+//! enumeration cost. So candidates are checked *in place*: the arena round-trip happens only
+//! for candidates that survive dedup, complete lowering, and reach the scoring stage (where
+//! the arena form is needed for code generation anyway).
 //!
-//! The checker reuses [`lift_ir::Type`] and [`lift_ir::TypeError`] and mirrors the arena
-//! checker rule for rule — `typecheck(term)` accepts exactly when
-//! `infer_types(&mut term.to_program())` accepts (a differential test in the exploration
-//! test-suite pins this equivalence on every candidate of a representative search).
+//! The typing rules of Section 5.1 are not written here. They are
+//! [`lift_ir::pattern_type`] and [`lift_ir::user_fun_type`], the same functions the arena
+//! checker calls; this module is only the driver that walks a tree and scopes lambda
+//! parameters — a stack of borrowed names, so checking a term allocates nothing beyond
+//! the types themselves. `typecheck(term)` therefore returns what
+//! `infer_types(&mut term.to_program())` returns, by construction for the rules and by a
+//! differential test (`term_typechecker_agrees_with_arena_typechecker`) for the scoping.
 
-use lift_arith::ArithExpr;
-use lift_ir::{Type, TypeError};
+use lift_ir::{pattern_type, user_fun_type, Type, TypeError};
 
 use crate::term::{Term, TermExpr, TermFun};
 
@@ -50,61 +51,13 @@ fn check_expr<'t>(e: &'t TermExpr, scope: &mut Vec<(&'t str, Type)>) -> Result<T
     }
 }
 
-/// The pretty name of a function, used in error messages (mirrors `Pattern::name`).
-fn fun_name(f: &TermFun) -> String {
-    match f {
-        TermFun::Lambda { .. } => "lambda".into(),
-        TermFun::UserFun(uf) => uf.name().to_string(),
-        TermFun::Map(_) => "map".into(),
-        TermFun::Reduce(_) => "reduce".into(),
-        TermFun::MapSeq(_) => "mapSeq".into(),
-        TermFun::MapGlb(dim, _) => format!("mapGlb{dim}"),
-        TermFun::MapWrg(dim, _) => format!("mapWrg{dim}"),
-        TermFun::MapLcl(dim, _) => format!("mapLcl{dim}"),
-        TermFun::MapVec(_) => "mapVec".into(),
-        TermFun::ReduceSeq(_) => "reduceSeq".into(),
-        TermFun::Id => "id".into(),
-        TermFun::Iterate(n, _) => format!("iterate{n}"),
-        TermFun::Split(chunk) => format!("split{chunk}"),
-        TermFun::Join => "join".into(),
-        TermFun::Gather(_) => "gather".into(),
-        TermFun::Scatter(_) => "scatter".into(),
-        TermFun::Transpose => "transpose".into(),
-        TermFun::Zip(_) => "zip".into(),
-        TermFun::Get(index) => format!("get{index}"),
-        TermFun::Slide(size, step) => format!("slide({size},{step})"),
-        TermFun::Pad(left, right, mode) => format!("pad{}({left},{right})", mode.name()),
-        TermFun::ToGlobal(_) => "toGlobal".into(),
-        TermFun::ToLocal(_) => "toLocal".into(),
-        TermFun::ToPrivate(_) => "toPrivate".into(),
-        TermFun::AsVector(width) => format!("asVector{width}"),
-        TermFun::AsScalar => "asScalar".into(),
-    }
-}
-
-/// The call arity of a function in tree form (mirrors `Pattern::arity`).
-fn arity(f: &TermFun) -> usize {
-    match f {
-        TermFun::Reduce(_) | TermFun::ReduceSeq(_) => 2,
-        TermFun::Zip(arity) => *arity,
-        _ => 1,
-    }
-}
-
-/// Infers the result type of calling `f` with arguments of the given types (the tree-form
-/// mirror of the arena checker's `infer_call` + `infer_pattern`).
-#[allow(clippy::too_many_lines)]
+/// Types a call to `f`: lambdas bind their parameters on the scope stack for the duration of
+/// the body, user functions and patterns are typed by the rule statements of `lift-ir`.
 fn check_call<'t>(
     f: &'t TermFun,
     arg_types: &[Type],
     scope: &mut Vec<(&'t str, Type)>,
 ) -> Result<Type, TypeError> {
-    // The memory-placement wrappers are transparent: arity checking is deferred to the
-    // nested call, exactly as in the arena checker.
-    let transparent = matches!(
-        f,
-        TermFun::ToGlobal(_) | TermFun::ToLocal(_) | TermFun::ToPrivate(_)
-    );
     match f {
         TermFun::Lambda { params, body } => {
             if params.len() != arg_types.len() {
@@ -120,195 +73,10 @@ fn check_call<'t>(
             }
             let result = check_expr(body, scope);
             scope.truncate(base);
-            return result;
+            result
         }
-        TermFun::UserFun(uf) => {
-            if uf.arity() != arg_types.len() {
-                return Err(TypeError::WrongArity {
-                    function: uf.name().to_string(),
-                    expected: uf.arity(),
-                    found: arg_types.len(),
-                });
-            }
-            for (expected, found) in uf.param_types().iter().zip(arg_types) {
-                if expected != found {
-                    return Err(TypeError::Mismatch {
-                        context: format!("call to user function `{}`", uf.name()),
-                        expected: expected.to_string(),
-                        found: found.to_string(),
-                    });
-                }
-            }
-            return Ok(uf.return_type().clone());
-        }
-        _ => {}
-    }
-
-    let expect_arity = arity(f);
-    if !transparent && arg_types.len() != expect_arity {
-        return Err(TypeError::WrongArity {
-            function: fun_name(f),
-            expected: expect_arity,
-            found: arg_types.len(),
-        });
-    }
-    let array_of = |f: &TermFun, t: &Type| -> Result<(Type, ArithExpr), TypeError> {
-        match t.as_array() {
-            Some((elem, len)) => Ok((elem.clone(), len.clone())),
-            None => Err(TypeError::NotAnArray {
-                pattern: fun_name(f),
-                found: t.to_string(),
-            }),
-        }
-    };
-
-    match f {
-        TermFun::Lambda { .. } | TermFun::UserFun(_) => unreachable!("handled above"),
-        TermFun::Map(g)
-        | TermFun::MapSeq(g)
-        | TermFun::MapGlb(_, g)
-        | TermFun::MapWrg(_, g)
-        | TermFun::MapLcl(_, g) => {
-            let (elem, len) = array_of(f, &arg_types[0])?;
-            let out_elem = check_call(g, &[elem], scope)?;
-            Ok(Type::array(out_elem, len))
-        }
-        TermFun::MapVec(g) => match &arg_types[0] {
-            Type::Vector(kind, width) => {
-                let out = check_call(g, &[Type::Scalar(*kind)], scope)?;
-                match out {
-                    Type::Scalar(out_kind) => Ok(Type::Vector(out_kind, *width)),
-                    other => Err(TypeError::Mismatch {
-                        context: "mapVec function result".into(),
-                        expected: "a scalar".into(),
-                        found: other.to_string(),
-                    }),
-                }
-            }
-            other => Err(TypeError::Mismatch {
-                context: "mapVec argument".into(),
-                expected: "a vector".into(),
-                found: other.to_string(),
-            }),
-        },
-        TermFun::Reduce(g) | TermFun::ReduceSeq(g) => {
-            let init = arg_types[0].clone();
-            let (elem, _len) = array_of(f, &arg_types[1])?;
-            let acc = check_call(g, &[init.clone(), elem], scope)?;
-            if acc != init {
-                return Err(TypeError::Mismatch {
-                    context: format!("{} accumulator", fun_name(f)),
-                    expected: init.to_string(),
-                    found: acc.to_string(),
-                });
-            }
-            Ok(Type::array(acc, 1usize))
-        }
-        TermFun::Id => Ok(arg_types[0].clone()),
-        TermFun::Iterate(n, g) => {
-            let mut current = arg_types[0].clone();
-            for _ in 0..*n {
-                current = check_call(g, &[current], scope)?;
-            }
-            Ok(current)
-        }
-        TermFun::Split(chunk) => {
-            let (elem, len) = array_of(f, &arg_types[0])?;
-            let outer = len / chunk.clone();
-            Ok(Type::array(Type::array(elem, chunk.clone()), outer))
-        }
-        TermFun::Join => {
-            let (elem, outer) = array_of(f, &arg_types[0])?;
-            let (inner_elem, inner) = array_of(f, &elem)?;
-            Ok(Type::array(inner_elem, outer * inner))
-        }
-        TermFun::Gather(_) | TermFun::Scatter(_) => Ok(arg_types[0].clone()),
-        TermFun::Transpose => {
-            let (row, n) = array_of(f, &arg_types[0])?;
-            let (elem, m) = array_of(f, &row)?;
-            Ok(Type::array(Type::array(elem, n), m))
-        }
-        TermFun::Zip(_) => {
-            let mut elems = Vec::with_capacity(arg_types.len());
-            let mut len: Option<ArithExpr> = None;
-            for t in arg_types {
-                let (elem, l) = array_of(f, t)?;
-                match &len {
-                    None => len = Some(l),
-                    Some(first) => {
-                        if *first != l {
-                            return Err(TypeError::ZipLengthMismatch {
-                                first: first.to_string(),
-                                other: l.to_string(),
-                            });
-                        }
-                    }
-                }
-                elems.push(elem);
-            }
-            Ok(Type::array(
-                Type::Tuple(elems),
-                len.expect("zip has at least one argument"),
-            ))
-        }
-        TermFun::Get(index) => match &arg_types[0] {
-            Type::Tuple(elems) => {
-                elems
-                    .get(*index)
-                    .cloned()
-                    .ok_or(TypeError::TupleIndexOutOfRange {
-                        index: *index,
-                        arity: elems.len(),
-                    })
-            }
-            other => Err(TypeError::Mismatch {
-                context: "get".into(),
-                expected: "a tuple".into(),
-                found: other.to_string(),
-            }),
-        },
-        TermFun::Slide(size, step) => {
-            let (elem, len) = array_of(f, &arg_types[0])?;
-            lift_ir::check_slide_divisibility(&len, size, step)?;
-            let windows = (len - size.clone()) / step.clone() + 1;
-            Ok(Type::array(Type::array(elem, size.clone()), windows))
-        }
-        TermFun::Pad(left, right, mode) => {
-            let (elem, len) = array_of(f, &arg_types[0])?;
-            lift_ir::check_pad_width(left, right, *mode, &len)?;
-            Ok(Type::array(elem, left.clone() + len + right.clone()))
-        }
-        TermFun::ToGlobal(g) | TermFun::ToLocal(g) | TermFun::ToPrivate(g) => {
-            check_call(g, arg_types, scope)
-        }
-        TermFun::AsVector(width) => {
-            let (elem, len) = array_of(f, &arg_types[0])?;
-            match elem {
-                Type::Scalar(kind) => Ok(Type::array(
-                    Type::Vector(kind, *width),
-                    len / ArithExpr::cst(*width as i64),
-                )),
-                other => Err(TypeError::Mismatch {
-                    context: "asVector".into(),
-                    expected: "an array of scalars".into(),
-                    found: other.to_string(),
-                }),
-            }
-        }
-        TermFun::AsScalar => {
-            let (elem, len) = array_of(f, &arg_types[0])?;
-            match elem {
-                Type::Vector(kind, width) => Ok(Type::array(
-                    Type::Scalar(kind),
-                    len * ArithExpr::cst(width as i64),
-                )),
-                other => Err(TypeError::Mismatch {
-                    context: "asScalar".into(),
-                    expected: "an array of vectors".into(),
-                    found: other.to_string(),
-                }),
-            }
-        }
+        TermFun::UserFun(uf) => user_fun_type(uf, arg_types),
+        TermFun::Pattern(p) => pattern_type(p, arg_types, |g, args| check_call(g, args, scope)),
     }
 }
 
@@ -350,39 +118,26 @@ mod tests {
 
     #[test]
     fn term_checker_rejects_zip_length_mismatch() {
-        let mut p = Program::new("bad");
-        let z = p.zip2();
-        p.with_root(
+        // The rule statement is shared, so the term driver must hand back the very error the
+        // arena driver does — for a length mismatch and for `zip(0)` of nothing, which has
+        // no length at all (and used to panic both checkers).
+        let mut mismatch = Program::new("bad");
+        let z = mismatch.zip2();
+        mismatch.with_root(
             vec![
                 ("x", Type::array(Type::float(), 8usize)),
                 ("y", Type::array(Type::float(), 9usize)),
             ],
             |p, params| p.apply(z, [params[0], params[1]]),
         );
-        // The arena checker rejects this program, so the term checker must too. The term is
-        // built by hand because `Term::from_program` requires typed root parameters only.
-        let term = Term::from_program(&p).expect("converts");
-        let err = typecheck(&term).unwrap_err();
-        assert!(matches!(err, TypeError::ZipLengthMismatch { .. }), "{err}");
-        assert!(infer_types(&mut p.clone()).is_err());
-    }
-
-    #[test]
-    fn term_checker_rejects_wrong_reduction_operator() {
-        let mut p = Program::new("bad");
-        // mult_pair has the wrong shape for a reduction operator.
-        let bad = p.user_fun(UserFun::mult_pair());
-        let pattern = p.reduce_seq_pattern(bad);
-        p.with_root(
-            vec![("x", Type::array(Type::float(), 8usize))],
-            |p, params| {
-                let init = p.literal_f32(0.0);
-                p.apply(pattern, [init, params[0]])
-            },
-        );
-        let term = Term::from_program(&p).expect("converts");
-        assert!(typecheck(&term).is_err());
-        assert!(infer_types(&mut p.clone()).is_err());
+        let mut empty = Program::new("empty");
+        let z = empty.zip(0);
+        empty.with_root(vec![], |p, _| p.apply(z, []));
+        for p in [mismatch, empty] {
+            let term = Term::from_program(&p).expect("converts");
+            let err = typecheck(&term).unwrap_err();
+            assert_eq!(err, infer_types(&mut p.clone()).unwrap_err());
+        }
     }
 
     #[test]

@@ -1,15 +1,15 @@
 //! Regression tests for the exploration hot path: the parallel driver must be
 //! indistinguishable from the sequential one, the canonical structural hash must agree with
-//! the pretty-printed rendering it replaced as the dedup key, and the term-level type
-//! checker must agree with the arena checker it replaced as the enumeration gate.
+//! the pretty-printed rendering it replaced as the dedup key, and the three drivers of the
+//! one typing-rule statement (arena checker, term checker, site walker) must agree.
 
 use std::collections::HashSet;
 
 use lift_benchmarks::dot_product;
-use lift_ir::{infer_types, Program};
+use lift_ir::{infer_types, ExprId, ExprKind, FunDecl, Program};
 use lift_rewrite::{
     all_rules, canonical_key, explore, explore_with, get, replace, sites, typecheck,
-    ExplorationConfig, RuleCx, RuleOptions, Term,
+    ExplorationConfig, RuleCx, RuleOptions, Step, Term,
 };
 use lift_telemetry::InMemory;
 use lift_vgpu::LaunchConfig;
@@ -317,10 +317,13 @@ fn canonical_keys_pair_the_hash_with_its_guard_rendering_and_skeleton() {
     );
 }
 
+/// The per-pattern rules are one function (`lift_ir::pattern_type`) that both checkers call,
+/// so they cannot drift apart. What still differs is the driver around it: the arena checker
+/// annotates parameter nodes in place, the term checker keeps a lexical stack of names. A
+/// scoping bug in either (shadowing, a binding that outlives its lambda) is the one thing
+/// this comparison can still catch.
 #[test]
 fn term_typechecker_agrees_with_arena_typechecker() {
-    // The enumeration gate switched from arena `infer_types` (after `to_program`) to the
-    // term-level checker; the two must agree on every candidate the search can produce.
     let candidates = two_level_candidates();
     let mut accepted = 0usize;
     for term in &candidates {
@@ -336,6 +339,81 @@ fn term_typechecker_agrees_with_arena_typechecker() {
         accepted += usize::from(term_verdict);
     }
     assert!(accepted > 100, "corpus contains many well-typed candidates");
+}
+
+/// The arena expression a tree location addresses, or `None` where `to_program` contracted
+/// the eta-lambda the location passes through (`λx. p(x)` nested in a pattern becomes the
+/// bare `p`, whose application is no longer an expression node).
+fn arena_expr_at(program: &Program, location: &[Step]) -> Option<ExprId> {
+    let mut at = program.root_body();
+    for step in location {
+        let ExprKind::FunCall { f, args } = &program.expr(at).kind else {
+            panic!("location {location:?} leaves the call tree");
+        };
+        at = match step {
+            Step::Arg(i) => args[*i],
+            Step::Body { peel } => {
+                let mut decl = *f;
+                for _ in 0..*peel {
+                    let FunDecl::Pattern(p) = program.decl(decl) else {
+                        panic!("location {location:?} peels a non-pattern");
+                    };
+                    decl = p.nested_fun().expect("peeled patterns nest a function");
+                }
+                match program.decl(decl) {
+                    FunDecl::Lambda { body, .. } => *body,
+                    _ => return None,
+                }
+            }
+        };
+    }
+    Some(at)
+}
+
+/// The site walker is the third driver of the typing rules: rules read `Site::arg_types` to
+/// pick split factors and tile sizes, so a wrong type there derives a wrong program. On every
+/// candidate the enumeration gate admits — the only terms `sites()` is ever handed — each
+/// recorded argument type must be the type the arena checker annotates on that argument.
+#[test]
+fn site_argument_types_equal_the_arena_annotations() {
+    let (mut compared, mut contracted) = (0usize, 0usize);
+    for term in two_level_candidates() {
+        if typecheck(&term).is_err() {
+            continue;
+        }
+        let mut program = term.to_program();
+        infer_types(&mut program).expect("the checkers agree on admitted candidates");
+        for site in sites(&term) {
+            // An iterated body is typed once per iteration: the walker records the first
+            // iteration's types, the arena keeps the last one's.
+            if site.context.inside_iterate {
+                continue;
+            }
+            let Some(call) = arena_expr_at(&program, &site.location) else {
+                contracted += 1;
+                continue;
+            };
+            let ExprKind::FunCall { args, .. } = &program.expr(call).kind else {
+                panic!("site {:?} is not an application", site.location);
+            };
+            assert_eq!(args.len(), site.arg_types.len());
+            for (arg, recorded) in args.iter().zip(&site.arg_types) {
+                assert_eq!(
+                    recorded.as_ref(),
+                    Some(program.type_of(*arg)),
+                    "site {:?} of:\n{}",
+                    site.location,
+                    render(&term)
+                );
+                compared += 1;
+            }
+        }
+    }
+    assert!(compared > 2000, "only {compared} argument types compared");
+    assert!(
+        contracted < compared,
+        "{contracted} sites had no arena counterpart"
+    );
 }
 
 fn render(term: &Term) -> String {

@@ -12,10 +12,9 @@
 //!   to the interpreter. Constructs the compiler does not support fall back to the
 //!   interpreter, optionally reporting a telemetry [`Event::EngineFallback`].
 //!
-//! [`ExecutionRequest`] is the builder every caller goes through (the old `VirtualGpu`
-//! methods are deprecated shims over it): it owns the cross-cutting launch options — device
-//! validation, engine selection, race detection, telemetry — so call sites configure a
-//! request once instead of picking one of five ad-hoc entry points.
+//! [`ExecutionRequest`] is the builder every caller goes through: it owns the cross-cutting
+//! launch options — device validation, engine selection, race detection, telemetry — so call
+//! sites configure a request once.
 //!
 //! ```
 //! # use lift_ocl::*;
@@ -155,10 +154,6 @@ impl EngineSelection {
 /// A configured virtual-GPU launch: module, engine, device limits, race detection and
 /// telemetry in one builder, executed with [`ExecutionRequest::launch`] (single kernel) or
 /// [`ExecutionRequest::launch_sequence`] (multi-kernel plan over a shared argument pool).
-///
-/// Replaces the five pre-PR 8 `VirtualGpu` entry points (`launch`, `launch_on`,
-/// `launch_sequence`, `launch_sequence_on`, `with_race_detection`), which survive as
-/// deprecated shims over this type.
 #[derive(Clone, Copy)]
 pub struct ExecutionRequest<'a> {
     module: &'a Module,

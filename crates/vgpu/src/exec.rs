@@ -112,7 +112,7 @@ pub enum VgpuError {
     },
     /// Two work items touched the same memory cell without a synchronising barrier between
     /// the accesses, and at least one access was a write of a differing value. Reported only
-    /// under [`VirtualGpu::with_race_detection`] — the shadow-memory detector records the
+    /// under [`crate::ExecutionRequest::race_detection`] — the shadow-memory detector records the
     /// last writer and reader of every local and global cell together with the barrier
     /// epoch of the access, and flags write-write and read-write pairs from different work
     /// items in the same epoch (or, for global buffers, from different work groups, which
@@ -248,144 +248,6 @@ impl SequenceResult {
     ) -> crate::cost::ExecutionProfile {
         let names: Vec<String> = stages.iter().map(|s| s.kernel.clone()).collect();
         crate::cost::ExecutionProfile::from_stages(&names, &self.stage_counters(), device)
-    }
-}
-
-/// The virtual GPU.
-#[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
-pub struct VirtualGpu {
-    detect_races: bool,
-}
-
-impl VirtualGpu {
-    /// Creates a virtual GPU with the data-race detector off (the default — detection costs
-    /// one shadow cell per buffer element and a check per memory access).
-    pub fn new() -> VirtualGpu {
-        VirtualGpu {
-            detect_races: false,
-        }
-    }
-
-    /// Creates a virtual GPU with the shadow-memory data-race detector on: every launch
-    /// tracks the last writer and reader of each local and global cell per barrier epoch and
-    /// fails with [`VgpuError::DataRace`] on unsynchronised conflicting accesses. Stores of
-    /// a bitwise-identical value are treated as no-ops, so redundant group-uniform writes
-    /// (every work item storing the same staged value) do not flag.
-    ///
-    /// Shadow state is per launch: a kernel-sequence stage starts clean, mirroring the
-    /// device-wide synchronisation a kernel boundary provides.
-    #[deprecated(
-        since = "0.8.0",
-        note = "use `ExecutionRequest::new(module).race_detection(true)` instead"
-    )]
-    pub fn with_race_detection() -> VirtualGpu {
-        VirtualGpu { detect_races: true }
-    }
-
-    /// Whether launches on this virtual GPU run the data-race detector.
-    pub fn race_detection(&self) -> bool {
-        self.detect_races
-    }
-
-    /// Launches `kernel_name` from `module` like [`VirtualGpu::launch`], after checking that
-    /// `config` respects the limits of `device` (work-group size, per-dimension local sizes,
-    /// divisibility). A launch a real driver would refuse is rejected with
-    /// [`VgpuError::InvalidLaunch`] instead of silently executing with cost counters that
-    /// describe a machine without occupancy limits.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`VgpuError::InvalidLaunch`] for configurations that violate the device, and
-    /// any [`VgpuError`] of [`VirtualGpu::launch`] otherwise.
-    #[deprecated(
-        since = "0.8.0",
-        note = "use `ExecutionRequest::new(module).on_device(device).launch(..)` instead"
-    )]
-    pub fn launch_on(
-        &self,
-        device: &DeviceProfile,
-        module: &Module,
-        kernel_name: &str,
-        config: LaunchConfig,
-        args: Vec<KernelArg>,
-    ) -> Result<LaunchResult, VgpuError> {
-        crate::engine::ExecutionRequest::new(module)
-            .on_device(device)
-            .race_detection(self.detect_races)
-            .launch(kernel_name, config, args)
-    }
-
-    /// Executes a sequence of kernels against a persistent pool of arguments.
-    ///
-    /// Every stage receives the *whole* pool in order (the shared-signature ABI of
-    /// multi-kernel programs: unused parameters are harmless), and the buffers a stage
-    /// modifies are visible to the following stages — this is how global-memory
-    /// intermediates flow across the device-wide synchronisation points a kernel boundary
-    /// represents.
-    ///
-    /// # Errors
-    ///
-    /// Returns the first stage's [`VgpuError`], if any.
-    #[deprecated(
-        since = "0.8.0",
-        note = "use `ExecutionRequest::new(module).launch_sequence(..)` instead"
-    )]
-    pub fn launch_sequence(
-        &self,
-        module: &Module,
-        stages: &[KernelLaunchSpec],
-        pool: Vec<KernelArg>,
-    ) -> Result<SequenceResult, VgpuError> {
-        crate::engine::ExecutionRequest::new(module)
-            .race_detection(self.detect_races)
-            .launch_sequence(stages, pool)
-    }
-
-    /// Like [`VirtualGpu::launch_sequence`], after validating every stage's launch against
-    /// the limits of `device`.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`VgpuError::InvalidLaunch`] if any stage's launch violates the device, and
-    /// any [`VgpuError`] of the execution otherwise.
-    #[deprecated(
-        since = "0.8.0",
-        note = "use `ExecutionRequest::new(module).on_device(device).launch_sequence(..)` \
-                instead"
-    )]
-    pub fn launch_sequence_on(
-        &self,
-        device: &DeviceProfile,
-        module: &Module,
-        stages: &[KernelLaunchSpec],
-        pool: Vec<KernelArg>,
-    ) -> Result<SequenceResult, VgpuError> {
-        crate::engine::ExecutionRequest::new(module)
-            .on_device(device)
-            .race_detection(self.detect_races)
-            .launch_sequence(stages, pool)
-    }
-
-    /// Launches `kernel_name` from `module` over the given ND-range.
-    ///
-    /// # Errors
-    ///
-    /// Returns a [`VgpuError`] if the kernel is unknown, the arguments do not match, or the
-    /// kernel performs an invalid memory access.
-    #[deprecated(
-        since = "0.8.0",
-        note = "use `ExecutionRequest::new(module).launch(..)` instead"
-    )]
-    pub fn launch(
-        &self,
-        module: &Module,
-        kernel_name: &str,
-        config: LaunchConfig,
-        args: Vec<KernelArg>,
-    ) -> Result<LaunchResult, VgpuError> {
-        crate::engine::ExecutionRequest::new(module)
-            .race_detection(self.detect_races)
-            .launch(kernel_name, config, args)
     }
 }
 
@@ -1965,14 +1827,14 @@ fn vector_width(name: &str, prefix: &str) -> Option<usize> {
         .and_then(|rest| rest.parse::<usize>().ok())
         .filter(|w| matches!(w, 2 | 4 | 8 | 16))
 }
-// The unit tests exercise the launch surface through the deprecated `VirtualGpu` shims on
-// purpose: the shims route through `ExecutionRequest` with `EngineSelection::Auto`, so every
-// one of these assertions doubles as differential coverage of the bytecode tier against the
-// pinned expectations of the interpreter era.
+
+// The unit tests launch through `ExecutionRequest` with its default `EngineSelection::Auto`,
+// so every one of these assertions doubles as differential coverage of the bytecode tier
+// against the pinned expectations of the interpreter era.
 #[cfg(test)]
-#[allow(deprecated)]
 mod tests {
     use super::*;
+    use crate::engine::ExecutionRequest;
     use lift_ocl::{CFunction, CType, Fence, Kernel, KernelParam};
 
     fn copy_kernel() -> Module {
@@ -2004,7 +1866,7 @@ mod tests {
         // Execution-internal state (`Exec`, threads, lowered functions) is thread-local and
         // deliberately exempt.
         fn assert_send_sync<T: Send + Sync>() {}
-        assert_send_sync::<VirtualGpu>();
+        assert_send_sync::<ExecutionRequest<'static>>();
         assert_send_sync::<Module>();
         assert_send_sync::<KernelArg>();
         assert_send_sync::<LaunchResult>();
@@ -2017,11 +1879,9 @@ mod tests {
     #[test]
     fn copy_kernel_copies() {
         let m = copy_kernel();
-        let gpu = VirtualGpu::new();
         let input: Vec<f32> = (0..64).map(|i| i as f32).collect();
-        let result = gpu
+        let result = ExecutionRequest::new(&m)
             .launch(
-                &m,
                 "copy",
                 LaunchConfig::d1(64, 16),
                 vec![KernelArg::Buffer(input.clone()), KernelArg::zeros(64)],
@@ -2036,8 +1896,8 @@ mod tests {
     #[test]
     fn unknown_kernel_is_reported() {
         let m = copy_kernel();
-        let err = VirtualGpu::new()
-            .launch(&m, "missing", LaunchConfig::d1(1, 1), vec![])
+        let err = ExecutionRequest::new(&m)
+            .launch("missing", LaunchConfig::d1(1, 1), vec![])
             .unwrap_err();
         assert_eq!(err, VgpuError::UnknownKernel("missing".into()));
     }
@@ -2045,13 +1905,8 @@ mod tests {
     #[test]
     fn argument_count_is_checked() {
         let m = copy_kernel();
-        let err = VirtualGpu::new()
-            .launch(
-                &m,
-                "copy",
-                LaunchConfig::d1(16, 16),
-                vec![KernelArg::zeros(16)],
-            )
+        let err = ExecutionRequest::new(&m)
+            .launch("copy", LaunchConfig::d1(16, 16), vec![KernelArg::zeros(16)])
             .unwrap_err();
         assert_eq!(
             err,
@@ -2065,9 +1920,8 @@ mod tests {
     #[test]
     fn out_of_bounds_access_is_reported() {
         let m = copy_kernel();
-        let err = VirtualGpu::new()
+        let err = ExecutionRequest::new(&m)
             .launch(
-                &m,
                 "copy",
                 LaunchConfig::d1(64, 16),
                 vec![KernelArg::Buffer(vec![0.0; 8]), KernelArg::zeros(64)],
@@ -2140,9 +1994,8 @@ mod tests {
             ],
         });
         let input: Vec<f32> = (0..32).map(|i| i as f32).collect();
-        let result = VirtualGpu::new()
+        let result = ExecutionRequest::new(&m)
             .launch(
-                &m,
                 "sum4",
                 LaunchConfig::d1(8, 8),
                 vec![KernelArg::Buffer(input), KernelArg::zeros(8)],
@@ -2192,9 +2045,8 @@ mod tests {
             ],
         });
         let input: Vec<f32> = (0..16).map(|i| i as f32).collect();
-        let result = VirtualGpu::new()
+        let result = ExecutionRequest::new(&m)
             .launch(
-                &m,
                 "reverse",
                 LaunchConfig::d1(16, 8),
                 vec![KernelArg::Buffer(input), KernelArg::zeros(16)],
@@ -2230,13 +2082,8 @@ mod tests {
                 }]),
             }],
         });
-        let result = VirtualGpu::new()
-            .launch(
-                &m,
-                "half",
-                LaunchConfig::d1(8, 8),
-                vec![KernelArg::zeros(8)],
-            )
+        let result = ExecutionRequest::new(&m)
+            .launch("half", LaunchConfig::d1(8, 8), vec![KernelArg::zeros(8)])
             .expect("runs");
         assert_eq!(
             result.buffers[0],
@@ -2269,9 +2116,8 @@ mod tests {
             ))],
         });
         let input: Vec<f32> = (0..32).map(|i| i as f32).collect();
-        let result = VirtualGpu::new()
+        let result = ExecutionRequest::new(&m)
             .launch(
-                &m,
                 "vcopy",
                 LaunchConfig::d1(8, 8),
                 vec![KernelArg::Buffer(input.clone()), KernelArg::zeros(32)],
@@ -2305,18 +2151,15 @@ mod tests {
             });
             m
         };
-        let gpu = VirtualGpu::new();
-        let coalesced = gpu
+        let coalesced = ExecutionRequest::new(&make(1))
             .launch(
-                &make(1),
                 "k",
                 LaunchConfig::d1(64, 64),
                 vec![KernelArg::Buffer(vec![0.0; 64 * 32]), KernelArg::zeros(64)],
             )
             .unwrap();
-        let strided = gpu
+        let strided = ExecutionRequest::new(&make(32))
             .launch(
-                &make(32),
                 "k",
                 LaunchConfig::d1(64, 64),
                 vec![KernelArg::Buffer(vec![0.0; 64 * 32]), KernelArg::zeros(64)],
@@ -2350,8 +2193,8 @@ mod tests {
                 otherwise: None,
             }],
         });
-        let err = VirtualGpu::new()
-            .launch(&m, "bad", LaunchConfig::d1(8, 8), vec![KernelArg::zeros(8)])
+        let err = ExecutionRequest::new(&m)
+            .launch("bad", LaunchConfig::d1(8, 8), vec![KernelArg::zeros(8)])
             .unwrap_err();
         assert_eq!(
             err,
@@ -2380,8 +2223,8 @@ mod tests {
                 otherwise: None,
             }],
         });
-        let result = VirtualGpu::new()
-            .launch(&m, "ok", LaunchConfig::d1(16, 8), vec![KernelArg::zeros(8)])
+        let result = ExecutionRequest::new(&m)
+            .launch("ok", LaunchConfig::d1(16, 8), vec![KernelArg::zeros(8)])
             .expect("uniform barrier executes");
         assert_eq!(result.report.counters.barriers, 1);
     }
@@ -2405,13 +2248,8 @@ mod tests {
                 body: vec![CStmt::Barrier(Fence::local())],
             }],
         });
-        let err = VirtualGpu::new()
-            .launch(
-                &m,
-                "loopy",
-                LaunchConfig::d1(4, 4),
-                vec![KernelArg::zeros(4)],
-            )
+        let err = ExecutionRequest::new(&m)
+            .launch("loopy", LaunchConfig::d1(4, 4), vec![KernelArg::zeros(4)])
             .unwrap_err();
         assert!(matches!(err, VgpuError::DivergentBarrier { .. }), "{err:?}");
     }
@@ -2491,8 +2329,9 @@ mod tests {
             },
         ];
         let device = crate::DeviceProfile::nvidia();
-        let result = VirtualGpu::new()
-            .launch_sequence_on(&device, &m, &stages, pool)
+        let result = ExecutionRequest::new(&m)
+            .on_device(&device)
+            .launch_sequence(&stages, pool)
             .expect("sequence runs");
         // 2 * (0 + 1 + ... + 7) = 56.
         assert_eq!(result.buffers[1], vec![56.0]);
@@ -2553,13 +2392,8 @@ mod tests {
                 },
             ],
         });
-        let result = VirtualGpu::new()
-            .launch(
-                &m,
-                "priv",
-                LaunchConfig::d1(4, 2),
-                vec![KernelArg::zeros(4)],
-            )
+        let result = ExecutionRequest::new(&m)
+            .launch("priv", LaunchConfig::d1(4, 2), vec![KernelArg::zeros(4)])
             .expect("runs");
         assert_eq!(result.buffers[0], vec![0.0, 2.0, 4.0, 6.0]);
         assert!(result.report.counters.private_accesses > 0);
@@ -2621,12 +2455,13 @@ mod tests {
         let args = || vec![KernelArg::Buffer(input.clone()), KernelArg::zeros(8)];
         // Detector off: executes (with whichever lock-step interleaving the vgpu has) —
         // this is exactly the "filtered only by output luck" failure mode of PR 5.
-        VirtualGpu::new()
-            .launch(&m, "racy", LaunchConfig::d1(8, 8), args())
+        ExecutionRequest::new(&m)
+            .launch("racy", LaunchConfig::d1(8, 8), args())
             .expect("runs without detection");
         // Detector on: the write-write conflict is a typed error.
-        let err = VirtualGpu::with_race_detection()
-            .launch(&m, "racy", LaunchConfig::d1(8, 8), args())
+        let err = ExecutionRequest::new(&m)
+            .race_detection(true)
+            .launch("racy", LaunchConfig::d1(8, 8), args())
             .expect_err("per-item staging races");
         match &err {
             VgpuError::DataRace {
@@ -2688,12 +2523,14 @@ mod tests {
         let input: Vec<f32> = (1..=4).map(|i| i as f32).collect();
         let args = || vec![KernelArg::Buffer(input.clone()), KernelArg::zeros(4)];
         // 1D launch: dimension 1 is a single work item, so every cell has one writer.
-        VirtualGpu::with_race_detection()
-            .launch(&m, "dim1", LaunchConfig::d1(4, 4), args())
+        ExecutionRequest::new(&m)
+            .race_detection(true)
+            .launch("dim1", LaunchConfig::d1(4, 4), args())
             .expect("1D launch has one writer per cell");
         // 2D launch: (l0, 0) and (l0, 1) both write tmp[l0], with values differing by one.
-        let err = VirtualGpu::with_race_detection()
-            .launch(&m, "dim1", LaunchConfig::d2((4, 2), (4, 2)), args())
+        let err = ExecutionRequest::new(&m)
+            .race_detection(true)
+            .launch("dim1", LaunchConfig::d2((4, 2), (4, 2)), args())
             .expect_err("dimension-1 siblings write different values to the same cell");
         match &err {
             VgpuError::DataRace {
@@ -2748,9 +2585,9 @@ mod tests {
             ],
         });
         let input: Vec<f32> = (1..=16).map(|i| i as f32).collect();
-        let result = VirtualGpu::with_race_detection()
+        let result = ExecutionRequest::new(&m)
+            .race_detection(true)
             .launch(
-                &m,
                 "reverse",
                 LaunchConfig::d1(16, 8),
                 vec![KernelArg::Buffer(input), KernelArg::zeros(16)],
@@ -2767,9 +2604,9 @@ mod tests {
         // write — a typed race, not a wrong answer.
         m.kernels[0].body.remove(2);
         let input: Vec<f32> = (1..=16).map(|i| i as f32).collect();
-        let err = VirtualGpu::with_race_detection()
+        let err = ExecutionRequest::new(&m)
+            .race_detection(true)
             .launch(
-                &m,
                 "reverse",
                 LaunchConfig::d1(16, 8),
                 vec![KernelArg::Buffer(input), KernelArg::zeros(16)],
@@ -2830,13 +2667,9 @@ mod tests {
             });
             m
         };
-        let err = VirtualGpu::with_race_detection()
-            .launch(
-                &make(false),
-                "sweep",
-                LaunchConfig::d1(8, 8),
-                vec![KernelArg::zeros(8)],
-            )
+        let err = ExecutionRequest::new(&make(false))
+            .race_detection(true)
+            .launch("sweep", LaunchConfig::d1(8, 8), vec![KernelArg::zeros(8)])
             .expect_err("the second sweep races against the first without a barrier");
         assert!(
             matches!(err, VgpuError::DataRace { epoch: 0, .. }),
@@ -2844,13 +2677,9 @@ mod tests {
         );
         // With a barrier per iteration (what lowered `iterate` sweeps emit) the epochs
         // advance per executed barrier and the same access pattern is race-free.
-        VirtualGpu::with_race_detection()
-            .launch(
-                &make(true),
-                "sweep",
-                LaunchConfig::d1(8, 8),
-                vec![KernelArg::zeros(8)],
-            )
+        ExecutionRequest::new(&make(true))
+            .race_detection(true)
+            .launch("sweep", LaunchConfig::d1(8, 8), vec![KernelArg::zeros(8)])
             .expect("barrier-separated sweeps are race-free");
     }
 
@@ -2872,13 +2701,9 @@ mod tests {
                 rhs: CExpr::float(3.0),
             }],
         });
-        let result = VirtualGpu::with_race_detection()
-            .launch(
-                &m,
-                "uniform",
-                LaunchConfig::d1(8, 8),
-                vec![KernelArg::zeros(1)],
-            )
+        let result = ExecutionRequest::new(&m)
+            .race_detection(true)
+            .launch("uniform", LaunchConfig::d1(8, 8), vec![KernelArg::zeros(1)])
             .expect("uniform redundant stores are benign");
         assert_eq!(result.buffers[0], vec![3.0]);
     }
@@ -2903,13 +2728,9 @@ mod tests {
                 ),
             }],
         });
-        let err = VirtualGpu::with_race_detection()
-            .launch(
-                &m,
-                "clash",
-                LaunchConfig::d1(8, 4),
-                vec![KernelArg::zeros(1)],
-            )
+        let err = ExecutionRequest::new(&m)
+            .race_detection(true)
+            .launch("clash", LaunchConfig::d1(8, 4), vec![KernelArg::zeros(1)])
             .expect_err("conflicting cross-group writes race");
         match &err {
             VgpuError::DataRace { buffer, index, .. } => {
@@ -2922,18 +2743,21 @@ mod tests {
 
     #[test]
     fn race_detection_flag_is_visible() {
-        assert!(!VirtualGpu::new().race_detection());
-        assert!(VirtualGpu::with_race_detection().race_detection());
+        let m = copy_kernel();
+        assert!(!ExecutionRequest::new(&m).race_detection_enabled());
+        assert!(ExecutionRequest::new(&m)
+            .race_detection(true)
+            .race_detection_enabled());
         // Shadow state never leaks into results: a clean kernel produces identical buffers
         // and counters with and without detection.
-        let m = copy_kernel();
         let input: Vec<f32> = (0..64).map(|i| i as f32).collect();
         let args = || vec![KernelArg::Buffer(input.clone()), KernelArg::zeros(64)];
-        let plain = VirtualGpu::new()
-            .launch(&m, "copy", LaunchConfig::d1(64, 16), args())
+        let plain = ExecutionRequest::new(&m)
+            .launch("copy", LaunchConfig::d1(64, 16), args())
             .expect("runs");
-        let detected = VirtualGpu::with_race_detection()
-            .launch(&m, "copy", LaunchConfig::d1(64, 16), args())
+        let detected = ExecutionRequest::new(&m)
+            .race_detection(true)
+            .launch("copy", LaunchConfig::d1(64, 16), args())
             .expect("runs");
         assert_eq!(plain, detected);
     }

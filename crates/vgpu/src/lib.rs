@@ -32,7 +32,7 @@ pub use device::{DeviceProfile, LaunchConfig, LaunchError};
 pub use engine::{
     BytecodeEngine, Engine, EngineSelection, ExecutionRequest, InterpreterEngine, PreparedLaunch,
 };
-pub use exec::{KernelLaunchSpec, LaunchResult, SequenceResult, VgpuError, VirtualGpu};
+pub use exec::{KernelLaunchSpec, LaunchResult, SequenceResult, VgpuError};
 pub use memory::{GpuValue, KernelArg, Ptr};
 
 /// The workspace-wide tolerance policy for comparing a kernel's output buffer against a

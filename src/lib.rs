@@ -53,5 +53,5 @@ pub mod prelude {
     pub use lift_codegen::{compile, CompilationOptions};
     pub use lift_interp::Value;
     pub use lift_ir::prelude::*;
-    pub use lift_vgpu::{DeviceProfile, EngineSelection, ExecutionRequest, VirtualGpu};
+    pub use lift_vgpu::{DeviceProfile, EngineSelection, ExecutionRequest};
 }
