@@ -1,53 +1,64 @@
-//! The auto-tuning trajectory probe: tunes the three high-level workloads (dot product,
-//! matrix multiplication, N-Body) on both device profiles and writes the machine-readable
-//! `BENCH_autotune.json` (override the path with `--json-out <path>`).
+//! The auto-tuning report: tunes the seven tracked workloads on both device profiles and
+//! writes the machine-readable `BENCH_autotune.json` (override the path with
+//! `--json-out <path>`).
 //!
 //! For every workload × device pair the binary first runs the *default-configuration*
 //! exploration (`ExplorationConfig::default()` — the fixed `[64]/[16]` launch and default
 //! rule options every caller got before the tuner existed), then lets `lift-tuner` search
 //! the joint `(RuleOptions, launch)` space with the canonical seeded strategy. The report
-//! records both numbers; the `improvement` field is the ratio, and the CI perf gate
-//! (`perf_gate`) fails the build when a committed tuned best-time regresses by more than
-//! the threshold. Each entry also records how many kernel launches the run executed on the
-//! virtual GPU and how many it recalled from its score memo (`kernels_executed`,
-//! `kernels_reused`); both are deterministic and the gate compares them exactly.
+//! records both numbers, their ratio (`improvement`), the winning point and chain, the
+//! trajectory, and how many kernel launches the run executed on the virtual GPU and how
+//! many it recalled from its score memo (`kernels_executed`, `kernels_reused`).
+//!
+//! Every field is deterministic, so the committed file is its own gate: CI runs this binary
+//! and fails when `git diff --exit-code -- BENCH_autotune.json` is not clean. A PR that
+//! changes a number on purpose commits the regenerated file.
 
-use std::time::Instant;
+use std::path::PathBuf;
 
 use lift_bench::report::{autotune_entry, autotune_report};
-use lift_bench::schema::{json_out_arg, write_json};
 use lift_bench::{autotune_config, autotune_strategy};
 use lift_rewrite::{explore, ExplorationConfig};
 use lift_tuner::{tune, Workload};
 use lift_vgpu::DeviceProfile;
 
+/// The value of `--json-out <path>` (or `--json-out=<path>`), `BENCH_autotune.json` in the
+/// working directory when absent.
+fn json_out_arg() -> PathBuf {
+    let mut args = std::env::args().skip(1);
+    while let Some(arg) = args.next() {
+        if arg == "--json-out" {
+            if let Some(path) = args.next() {
+                return path.into();
+            }
+        } else if let Some(path) = arg.strip_prefix("--json-out=") {
+            return path.into();
+        }
+    }
+    "BENCH_autotune.json".into()
+}
+
 fn main() {
-    let out_path = json_out_arg("BENCH_autotune.json");
+    let out_path = json_out_arg();
     let mut entries = Vec::new();
 
     for workload in Workload::all() {
         for device in [DeviceProfile::nvidia(), DeviceProfile::amd()] {
-            let default_best = explore(
-                &workload.program,
-                &ExplorationConfig {
-                    device: device.clone(),
-                    ..ExplorationConfig::default()
-                },
-            )
-            .expect("default exploration runs")
-            .variants
-            .first()
-            .map(|v| v.estimated_time);
+            let default_config = ExplorationConfig {
+                device: device.clone(),
+                ..ExplorationConfig::default()
+            };
+            let default =
+                explore(&workload.program, &default_config).expect("default exploration runs");
+            let default_best = default.variants.first().map(|v| v.estimated_time);
 
             let config = autotune_config(&workload, &device);
-            let start = Instant::now();
             let result = tune(&workload.program, &config).expect("tuning runs");
-            let wall_ms = start.elapsed().as_secs_f64() * 1e3;
 
             let tuned = result.best_variant.as_ref().map(|b| b.estimated_time);
             println!(
                 "{:16} on {:18}: default {} -> tuned {} ({} points, {} rule searches, \
-                 {} cache hits, {} kernels executed, {} recalled, {:.1} ms)",
+                 {} cache hits, {} kernels executed, {} recalled)",
                 workload.name,
                 device.name,
                 default_best.map_or("-".to_string(), |t| format!("{t:10.1}")),
@@ -57,7 +68,6 @@ fn main() {
                 result.enumeration_cache_hits,
                 result.kernels_executed,
                 result.kernels_reused,
-                wall_ms,
             );
             if let (Some(point), Some(best)) = (&result.best_point, &result.best_variant) {
                 println!(
@@ -74,13 +84,19 @@ fn main() {
             entries.push(autotune_entry(
                 workload.name,
                 &autotune_strategy(&workload),
-                default_best,
+                &default_config,
+                &default,
                 &result,
-                wall_ms,
             ));
         }
     }
 
-    write_json(&out_path, &autotune_report(entries).render());
+    // CI may point `--json-out` into a directory that does not exist on a fresh checkout.
+    if let Some(parent) = out_path.parent().filter(|p| !p.as_os_str().is_empty()) {
+        std::fs::create_dir_all(parent)
+            .unwrap_or_else(|e| panic!("create {}: {e}", parent.display()));
+    }
+    std::fs::write(&out_path, autotune_report(entries).render())
+        .unwrap_or_else(|e| panic!("write {}: {e}", out_path.display()));
     println!("wrote {}", out_path.display());
 }

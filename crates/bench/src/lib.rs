@@ -1,27 +1,24 @@
-//! Shared helpers for the benchmark harness binaries and Criterion benches.
+//! Shared helpers for the harness binaries that regenerate the paper's evaluation.
 //!
-//! The binaries in `src/bin` regenerate the tables and figures of the paper:
+//! The binaries in `src/bin`:
 //!
 //! * `table1`  — benchmark overview and code sizes (Table 1),
 //! * `figure6` — the array-index simplification example (Figure 6),
 //! * `figure7` — the generated dot-product kernel (Figure 7),
 //! * `figure8` — relative performance of generated vs hand-written kernels under the three
 //!   optimisation levels and two device profiles (Figure 8),
-//! * `explore_stats` — exploration-throughput probe writing `BENCH_explore.json`,
-//! * `autotune_stats` — the auto-tuning trajectory writing `BENCH_autotune.json`,
-//! * `perf_gate` — CI gate comparing the two JSON reports against committed baselines.
+//! * `autotune_stats` — the auto-tuning search over the seven tracked workloads on both
+//!   device profiles, writing the committed `BENCH_autotune.json`.
 //!
-//! The [`schema`] module defines the shared JSON output format (writer and parser) and the
-//! `--json-out` flag handling; [`report`] builds the `BENCH_autotune.json` document;
-//! [`gate`] implements the regression checks behind `perf_gate`.
+//! Nothing in this crate reads a clock. `BENCH_autotune.json` holds only what the seeded
+//! search and the cost model determine (tuned best-times, kernel launches executed and
+//! recalled, winning chains, trajectories), so it is its own gate: CI regenerates it and
+//! fails on any `git diff`. Wall-clock is measured in one place, the stand-alone
+//! `benchmark/` package. The [`report`] module builds the document.
 
-pub mod gate;
 pub mod report;
-pub mod schema;
 
-use lift_benchmarks::runner::RunOutcome;
-use lift_rewrite::{ExplorationConfig, RuleOptions};
-use lift_vgpu::{DeviceProfile, LaunchConfig};
+use lift_vgpu::DeviceProfile;
 
 /// Formats a relative-performance number the way the Figure 8 bars are read.
 pub fn format_relative(rel: f64) -> String {
@@ -35,31 +32,6 @@ pub fn geometric_mean(values: &[f64]) -> f64 {
     }
     let log_sum: f64 = values.iter().map(|v| v.max(1e-12).ln()).sum();
     (log_sum / values.len() as f64).exp()
-}
-
-/// Convenience: estimated time of an outcome on a device.
-pub fn time_on(outcome: &RunOutcome, device: &DeviceProfile) -> f64 {
-    outcome.estimated_time(device)
-}
-
-/// The canonical exploration configuration used by the `explore` bench and the
-/// `explore_stats` binary: the dot-product search whose throughput the performance
-/// trajectory (`BENCH_explore.json`) tracks. Keep this stable across PRs so the
-/// candidates/sec numbers stay comparable.
-pub fn explore_config(max_candidates: usize) -> ExplorationConfig {
-    ExplorationConfig {
-        max_depth: 5,
-        beam_width: 48,
-        max_candidates,
-        rule_options: RuleOptions {
-            split_sizes: vec![2, 4],
-            vector_widths: vec![4],
-            tile_sizes: vec![],
-        },
-        launch: LaunchConfig::d1(16, 4),
-        best_n: 4,
-        ..ExplorationConfig::default()
-    }
 }
 
 /// The canonical auto-tuning strategy per workload, sized for the serial virtual GPU: a

@@ -1,8 +1,10 @@
 //! Determinism of the autotune report: the same seed must produce a byte-identical
-//! `BENCH_autotune.json` entry, modulo timestamps — which enter the report only through the
-//! explicit `wall_ms` parameter of the builder and are pinned here.
+//! `BENCH_autotune.json` entry. The report carries no clock reading, which is what lets CI
+//! gate the committed file with a plain `git diff`.
 
 use lift_bench::report::{autotune_entry, autotune_report};
+use lift_rewrite::{Exploration, ExplorationConfig};
+use lift_telemetry::json::{parse, Json};
 use lift_tuner::{tune, Strategy, TuningConfig, TuningSpace, Workload};
 use lift_vgpu::DeviceProfile;
 
@@ -35,30 +37,31 @@ fn same_seed_renders_byte_identical_reports() {
         samples: 3,
         max_steps: 1,
     };
-    // Two full runs, rendered with a fixed wall-clock: every byte must match.
+    // Two full runs: every byte must match.
     let render = |result: &lift_tuner::TuningResult| {
         autotune_report(vec![autotune_entry(
             "dot_product",
             &strategy,
-            Some(1000.0),
+            &ExplorationConfig::default(),
+            &Exploration::default(),
             result,
-            42.0,
         )])
         .render()
     };
     let a = render(&small_run(99));
     let b = render(&small_run(99));
     assert_eq!(a, b, "same seed must render byte-identical reports");
-    // And the parsed report has the tracked fields the perf gate reads.
-    let parsed = lift_bench::schema::parse(&a).expect("report parses");
+    // And the parsed report has the tracked fields, and no timing field.
+    let parsed = parse(&a).expect("report parses");
     let entry = &parsed
         .get("results")
         .and_then(|r| r.as_arr())
         .expect("results")[0];
     assert!(entry
         .get("tuned_best_time")
-        .and_then(lift_bench::schema::Json::as_f64)
+        .and_then(Json::as_f64)
         .is_some());
+    assert!(entry.get("wall_ms").is_none() && entry.get("points_per_sec").is_none());
 
     // A different seed walks a different trajectory (the sample prefix differs with
     // overwhelming probability on this space).

@@ -140,32 +140,79 @@ fn an_enabled_collector_does_not_change_exploration_results() {
 
 #[test]
 fn null_collector_results_match_the_committed_baseline() {
-    // Pins the Null-collector path to the committed `BENCH_explore.json` numbers (the
-    // candidate count, variant count, best cost and best chain recorded before the
-    // telemetry layer existed): instrumentation must not perturb the search.
+    // The deterministic outcome of the dot-product probe at both candidate budgets:
+    // candidate count, variant count, best cost, every best chain in rank order and a clean
+    // soundness report. These constants are the committed baseline; the search is seeded,
+    // so any drift is a change in the rules, the beam or the cost model, and instrumentation
+    // must not perturb any of it.
+    const GLB: &str = "map-to-mapGlb @ .arg0.arg0.arg0";
+    const SEQ: &str = "reduce-to-reduceSeq @ .arg0.fun1.body";
+    const WRG_OUTER: &str = "map-to-mapWrg-mapLcl @ .arg0";
+    const WRG_INNER: &str = "map-to-mapWrg-mapLcl @ .arg0.arg0.arg0";
+    let probes: [(usize, usize, [&[&str]; 4]); 2] = [
+        (
+            500,
+            500,
+            [
+                &[GLB, SEQ, WRG_OUTER],
+                &[SEQ, WRG_INNER, WRG_OUTER],
+                &[SEQ, WRG_INNER, WRG_OUTER],
+                &[GLB, "map-to-mapSeq @ .arg0", SEQ],
+            ],
+        ),
+        (
+            4000,
+            1036,
+            [
+                &[GLB, SEQ, WRG_OUTER],
+                &[
+                    GLB,
+                    SEQ,
+                    WRG_OUTER,
+                    "wrap-toLocal @ .arg0.arg0.fun1.body.fun1.body",
+                ],
+                &[
+                    GLB,
+                    SEQ,
+                    WRG_OUTER,
+                    "wrap-toGlobal @ .arg0.arg0.fun1.body.fun1.body",
+                ],
+                &[
+                    GLB,
+                    SEQ,
+                    WRG_OUTER,
+                    "wrap-toPrivate @ .arg0.arg0.fun1.body.fun1.body",
+                ],
+            ],
+        ),
+    ];
     let program = dot_product::high_level_program(512);
-    let result = explore(&program, &search_config(4)).expect("exploration runs");
-    assert_eq!(result.explored, 1036);
-    assert_eq!(result.variants.len(), 4);
-    let best = &result.variants[0];
-    assert!(
-        (best.estimated_time - 19039.903).abs() < 1e-2,
-        "best estimated time drifted: {}",
-        best.estimated_time
-    );
-    let chain: Vec<String> = best
-        .derivation
-        .iter()
-        .map(|s| format!("{} @ {}", s.rule, s.location))
-        .collect();
-    assert_eq!(
-        chain,
-        [
-            "map-to-mapGlb @ .arg0.arg0.arg0",
-            "reduce-to-reduceSeq @ .arg0.fun1.body",
-            "map-to-mapWrg-mapLcl @ .arg0",
-        ]
-    );
+    for (max_candidates, explored, chains) in probes {
+        let config = ExplorationConfig {
+            max_candidates,
+            ..search_config(4)
+        };
+        let result = explore(&program, &config).expect("exploration runs");
+        assert_eq!(result.explored, explored, "budget {max_candidates}");
+        assert!(result.soundness.is_clean(), "budget {max_candidates}");
+        let best = &result.variants[0];
+        assert!(
+            (best.estimated_time - 19039.903).abs() < 1e-2,
+            "budget {max_candidates}: best estimated time drifted: {}",
+            best.estimated_time
+        );
+        let found: Vec<Vec<String>> = result
+            .variants
+            .iter()
+            .map(|v| {
+                v.derivation
+                    .iter()
+                    .map(|s| format!("{} @ {}", s.rule, s.location))
+                    .collect()
+            })
+            .collect();
+        assert_eq!(found, chains, "budget {max_candidates}");
+    }
 }
 
 /// Enumerates every term derivable from `term` by one rule application, in the driver's

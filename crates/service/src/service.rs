@@ -24,7 +24,8 @@
 //!    assembled in submission order, and the store is persisted when directory-backed.
 //!
 //! Wall-clock cost: a warm hit scores exactly one candidate; a cold miss runs a full
-//! enumerate+tune search — the orders-of-magnitude gap `cache_stats` measures.
+//! enumerate+tune search — the orders-of-magnitude gap between `request_ms_p50` on the
+//! benchmark's `warm_replay` and `cold_*` workloads.
 
 use lift_ir::Program;
 use lift_rewrite::{Enumerated, ExplorationConfig, ExploreError, RuleOptions};

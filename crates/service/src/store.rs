@@ -11,8 +11,8 @@
 //! Opening a store whose recorded versions differ from the requested ones drops every
 //! entry ([`lift_telemetry::Event::CacheInvalidate`]): derivation chains recorded against
 //! another rule set may not replay, and scores from another cost model are not comparable.
-//! Individual lines that fail to parse (corruption, a renamed rule) are likewise dropped,
-//! never served. Inserting beyond `capacity` evicts the least recently used entry
+//! Individual lines that fail to decode or parse (corruption, a renamed rule) are likewise
+//! dropped, never served. Inserting beyond `capacity` evicts the least recently used entry
 //! ([`lift_telemetry::Event::CacheEvict`], reason `lru`).
 
 use std::collections::HashMap;
@@ -88,16 +88,21 @@ impl CacheStore {
         if !index_path.exists() || !store_path.exists() {
             return Ok(store);
         }
-        let index_text = std::fs::read_to_string(&index_path)
+        let index_bytes = std::fs::read(&index_path)
             .map_err(|e| ServiceError::Io(format!("read {}: {e}", index_path.display())))?;
-        let store_text = std::fs::read_to_string(&store_path)
+        let store_bytes = std::fs::read(&store_path)
             .map_err(|e| ServiceError::Io(format!("read {}: {e}", store_path.display())))?;
-        let lines: Vec<&str> = store_text
-            .lines()
-            .filter(|l| !l.trim().is_empty())
+        // Decoded line by line, so a byte that is not UTF-8 costs the line it sits in and
+        // not the store (`None` here, dropped as unreadable below).
+        let lines: Vec<Option<&str>> = store_bytes
+            .split(|b| *b == b'\n')
+            .map(|line| std::str::from_utf8(line).ok())
+            .filter(|line| line.is_none_or(|l| !l.trim().is_empty()))
             .collect();
 
-        let index = parse(&index_text).ok();
+        let index = std::str::from_utf8(&index_bytes)
+            .ok()
+            .and_then(|text| parse(text).ok());
         let stale_reason = match &index {
             None => Some("corrupt index".to_string()),
             Some(doc) => {
@@ -136,7 +141,11 @@ impl CacheStore {
 
         let mut dropped = 0u32;
         for line in lines {
-            match parse(line).ok().as_ref().and_then(entry_from_json) {
+            match line
+                .and_then(|l| parse(l).ok())
+                .as_ref()
+                .and_then(entry_from_json)
+            {
                 Some(entry) => {
                     store.order.push(entry.key.id.clone());
                     store.entries.insert(entry.key.id.clone(), entry);
@@ -445,6 +454,54 @@ mod tests {
             text.is_empty(),
             "stale entries are dropped from the store file"
         );
+        let _ = std::fs::remove_dir_all(&root);
+    }
+
+    #[test]
+    fn a_non_utf8_byte_costs_one_line_or_the_index_never_the_open() {
+        let root = temp_root("non-utf8");
+        let mut store = CacheStore::open(&root, 8, 1, 1, &Null).unwrap();
+        for id in ["a", "b", "c"] {
+            store.insert(entry(id, id, "s"), &Null);
+        }
+        store.persist().unwrap();
+        let corrupt = |file: &str, at: usize| {
+            let path = root.join(file);
+            let mut bytes = std::fs::read(&path).unwrap();
+            bytes[at] = 0xFF;
+            std::fs::write(&path, bytes).unwrap();
+        };
+        let reasons = |sink: InMemory| -> Vec<String> {
+            sink.into_events()
+                .into_iter()
+                .filter_map(|e| match e.event {
+                    Event::CacheInvalidate { reason, .. } => Some(reason),
+                    _ => None,
+                })
+                .collect()
+        };
+
+        // One byte of the second line: that entry is dropped and counted, the rest load.
+        let store_text = std::fs::read_to_string(root.join("store.jsonl")).unwrap();
+        corrupt("store.jsonl", store_text.find('\n').unwrap() + 10);
+        let sink = InMemory::default();
+        let back = CacheStore::open(&root, 8, 1, 1, &sink).unwrap();
+        assert_eq!(back.len(), 2);
+        assert!(back.entries.contains_key("a") && back.entries.contains_key("c"));
+        assert_eq!(back.invalidated(), 1);
+        assert_eq!(
+            reasons(sink),
+            ["unreadable entries (corruption or renamed rules)"]
+        );
+
+        // One byte of the index: the existing corrupt-index path, which drops the generation.
+        back.persist().unwrap();
+        corrupt("index.json", 5);
+        let sink = InMemory::default();
+        let back = CacheStore::open(&root, 8, 1, 1, &sink).unwrap();
+        assert!(back.is_empty());
+        assert_eq!(back.invalidated(), 2);
+        assert_eq!(reasons(sink), ["corrupt index"]);
         let _ = std::fs::remove_dir_all(&root);
     }
 

@@ -1,7 +1,8 @@
 //! A tiny deterministic JSON value type shared by everything in the workspace that
-//! persists or parses machine-readable documents: the bench harness reports
-//! (`BENCH_*.json`), the derivation-service cache store (`store.jsonl` + `index.json`)
-//! and the perf gate's baseline parsing.
+//! persists or parses machine-readable documents: the committed auto-tuning report
+//! (`BENCH_autotune.json`, written by `lift-bench` and parsed back by
+//! `tests/soundness_differential.rs`), the derivation-service cache store (`store.jsonl` +
+//! `index.json`) and the result files of the stand-alone `benchmark/` package.
 //!
 //! The writer is deterministic — insertion-ordered object keys and fixed float formatting
 //! ([`fmt_f64`]) make output byte-identical for equal inputs, which both the autotune
@@ -10,8 +11,7 @@
 //!
 //! This module lives in `lift-telemetry` (the only zero-dependency crate of the
 //! workspace) so that `lift-service` and `lift-bench` can share one implementation
-//! without a dependency cycle; `lift_bench::schema` re-exports it for the harness
-//! binaries.
+//! without a dependency cycle.
 
 use std::fmt::Write as _;
 

@@ -27,17 +27,12 @@
 //! * [`Null`] — drops everything; the default everywhere.
 //! * [`InMemory`] — timestamps and buffers events behind a mutex, for tests and in-process
 //!   analysis ([`phase_durations`], [`counts_by_kind`]).
-//! * [`JsonLines`] — streams one JSON object per event to any writer (the
-//!   `telemetry_stats` harness points it at a `.jsonl` file CI archives).
-//! * [`Tee`] — forwards to two sinks (e.g. buffer in memory *and* stream to disk).
 //!
-//! A recorded trace can be exported as a Chrome `trace_event` document with
-//! [`chrome_trace`], inspectable in `about://tracing` or [Perfetto](https://ui.perfetto.dev).
+//! One recorded event renders as a JSON object with [`TimedEvent::to_json_line`].
 
 pub mod json;
 
 use std::fmt::Write as _;
-use std::io::Write;
 use std::sync::Mutex;
 use std::time::Instant;
 
@@ -431,7 +426,7 @@ impl Event {
     }
 
     /// Writes the variant's fields as JSON object members (without the braces), e.g.
-    /// `"name": "enumerate"`. Shared by the JSONL sink and the Chrome-trace `args` objects.
+    /// `"name": "enumerate"`.
     fn write_fields(&self, out: &mut String) {
         match self {
             Event::SpanBegin { name } | Event::SpanEnd { name } => {
@@ -737,81 +732,6 @@ impl Collector for InMemory {
     }
 }
 
-/// Streams one JSON object per event to a writer — the format CI archives and the
-/// `telemetry_stats` harness parses back.
-pub struct JsonLines<W: Write + Send> {
-    epoch: Instant,
-    out: Mutex<W>,
-}
-
-impl<W: Write + Send> JsonLines<W> {
-    /// A sink writing to `out`, with its epoch set to now.
-    pub fn new(out: W) -> JsonLines<W> {
-        JsonLines {
-            epoch: Instant::now(),
-            out: Mutex::new(out),
-        }
-    }
-
-    /// Flushes and returns the writer.
-    ///
-    /// # Panics
-    ///
-    /// Panics if a recording thread panicked while holding the writer lock.
-    pub fn into_inner(self) -> W {
-        let mut out = self.out.into_inner().expect("telemetry writer lock");
-        let _ = out.flush();
-        out
-    }
-}
-
-impl JsonLines<std::io::BufWriter<std::fs::File>> {
-    /// A sink writing to the file at `path` (created/truncated), buffered.
-    ///
-    /// # Errors
-    ///
-    /// Returns the I/O error if the file cannot be created.
-    pub fn create(
-        path: &std::path::Path,
-    ) -> std::io::Result<JsonLines<std::io::BufWriter<std::fs::File>>> {
-        Ok(JsonLines::new(std::io::BufWriter::new(
-            std::fs::File::create(path)?,
-        )))
-    }
-}
-
-impl<W: Write + Send> Collector for JsonLines<W> {
-    fn enabled(&self) -> bool {
-        true
-    }
-
-    fn record(&self, event: Event) {
-        let t_us = self.epoch.elapsed().as_micros() as u64;
-        let line = TimedEvent { t_us, event }.to_json_line();
-        let mut out = self.out.lock().expect("telemetry writer lock");
-        let _ = writeln!(out, "{line}");
-    }
-}
-
-/// Forwards every event to two sinks (e.g. buffer in memory *and* stream to disk).
-/// Enabled when either side is.
-pub struct Tee<'a>(pub &'a dyn Collector, pub &'a dyn Collector);
-
-impl Collector for Tee<'_> {
-    fn enabled(&self) -> bool {
-        self.0.enabled() || self.1.enabled()
-    }
-
-    fn record(&self, event: Event) {
-        if self.0.enabled() {
-            self.0.record(event.clone());
-        }
-        if self.1.enabled() {
-            self.1.record(event);
-        }
-    }
-}
-
 /// Total time spent inside each span name, in first-appearance order.
 ///
 /// Spans may nest (time inside a nested span counts toward both); an unmatched
@@ -851,70 +771,6 @@ pub fn counts_by_kind(events: &[TimedEvent]) -> Vec<(&'static str, usize)> {
     counts
 }
 
-/// Renders one or more event tracks as a Chrome `trace_event` JSON document, loadable in
-/// `about://tracing` or [Perfetto](https://ui.perfetto.dev).
-///
-/// Each `(name, events)` track becomes one thread of a single `lift` process: span
-/// begin/end pairs map to `B`/`E` duration events, everything else to instant events whose
-/// fields appear under `args`. Timestamps are the events' own microsecond stamps, so tracks
-/// recorded by different sinks each start at their own zero.
-pub fn chrome_trace(tracks: &[(&str, &[TimedEvent])]) -> String {
-    let mut out = String::from("{\"traceEvents\":[\n");
-    let mut first = true;
-    let mut push = |line: String, out: &mut String| {
-        if !first {
-            out.push_str(",\n");
-        }
-        first = false;
-        out.push_str(&line);
-    };
-    push(
-        "{\"name\":\"process_name\",\"ph\":\"M\",\"pid\":1,\"tid\":0,\
-         \"args\":{\"name\":\"lift\"}}"
-            .to_string(),
-        &mut out,
-    );
-    for (tid, (track, events)) in tracks.iter().enumerate() {
-        let tid = tid + 1;
-        let mut name = String::new();
-        write_escaped(&mut name, track);
-        push(
-            format!(
-                "{{\"name\":\"thread_name\",\"ph\":\"M\",\"pid\":1,\"tid\":{tid},\
-                 \"args\":{{\"name\":{name}}}}}"
-            ),
-            &mut out,
-        );
-        for e in *events {
-            let line = match &e.event {
-                Event::SpanBegin { name } => format!(
-                    "{{\"name\":\"{name}\",\"ph\":\"B\",\"pid\":1,\"tid\":{tid},\
-                     \"ts\":{}}}",
-                    e.t_us
-                ),
-                Event::SpanEnd { name } => format!(
-                    "{{\"name\":\"{name}\",\"ph\":\"E\",\"pid\":1,\"tid\":{tid},\
-                     \"ts\":{}}}",
-                    e.t_us
-                ),
-                other => {
-                    let mut args = String::new();
-                    other.write_fields(&mut args);
-                    format!(
-                        "{{\"name\":\"{}\",\"ph\":\"i\",\"s\":\"t\",\"pid\":1,\
-                         \"tid\":{tid},\"ts\":{},\"args\":{{{args}}}}}",
-                        other.kind(),
-                        e.t_us
-                    )
-                }
-            };
-            push(line, &mut out);
-        }
-    }
-    out.push_str("\n]}\n");
-    out
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -944,28 +800,37 @@ mod tests {
         assert!(events.windows(2).all(|w| w[0].t_us <= w[1].t_us));
     }
 
+    fn at(t_us: u64, event: Event) -> TimedEvent {
+        TimedEvent { t_us, event }
+    }
+
     #[test]
     fn json_lines_are_valid_self_describing_objects() {
-        let sink = JsonLines::new(Vec::new());
-        sink.record(Event::Rejection {
-            rule: "split-join",
-            site: "@root.\"quoted\"".to_string(),
-            reason: RejectReason::IllTyped,
-        });
-        sink.record(Event::TunerPoint {
-            index: 3,
-            point: "splits=[2] launch=64/16".to_string(),
-            best_time: None,
-            lowered: 0,
-            variants: 0,
-            improved: false,
-            cache_hit: true,
-            kernels_executed: 0,
-            kernels_reused: 0,
-        });
-        let text = String::from_utf8(sink.into_inner()).expect("utf8");
-        let lines: Vec<&str> = text.lines().collect();
-        assert_eq!(lines.len(), 2);
+        let lines = [
+            at(
+                0,
+                Event::Rejection {
+                    rule: "split-join",
+                    site: "@root.\"quoted\"".to_string(),
+                    reason: RejectReason::IllTyped,
+                },
+            ),
+            at(
+                1,
+                Event::TunerPoint {
+                    index: 3,
+                    point: "splits=[2] launch=64/16".to_string(),
+                    best_time: None,
+                    lowered: 0,
+                    variants: 0,
+                    improved: false,
+                    cache_hit: true,
+                    kernels_executed: 0,
+                    kernels_reused: 0,
+                },
+            ),
+        ]
+        .map(|e| e.to_json_line());
         assert!(lines[0].contains("\"kind\":\"rejection\""));
         assert!(lines[0].contains("\"reason\":\"ill_typed\""));
         assert!(lines[0].contains("\\\"quoted\\\""), "{}", lines[0]);
@@ -973,25 +838,8 @@ mod tests {
         assert!(lines[1].contains("\"cache_hit\":true"));
         assert!(lines[1].contains("\"kernels_reused\":0"));
         for line in lines {
-            assert!(line.starts_with('{') && line.ends_with('}'));
+            assert!(line.starts_with('{') && line.ends_with('}') && !line.contains('\n'));
         }
-    }
-
-    #[test]
-    fn tee_forwards_to_both_sinks() {
-        let a = InMemory::new();
-        let b = InMemory::new();
-        let tee = Tee(&a, &b);
-        assert!(tee.enabled());
-        tee.record(Event::SpanBegin { name: "x" });
-        assert_eq!(a.events().len(), 1);
-        assert_eq!(b.events().len(), 1);
-        // A tee over disabled sinks is disabled.
-        assert!(!Tee(&Null, &Null).enabled());
-    }
-
-    fn at(t_us: u64, event: Event) -> TimedEvent {
-        TimedEvent { t_us, event }
     }
 
     #[test]
@@ -1035,37 +883,6 @@ mod tests {
             counts_by_kind(&events),
             vec![("span_begin", 1), ("counter", 2), ("span_end", 1)]
         );
-    }
-
-    #[test]
-    fn chrome_trace_contains_span_pairs_and_instants() {
-        let events = vec![
-            at(0, Event::SpanBegin { name: "enumerate" }),
-            at(
-                5,
-                Event::BeamRound {
-                    depth: 0,
-                    frontier: 1,
-                    expanded: 10,
-                    derived: 8,
-                    dedup_hits: 1,
-                    rejected: 1,
-                    completed: 0,
-                    kept: 8,
-                    pruned: 0,
-                },
-            ),
-            at(9, Event::SpanEnd { name: "enumerate" }),
-        ];
-        let doc = chrome_trace(&[("dot_product", &events)]);
-        assert!(doc.contains("\"traceEvents\""));
-        assert!(doc.contains("\"ph\":\"B\""));
-        assert!(doc.contains("\"ph\":\"E\""));
-        assert!(doc.contains("\"ph\":\"i\""));
-        assert!(doc.contains("\"thread_name\""));
-        assert!(doc.contains("\"frontier\":1"));
-        // Balanced braces at the top level: the document parses as one object.
-        assert_eq!(doc.matches("traceEvents").count(), 1);
     }
 
     #[test]

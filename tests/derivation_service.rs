@@ -1,7 +1,7 @@
 //! Workspace-level integration tests for the derivation service (`lift-service`): the
 //! differential warm-vs-cold guarantee, request batching/deduplication pinned by
-//! telemetry, persistence across reopen, and whole-generation invalidation on a rule-set
-//! version bump.
+//! telemetry, warm-started misses, persistence across reopen, and whole-generation
+//! invalidation on a rule-set version bump.
 
 use lift::service::{DerivationService, Request, Served, ServiceConfig};
 use lift::telemetry::{counts_by_kind, InMemory, Null};
@@ -130,6 +130,44 @@ fn a_batch_of_identical_requests_costs_exactly_one_derivation() {
     };
     assert_eq!(count("cache_miss"), 1);
     assert_eq!(count("cache_hit"), 0);
+}
+
+#[test]
+fn a_miss_warm_starts_from_a_cached_entry_sharing_its_skeleton() {
+    // The partial dot product at two sizes: different programs, hence different cache
+    // keys, but one pattern skeleton, so the second search is seeded with the first's
+    // tuned point.
+    let mut service = DerivationService::open(ServiceConfig::default()).expect("service opens");
+    let first = small_request(&Workload::dot_product());
+    let second = small_request(&Workload {
+        program: lift::benchmarks::dot_product::high_level_program(256),
+        ..Workload::dot_product()
+    });
+
+    let cold = service
+        .request_with(first, &Null)
+        .expect("cold derivation succeeds");
+    assert_eq!((cold.served, cold.warm_seeds), (Served::ColdMiss, 0));
+
+    let seeded = service
+        .request_with(second.clone(), &Null)
+        .expect("warm-started derivation succeeds");
+    assert_eq!(seeded.served, Served::ColdMiss);
+    assert!(
+        seeded.warm_seeds >= 1,
+        "the cached sibling seeds the search"
+    );
+    assert_eq!(service.stats().warm_started, 1);
+
+    // The warm-started winner is cached like any other and survives the full re-proof
+    // (`validate_hit`: replay, typecheck, compile, execute, validate) when requested again.
+    let again = service
+        .request_with(second, &Null)
+        .expect("warm hit succeeds");
+    assert_eq!(again.served, Served::WarmHit);
+    assert_eq!(again.variant.kernel_source, seeded.variant.kernel_source);
+    let stats = service.stats();
+    assert_eq!((stats.hits, stats.misses, stats.replay_failures), (1, 2, 0));
 }
 
 #[test]

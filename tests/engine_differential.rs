@@ -5,9 +5,10 @@
 //! profiles, and the same error taxonomy — with race detection on or off. This suite
 //! checks that equivalence three ways:
 //!
-//! 1. **Gated workloads.** Every candidate the rewrite exploration derives from the six
+//! 1. **Gated workloads.** Every candidate the rewrite exploration derives from the seven
 //!    tuned workloads scores identically on both engines (verdict counters, winners,
-//!    estimated times compared bit for bit).
+//!    estimated times compared bit for bit), and the bytecode tier runs every one of their
+//!    kernels itself: no launch falls back to the interpreter.
 //! 2. **Random derived kernels.** Randomly composed data-layout pipelines (the
 //!    view-composition shapes whose index generation is the subtle part of the compiler)
 //!    launch to bitwise-equal buffers and counters on both engines.
@@ -21,6 +22,7 @@ use lift::rewrite::{
     all_rules, beta_normalize, enumerate, get, replace, sites, typecheck, Exploration,
     ExplorationConfig, RuleCx, RuleOptions, Term, TileSize,
 };
+use lift::telemetry::{Event, InMemory};
 use lift::tuner::Workload;
 use lift::vgpu::{
     DeviceProfile, EngineSelection, ExecutionRequest, LaunchConfig, LaunchResult, VgpuError,
@@ -97,12 +99,16 @@ fn gated_workloads_score_identically_on_both_engines() {
                     ..config.clone()
                 })
                 .unwrap_or_else(|e| panic!("{}: interpreter scoring fails: {e}", workload.name));
+            let collector = InMemory::new();
             let bytecode = enumerated
-                .score(&ExplorationConfig {
-                    engine: EngineSelection::Bytecode,
-                    detect_races,
-                    ..config.clone()
-                })
+                .score_with(
+                    &ExplorationConfig {
+                        engine: EngineSelection::Bytecode,
+                        detect_races,
+                        ..config.clone()
+                    },
+                    &collector,
+                )
                 .unwrap_or_else(|e| panic!("{}: bytecode scoring fails: {e}", workload.name));
             assert!(
                 !interp.variants.is_empty(),
@@ -111,6 +117,22 @@ fn gated_workloads_score_identically_on_both_engines() {
             );
             let label = format!("{} (detect_races={detect_races})", workload.name);
             assert_scored_identical(&label, &interp, &bytecode);
+
+            // The collector did observe the scoring pass, and no kernel in it was handed
+            // back to the interpreter.
+            let events = collector.into_events();
+            assert!(
+                events
+                    .iter()
+                    .any(|e| e.event == Event::SpanBegin { name: "execute" }),
+                "{label}: the collector saw no execute phase"
+            );
+            let fallbacks: Vec<&Event> = events
+                .iter()
+                .map(|e| &e.event)
+                .filter(|e| matches!(e, Event::EngineFallback { .. }))
+                .collect();
+            assert!(fallbacks.is_empty(), "{label}: {fallbacks:?}");
         }
     }
 }

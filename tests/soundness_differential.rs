@@ -8,13 +8,16 @@
 //!
 //! 2. **The committed tuned-best derivations are sound.** Every `best` entry of the
 //!    committed `BENCH_autotune.json` replays to a variant that the ownership pass accepts
-//!    and the race detector leaves untouched, with the committed estimated time.
+//!    and the race detector leaves untouched, with the committed estimated time. On every
+//!    device the tiled matrix multiply is at least as fast as the plain one.
+
+use std::collections::HashMap;
 
 use lift::rewrite::{enumerate, ExplorationConfig, RuleOptions};
+use lift::telemetry::json::{parse, Json};
 use lift::tuner::Workload;
 use lift::vgpu::{DeviceProfile, EngineSelection, LaunchConfig};
 use lift_bench::autotune_config;
-use lift_bench::schema::{parse, Json};
 
 /// A launch every workload's lowered candidates execute correctly under (the virtual GPU
 /// masks surplus work items, so a fixed grid works across problem sizes).
@@ -118,16 +121,21 @@ fn committed_tuned_best_derivations_are_statically_accepted_and_race_free() {
         .expect("results[]");
     assert!(!results.is_empty());
     let workloads = Workload::all();
+    let mut tuned_times: HashMap<(&str, &str), f64> = HashMap::new();
 
     for entry in results {
         let name = entry
             .get("workload")
             .and_then(Json::as_str)
             .expect("workload name");
-        let device = match entry.get("device").and_then(Json::as_str) {
-            Some("nvidia-titan-black") => DeviceProfile::nvidia(),
-            Some("amd-r9-295x2") => DeviceProfile::amd(),
-            other => panic!("{name}: unknown device {other:?}"),
+        let device_name = entry
+            .get("device")
+            .and_then(Json::as_str)
+            .expect("device name");
+        let device = match device_name {
+            "nvidia-titan-black" => DeviceProfile::nvidia(),
+            "amd-r9-295x2" => DeviceProfile::amd(),
+            other => panic!("{name}: unknown device {other}"),
         };
         let Some(best) = entry.get("best").filter(|b| !matches!(b, Json::Null)) else {
             panic!("{name}: committed entry without a tuned best");
@@ -179,6 +187,7 @@ fn committed_tuned_best_derivations_are_statically_accepted_and_race_free() {
             .get("tuned_best_time")
             .and_then(Json::as_f64)
             .expect("tuned_best_time");
+        tuned_times.insert((name, device_name), tuned_best_time);
 
         // Score with the race detector on (the default): the committed winner must
         // survive as the point's best variant with the committed estimated time.
@@ -245,4 +254,22 @@ fn committed_tuned_best_derivations_are_statically_accepted_and_race_free() {
             device.name
         );
     }
+
+    // Register and local blocking is the point of the tiled derivation: on every device
+    // that carries both, tuned `mm_tiled` is no slower than tuned `matrix_multiply`. A tie
+    // is the worst acceptable outcome, so there is no tolerance.
+    let mut devices_compared = 0;
+    for (&(name, device), &tiled) in &tuned_times {
+        if name != "mm_tiled" {
+            continue;
+        }
+        if let Some(&plain) = tuned_times.get(&("matrix_multiply", device)) {
+            assert!(
+                tiled <= plain,
+                "{device}: tuned mm_tiled {tiled} is slower than tuned matrix_multiply {plain}"
+            );
+            devices_compared += 1;
+        }
+    }
+    assert!(devices_compared > 0, "no device carries both workloads");
 }
