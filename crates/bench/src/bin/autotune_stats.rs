@@ -8,7 +8,9 @@
 //! the joint `(RuleOptions, launch)` space with the canonical seeded strategy. The report
 //! records both numbers, their ratio (`improvement`), the winning point and chain, the
 //! trajectory, and how many kernel launches the run executed on the virtual GPU and how
-//! many it recalled from its score memo (`kernels_executed`, `kernels_reused`).
+//! many it recalled from its score memo (`kernels_executed`, `kernels_reused`), and the same
+//! pair for the rewrites its rule searches judged and the candidates its points compiled
+//! (`rewrites_judged`/`rewrites_recalled`, `candidates_compiled`/`compiles_recalled`).
 //!
 //! Every field is deterministic, so the committed file is its own gate: CI runs this binary
 //! and fails when `git diff --exit-code -- BENCH_autotune.json` is not clean. A PR that
@@ -58,7 +60,8 @@ fn main() {
             let tuned = result.best_variant.as_ref().map(|b| b.estimated_time);
             println!(
                 "{:16} on {:18}: default {} -> tuned {} ({} points, {} rule searches, \
-                 {} cache hits, {} kernels executed, {} recalled)",
+                 {} cache hits, {} kernels executed, {} recalled; {} rewrites judged, \
+                 {} recalled; {} candidates compiled, {} recalled)",
                 workload.name,
                 device.name,
                 default_best.map_or("-".to_string(), |t| format!("{t:10.1}")),
@@ -68,6 +71,10 @@ fn main() {
                 result.enumeration_cache_hits,
                 result.kernels_executed,
                 result.kernels_reused,
+                result.rewrites_judged,
+                result.rewrites_recalled,
+                result.candidates_compiled,
+                result.compiles_recalled,
             );
             if let (Some(point), Some(best)) = (&result.best_point, &result.best_variant) {
                 println!(

@@ -92,6 +92,19 @@ pub fn autotune_entry(
             Json::num(result.kernels_executed as f64),
         ),
         ("kernels_reused", Json::num(result.kernels_reused as f64)),
+        ("rewrites_judged", Json::num(result.rewrites_judged as f64)),
+        (
+            "rewrites_recalled",
+            Json::num(result.rewrites_recalled as f64),
+        ),
+        (
+            "candidates_compiled",
+            Json::num(result.candidates_compiled as f64),
+        ),
+        (
+            "compiles_recalled",
+            Json::num(result.compiles_recalled as f64),
+        ),
         (
             "best",
             best.map_or(Json::Null, |(point, variant)| {
@@ -225,6 +238,10 @@ mod tests {
             enumeration_cache_hits: 0,
             kernels_executed: 0,
             kernels_reused: 0,
+            rewrites_judged: 0,
+            rewrites_recalled: 0,
+            candidates_compiled: 0,
+            compiles_recalled: 0,
         };
         let default_config = ExplorationConfig::default();
         let default = Exploration {

@@ -12,6 +12,7 @@
 //! simplification (through the [`AccessBuilder`]), control-flow simplification (loops whose
 //! trip count is statically one collapse to a block or an `if`), and barrier elimination.
 
+use std::cmp::Ordering;
 use std::collections::HashMap;
 
 use lift_arith::ArithExpr;
@@ -26,7 +27,7 @@ use lift_ocl::{
 use crate::address_space::{
     infer_address_spaces, infer_parallelism, AddressSpaces, ParallelismLevels,
 };
-use crate::options::CompilationOptions;
+use crate::options::{CompilationOptions, LaunchExtent, LaunchTrace};
 use crate::view::{resolve, AccessBuilder, LayoutOp, Resolved, View, ViewError};
 
 /// Errors produced by the compiler.
@@ -265,6 +266,18 @@ pub struct KernelStage {
     pub parallel: bool,
 }
 
+impl KernelStage {
+    /// The ND-range the stage runs with when the program is executed under `launch`: the
+    /// requested one for a parallel stage, a single work item for a sequential one.
+    pub fn launch(&self, launch: lift_vgpu::LaunchConfig) -> lift_vgpu::LaunchConfig {
+        if self.parallel {
+            launch
+        } else {
+            lift_vgpu::LaunchConfig::d1(1, 1)
+        }
+    }
+}
+
 /// A global temporary buffer the host must allocate for a multi-kernel program.
 #[derive(Clone, Debug, PartialEq)]
 pub struct TempBufferInfo {
@@ -346,11 +359,7 @@ impl CompiledProgram {
             .iter()
             .map(|k| lift_vgpu::KernelLaunchSpec {
                 kernel: k.name.clone(),
-                launch: if k.parallel {
-                    launch
-                } else {
-                    lift_vgpu::LaunchConfig::d1(1, 1)
-                },
+                launch: k.launch(launch),
             })
             .collect()
     }
@@ -405,17 +414,31 @@ pub fn compile_program(
     program: &Program,
     options: &CompilationOptions,
 ) -> Result<CompiledProgram, CodegenError> {
+    compile_program_traced(program, options).0
+}
+
+/// [`compile_program`], together with what the compilation asked of the launch in
+/// `options`: the result — module or error — is the same under every launch the returned
+/// trace [holds for](LaunchTrace::holds_for).
+pub fn compile_program_traced(
+    program: &Program,
+    options: &CompilationOptions,
+) -> (Result<CompiledProgram, CodegenError>, LaunchTrace) {
+    // Nothing before generation looks at the launch.
+    let untraced = |e| (Err(e), LaunchTrace::default());
     if let Some(name) = program.first_high_level_pattern() {
-        return Err(CodegenError::Unsupported(format!(
+        return untraced(CodegenError::Unsupported(format!(
             "high-level pattern `{name}` must be lowered to an OpenCL-specific pattern \
              (e.g. with the `lift-rewrite` exploration) before code generation"
         )));
     }
     let mut program = program.clone();
-    lift_ir::infer_types(&mut program)?;
+    if let Err(e) = lift_ir::infer_types(&mut program) {
+        return untraced(e.into());
+    }
     let spaces = infer_address_spaces(&program);
     let levels = infer_parallelism(&program);
-    let generator = Generator {
+    let mut generator = Generator {
         program,
         spaces,
         levels,
@@ -429,8 +452,9 @@ pub fn compile_program(
         active_parallel: Vec::new(),
         temp_buffers: Vec::new(),
         segment_decls: Vec::new(),
+        trace: LaunchTrace::default(),
     };
-    generator.generate()
+    (generator.generate(), generator.trace)
 }
 
 /// Marker statement separating two kernels in the top-level statement stream. It is emitted
@@ -464,6 +488,8 @@ struct Generator {
     /// Per-finished-segment declaration groups (one entry is pushed at every kernel split;
     /// the declarations of the final segment are taken from `decls` at the end).
     segment_decls: Vec<Vec<CStmt>>,
+    /// What has been asked of the launch so far (see [`Generator::gen_map_loop`]).
+    trace: LaunchTrace,
 }
 
 impl Generator {
@@ -477,7 +503,7 @@ impl Generator {
         }
     }
 
-    fn generate(mut self) -> Result<CompiledProgram, CodegenError> {
+    fn generate(&mut self) -> Result<CompiledProgram, CodegenError> {
         if self.program.root().is_none() {
             return Err(CodegenError::MissingRoot);
         }
@@ -646,7 +672,7 @@ impl Generator {
         }
 
         Ok(CompiledProgram {
-            module: self.module,
+            module: std::mem::take(&mut self.module),
             kernels,
             temp_buffers,
             params,
@@ -1368,25 +1394,25 @@ impl Generator {
             }
         }
 
-        let (var_base, init, step, parallel_width) = match kind {
+        let (var_base, init, step, extent) = match kind {
             MapKind::Seq => ("i", CExpr::int(0), CExpr::int(1), None),
             MapKind::Global(d) => (
                 "gl_id",
                 CExpr::global_id(d),
                 CExpr::global_size(d),
-                Some(self.options.global_size[d as usize]),
+                Some((LaunchExtent::Global, d)),
             ),
             MapKind::WorkGroup(d) => (
                 "wg_id",
                 CExpr::group_id(d),
                 CExpr::num_groups(d),
-                Some(self.options.num_groups()[d as usize]),
+                Some((LaunchExtent::WorkGroup, d)),
             ),
             MapKind::Local(d) => (
                 "l_id",
                 CExpr::local_id(d),
                 CExpr::local_size(d),
-                Some(self.options.local_size[d as usize]),
+                Some((LaunchExtent::Local, d)),
             ),
         };
         let var = self.fresh(var_base);
@@ -1413,14 +1439,22 @@ impl Generator {
         self.nesting -= 1;
         let body = body?;
 
+        // The one place the launch enters code generation: how a constant length compares
+        // with the extent the map is distributed over. Asked only where the answer is used.
+        let elements_vs_threads = match (extent, len.as_cst()) {
+            (Some((extent, d)), Some(n)) if simplify_cf => {
+                Some(self.trace.ask(&self.options, extent, d, n))
+            }
+            _ => None,
+        };
         let mut stmts = Vec::new();
-        match (kind, len.as_cst(), parallel_width) {
+        match elements_vs_threads {
             // Sequential map over a single element: no loop at all.
-            (MapKind::Seq, Some(1), _) if simplify_cf => {
+            None if collapse_seq => {
                 stmts.extend(body);
             }
             // Parallel map with exactly as many threads as elements: a block with the id bound.
-            (_, Some(n), Some(width)) if simplify_cf && n == width as i64 => {
+            Some(Ordering::Equal) => {
                 let mut block = vec![CStmt::Decl {
                     ty: CType::Int,
                     name: var.clone(),
@@ -1432,7 +1466,7 @@ impl Generator {
                 stmts.push(CStmt::Block(block));
             }
             // Fewer elements than threads: guard with an `if`.
-            (_, Some(n), Some(width)) if simplify_cf && n < width as i64 => {
+            Some(Ordering::Less) => {
                 let mut block = vec![CStmt::Decl {
                     ty: CType::Int,
                     name: var.clone(),
@@ -2238,7 +2272,7 @@ mod tests {
         let mut program = reduce_of_map(16);
         lift_ir::infer_types(&mut program).expect("typechecks");
         let options = CompilationOptions::all_optimisations();
-        let generator = Generator {
+        let mut generator = Generator {
             program,
             spaces: AddressSpaces::new(), // deliberately empty: no inference results
             levels: ParallelismLevels::new(),
@@ -2252,6 +2286,7 @@ mod tests {
             active_parallel: Vec::new(),
             temp_buffers: Vec::new(),
             segment_decls: Vec::new(),
+            trace: LaunchTrace::default(),
         };
         let err = generator
             .generate()

@@ -41,8 +41,8 @@ pub use address_space::{
     infer_address_spaces, infer_parallelism, AddressSpaces, ParallelismLevels,
 };
 pub use codegen::{
-    compile, compile_program, CodegenError, CompiledKernel, CompiledProgram, KernelParamInfo,
-    KernelStage, TempBufferInfo,
+    compile, compile_program, compile_program_traced, CodegenError, CompiledKernel,
+    CompiledProgram, KernelParamInfo, KernelStage, TempBufferInfo,
 };
-pub use options::CompilationOptions;
+pub use options::{CompilationOptions, LaunchTrace};
 pub use view::{resolve, AccessBuilder, Resolved, View, ViewError};

@@ -6,6 +6,8 @@
 //! launch configuration the kernel is specialised for (Lift kernels are compiled for a known
 //! work-group size, which is what enables the control-flow simplification of Section 5.5).
 
+use std::cmp::Ordering;
+
 use lift_vgpu::DeviceProfile;
 
 /// Which code-generator optimisations are enabled.
@@ -106,6 +108,17 @@ impl CompilationOptions {
         ]
     }
 
+    /// How a map length compares with one extent of the launch.
+    fn compare_len(&self, extent: LaunchExtent, dim: u8, len: i64) -> Ordering {
+        let sizes = match extent {
+            LaunchExtent::Global => self.global_size,
+            LaunchExtent::WorkGroup => self.num_groups(),
+            LaunchExtent::Local => self.local_size,
+        };
+        // An extent beyond `i64::MAX` is larger than any length.
+        len.cmp(&i64::try_from(sizes[usize::from(dim)]).unwrap_or(i64::MAX))
+    }
+
     /// A short label describing the enabled optimisations, used by the benchmark harness.
     pub fn label(&self) -> &'static str {
         match (
@@ -116,6 +129,75 @@ impl CompilationOptions {
             (false, true) => "barrier+cf",
             (false, false) => "none",
         }
+    }
+}
+
+/// The launch extent a parallel map distributes its elements over.
+#[derive(Clone, Copy, Debug, PartialEq, Eq, Hash)]
+pub(crate) enum LaunchExtent {
+    /// Work items of the whole launch (`mapGlb`, [`CompilationOptions::global_size`]).
+    Global,
+    /// Work groups (`mapWrg`, [`CompilationOptions::num_groups`]).
+    WorkGroup,
+    /// Work items of one group (`mapLcl`, [`CompilationOptions::local_size`]).
+    Local,
+}
+
+/// One question the generator asked of the launch, with the answer it got: how a constant
+/// map length compares with the extent of the dimension the map is distributed over.
+#[derive(Clone, Copy, Debug, PartialEq, Eq, Hash)]
+struct LaunchAnswer {
+    extent: LaunchExtent,
+    dim: u8,
+    /// The map length that was compared with the extent.
+    len: i64,
+    /// `len.cmp(extent)`.
+    ordering: Ordering,
+}
+
+/// Everything one compilation learnt about the launch it specialised for.
+///
+/// The launch sizes of [`CompilationOptions`] enter code generation in one place, the
+/// control-flow simplification of a parallel map loop (Section 5.5), and only as a three-way
+/// comparison: how a constant map length compares with the global size, the group count or
+/// the local size of the dimension the map is distributed over. The trace holds the
+/// distinct comparisons made, with their answers, in the order they were first made. The
+/// generator is deterministic in the program, the other options and these answers, so under
+/// any launch that gives the same answers ([`LaunchTrace::holds_for`]) it produces the same
+/// module, or the same error.
+#[derive(Clone, Debug, Default, PartialEq, Eq, Hash)]
+pub struct LaunchTrace {
+    answers: Vec<LaunchAnswer>,
+}
+
+impl LaunchTrace {
+    /// Whether the launch of `options` answers every recorded question the way it was
+    /// answered when the trace was recorded.
+    pub fn holds_for(&self, options: &CompilationOptions) -> bool {
+        self.answers
+            .iter()
+            .all(|a| options.compare_len(a.extent, a.dim, a.len) == a.ordering)
+    }
+
+    /// Answers one question from the launch of `options` and records it.
+    pub(crate) fn ask(
+        &mut self,
+        options: &CompilationOptions,
+        extent: LaunchExtent,
+        dim: u8,
+        len: i64,
+    ) -> Ordering {
+        let ordering = options.compare_len(extent, dim, len);
+        let answer = LaunchAnswer {
+            extent,
+            dim,
+            len,
+            ordering,
+        };
+        if !self.answers.contains(&answer) {
+            self.answers.push(answer);
+        }
+        ordering
     }
 }
 
@@ -164,6 +246,45 @@ mod tests {
             // One work group per compute unit.
             assert_eq!(o.num_groups()[0], device.compute_units);
         }
+    }
+
+    #[test]
+    fn a_launch_trace_holds_exactly_where_every_answer_repeats() {
+        let at =
+            |global, local| CompilationOptions::all_optimisations().with_launch_1d(global, local);
+        let mut trace = LaunchTrace::default();
+        assert!(
+            trace.holds_for(&at(7, 7)),
+            "nothing asked, nothing to contradict"
+        );
+        // 64 elements over 16 groups of 4 items: more elements than groups, than items.
+        let recorded = at(64, 4);
+        assert_eq!(
+            trace.ask(&recorded, LaunchExtent::WorkGroup, 0, 64),
+            Ordering::Greater
+        );
+        assert_eq!(
+            trace.ask(&recorded, LaunchExtent::Local, 0, 4),
+            Ordering::Equal
+        );
+        assert_eq!(
+            trace.ask(&recorded, LaunchExtent::Local, 0, 4),
+            Ordering::Equal
+        );
+        assert_eq!(
+            trace.answers.len(),
+            2,
+            "a repeated question is recorded once"
+        );
+        assert!(trace.holds_for(&recorded));
+        // Fewer groups of the same size answer both questions the same way…
+        assert!(trace.holds_for(&at(32, 4)));
+        // …another group size does not, and neither do as many groups as elements.
+        assert!(!trace.holds_for(&at(64, 8)));
+        assert!(!trace.holds_for(&at(256, 4)));
+        // A dimension nobody asked about is free.
+        let wide = CompilationOptions::all_optimisations().with_launch_2d((64, 8), (4, 2));
+        assert!(trace.holds_for(&wide));
     }
 
     #[test]

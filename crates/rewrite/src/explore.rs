@@ -19,24 +19,33 @@
 //!   instead of retaining full pretty-printed renderings,
 //! * candidates are type-checked directly on the tree form ([`crate::typecheck()`]); the
 //!   arena conversion and `infer_types` run only for the few candidates that reach scoring,
-//! * per-site rule applicability is cached across depth levels (keyed by the raw structural
-//!   hash of the subtree plus its context and types), so rules that cannot fire at an
-//!   unchanged subtree are not re-attempted for every beam candidate containing it,
+//! * a rule application is judged once per tuning run and content of the option lists it
+//!   read, not once per enumeration: [`enumerate_in`] goes through a [`RewriteMemo`] that
+//!   records, per term and `(site, rule)`, the outcomes together with the
+//!   [`RuleOptions`] lists the rule was handed, and a later enumeration under other options
+//!   judges again only where such a list differs — the beam search itself runs unchanged
+//!   over recalled and judged outcomes, so its results are those of a fresh search,
+//! * a candidate carries no derivation chain through the search: the memo's nodes know how
+//!   they were derived, and a chain is written out only for a fully lowered candidate,
 //! * frontier expansion and the compile+validate+score stage fan out over
 //!   [`std::thread::scope`] workers ([`ExplorationConfig::threads`]) with a deterministic
 //!   in-order merge, so results are identical to the sequential run,
 //! * a launch the virtual GPU has already run — several derivations frequently lower to
-//!   byte-identical OpenCL, and an auto-tuner meets the same `(candidate, launch)` pair at
-//!   many of its points — is never run again: scoring goes through a [`ScoreMemo`] that
-//!   recalls the first verdict, and
+//!   byte-identical OpenCL, and an auto-tuner meets the same candidates at many of its
+//!   points — is never run again, and a candidate is compiled once per *answer* the launch
+//!   gives the code generator, not once per launch: scoring goes through a [`ScoreMemo`]
+//!   that recalls the first verdict, and
 //! * beam selection keeps the best `beam_width` candidates with a bounded binary heap
 //!   instead of sorting the whole frontier expansion.
 
 use std::collections::{BinaryHeap, HashMap, HashSet};
-use std::sync::Mutex;
+use std::sync::Arc;
 
 use lift_arith::Environment;
-use lift_codegen::{compile_program, CodegenError, CompilationOptions, CompiledProgram};
+use lift_codegen::{
+    compile_program_traced, CodegenError, CompilationOptions, CompiledProgram, KernelStage,
+    LaunchTrace,
+};
 use lift_interp::{evaluate_with_sizes, Value};
 use lift_ir::{infer_types, Program, Type, TypeError};
 use lift_ocl::Module;
@@ -47,12 +56,10 @@ use lift_vgpu::{
     VgpuError,
 };
 
-use crate::rules::{all_rules, RuleCx, RuleKind, RuleOptions};
-use crate::term::{
-    beta_normalize, raw_expr_hash, StableHasher, Term, TermError, TermExpr, TermFun,
-};
-use crate::traversal::{format_location, get, replace, sites, Location, NestContext, Site};
-use crate::typecheck::typecheck;
+use crate::memo::{NodeId, Outcome, OutcomeKind, RewriteMemo, ROOT};
+use crate::rules::{RuleKind, RuleOptions};
+use crate::term::{StableHasher, Term, TermError};
+use crate::traversal::Location;
 
 /// The 8-byte candidate-dedup key (see [`Term::dedup_key`]). The `seen` set of an
 /// exploration holds one of these per enumerated distinct candidate — nothing else — which
@@ -140,7 +147,7 @@ pub struct DerivationStep {
     pub rule: &'static str,
     /// The rule family.
     pub kind: RuleKind,
-    /// Where it was applied (rendered with [`format_location`]).
+    /// Where it was applied (rendered with [`crate::traversal::format_location`]).
     pub location: String,
     /// The structured location of the rewrite site (what [`DerivationStep::location`]
     /// renders).
@@ -222,7 +229,9 @@ pub struct Exploration {
     /// in this pass. Always 0 under a fresh memo ([`Enumerated::score`]).
     pub reused_kernels: usize,
     /// Candidates whose compile outcome was recalled from the [`ScoreMemo`], skipping type
-    /// inference, code generation and argument marshalling. Always 0 under a fresh memo.
+    /// inference, code generation and argument marshalling — recorded under this launch or
+    /// under any other that answers the generator's questions the same way
+    /// ([`LaunchTrace::holds_for`]). Always 0 under a fresh memo.
     pub reused_compiles: usize,
 }
 
@@ -239,6 +248,8 @@ pub enum ExploreError {
     Launch(LaunchError),
     /// Replaying a recorded derivation chain failed (see [`Enumerated::from_derivation`]).
     Replay(crate::provenance::ReplayError),
+    /// A [`RewriteMemo`] invariant does not hold.
+    Memo(&'static str),
 }
 
 impl std::fmt::Display for ExploreError {
@@ -251,6 +262,7 @@ impl std::fmt::Display for ExploreError {
                 write!(f, "launch configuration is invalid for the device: {e}")
             }
             ExploreError::Replay(e) => write!(f, "derivation replay failed: {e}"),
+            ExploreError::Memo(what) => write!(f, "inconsistent rewrite memo: {what}"),
         }
     }
 }
@@ -311,65 +323,16 @@ pub fn canonical_key(program: &Program) -> Result<CanonicalKey, ExploreError> {
     })
 }
 
+/// A fully lowered candidate as scoring sees it. The term is the one the enumeration's
+/// [`RewriteMemo`] holds for the node, shared by every enumeration that reaches it.
 #[derive(Clone, Debug)]
-struct Candidate {
-    term: Term,
-    steps: Vec<DerivationStep>,
-    high_level_left: usize,
-    /// Cached `term.body.size()` (used by the size gate and beam selection).
-    size: usize,
+pub(crate) struct Candidate {
+    pub(crate) term: Arc<Term>,
+    pub(crate) steps: Vec<DerivationStep>,
     /// Cached [`Term::dedup_key`]: the enumeration's dedup key and the candidate half of the
     /// [`ScoreMemo`] compile key.
-    key: DedupKey,
+    pub(crate) key: DedupKey,
 }
-
-/// Everything produced for one enumerated rewrite, in deterministic enumeration order. The
-/// per-candidate work (replace, normalise, typecheck, hash) happens in the expansion workers;
-/// the budget, statistics and dedup decisions happen in the sequential merge, so the parallel
-/// run is byte-identical to the sequential one.
-enum Outcome {
-    /// The rewrite was enumerated but rejected: the replacement failed to apply, the term
-    /// outgrew `max_term_size`, or the derived term failed the (term-level) typecheck.
-    /// Counted against the candidate budget, like always. `site` carries the rendered
-    /// rewrite location only under [`ExplorationConfig::trace_rejections`] with an enabled
-    /// collector — the hot path never renders it.
-    Rejected {
-        rule: &'static str,
-        reason: RejectReason,
-        site: Option<Box<str>>,
-    },
-    /// A well-typed derived candidate.
-    Derived(Box<Candidate>),
-}
-
-/// Cache key for per-site rule applicability: the raw structural hash of the site subtree
-/// (unique names — sound under alpha-variation), its nesting context, and a hash of the
-/// argument/environment types the rules may consult. Sites with equal keys present every
-/// rule with literally the same input, so a rule that produced no rewrites once can be
-/// skipped at every later occurrence of the subtree (beam candidates overwhelmingly share
-/// unchanged subtrees across depth levels).
-#[derive(Clone, Copy, PartialEq, Eq, Hash)]
-struct SiteKey {
-    expr: u64,
-    ctx: NestContext,
-    types: u64,
-}
-
-fn site_key(site_expr: &TermExpr, site: &Site) -> SiteKey {
-    use std::hash::{Hash, Hasher};
-    let mut h = StableHasher::new();
-    for t in &site.arg_types {
-        t.hash(&mut h);
-    }
-    h.write_u64(site.env_hash);
-    SiteKey {
-        expr: raw_expr_hash(site_expr),
-        ctx: site.context,
-        types: h.finish(),
-    }
-}
-
-type RuleCache = Mutex<HashMap<SiteKey, u32>>;
 
 /// The launch-independent half of an exploration: the fully lowered candidates found by the
 /// rule search, together with the deterministic inputs and the reference output.
@@ -378,8 +341,9 @@ type RuleCache = Mutex<HashMap<SiteKey, u32>>;
 /// (`max_depth`, `beam_width`, `max_candidates`, `max_term_size`, `rule_options`) — not on
 /// the launch configuration, compiler options or device profile, which only matter when
 /// candidates are compiled and executed. [`Enumerated::score`] runs that second half, so an
-/// auto-tuner sweeping launch configurations enumerates once per `RuleOptions` and re-scores
-/// the shared candidate set per launch instead of repeating the whole search.
+/// auto-tuner sweeping launch configurations enumerates once per `RuleOptions` (through one
+/// [`RewriteMemo`], see [`enumerate_in`]) and re-scores the shared candidate set per launch
+/// instead of repeating the whole search.
 #[derive(Clone, Debug)]
 pub struct Enumerated {
     complete: Vec<Candidate>,
@@ -398,7 +362,7 @@ impl Enumerated {
     /// [`DerivationStep::alternative`]), so [`crate::provenance::replay`] reproduces each
     /// term exactly.
     pub fn lowered_candidates(&self) -> impl Iterator<Item = (&Term, &[DerivationStep])> {
-        self.complete.iter().map(|c| (&c.term, c.steps.as_slice()))
+        self.complete.iter().map(|c| (&*c.term, c.steps.as_slice()))
     }
 
     /// Reconstructs a single-candidate [`Enumerated`] from a recorded derivation chain
@@ -424,11 +388,9 @@ impl Enumerated {
         let data = ScoreData::generate(&typed, &config.sizes)?;
         let term = crate::provenance::replay(program, steps, &config.rule_options)?;
         let candidate = Candidate {
-            high_level_left: high_level_count(&term.body),
-            size: term.body.size(),
             key: term.dedup_key(),
             steps: steps.to_vec(),
-            term,
+            term: Arc::new(term),
         };
         let search = Exploration {
             lowered: 1,
@@ -473,7 +435,8 @@ impl Enumerated {
 
     /// Like [`Enumerated::score_with`], but recalls from — and records into — `memo` instead
     /// of a fresh one: a launch `memo` has a verdict for is not executed again, and a
-    /// `(candidate, launch)` pair it has compiled is not compiled again. An auto-tuner
+    /// candidate it has compiled under a launch that gave the code generator the same
+    /// answers is not compiled again. An auto-tuner
     /// threads one memo through every point of a run; the returned [`Exploration`] is
     /// identical to what [`Enumerated::score_with`] returns, except that
     /// [`Exploration::reused_kernels`] and [`Exploration::reused_compiles`] say how much of
@@ -612,8 +575,27 @@ pub fn enumerate_with(
     config: &ExplorationConfig,
     collector: &dyn Collector,
 ) -> Result<Enumerated, ExploreError> {
+    enumerate_in(program, config, &mut RewriteMemo::new(), collector)
+}
+
+/// Like [`enumerate_with`], but recalls from — and records into — `memo` instead of a fresh
+/// one: a rule application `memo` has judged under option lists that have not changed is not
+/// judged again. An auto-tuner threads one memo through every enumeration of a run; the
+/// returned [`Enumerated`] and the emitted events are identical to what [`enumerate_with`]
+/// produces.
+///
+/// # Errors
+///
+/// See [`enumerate`]. [`ExploreError::Memo`] and [`ExploreError::Replay`] report a memo that
+/// contradicts itself, which no input causes.
+pub fn enumerate_in(
+    program: &Program,
+    config: &ExplorationConfig,
+    memo: &mut RewriteMemo,
+    collector: &dyn Collector,
+) -> Result<Enumerated, ExploreError> {
     collector.span_begin("enumerate");
-    let result = enumerate_impl(program, config, collector);
+    let result = enumerate_impl(program, config, memo, collector);
     collector.span_end("enumerate");
     result
 }
@@ -621,6 +603,7 @@ pub fn enumerate_with(
 fn enumerate_impl(
     program: &Program,
     config: &ExplorationConfig,
+    memo: &mut RewriteMemo,
     collector: &dyn Collector,
 ) -> Result<Enumerated, ExploreError> {
     let mut typed = program.clone();
@@ -629,25 +612,19 @@ fn enumerate_impl(
     // Deterministic inputs + the reference output from the interpreter.
     let data = ScoreData::generate(&typed, &config.sizes)?;
 
-    let root = Term::from_program(&typed)?;
+    memo.bind(Term::from_program(&typed)?, config);
     let workers = worker_count(config);
     let mut stats = Exploration::default();
     let mut seen: HashSet<DedupKey> = HashSet::new();
     let mut complete: Vec<Candidate> = Vec::new();
-    let rule_cache: RuleCache = Mutex::new(HashMap::new());
 
-    let start = Candidate {
-        high_level_left: high_level_count(&root.body),
-        size: root.body.size(),
-        key: root.dedup_key(),
-        steps: Vec::new(),
-        term: root,
-    };
-    seen.insert(start.key);
-    if start.high_level_left == 0 {
-        complete.push(start.clone());
+    seen.insert(memo.node(ROOT).key);
+    if memo.node(ROOT).high_level_left == 0 {
+        complete.push(memo.candidate(ROOT)?);
     }
-    let mut frontier = vec![start];
+    let mut frontier = vec![ROOT];
+    // The beam before `frontier`: its terms are held until `frontier` is expanded.
+    let mut parents: Vec<NodeId> = Vec::new();
 
     let telemetry = collector.enabled();
     let trace = config.trace_rejections && telemetry;
@@ -655,22 +632,24 @@ fn enumerate_impl(
     for depth in 0..config.max_depth {
         // The merge below consumes at most `remaining` outcomes before the budget trips
         // (the outcome that reaches the cap is counted but not processed — hence max(1)),
-        // so expansion never derives/typechecks work the merge cannot consume.
+        // so expansion never judges a whole candidate the merge cannot reach.
         let remaining = config.max_candidates.saturating_sub(stats.explored).max(1);
-        let expansions = expand_frontier(&frontier, config, &rule_cache, workers, remaining, trace);
+        let expansions =
+            memo.expand_frontier(&frontier, depth, config, workers, remaining, trace)?;
+        memo.release(&parents);
         let frontier_len = frontier.len() as u32;
         let mut round = RoundStats::default();
-        let mut next: Vec<Candidate> = Vec::new();
+        let mut next: Vec<Reached> = Vec::new();
         let mut budget_hit = false;
         'merge: for outcomes in expansions {
-            for outcome in outcomes {
+            for Outcome { rule, site, kind } in outcomes {
                 stats.explored += 1;
                 if stats.explored >= config.max_candidates {
                     budget_hit = true;
                     break 'merge;
                 }
-                match outcome {
-                    Outcome::Rejected { rule, reason, site } => {
+                match kind {
+                    OutcomeKind::Rejected(reason) => {
                         if reason == RejectReason::IllTyped {
                             stats.rejected_typecheck += 1;
                         }
@@ -700,21 +679,21 @@ fn enumerate_impl(
                             }
                         }
                     }
-                    Outcome::Derived(cand) => {
-                        if !seen.insert(cand.key) {
+                    OutcomeKind::Derived { node, term } => {
+                        let reached = memo.node(node);
+                        let (high_level_left, size) = (reached.high_level_left, reached.size);
+                        if !seen.insert(reached.key) {
                             stats.dedup_hits += 1;
                             if telemetry {
                                 round.expanded += 1;
                                 round.dedup_hits += 1;
-                                let last =
-                                    cand.steps.last().expect("derived candidates have steps");
-                                let t = round.tally(last.rule);
+                                let t = round.tally(rule);
                                 t.fired += 1;
                                 t.duplicates += 1;
-                                if trace {
+                                if let Some(site) = site {
                                     collector.record(Event::Rejection {
-                                        rule: last.rule,
-                                        site: last.location.clone(),
+                                        rule,
+                                        site: site.into_string(),
                                         reason: RejectReason::Duplicate,
                                     });
                                 }
@@ -724,16 +703,22 @@ fn enumerate_impl(
                         if telemetry {
                             round.expanded += 1;
                             round.derived += 1;
-                            let last = cand.steps.last().expect("derived candidates have steps");
-                            round.tally(last.rule).fired += 1;
-                            if cand.high_level_left == 0 {
+                            round.tally(rule).fired += 1;
+                            if high_level_left == 0 {
                                 round.completed += 1;
                             }
                         }
-                        if cand.high_level_left == 0 {
-                            complete.push((*cand).clone());
+                        // A fully lowered term is held from here on: scoring shares it.
+                        if high_level_left == 0 {
+                            memo.hold(node, term.as_ref());
+                            complete.push(memo.candidate(node)?);
                         }
-                        next.push(*cand);
+                        next.push(Reached {
+                            node,
+                            high_level_left,
+                            size,
+                            term,
+                        });
                     }
                 }
             }
@@ -753,7 +738,12 @@ fn enumerate_impl(
         }
         // Beam selection: lowering progress first, then smaller terms (heap-based select-k,
         // equivalent to a stable sort by `(high_level_left, size)` plus truncation).
-        frontier = select_beam(next, config.beam_width);
+        let selected = select_beam(next, config.beam_width).into_iter();
+        let selected = selected.map(|reached| {
+            memo.hold(reached.node, reached.term.as_ref());
+            reached.node
+        });
+        parents = std::mem::replace(&mut frontier, selected.collect());
         if telemetry {
             round.emit(collector, depth as u32, frontier_len, frontier.len() as u32);
         }
@@ -762,6 +752,8 @@ fn enumerate_impl(
         }
     }
 
+    memo.release(&parents);
+    memo.release(&frontier);
     stats.lowered = complete.len();
     Ok(Enumerated {
         complete,
@@ -777,163 +769,18 @@ fn worker_count(config: &ExplorationConfig) -> usize {
     }
 }
 
-/// Expands every frontier candidate, fanning out over `workers` scoped threads. The result
-/// vector is in frontier order regardless of scheduling, and each inner vector is in the
-/// deterministic site-major, rule-minor enumeration order.
-///
-/// `remaining` is the number of outcomes the merge can still consume before the candidate
-/// budget trips. A single candidate's outcomes beyond that count can never be consumed, so
-/// each expansion stops there; the sequential path additionally stops expanding further
-/// candidates once earlier ones have already filled the budget (their outcomes are consumed
-/// first, in frontier order).
-fn expand_frontier(
-    frontier: &[Candidate],
-    config: &ExplorationConfig,
-    cache: &RuleCache,
-    workers: usize,
-    remaining: usize,
-    trace: bool,
-) -> Vec<Vec<Outcome>> {
-    if workers <= 1 || frontier.len() <= 1 {
-        let mut out = Vec::with_capacity(frontier.len());
-        let mut produced = 0usize;
-        for c in frontier {
-            if produced >= remaining {
-                break;
-            }
-            let outcomes = expand(c, config, cache, remaining - produced, trace);
-            produced += outcomes.len();
-            out.push(outcomes);
-        }
-        return out;
-    }
-    let chunk = frontier.len().div_ceil(workers);
-    std::thread::scope(|s| {
-        let handles: Vec<_> = frontier
-            .chunks(chunk)
-            .map(|part| {
-                s.spawn(move || {
-                    part.iter()
-                        .map(|c| expand(c, config, cache, remaining, trace))
-                        .collect::<Vec<_>>()
-                })
-            })
-            .collect();
-        let mut out = Vec::with_capacity(frontier.len());
-        for h in handles {
-            out.extend(h.join().expect("expansion worker panicked"));
-        }
-        out
-    })
-}
-
-/// Applies every rule at every site of one candidate, producing an [`Outcome`] per rewrite
-/// (at most `limit` of them — exactly one outcome is pushed per enumerated rewrite, so the
-/// cut-off point is deterministic).
-fn expand(
-    cand: &Candidate,
-    config: &ExplorationConfig,
-    cache: &RuleCache,
-    limit: usize,
-    trace: bool,
-) -> Vec<Outcome> {
-    let rules = all_rules();
-    debug_assert!(rules.len() <= 32, "rule-applicability mask is a u32");
-    let mut out = Vec::new();
-    for site in sites(&cand.term) {
-        if out.len() >= limit {
-            break;
-        }
-        let Some(site_expr) = get(&cand.term.body, &site.location) else {
-            continue;
-        };
-        let key = site_key(site_expr, &site);
-        let cached_mask = cache.lock().expect("rule cache lock").get(&key).copied();
-        let mut mask: u32 = 0;
-        let mut truncated = false;
-        for (rule_index, rule) in rules.iter().enumerate() {
-            if out.len() >= limit {
-                truncated = true;
-                break;
-            }
-            if let Some(m) = cached_mask {
-                if m & (1 << rule_index) == 0 {
-                    continue;
-                }
-            }
-            let mut fresh = cand.term.fresh;
-            let rewrites = {
-                let mut cx = RuleCx {
-                    context: site.context,
-                    arg_types: &site.arg_types,
-                    env: &site.env,
-                    options: &config.rule_options,
-                    fresh: &mut fresh,
-                };
-                rule.applications(site_expr, &mut cx)
-            };
-            if !rewrites.is_empty() {
-                mask |= 1 << rule_index;
-            }
-            // The rendered rejection site is only paid for under `trace_rejections`.
-            let reject_site = |reason| Outcome::Rejected {
-                rule: rule.name,
-                reason,
-                site: trace.then(|| format_location(&site.location).into_boxed_str()),
-            };
-            for (alternative, replacement) in rewrites.into_iter().enumerate() {
-                if out.len() >= limit {
-                    truncated = true;
-                    break;
-                }
-                let Some(body) = replace(&cand.term.body, &site.location, replacement) else {
-                    out.push(reject_site(RejectReason::ReplaceFailed));
-                    continue;
-                };
-                let term = Term {
-                    name: cand.term.name.clone(),
-                    params: cand.term.params.clone(),
-                    body: beta_normalize(&body),
-                    fresh,
-                };
-                let size = term.body.size();
-                if size > config.max_term_size {
-                    out.push(reject_site(RejectReason::Oversize));
-                    continue;
-                }
-                if typecheck(&term).is_err() {
-                    out.push(reject_site(RejectReason::IllTyped));
-                    continue;
-                }
-                let key = term.dedup_key();
-                let mut steps = cand.steps.clone();
-                steps.push(DerivationStep {
-                    rule: rule.name,
-                    kind: rule.kind,
-                    location: format_location(&site.location),
-                    path: site.location.clone(),
-                    alternative,
-                });
-                out.push(Outcome::Derived(Box::new(Candidate {
-                    high_level_left: high_level_count(&term.body),
-                    size,
-                    key,
-                    term,
-                    steps,
-                })));
-            }
-        }
-        // A mask recorded from a truncated rule sweep would be incomplete — never cache it.
-        if cached_mask.is_none() && !truncated {
-            cache.lock().expect("rule cache lock").insert(key, mask);
-        }
-    }
-    out
+/// A candidate the merge admitted to the next beam selection.
+struct Reached {
+    node: NodeId,
+    high_level_left: usize,
+    size: usize,
+    /// The term, if it was derived in this round.
+    term: Option<Arc<Term>>,
 }
 
 /// Keeps the `width` best candidates by `(high_level_left, size)` in stable order, using a
 /// bounded max-heap instead of sorting the whole expansion.
-fn select_beam(next: Vec<Candidate>, width: usize) -> Vec<Candidate> {
+fn select_beam(next: Vec<Reached>, width: usize) -> Vec<Reached> {
     let mut heap: BinaryHeap<(usize, usize, usize)> = BinaryHeap::with_capacity(width + 1);
     for (idx, c) in next.iter().enumerate() {
         let key = (c.high_level_left, c.size, idx);
@@ -948,31 +795,11 @@ fn select_beam(next: Vec<Candidate>, width: usize) -> Vec<Candidate> {
     }
     let mut selected = heap.into_vec();
     selected.sort_unstable();
-    let mut slots: Vec<Option<Candidate>> = next.into_iter().map(Some).collect();
+    let mut slots: Vec<Option<Reached>> = next.into_iter().map(Some).collect();
     selected
         .into_iter()
-        .map(|(_, _, idx)| slots[idx].take().expect("beam indices are unique"))
+        .filter_map(|(_, _, idx)| slots[idx].take())
         .collect()
-}
-
-/// Counts the high-level (`map`/`reduce`) pattern occurrences in a term body — the tree-form
-/// equivalent of counting reachable high-level `FunDecl::Pattern`s in the arena program.
-fn high_level_count(e: &TermExpr) -> usize {
-    fn count_fun(f: &TermFun) -> usize {
-        match f {
-            TermFun::Lambda { body, .. } => high_level_count(body),
-            TermFun::Pattern(p) => {
-                usize::from(p.is_high_level()) + p.nested().map_or(0, |g| count_fun(g))
-            }
-            TermFun::UserFun(_) => 0,
-        }
-    }
-    match e {
-        TermExpr::Literal(_) | TermExpr::Param(_) => 0,
-        TermExpr::Apply { f, args } => {
-            count_fun(f) + args.iter().map(high_level_count).sum::<usize>()
-        }
-    }
 }
 
 #[derive(Clone, Debug)]
@@ -1142,14 +969,38 @@ struct ExecKey {
 }
 
 impl ExecKey {
-    fn new(
-        context: u32,
-        source: &str,
-        args: &[KernelArg],
-        plan: &[KernelLaunchSpec],
-        data: &ScoreData,
-    ) -> ExecKey {
-        use std::hash::{Hash, Hasher};
+    /// The key of the launch a compiled candidate (`seed`) makes under `launch`.
+    fn new(context: u32, seed: &LaunchSeed, launch: LaunchConfig) -> ExecKey {
+        use std::hash::Hash;
+        let mut plan_hash = StableHasher::new();
+        for stage in &seed.stages {
+            plan_hash.write_str(&stage.name);
+            stage.launch(launch).hash(&mut plan_hash);
+        }
+        ExecKey {
+            context,
+            source: seed.source,
+            source_len: seed.source_len,
+            args: seed.args,
+            plan: std::hash::Hasher::finish(&plan_hash),
+        }
+    }
+}
+
+/// What a compiled candidate contributes to its [`ExecKey`] whatever the launch: hashes of
+/// the kernel source and of the marshalled arguments, and the kernel stages the launch plan
+/// is laid over.
+#[derive(Clone, Debug, PartialEq)]
+struct LaunchSeed {
+    source: u64,
+    source_len: usize,
+    args: u64,
+    stages: Vec<KernelStage>,
+}
+
+impl LaunchSeed {
+    fn new(source: &str, args: &[KernelArg], stages: &[KernelStage], data: &ScoreData) -> Self {
+        use std::hash::Hasher;
         let mut source_hash = StableHasher::new();
         source_hash.write(source.as_bytes());
         let mut args_hash = StableHasher::new();
@@ -1169,17 +1020,11 @@ impl ExecKey {
                 }
             }
         }
-        let mut plan_hash = StableHasher::new();
-        for stage in plan {
-            plan_hash.write_str(&stage.kernel);
-            stage.launch.hash(&mut plan_hash);
-        }
-        ExecKey {
-            context,
+        LaunchSeed {
             source: source_hash.finish(),
             source_len: source.len(),
             args: args_hash.finish(),
-            plan: plan_hash.finish(),
+            stages: stages.to_vec(),
         }
     }
 }
@@ -1195,18 +1040,31 @@ struct Scored {
     stage_counters: Vec<CostCounters>,
 }
 
-/// What a candidate compiled to: its rejection, or the key of its launch.
+/// What a candidate compiled to under one launch: its rejection, or the key of its launch.
 type CompileOutcome = Result<ExecKey, ScoreError>;
 
-/// The verdicts of one scoring run: what every `(candidate, launch)` pair compiled to, and
-/// what every distinct launch did on the virtual GPU.
+/// What a candidate compiles to under every launch that answers the generator's questions
+/// the way `trace` records them ([`LaunchTrace::holds_for`]): its rejection, or the seed of
+/// its launch key.
+#[derive(Debug)]
+struct Compiled {
+    trace: LaunchTrace,
+    outcome: Result<LaunchSeed, ScoreError>,
+}
+
+/// The verdicts of one scoring run: what every candidate compiled to, and what every
+/// distinct launch did on the virtual GPU.
 ///
 /// [`Enumerated::score_in`] consults the memo before it compiles or executes anything and
 /// records what it had to work out, on two levels:
 ///
-/// * **compilation** — `(`[`Term::dedup_key`]`, `[`LaunchConfig`]`)` → the compile
-///   rejection, or the key of the launch the candidate compiled to. A recalled candidate
-///   skips type inference, code generation and argument marshalling.
+/// * **compilation** — [`Term::dedup_key`] → per [`LaunchTrace`], the compile rejection or
+///   the launch-independent part of the key of the launch the candidate compiled to. Code
+///   generation looks at the launch only through the comparisons its trace records
+///   ([`lift_codegen::compile_program_traced`]), so an entry answers for every launch its
+///   trace holds for — not only the one it was compiled under — and the launch key is
+///   completed from the launch at hand. A recalled candidate skips type inference, code
+///   generation and argument marshalling.
 /// * **execution** — launch key (kernel source + marshalled arguments + launch plan) → the
 ///   complete verdict: counters, estimated time and per-stage counters, or the typed
 ///   rejection ([`SoundnessIncident`] included). A recalled launch does not touch the
@@ -1215,17 +1073,18 @@ type CompileOutcome = Result<ExecKey, ScoreError>;
 /// Every launch is still executed under the configured race detection and validated against
 /// the interpreter's reference the first time the memo sees it; only byte-identical repeats
 /// are elided, so scoring through a shared memo returns exactly what scoring through a
-/// fresh one returns. Entries are bound to the context they were recorded under (device,
-/// engine, race detection, compiler options, size bindings, input data): under any other
-/// context they are not found.
+/// fresh one returns. No module is retained: a recalled compilation whose launch has no
+/// verdict yet is compiled once more for the job. Entries are bound to the context they
+/// were recorded under (device, engine, race detection, compiler options, size bindings,
+/// input data): under any other context they are not found.
 ///
 /// A memo is meant to live as long as one tuning run, whose points meet the same candidates
 /// and launches again and again; nothing in it is persisted.
 #[derive(Debug, Default)]
 pub struct ScoreMemo {
     contexts: Vec<ScoreContext>,
-    /// Compile outcomes per `(context, launch)`, by candidate ([`Term::dedup_key`]).
-    compiled: HashMap<(u32, LaunchConfig), HashMap<DedupKey, CompileOutcome>>,
+    /// Compile outcomes per context and candidate ([`Term::dedup_key`]), one per trace.
+    compiled: HashMap<(u32, DedupKey), Vec<Compiled>>,
     executed: HashMap<ExecKey, Result<Scored, ScoreError>>,
 }
 
@@ -1287,7 +1146,7 @@ struct Job {
 /// Phase-1 result for one candidate.
 enum Staged {
     /// The memo knows what the candidate compiles to under this launch.
-    Recalled(CompileOutcome),
+    Known(CompileOutcome),
     /// The candidate has to be compiled; this is its typed arena form.
     Typed(Result<Program, ScoreError>),
 }
@@ -1313,52 +1172,87 @@ fn score_all(
     let data = &enumerated.data;
     let context = memo.context(config, data);
     let executed = &mut memo.executed;
-    let recorded = memo.compiled.entry((context, config.launch)).or_default();
+    let compiled = &mut memo.compiled;
+    let options = launch_options(config);
 
     // Phase 1 (cheap, serial): arena conversion + type inference for every candidate whose
-    // compile outcome is not on record. A recorded outcome stands in for compiling again if
-    // it is a rejection, or a launch whose verdict is on record too.
+    // compile outcome is not on record under a trace that holds for this launch.
     collector.span_begin("typecheck");
     let staged: Vec<Staged> = complete
         .iter()
-        .map(|cand| match recorded.get(&cand.key) {
-            Some(Ok(launch)) if executed.contains_key(launch) => Staged::Recalled(Ok(*launch)),
-            Some(Err(e)) => Staged::Recalled(Err(e.clone())),
-            _ => Staged::Typed(typecheck_candidate(cand)),
+        .map(|cand| {
+            let known = compiled.get(&(context, cand.key)).and_then(|known| {
+                let holds = known.iter().find(|c| c.trace.holds_for(&options))?;
+                Some(
+                    holds
+                        .outcome
+                        .as_ref()
+                        .map(|seed| ExecKey::new(context, seed, config.launch)),
+                )
+            });
+            match known {
+                Some(outcome) => Staged::Known(outcome.map_err(Clone::clone)),
+                None => Staged::Typed(typecheck_candidate(cand)),
+            }
         })
         .collect();
     collector.span_end("typecheck");
 
-    // Phase 2 (serial): compilation + argument marshalling, streamed. A candidate is reduced
-    // to its launch key as soon as it is compiled; the module and arguments survive only as
-    // the job of a launch nobody has run yet, the program and source only as the materials
-    // of a possible variant.
+    // Phase 2 (serial): compilation + argument marshalling, streamed. A recorded outcome
+    // stands in for compiling if it is a rejection, or a launch that has a verdict or — by
+    // now — a job; a recorded launch without either is compiled again, for the job. A
+    // candidate is reduced to its launch key as soon as it is compiled; the module and
+    // arguments survive only as the job of a launch nobody has run yet, the program and
+    // source only as the materials of a possible variant.
     collector.span_begin("compile");
     let mut outcomes: Vec<CompileOutcome> = Vec::with_capacity(complete.len());
     let mut materials: Vec<Option<Materials>> = Vec::with_capacity(complete.len());
     let mut needed: HashSet<ExecKey> = HashSet::new();
     let mut jobs: Vec<Job> = Vec::new();
     for (cand, staged) in complete.iter().zip(staged) {
+        let settled = |launch: &ExecKey| executed.contains_key(launch) || needed.contains(launch);
         let (outcome, fresh) = match staged {
-            Staged::Recalled(outcome) => {
+            Staged::Known(outcome) if outcome.as_ref().map_or(true, settled) => {
                 stats.reused_compiles += 1;
                 (outcome, None)
             }
-            Staged::Typed(typed) => {
-                let fresh =
-                    typed.and_then(|program| compile_candidate(program, data, config, context));
+            staged => {
+                let (program, known) = match staged {
+                    Staged::Known(_) => (typecheck_candidate(cand), true),
+                    Staged::Typed(program) => (program, false),
+                };
+                let (fresh, trace) = match program {
+                    Ok(program) => compile_candidate(program, data, config, context),
+                    // The arena form does not type, whatever the launch.
+                    Err(e) => (Err(e), LaunchTrace::default()),
+                };
                 let outcome = match &fresh {
-                    Ok((_, job)) => Ok(job.key),
+                    Ok((_, _, job)) => Ok(job.key),
                     Err(e) => Err(e.clone()),
                 };
-                recorded.insert(cand.key, outcome.clone());
+                let traces = compiled.entry((context, cand.key)).or_default();
+                if known {
+                    let seed = fresh.as_ref().ok().map(|(_, seed, _)| seed);
+                    debug_assert!(
+                        traces
+                            .iter()
+                            .any(|c| c.trace == trace && c.outcome.as_ref().ok() == seed),
+                        "compiling again asked the launch other questions, or came out different"
+                    );
+                } else {
+                    let outcome = match &fresh {
+                        Ok((_, seed, _)) => Ok(seed.clone()),
+                        Err(e) => Err(e.clone()),
+                    };
+                    traces.push(Compiled { trace, outcome });
+                }
                 (outcome, fresh.ok())
             }
         };
         let new_launch = outcome
             .as_ref()
             .is_ok_and(|launch| needed.insert(*launch) && !executed.contains_key(launch));
-        materials.push(fresh.map(|(kept, job)| {
+        materials.push(fresh.map(|(kept, _, job)| {
             if new_launch {
                 jobs.push(job);
             }
@@ -1537,16 +1431,14 @@ fn typecheck_candidate(cand: &Candidate) -> Result<Program, ScoreError> {
     Ok(program)
 }
 
-/// Code generation for one typed candidate under the launch of `config`.
+/// Code generation for one typed candidate under `options` (which carry the launch), with
+/// what it asked of that launch.
 fn compile_typed(
     program: &Program,
-    config: &ExplorationConfig,
-) -> Result<CompiledProgram, ScoreError> {
-    let options = config
-        .compile_options
-        .clone()
-        .with_launch(config.launch.global, config.launch.local);
-    compile_program(program, &options).map_err(|e| match e {
+    options: &CompilationOptions,
+) -> (Result<CompiledProgram, ScoreError>, LaunchTrace) {
+    let (compiled, trace) = compile_program_traced(program, options);
+    let compiled = compiled.map_err(|e| match e {
         // The ownership pass's typed rejection survives as a typed incident; every other
         // compile failure stays an undifferentiated compile rejection.
         CodegenError::OwnershipViolation {
@@ -1561,34 +1453,47 @@ fn compile_typed(
             site,
         })),
         _ => ScoreError::Compile,
-    })
+    });
+    (compiled, trace)
 }
 
-/// Phase-2 work for one typed candidate: code generation, argument marshalling and the
-/// launch key.
+/// The compiler options scoring under `config` compiles with: its launch threaded in.
+fn launch_options(config: &ExplorationConfig) -> CompilationOptions {
+    config
+        .compile_options
+        .clone()
+        .with_launch(config.launch.global, config.launch.local)
+}
+
+/// Phase-2 work for one typed candidate: code generation and argument marshalling, down to
+/// the launch seed and the job of the launch under `config.launch` — and the trace under
+/// which any of it, the rejection included, repeats.
 fn compile_candidate(
     program: Program,
     data: &ScoreData,
     config: &ExplorationConfig,
     context: u32,
-) -> Result<(Materials, Job), ScoreError> {
-    let compiled = compile_typed(&program, config)?;
-    let (args, output_buffer_index) = compiled
-        .bind_args(&data.inputs, &config.sizes)
-        .map_err(|_| ScoreError::Compile)?;
-    let stages = compiled.launch_plan(config.launch);
-    let kept = Materials::new(program, &compiled);
-    let key = ExecKey::new(context, &kept.kernel_source, &args, &stages, data);
-    Ok((
-        kept,
-        Job {
-            key,
+) -> (
+    Result<(Materials, LaunchSeed, Job), ScoreError>,
+    LaunchTrace,
+) {
+    let (compiled, trace) = compile_typed(&program, &launch_options(config));
+    let readied = compiled.and_then(|compiled| {
+        let (args, output_buffer_index) = compiled
+            .bind_args(&data.inputs, &config.sizes)
+            .map_err(|_| ScoreError::Compile)?;
+        let kept = Materials::new(program, &compiled);
+        let seed = LaunchSeed::new(&kept.kernel_source, &args, &compiled.kernels, data);
+        let job = Job {
+            key: ExecKey::new(context, &seed, config.launch),
+            stages: compiled.launch_plan(config.launch),
             module: compiled.module,
-            stages,
             args,
             output_buffer_index,
-        },
-    ))
+        };
+        Ok((kept, seed, job))
+    });
+    (readied, trace)
 }
 
 /// Compiles a candidate whose compilation was recalled once more, for the program and
@@ -1596,7 +1501,7 @@ fn compile_candidate(
 fn rematerialise(cand: &Candidate, config: &ExplorationConfig) -> Materials {
     let program = typecheck_candidate(cand);
     let compiled = program.and_then(|program| {
-        let compiled = compile_typed(&program, config)?;
+        let compiled = compile_typed(&program, &launch_options(config)).0?;
         Ok(Materials::new(program, &compiled))
     });
     compiled.expect("a candidate the memo recorded as compiled compiles again")
@@ -1903,35 +1808,33 @@ mod tests {
             reference: vec![3.0],
             fingerprint: 0,
         };
-        let plan = |global| {
-            vec![KernelLaunchSpec {
-                kernel: "k".to_string(),
-                launch: LaunchConfig::d1(global, 4),
+        let stages = |kernel: &str, parallel| {
+            vec![KernelStage {
+                name: kernel.to_string(),
+                parallel,
             }]
         };
         let args = vec![KernelArg::Buffer(vec![1.0, 2.0]), KernelArg::Int(2)];
-        let key = ExecKey::new(0, "kernel void k() {}", &args, &plan(16), &data);
+        let seed = LaunchSeed::new("kernel void k() {}", &args, &stages("k", true), &data);
+        let key = ExecKey::new(0, &seed, LaunchConfig::d1(16, 4));
+        assert_eq!(key, ExecKey::new(0, &seed, LaunchConfig::d1(16, 4)));
+        // The same source and arguments under another launch plan is another launch —
+        // unless the stage is sequential, which launches one work item whatever is asked.
+        assert_ne!(key, ExecKey::new(0, &seed, LaunchConfig::d1(32, 4)));
+        let sequential = LaunchSeed::new("kernel void k() {}", &args, &stages("k", false), &data);
         assert_eq!(
-            key,
-            ExecKey::new(0, "kernel void k() {}", &args, &plan(16), &data)
+            ExecKey::new(0, &sequential, LaunchConfig::d1(16, 4)),
+            ExecKey::new(0, &sequential, LaunchConfig::d1(32, 4))
         );
-        // The same source and arguments under another launch plan is another launch.
-        assert_ne!(
-            key,
-            ExecKey::new(0, "kernel void k() {}", &args, &plan(32), &data)
-        );
-        assert_ne!(
-            key,
-            ExecKey::new(0, "kernel void j() {}", &args, &plan(16), &data)
-        );
-        assert_ne!(
-            key,
-            ExecKey::new(0, "kernel void k() {}", &args[..1], &plan(16), &data)
-        );
-        assert_ne!(
-            key,
-            ExecKey::new(1, "kernel void k() {}", &args, &plan(16), &data)
-        );
+        assert_ne!(key, ExecKey::new(0, &sequential, LaunchConfig::d1(16, 4)));
+        let other = |source: &str, args: &[KernelArg], kernel: &str| {
+            let seed = LaunchSeed::new(source, args, &stages(kernel, true), &data);
+            ExecKey::new(0, &seed, LaunchConfig::d1(16, 4))
+        };
+        assert_ne!(key, other("kernel void j() {}", &args, "k"));
+        assert_ne!(key, other("kernel void k() {}", &args[..1], "k"));
+        assert_ne!(key, other("kernel void k() {}", &args, "j"));
+        assert_ne!(key, ExecKey::new(1, &seed, LaunchConfig::d1(16, 4)));
         // An argument equal to an input takes the input's precomputed hash; the shortcut
         // compares bit patterns, so `-0.0` is not mistaken for `0.0`.
         assert_eq!(data.buffer_hash(&[1.0, 2.0]), hash_floats(&[1.0, 2.0]));

@@ -83,6 +83,7 @@
 //! Listing-1 dot product.
 
 pub mod explore;
+pub mod memo;
 pub mod provenance;
 pub mod rules;
 pub mod term;
@@ -90,14 +91,16 @@ pub mod traversal;
 pub mod typecheck;
 
 pub use explore::{
-    canonical_key, enumerate, enumerate_with, explore, explore_with, CanonicalKey, DedupKey,
-    DerivationStep, Enumerated, Exploration, ExplorationConfig, ExploreError, ScoreMemo, Variant,
+    canonical_key, enumerate, enumerate_in, enumerate_with, explore, explore_with, CanonicalKey,
+    DedupKey, DerivationStep, Enumerated, Exploration, ExplorationConfig, ExploreError, ScoreMemo,
+    Variant,
 };
+pub use memo::RewriteMemo;
 pub use provenance::{explain, replay, ExplainedStep, Explanation, ReplayError};
 pub use rules::{
-    all_rules, divides, Rule, RuleCx, RuleKind, RuleOptions, TileSize, RULE_SET_VERSION,
+    all_rules, divides, OptionAxes, Rule, RuleCx, RuleKind, RuleOptions, TileSize, RULE_SET_VERSION,
 };
-pub use term::{beta_normalize, raw_expr_hash, StableHasher, Term, TermError, TermExpr, TermFun};
+pub use term::{beta_normalize, StableHasher, Term, TermError, TermExpr, TermFun};
 pub use traversal::{
     format_location, get, infer_type, replace, sites, Location, NestContext, Site, Step,
 };

@@ -20,7 +20,7 @@ use lift_ir::{infer_types, Program, TypeError};
 use crate::explore::DerivationStep;
 use crate::rules::{all_rules, Rule, RuleCx, RuleOptions};
 use crate::term::{beta_normalize, Term, TermError};
-use crate::traversal::{format_location, get, replace, sites};
+use crate::traversal::{format_location, get, replace, sites, Step};
 
 /// Why a recorded derivation chain could not be replayed.
 #[derive(Clone, Debug)]
@@ -125,9 +125,7 @@ fn rule_by_name(step: usize, name: &str) -> Result<&'static Rule, ReplayError> {
         })
 }
 
-/// Applies one recorded step, mirroring the exploration driver's `expand` exactly: same
-/// site enumeration, same fresh-name reset per rule invocation, same `replace` +
-/// `beta_normalize` — so the produced term is bit-for-bit the one the search derived.
+/// Applies one recorded step (see [`apply_rule`]).
 fn apply_step(
     term: &Term,
     step_index: usize,
@@ -135,13 +133,35 @@ fn apply_step(
     options: &RuleOptions,
 ) -> Result<Term, ReplayError> {
     let rule = rule_by_name(step_index, step.rule)?;
+    apply_rule(
+        term,
+        step_index,
+        rule,
+        &step.path,
+        step.alternative,
+        options,
+    )
+}
+
+/// Applies `rule` at `path` and takes its rewrite number `alternative`, exactly as the
+/// exploration driver derives a candidate: same site enumeration, same fresh-name reset per
+/// rule invocation, same `replace` + `beta_normalize` — so the produced term is bit-for-bit
+/// the one the search derived.
+pub(crate) fn apply_rule(
+    term: &Term,
+    step_index: usize,
+    rule: &'static Rule,
+    path: &[Step],
+    alternative: usize,
+    options: &RuleOptions,
+) -> Result<Term, ReplayError> {
     let no_such_site = || ReplayError::NoSuchSite {
         step: step_index,
-        location: format_location(&step.path),
+        location: format_location(path),
     };
     let site = sites(term)
         .into_iter()
-        .find(|s| s.location == step.path)
+        .find(|s| s.location == path)
         .ok_or_else(no_such_site)?;
     let site_expr = get(&term.body, &site.location).ok_or_else(no_such_site)?;
     let mut fresh = term.fresh;
@@ -156,11 +176,11 @@ fn apply_step(
         rule.applications(site_expr, &mut cx)
     };
     let available = rewrites.len();
-    let replacement = rewrites.into_iter().nth(step.alternative).ok_or({
+    let replacement = rewrites.into_iter().nth(alternative).ok_or({
         ReplayError::NoSuchAlternative {
             step: step_index,
             rule: rule.name,
-            alternative: step.alternative,
+            alternative,
             available,
         }
     })?;

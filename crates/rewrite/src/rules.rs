@@ -123,7 +123,75 @@ pub struct RuleCx<'a> {
     pub fresh: &'a mut FreshNames,
 }
 
-impl RuleCx<'_> {
+/// Which of the three [`RuleOptions`] lists one rule application read.
+///
+/// A rule's rewrites at a site are a function of the site and of the lists it read — of
+/// nothing else in the options — so two option sets that agree on those lists get the same
+/// rewrites there (what [`crate::RewriteMemo`] recalls by, and what
+/// `tests/exploration_regression.rs` pins rule by rule).
+#[derive(Clone, Copy, Debug, Default, PartialEq, Eq, Hash)]
+pub struct OptionAxes {
+    /// [`RuleOptions::split_sizes`] was read.
+    pub split_sizes: bool,
+    /// [`RuleOptions::vector_widths`] was read.
+    pub vector_widths: bool,
+    /// [`RuleOptions::tile_sizes`] was read.
+    pub tile_sizes: bool,
+}
+
+/// The view of a site the rule functions work on. Its own module, so that the option lists
+/// are private to it: a rule gets at them through the accessors, which log the axis.
+mod logged {
+    use super::{
+        FreshNames, NestContext, OptionAxes, RuleCx, RuleOptions, TileSize, Type, TypeEnv,
+    };
+
+    /// A [`RuleCx`] whose options are handed out list by list, each hand-out logged.
+    pub(super) struct Cx<'c> {
+        pub(super) context: NestContext,
+        pub(super) arg_types: &'c [Option<Type>],
+        pub(super) env: &'c TypeEnv,
+        pub(super) fresh: &'c mut FreshNames,
+        options: &'c RuleOptions,
+        read: OptionAxes,
+    }
+
+    impl<'c> Cx<'c> {
+        pub(super) fn new(cx: &'c mut RuleCx<'_>) -> Cx<'c> {
+            Cx {
+                context: cx.context,
+                arg_types: cx.arg_types,
+                env: cx.env,
+                fresh: cx.fresh,
+                options: cx.options,
+                read: OptionAxes::default(),
+            }
+        }
+
+        pub(super) fn split_sizes(&mut self) -> &'c [i64] {
+            self.read.split_sizes = true;
+            &self.options.split_sizes
+        }
+
+        pub(super) fn vector_widths(&mut self) -> &'c [usize] {
+            self.read.vector_widths = true;
+            &self.options.vector_widths
+        }
+
+        pub(super) fn tile_sizes(&mut self) -> &'c [TileSize] {
+            self.read.tile_sizes = true;
+            &self.options.tile_sizes
+        }
+
+        /// The lists handed out so far.
+        pub(super) fn read(&self) -> OptionAxes {
+            self.read
+        }
+    }
+}
+use logged::Cx;
+
+impl Cx<'_> {
     /// The element type and length of the site's first argument, if it is an array.
     fn arg0_array(&self) -> Option<(Type, ArithExpr)> {
         self.arg_types
@@ -135,9 +203,8 @@ impl RuleCx<'_> {
 
     /// Split factors that provably divide `len` (rule 1 of Section 5.3: `c` divides `len`
     /// exactly when the normalised remainder is the constant zero).
-    fn dividing_splits(&self, len: &ArithExpr) -> Vec<i64> {
-        self.options
-            .split_sizes
+    fn dividing_splits(&mut self, len: &ArithExpr) -> Vec<i64> {
+        self.split_sizes()
             .iter()
             .copied()
             .filter(|c| *c > 1 && divides(*c, len))
@@ -147,9 +214,8 @@ impl RuleCx<'_> {
     /// Stencil tile sizes (windows per tile) that provably divide the window count without
     /// degenerating into "one tile covers everything". Only 1D tiles participate — a 2D
     /// tile shape addresses the matrix-tiling rule, not the stencil family.
-    fn dividing_tiles(&self, window_count: &ArithExpr) -> Vec<i64> {
-        self.options
-            .tile_sizes
+    fn dividing_tiles(&mut self, window_count: &ArithExpr) -> Vec<i64> {
+        self.tile_sizes()
             .iter()
             .filter(|t| t.is_d1())
             .map(|t| t.x)
@@ -161,9 +227,8 @@ impl RuleCx<'_> {
 
     /// 2D tile shapes whose row extent provably divides `rows` and column extent provably
     /// divides `cols` (both extents must be genuine, i.e. greater than one).
-    fn dividing_tile_pairs(&self, rows: &ArithExpr, cols: &ArithExpr) -> Vec<TileSize> {
-        self.options
-            .tile_sizes
+    fn dividing_tile_pairs(&mut self, rows: &ArithExpr, cols: &ArithExpr) -> Vec<TileSize> {
+        self.tile_sizes()
             .iter()
             .copied()
             .filter(|t| t.y > 1 && t.x > 1 && divides(t.y, rows) && divides(t.x, cols))
@@ -198,13 +263,24 @@ pub struct Rule {
     pub name: &'static str,
     /// The rule family.
     pub kind: RuleKind,
-    apply: fn(&TermExpr, &mut RuleCx) -> Vec<TermExpr>,
+    apply: fn(&TermExpr, &mut Cx) -> Vec<TermExpr>,
 }
 
 impl Rule {
     /// All rewrites this rule can perform at the given site.
     pub fn applications(&self, site: &TermExpr, cx: &mut RuleCx) -> Vec<TermExpr> {
-        (self.apply)(site, cx)
+        self.applications_logged(site, cx).0
+    }
+
+    /// [`Rule::applications`], together with the option lists the application read.
+    pub fn applications_logged(
+        &self,
+        site: &TermExpr,
+        cx: &mut RuleCx,
+    ) -> (Vec<TermExpr>, OptionAxes) {
+        let mut cx = Cx::new(cx);
+        let rewrites = (self.apply)(site, &mut cx);
+        (rewrites, cx.read())
     }
 }
 
@@ -458,7 +534,7 @@ fn expr_uses_param(e: &TermExpr, name: &str) -> bool {
 // ---------------------------------------------------------------- algorithmic rules
 
 /// `map f ∘ map g` → `map (f ∘ g)`.
-fn map_fusion(site: &TermExpr, cx: &mut RuleCx) -> Vec<TermExpr> {
+fn map_fusion(site: &TermExpr, cx: &mut Cx) -> Vec<TermExpr> {
     let Some((f, inner)) = as_map(site) else {
         return Vec::new();
     };
@@ -473,7 +549,7 @@ fn map_fusion(site: &TermExpr, cx: &mut RuleCx) -> Vec<TermExpr> {
 
 /// `reduce(f, z) ∘ map(g)` → `reduce(λ(acc, x). f(acc, g(x)), z)` — and the same for the
 /// lowered `reduceSeq`/`mapSeq` pair via [`reduce_seq_map_seq_fusion`].
-fn reduce_map_fusion(site: &TermExpr, cx: &mut RuleCx) -> Vec<TermExpr> {
+fn reduce_map_fusion(site: &TermExpr, cx: &mut Cx) -> Vec<TermExpr> {
     let TermExpr::Apply {
         f: Pat(P::Reduce { f: op }),
         args,
@@ -498,7 +574,7 @@ fn reduce_map_fusion(site: &TermExpr, cx: &mut RuleCx) -> Vec<TermExpr> {
 
 /// `reduceSeq(f, z) ∘ mapSeq(g)` → `reduceSeq(λ(acc, x). f(acc, g(x)), z)` (Section 4.2 of
 /// the rewrite paper: the fusion that avoids materialising the mapped array).
-fn reduce_seq_map_seq_fusion(site: &TermExpr, cx: &mut RuleCx) -> Vec<TermExpr> {
+fn reduce_seq_map_seq_fusion(site: &TermExpr, cx: &mut Cx) -> Vec<TermExpr> {
     let TermExpr::Apply {
         f: Pat(P::ReduceSeq { f: op }),
         args,
@@ -545,7 +621,7 @@ fn fused_reduction_operator(op: &TermFun, g: &TermFun, fresh: &mut FreshNames) -
 }
 
 /// `map f` → `join ∘ map(map f) ∘ split n`, for every `n` that divides the input length.
-fn split_join(site: &TermExpr, cx: &mut RuleCx) -> Vec<TermExpr> {
+fn split_join(site: &TermExpr, cx: &mut Cx) -> Vec<TermExpr> {
     if cx.context.inside_iterate {
         return Vec::new();
     }
@@ -575,7 +651,7 @@ fn split_join(site: &TermExpr, cx: &mut RuleCx) -> Vec<TermExpr> {
 /// like `λ(acc, x). acc + x*x` which have the right *type* but reorder incorrectly (partial
 /// sums get squared again), and a non-neutral initialiser such as `reduce(add, 1.0)` would
 /// be re-added once per chunk.
-fn partial_reduce(site: &TermExpr, cx: &mut RuleCx) -> Vec<TermExpr> {
+fn partial_reduce(site: &TermExpr, cx: &mut Cx) -> Vec<TermExpr> {
     if cx.context.inside_iterate {
         return Vec::new();
     }
@@ -629,7 +705,7 @@ fn partial_reduce(site: &TermExpr, cx: &mut RuleCx) -> Vec<TermExpr> {
 }
 
 /// `iterate n f` → `f ∘ iterate (n-1) f` (and `iterate 0 f` → `id`).
-fn iterate_decomposition(site: &TermExpr, _cx: &mut RuleCx) -> Vec<TermExpr> {
+fn iterate_decomposition(site: &TermExpr, _cx: &mut Cx) -> Vec<TermExpr> {
     let TermExpr::Apply {
         f: Pat(P::Iterate { n, f: g }),
         args,
@@ -658,7 +734,7 @@ fn iterate_decomposition(site: &TermExpr, _cx: &mut RuleCx) -> Vec<TermExpr> {
 
 /// `join ∘ split n` → `id` (requires `n` to divide the length, which holds by construction
 /// when the inner type is derivable and the outer length matches).
-fn split_join_id(site: &TermExpr, cx: &mut RuleCx) -> Vec<TermExpr> {
+fn split_join_id(site: &TermExpr, cx: &mut Cx) -> Vec<TermExpr> {
     let TermExpr::Apply {
         f: Pat(P::Join),
         args,
@@ -689,7 +765,7 @@ fn split_join_id(site: &TermExpr, cx: &mut RuleCx) -> Vec<TermExpr> {
 }
 
 /// `transpose ∘ transpose` → `id`.
-fn transpose_transpose_id(site: &TermExpr, _cx: &mut RuleCx) -> Vec<TermExpr> {
+fn transpose_transpose_id(site: &TermExpr, _cx: &mut Cx) -> Vec<TermExpr> {
     let TermExpr::Apply {
         f: Pat(P::Transpose),
         args,
@@ -711,7 +787,7 @@ fn transpose_transpose_id(site: &TermExpr, _cx: &mut RuleCx) -> Vec<TermExpr> {
 }
 
 /// `scatter f ∘ gather f` → `id` and `gather f ∘ scatter f` → `id`.
-fn gather_scatter_id(site: &TermExpr, _cx: &mut RuleCx) -> Vec<TermExpr> {
+fn gather_scatter_id(site: &TermExpr, _cx: &mut Cx) -> Vec<TermExpr> {
     let TermExpr::Apply { f: outer, args } = site else {
         return Vec::new();
     };
@@ -737,7 +813,7 @@ fn gather_scatter_id(site: &TermExpr, _cx: &mut RuleCx) -> Vec<TermExpr> {
 }
 
 /// `map f ∘ join` → `join ∘ map(map f)`.
-fn map_join_promotion(site: &TermExpr, cx: &mut RuleCx) -> Vec<TermExpr> {
+fn map_join_promotion(site: &TermExpr, cx: &mut Cx) -> Vec<TermExpr> {
     let Some((f, input)) = as_map(site) else {
         return Vec::new();
     };
@@ -759,7 +835,7 @@ fn map_join_promotion(site: &TermExpr, cx: &mut RuleCx) -> Vec<TermExpr> {
 }
 
 /// `split n ∘ map f` → `map(map f) ∘ split n`.
-fn split_map_promotion(site: &TermExpr, cx: &mut RuleCx) -> Vec<TermExpr> {
+fn split_map_promotion(site: &TermExpr, cx: &mut Cx) -> Vec<TermExpr> {
     let TermExpr::Apply {
         f: Pat(P::Split { chunk: c }),
         args,
@@ -805,7 +881,7 @@ fn as_unit_step_slide(site: &TermExpr) -> Option<(i64, &TermExpr)> {
 /// divides the window count. The outer slide carves the input into tiles of `v` windows
 /// (each `n+v-1` elements long, overlapping its neighbours by `n-1`), the mapped inner
 /// slide re-creates the windows per tile, and `join` restores the original window order.
-fn slide_tiling(site: &TermExpr, cx: &mut RuleCx) -> Vec<TermExpr> {
+fn slide_tiling(site: &TermExpr, cx: &mut Cx) -> Vec<TermExpr> {
     if cx.context.inside_iterate {
         return Vec::new();
     }
@@ -835,7 +911,7 @@ fn slide_tiling(site: &TermExpr, cx: &mut RuleCx) -> Vec<TermExpr> {
 /// element, so mapping before or after padding reads the same values — but mapping first
 /// does the work once per *input* element instead of once per padded element, and moves the
 /// pad next to a `slide` where the tiling rules can see it.
-fn pad_map_commute(site: &TermExpr, _cx: &mut RuleCx) -> Vec<TermExpr> {
+fn pad_map_commute(site: &TermExpr, _cx: &mut Cx) -> Vec<TermExpr> {
     let Some((f, input)) = as_map(site) else {
         return Vec::new();
     };
@@ -862,7 +938,7 @@ fn pad_map_commute(site: &TermExpr, _cx: &mut RuleCx) -> Vec<TermExpr> {
 /// `padClamp(a, b) ∘ padClamp(c, d)` → `padClamp(a+c, b+d)`. Clamp is the only mode where
 /// re-padding keeps replicating the same edge element; mirror and wrap walk further into
 /// the array on the second application, so the rule is restricted to clamp.
-fn pad_pad_merge(site: &TermExpr, _cx: &mut RuleCx) -> Vec<TermExpr> {
+fn pad_pad_merge(site: &TermExpr, _cx: &mut Cx) -> Vec<TermExpr> {
     let TermExpr::Apply {
         f:
             Pat(P::Pad {
@@ -908,7 +984,7 @@ fn pad_pad_merge(site: &TermExpr, _cx: &mut RuleCx) -> Vec<TermExpr> {
 /// Side conditions as for partial reduction: the operator must be declared
 /// associative-commutative and the initialiser neutral (it is re-applied once per pair per
 /// level).
-fn reduce_to_iterate(site: &TermExpr, cx: &mut RuleCx) -> Vec<TermExpr> {
+fn reduce_to_iterate(site: &TermExpr, cx: &mut Cx) -> Vec<TermExpr> {
     if cx.context.inside_iterate {
         return Vec::new();
     }
@@ -976,7 +1052,7 @@ fn reduce_to_iterate(site: &TermExpr, cx: &mut RuleCx) -> Vec<TermExpr> {
 /// and computes one window per local work item. `v` comes from
 /// [`RuleOptions::tile_sizes`], so the auto-tuner searches the tile size jointly with the
 /// launch configuration.
-fn stencil_wrg_tiling(site: &TermExpr, cx: &mut RuleCx) -> Vec<TermExpr> {
+fn stencil_wrg_tiling(site: &TermExpr, cx: &mut Cx) -> Vec<TermExpr> {
     let Some((f, input)) = as_map(site) else {
         return Vec::new();
     };
@@ -1052,7 +1128,7 @@ fn stencil_wrg_tiling(site: &TermExpr, cx: &mut RuleCx) -> Vec<TermExpr> {
 /// `toPrivate` copy before running the original per-element computation `g` — kept intact
 /// as a redex `(λrow. g(bcol))(arowp)`, so the remaining high-level `map`/`reduce` inside
 /// lower through the ordinary rules afterwards.
-fn mm_tiled_2d(site: &TermExpr, cx: &mut RuleCx) -> Vec<TermExpr> {
+fn mm_tiled_2d(site: &TermExpr, cx: &mut Cx) -> Vec<TermExpr> {
     let Some((f, a)) = as_map(site) else {
         return Vec::new();
     };
@@ -1235,7 +1311,7 @@ fn mm_tiled_2d(site: &TermExpr, cx: &mut RuleCx) -> Vec<TermExpr> {
 // ------------------------------------------------------------------ lowering rules
 
 /// `map` → `mapSeq` (legal anywhere).
-fn map_to_map_seq(site: &TermExpr, _cx: &mut RuleCx) -> Vec<TermExpr> {
+fn map_to_map_seq(site: &TermExpr, _cx: &mut Cx) -> Vec<TermExpr> {
     let Some((f, x)) = as_map(site) else {
         return Vec::new();
     };
@@ -1247,7 +1323,7 @@ fn map_to_map_seq(site: &TermExpr, _cx: &mut RuleCx) -> Vec<TermExpr> {
 
 /// `map` → `mapGlb⁰`: only outside any other map, and only when the mapped function does not
 /// already contain work-item parallelism.
-fn map_to_map_glb(site: &TermExpr, cx: &mut RuleCx) -> Vec<TermExpr> {
+fn map_to_map_glb(site: &TermExpr, cx: &mut Cx) -> Vec<TermExpr> {
     let Some((f, x)) = as_map(site) else {
         return Vec::new();
     };
@@ -1261,7 +1337,7 @@ fn map_to_map_glb(site: &TermExpr, cx: &mut RuleCx) -> Vec<TermExpr> {
 }
 
 /// `map f` → `join ∘ mapWrg⁰(mapLcl⁰ f) ∘ split n`: the work-group lowering.
-fn map_to_wrg_lcl(site: &TermExpr, cx: &mut RuleCx) -> Vec<TermExpr> {
+fn map_to_wrg_lcl(site: &TermExpr, cx: &mut Cx) -> Vec<TermExpr> {
     let Some((f, x)) = as_map(site) else {
         return Vec::new();
     };
@@ -1298,7 +1374,7 @@ fn map_to_wrg_lcl(site: &TermExpr, cx: &mut RuleCx) -> Vec<TermExpr> {
 /// dimension would make distinct iterations share work items. Inside a 1D `mapWrg⁰` this
 /// yields exactly the old `mapLcl⁰` lowering; inside a 2D nest each still-free dimension is
 /// offered.
-fn map_to_map_lcl(site: &TermExpr, cx: &mut RuleCx) -> Vec<TermExpr> {
+fn map_to_map_lcl(site: &TermExpr, cx: &mut Cx) -> Vec<TermExpr> {
     let Some((f, x)) = as_map(site) else {
         return Vec::new();
     };
@@ -1314,7 +1390,7 @@ fn map_to_map_lcl(site: &TermExpr, cx: &mut RuleCx) -> Vec<TermExpr> {
 
 /// `map f` → `asScalar ∘ map(mapVec f) ∘ asVector w` for unary scalar user functions over
 /// float arrays whose length the width divides.
-fn map_vectorise(site: &TermExpr, cx: &mut RuleCx) -> Vec<TermExpr> {
+fn map_vectorise(site: &TermExpr, cx: &mut Cx) -> Vec<TermExpr> {
     if cx.context.inside_iterate {
         return Vec::new();
     }
@@ -1335,8 +1411,7 @@ fn map_vectorise(site: &TermExpr, cx: &mut RuleCx) -> Vec<TermExpr> {
         return Vec::new();
     }
     let widths: Vec<usize> = cx
-        .options
-        .vector_widths
+        .vector_widths()
         .iter()
         .copied()
         .filter(|w| *w > 1 && divides(*w as i64, &len))
@@ -1358,7 +1433,7 @@ fn map_vectorise(site: &TermExpr, cx: &mut RuleCx) -> Vec<TermExpr> {
 
 /// `reduce` → `reduceSeq` (legal anywhere; the sequential reduction is the only reduction
 /// primitive the backend provides, exactly as in the paper).
-fn reduce_to_reduce_seq(site: &TermExpr, _cx: &mut RuleCx) -> Vec<TermExpr> {
+fn reduce_to_reduce_seq(site: &TermExpr, _cx: &mut Cx) -> Vec<TermExpr> {
     let TermExpr::Apply {
         f: Pat(P::Reduce { f: op }),
         args,
@@ -1390,7 +1465,7 @@ fn wrap_in(site: &TermExpr, wrap: fn(Box<TermFun>) -> TermFun) -> Vec<TermExpr> 
 
 /// `mapSeq/reduceSeq f` → `toLocal(…)`: stage the result in local memory (inside a work
 /// group only).
-fn wrap_to_local(site: &TermExpr, cx: &mut RuleCx) -> Vec<TermExpr> {
+fn wrap_to_local(site: &TermExpr, cx: &mut Cx) -> Vec<TermExpr> {
     if !cx.context.in_work_group() {
         return Vec::new();
     }
@@ -1401,7 +1476,7 @@ fn wrap_to_local(site: &TermExpr, cx: &mut RuleCx) -> Vec<TermExpr> {
 /// group (where the default would be local), and inside a `mapGlb` — a work item publishing
 /// its partial result to global memory is how a first kernel feeds a second, device-wide
 /// stage (the kernel boundary is the device-wide synchronisation point).
-fn wrap_to_global(site: &TermExpr, cx: &mut RuleCx) -> Vec<TermExpr> {
+fn wrap_to_global(site: &TermExpr, cx: &mut Cx) -> Vec<TermExpr> {
     if !cx.context.in_work_group() && !cx.context.inside_glb {
         return Vec::new();
     }
@@ -1410,7 +1485,7 @@ fn wrap_to_global(site: &TermExpr, cx: &mut RuleCx) -> Vec<TermExpr> {
 
 /// `mapSeq/reduceSeq f` → `toPrivate(…)`: stage the result in private memory. Allowed in any
 /// context — private staging is useful even in purely sequential single-work-item kernels.
-fn wrap_to_private(site: &TermExpr, _cx: &mut RuleCx) -> Vec<TermExpr> {
+fn wrap_to_private(site: &TermExpr, _cx: &mut Cx) -> Vec<TermExpr> {
     wrap_in(site, |f| Pat(P::ToPrivate { f }))
 }
 

@@ -517,16 +517,6 @@ impl Term {
     }
 }
 
-/// Hashes the *raw* structure of an expression (unique parameter names, no eta-contraction).
-/// This is the sound cache key for per-site rule applicability: two sites with equal raw
-/// hashes (and equal contexts/types) present rules with literally the same input.
-pub fn raw_expr_hash(e: &TermExpr) -> u64 {
-    use std::hash::Hasher;
-    let mut h = StableHasher::new();
-    hash_expr_raw(e, &mut h);
-    h.finish()
-}
-
 fn hash_expr_canon(e: &TermExpr, h: &mut StableHasher) {
     use std::hash::Hasher;
     match e {
@@ -604,8 +594,7 @@ fn hash_fun_canon(f: &TermFun, h: &mut StableHasher) {
 }
 
 /// Hashes a pattern's kind and knobs — everything but its nested function. The tag bytes
-/// (12–35) are part of every stored dedup and cache key, so they never change; both the
-/// canonical and the raw walk hash a pattern through this one table.
+/// (12–35) are part of every stored dedup and cache key, so they never change.
 fn hash_pattern_head<F>(p: &Pattern<F>, h: &mut StableHasher) {
     use std::hash::{Hash, Hasher};
     match p {
@@ -683,112 +672,6 @@ fn hash_reorder(r: &Reorder, h: &mut StableHasher) {
         Reorder::Stride(s) => {
             h.write_u8(2);
             s.hash(h);
-        }
-    }
-}
-
-fn hash_expr_raw(e: &TermExpr, h: &mut StableHasher) {
-    use std::hash::Hasher;
-    match e {
-        TermExpr::Literal(Literal::Float(v)) => {
-            h.write_u8(0);
-            h.write_u32(v.to_bits());
-        }
-        TermExpr::Literal(Literal::Int(v)) => {
-            h.write_u8(1);
-            h.write_i64(*v);
-        }
-        TermExpr::Param(name) => {
-            h.write_u8(2);
-            h.write_str(name);
-        }
-        TermExpr::Apply { f, args } => {
-            h.write_u8(3);
-            hash_fun_raw(f, h);
-            h.write_usize(args.len());
-            for a in args {
-                hash_expr_raw(a, h);
-            }
-        }
-    }
-}
-
-fn hash_fun_raw(f: &TermFun, h: &mut StableHasher) {
-    use std::hash::{Hash, Hasher};
-    match f {
-        TermFun::Lambda { params, body } => {
-            h.write_u8(10);
-            h.write_usize(params.len());
-            for p in params {
-                h.write_str(p);
-            }
-            hash_expr_raw(body, h);
-        }
-        // Rules may inspect the whole user-function definition (e.g. `partial-reduce` probes
-        // the body for neutrality of the initialiser), so the raw hash covers all of it.
-        TermFun::UserFun(uf) => {
-            h.write_u8(11);
-            h.write_str(uf.name());
-            for t in uf.param_types() {
-                t.hash(h);
-            }
-            uf.return_type().hash(h);
-            h.write_u8(u8::from(uf.is_assoc_commutative()));
-            hash_scalar_expr(uf.body(), h);
-        }
-        TermFun::Pattern(p) => {
-            hash_pattern_head(p, h);
-            if let Some(g) = p.nested() {
-                hash_fun_raw(g, h);
-            }
-        }
-    }
-}
-
-fn hash_scalar_expr(e: &lift_ir::ScalarExpr, h: &mut StableHasher) {
-    use lift_ir::ScalarExpr;
-    use std::hash::Hasher;
-    match e {
-        ScalarExpr::Param(i) => {
-            h.write_u8(0);
-            h.write_usize(*i);
-        }
-        ScalarExpr::Get(inner, i) => {
-            h.write_u8(1);
-            hash_scalar_expr(inner, h);
-            h.write_usize(*i);
-        }
-        ScalarExpr::Tuple(es) => {
-            h.write_u8(2);
-            h.write_usize(es.len());
-            for e in es {
-                hash_scalar_expr(e, h);
-            }
-        }
-        ScalarExpr::ConstFloat(v) => {
-            h.write_u8(3);
-            h.write_u64(v.to_bits());
-        }
-        ScalarExpr::ConstInt(v) => {
-            h.write_u8(4);
-            h.write_i64(*v);
-        }
-        ScalarExpr::Bin(op, a, b) => {
-            h.write_u8(5);
-            h.write_u8(*op as u8);
-            hash_scalar_expr(a, h);
-            hash_scalar_expr(b, h);
-        }
-        ScalarExpr::Un(op, a) => {
-            h.write_u8(6);
-            h.write_u8(*op as u8);
-            hash_scalar_expr(a, h);
-        }
-        ScalarExpr::Select(c, a, b) => {
-            h.write_u8(7);
-            hash_scalar_expr(c, h);
-            hash_scalar_expr(a, h);
-            hash_scalar_expr(b, h);
         }
     }
 }

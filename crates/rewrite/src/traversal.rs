@@ -24,7 +24,7 @@ use std::sync::Arc;
 
 use lift_ir::{pattern_type, user_fun_type, Pattern, Type, TypeError};
 
-use crate::term::{StableHasher, Term, TermExpr, TermFun};
+use crate::term::{Term, TermExpr, TermFun};
 
 /// One step of a [`Location`].
 #[derive(Clone, Copy, Debug, PartialEq, Eq, Hash)]
@@ -153,56 +153,24 @@ pub struct Site {
     /// Shared between all sites of the same lambda scope — enumerating sites does not clone
     /// the environment per site.
     pub env: Arc<TypeEnv>,
-    /// A deterministic structural hash of `env` (name → type bindings, order-independent),
-    /// computed once per lambda scope. Used by the exploration driver's rule-applicability
-    /// cache so keying on the environment does not require re-hashing it per site.
-    pub env_hash: u64,
 }
 
-/// Hashes a type environment deterministically (sorted by name).
-fn env_hash_of(env: &TypeEnv) -> u64 {
-    use std::hash::{Hash, Hasher};
-    let mut entries: Vec<_> = env.iter().collect();
-    entries.sort_unstable_by_key(|(n, _)| n.as_str());
-    let mut h = StableHasher::new();
-    for (n, t) in entries {
-        h.write_usize(n.len());
-        h.write(n.as_bytes());
-        t.hash(&mut h);
-    }
-    h.finish()
-}
+/// A scope: the environment shared by the sites of one lambda body.
+type Scope = Arc<TypeEnv>;
 
-/// A scope: the shared environment map plus its precomputed hash.
-#[derive(Clone)]
-struct Scope {
-    env: Arc<TypeEnv>,
-    hash: u64,
-}
-
-impl Scope {
-    fn new(env: TypeEnv) -> Scope {
-        let hash = env_hash_of(&env);
-        Scope {
-            env: Arc::new(env),
-            hash,
-        }
+/// A child scope with the lambda parameters bound — the only place environments change
+/// during a walk.
+fn bind(scope: &Scope, params: &[String], arg_types: &[Type]) -> Scope {
+    let mut env = (**scope).clone();
+    for (p, t) in params.iter().zip(arg_types) {
+        env.insert(p.clone(), t.clone());
     }
-
-    /// A child scope with the lambda parameters bound — the only place environments change
-    /// during a walk.
-    fn bind(&self, params: &[String], arg_types: &[Type]) -> Scope {
-        let mut env = (*self.env).clone();
-        for (p, t) in params.iter().zip(arg_types) {
-            env.insert(p.clone(), t.clone());
-        }
-        Scope::new(env)
-    }
+    Arc::new(env)
 }
 
 /// Enumerates every application site of the term, pre-order.
 pub fn sites(term: &Term) -> Vec<Site> {
-    let scope = Scope::new(term.params.iter().cloned().collect());
+    let scope: Scope = Arc::new(term.params.iter().cloned().collect());
     let mut out = Vec::new();
     let mut loc = Vec::new();
     // The sites recorded before a type error are still sites; the error itself belongs to
@@ -220,12 +188,7 @@ pub fn sites(term: &Term) -> Vec<Site> {
 /// Infers the type of an expression under the given environment, or `None` where it is
 /// ill-typed there.
 pub fn infer_type(e: &TermExpr, env: &TypeEnv) -> Option<Type> {
-    let scope = Scope {
-        env: Arc::new(env.clone()),
-        // The hash is only consumed through recorded sites, and a pure type query records
-        // none.
-        hash: 0,
-    };
+    let scope: Scope = Arc::new(env.clone());
     let mut loc = Vec::new();
     walk_expr(e, &scope, &mut loc, NestContext::default(), None).ok()
 }
@@ -294,7 +257,6 @@ fn walk_expr(
     match e {
         TermExpr::Literal(l) => Ok(l.ty()),
         TermExpr::Param(name) => scope
-            .env
             .get(name)
             .cloned()
             .ok_or_else(|| TypeError::UntypedParam { name: name.clone() }),
@@ -310,8 +272,7 @@ fn walk_expr(
                     location: loc.clone(),
                     context: ctx,
                     arg_types: arg_types.iter().map(|t| t.as_ref().ok().cloned()).collect(),
-                    env: Arc::clone(&scope.env),
-                    env_hash: scope.hash,
+                    env: Arc::clone(scope),
                 });
             }
             let arg_types = arg_types.into_iter().collect::<Result<Vec<_>, _>>()?;
@@ -334,7 +295,7 @@ fn walk_fun(
 ) -> Result<Type, TypeError> {
     match f {
         TermFun::Lambda { params, body } => {
-            let inner = scope.bind(params, arg_types);
+            let inner = bind(scope, params, arg_types);
             loc.push(Step::Body { peel });
             let result = walk_expr(body, &inner, loc, ctx, out);
             loc.pop();

@@ -469,3 +469,238 @@ fn render(term: &Term) -> String {
     let _ = infer_types(&mut program);
     program.to_string()
 }
+
+// --------------------------------------------------------------- what the memos key by
+//
+// The run-scoped memos recall by what a computation *read*: a rule application by the
+// option lists it was handed, a compilation by the launch comparisons it made. Both logs
+// are only as good as their completeness, which these properties pin: nothing the result
+// depends on goes unlogged.
+
+mod memo_keys {
+    use std::sync::OnceLock;
+
+    use lift_benchmarks::{dot_product, mm};
+    use lift_codegen::{compile_program_traced, CompilationOptions};
+    use lift_ir::infer_types;
+    use lift_rewrite::{
+        all_rules, enumerate, get, sites, typecheck, ExplorationConfig, OptionAxes, RuleCx,
+        RuleOptions, ScoreMemo, Term, TileSize,
+    };
+    use lift_telemetry::Null;
+    use lift_vgpu::{DeviceProfile, LaunchConfig};
+    use proptest::prelude::*;
+
+    use super::{search_config, two_level_candidates};
+
+    /// The fully lowered candidates of the dot-product probe (1D work-item and work-group
+    /// maps) and of the tiled matrix multiply (2D `mapWrg`/`mapLcl` nests), typed.
+    fn lowered_corpus() -> &'static [lift_ir::Program] {
+        static CORPUS: OnceLock<Vec<lift_ir::Program>> = OnceLock::new();
+        CORPUS.get_or_init(|| {
+            let tiled = ExplorationConfig {
+                rule_options: RuleOptions {
+                    split_sizes: vec![2, 4],
+                    vector_widths: vec![4],
+                    tile_sizes: vec![TileSize::d2(4, 4)],
+                },
+                ..search_config(1)
+            };
+            let searches = [
+                (dot_product::high_level_program(512), search_config(1)),
+                (mm::high_level_program(16, 16, 16), tiled),
+            ];
+            let mut corpus = Vec::new();
+            for (program, config) in searches {
+                let enumerated = enumerate(&program, &config).expect("enumeration runs");
+                for (term, _) in enumerated.lowered_candidates() {
+                    let mut program = term.to_program();
+                    if infer_types(&mut program).is_ok() {
+                        corpus.push(program);
+                    }
+                }
+            }
+            assert!(corpus.len() > 100, "the searches lower a real corpus");
+            corpus
+        })
+    }
+
+    /// A launch of up to 16 × 16 work items per group in up to 16 × 16 groups: valid on both
+    /// device profiles by construction.
+    fn launch() -> impl Strategy<Value = LaunchConfig> {
+        (0u32..5, 0u32..5, 0u32..5, 0u32..5).prop_map(|(lx, ly, gx, gy)| {
+            let (lx, ly) = (1usize << lx, 1usize << ly);
+            LaunchConfig::d2((lx << gx, ly << gy), (lx, ly))
+        })
+    }
+
+    fn options_at(launch: LaunchConfig) -> CompilationOptions {
+        CompilationOptions::all_optimisations().with_launch(launch.global, launch.local)
+    }
+
+    /// Up to three elements of `pool`, as an option list.
+    fn list_of<T: Copy + 'static>(pool: &'static [T]) -> impl Strategy<Value = Vec<T>> {
+        proptest::collection::vec(0..pool.len(), 0..4)
+            .prop_map(move |picks| picks.into_iter().map(|i| pool[i]).collect())
+    }
+
+    fn rule_options() -> impl Strategy<Value = RuleOptions> {
+        const TILES: &[TileSize] = &[
+            TileSize::d1(2),
+            TileSize::d1(4),
+            TileSize::d1(8),
+            TileSize::d2(4, 4),
+        ];
+        (
+            list_of(&[2i64, 3, 4, 8, 16, 128]),
+            list_of(&[2usize, 4, 8]),
+            list_of(TILES),
+        )
+            .prop_map(|(split_sizes, vector_widths, tile_sizes)| RuleOptions {
+                split_sizes,
+                vector_widths,
+                tile_sizes,
+            })
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(192))]
+
+        /// A compilation repeats — same source, or same error — under every launch its
+        /// trace holds for.
+        #[test]
+        fn a_compilation_repeats_under_every_launch_its_trace_holds_for(
+            pick in 0usize..1 << 16,
+            a in launch(),
+            b in launch(),
+        ) {
+            for device in [DeviceProfile::nvidia(), DeviceProfile::amd()] {
+                prop_assert_eq!(device.validate_launch(&a), Ok(()));
+            }
+            let corpus = lowered_corpus();
+            let program = &corpus[pick % corpus.len()];
+            let (under_a, trace) = compile_program_traced(program, &options_at(a));
+            prop_assert!(trace.holds_for(&options_at(a)), "a trace holds where it was recorded");
+            let (under_b, trace_b) = compile_program_traced(program, &options_at(b));
+            if trace.holds_for(&options_at(b)) {
+                prop_assert_eq!(&trace, &trace_b, "{:?} vs {:?}", a, b);
+                match (under_a, under_b) {
+                    (Ok(x), Ok(y)) => prop_assert_eq!(x.source(), y.source(), "{:?} vs {:?}", a, b),
+                    (Err(x), Err(y)) => prop_assert_eq!(x.to_string(), y.to_string()),
+                    (x, y) => panic!("{a:?} gave {x:?} but {b:?} gave {y:?}"),
+                }
+            } else {
+                // A launch that answers differently is told apart by its own trace.
+                prop_assert_ne!(&trace, &trace_b, "{:?} vs {:?}", a, b);
+            }
+        }
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(6))]
+
+        /// Scoring under `b` through a memo that has scored under `a` returns what a fresh
+        /// memo returns, and recalls no compilation whose trace does not hold for `b`.
+        #[test]
+        fn a_score_memo_recalls_a_compilation_only_where_its_trace_holds(
+            a in launch(),
+            b in launch(),
+        ) {
+            let program = dot_product::high_level_program(512);
+            let config = ExplorationConfig { max_candidates: 500, ..search_config(1) };
+            let enumerated = enumerate(&program, &config).expect("enumeration runs");
+            let at = |launch| ExplorationConfig { launch, ..config.clone() };
+            let mut memo = ScoreMemo::new();
+            enumerated.score_in(&at(a), &mut memo, &Null).expect("scoring runs");
+            let shared = enumerated.score_in(&at(b), &mut memo, &Null).expect("scoring runs");
+            let fresh = enumerated.score(&at(b)).expect("scoring runs");
+            prop_assert_eq!(shared.rejected_compile, fresh.rejected_compile);
+            prop_assert_eq!(shared.rejected_incorrect, fresh.rejected_incorrect);
+            prop_assert_eq!(shared.rejected_unsound, fresh.rejected_unsound);
+            prop_assert_eq!(shared.executed_kernels, fresh.executed_kernels);
+            prop_assert_eq!(shared.variants.len(), fresh.variants.len());
+            for (s, f) in shared.variants.iter().zip(&fresh.variants) {
+                prop_assert_eq!(&s.kernel_source, &f.kernel_source);
+                prop_assert_eq!(s.estimated_time.to_bits(), f.estimated_time.to_bits());
+                prop_assert_eq!(&s.derivation, &f.derivation);
+            }
+            let holding = enumerated
+                .lowered_candidates()
+                .filter(|(term, _)| {
+                    let mut program = term.to_program();
+                    infer_types(&mut program).is_err()
+                        || compile_program_traced(&program, &options_at(a))
+                            .1
+                            .holds_for(&options_at(b))
+                })
+                .count();
+            prop_assert!(
+                shared.reused_compiles <= holding,
+                "{} compilations recalled, but only {holding} traces of {a:?} hold for {b:?}",
+                shared.reused_compiles
+            );
+        }
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(4))]
+
+        /// At every site of the corpus, every rule gives the same rewrites under two option
+        /// sets that differ only in a list it did not log a read of.
+        #[test]
+        fn a_rule_depends_on_an_option_list_only_if_it_logged_reading_it(
+            base in rule_options(),
+            other in rule_options(),
+        ) {
+            type Axis = (&'static str, fn(&OptionAxes) -> bool, fn(&RuleOptions, &RuleOptions) -> RuleOptions);
+            let axes: [Axis; 3] = [
+                ("split_sizes", |read| read.split_sizes, |base, other| RuleOptions {
+                    split_sizes: other.split_sizes.clone(),
+                    ..base.clone()
+                }),
+                ("vector_widths", |read| read.vector_widths, |base, other| RuleOptions {
+                    vector_widths: other.vector_widths.clone(),
+                    ..base.clone()
+                }),
+                ("tile_sizes", |read| read.tile_sizes, |base, other| RuleOptions {
+                    tile_sizes: other.tile_sizes.clone(),
+                    ..base.clone()
+                }),
+            ];
+            let apply = |term: &Term, site: &lift_rewrite::Site, options: &RuleOptions, rule: &lift_rewrite::Rule| {
+                let site_expr = get(&term.body, &site.location).expect("sites are addressable");
+                let mut fresh = term.fresh;
+                let mut cx = RuleCx {
+                    context: site.context,
+                    arg_types: &site.arg_types,
+                    env: &site.env,
+                    options,
+                    fresh: &mut fresh,
+                };
+                let (rewrites, read) = rule.applications_logged(site_expr, &mut cx);
+                (rewrites, fresh, read)
+            };
+            let mut reads = 0usize;
+            for term in two_level_candidates().iter().filter(|t| typecheck(t).is_ok()) {
+                for site in sites(term) {
+                    for rule in all_rules() {
+                        let (rewrites, fresh, read) = apply(term, &site, &base, rule);
+                        reads += usize::from(read != OptionAxes::default());
+                        for (axis, was_read, vary) in &axes {
+                            if was_read(&read) {
+                                continue;
+                            }
+                            let varied = apply(term, &site, &vary(&base, &other), rule);
+                            prop_assert!(
+                                (rewrites == varied.0) && fresh == varied.1 && read == varied.2,
+                                "{} changed with {axis}, which it did not log reading",
+                                rule.name
+                            );
+                        }
+                    }
+                }
+            }
+            prop_assert!(reads > 0, "the corpus has sites where rules read their options");
+        }
+    }
+}

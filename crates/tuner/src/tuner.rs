@@ -6,17 +6,29 @@
 //! point's launch threaded into the [`CompilationOptions`]) → `vgpu` (execution, correctness
 //! validation against the interpreter, cost counters) → the device cost model. Points that
 //! share rule options share one [`Enumerated`] candidate set — the launch only affects
-//! scoring — so a launch sweep re-uses the expensive rule search instead of repeating it.
-//! All points of a run score through one [`ScoreMemo`]: rule-option sets overlap in the
-//! candidates they derive, so most `(candidate, launch)` pairs and most kernel launches a
-//! point needs were already compiled, executed and validated at an earlier point, and are
-//! recalled instead of repeated.
+//! scoring — so a launch sweep re-uses the rule search instead of repeating it.
+//!
+//! Across points, a run shares two memos, each keyed by what the memoised computation
+//! *read* — which is what makes recalling exact instead of approximate:
+//!
+//! * all rule searches go through one [`RewriteMemo`]: a rule application depends on the
+//!   [`lift_rewrite::RuleOptions`] only through the lists the rule reads, so the search for
+//!   another coordinate judges again only the applications that read a list which differs,
+//!   and recalls the rest — terms name for name what it would derive itself;
+//! * all points score through one [`ScoreMemo`]: code generation depends on the launch only
+//!   through a handful of comparisons, so a candidate compiled at one point is compiled
+//!   again only under a launch that answers one of them differently, and a kernel launch
+//!   that an earlier point executed and validated is not executed again.
+//!
+//! Trajectories, winners and costs are those of a run without either memo
+//! (`tests/score_memo_differential.rs`); [`TuningResult`] says how much was worked out and
+//! how much recalled.
 
 use std::collections::HashMap;
 
 use lift_codegen::CompilationOptions;
 use lift_ir::Program;
-use lift_rewrite::{Enumerated, ExplorationConfig, ExploreError, ScoreMemo};
+use lift_rewrite::{Enumerated, ExplorationConfig, ExploreError, RewriteMemo, ScoreMemo};
 use lift_telemetry::{Collector, Event, Null};
 use lift_vgpu::DeviceProfile;
 
@@ -163,6 +175,18 @@ pub struct TuningResult {
     /// Kernel launches points needed whose verdict an earlier point of the run had already
     /// measured, recalled instead of executed.
     pub kernels_reused: usize,
+    /// Rewrites the run's rule searches judged: a rule applied, the result spliced in,
+    /// normalised and type-checked.
+    pub rewrites_judged: usize,
+    /// Rewrites whose outcome an earlier rule search of the run had recorded under the same
+    /// contents of the option lists the rule reads, recalled instead of judged.
+    pub rewrites_recalled: usize,
+    /// Lowered candidates the run's points compiled.
+    pub candidates_compiled: usize,
+    /// Lowered candidates whose compile outcome an earlier point had recorded under a launch
+    /// that answers the code generator's questions the same way, recalled instead of
+    /// compiled.
+    pub compiles_recalled: usize,
 }
 
 struct Evaluator<'a> {
@@ -173,6 +197,8 @@ struct Evaluator<'a> {
     enumerated: HashMap<(usize, usize, usize), Enumerated>,
     /// Memoised objective per visited index (strategies may revisit).
     memo: HashMap<PointIndex, Option<f64>>,
+    /// What the rule searches of the run so far judged, shared by all of them.
+    rewrites: RewriteMemo,
     /// Compile outcomes and kernel verdicts of the run so far, shared by all its points.
     scores: ScoreMemo,
     result: TuningResult,
@@ -216,7 +242,12 @@ impl Evaluator<'_> {
             self.result.enumeration_cache_hits += 1;
         } else {
             self.result.enumerations += 1;
-            let enumerated = lift_rewrite::enumerate_with(self.program, &config, self.collector)?;
+            let enumerated = lift_rewrite::enumerate_in(
+                self.program,
+                &config,
+                &mut self.rewrites,
+                self.collector,
+            )?;
             self.enumerated.insert(key, enumerated);
         }
         let enumerated = &self.enumerated[&key];
@@ -276,6 +307,8 @@ impl Evaluator<'_> {
         );
         self.result.kernels_executed += kernels.0;
         self.result.kernels_reused += kernels.1;
+        self.result.candidates_compiled += scored.lowered - scored.reused_compiles;
+        self.result.compiles_recalled += scored.reused_compiles;
         self.record_point(
             self.result.trajectory.last().expect("entry just pushed"),
             cache_hit,
@@ -321,6 +354,7 @@ pub fn tune_with(
         collector,
         enumerated: HashMap::new(),
         memo: HashMap::new(),
+        rewrites: RewriteMemo::new(),
         scores: ScoreMemo::new(),
         result: TuningResult {
             device: config.device.name.clone(),
@@ -332,6 +366,10 @@ pub fn tune_with(
             enumeration_cache_hits: 0,
             kernels_executed: 0,
             kernels_reused: 0,
+            rewrites_judged: 0,
+            rewrites_recalled: 0,
+            candidates_compiled: 0,
+            compiles_recalled: 0,
         },
     };
     drive(
@@ -341,5 +379,7 @@ pub fn tune_with(
         &|index| point_label(&config.space.point(index)),
         collector,
     )?;
+    evaluator.result.rewrites_judged = evaluator.rewrites.rewrites_judged();
+    evaluator.result.rewrites_recalled = evaluator.rewrites.rewrites_recalled();
     Ok(evaluator.result)
 }

@@ -1,12 +1,16 @@
-//! Differential pins for the run-scoped score memo (`lift::rewrite::ScoreMemo`): recalling a
-//! verdict must be indistinguishable from measuring it again.
+//! Differential pins for the two run-scoped memos of a tuning run (`lift::rewrite::RewriteMemo`
+//! and `lift::rewrite::ScoreMemo`): recalling a judgement or a verdict must be
+//! indistinguishable from working it out again.
 //!
-//! 1. **A tuning run through one shared memo equals the same walk scored point by point
-//!    through fresh memos** — trajectory, winner, and every point's `Exploration` (variants,
-//!    rejection counts, soundness report), for all seven workloads on both device profiles,
-//!    sequentially and with two scoring workers.
+//! 1. **A tuning run through its shared memos equals the same walk done point by point
+//!    through fresh ones** — trajectory, winner, every enumeration's lowered candidates (terms
+//!    compared name for name, and chains) and every point's `Exploration` (search statistics,
+//!    variants, rejection counts, soundness report), for all seven workloads on both device
+//!    profiles, sequentially and with two workers. A corner of each tuning space in the
+//!    tier-1 build; the whole canonical walk as an `#[ignore]`d test for release builds.
 //! 2. **A memo never answers for another context**: handed a different device, size binding
-//!    or race-detection setting it recalls nothing and returns what a fresh memo returns.
+//!    or race-detection setting a score memo recalls nothing and returns what a fresh memo
+//!    returns; handed another program or size cap a rewrite memo starts over.
 //! 3. **A replayed derivation is re-proven on every call**: `from_derivation(..).score(..)`
 //!    compiles, executes and validates its candidate each time.
 
@@ -14,15 +18,16 @@ use std::collections::HashMap;
 
 use lift::arith::Environment;
 use lift::rewrite::{
-    enumerate, Enumerated, Exploration, ExplorationConfig, ExploreError, RuleOptions, ScoreMemo,
+    enumerate, enumerate_in, Enumerated, Exploration, ExplorationConfig, ExploreError, RewriteMemo,
+    RuleOptions, ScoreMemo,
 };
 use lift::telemetry::Null;
 use lift::tuner::{tune, Strategy, TuningConfig, Workload};
 use lift::vgpu::{DeviceProfile, LaunchConfig};
 use lift_bench::autotune_config;
 
-/// Asserts that two scoring passes over the same candidates agree on everything a caller
-/// can observe except how much was recalled.
+/// Asserts that two explorations of the same candidates agree on everything a caller can
+/// observe except how much was recalled.
 fn assert_same_exploration(shared: &Exploration, fresh: &Exploration, at: &str) {
     assert_eq!(shared.explored, fresh.explored, "{at}");
     assert_eq!(shared.rejected_typecheck, fresh.rejected_typecheck, "{at}");
@@ -55,42 +60,79 @@ fn assert_same_exploration(shared: &Exploration, fresh: &Exploration, at: &str) 
     }
 }
 
+/// Asserts that two enumerations found the same lowered candidates in the same order: equal
+/// terms (fresh names included) and equal derivation chains.
+fn assert_same_candidates(shared: &Enumerated, fresh: &Enumerated, at: &str) {
+    assert_eq!(shared.lowered(), fresh.lowered(), "{at}");
+    for (a, b) in shared.lowered_candidates().zip(fresh.lowered_candidates()) {
+        assert_eq!(a.0, b.0, "{at}");
+        assert_eq!(a.1, b.1, "{at}");
+    }
+}
+
 /// The workload's canonical search budgets over a corner of its tuning space, walked
-/// exhaustively: two nested split sets at two launches. Points that differ only in their
-/// rule options derive overlapping candidates at the same launch, which is what both memo
-/// levels recall; the corner keeps an unoptimised test build quick.
+/// exhaustively: two nested split sets, two width sets and (where the workload has them) two
+/// tile sets at two launches. Points that differ only in one option list re-read exactly
+/// that list, which is what the rewrite memo keys by; points that share rule options derive
+/// the same candidates at another launch, which is what the compile level recalls across.
+/// The corner keeps an unoptimised test build quick.
 fn corner_walk(workload: &Workload, device: &DeviceProfile, threads: usize) -> TuningConfig {
     let mut config = autotune_config(workload, device);
     let space = &mut config.space;
     space.split_sets = vec![vec![2, 4], vec![2, 4, 8]];
-    space.width_sets.truncate(1);
-    space.tile_sets.truncate(1);
+    space.width_sets.truncate(2);
+    space.tile_sets.truncate(2);
     space.launches = vec![space.launches[0], space.launches[space.launches.len() - 1]];
     config.strategy = Strategy::Exhaustive;
     config.base.threads = threads;
     config
 }
 
+/// The canonical `autotune_stats` run of the workload, with the given worker count.
+fn canonical_walk(workload: &Workload, device: &DeviceProfile, threads: usize) -> TuningConfig {
+    let mut config = autotune_config(workload, device);
+    config.base.threads = threads;
+    config
+}
+
 /// The differential property for one workload on one device: the tuner's run through its
-/// shared memo — sequential and with two scoring workers — against the same walk scored
-/// point by point through fresh memos.
-fn shared_memo_run_equals_fresh_memo_walk(workload: &Workload, device: &DeviceProfile) {
+/// shared memos — sequential and with two workers — against the same walk enumerated and
+/// scored point by point through fresh memos.
+fn shared_memo_run_equals_fresh_memo_walk(
+    workload: &Workload,
+    device: &DeviceProfile,
+    walk: fn(&Workload, &DeviceProfile, usize) -> TuningConfig,
+) {
     let at = format!("{}/{}", workload.name, device.name);
-    let config = corner_walk(workload, device, 1);
+    let config = walk(workload, device, 1);
     let tuned = tune(&workload.program, &config).expect("tuning runs");
     assert!(tuned.best_variant.is_some(), "{at}: nothing survived");
-    let two_workers = tune(&workload.program, &corner_walk(workload, device, 2));
+    let two_workers = tune(&workload.program, &walk(workload, device, 2));
     assert_eq!(two_workers.expect("tuning runs"), tuned, "{at}");
 
-    // Re-walk the tuned trajectory: every point scored through a fresh memo (the reference)
-    // and through one memo per worker count shared by the whole walk.
-    let mut shared = [ScoreMemo::new(), ScoreMemo::new()];
+    // Re-walk the tuned trajectory: every rule search run and every point scored through
+    // fresh memos (the reference), and through one pair of memos per worker count shared by
+    // the whole walk.
+    struct Shared {
+        threads: usize,
+        rewrites: RewriteMemo,
+        scores: ScoreMemo,
+        enumerations: HashMap<(usize, usize, usize), Enumerated>,
+    }
+    let mut shared = [1, 2].map(|threads| Shared {
+        threads,
+        rewrites: RewriteMemo::new(),
+        scores: ScoreMemo::new(),
+        enumerations: HashMap::new(),
+    });
     let mut enumerations: HashMap<(usize, usize, usize), Enumerated> = HashMap::new();
     let mut best: Option<(usize, f64)> = None;
     let (mut needed, mut executed, mut reused) = (0, 0, 0);
+    let (mut compiled, mut compiles_recalled) = (0, 0);
     for (i, entry) in tuned.trajectory.iter().enumerate() {
         let at = format!("{at}/point {i}");
         let index = entry.point.index;
+        let coordinate = (index.split_set, index.width_set, index.tile_set);
         let point = ExplorationConfig {
             rule_options: entry.point.rule_options.clone(),
             launch: entry.point.launch,
@@ -98,9 +140,36 @@ fn shared_memo_run_equals_fresh_memo_walk(workload: &Workload, device: &DevicePr
             ..config.base.clone()
         };
         let enumerated = enumerations
-            .entry((index.split_set, index.width_set, index.tile_set))
+            .entry(coordinate)
             .or_insert_with(|| enumerate(&workload.program, &point).expect("enumeration runs"));
-        let fresh = match enumerated.score(&point) {
+        let fresh = enumerated.score(&point);
+        for walk in &mut shared {
+            let at = format!("{at}/threads={}", walk.threads);
+            let point = ExplorationConfig {
+                threads: walk.threads,
+                ..point.clone()
+            };
+            let recalled = walk.enumerations.entry(coordinate).or_insert_with(|| {
+                enumerate_in(&workload.program, &point, &mut walk.rewrites, &Null)
+                    .expect("shared-memo enumeration runs")
+            });
+            assert_same_candidates(recalled, enumerated, &at);
+            let (Ok(fresh), recalled) =
+                (&fresh, recalled.score_in(&point, &mut walk.scores, &Null))
+            else {
+                assert!(matches!(fresh, Err(ExploreError::Launch(_))), "{at}");
+                continue;
+            };
+            let recalled = recalled.expect("shared-memo scoring runs");
+            assert_same_exploration(&recalled, fresh, &at);
+            if walk.threads == 1 {
+                executed += recalled.executed_kernels - recalled.reused_kernels;
+                reused += recalled.reused_kernels;
+                compiled += recalled.lowered - recalled.reused_compiles;
+                compiles_recalled += recalled.reused_compiles;
+            }
+        }
+        let fresh = match fresh {
             Ok(fresh) => fresh,
             Err(ExploreError::Launch(_)) => {
                 assert_eq!(entry.best_time, None, "{at}");
@@ -109,23 +178,9 @@ fn shared_memo_run_equals_fresh_memo_walk(workload: &Workload, device: &DevicePr
             Err(e) => panic!("{at}: {e}"),
         };
         assert_eq!((fresh.reused_kernels, fresh.reused_compiles), (0, 0));
-        for (memo, threads) in shared.iter_mut().zip([1, 2]) {
-            let point = ExplorationConfig {
-                threads,
-                ..point.clone()
-            };
-            let recalled = enumerated
-                .score_in(&point, memo, &Null)
-                .expect("shared-memo scoring runs");
-            assert_same_exploration(&recalled, &fresh, &format!("{at}/threads={threads}"));
-            if threads == 1 {
-                executed += recalled.executed_kernels - recalled.reused_kernels;
-                reused += recalled.reused_kernels;
-            }
-        }
         needed += fresh.executed_kernels;
 
-        // The tuner saw exactly what the fresh scoring sees.
+        // The tuner saw exactly what the fresh enumeration and scoring see.
         let best_time = fresh.variants.first().map(|v| v.estimated_time);
         assert_eq!(entry.best_time, best_time, "{at}");
         assert_eq!(entry.lowered, fresh.lowered, "{at}");
@@ -154,27 +209,60 @@ fn shared_memo_run_equals_fresh_memo_walk(workload: &Workload, device: &DevicePr
         "{at}"
     );
     // The run's own counts are those of the shared-memo walk, and together they cover
-    // every launch the fresh-memo walk executed.
+    // everything the fresh-memo walk worked out.
+    let [sequential, _] = &shared;
     assert_eq!(
         (tuned.kernels_executed, tuned.kernels_reused),
         (executed, reused),
         "{at}"
     );
     assert_eq!(executed + reused, needed, "{at}");
-    assert!(reused > 0, "{at}: the walk recalled nothing");
+    assert_eq!(
+        (tuned.candidates_compiled, tuned.compiles_recalled),
+        (compiled, compiles_recalled),
+        "{at}"
+    );
+    assert_eq!(
+        (tuned.rewrites_judged, tuned.rewrites_recalled),
+        (
+            sequential.rewrites.rewrites_judged(),
+            sequential.rewrites.rewrites_recalled()
+        ),
+        "{at}"
+    );
+    assert_eq!(tuned.enumerations, enumerations.len(), "{at}");
+    assert!(reused > 0, "{at}: the walk recalled no launch");
+    assert!(compiles_recalled > 0, "{at}: the walk recalled no compile");
+    assert!(
+        tuned.rewrites_recalled > 0,
+        "{at}: the walk recalled no rewrite"
+    );
 }
 
 #[test]
 fn a_shared_memo_run_equals_a_fresh_memo_per_point_run_on_nvidia() {
     for workload in Workload::all() {
-        shared_memo_run_equals_fresh_memo_walk(&workload, &DeviceProfile::nvidia());
+        shared_memo_run_equals_fresh_memo_walk(&workload, &DeviceProfile::nvidia(), corner_walk);
     }
 }
 
 #[test]
 fn a_shared_memo_run_equals_a_fresh_memo_per_point_run_on_amd() {
     for workload in Workload::all() {
-        shared_memo_run_equals_fresh_memo_walk(&workload, &DeviceProfile::amd());
+        shared_memo_run_equals_fresh_memo_walk(&workload, &DeviceProfile::amd(), corner_walk);
+    }
+}
+
+/// The same property over the whole canonical walk of every workload on both devices — the
+/// runs `BENCH_autotune.json` records. Minutes in a release build, far longer without
+/// optimisation, so CI's `perf` job runs it with `--release -- --ignored`.
+#[test]
+#[ignore = "the full canonical walk: run with --release"]
+fn the_canonical_runs_equal_their_fresh_memo_per_point_walks() {
+    for workload in Workload::all() {
+        for device in [DeviceProfile::nvidia(), DeviceProfile::amd()] {
+            shared_memo_run_equals_fresh_memo_walk(&workload, &device, canonical_walk);
+        }
     }
 }
 
@@ -263,6 +351,46 @@ fn a_memo_recalls_only_under_the_context_it_recorded() {
         nvidia.variants[0].estimated_time,
         amd.variants[0].estimated_time
     );
+}
+
+#[test]
+fn a_rewrite_memo_recalls_only_for_the_program_and_size_cap_it_recorded() {
+    let (_, config, _) = scored_dot_product();
+    let program = Workload::dot_product().program;
+    let mut memo = RewriteMemo::new();
+    let first = enumerate_in(&program, &config, &mut memo, &Null).expect("enumeration runs");
+    let judged = memo.rewrites_judged();
+    assert!(judged > 0);
+    assert_eq!(memo.rewrites_recalled(), 0);
+
+    // The same search again judges nothing.
+    let again = enumerate_in(&program, &config, &mut memo, &Null).expect("enumeration runs");
+    assert_same_candidates(&again, &first, "same search");
+    assert_eq!(memo.rewrites_judged(), judged);
+    assert!(memo.rewrites_recalled() > 0);
+
+    // Another size cap changes what is oversize, another program changes everything: the
+    // memo starts over either way, and finds what a fresh one finds.
+    let tighter = ExplorationConfig {
+        max_term_size: 40,
+        ..config.clone()
+    };
+    let others = [
+        ("size cap", program.clone(), tighter),
+        ("program", Workload::nbody().program, config.clone()),
+    ];
+    for (what, program, config) in others {
+        let (judged, recalled) = (memo.rewrites_judged(), memo.rewrites_recalled());
+        let shared = enumerate_in(&program, &config, &mut memo, &Null).expect("enumeration runs");
+        assert!(memo.rewrites_judged() > judged, "{what}");
+        assert_eq!(
+            memo.rewrites_recalled(),
+            recalled,
+            "a memo recorded for another {what} must miss"
+        );
+        let fresh = enumerate(&program, &config).expect("enumeration runs");
+        assert_same_candidates(&shared, &fresh, what);
+    }
 }
 
 #[test]
