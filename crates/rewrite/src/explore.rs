@@ -10,6 +10,9 @@
 //! [`DeviceProfile`]. The best `N` variants are returned together with their derivation
 //! chains, ready for code generation.
 //!
+//! All of it happens on a [`Search`]; [`explore`], [`enumerate`], [`Enumerated::score`] and
+//! [`Enumerated::from_derivation`] are one-shot wrappers over a throwaway one.
+//!
 //! # The hot path
 //!
 //! Exploration throughput is what every auto-tuning feature multiplies, so the driver is
@@ -19,8 +22,8 @@
 //!   instead of retaining full pretty-printed renderings,
 //! * candidates are type-checked directly on the tree form ([`crate::typecheck()`]); the
 //!   arena conversion and `infer_types` run only for the few candidates that reach scoring,
-//! * a rule application is judged once per tuning run and content of the option lists it
-//!   read, not once per enumeration: [`enumerate_in`] goes through a [`RewriteMemo`] that
+//! * a rule application is judged once per [`Search`] and content of the option lists it
+//!   read, not once per enumeration: [`Search::enumerate`] goes through a rewrite memo that
 //!   records, per term and `(site, rule)`, the outcomes together with the
 //!   [`RuleOptions`] lists the rule was handed, and a later enumeration under other options
 //!   judges again only where such a list differs — the beam search itself runs unchanged
@@ -33,8 +36,8 @@
 //! * a launch the virtual GPU has already run — several derivations frequently lower to
 //!   byte-identical OpenCL, and an auto-tuner meets the same candidates at many of its
 //!   points — is never run again, and a candidate is compiled once per *answer* the launch
-//!   gives the code generator, not once per launch: scoring goes through a [`ScoreMemo`]
-//!   that recalls the first verdict, and
+//!   gives the code generator, not once per launch: [`Search::score`] goes through a score
+//!   memo that recalls the first verdict, and
 //! * beam selection keeps the best `beam_width` candidates with a bounded binary heap
 //!   instead of sorting the whole frontier expansion.
 
@@ -87,7 +90,7 @@ pub struct ExplorationConfig {
     pub compile_options: CompilationOptions,
     /// The device profile whose cost model ranks the variants.
     pub device: DeviceProfile,
-    /// Bindings for symbolic sizes (empty for fully constant programs).
+    /// Bindings for symbolic sizes (empty for fully constant programs); one per [`Search`].
     pub sizes: Environment,
     /// Worker threads for frontier expansion and candidate scoring: `0` uses the machine's
     /// available parallelism, `1` runs sequentially. The merge is deterministic, so every
@@ -102,7 +105,7 @@ pub struct ExplorationConfig {
     /// ([`ExecutionRequest::race_detection`]), so a racy candidate that the static
     /// parallelism-ownership pass missed is rejected as a typed
     /// [`SoundnessIncident::DataRace`] instead of (at best) a silent wrong-output
-    /// rejection. On by default: a launch is executed once per [`ScoreMemo`] (see
+    /// rejection. On by default: a launch is executed once per [`Search`] (see
     /// [`Exploration::executed_kernels`]), so the per-access shadow bookkeeping is paid a
     /// handful of times per search, not per candidate.
     pub detect_races: bool,
@@ -224,13 +227,13 @@ pub struct Exploration {
     /// Distinct launches (kernel source + arguments + launch plan) this scoring pass needed
     /// a verdict for; candidates that lower to the same launch share one.
     pub executed_kernels: usize,
-    /// How many of [`Exploration::executed_kernels`] were recalled from the [`ScoreMemo`]
-    /// instead of run: the virtual GPU executed `executed_kernels - reused_kernels` launches
-    /// in this pass. Always 0 under a fresh memo ([`Enumerated::score`]).
+    /// How many of [`Exploration::executed_kernels`] were recalled from the [`Search`]'s score
+    /// memo instead of run: the virtual GPU executed `executed_kernels - reused_kernels`
+    /// launches in this pass. Always 0 under a fresh memo ([`Enumerated::score`]).
     pub reused_kernels: usize,
-    /// Candidates whose compile outcome was recalled from the [`ScoreMemo`], skipping type
-    /// inference, code generation and argument marshalling — recorded under this launch or
-    /// under any other that answers the generator's questions the same way
+    /// Candidates whose compile outcome was recalled from the [`Search`]'s score memo,
+    /// skipping type inference, code generation and argument marshalling — recorded under
+    /// this launch or under any other that answers the generator's questions the same way
     /// ([`LaunchTrace::holds_for`]). Always 0 under a fresh memo.
     pub reused_compiles: usize,
 }
@@ -246,9 +249,12 @@ pub enum ExploreError {
     Reference(String),
     /// The configured launch is invalid for the configured device profile.
     Launch(LaunchError),
-    /// Replaying a recorded derivation chain failed (see [`Enumerated::from_derivation`]).
+    /// Scoring was asked to bind other symbolic sizes than the ones the [`Search`] generated
+    /// its inputs and reference output under.
+    Sizes,
+    /// Replaying a recorded derivation chain failed (see [`Search::replay`]).
     Replay(crate::provenance::ReplayError),
-    /// A [`RewriteMemo`] invariant does not hold.
+    /// An invariant of a [`Search`]'s rewrite memo does not hold.
     Memo(&'static str),
 }
 
@@ -260,6 +266,9 @@ impl std::fmt::Display for ExploreError {
             ExploreError::Reference(e) => write!(f, "reference evaluation failed: {e}"),
             ExploreError::Launch(e) => {
                 write!(f, "launch configuration is invalid for the device: {e}")
+            }
+            ExploreError::Sizes => {
+                write!(f, "sizes differ from the ones the search was built under")
             }
             ExploreError::Replay(e) => write!(f, "derivation replay failed: {e}"),
             ExploreError::Memo(what) => write!(f, "inconsistent rewrite memo: {what}"),
@@ -304,18 +313,27 @@ pub struct CanonicalKey {
     pub skeleton: String,
 }
 
-/// Computes the [`CanonicalKey`] of a program, normalising exactly as [`enumerate`] does
-/// (type inference, then tree conversion), so a program hashes identically whether it is
-/// keyed for the cache or enumerated from scratch.
+/// Types `program` and converts it to the term every search of it starts from. This is the
+/// one normalisation: a program is keyed ([`canonical_key`]), searched ([`Search::new`]) and
+/// replayed ([`crate::provenance::replay`]) from the same root.
+pub(crate) fn typed_root<E: From<TypeError> + From<TermError>>(
+    program: &Program,
+) -> Result<(Program, Term), E> {
+    let mut typed = program.clone();
+    infer_types(&mut typed)?;
+    let root = Term::from_program(&typed)?;
+    Ok((typed, root))
+}
+
+/// Computes the [`CanonicalKey`] of a program from the root a [`Search`] of it starts from,
+/// so a program hashes identically whether it is keyed for the cache or searched.
 ///
 /// # Errors
 ///
 /// Returns [`ExploreError::Type`] / [`ExploreError::Term`] when the program does not
 /// typecheck or cannot be converted to tree form.
 pub fn canonical_key(program: &Program) -> Result<CanonicalKey, ExploreError> {
-    let mut typed = program.clone();
-    infer_types(&mut typed)?;
-    let root = Term::from_program(&typed)?;
+    let (_, root) = typed_root::<ExploreError>(program)?;
     Ok(CanonicalKey {
         hash: root.dedup_key(),
         rendering: root.pretty(),
@@ -323,7 +341,7 @@ pub fn canonical_key(program: &Program) -> Result<CanonicalKey, ExploreError> {
     })
 }
 
-/// A fully lowered candidate as scoring sees it. The term is the one the enumeration's
+/// A fully lowered candidate as scoring sees it. The term is the one the search's
 /// [`RewriteMemo`] holds for the node, shared by every enumeration that reaches it.
 #[derive(Clone, Debug)]
 pub(crate) struct Candidate {
@@ -334,20 +352,136 @@ pub(crate) struct Candidate {
     pub(crate) key: DedupKey,
 }
 
-/// The launch-independent half of an exploration: the fully lowered candidates found by the
-/// rule search, together with the deterministic inputs and the reference output.
+/// One program searched at one binding of its symbolic sizes: the typed root term, the
+/// inputs and reference output every candidate is validated against, and two memos.
 ///
-/// The rule search only depends on the *search* knobs of the [`ExplorationConfig`]
-/// (`max_depth`, `beam_width`, `max_candidates`, `max_term_size`, `rule_options`) — not on
-/// the launch configuration, compiler options or device profile, which only matter when
-/// candidates are compiled and executed. [`Enumerated::score`] runs that second half, so an
-/// auto-tuner sweeping launch configurations enumerates once per `RuleOptions` (through one
-/// [`RewriteMemo`], see [`enumerate_in`]) and re-scores the shared candidate set per launch
-/// instead of repeating the whole search.
+/// Rewriting depends on the program and the search knobs of an [`ExplorationConfig`] only,
+/// never on the launch or device, and the reference on the program and `sizes` only, so one
+/// `Search` serves a whole auto-tuning run. [`Search::enumerate`] judges a rule application
+/// once per distinct content of the [`RuleOptions`] lists it read; [`Search::score`] compiles
+/// a candidate once per answer the launch gives the code generator and executes (and
+/// validates) each distinct launch once. Both return what a throwaway `Search` returns, but
+/// for the counters of what was recalled. Nothing in a search is persisted.
+#[derive(Debug)]
+pub struct Search {
+    data: Arc<ScoreData>,
+    rewrites: RewriteMemo,
+    scores: ScoreMemo,
+}
+
+impl Search {
+    /// Types `program`, converts it to the search root, and generates the inputs and the
+    /// reference output under `sizes` inside an `interp.reference` span.
+    ///
+    /// # Errors
+    ///
+    /// [`ExploreError::Type`] / [`ExploreError::Term`] for a program that does not type or
+    /// convert, [`ExploreError::Reference`] if the interpreter cannot evaluate it.
+    pub fn new(
+        program: &Program,
+        sizes: &Environment,
+        collector: &dyn Collector,
+    ) -> Result<Search, ExploreError> {
+        let (typed, root) = typed_root::<ExploreError>(program)?;
+        collector.span_begin("interp.reference");
+        let data = ScoreData::generate(&typed, sizes);
+        collector.span_end("interp.reference");
+        Ok(Search {
+            rewrites: RewriteMemo::new(root),
+            data: Arc::new(data?),
+            scores: ScoreMemo::default(),
+        })
+    }
+
+    /// Runs the rule search under the search knobs of `config`, collecting every fully
+    /// lowered candidate. Emits an `enumerate` span, one [`Event::BeamRound`] (+ per-rule
+    /// [`Event::RuleRound`]s) per depth level and, under
+    /// [`ExplorationConfig::trace_rejections`], one [`Event::Rejection`] per rejected rewrite,
+    /// all from the sequential merge: deterministic for any thread count.
+    ///
+    /// # Errors
+    ///
+    /// [`ExploreError::Memo`] and [`ExploreError::Replay`] report a memo that contradicts
+    /// itself, which no input causes.
+    pub fn enumerate(
+        &mut self,
+        config: &ExplorationConfig,
+        collector: &dyn Collector,
+    ) -> Result<Enumerated, ExploreError> {
+        collector.span_begin("enumerate");
+        let result = beam_search(&mut self.rewrites, &self.data, config, collector);
+        collector.span_end("enumerate");
+        result
+    }
+
+    /// The one candidate a recorded derivation chain derives, replayed from the search root
+    /// under `options` instead of searched. Scoring it re-runs compile → ownership check →
+    /// execute → validate, so a cached derivation is re-proven on every hit.
+    ///
+    /// # Errors
+    ///
+    /// Returns [`ExploreError::Replay`] when the chain does not apply to the program (wrong
+    /// program, renamed rule, out-of-range alternative: a stale cache entry).
+    pub fn replay(
+        &self,
+        steps: &[DerivationStep],
+        options: &RuleOptions,
+    ) -> Result<Enumerated, ExploreError> {
+        let root = (*self.rewrites.rebuild(ROOT)?).clone();
+        let term = crate::provenance::replay_from(root, steps, options)?;
+        let candidate = Candidate {
+            key: term.dedup_key(),
+            steps: steps.to_vec(),
+            term: Arc::new(term),
+        };
+        Ok(Enumerated {
+            complete: vec![candidate],
+            data: Arc::clone(&self.data),
+            search: Exploration {
+                lowered: 1,
+                ..Exploration::default()
+            },
+        })
+    }
+
+    /// Compiles, validates and ranks `enumerated` under the launch, compiler options and
+    /// device of `config`, through this search's score memo. Emits phase spans (`typecheck`,
+    /// `compile`, `execute`, `score`) and per-variant events.
+    ///
+    /// # Errors
+    ///
+    /// [`ExploreError::Sizes`] if `config.sizes` is not the binding `enumerated` was searched
+    /// under, [`ExploreError::Launch`] if `config.launch` is invalid for `config.device`.
+    /// Failures of individual candidates are counted in the [`Exploration`] statistics.
+    pub fn score(
+        &mut self,
+        enumerated: &Enumerated,
+        config: &ExplorationConfig,
+        collector: &dyn Collector,
+    ) -> Result<Exploration, ExploreError> {
+        score_all(enumerated, config, &mut self.scores, collector)
+    }
+
+    /// Rewrites this search has judged: a rule applied, the result spliced in, normalised
+    /// and type-checked.
+    pub fn rewrites_judged(&self) -> usize {
+        self.rewrites.judged
+    }
+
+    /// Rewrites whose outcome was recalled from an earlier enumeration instead.
+    pub fn rewrites_recalled(&self) -> usize {
+        self.rewrites.recalled
+    }
+}
+
+/// The launch-independent half of an exploration: the fully lowered candidates one
+/// [`Search::enumerate`] or [`Search::replay`] found, sharing that search's inputs and
+/// reference output. An auto-tuner sweeping launches scores one `Enumerated` per
+/// `RuleOptions` at every launch instead of repeating the rule search.
 #[derive(Clone, Debug)]
 pub struct Enumerated {
     complete: Vec<Candidate>,
-    data: ScoreData,
+    data: Arc<ScoreData>,
     search: Exploration,
 }
 
@@ -365,107 +499,34 @@ impl Enumerated {
         self.complete.iter().map(|c| (&*c.term, c.steps.as_slice()))
     }
 
-    /// Reconstructs a single-candidate [`Enumerated`] from a recorded derivation chain
-    /// instead of searching: the chain is replayed through [`crate::provenance::replay`]
-    /// (under `config.rule_options`) and the deterministic inputs and reference output are
-    /// regenerated exactly as [`enumerate`] would. Scoring the result re-runs the full
-    /// compile → static ownership check → execute → validate pipeline, so a cached
-    /// derivation served by the derivation service is re-proven sound on every hit — a
-    /// stale or corrupted cache entry fails here instead of reaching a device.
+    /// [`Search::replay`] on a throwaway [`Search`] of `program` under `config.sizes` and
+    /// `config.rule_options`.
     ///
     /// # Errors
     ///
-    /// Returns [`ExploreError::Replay`] when the chain does not apply to `program` (wrong
-    /// program, renamed rule, out-of-range alternative — the typical symptoms of a stale
-    /// cache entry), and the usual input errors when `program` itself is invalid.
+    /// See [`Search::new`] and [`Search::replay`].
     pub fn from_derivation(
         program: &Program,
         steps: &[DerivationStep],
         config: &ExplorationConfig,
     ) -> Result<Enumerated, ExploreError> {
-        let mut typed = program.clone();
-        infer_types(&mut typed)?;
-        let data = ScoreData::generate(&typed, &config.sizes)?;
-        let term = crate::provenance::replay(program, steps, &config.rule_options)?;
-        let candidate = Candidate {
-            key: term.dedup_key(),
-            steps: steps.to_vec(),
-            term: Arc::new(term),
-        };
-        let search = Exploration {
-            lowered: 1,
-            ..Exploration::default()
-        };
-        Ok(Enumerated {
-            complete: vec![candidate],
-            data,
-            search,
-        })
+        Search::new(program, &config.sizes, &Null)?.replay(steps, &config.rule_options)
     }
 
-    /// Compiles, validates and ranks the enumerated candidates under the launch
-    /// configuration, compiler options and device profile of `config` (the search knobs of
-    /// `config` are ignored — they were consumed by [`enumerate`]). Scores against a fresh
-    /// [`ScoreMemo`]: every distinct launch is executed and validated by this call.
-    ///
-    /// The `sizes` environment must bind the same symbolic sizes as the enumerating call:
-    /// the deterministic inputs and the reference output were generated from it.
+    /// [`Search::score`] against a fresh score memo: every distinct launch is executed and
+    /// validated by this call.
     ///
     /// # Errors
     ///
-    /// Returns [`ExploreError::Launch`] if `config.launch` is invalid for `config.device`.
-    /// Failures of individual candidates are counted in the [`Exploration`] statistics.
+    /// See [`Search::score`].
     pub fn score(&self, config: &ExplorationConfig) -> Result<Exploration, ExploreError> {
-        self.score_with(config, &Null)
-    }
-
-    /// Like [`Enumerated::score`], but emits phase spans (`typecheck`, `compile`, `execute`,
-    /// `score`) and per-variant events to `collector`.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`ExploreError::Launch`] if `config.launch` is invalid for `config.device`.
-    pub fn score_with(
-        &self,
-        config: &ExplorationConfig,
-        collector: &dyn Collector,
-    ) -> Result<Exploration, ExploreError> {
-        self.score_in(config, &mut ScoreMemo::new(), collector)
-    }
-
-    /// Like [`Enumerated::score_with`], but recalls from — and records into — `memo` instead
-    /// of a fresh one: a launch `memo` has a verdict for is not executed again, and a
-    /// candidate it has compiled under a launch that gave the code generator the same
-    /// answers is not compiled again. An auto-tuner
-    /// threads one memo through every point of a run; the returned [`Exploration`] is
-    /// identical to what [`Enumerated::score_with`] returns, except that
-    /// [`Exploration::reused_kernels`] and [`Exploration::reused_compiles`] say how much of
-    /// it was recalled.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`ExploreError::Launch`] if `config.launch` is invalid for `config.device`.
-    pub fn score_in(
-        &self,
-        config: &ExplorationConfig,
-        memo: &mut ScoreMemo,
-        collector: &dyn Collector,
-    ) -> Result<Exploration, ExploreError> {
-        config
-            .device
-            .validate_launch(&config.launch)
-            .map_err(ExploreError::Launch)?;
-        let mut stats = self.search.clone();
-        score_all(self, config, memo, &mut stats, collector);
-        Ok(stats)
+        score_all(self, config, &mut ScoreMemo::default(), &Null)
     }
 }
 
-/// Explores the rewrite space of `program` and returns the validated, cost-ranked variants.
-///
-/// Equivalent to [`enumerate`] followed by [`Enumerated::score`] with the same
-/// configuration; callers that sweep launch configurations should use the two-phase API
-/// directly and share the [`Enumerated`] across launches.
+/// Explores the rewrite space of `program` and returns the validated, cost-ranked variants:
+/// [`enumerate`] followed by [`Enumerated::score`] with the same configuration. Callers that
+/// sweep launches or rule options, or want telemetry, keep a [`Search`] instead.
 ///
 /// # Errors
 ///
@@ -474,36 +535,19 @@ impl Enumerated {
 /// invalid for the device. Failures of derived candidates are not errors — they are counted
 /// in the [`Exploration`] statistics.
 pub fn explore(program: &Program, config: &ExplorationConfig) -> Result<Exploration, ExploreError> {
-    explore_with(program, config, &Null)
+    enumerate(program, config)?.score(config)
 }
 
-/// Like [`explore`], but emits telemetry events to `collector`: per-round beam statistics,
-/// per-rule fire/reject counts, scoring-phase spans and the ranked variants. With the
-/// default [`Null`] collector this is exactly [`explore`].
+/// [`Search::enumerate`] on a throwaway [`Search`] of `program` under `config.sizes`.
 ///
 /// # Errors
 ///
-/// See [`explore`].
-pub fn explore_with(
-    program: &Program,
-    config: &ExplorationConfig,
-    collector: &dyn Collector,
-) -> Result<Exploration, ExploreError> {
-    enumerate_with(program, config, collector)?.score_with(config, collector)
-}
-
-/// Runs the rule-search phase of an exploration: beam search over rule applications,
-/// term-level typechecking and structural dedup, collecting every fully lowered candidate.
-///
-/// # Errors
-///
-/// Returns an [`ExploreError`] if the *input* program is invalid (does not typecheck, cannot
-/// be converted, or cannot be evaluated by the reference interpreter).
+/// See [`Search::new`].
 pub fn enumerate(
     program: &Program,
     config: &ExplorationConfig,
 ) -> Result<Enumerated, ExploreError> {
-    enumerate_with(program, config, &Null)
+    Search::new(program, &config.sizes, &Null)?.enumerate(config, &Null)
 }
 
 /// Per-round telemetry aggregation: everything needed for one [`Event::BeamRound`] plus the
@@ -561,58 +605,15 @@ impl RoundStats {
     }
 }
 
-/// Like [`enumerate`], but emits telemetry events to `collector`: an `enumerate` span, one
-/// [`Event::BeamRound`] (+ per-rule [`Event::RuleRound`]s) per depth level, and — under
-/// [`ExplorationConfig::trace_rejections`] — one [`Event::Rejection`] per rejected rewrite.
-/// Events are emitted from the sequential merge only, so they are deterministic for any
-/// thread count.
-///
-/// # Errors
-///
-/// See [`enumerate`].
-pub fn enumerate_with(
-    program: &Program,
-    config: &ExplorationConfig,
-    collector: &dyn Collector,
-) -> Result<Enumerated, ExploreError> {
-    enumerate_in(program, config, &mut RewriteMemo::new(), collector)
-}
-
-/// Like [`enumerate_with`], but recalls from — and records into — `memo` instead of a fresh
-/// one: a rule application `memo` has judged under option lists that have not changed is not
-/// judged again. An auto-tuner threads one memo through every enumeration of a run; the
-/// returned [`Enumerated`] and the emitted events are identical to what [`enumerate_with`]
-/// produces.
-///
-/// # Errors
-///
-/// See [`enumerate`]. [`ExploreError::Memo`] and [`ExploreError::Replay`] report a memo that
-/// contradicts itself, which no input causes.
-pub fn enumerate_in(
-    program: &Program,
-    config: &ExplorationConfig,
+/// The beam search of [`Search::enumerate`] over `memo`: whatever `memo` has judged under
+/// option lists that have not changed is recalled, the rest is judged and recorded.
+fn beam_search(
     memo: &mut RewriteMemo,
-    collector: &dyn Collector,
-) -> Result<Enumerated, ExploreError> {
-    collector.span_begin("enumerate");
-    let result = enumerate_impl(program, config, memo, collector);
-    collector.span_end("enumerate");
-    result
-}
-
-fn enumerate_impl(
-    program: &Program,
+    data: &Arc<ScoreData>,
     config: &ExplorationConfig,
-    memo: &mut RewriteMemo,
     collector: &dyn Collector,
 ) -> Result<Enumerated, ExploreError> {
-    let mut typed = program.clone();
-    infer_types(&mut typed)?;
-
-    // Deterministic inputs + the reference output from the interpreter.
-    let data = ScoreData::generate(&typed, &config.sizes)?;
-
-    memo.bind(Term::from_program(&typed)?, config);
+    memo.bind(config);
     let workers = worker_count(config);
     let mut stats = Exploration::default();
     let mut seen: HashSet<DedupKey> = HashSet::new();
@@ -757,7 +758,7 @@ fn enumerate_impl(
     stats.lowered = complete.len();
     Ok(Enumerated {
         complete,
-        data,
+        data: Arc::clone(data),
         search: stats,
     })
 }
@@ -813,10 +814,14 @@ enum ScoreError {
     Unsound(Box<SoundnessIncident>),
 }
 
-/// The launch-independent scoring data of one enumeration: the deterministic inputs in flat
-/// buffer form and the reference output, each hashed once here instead of per candidate.
+/// The launch-independent scoring data of one [`Search`]: the size bindings, the
+/// deterministic inputs in flat buffer form and the reference output, each hashed once here
+/// instead of per candidate.
 #[derive(Clone, Debug)]
 struct ScoreData {
+    /// The bindings the inputs and the reference were generated under, and the only ones
+    /// scoring binds kernel arguments with.
+    sizes: Environment,
     /// One flat buffer per root parameter.
     inputs: Vec<Vec<f32>>,
     /// [`hash_floats`] of each input buffer (parallel to `inputs`).
@@ -844,6 +849,7 @@ impl ScoreData {
         }
         h.write_u64(hash_floats(&reference));
         Ok(ScoreData {
+            sizes: sizes.clone(),
             inputs,
             input_hashes,
             reference,
@@ -961,7 +967,7 @@ struct ScoreContext {
 #[derive(Clone, Copy, Debug, PartialEq, Eq, Hash)]
 struct ExecKey {
     /// Index of the [`ScoreContext`] in its [`ScoreMemo`].
-    context: u32,
+    context: usize,
     source: u64,
     source_len: usize,
     args: u64,
@@ -970,7 +976,7 @@ struct ExecKey {
 
 impl ExecKey {
     /// The key of the launch a compiled candidate (`seed`) makes under `launch`.
-    fn new(context: u32, seed: &LaunchSeed, launch: LaunchConfig) -> ExecKey {
+    fn new(context: usize, seed: &LaunchSeed, launch: LaunchConfig) -> ExecKey {
         use std::hash::Hash;
         let mut plan_hash = StableHasher::new();
         for stage in &seed.stages {
@@ -1052,10 +1058,10 @@ struct Compiled {
     outcome: Result<LaunchSeed, ScoreError>,
 }
 
-/// The verdicts of one scoring run: what every candidate compiled to, and what every
+/// The verdicts of one [`Search`]: what every candidate compiled to, and what every
 /// distinct launch did on the virtual GPU.
 ///
-/// [`Enumerated::score_in`] consults the memo before it compiles or executes anything and
+/// [`Search::score`] consults the memo before it compiles or executes anything and
 /// records what it had to work out, on two levels:
 ///
 /// * **compilation** — [`Term::dedup_key`] → per [`LaunchTrace`], the compile rejection or
@@ -1077,42 +1083,32 @@ struct Compiled {
 /// verdict yet is compiled once more for the job. Entries are bound to the context they
 /// were recorded under (device, engine, race detection, compiler options, size bindings,
 /// input data): under any other context they are not found.
-///
-/// A memo is meant to live as long as one tuning run, whose points meet the same candidates
-/// and launches again and again; nothing in it is persisted.
 #[derive(Debug, Default)]
-pub struct ScoreMemo {
+struct ScoreMemo {
     contexts: Vec<ScoreContext>,
     /// Compile outcomes per context and candidate ([`Term::dedup_key`]), one per trace.
-    compiled: HashMap<(u32, DedupKey), Vec<Compiled>>,
+    compiled: HashMap<(usize, DedupKey), Vec<Compiled>>,
     executed: HashMap<ExecKey, Result<Scored, ScoreError>>,
 }
 
 impl ScoreMemo {
-    /// An empty memo.
-    pub fn new() -> ScoreMemo {
-        ScoreMemo::default()
-    }
-
     /// The index of the context `config` and `data` describe, registering it if new.
-    fn context(&mut self, config: &ExplorationConfig, data: &ScoreData) -> u32 {
+    fn context(&mut self, config: &ExplorationConfig, data: &ScoreData) -> usize {
         let context = ScoreContext {
             device: config.device.clone(),
             engine: config.engine,
             detect_races: config.detect_races,
             compile_options: config.compile_options.clone().with_launch([0; 3], [0; 3]),
-            sizes: config.sizes.clone(),
+            sizes: data.sizes.clone(),
             data: data.fingerprint,
         };
-        let index = self
-            .contexts
+        self.contexts
             .iter()
             .position(|known| *known == context)
             .unwrap_or_else(|| {
                 self.contexts.push(context);
                 self.contexts.len() - 1
-            });
-        u32::try_from(index).expect("a memo holds a handful of contexts")
+            })
     }
 }
 
@@ -1165,11 +1161,18 @@ fn score_all(
     enumerated: &Enumerated,
     config: &ExplorationConfig,
     memo: &mut ScoreMemo,
-    stats: &mut Exploration,
     collector: &dyn Collector,
-) {
+) -> Result<Exploration, ExploreError> {
     let complete = &enumerated.complete;
-    let data = &enumerated.data;
+    let data = &*enumerated.data;
+    if config.sizes != data.sizes {
+        return Err(ExploreError::Sizes);
+    }
+    config
+        .device
+        .validate_launch(&config.launch)
+        .map_err(ExploreError::Launch)?;
+    let mut stats = enumerated.search.clone();
     let context = memo.context(config, data);
     let executed = &mut memo.executed;
     let compiled = &mut memo.compiled;
@@ -1348,7 +1351,7 @@ fn score_all(
     for (index, cand) in complete.iter().enumerate() {
         match verdict_of(index) {
             Ok(scored) => ranked.push((scored.time, index)),
-            Err(e) => reject_candidate(stats, collector, cand, e),
+            Err(e) => reject_candidate(&mut stats, collector, cand, e),
         }
     }
     ranked.sort_unstable_by(rank_order);
@@ -1388,6 +1391,7 @@ fn score_all(
             });
         }
     }
+    Ok(stats)
 }
 
 /// Counts one rejected candidate. Soundness rejections additionally record the typed
@@ -1472,7 +1476,7 @@ fn compile_candidate(
     program: Program,
     data: &ScoreData,
     config: &ExplorationConfig,
-    context: u32,
+    context: usize,
 ) -> (
     Result<(Materials, LaunchSeed, Job), ScoreError>,
     LaunchTrace,
@@ -1480,7 +1484,7 @@ fn compile_candidate(
     let (compiled, trace) = compile_typed(&program, &launch_options(config));
     let readied = compiled.and_then(|compiled| {
         let (args, output_buffer_index) = compiled
-            .bind_args(&data.inputs, &config.sizes)
+            .bind_args(&data.inputs, &data.sizes)
             .map_err(|_| ScoreError::Compile)?;
         let kept = Materials::new(program, &compiled);
         let seed = LaunchSeed::new(&kept.kernel_source, &args, &compiled.kernels, data);
@@ -1510,35 +1514,9 @@ fn rematerialise(cand: &Candidate, config: &ExplorationConfig) -> Materials {
 #[cfg(test)]
 mod tests {
     use super::*;
+    /// Listing 1 of the paper before any implementation choices are made.
+    use lift_benchmarks::dot_product::high_level_program as high_level_partial_dot;
     use lift_ir::UserFun;
-
-    /// High-level partial dot product: `join ∘ map(reduce(add, 0)) ∘ split 128 ∘ map(mult)
-    /// ∘ zip` — Listing 1 of the paper before any implementation choices are made.
-    pub(crate) fn high_level_partial_dot(n: usize) -> Program {
-        let mut p = Program::new("partial_dot");
-        let mult = p.user_fun(UserFun::mult_pair());
-        let add = p.user_fun(UserFun::add());
-        let m1 = p.map(mult);
-        let red = p.reduce(add, 0.0);
-        let m2 = p.map(red);
-        let s = p.split(128usize);
-        let j = p.join();
-        let z = p.zip2();
-        p.with_root(
-            vec![
-                ("x", Type::array(Type::float(), n)),
-                ("y", Type::array(Type::float(), n)),
-            ],
-            |p, params| {
-                let zipped = p.apply(z, [params[0], params[1]]);
-                let mapped = p.apply1(m1, zipped);
-                let split = p.apply1(s, mapped);
-                let outer = p.apply1(m2, split);
-                p.apply1(j, outer)
-            },
-        );
-        p
-    }
 
     #[test]
     fn exploration_derives_multiple_correct_dot_product_variants() {
@@ -1677,7 +1655,13 @@ mod tests {
             ..ExplorationConfig::default()
         };
         let collector = lift_telemetry::InMemory::new();
-        let result = explore_with(&program, &config, &collector).expect("exploration runs");
+        let mut search = Search::new(&program, &config.sizes, &collector).expect("input types");
+        let enumerated = search
+            .enumerate(&config, &collector)
+            .expect("enumeration runs");
+        let result = search
+            .score(&enumerated, &config, &collector)
+            .expect("scoring runs");
         assert!(
             result.rejected_unsound >= 1,
             "the ownership pass should reject the racy input candidate (got {result:?})"
@@ -1730,10 +1714,10 @@ mod tests {
             launch: LaunchConfig::d1(16, 4),
             ..ExplorationConfig::default()
         };
-        let enumerated = enumerate(&program, &config).expect("enumeration runs");
-        let mut memo = ScoreMemo::new();
-        let first = enumerated
-            .score_in(&config, &mut memo, &Null)
+        let mut search = Search::new(&program, &config.sizes, &Null).expect("input types");
+        let enumerated = search.enumerate(&config, &Null).expect("enumeration runs");
+        let first = search
+            .score(&enumerated, &config, &Null)
             .expect("scoring runs");
         assert!(first.rejected_unsound >= 1);
         assert_eq!(first.reused_compiles, 0);
@@ -1741,8 +1725,8 @@ mod tests {
         // The static rejection is recalled from the compile level — nothing is compiled —
         // with the incident intact, and still reported as a first-class event.
         let collector = lift_telemetry::InMemory::new();
-        let again = enumerated
-            .score_in(&config, &mut memo, &collector)
+        let again = search
+            .score(&enumerated, &config, &collector)
             .expect("scoring runs");
         assert_eq!(again.reused_compiles, again.lowered);
         assert_eq!(again.rejected_unsound, first.rejected_unsound);
@@ -1766,10 +1750,10 @@ mod tests {
             launch: LaunchConfig::d1(16, 4),
             ..config
         };
-        let enumerated = enumerate(&program, &config).expect("enumeration runs");
-        let mut memo = ScoreMemo::new();
-        let sound = enumerated
-            .score_in(&config, &mut memo, &Null)
+        let mut search = Search::new(&program, &config.sizes, &Null).expect("input types");
+        let enumerated = search.enumerate(&config, &Null).expect("enumeration runs");
+        let sound = search
+            .score(&enumerated, &config, &Null)
             .expect("scoring runs");
         let race = SoundnessIncident::DataRace {
             buffer: "out".to_string(),
@@ -1777,14 +1761,15 @@ mod tests {
             writers: [0, 1],
             epoch: 0,
         };
-        let verdict = memo
+        let verdict = search
+            .scores
             .executed
             .values_mut()
             .find(|verdict| verdict.is_ok())
             .expect("a launch validated");
         *verdict = Err(ScoreError::Unsound(Box::new(race.clone())));
-        let recalled = enumerated
-            .score_in(&config, &mut memo, &Null)
+        let recalled = search
+            .score(&enumerated, &config, &Null)
             .expect("scoring runs");
         assert_eq!(recalled.reused_kernels, recalled.executed_kernels);
         assert!(recalled.rejected_race >= 1);
@@ -1803,6 +1788,7 @@ mod tests {
     #[test]
     fn the_launch_key_covers_source_arguments_and_plan() {
         let data = ScoreData {
+            sizes: Environment::new(),
             inputs: vec![vec![1.0, 2.0]],
             input_hashes: vec![hash_floats(&[1.0, 2.0])],
             reference: vec![3.0],
@@ -1879,14 +1865,14 @@ mod tests {
             },
             ..config.clone()
         };
-        let mut memo = ScoreMemo::new();
-        enumerate(&program, &narrow)
-            .expect("enumeration runs")
-            .score_in(&narrow, &mut memo, &Null)
+        let mut search = Search::new(&program, &config.sizes, &Null).expect("input types");
+        let enumerated = search.enumerate(&narrow, &Null).expect("enumeration runs");
+        search
+            .score(&enumerated, &narrow, &Null)
             .expect("scoring runs");
-        let enumerated = enumerate(&program, &config).expect("enumeration runs");
-        let mixed = enumerated
-            .score_in(&config, &mut memo, &Null)
+        let enumerated = search.enumerate(&config, &Null).expect("enumeration runs");
+        let mixed = search
+            .score(&enumerated, &config, &Null)
             .expect("scoring runs");
         let fresh = enumerated.score(&config).expect("scoring runs");
         assert!(0 < mixed.reused_compiles && mixed.reused_compiles < mixed.lowered);
@@ -1940,6 +1926,38 @@ mod tests {
         assert_eq!(detected.rejected_race, 0);
         assert_eq!(detected.rejected_divergence, 0);
         assert!(detected.soundness.is_clean());
+    }
+
+    #[test]
+    fn scoring_under_other_sizes_than_the_search_is_a_typed_error() {
+        // The crate-doc `square`, over a symbolic length: its inputs and reference are
+        // generated under the search's binding, so only that binding can validate anything.
+        let mut p = Program::new("square");
+        let mult = p.user_fun(UserFun::mult());
+        let sq = p.lambda(&["v"], |p, params| p.apply(mult, [params[0], params[0]]));
+        let m = p.map(sq);
+        let n = lift_arith::ArithExpr::size_var("N");
+        p.with_root(vec![("x", Type::array(Type::float(), n))], |p, params| {
+            p.apply1(m, params[0])
+        });
+        let at = |n| ExplorationConfig {
+            launch: LaunchConfig::d1(16, 4),
+            sizes: Environment::new().bind("N", n),
+            ..ExplorationConfig::default()
+        };
+        let same = enumerate(&p, &at(64)).unwrap().score(&at(64)).unwrap();
+        assert_eq!(
+            (same.lowered, same.variants.len(), same.rejected_incorrect),
+            (3, 3, 0)
+        );
+        for (searched, scored) in [(64, 128), (128, 64)] {
+            let enumerated = enumerate(&p, &at(searched)).expect("enumeration runs");
+            assert_eq!(enumerated.lowered(), 3);
+            assert!(matches!(
+                enumerated.score(&at(scored)),
+                Err(ExploreError::Sizes)
+            ));
+        }
     }
 
     #[test]

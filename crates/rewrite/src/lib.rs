@@ -45,12 +45,13 @@
 //!
 //! # Telemetry
 //!
-//! Every entry point has a `_with` twin taking a [`lift_telemetry::Collector`]
-//! ([`explore_with`], [`enumerate_with`], [`Enumerated::score_with`]): the search then emits
-//! per-round beam statistics (`BeamRound`), per-rule fire/reject counts (`RuleRound`),
-//! scoring-phase spans (`typecheck`/`compile`/`execute`/`score` inside an `enumerate` span)
-//! and the ranked variants. The plain entry points use the `Null` collector, whose disabled
-//! state reduces every instrumentation site to a branch — exploration throughput is
+//! A [`Search`] reports to the [`lift_telemetry::Collector`] each of its calls is handed:
+//! [`Search::new`] an `interp.reference` span around the reference evaluation,
+//! [`Search::enumerate`] an `enumerate` span with per-round beam statistics (`BeamRound`) and
+//! per-rule fire/reject counts (`RuleRound`), and [`Search::score`] the scoring-phase spans
+//! (`typecheck`/`compile`/`execute`/`score`) and the ranked variants. The one-shot wrappers
+//! ([`explore()`], [`enumerate`], [`Enumerated::score`]) use the `Null` collector, whose
+//! disabled state reduces every instrumentation site to a branch — exploration throughput is
 //! unchanged. Setting [`ExplorationConfig::trace_rejections`] additionally emits one
 //! `Rejection` event (with its rendered site) per rejected rewrite.
 //!
@@ -83,7 +84,7 @@
 //! Listing-1 dot product.
 
 pub mod explore;
-pub mod memo;
+mod memo;
 pub mod provenance;
 pub mod rules;
 pub mod term;
@@ -91,11 +92,9 @@ pub mod traversal;
 pub mod typecheck;
 
 pub use explore::{
-    canonical_key, enumerate, enumerate_in, enumerate_with, explore, explore_with, CanonicalKey,
-    DedupKey, DerivationStep, Enumerated, Exploration, ExplorationConfig, ExploreError, ScoreMemo,
-    Variant,
+    canonical_key, enumerate, explore, CanonicalKey, DedupKey, DerivationStep, Enumerated,
+    Exploration, ExplorationConfig, ExploreError, Search, Variant,
 };
-pub use memo::RewriteMemo;
 pub use provenance::{explain, replay, ExplainedStep, Explanation, ReplayError};
 pub use rules::{
     all_rules, divides, OptionAxes, Rule, RuleCx, RuleKind, RuleOptions, TileSize, RULE_SET_VERSION,

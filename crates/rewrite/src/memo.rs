@@ -1,12 +1,13 @@
-//! The run-scoped memo of the rule search: which rewrites a tuning run has already judged.
+//! The rewrite memo of a [`Search`](crate::Search): which rewrites its enumerations have
+//! already judged.
 //!
 //! An auto-tuner enumerates the same program once per rule-option coordinate, and the
 //! searches overlap almost everywhere: a rule application is a function of the term, the
 //! site and the [`RuleOptions`] lists the rule *reads* — most rules read none, and each
 //! parameterised one reads exactly one — so under two option sets that agree on that list it
 //! offers the same rewrites. [`RewriteMemo`] keys what the search works out by what the
-//! computation consulted, and [`crate::enumerate_in`] runs the unchanged beam search over
-//! recalled and freshly judged outcomes alike.
+//! computation consulted, and [`Search::enumerate`](crate::Search::enumerate) runs the
+//! unchanged beam search over recalled and freshly judged outcomes alike.
 //!
 //! What the memo holds is the search *graph*, not the terms: a node per term any
 //! enumeration reached, identified by its derivation, with the outcomes of the rule
@@ -140,16 +141,16 @@ struct Application {
     outcomes: Vec<Judged<Derived>>,
 }
 
-/// The rewrites of one tuning run: every term any enumeration reached, and what every rule
-/// did at every site of the ones it expanded.
+/// The rewrites of one [`Search`](crate::Search): every term any of its enumerations reached,
+/// and what every rule did at every site of the ones it expanded.
 ///
-/// [`enumerate_in`](crate::enumerate_in) consults the memo before it applies a rule and records what it had to
-/// work out. A rule application is a function of the term, the site and the
-/// [`RuleOptions`] lists the rule *read* ([`Rule::applications_logged`]); the memo records
-/// the outcome together with those lists, and a later enumeration — same program, other
-/// options — applies the rule again only if one of them differs. A recalled outcome is a
-/// node, not a term: the term of a node is held only while a search expands it or scoring
-/// has a use for it.
+/// [`Search::enumerate`](crate::Search::enumerate) consults the memo before it applies a rule
+/// and records what it had to work out. A rule application is a function of the term, the
+/// site and the [`RuleOptions`] lists the rule *read* ([`Rule::applications_logged`]); the
+/// memo records the outcome together with those lists, and a later enumeration under other
+/// options applies the rule again only if one of them differs. A recalled outcome is a node,
+/// not a term: the term of a node is held only while a search expands it or scoring has a
+/// use for it.
 ///
 /// Recalling is exact. A node is identified by its derivation (parent node, site, rule,
 /// lists read, alternative); the root is shared, and a rule application draws its fresh
@@ -158,10 +159,10 @@ struct Application {
 /// search itself — outcome order, budget, dedup, beam selection, telemetry — runs as always
 /// on top of the recalled and the judged outcomes alike.
 ///
-/// A memo serves one program and one `max_term_size` at a time (handed another it starts
-/// over), and is meant to live as long as one tuning run; nothing in it is persisted.
+/// A memo serves the one program its root is and one `max_term_size` at a time (handed
+/// another size cap it starts over); nothing in it is persisted.
 #[derive(Debug, Default)]
-pub struct RewriteMemo {
+pub(crate) struct RewriteMemo {
     /// `nodes[ROOT]` is the root.
     nodes: Vec<Node>,
     max_term_size: usize,
@@ -171,25 +172,28 @@ pub struct RewriteMemo {
     current: usize,
     /// Per entry of `options`: the lists on which it agrees with the current options.
     agreeing: Vec<OptionAxes>,
-    judged: usize,
-    recalled: usize,
+    /// Rewrites judged so far: a rule applied, the result spliced in, normalised and
+    /// type-checked.
+    pub(crate) judged: usize,
+    /// Rewrites whose outcome was recalled instead.
+    pub(crate) recalled: usize,
 }
 
 impl RewriteMemo {
-    /// An empty memo.
-    pub fn new() -> RewriteMemo {
-        RewriteMemo::default()
-    }
-
-    /// Rewrites judged so far: a rule applied, the result spliced in, normalised and
-    /// type-checked.
-    pub fn rewrites_judged(&self) -> usize {
-        self.judged
-    }
-
-    /// Rewrites whose outcome was recalled instead.
-    pub fn rewrites_recalled(&self) -> usize {
-        self.recalled
+    /// A memo of searches from `root` that has judged nothing yet.
+    pub(crate) fn new(root: Term) -> RewriteMemo {
+        let node = Node {
+            origin: None,
+            key: root.dedup_key(),
+            size: root.body.size(),
+            high_level_left: high_level_count(&root.body),
+            term: Some(Arc::new(root)),
+            entries: None,
+        };
+        RewriteMemo {
+            nodes: vec![node],
+            ..RewriteMemo::default()
+        }
     }
 
     /// What the search ranks and dedups a node by.
@@ -197,19 +201,12 @@ impl RewriteMemo {
         &self.nodes[node]
     }
 
-    /// Readies the memo for an enumeration from `root` under `config`.
-    pub(crate) fn bind(&mut self, root: Term, config: &ExplorationConfig) {
-        let bound = self.max_term_size == config.max_term_size
-            && self.nodes.first().and_then(|n| n.term.as_deref()) == Some(&root);
-        if !bound {
-            self.nodes = vec![Node {
-                origin: None,
-                key: root.dedup_key(),
-                size: root.body.size(),
-                high_level_left: high_level_count(&root.body),
-                term: Some(Arc::new(root)),
-                entries: None,
-            }];
+    /// Readies the memo for an enumeration under `config`. Another size cap changes what is
+    /// oversize, so everything but the root is forgotten.
+    pub(crate) fn bind(&mut self, config: &ExplorationConfig) {
+        if self.max_term_size != config.max_term_size {
+            self.nodes.truncate(1);
+            self.nodes[ROOT].entries = None;
             self.max_term_size = config.max_term_size;
             self.options.clear();
         }
@@ -247,7 +244,7 @@ impl RewriteMemo {
     }
 
     /// The term of a node: the one it holds, or else its origin applied to its parent's.
-    fn rebuild(&self, node: NodeId) -> Result<Arc<Term>, ExploreError> {
+    pub(crate) fn rebuild(&self, node: NodeId) -> Result<Arc<Term>, ExploreError> {
         if let Some(term) = &self.nodes[node].term {
             return Ok(Arc::clone(term));
         }

@@ -15,9 +15,9 @@
 //! factors, vector widths, tile sizes) enumerate one rewrite per option, and the recorded
 //! `alternative` index is only meaningful against the same option set.
 
-use lift_ir::{infer_types, Program, TypeError};
+use lift_ir::{Program, TypeError};
 
-use crate::explore::DerivationStep;
+use crate::explore::{typed_root, DerivationStep};
 use crate::rules::{all_rules, Rule, RuleCx, RuleOptions};
 use crate::term::{beta_normalize, Term, TermError};
 use crate::traversal::{format_location, get, replace, sites, Step};
@@ -105,14 +105,6 @@ impl From<TypeError> for ReplayError {
     fn from(e: TypeError) -> Self {
         ReplayError::Type(e)
     }
-}
-
-/// The starting term of a replay: typed conversion of the input program, exactly as
-/// [`crate::enumerate`] builds its search root.
-fn root_term(program: &Program) -> Result<Term, ReplayError> {
-    let mut typed = program.clone();
-    infer_types(&mut typed)?;
-    Ok(Term::from_program(&typed)?)
 }
 
 fn rule_by_name(step: usize, name: &str) -> Result<&'static Rule, ReplayError> {
@@ -208,11 +200,20 @@ pub fn replay(
     steps: &[DerivationStep],
     options: &RuleOptions,
 ) -> Result<Term, ReplayError> {
-    let mut term = root_term(program)?;
-    for (i, step) in steps.iter().enumerate() {
-        term = apply_step(&term, i, step, options)?;
-    }
-    Ok(term)
+    let (_, root) = typed_root::<ReplayError>(program)?;
+    replay_from(root, steps, options)
+}
+
+/// Replays a recorded derivation chain from the typed root term of its program.
+pub(crate) fn replay_from(
+    root: Term,
+    steps: &[DerivationStep],
+    options: &RuleOptions,
+) -> Result<Term, ReplayError> {
+    steps
+        .iter()
+        .enumerate()
+        .try_fold(root, |term, (i, step)| apply_step(&term, i, step, options))
 }
 
 /// One rendered step of an [`Explanation`].
@@ -284,7 +285,7 @@ pub fn explain(
     steps: &[DerivationStep],
     options: &RuleOptions,
 ) -> Result<Explanation, ReplayError> {
-    let mut term = root_term(program)?;
+    let (_, mut term) = typed_root::<ReplayError>(program)?;
     let initial = term.pretty();
     let mut explained = Vec::with_capacity(steps.len());
     for (i, step) in steps.iter().enumerate() {

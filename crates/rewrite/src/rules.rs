@@ -127,7 +127,7 @@ pub struct RuleCx<'a> {
 ///
 /// A rule's rewrites at a site are a function of the site and of the lists it read — of
 /// nothing else in the options — so two option sets that agree on those lists get the same
-/// rewrites there (what [`crate::RewriteMemo`] recalls by, and what
+/// rewrites there (what [`Search::enumerate`](crate::Search::enumerate) recalls by, and what
 /// `tests/exploration_regression.rs` pins rule by rule).
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq, Hash)]
 pub struct OptionAxes {

@@ -8,11 +8,20 @@ use std::collections::HashSet;
 use lift_benchmarks::dot_product;
 use lift_ir::{infer_types, ExprId, ExprKind, FunDecl, Program};
 use lift_rewrite::{
-    all_rules, canonical_key, explore, explore_with, get, replace, sites, typecheck,
-    ExplorationConfig, RuleCx, RuleOptions, Step, Term,
+    all_rules, canonical_key, explore, get, replace, sites, typecheck, Exploration,
+    ExplorationConfig, RuleCx, RuleOptions, Search, Step, Term,
 };
 use lift_telemetry::InMemory;
 use lift_vgpu::LaunchConfig;
+
+/// [`explore`] through one [`Search`] that reports to `sink`.
+fn explore_traced(program: &Program, config: &ExplorationConfig, sink: &InMemory) -> Exploration {
+    let mut search = Search::new(program, &config.sizes, sink).expect("input types");
+    let enumerated = search.enumerate(config, sink).expect("enumeration runs");
+    search
+        .score(&enumerated, config, sink)
+        .expect("scoring runs")
+}
 
 fn search_config(threads: usize) -> ExplorationConfig {
     ExplorationConfig {
@@ -102,7 +111,7 @@ fn an_enabled_collector_does_not_change_exploration_results() {
     let null_path = explore(&program, &config).expect("null-collector exploration runs");
 
     let collector = InMemory::new();
-    let collected = explore_with(&program, &config, &collector).expect("collected runs");
+    let collected = explore_traced(&program, &config, &collector);
     assert_eq!(fingerprint(&null_path), fingerprint(&collected));
     let events = collector.into_events();
     assert!(
@@ -119,15 +128,14 @@ fn an_enabled_collector_does_not_change_exploration_results() {
     );
 
     let tracing = InMemory::new();
-    let traced = explore_with(
+    let traced = explore_traced(
         &program,
         &ExplorationConfig {
             trace_rejections: true,
             ..config.clone()
         },
         &tracing,
-    )
-    .expect("traced runs");
+    );
     assert_eq!(fingerprint(&null_path), fingerprint(&traced));
     assert!(
         tracing
@@ -485,7 +493,7 @@ mod memo_keys {
     use lift_ir::infer_types;
     use lift_rewrite::{
         all_rules, enumerate, get, sites, typecheck, ExplorationConfig, OptionAxes, RuleCx,
-        RuleOptions, ScoreMemo, Term, TileSize,
+        RuleOptions, Search, Term, TileSize,
     };
     use lift_telemetry::Null;
     use lift_vgpu::{DeviceProfile, LaunchConfig};
@@ -608,11 +616,11 @@ mod memo_keys {
         ) {
             let program = dot_product::high_level_program(512);
             let config = ExplorationConfig { max_candidates: 500, ..search_config(1) };
-            let enumerated = enumerate(&program, &config).expect("enumeration runs");
+            let mut search = Search::new(&program, &config.sizes, &Null).expect("input types");
+            let enumerated = search.enumerate(&config, &Null).expect("enumeration runs");
             let at = |launch| ExplorationConfig { launch, ..config.clone() };
-            let mut memo = ScoreMemo::new();
-            enumerated.score_in(&at(a), &mut memo, &Null).expect("scoring runs");
-            let shared = enumerated.score_in(&at(b), &mut memo, &Null).expect("scoring runs");
+            search.score(&enumerated, &at(a), &Null).expect("scoring runs");
+            let shared = search.score(&enumerated, &at(b), &Null).expect("scoring runs");
             let fresh = enumerated.score(&at(b)).expect("scoring runs");
             prop_assert_eq!(shared.rejected_compile, fresh.rejected_compile);
             prop_assert_eq!(shared.rejected_incorrect, fresh.rejected_incorrect);

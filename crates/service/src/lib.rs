@@ -19,7 +19,7 @@
 //!   high-level pattern skeleton, [`lift_rewrite::Term::skeleton`]).
 //!
 //! A warm hit is not trusted blindly: the recorded chain replays through the provenance
-//! machinery ([`lift_rewrite::Enumerated::from_derivation`]) and re-runs compilation (with
+//! machinery ([`lift_rewrite::Search::replay`]) and re-runs compilation (with
 //! the static parallelism-ownership pass), virtual-GPU execution and output validation, so
 //! a stale cache can never serve an unsound kernel — it can only cost a re-derivation.
 //!

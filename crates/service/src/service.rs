@@ -14,8 +14,8 @@
 //!    (shared [`lift_rewrite::Term::skeleton`], same device).
 //! 3. **Derive/validate** (parallel) — groups fan out over a bounded deterministic worker
 //!    pool (`ServiceConfig::threads`, the same chunked in-order pattern as
-//!    `ExplorationConfig::threads`). A *hit* replays its recorded chain through
-//!    [`Enumerated::from_derivation`] (provenance) and re-scores it — re-running
+//!    `ExplorationConfig::threads`). A *hit* replays its recorded chain on a fresh
+//!    [`Search`] ([`Search::replay`], provenance) and re-scores it — re-running
 //!    compilation, the static ownership pass, execution and output validation — so a stale
 //!    cache can never serve an unsound kernel; a replay failure demotes the group to a cold
 //!    derivation and evicts the entry. A *miss* runs the full tuner, hill-climbing from the
@@ -28,7 +28,7 @@
 //! benchmark's `warm_replay` and `cold_*` workloads.
 
 use lift_ir::Program;
-use lift_rewrite::{Enumerated, ExplorationConfig, ExploreError, RuleOptions};
+use lift_rewrite::{ExplorationConfig, ExploreError, RuleOptions, Search};
 use lift_telemetry::{Collector, Event, Null};
 use lift_tuner::{tune_with, BestVariant, PointIndex, Strategy, TuningConfig};
 use lift_vgpu::{LaunchConfig, COST_MODEL_VERSION};
@@ -434,21 +434,13 @@ fn validate_hit(
         device: request.config.device.clone(),
         ..request.config.base.clone()
     };
-    let scored = Enumerated::from_derivation(&request.program, &payload.steps, &config)?
-        .score_with(&config, collector)?;
+    let mut search = Search::new(&request.program, &config.sizes, collector)?;
+    let replayed = search.replay(&payload.steps, &config.rule_options)?;
+    let scored = search.score(&replayed, &config, collector)?;
     let v = scored.variants.first().ok_or_else(|| {
         ExploreError::Reference("cached derivation no longer passes validation".to_string())
     })?;
-    Ok(BestVariant {
-        estimated_time: v.estimated_time,
-        derivation: v
-            .derivation
-            .iter()
-            .map(|s| format!("{} @ {}", s.rule, s.location))
-            .collect(),
-        steps: v.derivation.clone(),
-        kernel_source: v.kernel_source.clone(),
-    })
+    Ok(BestVariant::from(v))
 }
 
 /// Seeds a cold-search strategy with warm-start points (no-op for exhaustive walks and

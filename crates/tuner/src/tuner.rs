@@ -8,27 +8,29 @@
 //! share rule options share one [`Enumerated`] candidate set — the launch only affects
 //! scoring — so a launch sweep re-uses the rule search instead of repeating it.
 //!
-//! Across points, a run shares two memos, each keyed by what the memoised computation
-//! *read* — which is what makes recalling exact instead of approximate:
+//! A run is one [`Search`]: the program is typed and its reference output evaluated once,
+//! and every point goes through the search's two memos, each keyed by what the memoised
+//! computation *read* — which is what makes recalling exact instead of approximate:
 //!
-//! * all rule searches go through one [`RewriteMemo`]: a rule application depends on the
-//!   [`lift_rewrite::RuleOptions`] only through the lists the rule reads, so the search for
-//!   another coordinate judges again only the applications that read a list which differs,
-//!   and recalls the rest — terms name for name what it would derive itself;
-//! * all points score through one [`ScoreMemo`]: code generation depends on the launch only
-//!   through a handful of comparisons, so a candidate compiled at one point is compiled
-//!   again only under a launch that answers one of them differently, and a kernel launch
-//!   that an earlier point executed and validated is not executed again.
+//! * a rule application depends on the [`lift_rewrite::RuleOptions`] only through the lists
+//!   the rule reads, so the rule search for another coordinate judges again only the
+//!   applications that read a list which differs, and recalls the rest — terms name for
+//!   name what it would derive itself;
+//! * code generation depends on the launch only through a handful of comparisons, so a
+//!   candidate compiled at one point is compiled again only under a launch that answers one
+//!   of them differently, and a kernel launch that an earlier point executed and validated
+//!   is not executed again.
 //!
-//! Trajectories, winners and costs are those of a run without either memo
+//! Trajectories, winners and costs are those of a run through a fresh search per point
 //! (`tests/score_memo_differential.rs`); [`TuningResult`] says how much was worked out and
 //! how much recalled.
 
+use std::collections::hash_map::Entry;
 use std::collections::HashMap;
 
 use lift_codegen::CompilationOptions;
 use lift_ir::Program;
-use lift_rewrite::{Enumerated, ExplorationConfig, ExploreError, RewriteMemo, ScoreMemo};
+use lift_rewrite::{Enumerated, Exploration, ExplorationConfig, ExploreError, Search, Variant};
 use lift_telemetry::{Collector, Event, Null};
 use lift_vgpu::DeviceProfile;
 
@@ -137,6 +139,20 @@ pub struct BestVariant {
     pub kernel_source: String,
 }
 
+impl From<&Variant> for BestVariant {
+    fn from(v: &Variant) -> BestVariant {
+        let chain = v.derivation.iter();
+        BestVariant {
+            estimated_time: v.estimated_time,
+            derivation: chain
+                .map(|s| format!("{} @ {}", s.rule, s.location))
+                .collect(),
+            steps: v.derivation.clone(),
+            kernel_source: v.kernel_source.clone(),
+        }
+    }
+}
+
 /// One evaluated point, in evaluation order.
 #[derive(Clone, Debug, PartialEq)]
 pub struct TrajectoryEntry {
@@ -153,7 +169,7 @@ pub struct TrajectoryEntry {
 }
 
 /// The outcome of one tuning run.
-#[derive(Clone, Debug, PartialEq)]
+#[derive(Clone, Debug, Default, PartialEq)]
 pub struct TuningResult {
     /// Name of the tuned device profile.
     pub device: String,
@@ -190,39 +206,18 @@ pub struct TuningResult {
 }
 
 struct Evaluator<'a> {
-    program: &'a Program,
     config: &'a TuningConfig,
     collector: &'a dyn Collector,
+    /// The program's search, shared by every point of the run.
+    search: Search,
     /// One rule search per `(split_set, width_set, tile_set)` — launches share it.
     enumerated: HashMap<(usize, usize, usize), Enumerated>,
     /// Memoised objective per visited index (strategies may revisit).
     memo: HashMap<PointIndex, Option<f64>>,
-    /// What the rule searches of the run so far judged, shared by all of them.
-    rewrites: RewriteMemo,
-    /// Compile outcomes and kernel verdicts of the run so far, shared by all its points.
-    scores: ScoreMemo,
     result: TuningResult,
 }
 
 impl Evaluator<'_> {
-    /// Emits the [`Event::TunerPoint`] for the trajectory entry just pushed. `kernels` is
-    /// the point's `(executed, reused)` launch count.
-    fn record_point(&self, entry: &TrajectoryEntry, cache_hit: bool, kernels: (usize, usize)) {
-        if self.collector.enabled() {
-            self.collector.record(Event::TunerPoint {
-                index: (self.result.points_evaluated - 1) as u32,
-                point: point_label(&entry.point),
-                best_time: entry.best_time,
-                lowered: entry.lowered as u32,
-                variants: entry.variants as u32,
-                improved: entry.improved,
-                cache_hit,
-                kernels_executed: kernels.0 as u32,
-                kernels_reused: kernels.1 as u32,
-            });
-        }
-    }
-
     fn eval(&mut self, index: PointIndex) -> Result<Option<f64>, TuneError> {
         if let Some(cached) = self.memo.get(&index) {
             return Ok(*cached);
@@ -237,83 +232,56 @@ impl Evaluator<'_> {
             device: self.config.device.clone(),
             ..self.config.base.clone()
         };
+        let result = &mut self.result;
         let cache_hit = self.enumerated.contains_key(&key);
-        if cache_hit {
-            self.result.enumeration_cache_hits += 1;
-        } else {
-            self.result.enumerations += 1;
-            let enumerated = lift_rewrite::enumerate_in(
-                self.program,
-                &config,
-                &mut self.rewrites,
-                self.collector,
-            )?;
-            self.enumerated.insert(key, enumerated);
-        }
-        let enumerated = &self.enumerated[&key];
-        let scored = match enumerated.score_in(&config, &mut self.scores, self.collector) {
+        let enumerated = match self.enumerated.entry(key) {
+            Entry::Occupied(found) => found.into_mut(),
+            Entry::Vacant(slot) => slot.insert(self.search.enumerate(&config, self.collector)?),
+        };
+        result.enumeration_cache_hits += usize::from(cache_hit);
+        result.enumerations += usize::from(!cache_hit);
+        let scored = match self.search.score(enumerated, &config, self.collector) {
             Ok(scored) => scored,
             // A launch the device rejects is an infeasible point, not a failed tuning run.
-            Err(ExploreError::Launch(_)) => {
-                self.memo.insert(index, None);
-                self.result.points_evaluated += 1;
-                self.result.trajectory.push(TrajectoryEntry {
-                    point,
-                    best_time: None,
-                    lowered: 0,
-                    variants: 0,
-                    improved: false,
-                });
-                self.record_point(
-                    self.result.trajectory.last().expect("entry just pushed"),
-                    cache_hit,
-                    (0, 0),
-                );
-                return Ok(None);
-            }
+            Err(ExploreError::Launch(_)) => Exploration::default(),
             Err(e) => return Err(e.into()),
         };
-        let best_time = scored.variants.first().map(|v| v.estimated_time);
-        let improved = match (best_time, &self.result.best_variant) {
-            (Some(t), Some(best)) => t < best.estimated_time,
-            (Some(_), None) => true,
-            (None, _) => false,
-        };
-        if improved {
-            let v = &scored.variants[0];
-            self.result.best_point = Some(point.clone());
-            self.result.best_variant = Some(BestVariant {
-                estimated_time: v.estimated_time,
-                derivation: v
-                    .derivation
-                    .iter()
-                    .map(|s| format!("{} @ {}", s.rule, s.location))
-                    .collect(),
-                steps: v.derivation.clone(),
-                kernel_source: v.kernel_source.clone(),
+        let best = scored.variants.first();
+        let best_time = best.map(|v| v.estimated_time);
+        let improved = best.filter(|v| {
+            let so_far = result.best_variant.as_ref();
+            so_far.is_none_or(|b| v.estimated_time < b.estimated_time)
+        });
+        if let Some(v) = improved {
+            result.best_point = Some(point.clone());
+            result.best_variant = Some(BestVariant::from(v));
+        }
+        let executed = scored.executed_kernels - scored.reused_kernels;
+        result.kernels_executed += executed;
+        result.kernels_reused += scored.reused_kernels;
+        result.candidates_compiled += scored.lowered - scored.reused_compiles;
+        result.compiles_recalled += scored.reused_compiles;
+        if self.collector.enabled() {
+            self.collector.record(Event::TunerPoint {
+                index: result.points_evaluated as u32,
+                point: point_label(&point),
+                best_time,
+                lowered: scored.lowered as u32,
+                variants: scored.variants.len() as u32,
+                improved: improved.is_some(),
+                cache_hit,
+                kernels_executed: executed as u32,
+                kernels_reused: scored.reused_kernels as u32,
             });
         }
-        self.result.points_evaluated += 1;
-        self.result.trajectory.push(TrajectoryEntry {
+        result.points_evaluated += 1;
+        result.trajectory.push(TrajectoryEntry {
             point,
             best_time,
             lowered: scored.lowered,
             variants: scored.variants.len(),
-            improved,
+            improved: improved.is_some(),
         });
-        let kernels = (
-            scored.executed_kernels - scored.reused_kernels,
-            scored.reused_kernels,
-        );
-        self.result.kernels_executed += kernels.0;
-        self.result.kernels_reused += kernels.1;
-        self.result.candidates_compiled += scored.lowered - scored.reused_compiles;
-        self.result.compiles_recalled += scored.reused_compiles;
-        self.record_point(
-            self.result.trajectory.last().expect("entry just pushed"),
-            cache_hit,
-            kernels,
-        );
         self.memo.insert(index, best_time);
         Ok(best_time)
     }
@@ -349,27 +317,14 @@ pub fn tune_with(
         return Err(TuneError::EmptySpace);
     }
     let mut evaluator = Evaluator {
-        program,
         config,
         collector,
+        search: Search::new(program, &config.base.sizes, collector)?,
         enumerated: HashMap::new(),
         memo: HashMap::new(),
-        rewrites: RewriteMemo::new(),
-        scores: ScoreMemo::new(),
         result: TuningResult {
             device: config.device.name.clone(),
-            best_point: None,
-            best_variant: None,
-            trajectory: Vec::new(),
-            points_evaluated: 0,
-            enumerations: 0,
-            enumeration_cache_hits: 0,
-            kernels_executed: 0,
-            kernels_reused: 0,
-            rewrites_judged: 0,
-            rewrites_recalled: 0,
-            candidates_compiled: 0,
-            compiles_recalled: 0,
+            ..TuningResult::default()
         },
     };
     drive(
@@ -379,7 +334,7 @@ pub fn tune_with(
         &|index| point_label(&config.space.point(index)),
         collector,
     )?;
-    evaluator.result.rewrites_judged = evaluator.rewrites.rewrites_judged();
-    evaluator.result.rewrites_recalled = evaluator.rewrites.rewrites_recalled();
+    evaluator.result.rewrites_judged = evaluator.search.rewrites_judged();
+    evaluator.result.rewrites_recalled = evaluator.search.rewrites_recalled();
     Ok(evaluator.result)
 }

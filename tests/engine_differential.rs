@@ -19,10 +19,10 @@ use lift::benchmarks::mm;
 use lift::codegen::{compile, CompilationOptions};
 use lift::ir::prelude::*;
 use lift::rewrite::{
-    all_rules, beta_normalize, enumerate, get, replace, sites, typecheck, Exploration,
-    ExplorationConfig, RuleCx, RuleOptions, Term, TileSize,
+    all_rules, beta_normalize, get, replace, sites, typecheck, Exploration, ExplorationConfig,
+    RuleCx, RuleOptions, Search, Term, TileSize,
 };
-use lift::telemetry::{Event, InMemory};
+use lift::telemetry::{Event, InMemory, Null};
 use lift::tuner::Workload;
 use lift::vgpu::{
     DeviceProfile, EngineSelection, ExecutionRequest, LaunchConfig, LaunchResult, VgpuError,
@@ -89,7 +89,10 @@ fn gated_workloads_score_identically_on_both_engines() {
     let device = DeviceProfile::nvidia();
     for workload in Workload::all() {
         let config = workload_config(&workload, &device);
-        let enumerated = enumerate(&workload.program, &config)
+        // The engine is part of the score memo's context: the two sides share no verdict.
+        let mut search = Search::new(&workload.program, &config.sizes, &Null).expect("types");
+        let enumerated = search
+            .enumerate(&config, &Null)
             .unwrap_or_else(|e| panic!("{}: enumeration fails: {e}", workload.name));
         for detect_races in [true, false] {
             let interp = enumerated
@@ -100,8 +103,9 @@ fn gated_workloads_score_identically_on_both_engines() {
                 })
                 .unwrap_or_else(|e| panic!("{}: interpreter scoring fails: {e}", workload.name));
             let collector = InMemory::new();
-            let bytecode = enumerated
-                .score_with(
+            let bytecode = search
+                .score(
+                    &enumerated,
                     &ExplorationConfig {
                         engine: EngineSelection::Bytecode,
                         detect_races,

@@ -1,16 +1,18 @@
-//! Differential pins for the two run-scoped memos of a tuning run (`lift::rewrite::RewriteMemo`
-//! and `lift::rewrite::ScoreMemo`): recalling a judgement or a verdict must be
-//! indistinguishable from working it out again.
+//! Differential pins for the two memos of a `lift::rewrite::Search` (which rewrites were
+//! judged, what every candidate compiled to and every launch did): recalling a judgement or
+//! a verdict must be indistinguishable from working it out again.
 //!
-//! 1. **A tuning run through its shared memos equals the same walk done point by point
-//!    through fresh ones** — trajectory, winner, every enumeration's lowered candidates (terms
+//! 1. **A tuning run through one search equals the same walk done point by point through
+//!    throwaway ones** — trajectory, winner, every enumeration's lowered candidates (terms
 //!    compared name for name, and chains) and every point's `Exploration` (search statistics,
 //!    variants, rejection counts, soundness report), for all seven workloads on both device
 //!    profiles, sequentially and with two workers. A corner of each tuning space in the
-//!    tier-1 build; the whole canonical walk as an `#[ignore]`d test for release builds.
-//! 2. **A memo never answers for another context**: handed a different device, size binding
-//!    or race-detection setting a score memo recalls nothing and returns what a fresh memo
-//!    returns; handed another program or size cap a rewrite memo starts over.
+//!    tier-1 build; the whole canonical walk as an `#[ignore]`d test for release builds. The
+//!    run evaluates the reference once, and enumerates once per rule-option coordinate.
+//! 2. **A memo never answers for another context**: handed a different device or
+//!    race-detection setting a search's score memo recalls nothing and returns what a fresh
+//!    memo returns, and other size bindings are a typed error; handed another size cap its
+//!    rewrite memo starts over.
 //! 3. **A replayed derivation is re-proven on every call**: `from_derivation(..).score(..)`
 //!    compiles, executes and validates its candidate each time.
 
@@ -18,11 +20,10 @@ use std::collections::HashMap;
 
 use lift::arith::Environment;
 use lift::rewrite::{
-    enumerate, enumerate_in, Enumerated, Exploration, ExplorationConfig, ExploreError, RewriteMemo,
-    RuleOptions, ScoreMemo,
+    enumerate, Enumerated, Exploration, ExplorationConfig, ExploreError, RuleOptions, Search,
 };
-use lift::telemetry::Null;
-use lift::tuner::{tune, Strategy, TuningConfig, Workload};
+use lift::telemetry::{Event, InMemory, Null};
+use lift::tuner::{tune, tune_with, Strategy, TuningConfig, Workload};
 use lift::vgpu::{DeviceProfile, LaunchConfig};
 use lift_bench::autotune_config;
 
@@ -95,9 +96,9 @@ fn canonical_walk(workload: &Workload, device: &DeviceProfile, threads: usize) -
     config
 }
 
-/// The differential property for one workload on one device: the tuner's run through its
-/// shared memos — sequential and with two workers — against the same walk enumerated and
-/// scored point by point through fresh memos.
+/// The differential property for one workload on one device: the tuner's run through one
+/// search — sequential and with two workers — against the same walk enumerated and scored
+/// point by point through throwaway searches.
 fn shared_memo_run_equals_fresh_memo_walk(
     workload: &Workload,
     device: &DeviceProfile,
@@ -111,18 +112,16 @@ fn shared_memo_run_equals_fresh_memo_walk(
     assert_eq!(two_workers.expect("tuning runs"), tuned, "{at}");
 
     // Re-walk the tuned trajectory: every rule search run and every point scored through
-    // fresh memos (the reference), and through one pair of memos per worker count shared by
+    // throwaway searches (the reference), and through one search per worker count shared by
     // the whole walk.
     struct Shared {
         threads: usize,
-        rewrites: RewriteMemo,
-        scores: ScoreMemo,
+        search: Search,
         enumerations: HashMap<(usize, usize, usize), Enumerated>,
     }
     let mut shared = [1, 2].map(|threads| Shared {
         threads,
-        rewrites: RewriteMemo::new(),
-        scores: ScoreMemo::new(),
+        search: Search::new(&workload.program, &config.base.sizes, &Null).expect("input types"),
         enumerations: HashMap::new(),
     });
     let mut enumerations: HashMap<(usize, usize, usize), Enumerated> = HashMap::new();
@@ -149,14 +148,14 @@ fn shared_memo_run_equals_fresh_memo_walk(
                 threads: walk.threads,
                 ..point.clone()
             };
+            let search = &mut walk.search;
             let recalled = walk.enumerations.entry(coordinate).or_insert_with(|| {
-                enumerate_in(&workload.program, &point, &mut walk.rewrites, &Null)
+                search
+                    .enumerate(&point, &Null)
                     .expect("shared-memo enumeration runs")
             });
             assert_same_candidates(recalled, enumerated, &at);
-            let (Ok(fresh), recalled) =
-                (&fresh, recalled.score_in(&point, &mut walk.scores, &Null))
-            else {
+            let (Ok(fresh), recalled) = (&fresh, search.score(recalled, &point, &Null)) else {
                 assert!(matches!(fresh, Err(ExploreError::Launch(_))), "{at}");
                 continue;
             };
@@ -225,8 +224,8 @@ fn shared_memo_run_equals_fresh_memo_walk(
     assert_eq!(
         (tuned.rewrites_judged, tuned.rewrites_recalled),
         (
-            sequential.rewrites.rewrites_judged(),
-            sequential.rewrites.rewrites_recalled()
+            sequential.search.rewrites_judged(),
+            sequential.search.rewrites_recalled()
         ),
         "{at}"
     );
@@ -253,6 +252,22 @@ fn a_shared_memo_run_equals_a_fresh_memo_per_point_run_on_amd() {
     }
 }
 
+#[test]
+fn a_tuning_run_evaluates_the_reference_once_and_enumerates_once_per_coordinate() {
+    let workload = Workload::jacobi_2d();
+    let config = corner_walk(&workload, &DeviceProfile::nvidia(), 1);
+    let collector = InMemory::new();
+    let tuned = tune_with(&workload.program, &config, &collector).expect("tuning runs");
+    let events = collector.into_events();
+    let spans = |name| {
+        let begin = Event::SpanBegin { name };
+        events.iter().filter(|e| e.event == begin).count()
+    };
+    assert_eq!(spans("interp.reference"), 1);
+    assert_eq!(spans("enumerate"), tuned.enumerations);
+    assert!(tuned.enumerations > 1 && tuned.enumeration_cache_hits > 0);
+}
+
 /// The same property over the whole canonical walk of every workload on both devices — the
 /// runs `BENCH_autotune.json` records. Minutes in a release build, far longer without
 /// optimisation, so CI's `perf` job runs it with `--release -- --ignored`.
@@ -266,8 +281,8 @@ fn the_canonical_runs_equal_their_fresh_memo_per_point_walks() {
     }
 }
 
-/// A small dot-product search at one launch, and a memo that has scored it on NVIDIA.
-fn scored_dot_product() -> (Enumerated, ExplorationConfig, ScoreMemo) {
+/// A small dot-product search at one launch, which has scored it on NVIDIA.
+fn scored_dot_product() -> (Search, Enumerated, ExplorationConfig) {
     let config = ExplorationConfig {
         max_depth: 5,
         beam_width: 32,
@@ -281,24 +296,24 @@ fn scored_dot_product() -> (Enumerated, ExplorationConfig, ScoreMemo) {
         threads: 1,
         ..ExplorationConfig::default()
     };
-    let enumerated =
-        enumerate(&Workload::dot_product().program, &config).expect("enumeration runs");
-    let mut memo = ScoreMemo::new();
-    let first = enumerated
-        .score_in(&config, &mut memo, &Null)
+    let program = Workload::dot_product().program;
+    let mut search = Search::new(&program, &config.sizes, &Null).expect("input types");
+    let enumerated = search.enumerate(&config, &Null).expect("enumeration runs");
+    let first = search
+        .score(&enumerated, &config, &Null)
         .expect("scoring runs");
     assert!(first.executed_kernels > 0 && !first.variants.is_empty());
     assert_eq!((first.reused_kernels, first.reused_compiles), (0, 0));
-    (enumerated, config, memo)
+    (search, enumerated, config)
 }
 
 #[test]
 fn a_memo_recalls_only_under_the_context_it_recorded() {
-    let (enumerated, config, mut memo) = scored_dot_product();
+    let (mut search, enumerated, config) = scored_dot_product();
 
     // Same context: everything is recalled, nothing is executed, the result is the same.
-    let again = enumerated
-        .score_in(&config, &mut memo, &Null)
+    let again = search
+        .score(&enumerated, &config, &Null)
         .expect("scoring runs");
     assert_eq!(again.reused_kernels, again.executed_kernels);
     assert_eq!(again.reused_compiles, again.lowered);
@@ -320,17 +335,10 @@ fn a_memo_recalls_only_under_the_context_it_recorded() {
                 ..config.clone()
             },
         ),
-        (
-            "sizes",
-            ExplorationConfig {
-                sizes: Environment::new().bind("N", 512),
-                ..config.clone()
-            },
-        ),
     ];
     for (what, other) in other_contexts {
-        let scored = enumerated
-            .score_in(&other, &mut memo, &Null)
+        let scored = search
+            .score(&enumerated, &other, &Null)
             .expect("scoring runs");
         assert_eq!(
             (scored.reused_kernels, scored.reused_compiles),
@@ -339,6 +347,15 @@ fn a_memo_recalls_only_under_the_context_it_recorded() {
         );
         assert_same_exploration(&scored, &enumerated.score(&other).unwrap(), what);
     }
+    // Other size bindings than the search generated its inputs under cannot be scored at all.
+    let resized = ExplorationConfig {
+        sizes: Environment::new().bind("N", 512),
+        ..config.clone()
+    };
+    assert!(matches!(
+        search.score(&enumerated, &resized, &Null),
+        Err(ExploreError::Sizes)
+    ));
     // The AMD cost model ranks by different times, so a leaked NVIDIA verdict would show.
     let nvidia = enumerated.score(&config).unwrap();
     let amd = enumerated
@@ -355,47 +372,41 @@ fn a_memo_recalls_only_under_the_context_it_recorded() {
 
 #[test]
 fn a_rewrite_memo_recalls_only_for_the_program_and_size_cap_it_recorded() {
-    let (_, config, _) = scored_dot_product();
+    let (_, _, config) = scored_dot_product();
     let program = Workload::dot_product().program;
-    let mut memo = RewriteMemo::new();
-    let first = enumerate_in(&program, &config, &mut memo, &Null).expect("enumeration runs");
-    let judged = memo.rewrites_judged();
+    let mut search = Search::new(&program, &config.sizes, &Null).expect("input types");
+    let first = search.enumerate(&config, &Null).expect("enumeration runs");
+    let judged = search.rewrites_judged();
     assert!(judged > 0);
-    assert_eq!(memo.rewrites_recalled(), 0);
+    assert_eq!(search.rewrites_recalled(), 0);
 
     // The same search again judges nothing.
-    let again = enumerate_in(&program, &config, &mut memo, &Null).expect("enumeration runs");
+    let again = search.enumerate(&config, &Null).expect("enumeration runs");
     assert_same_candidates(&again, &first, "same search");
-    assert_eq!(memo.rewrites_judged(), judged);
-    assert!(memo.rewrites_recalled() > 0);
+    assert_eq!(search.rewrites_judged(), judged);
+    assert!(search.rewrites_recalled() > 0);
 
-    // Another size cap changes what is oversize, another program changes everything: the
-    // memo starts over either way, and finds what a fresh one finds.
+    // Another size cap changes what is oversize: the memo starts over, and finds what a
+    // fresh one finds. (A search is of one program by construction.)
     let tighter = ExplorationConfig {
         max_term_size: 40,
         ..config.clone()
     };
-    let others = [
-        ("size cap", program.clone(), tighter),
-        ("program", Workload::nbody().program, config.clone()),
-    ];
-    for (what, program, config) in others {
-        let (judged, recalled) = (memo.rewrites_judged(), memo.rewrites_recalled());
-        let shared = enumerate_in(&program, &config, &mut memo, &Null).expect("enumeration runs");
-        assert!(memo.rewrites_judged() > judged, "{what}");
-        assert_eq!(
-            memo.rewrites_recalled(),
-            recalled,
-            "a memo recorded for another {what} must miss"
-        );
-        let fresh = enumerate(&program, &config).expect("enumeration runs");
-        assert_same_candidates(&shared, &fresh, what);
-    }
+    let (judged, recalled) = (search.rewrites_judged(), search.rewrites_recalled());
+    let shared = search.enumerate(&tighter, &Null).expect("enumeration runs");
+    assert!(search.rewrites_judged() > judged);
+    assert_eq!(
+        search.rewrites_recalled(),
+        recalled,
+        "a memo recorded for another size cap must miss"
+    );
+    let fresh = enumerate(&program, &tighter).expect("enumeration runs");
+    assert_same_candidates(&shared, &fresh, "size cap");
 }
 
 #[test]
 fn a_replayed_derivation_is_executed_and_validated_on_every_score() {
-    let (enumerated, config, _) = scored_dot_product();
+    let (_, enumerated, config) = scored_dot_product();
     let winner = &enumerated.score(&config).unwrap().variants[0];
     let program = Workload::dot_product().program;
     let replayed = Enumerated::from_derivation(&program, &winner.derivation, &config)
