@@ -7,8 +7,9 @@
 //! rule options every caller got before the tuner existed), then lets `lift-tuner` search
 //! the joint `(RuleOptions, launch)` space with the canonical seeded strategy. The report
 //! records both numbers, their ratio (`improvement`), the winning point and chain, the
-//! trajectory, and how many kernel launches the run executed on the virtual GPU and how
-//! many it recalled from its score memo (`kernels_executed`, `kernels_reused`), and the same
+//! trajectory, and how many kernel launches the run started on the virtual GPU, how many
+//! of those it stopped early as unable to win and how many it recalled from its score memo
+//! (`kernels_executed`, `kernels_pruned`, `kernels_reused`), and the same
 //! pair for the rewrites its rule searches judged and the candidates its points compiled
 //! (`rewrites_judged`/`rewrites_recalled`, `candidates_compiled`/`compiles_recalled`).
 //!
@@ -60,7 +61,7 @@ fn main() {
             let tuned = result.best_variant.as_ref().map(|b| b.estimated_time);
             println!(
                 "{:16} on {:18}: default {} -> tuned {} ({} points, {} rule searches, \
-                 {} cache hits, {} kernels executed, {} recalled; {} rewrites judged, \
+                 {} cache hits, {} kernels executed ({} pruned), {} recalled; {} rewrites judged, \
                  {} recalled; {} candidates compiled, {} recalled)",
                 workload.name,
                 device.name,
@@ -70,6 +71,7 @@ fn main() {
                 result.enumerations,
                 result.enumeration_cache_hits,
                 result.kernels_executed,
+                result.kernels_pruned,
                 result.kernels_reused,
                 result.rewrites_judged,
                 result.rewrites_recalled,

@@ -92,6 +92,7 @@ pub fn autotune_entry(
             Json::num(result.kernels_executed as f64),
         ),
         ("kernels_reused", Json::num(result.kernels_reused as f64)),
+        ("kernels_pruned", Json::num(result.kernels_pruned as f64)),
         ("rewrites_judged", Json::num(result.rewrites_judged as f64)),
         (
             "rewrites_recalled",
@@ -238,6 +239,7 @@ mod tests {
             enumeration_cache_hits: 0,
             kernels_executed: 0,
             kernels_reused: 0,
+            kernels_pruned: 0,
             rewrites_judged: 0,
             rewrites_recalled: 0,
             candidates_compiled: 0,

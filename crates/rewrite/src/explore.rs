@@ -30,14 +30,19 @@
 //!   over recalled and judged outcomes, so its results are those of a fresh search,
 //! * a candidate carries no derivation chain through the search: the memo's nodes know how
 //!   they were derived, and a chain is written out only for a fully lowered candidate,
-//! * frontier expansion and the compile+validate+score stage fan out over
-//!   [`std::thread::scope`] workers ([`ExplorationConfig::threads`]) with a deterministic
-//!   in-order merge, so results are identical to the sequential run,
+//! * frontier expansion fans out over [`std::thread::scope`] workers
+//!   ([`ExplorationConfig::threads`]) with a deterministic in-order merge, so results are
+//!   identical to the sequential run,
 //! * a launch the virtual GPU has already run — several derivations frequently lower to
 //!   byte-identical OpenCL, and an auto-tuner meets the same candidates at many of its
 //!   points — is never run again, and a candidate is compiled once per *answer* the launch
 //!   gives the code generator, not once per launch: [`Search::score`] goes through a score
-//!   memo that recalls the first verdict, and
+//!   memo that recalls the first verdict,
+//! * scoring is branch and bound: launches run in candidate order, each under a budget
+//!   ([`ExecutionRequest::budget`]) of the [`ExplorationConfig::best_n`]-th best time known
+//!   so far, and the virtual GPU stops one as soon as its partial counters prove it cannot
+//!   beat that time — it could not be returned, so winners and their order are those of
+//!   running it to the end ([`Exploration::pruned_kernels`]), and
 //! * beam selection keeps the best `beam_width` candidates with a bounded binary heap
 //!   instead of sorting the whole frontier expansion.
 
@@ -92,9 +97,9 @@ pub struct ExplorationConfig {
     pub device: DeviceProfile,
     /// Bindings for symbolic sizes (empty for fully constant programs); one per [`Search`].
     pub sizes: Environment,
-    /// Worker threads for frontier expansion and candidate scoring: `0` uses the machine's
-    /// available parallelism, `1` runs sequentially. The merge is deterministic, so every
-    /// setting produces identical results.
+    /// Worker threads for frontier expansion: `0` uses the machine's available parallelism,
+    /// `1` runs sequentially. The merge is deterministic, so every setting produces identical
+    /// results. Scoring runs on the calling thread, in candidate order.
     pub threads: usize,
     /// Emit one [`Event::Rejection`] per rejected rewrite (with its rendered site) to the
     /// collector. Off by default: rejection sites are rendered per rejected candidate, which
@@ -228,9 +233,16 @@ pub struct Exploration {
     /// a verdict for; candidates that lower to the same launch share one.
     pub executed_kernels: usize,
     /// How many of [`Exploration::executed_kernels`] were recalled from the [`Search`]'s score
-    /// memo instead of run: the virtual GPU executed `executed_kernels - reused_kernels`
-    /// launches in this pass. Always 0 under a fresh memo ([`Enumerated::score`]).
+    /// memo instead of run: the virtual GPU started `executed_kernels - reused_kernels`
+    /// launches in this pass, pruned ones included. Always 0 under a fresh memo
+    /// ([`Enumerated::score`]).
     pub reused_kernels: usize,
+    /// How many of the launches started in this pass were pruned: stopped once their
+    /// partial counters proved an estimated time above the [`ExplorationConfig::best_n`]-th
+    /// best time already known among the pass's candidates, so none of their candidates
+    /// could be returned. Pruned candidates are neither variants nor rejections. Always 0
+    /// under `best_n = usize::MAX`.
+    pub pruned_kernels: usize,
     /// Candidates whose compile outcome was recalled from the [`Search`]'s score memo,
     /// skipping type inference, code generation and argument marshalling — recorded under
     /// this launch or under any other that answers the generator's questions the same way
@@ -254,7 +266,7 @@ pub enum ExploreError {
     Sizes,
     /// Replaying a recorded derivation chain failed (see [`Search::replay`]).
     Replay(crate::provenance::ReplayError),
-    /// An invariant of a [`Search`]'s rewrite memo does not hold.
+    /// An invariant of a [`Search`]'s rewrite or score memo does not hold.
     Memo(&'static str),
 }
 
@@ -271,7 +283,7 @@ impl std::fmt::Display for ExploreError {
                 write!(f, "sizes differ from the ones the search was built under")
             }
             ExploreError::Replay(e) => write!(f, "derivation replay failed: {e}"),
-            ExploreError::Memo(what) => write!(f, "inconsistent rewrite memo: {what}"),
+            ExploreError::Memo(what) => write!(f, "inconsistent search memo: {what}"),
         }
     }
 }
@@ -360,8 +372,10 @@ pub(crate) struct Candidate {
 /// `Search` serves a whole auto-tuning run. [`Search::enumerate`] judges a rule application
 /// once per distinct content of the [`RuleOptions`] lists it read; [`Search::score`] compiles
 /// a candidate once per answer the launch gives the code generator and executes (and
-/// validates) each distinct launch once. Both return what a throwaway `Search` returns, but
-/// for the counters of what was recalled. Nothing in a search is persisted.
+/// validates) each distinct launch once, or until it is pruned. Both return the candidates
+/// and variants a throwaway `Search` returns; the counters of what was recalled, and the
+/// verdicts on candidates that could not have been returned (a launch pruned under one bar
+/// may run to a rejection under another), can differ. Nothing in a search is persisted.
 #[derive(Debug)]
 pub struct Search {
     data: Arc<ScoreData>,
@@ -1046,6 +1060,18 @@ struct Scored {
     stage_counters: Vec<CostCounters>,
 }
 
+/// What one launch did on the virtual GPU.
+#[derive(Clone, Debug)]
+enum Verdict {
+    /// It ran to completion and matched the reference.
+    Scored(Scored),
+    /// It failed, or computed the wrong result.
+    Rejected(ScoreError),
+    /// Its budget stopped it with this lower bound on its estimated time: it could not make
+    /// the `best_n` of the point that ran it, and was neither completed nor validated.
+    Pruned(f64),
+}
+
 /// What a candidate compiled to under one launch: its rejection, or the key of its launch.
 type CompileOutcome = Result<ExecKey, ScoreError>;
 
@@ -1072,23 +1098,24 @@ struct Compiled {
 ///   completed from the launch at hand. A recalled candidate skips type inference, code
 ///   generation and argument marshalling.
 /// * **execution** — launch key (kernel source + marshalled arguments + launch plan) → the
-///   complete verdict: counters, estimated time and per-stage counters, or the typed
-///   rejection ([`SoundnessIncident`] included). A recalled launch does not touch the
-///   virtual GPU.
+///   [`Verdict`]: counters, estimated time and per-stage counters, the typed rejection
+///   ([`SoundnessIncident`] included), or the lower bound a pruned launch was stopped at. A
+///   recalled launch does not touch the virtual GPU; a pruned one is final only for a point
+///   whose bar its bound clears, and runs again at any other.
 ///
 /// Every launch is still executed under the configured race detection and validated against
 /// the interpreter's reference the first time the memo sees it; only byte-identical repeats
-/// are elided, so scoring through a shared memo returns exactly what scoring through a
-/// fresh one returns. No module is retained: a recalled compilation whose launch has no
-/// verdict yet is compiled once more for the job. Entries are bound to the context they
-/// were recorded under (device, engine, race detection, compiler options, size bindings,
-/// input data): under any other context they are not found.
+/// are elided, so scoring through a shared memo returns the variants scoring through a fresh
+/// one returns. No module is retained: a recalled compilation whose launch must run is
+/// compiled once more for the job. Entries are bound to the context they were recorded
+/// under (device, engine, race detection, compiler options, size bindings, input data):
+/// under any other context they are not found.
 #[derive(Debug, Default)]
 struct ScoreMemo {
     contexts: Vec<ScoreContext>,
     /// Compile outcomes per context and candidate ([`Term::dedup_key`]), one per trace.
     compiled: HashMap<(usize, DedupKey), Vec<Compiled>>,
-    executed: HashMap<ExecKey, Result<Scored, ScoreError>>,
+    executed: HashMap<ExecKey, Verdict>,
 }
 
 impl ScoreMemo {
@@ -1129,7 +1156,7 @@ impl Materials {
     }
 }
 
-/// A launch the memo has no verdict for, readied for execution.
+/// A launch without a final verdict, readied for execution.
 struct Job {
     key: ExecKey,
     module: Module,
@@ -1137,6 +1164,55 @@ struct Job {
     stages: Vec<KernelLaunchSpec>,
     args: Vec<KernelArg>,
     output_buffer_index: usize,
+}
+
+/// A launch a scoring pass needs a verdict for.
+struct Needed {
+    key: ExecKey,
+    /// The first candidate that makes it.
+    first: usize,
+    /// How many candidates make it.
+    candidates: usize,
+}
+
+/// The `n` smallest times among a point's candidates with a known time, counted per
+/// candidate. Its height is the bar a launch must be able to meet to be among the `n`
+/// variants the point returns: a launch whose time is bound to exceed it ranks behind `n`
+/// candidates whatever it measures, equal times and discovery order included.
+struct Bar {
+    n: usize,
+    /// Ascending, at most `n`.
+    times: Vec<f64>,
+}
+
+impl Bar {
+    fn new(n: usize) -> Bar {
+        Bar {
+            n,
+            times: Vec::new(),
+        }
+    }
+
+    /// Records `time` for each of `candidates` candidates.
+    fn admit(&mut self, time: f64, candidates: usize) {
+        for _ in 0..candidates.min(self.n) {
+            let at = self.times.partition_point(|t| t.total_cmp(&time).is_le());
+            if at == self.n {
+                break;
+            }
+            self.times.insert(at, time);
+            self.times.truncate(self.n);
+        }
+    }
+
+    /// The `n`-th smallest time: infinite until `n` candidates have one, and for `n = 0`.
+    fn height(&self) -> f64 {
+        self.n
+            .checked_sub(1)
+            .and_then(|last| self.times.get(last))
+            .copied()
+            .unwrap_or(f64::INFINITY)
+    }
 }
 
 /// Phase-1 result for one candidate.
@@ -1201,90 +1277,137 @@ fn score_all(
         .collect();
     collector.span_end("typecheck");
 
-    // Phase 2 (serial): compilation + argument marshalling, streamed. A recorded outcome
-    // stands in for compiling if it is a rejection, or a launch that has a verdict or — by
-    // now — a job; a recorded launch without either is compiled again, for the job. A
-    // candidate is reduced to its launch key as soon as it is compiled; the module and
-    // arguments survive only as the job of a launch nobody has run yet, the program and
-    // source only as the materials of a possible variant.
+    // Phase 2 (serial): compilation + argument marshalling of every candidate whose compile
+    // outcome is not on record, streamed. A candidate is reduced to its launch key as soon
+    // as it is compiled; the module and arguments survive only as the job of a launch that
+    // may have to run, the program and source only as the materials of a possible variant.
     collector.span_begin("compile");
     let mut outcomes: Vec<CompileOutcome> = Vec::with_capacity(complete.len());
     let mut materials: Vec<Option<Materials>> = Vec::with_capacity(complete.len());
-    let mut needed: HashSet<ExecKey> = HashSet::new();
-    let mut jobs: Vec<Job> = Vec::new();
-    for (cand, staged) in complete.iter().zip(staged) {
-        let settled = |launch: &ExecKey| executed.contains_key(launch) || needed.contains(launch);
-        let (outcome, fresh) = match staged {
-            Staged::Known(outcome) if outcome.as_ref().map_or(true, settled) => {
+    let mut needed: Vec<Needed> = Vec::new();
+    let mut slots: HashMap<ExecKey, usize> = HashMap::new();
+    let mut ready: HashMap<ExecKey, Job> = HashMap::new();
+    for (index, (cand, staged)) in complete.iter().zip(staged).enumerate() {
+        let outcome = match staged {
+            Staged::Known(outcome) => {
                 stats.reused_compiles += 1;
-                (outcome, None)
+                materials.push(None);
+                outcome
             }
-            staged => {
-                let (program, known) = match staged {
-                    Staged::Known(_) => (typecheck_candidate(cand), true),
-                    Staged::Typed(program) => (program, false),
-                };
+            Staged::Typed(program) => {
                 let (fresh, trace) = match program {
                     Ok(program) => compile_candidate(program, data, config, context),
                     // The arena form does not type, whatever the launch.
                     Err(e) => (Err(e), LaunchTrace::default()),
                 };
                 let outcome = match &fresh {
-                    Ok((_, _, job)) => Ok(job.key),
+                    Ok((_, seed, _)) => Ok(seed.clone()),
                     Err(e) => Err(e.clone()),
                 };
                 let traces = compiled.entry((context, cand.key)).or_default();
-                if known {
-                    let seed = fresh.as_ref().ok().map(|(_, seed, _)| seed);
-                    debug_assert!(
-                        traces
-                            .iter()
-                            .any(|c| c.trace == trace && c.outcome.as_ref().ok() == seed),
-                        "compiling again asked the launch other questions, or came out different"
-                    );
-                } else {
-                    let outcome = match &fresh {
-                        Ok((_, seed, _)) => Ok(seed.clone()),
-                        Err(e) => Err(e.clone()),
-                    };
-                    traces.push(Compiled { trace, outcome });
+                traces.push(Compiled { trace, outcome });
+                match fresh {
+                    Ok((kept, _, job)) => {
+                        let launch = job.key;
+                        // Only a scored or rejected launch is settled before the bar is.
+                        if matches!(executed.get(&launch), None | Some(Verdict::Pruned(_))) {
+                            ready.entry(launch).or_insert(job);
+                        }
+                        materials.push(Some(kept));
+                        Ok(launch)
+                    }
+                    Err(e) => {
+                        materials.push(None);
+                        Err(e)
+                    }
                 }
-                (outcome, fresh.ok())
             }
         };
-        let new_launch = outcome
-            .as_ref()
-            .is_ok_and(|launch| needed.insert(*launch) && !executed.contains_key(launch));
-        materials.push(fresh.map(|(kept, _, job)| {
-            if new_launch {
-                jobs.push(job);
-            }
-            kept
-        }));
+        if let Ok(launch) = &outcome {
+            let slot = *slots.entry(*launch).or_insert_with(|| {
+                needed.push(Needed {
+                    key: *launch,
+                    first: index,
+                    candidates: 0,
+                });
+                needed.len() - 1
+            });
+            needed[slot].candidates += 1;
+        }
         outcomes.push(outcome);
     }
+    drop(slots);
+
+    // The bar the recorded verdicts set. A launch an earlier point pruned stays pruned if its
+    // bound clears this bar (which only drops while the point runs), and runs again
+    // otherwise, as does a launch without a verdict: under the job of a fresh compile, or —
+    // when every candidate recalled its compilation — of its first candidate compiled again.
+    let mut bar = Bar::new(config.best_n);
+    for launch in &needed {
+        if let Some(Verdict::Scored(scored)) = executed.get(&launch.key) {
+            bar.admit(scored.time, launch.candidates);
+        }
+    }
+    let recorded_bar = bar.height();
+    let mut jobs: Vec<(Job, usize)> = Vec::new();
+    for launch in &needed {
+        match executed.get(&launch.key) {
+            None => {}
+            Some(Verdict::Pruned(bound)) if *bound <= recorded_bar => {}
+            Some(_) => continue,
+        }
+        let job = match ready.remove(&launch.key) {
+            Some(job) => job,
+            None => {
+                let cand = &complete[launch.first];
+                let (fresh, trace) = match typecheck_candidate(cand) {
+                    Ok(program) => compile_candidate(program, data, config, context),
+                    Err(e) => (Err(e), LaunchTrace::default()),
+                };
+                let Ok((kept, seed, job)) = fresh else {
+                    return Err(ExploreError::Memo("a recorded compilation does not repeat"));
+                };
+                debug_assert!(
+                    compiled
+                        .get(&(context, cand.key))
+                        .is_some_and(|traces| traces
+                            .iter()
+                            .any(|c| c.trace == trace && c.outcome.as_ref().ok() == Some(&seed))),
+                    "compiling again asked the launch other questions, or came out different"
+                );
+                stats.reused_compiles -= 1;
+                materials[launch.first] = Some(kept);
+                job
+            }
+        };
+        jobs.push((job, launch.candidates));
+    }
+    drop(ready);
     collector.span_end("compile");
 
-    // Phase 3: execute each launch without a verdict once, fanning out over scoped threads.
-    // The job list is in first-occurrence order and the verdicts are recorded in that order,
-    // so scheduling cannot influence the outcome.
+    // Phase 3 (serial): execute each launch that needs running once, in first-occurrence
+    // order, under a budget of the bar so far: a launch whose cost bound rises above it is
+    // outranked by `best_n` candidates already, and is stopped as pruned. The order alone
+    // decides what is pruned.
     collector.span_begin("execute");
     stats.executed_kernels = needed.len();
     stats.reused_kernels = needed.len() - jobs.len();
-    let run = |job: &Job| -> Result<Scored, ScoreError> {
+    let run = |job: Job, limit: f64| -> Verdict {
         let result = ExecutionRequest::new(&job.module)
             .on_device(&config.device)
             .engine(config.engine)
             .race_detection(config.detect_races)
+            .budget(limit)
             .collector(collector)
-            .launch_sequence(&job.stages, job.args.clone());
+            .launch_sequence(&job.stages, job.args);
         match result {
+            Err(VgpuError::OverBudget { lower_bound, .. }) => Verdict::Pruned(lower_bound),
             Err(VgpuError::DataRace {
                 buffer,
                 index,
                 writers,
                 epoch,
-            }) => Err(ScoreError::Unsound(Box::new(SoundnessIncident::DataRace {
+            }) => Verdict::Rejected(ScoreError::Unsound(Box::new(SoundnessIncident::DataRace {
                 buffer,
                 index,
                 writers,
@@ -1294,73 +1417,66 @@ fn score_all(
                 group,
                 arrived,
                 expected,
-            }) => Err(ScoreError::Unsound(Box::new(
+            }) => Verdict::Rejected(ScoreError::Unsound(Box::new(
                 SoundnessIncident::DivergentBarrier {
                     group,
                     arrived,
                     expected,
                 },
             ))),
-            Err(_) => Err(ScoreError::Incorrect),
+            Err(_) => Verdict::Rejected(ScoreError::Incorrect),
             Ok(result) => {
                 if outputs_match(&result.buffers[job.output_buffer_index], &data.reference) {
                     let stage_counters = result.stage_counters();
-                    Ok(Scored {
+                    Verdict::Scored(Scored {
                         counters: result.merged_counters(),
                         time: estimated_sequence_time(&stage_counters, &config.device),
                         stage_counters,
                     })
                 } else {
-                    Err(ScoreError::Incorrect)
+                    Verdict::Rejected(ScoreError::Incorrect)
                 }
             }
         }
     };
-    let workers = worker_count(config);
-    let verdicts: Vec<Result<Scored, ScoreError>> = if workers <= 1 || jobs.len() <= 1 {
-        jobs.iter().map(run).collect()
-    } else {
-        let chunk = jobs.len().div_ceil(workers);
-        std::thread::scope(|s| {
-            let handles: Vec<_> = jobs
-                .chunks(chunk)
-                .map(|part| s.spawn(move || part.iter().map(run).collect::<Vec<_>>()))
-                .collect();
-            handles
-                .into_iter()
-                .flat_map(|h| h.join().expect("scoring worker panicked"))
-                .collect()
-        })
-    };
-    executed.extend(jobs.iter().map(|job| job.key).zip(verdicts));
-    drop(jobs);
+    for (job, candidates) in jobs {
+        let launch = job.key;
+        let verdict = run(job, bar.height());
+        match &verdict {
+            Verdict::Scored(scored) => bar.admit(scored.time, candidates),
+            Verdict::Pruned(_) => stats.pruned_kernels += 1,
+            Verdict::Rejected(_) => {}
+        }
+        executed.insert(launch, verdict);
+    }
     collector.span_end("execute");
 
-    // Phase 4 (serial): per-candidate verdicts in candidate order, then ranking. Only the
-    // `best_n` survivors become full variants; one whose compilation was recalled is
-    // compiled again here for its program and source.
+    // Phase 4 (serial): per-candidate verdicts in candidate order, then ranking. A pruned
+    // candidate is outranked, not rejected. Only the `best_n` survivors become full variants;
+    // one whose compilation was recalled is compiled again here for its program and source.
     collector.span_begin("score");
-    let verdict_of = |index: usize| -> Result<&Scored, ScoreError> {
-        let launch = outcomes[index].as_ref().map_err(Clone::clone)?;
-        let verdict = executed
-            .get(launch)
-            .expect("every needed launch has a verdict after the execute phase");
-        verdict.as_ref().map_err(Clone::clone)
-    };
-    let mut ranked: Vec<(f64, usize)> = Vec::new();
-    for (index, cand) in complete.iter().enumerate() {
-        match verdict_of(index) {
-            Ok(scored) => ranked.push((scored.time, index)),
-            Err(e) => reject_candidate(&mut stats, collector, cand, e),
+    let mut ranked: Vec<((f64, usize), &Scored)> = Vec::new();
+    for (index, (cand, outcome)) in complete.iter().zip(outcomes).enumerate() {
+        let verdict = match outcome {
+            Ok(launch) => executed.get(&launch),
+            Err(e) => {
+                reject_candidate(&mut stats, collector, cand, e);
+                continue;
+            }
+        };
+        match verdict {
+            Some(Verdict::Scored(scored)) => ranked.push(((scored.time, index), scored)),
+            Some(Verdict::Rejected(e)) => reject_candidate(&mut stats, collector, cand, e.clone()),
+            Some(Verdict::Pruned(_)) => {}
+            None => return Err(ExploreError::Memo("a needed launch has no verdict")),
         }
     }
-    ranked.sort_unstable_by(rank_order);
+    ranked.sort_unstable_by(|a, b| rank_order(&a.0, &b.0));
     ranked.truncate(config.best_n);
     stats.variants = ranked
         .into_iter()
-        .map(|(_, index)| {
+        .map(|((_, index), scored)| {
             let cand = &complete[index];
-            let scored = verdict_of(index).expect("ranked candidates are validated");
             let kept = materials[index]
                 .take()
                 .unwrap_or_else(|| rematerialise(cand, config));
@@ -1381,6 +1497,10 @@ fn score_all(
         collector.record(Event::Counter {
             name: "executed_kernels",
             value: stats.executed_kernels as f64,
+        });
+        collector.record(Event::Counter {
+            name: "pruned_kernels",
+            value: stats.pruned_kernels as f64,
         });
         for (rank, v) in stats.variants.iter().enumerate() {
             collector.record(Event::Variant {
@@ -1741,13 +1861,15 @@ mod tests {
 
         // A dynamic rejection is recalled from the execution level the same way. No
         // derivation of the tracked workloads races (the ownership pass sees to that), so
-        // the verdict of one validated launch is replaced by a detector finding here.
+        // the verdict of one validated launch is replaced by a detector finding here. Nothing
+        // is pruned, so the forged verdict cannot send a pruned launch back to run.
         let program = high_level_partial_dot(512);
         let config = ExplorationConfig {
             max_depth: 5,
             beam_width: 32,
             max_candidates: 1500,
             launch: LaunchConfig::d1(16, 4),
+            best_n: usize::MAX,
             ..config
         };
         let mut search = Search::new(&program, &config.sizes, &Null).expect("input types");
@@ -1765,9 +1887,9 @@ mod tests {
             .scores
             .executed
             .values_mut()
-            .find(|verdict| verdict.is_ok())
+            .find(|verdict| matches!(verdict, Verdict::Scored(_)))
             .expect("a launch validated");
-        *verdict = Err(ScoreError::Unsound(Box::new(race.clone())));
+        *verdict = Verdict::Rejected(ScoreError::Unsound(Box::new(race.clone())));
         let recalled = search
             .score(&enumerated, &config, &Null)
             .expect("scoring runs");

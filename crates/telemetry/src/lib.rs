@@ -338,10 +338,13 @@ pub enum Event {
         improved: bool,
         /// Whether the point re-used a cached rule search.
         cache_hit: bool,
-        /// Kernel launches the point executed on the virtual GPU.
+        /// Kernel launches the point started on the virtual GPU, pruned ones included.
         kernels_executed: u32,
         /// Kernel launches the point needed whose verdict an earlier point had measured.
         kernels_reused: u32,
+        /// Of the launches started, those stopped early because their cost bound proved
+        /// they could not make the point's best variants.
+        kernels_pruned: u32,
     },
     /// An accepted hill-climb move of a tuning search.
     TunerMove {
@@ -500,6 +503,7 @@ impl Event {
                 cache_hit,
                 kernels_executed,
                 kernels_reused,
+                kernels_pruned,
             } => {
                 field_int(out, "index", u64::from(*index));
                 field_str(out, "point", point);
@@ -513,6 +517,7 @@ impl Event {
                 field_raw(out, "cache_hit", if *cache_hit { "true" } else { "false" });
                 field_int(out, "kernels_executed", u64::from(*kernels_executed));
                 field_int(out, "kernels_reused", u64::from(*kernels_reused));
+                field_int(out, "kernels_pruned", u64::from(*kernels_pruned));
             }
             Event::TunerMove {
                 step,
@@ -827,6 +832,7 @@ mod tests {
                     cache_hit: true,
                     kernels_executed: 0,
                     kernels_reused: 0,
+                    kernels_pruned: 0,
                 },
             ),
         ]

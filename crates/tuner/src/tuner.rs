@@ -19,7 +19,8 @@
 //! * code generation depends on the launch only through a handful of comparisons, so a
 //!   candidate compiled at one point is compiled again only under a launch that answers one
 //!   of them differently, and a kernel launch that an earlier point executed and validated
-//!   is not executed again.
+//!   is not executed again (one an earlier point pruned runs again only where its cost
+//!   bound does not rule it out of the point's best variants).
 //!
 //! Trajectories, winners and costs are those of a run through a fresh search per point
 //! (`tests/score_memo_differential.rs`); [`TuningResult`] says how much was worked out and
@@ -185,12 +186,18 @@ pub struct TuningResult {
     pub enumerations: usize,
     /// Point evaluations that re-used a cached rule search.
     pub enumeration_cache_hits: usize,
-    /// Kernel launches the run executed (and validated) on the virtual GPU: each distinct
-    /// launch once, however many points needed it.
+    /// Kernel launches the run started on the virtual GPU, pruned ones included: each
+    /// distinct launch once however many points needed it, unless a point had to run a
+    /// launch an earlier point pruned again. Every launch that was not pruned was executed
+    /// to completion and validated.
     pub kernels_executed: usize,
     /// Kernel launches points needed whose verdict an earlier point of the run had already
     /// measured, recalled instead of executed.
     pub kernels_reused: usize,
+    /// Of [`TuningResult::kernels_executed`], the launches stopped early: their partial
+    /// counters proved them slower than the point's `best_n` best known times, so they could
+    /// not change the point's result ([`lift_rewrite::Exploration::pruned_kernels`]).
+    pub kernels_pruned: usize,
     /// Rewrites the run's rule searches judged: a rule applied, the result spliced in,
     /// normalised and type-checked.
     pub rewrites_judged: usize,
@@ -259,6 +266,7 @@ impl Evaluator<'_> {
         let executed = scored.executed_kernels - scored.reused_kernels;
         result.kernels_executed += executed;
         result.kernels_reused += scored.reused_kernels;
+        result.kernels_pruned += scored.pruned_kernels;
         result.candidates_compiled += scored.lowered - scored.reused_compiles;
         result.compiles_recalled += scored.reused_compiles;
         if self.collector.enabled() {
@@ -272,6 +280,7 @@ impl Evaluator<'_> {
                 cache_hit,
                 kernels_executed: executed as u32,
                 kernels_reused: scored.reused_kernels as u32,
+                kernels_pruned: scored.pruned_kernels as u32,
             });
         }
         result.points_evaluated += 1;

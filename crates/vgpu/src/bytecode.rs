@@ -12,9 +12,10 @@
 //! A program is two instruction streams:
 //!
 //! * **Row ops** ([`RowOp`]) mirror the lock-step statement rows of the SIMT interpreter:
-//!   each op loops over the work items of the group under the current activity mask, charges
-//!   one `lockstep_rows` per statement (one per round for loop heads) and flushes the
-//!   coalescing window exactly where the interpreter does. Structured control flow becomes
+//!   each op loops over the work items of the group under the current activity mask, starts
+//!   one lock-step row per statement (one per round for loop heads; the row is where a
+//!   budget is checked) and flushes the coalescing window exactly where the interpreter
+//!   does. Structured control flow becomes
 //!   dense jumps over the row stream with an explicit mask stack (`If`/`Else`/`EndIf`,
 //!   `ForInit`/`ForHead`/`ForStep`).
 //! * **Expression ops** ([`EOp`]) are a register-file bytecode executed per work item. Index
@@ -1577,7 +1578,7 @@ impl Vm<'_> {
         while pc < self.prog.rows.len() {
             match self.prog.rows[pc] {
                 RowOp::Ret => {
-                    exec.counters.lockstep_rows += 1;
+                    exec.row()?;
                     let top = self.masks.len() - n;
                     for i in 0..n {
                         if self.masks[top + i] {
@@ -1587,7 +1588,7 @@ impl Vm<'_> {
                     pc += 1;
                 }
                 RowOp::Barrier => {
-                    exec.counters.lockstep_rows += 1;
+                    exec.row()?;
                     let top = self.masks.len() - n;
                     let mut arrived = 0;
                     let mut expected = 0;
@@ -1611,7 +1612,7 @@ impl Vm<'_> {
                     pc += 1;
                 }
                 RowOp::DeclLocal { cell, len, slot } => {
-                    exec.counters.lockstep_rows += 1;
+                    exec.row()?;
                     let idx = group.local.len();
                     group.local.push(vec![0.0; len]);
                     if exec.detect {
@@ -1631,7 +1632,7 @@ impl Vm<'_> {
                     pc += 1;
                 }
                 RowOp::DeclPrivate { cell, len } => {
-                    exec.counters.lockstep_rows += 1;
+                    exec.row()?;
                     let top = self.masks.len() - n;
                     for i in 0..n {
                         if !self.masks[top + i] || self.threads[i].returned {
@@ -1649,7 +1650,7 @@ impl Vm<'_> {
                     pc += 1;
                 }
                 RowOp::ZeroCell { cell } => {
-                    exec.counters.lockstep_rows += 1;
+                    exec.row()?;
                     let top = self.masks.len() - n;
                     for i in 0..n {
                         if self.masks[top + i] && !self.threads[i].returned {
@@ -1665,7 +1666,7 @@ impl Vm<'_> {
                     dst,
                     lanes,
                 } => {
-                    exec.counters.lockstep_rows += 1;
+                    exec.row()?;
                     let code = &self.prog.code[start as usize..(start + len) as usize];
                     let top = self.masks.len() - n;
                     for i in 0..n {
@@ -1699,7 +1700,7 @@ impl Vm<'_> {
                     else_pc,
                     has_else,
                 } => {
-                    exec.counters.lockstep_rows += 1;
+                    exec.row()?;
                     let code = &self.prog.code[start as usize..(start + len) as usize];
                     let top = self.masks.len() - n;
                     self.tm.fill(false);
@@ -1766,7 +1767,7 @@ impl Vm<'_> {
                     src,
                     cell,
                 } => {
-                    exec.counters.lockstep_rows += 1;
+                    exec.row()?;
                     let code = &self.prog.code[start as usize..(start + len) as usize];
                     let top = self.masks.len() - n;
                     for i in 0..n {
@@ -1796,7 +1797,7 @@ impl Vm<'_> {
                     end_pc,
                 } => {
                     // One row per round: the group-wide condition check.
-                    exec.counters.lockstep_rows += 1;
+                    exec.row()?;
                     let code = &self.prog.code[start as usize..(start + len) as usize];
                     let top = self.masks.len() - n;
                     self.tm.fill(false);
@@ -1870,7 +1871,7 @@ impl Vm<'_> {
                     pc = head_pc;
                 }
                 RowOp::Fail { err } => {
-                    exec.counters.lockstep_rows += 1;
+                    exec.row()?;
                     return Err(self.prog.errors[err as usize].clone());
                 }
             }

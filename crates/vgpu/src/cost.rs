@@ -104,21 +104,7 @@ impl CostCounters {
     /// `time_breakdown(device).time` — one computation, two presentations — so a profile
     /// never disagrees with the ranking.
     pub fn time_breakdown(&self, device: &DeviceProfile) -> TimeBreakdown {
-        let compute = self.flops as f64 * device.flop_cost
-            + self.int_ops as f64 * device.int_op_cost
-            + self.div_mod_ops as f64 * device.div_mod_cost
-            + self.loop_iterations as f64 * device.loop_overhead;
-        let vector_discount = self.vector_accesses as f64
-            * device.global_transaction_cost
-            * (1.0 - device.vector_access_discount)
-            / device.simd_width as f64;
-        let memory = self.global_accesses as f64 * device.global_access_cost
-            + self.global_transactions as f64 * device.global_transaction_cost
-            + self.uncoalesced_accesses as f64 * device.uncoalesced_penalty
-            + self.local_accesses as f64 * device.local_access_cost
-            + self.private_accesses as f64 * device.private_access_cost
-            - vector_discount;
-        let sync = self.barriers as f64 * device.barrier_cost;
+        let (compute, memory, sync) = self.weighted(device);
         let total = (compute + memory + sync).max(0.0);
         let lanes = (device.compute_units * device.simd_width) as f64;
         let work_term = total / lanes;
@@ -139,6 +125,117 @@ impl CostCounters {
             span_term,
             time: work_term + span_term,
         }
+    }
+
+    /// The device-weighted cost of the event classes: compute, memory (net of the
+    /// vector-access discount) and synchronisation.
+    fn weighted(&self, device: &DeviceProfile) -> (f64, f64, f64) {
+        let compute = self.flops as f64 * device.flop_cost
+            + self.int_ops as f64 * device.int_op_cost
+            + self.div_mod_ops as f64 * device.div_mod_cost
+            + self.loop_iterations as f64 * device.loop_overhead;
+        let vector_discount = self.vector_accesses as f64
+            * device.global_transaction_cost
+            * (1.0 - device.vector_access_discount)
+            / device.simd_width as f64;
+        let memory = self.global_accesses as f64 * device.global_access_cost
+            + self.global_transactions as f64 * device.global_transaction_cost
+            + self.uncoalesced_accesses as f64 * device.uncoalesced_penalty
+            + self.local_accesses as f64 * device.local_access_cost
+            + self.private_accesses as f64 * device.private_access_cost
+            - vector_discount;
+        let sync = self.barriers as f64 * device.barrier_cost;
+        (compute, memory, sync)
+    }
+}
+
+/// A limit on the estimated time of a launch, checked against a proven lower bound while the
+/// launch runs (see [`crate::ExecutionRequest::budget`]).
+///
+/// For a running stage with partial counters `c` over `G` work groups, the stage's final
+/// time is at least `W(c) · (1/(CU·simd) + max(1/G, 1/CU))`, where
+/// `W(c) = max(0, compute + memory + sync)`:
+///
+/// * the final `W` is at least `W(c)`: every counter only grows, every weight is
+///   non-negative, and the one negative term — the vector discount — is outweighed per
+///   access, because every vector lane is also counted as a global, local or private access
+///   and the cheapest of those costs more per lane than the discount takes off
+///   ([`Budget::sound_for`]);
+/// * the span term prices `max(group_span_rows, lockstep_rows / CU)` rows at the average
+///   cost per row, and the busiest group has at least the average `lockstep_rows / G` rows.
+///
+/// A sequence adds the exact times of its finished stages and one launch overhead per stage
+/// (unstarted stages cost at least nothing).
+#[derive(Clone, Debug)]
+pub(crate) struct Budget {
+    device: DeviceProfile,
+    limit: f64,
+    /// What the launch has certainly spent outside the running stage: the finished stages'
+    /// times plus the launch overheads of the whole sequence.
+    spent: f64,
+    /// `1/(CU·simd) + max(1/G, 1/CU)` for the running stage's `G` work groups.
+    scale: f64,
+}
+
+impl Budget {
+    /// A budget of `limit` for a stage of `groups` work groups after `spent`, or `None` when
+    /// `limit` is infinite or NaN (no budget) or the bound does not hold on `device`.
+    pub(crate) fn new(
+        device: &DeviceProfile,
+        limit: f64,
+        spent: f64,
+        groups: usize,
+    ) -> Option<Budget> {
+        if !limit.is_finite() || !Budget::sound_for(device) {
+            return None;
+        }
+        let cu = device.compute_units as f64;
+        let scale =
+            1.0 / (cu * device.simd_width as f64) + (1.0 / groups.max(1) as f64).max(1.0 / cu);
+        Some(Budget {
+            device: device.clone(),
+            limit,
+            spent,
+            scale,
+        })
+    }
+
+    /// Whether the lower bound holds under `device`'s weights: none is negative, and a
+    /// vector lane's discount never exceeds the cheapest access it is also counted as,
+    /// `min(global, local, private access cost) · simd_width ≥ global_transaction_cost ·
+    /// (1 − vector_access_discount)`.
+    fn sound_for(device: &DeviceProfile) -> bool {
+        let weights = [
+            device.flop_cost,
+            device.int_op_cost,
+            device.div_mod_cost,
+            device.global_access_cost,
+            device.global_transaction_cost,
+            device.uncoalesced_penalty,
+            device.local_access_cost,
+            device.private_access_cost,
+            device.barrier_cost,
+            device.loop_overhead,
+            device.launch_overhead,
+        ];
+        let cheapest_access = device
+            .global_access_cost
+            .min(device.local_access_cost)
+            .min(device.private_access_cost);
+        device.simd_width > 0
+            && device.compute_units > 0
+            && weights.iter().all(|w| *w >= 0.0)
+            && cheapest_access * device.simd_width as f64
+                >= device.global_transaction_cost * (1.0 - device.vector_access_discount)
+    }
+
+    /// The proven lower bound on the launch's final estimated time if it exceeds the limit.
+    /// The bound is shaved by a relative `1e-9`, so floating-point rounding can never put it
+    /// above the exactly computed time.
+    pub(crate) fn exceeded(&self, counters: &CostCounters) -> Option<f64> {
+        let (compute, memory, sync) = counters.weighted(&self.device);
+        let bound = (self.spent + (compute + memory + sync).max(0.0) * self.scale) * (1.0 - 1e-9);
+        (bound > self.limit).then_some(bound)
     }
 }
 
@@ -450,6 +547,74 @@ mod tests {
         assert!(rendered.contains("execution profile: 2 stage(s)"));
         assert!(rendered.contains("k0:"));
         assert!(rendered.contains("stage1:"));
+    }
+
+    #[test]
+    fn the_budget_bound_holds_for_both_profiles_and_only_sound_ones() {
+        for device in [DeviceProfile::nvidia(), DeviceProfile::amd()] {
+            assert!(Budget::sound_for(&device), "{}", device.name);
+            assert!(Budget::new(&device, 1.0, 0.0, 4).is_some());
+            // An infinite or NaN limit is no budget.
+            assert!(Budget::new(&device, f64::INFINITY, 0.0, 4).is_none());
+            assert!(Budget::new(&device, f64::NAN, 0.0, 4).is_none());
+            // A discount larger than the cheapest access could make the time shrink.
+            let discounted = DeviceProfile {
+                private_access_cost: 0.01,
+                ..device.clone()
+            };
+            assert!(!Budget::sound_for(&discounted));
+            assert!(Budget::new(&discounted, 1.0, 0.0, 4).is_none());
+            let negative = DeviceProfile {
+                flop_cost: -1.0,
+                ..device
+            };
+            assert!(!Budget::sound_for(&negative));
+        }
+    }
+
+    #[test]
+    fn the_budget_bound_never_exceeds_the_final_time() {
+        // Partial counters of a launch (vector accesses included) and the counters it ends
+        // with: the bound from the prefix, for any group count, stays below the final time.
+        let partial = CostCounters {
+            flops: 900,
+            int_ops: 300,
+            div_mod_ops: 12,
+            global_accesses: 512,
+            vector_accesses: 512,
+            global_transactions: 16,
+            private_accesses: 64,
+            loop_iterations: 40,
+            lockstep_rows: 80,
+            ..Default::default()
+        };
+        for device in [DeviceProfile::nvidia(), DeviceProfile::amd()] {
+            for groups in [1u64, 4, 15, 44, 64] {
+                // The tightest ending: no further event, every group equally busy.
+                let rows = 80 * groups;
+                let last = CostCounters {
+                    work_groups: groups,
+                    lockstep_rows: rows,
+                    group_span_rows: rows / groups,
+                    ..partial
+                };
+                let more_vectors = CostCounters {
+                    global_accesses: last.global_accesses + 256,
+                    vector_accesses: last.vector_accesses + 256,
+                    ..last
+                };
+                for end in [last, more_vectors] {
+                    let time = end.estimated_time(&device);
+                    let spent = 2.0 * device.launch_overhead;
+                    let budget = Budget::new(&device, 0.0, spent, groups as usize).unwrap();
+                    let bound = budget.exceeded(&partial).expect("over a zero limit");
+                    assert!(bound <= spent + time, "{}: {bound} > {time}", device.name);
+                    // No bound exceeds a limit of the exact time.
+                    let exact = Budget::new(&device, spent + time, spent, groups as usize);
+                    assert_eq!(exact.unwrap().exceeded(&partial), None);
+                }
+            }
+        }
     }
 
     #[test]

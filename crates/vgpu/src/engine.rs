@@ -13,8 +13,8 @@
 //!   interpreter, optionally reporting a telemetry [`Event::EngineFallback`].
 //!
 //! [`ExecutionRequest`] is the builder every caller goes through: it owns the cross-cutting
-//! launch options — device validation, engine selection, race detection, telemetry — so call
-//! sites configure a request once.
+//! launch options — device validation, engine selection, race detection, a time budget,
+//! telemetry — so call sites configure a request once.
 //!
 //! ```
 //! # use lift_ocl::*;
@@ -32,6 +32,7 @@ use lift_ocl::Module;
 use lift_telemetry::{Collector, Event};
 
 use crate::bytecode;
+use crate::cost::Budget;
 use crate::device::{DeviceProfile, LaunchConfig};
 use crate::exec::{prepare, KernelLaunchSpec, LaunchResult, Prepared, SequenceResult, VgpuError};
 use crate::memory::KernelArg;
@@ -151,8 +152,8 @@ impl EngineSelection {
     }
 }
 
-/// A configured virtual-GPU launch: module, engine, device limits, race detection and
-/// telemetry in one builder, executed with [`ExecutionRequest::launch`] (single kernel) or
+/// A configured virtual-GPU launch: module, engine, device limits, race detection, budget
+/// and telemetry in one builder, executed with [`ExecutionRequest::launch`] (single kernel) or
 /// [`ExecutionRequest::launch_sequence`] (multi-kernel plan over a shared argument pool).
 #[derive(Clone, Copy)]
 pub struct ExecutionRequest<'a> {
@@ -160,18 +161,20 @@ pub struct ExecutionRequest<'a> {
     device: Option<&'a DeviceProfile>,
     engine: EngineSelection,
     race_detection: bool,
+    budget: f64,
     collector: Option<&'a dyn Collector>,
 }
 
 impl<'a> ExecutionRequest<'a> {
     /// A request against `module` with the defaults: no device validation, engine
-    /// [`EngineSelection::Auto`], race detection off, no telemetry.
+    /// [`EngineSelection::Auto`], race detection off, no budget, no telemetry.
     pub fn new(module: &'a Module) -> ExecutionRequest<'a> {
         ExecutionRequest {
             module,
             device: None,
             engine: EngineSelection::default(),
             race_detection: false,
+            budget: f64::INFINITY,
             collector: None,
         }
     }
@@ -199,6 +202,24 @@ impl<'a> ExecutionRequest<'a> {
         self
     }
 
+    /// Lets a launch stop as soon as it provably cannot finish within `limit` on the device
+    /// of [`ExecutionRequest::on_device`]: at every lock-step row, a lower bound on the
+    /// estimated time is computed from the counters so far — of the kernel
+    /// ([`crate::ExecutionReport::estimated_time`]) for [`ExecutionRequest::launch`], of the
+    /// sequence ([`crate::estimated_sequence_time`]) for
+    /// [`ExecutionRequest::launch_sequence`] — and once it exceeds `limit` the launch fails
+    /// with [`VgpuError::OverBudget`]. A launch that is not stopped runs exactly as without
+    /// a budget; one whose time exceeds `limit` may still complete, because the bound is
+    /// not tight.
+    ///
+    /// No budget applies without a device, to an infinite or NaN `limit`, or under a device
+    /// profile whose weights do not make the bound sound (a negative weight, or a
+    /// vector-access discount larger than the cheapest access).
+    pub fn budget(mut self, limit: f64) -> ExecutionRequest<'a> {
+        self.budget = limit;
+        self
+    }
+
     /// Attaches a telemetry sink: engine fallbacks are reported as
     /// [`Event::EngineFallback`].
     pub fn collector(mut self, collector: &'a dyn Collector) -> ExecutionRequest<'a> {
@@ -223,6 +244,13 @@ impl<'a> ExecutionRequest<'a> {
                 .map_err(VgpuError::InvalidLaunch)?;
         }
         Ok(())
+    }
+
+    /// The budget of a stage launched under `config` (validated against the device, which
+    /// a budget needs) once the launch has `spent` for sure.
+    fn stage_budget(&self, spent: f64, config: &LaunchConfig) -> Option<Budget> {
+        let groups = config.num_groups().iter().product();
+        Budget::new(self.device?, self.budget, spent, groups)
     }
 
     fn run_prepared(
@@ -257,7 +285,14 @@ impl<'a> ExecutionRequest<'a> {
     ) -> Result<LaunchResult, VgpuError> {
         self.validate(&config)?;
         let prepared = PreparedLaunch {
-            inner: prepare(self.module, kernel_name, config, args, self.race_detection)?,
+            inner: prepare(
+                self.module,
+                kernel_name,
+                config,
+                args,
+                self.race_detection,
+                self.stage_budget(0.0, &config),
+            )?,
         };
         self.run_prepared(kernel_name, prepared)
     }
@@ -283,6 +318,11 @@ impl<'a> ExecutionRequest<'a> {
         for stage in stages {
             self.validate(&stage.launch)?;
         }
+        // What the sequence has certainly spent: every stage's launch overhead, then each
+        // finished stage's time.
+        let mut spent = self
+            .device
+            .map_or(0.0, |d| stages.len() as f64 * d.launch_overhead);
         let mut reports = Vec::with_capacity(stages.len());
         for stage in stages {
             // Move the buffers into the stage's arguments (the launch returns every global
@@ -302,16 +342,20 @@ impl<'a> ExecutionRequest<'a> {
                     stage.launch,
                     args,
                     self.race_detection,
+                    self.stage_budget(spent, &stage.launch),
                 )?,
             };
             let result = self.run_prepared(&stage.kernel, prepared)?;
-            let mut buffers = result.buffers.into_iter();
-            for arg in pool.iter_mut() {
-                if let KernelArg::Buffer(b) = arg {
-                    *b = buffers
-                        .next()
-                        .expect("launch returns one buffer per buffer arg");
-                }
+            // The launch hands back its global buffers in argument order.
+            let slots = pool.iter_mut().filter_map(|a| match a {
+                KernelArg::Buffer(b) => Some(b),
+                _ => None,
+            });
+            for (slot, buffer) in slots.zip(result.buffers) {
+                *slot = buffer;
+            }
+            if let Some(device) = self.device {
+                spent += result.report.estimated_time(device);
             }
             reports.push(result.report);
         }

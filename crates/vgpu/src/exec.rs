@@ -28,7 +28,7 @@ use std::hash::{BuildHasherDefault, Hasher};
 use lift_arith::ArithExpr;
 use lift_ocl::{AddrSpace, CBinOp, CExpr, CStmt, CType, CUnOp, Module};
 
-use crate::cost::{CostCounters, ExecutionReport};
+use crate::cost::{Budget, CostCounters, ExecutionReport};
 use crate::device::{DeviceProfile, LaunchConfig, LaunchError};
 use crate::memory::{GpuValue, KernelArg, Ptr};
 
@@ -128,6 +128,15 @@ pub enum VgpuError {
         /// since the group started).
         epoch: u64,
     },
+    /// The launch was stopped early: its partial counters prove an estimated time above the
+    /// limit of [`crate::ExecutionRequest::budget`]. Its buffers are lost and it was
+    /// neither completed nor validated.
+    OverBudget {
+        /// The proven lower bound on the launch's estimated time.
+        lower_bound: f64,
+        /// The stopped stage's lock-step row at which the bound crossed the limit.
+        row: u64,
+    },
 }
 
 impl fmt::Display for VgpuError {
@@ -169,6 +178,11 @@ impl fmt::Display for VgpuError {
                 "data race on `{buffer}[{index}]`: work items {} and {} accessed the cell \
                  without a barrier between them (barrier epoch {epoch})",
                 writers[0], writers[1]
+            ),
+            VgpuError::OverBudget { lower_bound, row } => write!(
+                f,
+                "stopped at lock-step row {row}: the estimated time is at least \
+                 {lower_bound:.1}, over budget"
             ),
         }
     }
@@ -279,6 +293,7 @@ pub(crate) fn prepare(
     config: LaunchConfig,
     args: Vec<KernelArg>,
     detect_races: bool,
+    budget: Option<Budget>,
 ) -> Result<Prepared, VgpuError> {
     let kernel = module
         .kernel(kernel_name)
@@ -353,6 +368,7 @@ pub(crate) fn prepare(
         detect: detect_races,
         shadow_global,
         global_names,
+        budget,
     };
     Ok(Prepared { body, exec })
 }
@@ -822,9 +838,30 @@ pub(crate) struct Exec {
     shadow_global: Vec<Vec<ShadowCell>>,
     /// Kernel-parameter names of the global buffers, for race diagnostics.
     global_names: Vec<String>,
+    /// The launch's budget, checked at every lock-step row ([`Exec::row`]).
+    budget: Option<Budget>,
 }
 
 impl Exec {
+    /// Starts a lock-step row: counts it and, under a budget, stops the launch with
+    /// [`VgpuError::OverBudget`] once its counters prove it over the limit. Both engines
+    /// start their rows at the same points with the same counters, so they stop alike.
+    #[inline]
+    pub(crate) fn row(&mut self) -> Result<(), VgpuError> {
+        self.counters.lockstep_rows += 1;
+        match self
+            .budget
+            .as_ref()
+            .and_then(|b| b.exceeded(&self.counters))
+        {
+            Some(lower_bound) => Err(VgpuError::OverBudget {
+                lower_bound,
+                row: self.counters.lockstep_rows,
+            }),
+            None => Ok(()),
+        }
+    }
+
     pub(crate) fn run(&mut self, body: &[SStmt]) -> Result<(), VgpuError> {
         let groups = self.config.num_groups();
         let local = self.config.local;
@@ -903,7 +940,7 @@ impl Exec {
         // Every statement is one lock-step row for the whole group (blocks only recurse and
         // loop iterations charge one row per round below).
         if !matches!(stmt, SStmt::Block(_)) {
-            self.counters.lockstep_rows += 1;
+            self.row()?;
         }
         match stmt {
             SStmt::Return => {
@@ -1047,7 +1084,7 @@ impl Exec {
                 self.flush_accesses();
                 loop {
                     // One row per round: the group-wide condition check.
-                    self.counters.lockstep_rows += 1;
+                    self.row()?;
                     let mut iter_mask = vec![false; threads.len()];
                     let mut any = false;
                     for i in 0..threads.len() {

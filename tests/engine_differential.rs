@@ -14,9 +14,11 @@
 //!    launch to bitwise-equal buffers and counters on both engines.
 //! 3. **Error taxonomy.** A failing launch (out-of-bounds access) produces the same
 //!    [`VgpuError`] value from both engines.
+//! 4. **Budgets.** The cost bound a budgeted launch is stopped by never exceeds the exact
+//!    time, and both engines stop a launch at the same row with the same bound.
 
 use lift::benchmarks::mm;
-use lift::codegen::{compile, CompilationOptions};
+use lift::codegen::{compile, compile_program, CompilationOptions, CompiledProgram};
 use lift::ir::prelude::*;
 use lift::rewrite::{
     all_rules, beta_normalize, get, replace, sites, typecheck, Exploration, ExplorationConfig,
@@ -25,7 +27,8 @@ use lift::rewrite::{
 use lift::telemetry::{Event, InMemory, Null};
 use lift::tuner::Workload;
 use lift::vgpu::{
-    DeviceProfile, EngineSelection, ExecutionRequest, LaunchConfig, LaunchResult, VgpuError,
+    DeviceProfile, EngineSelection, ExecutionRequest, KernelArg, KernelLaunchSpec, LaunchConfig,
+    LaunchResult, SequenceResult, VgpuError,
 };
 use lift_arith::ArithExpr;
 use lift_bench::autotune_config;
@@ -139,6 +142,96 @@ fn gated_workloads_score_identically_on_both_engines() {
             assert!(fallbacks.is_empty(), "{label}: {fallbacks:?}");
         }
     }
+}
+
+/// Deterministic flat inputs for the root parameters of a typed program.
+fn flat_inputs(program: &Program, sizes: &lift::arith::Environment) -> Vec<Vec<f32>> {
+    program
+        .root_params()
+        .iter()
+        .enumerate()
+        .map(|(i, p)| {
+            let ty = program.expr(*p).ty.as_ref().expect("typed root parameter");
+            let len = ty.element_count().evaluate(sizes).expect("sized");
+            (0..len)
+                .map(|j| ((j * 7 + i as i64 * 3) % 9) as f32 * 0.25 - 1.0)
+                .collect()
+        })
+        .collect()
+}
+
+/// Runs `stages` on `engine`, under `budget` when one is given.
+fn run_sequence(
+    compiled: &CompiledProgram,
+    stages: &[KernelLaunchSpec],
+    args: &[KernelArg],
+    device: &DeviceProfile,
+    engine: EngineSelection,
+    budget: Option<f64>,
+) -> Result<SequenceResult, VgpuError> {
+    let request = ExecutionRequest::new(&compiled.module)
+        .on_device(device)
+        .engine(engine);
+    let request = match budget {
+        Some(limit) => request.budget(limit),
+        None => request,
+    };
+    request.launch_sequence(stages, args.to_vec())
+}
+
+/// The cost bound behind `ExecutionRequest::budget` is sound on every distinct kernel the
+/// gated workloads' searches validate, on both device profiles: a launch budgeted at its
+/// exact estimated time completes with unchanged buffers and counters, and a launch
+/// budgeted at half of it either completes alike or is stopped — at the same row, with the
+/// same lower bound, by both engines — with a lower bound no greater than its exact time.
+#[test]
+fn the_budget_bound_is_sound_and_both_engines_stop_alike() {
+    let mut stopped = 0;
+    for device in [DeviceProfile::nvidia(), DeviceProfile::amd()] {
+        for workload in Workload::all() {
+            let config = ExplorationConfig {
+                best_n: usize::MAX,
+                detect_races: false,
+                ..workload_config(&workload, &device)
+            };
+            let scored = lift::rewrite::explore(&workload.program, &config).expect("scores");
+            let mut sources = std::collections::HashSet::new();
+            for variant in scored.variants {
+                if !sources.insert(variant.kernel_source) {
+                    continue;
+                }
+                let options = config
+                    .compile_options
+                    .clone()
+                    .with_launch(LAUNCH.global, LAUNCH.local);
+                let compiled = compile_program(&variant.program, &options).expect("compiles");
+                let inputs = flat_inputs(&variant.program, &config.sizes);
+                let (args, _) = compiled.bind_args(&inputs, &config.sizes).expect("binds");
+                let stages = compiled.launch_plan(LAUNCH);
+                let run = |engine, budget| {
+                    run_sequence(&compiled, &stages, &args, &device, engine, budget)
+                };
+                let exact = run(EngineSelection::Interpreter, None).expect("runs");
+                let time = exact.estimated_time(&device);
+                let at = format!("{} on {}", workload.name, device.name);
+                for engine in [EngineSelection::Interpreter, EngineSelection::Bytecode] {
+                    assert_eq!(run(engine, Some(time)).as_ref(), Ok(&exact), "{at}");
+                }
+                let half = [EngineSelection::Interpreter, EngineSelection::Bytecode]
+                    .map(|engine| run(engine, Some(time / 2.0)));
+                assert_eq!(half[0], half[1], "{at}: the engines stop differently");
+                match &half[0] {
+                    Ok(completed) => assert_eq!(completed, &exact, "{at}"),
+                    Err(VgpuError::OverBudget { lower_bound, .. }) => {
+                        assert!(*lower_bound > time / 2.0 && *lower_bound <= time, "{at}");
+                        stopped += 1;
+                    }
+                    Err(e) => panic!("{at}: {e}"),
+                }
+            }
+        }
+    }
+    assert!(stopped > 0, "no launch was stopped at half its time");
 }
 
 /// One data-layout step applied before the parallel copy (mirrors the shapes of the

@@ -15,6 +15,10 @@
 //!    rewrite memo starts over.
 //! 3. **A replayed derivation is re-proven on every call**: `from_derivation(..).score(..)`
 //!    compiles, executes and validates its candidate each time.
+//! 4. **Pruning is exact**: a point scored through a search, where a launch is stopped once
+//!    its cost bound proves it cannot make the `best_n`, returns the point's unpruned variants
+//!    (`best_n = usize::MAX`) cut to `best_n` — and what is pruned does not depend on the
+//!    number of workers.
 
 use std::collections::HashMap;
 
@@ -23,7 +27,7 @@ use lift::rewrite::{
     enumerate, Enumerated, Exploration, ExplorationConfig, ExploreError, RuleOptions, Search,
 };
 use lift::telemetry::{Event, InMemory, Null};
-use lift::tuner::{tune, tune_with, Strategy, TuningConfig, Workload};
+use lift::tuner::{tune, tune_with, PointIndex, Strategy, TuningConfig, TuningPoint, Workload};
 use lift::vgpu::{DeviceProfile, LaunchConfig};
 use lift_bench::autotune_config;
 
@@ -419,4 +423,129 @@ fn a_replayed_derivation_is_executed_and_validated_on_every_score() {
         assert_eq!(scored.variants[0].kernel_source, winner.kernel_source);
         assert_eq!(scored.variants[0].estimated_time, winner.estimated_time);
     }
+}
+
+/// Scores `points` of the workload's canonical tuning run through one search and asserts
+/// that each returns its unpruned variants cut to `best_n`: the same kernels, chains and
+/// times, in the same order. Returns the launches pruned on the way.
+fn pruned_scoring_equals_truncated_unpruned_scoring(
+    workload: &Workload,
+    device: &DeviceProfile,
+    points: &[TuningPoint],
+) -> usize {
+    let base = autotune_config(workload, device).base;
+    let mut search = Search::new(&workload.program, &base.sizes, &Null).expect("input types");
+    let mut enumerations: HashMap<(usize, usize, usize), Enumerated> = HashMap::new();
+    let mut pruned = 0;
+    for point in points {
+        let at = format!("{}/{} at {:?}", workload.name, device.name, point.index);
+        let index = point.index;
+        let config = ExplorationConfig {
+            rule_options: point.rule_options.clone(),
+            launch: point.launch,
+            device: device.clone(),
+            ..base.clone()
+        };
+        let enumerated = enumerations
+            .entry((index.split_set, index.width_set, index.tile_set))
+            .or_insert_with(|| search.enumerate(&config, &Null).expect("enumeration runs"));
+        let scored = match search.score(enumerated, &config, &Null) {
+            Ok(scored) => scored,
+            Err(ExploreError::Launch(_)) => continue,
+            Err(e) => panic!("{at}: {e}"),
+        };
+        let unpruned = enumerated
+            .score(&ExplorationConfig {
+                best_n: usize::MAX,
+                ..config.clone()
+            })
+            .expect("scoring runs");
+        assert_eq!(unpruned.pruned_kernels, 0, "{at}");
+        let expected = &unpruned.variants[..unpruned.variants.len().min(config.best_n)];
+        assert_eq!(scored.variants.len(), expected.len(), "{at}");
+        for (a, b) in scored.variants.iter().zip(expected) {
+            assert_eq!(a.kernel_source, b.kernel_source, "{at}");
+            assert_eq!(a.derivation, b.derivation, "{at}");
+            assert_eq!(
+                a.estimated_time.to_bits(),
+                b.estimated_time.to_bits(),
+                "{at}"
+            );
+        }
+        pruned += scored.pruned_kernels;
+    }
+    pruned
+}
+
+#[test]
+fn pruned_scoring_returns_the_unpruned_best_n() {
+    let workloads = [
+        Workload::dot_product(),
+        Workload::jacobi_2d(),
+        Workload::mm_tiled(),
+        Workload::convolution_1d(),
+    ];
+    for device in [DeviceProfile::nvidia(), DeviceProfile::amd()] {
+        for workload in &workloads {
+            // The first rule-option coordinate at the first, a middle and the last launch.
+            let space = autotune_config(workload, &device).space;
+            let last = space.launches.len() - 1;
+            let points: Vec<TuningPoint> = [0, last / 2, last]
+                .map(|launch| {
+                    space.point(PointIndex {
+                        split_set: 0,
+                        width_set: 0,
+                        tile_set: 0,
+                        launch,
+                    })
+                })
+                .into();
+            let pruned =
+                pruned_scoring_equals_truncated_unpruned_scoring(workload, &device, &points);
+            if workload.name == "dot_product" {
+                assert!(pruned > 0, "{}: nothing was pruned", device.name);
+            }
+        }
+    }
+}
+
+/// The same property at every point of every canonical run: the points `BENCH_autotune.json`
+/// records, in their order, through one search per run.
+#[test]
+#[ignore = "the full canonical walk: run with --release"]
+fn the_canonical_runs_prune_exactly() {
+    for workload in Workload::all() {
+        for device in [DeviceProfile::nvidia(), DeviceProfile::amd()] {
+            let tuned = tune(&workload.program, &canonical_walk(&workload, &device, 1))
+                .expect("tuning runs");
+            let points: Vec<TuningPoint> = tuned
+                .trajectory
+                .into_iter()
+                .map(|entry| entry.point)
+                .collect();
+            pruned_scoring_equals_truncated_unpruned_scoring(&workload, &device, &points);
+        }
+    }
+}
+
+#[test]
+fn what_is_pruned_does_not_depend_on_the_worker_count() {
+    let workload = Workload::jacobi_2d();
+    let [one, two] = [1, 2].map(|threads| {
+        let config = corner_walk(&workload, &DeviceProfile::nvidia(), threads);
+        let collector = InMemory::new();
+        let tuned = tune_with(&workload.program, &config, &collector).expect("tuning runs");
+        let per_point: usize = collector
+            .into_events()
+            .iter()
+            .map(|e| match e.event {
+                Event::TunerPoint { kernels_pruned, .. } => kernels_pruned as usize,
+                _ => 0,
+            })
+            .sum();
+        assert_eq!(per_point, tuned.kernels_pruned);
+        tuned
+    });
+    assert!(one.kernels_pruned > 0 && one.kernels_executed > one.kernels_pruned);
+    assert_eq!(one, two);
 }
