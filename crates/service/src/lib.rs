@@ -5,7 +5,8 @@
 //! existing pipeline (`rewrite` → `codegen` → `vgpu` → `tuner`):
 //!
 //! * [`CacheStore`] — a persistent, versioned, content-addressed cache of tuned
-//!   derivations: deterministic JSON-lines format, atomic writes, LRU/size-bounded
+//!   derivations: deterministic JSON-lines format, atomic writes of only the files a
+//!   request changed (a hit usually rewrites just the LRU index), LRU/size-bounded
 //!   eviction, and whole-generation invalidation when the rule set
 //!   ([`lift_rewrite::RULE_SET_VERSION`]) or cost model ([`lift_vgpu::COST_MODEL_VERSION`])
 //!   moves,
@@ -74,6 +75,8 @@ pub enum ServiceError {
     NoVariant(String),
     /// The persistent store could not be read or written.
     Io(String),
+    /// A derive/validate worker thread panicked; the batch it belonged to is not answered.
+    WorkerPanicked,
 }
 
 impl std::fmt::Display for ServiceError {
@@ -85,6 +88,7 @@ impl std::fmt::Display for ServiceError {
                 write!(f, "no validated variant found for request `{name}`")
             }
             ServiceError::Io(e) => write!(f, "cache store I/O failed: {e}"),
+            ServiceError::WorkerPanicked => write!(f, "a service worker thread panicked"),
         }
     }
 }

@@ -20,8 +20,10 @@
 //!    cache can never serve an unsound kernel; a replay failure demotes the group to a cold
 //!    derivation and evicts the entry. A *miss* runs the full tuner, hill-climbing from the
 //!    warm-start seeds when any exist.
-//! 4. **Merge** (serial) — cold results are inserted (LRU eviction applies), responses are
-//!    assembled in submission order, and the store is persisted when directory-backed.
+//! 4. **Merge** (serial) — cold results are inserted (LRU eviction applies), a
+//!    directory-backed store writes the files the batch changed (only `index.json` when
+//!    hits merely reordered the LRU, nothing when they did not), and responses are
+//!    assembled in submission order.
 //!
 //! Wall-clock cost: a warm hit scores exactly one candidate; a cold miss runs a full
 //! enumerate+tune search — the orders-of-magnitude gap between `request_ms_p50` on the
@@ -230,9 +232,12 @@ impl DerivationService {
         request: Request,
         collector: &dyn Collector,
     ) -> Result<Response, ServiceError> {
+        let name = request.name.clone();
         self.submit(request);
-        let mut responses = self.drain_with(collector)?;
-        Ok(responses.pop().expect("one request yields one response"))
+        // A drain answers every request in submission order, so the last one is this one.
+        self.drain_with(collector)?
+            .pop()
+            .ok_or(ServiceError::NoVariant(name))
     }
 
     /// Processes every queued request as one batch and returns the responses in submission
@@ -265,23 +270,26 @@ impl DerivationService {
                 .map_err(ServiceError::Explore)?,
             );
         }
-        let mut groups: Vec<(usize, Vec<usize>)> = Vec::new(); // (first request idx, members)
+        // `firsts[g]` is group `g`'s first request, `group_of[i]` is request `i`'s group.
+        let mut firsts: Vec<usize> = Vec::new();
+        let mut group_of: Vec<usize> = Vec::with_capacity(requests.len());
         for (i, key) in keys.iter().enumerate() {
-            match groups
-                .iter_mut()
-                .find(|(first, _)| keys[*first].id == key.id)
-            {
-                Some((_, members)) => members.push(i),
-                None => groups.push((i, vec![i])),
-            }
+            let group = match firsts.iter().position(|&first| keys[first].id == key.id) {
+                Some(group) => group,
+                None => {
+                    firsts.push(i);
+                    firsts.len() - 1
+                }
+            };
+            group_of.push(group);
         }
 
         // Phase 2: serial cache lookup + warm-start seed collection.
         let telemetry = collector.enabled();
-        let mut plans: Vec<Plan> = Vec::with_capacity(groups.len());
-        for (first, _) in &groups {
-            let key = &keys[*first];
-            let request = &requests[*first];
+        let mut plans: Vec<Plan> = Vec::with_capacity(firsts.len());
+        for &first in &firsts {
+            let key = &keys[first];
+            let request = &requests[first];
             match self.store.lookup(key, collector) {
                 Some(payload) => {
                     if telemetry {
@@ -317,7 +325,7 @@ impl DerivationService {
         }
 
         // Phase 3: derive/validate groups on the bounded deterministic worker pool.
-        let work: Vec<(usize, Plan)> = groups.iter().map(|(first, _)| *first).zip(plans).collect();
+        let work: Vec<(usize, Plan)> = firsts.iter().copied().zip(plans).collect();
         let workers = worker_count(self.config.threads).min(work.len().max(1));
         let outcomes: Vec<Result<Outcome, ServiceError>> = if workers <= 1 {
             work.iter()
@@ -325,7 +333,9 @@ impl DerivationService {
                 .collect()
         } else {
             let chunk = work.len().div_ceil(workers);
-            std::thread::scope(|scope| {
+            // Every worker is joined before any panic is reported, so the scope never
+            // re-raises one.
+            let joined: Vec<_> = std::thread::scope(|scope| {
                 let handles: Vec<_> = work
                     .chunks(chunk)
                     .map(|chunk| {
@@ -338,27 +348,31 @@ impl DerivationService {
                         })
                     })
                     .collect();
-                handles
-                    .into_iter()
-                    .flat_map(|h| h.join().expect("service worker panicked"))
-                    .collect()
-            })
+                handles.into_iter().map(|h| h.join()).collect()
+            });
+            let mut outcomes = Vec::with_capacity(work.len());
+            for chunk in joined {
+                outcomes.extend(chunk.map_err(|_| ServiceError::WorkerPanicked)?);
+            }
+            outcomes
         };
 
-        // Phase 4: serial merge — store updates, stats, responses in submission order.
-        let mut responses: Vec<Option<Response>> = (0..requests.len()).map(|_| None).collect();
-        for ((first, members), outcome) in groups.iter().zip(outcomes) {
+        // Phase 4: serial merge — store updates and stats, then responses in submission
+        // order.
+        let mut merged: Vec<Outcome> = Vec::with_capacity(firsts.len());
+        for (group, (&first, outcome)) in firsts.iter().zip(outcomes).enumerate() {
             let outcome = outcome?;
-            let key = &keys[*first];
+            let key = &keys[first];
+            let members = group_of.iter().filter(|&&of| of == group).count() as u64;
             if outcome.replay_failed {
                 self.stats.replay_failures += 1;
                 self.store.remove(&key.id, "replay_failed", collector);
             }
             if outcome.served_hit {
-                self.stats.hits += members.len() as u64;
+                self.stats.hits += members;
             } else {
                 self.stats.misses += 1;
-                self.stats.coalesced += members.len() as u64 - 1;
+                self.stats.coalesced += members - 1;
                 self.stats.derivations += 1;
                 if outcome.warm_seeds > 0 {
                     self.stats.warm_started += 1;
@@ -377,32 +391,36 @@ impl DerivationService {
                     collector,
                 );
             }
-            for (slot, &member) in members.iter().enumerate() {
+            merged.push(outcome);
+        }
+        self.store.write_changes()?;
+        Ok(requests
+            .into_iter()
+            .zip(group_of)
+            .enumerate()
+            .map(|(i, (request, group))| {
+                let outcome = &merged[group];
                 let served = if outcome.served_hit {
                     Served::WarmHit
-                } else if slot == 0 {
+                } else if firsts[group] == i {
                     Served::ColdMiss
                 } else {
                     Served::Coalesced
                 };
-                responses[member] = Some(Response {
-                    name: requests[member].name.clone(),
+                Response {
+                    name: request.name,
                     served,
                     variant: outcome.variant.clone(),
                     rule_options: outcome.rule_options.clone(),
                     launch: outcome.launch,
                     warm_seeds: outcome.warm_seeds,
-                });
-            }
-        }
-        self.store.persist()?;
-        Ok(responses
-            .into_iter()
-            .map(|r| r.expect("every request belongs to exactly one group"))
+                }
+            })
             .collect())
     }
 
-    /// Flushes the store to disk (no-op for in-memory services).
+    /// Rewrites both store files, whatever changed (no-op for in-memory services). Every
+    /// drain already leaves the directory in this state, so this only forces the write.
     ///
     /// # Errors
     ///
@@ -507,12 +525,9 @@ fn run_group(
     let warm_seeds = seeds.len();
     config.strategy = seeded(&config.strategy, seeds);
     let result = tune_with(&request.program, &config, collector).map_err(ServiceError::Tune)?;
-    let point = result
-        .best_point
-        .ok_or_else(|| ServiceError::NoVariant(request.name.clone()))?;
-    let variant = result
-        .best_variant
-        .expect("a best point always carries its best variant");
+    let (Some(point), Some(variant)) = (result.best_point, result.best_variant) else {
+        return Err(ServiceError::NoVariant(request.name.clone()));
+    };
     Ok(Outcome {
         estimated_time: variant.estimated_time,
         variant,

@@ -8,14 +8,22 @@
 //! * `index.json` — the schema tag, the rule-set and cost-model versions the entries were
 //!   recorded under, and the LRU order (least recently used first).
 //!
+//! A drain of the service writes only the files its requests changed. An insert, an
+//! eviction or any other removal rewrites both files. A hit that moves an entry in the
+//! LRU order rewrites `index.json` alone, and a hit on the most recently used entry writes
+//! nothing. The first drain after [`CacheStore::open`] rewrites both files. Whatever was
+//! written, the directory afterwards holds exactly the bytes [`CacheStore::persist`] would
+//! write for the same state; `persist` itself always writes both files.
+//!
 //! Opening a store whose recorded versions differ from the requested ones drops every
 //! entry ([`lift_telemetry::Event::CacheInvalidate`]): derivation chains recorded against
 //! another rule set may not replay, and scores from another cost model are not comparable.
 //! Individual lines that fail to decode or parse (corruption, a renamed rule) are likewise
-//! dropped, never served. Inserting beyond `capacity` evicts the least recently used entry
-//! ([`lift_telemetry::Event::CacheEvict`], reason `lru`).
+//! dropped, never served; an id that appears twice is loaded once. Inserting beyond
+//! `capacity` evicts the least recently used entry ([`lift_telemetry::Event::CacheEvict`],
+//! reason `lru`).
 
-use std::collections::HashMap;
+use std::collections::{HashMap, HashSet};
 use std::path::{Path, PathBuf};
 
 use lift_rewrite::RuleOptions;
@@ -42,6 +50,10 @@ pub struct CacheStore {
     order: Vec<String>,
     evictions: u64,
     invalidated: u64,
+    /// `store.jsonl` is behind the entries (cleared once the rewrite's rename succeeds).
+    entries_changed: bool,
+    /// `index.json` is behind the LRU order (cleared once the rewrite's rename succeeds).
+    order_changed: bool,
 }
 
 impl CacheStore {
@@ -60,6 +72,8 @@ impl CacheStore {
             order: Vec::new(),
             evictions: 0,
             invalidated: 0,
+            entries_changed: false,
+            order_changed: false,
         }
     }
 
@@ -82,6 +96,9 @@ impl CacheStore {
             .map_err(|e| ServiceError::Io(format!("create {}: {e}", root.display())))?;
         let mut store = CacheStore::in_memory(capacity, rule_set_version, cost_model_version);
         store.root = Some(root.to_path_buf());
+        // The files may hold lines this open drops, so the first drain rewrites both.
+        store.entries_changed = true;
+        store.order_changed = true;
 
         let index_path = root.join("index.json");
         let store_path = root.join("store.jsonl");
@@ -146,9 +163,12 @@ impl CacheStore {
                 .as_ref()
                 .and_then(entry_from_json)
             {
+                // A repeated id replaces the earlier line's entry and keeps its place.
                 Some(entry) => {
-                    store.order.push(entry.key.id.clone());
-                    store.entries.insert(entry.key.id.clone(), entry);
+                    let id = entry.key.id.clone();
+                    if store.entries.insert(id.clone(), entry).is_none() {
+                        store.order.push(id);
+                    }
                 }
                 None => dropped += 1,
             }
@@ -162,22 +182,24 @@ impl CacheStore {
                 });
             }
         }
-        // Restore the persisted LRU order (ids missing from it sort last, by id).
+        // Restore the persisted LRU order (ids missing from it sort last, by id; an id it
+        // lists twice keeps its first place).
         if let Some(order) = index
             .as_ref()
             .and_then(|d| d.get("order"))
             .and_then(Json::as_arr)
         {
+            let mut placed = HashSet::new();
             let persisted: Vec<String> = order
                 .iter()
                 .filter_map(|v| v.as_str())
-                .filter(|id| store.entries.contains_key(*id))
+                .filter(|id| store.entries.contains_key(*id) && placed.insert(*id))
                 .map(str::to_string)
                 .collect();
             let mut rest: Vec<String> = store
                 .order
                 .iter()
-                .filter(|id| !persisted.contains(id))
+                .filter(|id| !placed.contains(id.as_str()))
                 .cloned()
                 .collect();
             rest.sort();
@@ -207,10 +229,14 @@ impl CacheStore {
         self.invalidated
     }
 
+    /// Makes `id` the most recently used entry. Touching the last id moves nothing.
     fn touch(&mut self, id: &str) {
         if let Some(at) = self.order.iter().position(|o| o == id) {
-            let id = self.order.remove(at);
-            self.order.push(id);
+            if at + 1 < self.order.len() {
+                let id = self.order.remove(at);
+                self.order.push(id);
+                self.order_changed = true;
+            }
         }
     }
 
@@ -236,6 +262,8 @@ impl CacheStore {
     pub(crate) fn remove(&mut self, id: &str, reason: &'static str, collector: &dyn Collector) {
         if self.entries.remove(id).is_some() {
             self.order.retain(|o| o != id);
+            self.entries_changed = true;
+            self.order_changed = true;
             self.evictions += 1;
             if collector.enabled() {
                 collector.record(Event::CacheEvict {
@@ -255,6 +283,8 @@ impl CacheStore {
         } else {
             self.order.push(id);
         }
+        self.entries_changed = true;
+        self.order_changed = true;
         while self.entries.len() > self.capacity {
             let lru = self.order[0].clone();
             self.remove(&lru, "lru", collector);
@@ -279,41 +309,66 @@ impl CacheStore {
             .collect()
     }
 
-    /// Writes the store to its directory (no-op for in-memory stores). Both files are
-    /// written to a temporary sibling and renamed into place, so readers never observe a
-    /// partial store.
+    /// Writes the whole store to its directory (no-op for in-memory stores): both files,
+    /// whatever changed. Each is written to a temporary sibling and renamed into place, so
+    /// readers never observe a partial file. A drain of the service writes only the files
+    /// its requests changed (see the module docs), leaving the same bytes this would.
     ///
     /// # Errors
     ///
     /// Returns [`ServiceError::Io`] when a file cannot be written or renamed.
     pub fn persist(&self) -> Result<(), ServiceError> {
+        self.write(true, true)
+    }
+
+    /// Writes the files that are behind the in-memory state: `store.jsonl` after an insert
+    /// or a removal, `index.json` after any change to the LRU order. The flags are cleared
+    /// only once the writes succeeded, so a failed write is retried by the next call.
+    ///
+    /// # Errors
+    ///
+    /// Returns [`ServiceError::Io`] when a file cannot be written or renamed.
+    pub(crate) fn write_changes(&mut self) -> Result<(), ServiceError> {
+        self.write(self.entries_changed, self.order_changed)?;
+        (self.entries_changed, self.order_changed) = (false, false);
+        Ok(())
+    }
+
+    /// Writes `store.jsonl` when `entries` and `index.json` when `index` (no-op for
+    /// in-memory stores).
+    fn write(&self, entries: bool, index: bool) -> Result<(), ServiceError> {
         let Some(root) = &self.root else {
             return Ok(());
         };
-        let mut ids: Vec<&String> = self.entries.keys().collect();
-        ids.sort();
-        let mut lines = String::new();
-        for id in ids {
-            lines.push_str(&entry_to_json(&self.entries[id]).render_compact());
-            lines.push('\n');
+        if entries {
+            let mut ids: Vec<&String> = self.entries.keys().collect();
+            ids.sort();
+            let mut lines = String::new();
+            for id in ids {
+                lines.push_str(&entry_to_json(&self.entries[id]).render_compact());
+                lines.push('\n');
+            }
+            write_atomic(&root.join("store.jsonl"), &lines)?;
         }
-        let index = Json::obj([
-            ("schema", Json::str(STORE_SCHEMA)),
-            (
-                "rule_set_version",
-                Json::num(f64::from(self.rule_set_version)),
-            ),
-            (
-                "cost_model_version",
-                Json::num(f64::from(self.cost_model_version)),
-            ),
-            (
-                "order",
-                Json::Arr(self.order.iter().map(Json::str).collect()),
-            ),
-        ]);
-        write_atomic(&root.join("store.jsonl"), &lines)?;
-        write_atomic(&root.join("index.json"), &index.render())
+        if index {
+            let index = Json::obj([
+                ("schema", Json::str(STORE_SCHEMA)),
+                (
+                    "rule_set_version",
+                    Json::num(f64::from(self.rule_set_version)),
+                ),
+                (
+                    "cost_model_version",
+                    Json::num(f64::from(self.cost_model_version)),
+                ),
+                (
+                    "order",
+                    Json::Arr(self.order.iter().map(Json::str).collect()),
+                ),
+            ]);
+            write_atomic(&root.join("index.json"), &index.render())?;
+        }
+        Ok(())
     }
 }
 
@@ -334,6 +389,7 @@ fn write_atomic(path: &Path, content: &str) -> Result<(), ServiceError> {
 mod tests {
     use super::*;
     use lift_telemetry::{counts_by_kind, InMemory, Null};
+    use proptest::prelude::*;
 
     fn entry(id: &str, rendering: &str, skeleton: &str) -> StoredEntry {
         StoredEntry {
@@ -520,5 +576,321 @@ mod tests {
         assert_eq!(store.similar("dot", "amd", "x"), Vec::new());
         let both = store.similar("dot", "nvidia", "zz");
         assert_eq!(both.len(), 2);
+    }
+
+    /// Both store files of `root`: (`store.jsonl`, `index.json`).
+    fn files(root: &Path) -> (Vec<u8>, Vec<u8>) {
+        (
+            std::fs::read(root.join("store.jsonl")).unwrap(),
+            std::fs::read(root.join("index.json")).unwrap(),
+        )
+    }
+
+    /// The files `persist` writes for `store`'s entries and order, written into `root`.
+    fn persisted(store: &CacheStore, root: &Path) -> (Vec<u8>, Vec<u8>) {
+        std::fs::create_dir_all(root).unwrap();
+        let mut copy = CacheStore::in_memory(
+            store.capacity,
+            store.rule_set_version,
+            store.cost_model_version,
+        );
+        copy.root = Some(root.to_path_buf());
+        copy.entries = store.entries.clone();
+        copy.order = store.order.clone();
+        copy.persist().unwrap();
+        files(root)
+    }
+
+    /// One step of a store's life, over six ids on a capacity-4 store.
+    #[derive(Clone, Copy, Debug)]
+    enum Op {
+        /// Insert (or replace) the id with a payload that differs per version.
+        Insert(usize, u8),
+        /// Look the id up under its own rendering.
+        Hit(usize),
+        /// Look the id up under another rendering (the collision guard evicts it).
+        Collide(usize),
+        /// Remove the id, as a replay failure does.
+        Remove(usize),
+        /// What a drain does last: write what changed.
+        Write,
+    }
+
+    fn op() -> impl Strategy<Value = Op> {
+        (0u8..6, 0usize..6, 0u8..3).prop_map(|(kind, id, version)| match kind {
+            0 => Op::Insert(id, version),
+            1 => Op::Hit(id),
+            2 => Op::Collide(id),
+            3 => Op::Remove(id),
+            _ => Op::Write,
+        })
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(48))]
+
+        #[test]
+        fn every_tracked_write_leaves_the_bytes_persist_writes(
+            ops in proptest::collection::vec(op(), 1..40)
+        ) {
+            let root = temp_root("tracked");
+            let mirror = temp_root("tracked-mirror");
+            let mut store = CacheStore::open(&root, 4, 1, 1, &Null).unwrap();
+            let id = |i: usize| format!("{i:016x}");
+            for (step, op) in ops.iter().enumerate() {
+                match *op {
+                    Op::Insert(i, version) => {
+                        let mut e = entry(&id(i), &id(i), "s");
+                        e.payload.estimated_time = f64::from(version);
+                        store.insert(e, &Null);
+                    }
+                    Op::Hit(i) => {
+                        store.lookup(&entry(&id(i), &id(i), "s").key, &Null);
+                    }
+                    Op::Collide(i) => {
+                        store.lookup(&entry(&id(i), "another program", "s").key, &Null);
+                    }
+                    Op::Remove(i) => store.remove(&id(i), "test", &Null),
+                    Op::Write => {
+                        store.write_changes().unwrap();
+                        prop_assert_eq!(
+                            files(&root),
+                            persisted(&store, &mirror),
+                            "after step {} of {:?}",
+                            step,
+                            ops
+                        );
+                        let back = CacheStore::open(&root, 4, 1, 1, &Null).unwrap();
+                        prop_assert_eq!(&back.entries, &store.entries);
+                        prop_assert_eq!(&back.order, &store.order);
+                    }
+                }
+            }
+            let _ = std::fs::remove_dir_all(&root);
+            let _ = std::fs::remove_dir_all(&mirror);
+        }
+    }
+
+    /// Two generations of one directory: four entries with a reordered LRU, then the same
+    /// store after an insert that evicts and a hit. Each is (`store.jsonl`, `index.json`).
+    fn generations(root: &Path) -> [(Vec<u8>, Vec<u8>); 2] {
+        let mut store = CacheStore::open(root, 4, 1, 1, &Null).unwrap();
+        for id in ["a", "b", "c", "d"] {
+            store.insert(entry(id, id, "s"), &Null);
+        }
+        store.lookup(&entry("b", "b", "s").key, &Null);
+        store.persist().unwrap();
+        let old = files(root);
+        store.insert(entry("e", "e", "s"), &Null);
+        store.lookup(&entry("c", "c", "s").key, &Null);
+        store.persist().unwrap();
+        [old, files(root)]
+    }
+
+    /// What `open` must make of `store_bytes` under `index_bytes`, worked out line by line
+    /// apart from `open`: the loaded ids in LRU order, and the number of lines dropped.
+    fn expected_load(store_bytes: &[u8], index_bytes: &[u8]) -> (Vec<String>, u64) {
+        let lines: Vec<Option<String>> = store_bytes
+            .split(|b| *b == b'\n')
+            .filter(|l| {
+                std::str::from_utf8(l)
+                    .ok()
+                    .is_none_or(|t| !t.trim().is_empty())
+            })
+            .map(|l| {
+                let doc = std::str::from_utf8(l).ok().and_then(|t| parse(t).ok());
+                doc.as_ref().and_then(entry_from_json).map(|e| e.key.id)
+            })
+            .collect();
+        let index = std::str::from_utf8(index_bytes)
+            .ok()
+            .and_then(|t| parse(t).ok())
+            .filter(|doc| {
+                doc.get("schema").and_then(Json::as_str) == Some(STORE_SCHEMA)
+                    && doc.get("rule_set_version").and_then(Json::as_f64) == Some(1.0)
+                    && doc.get("cost_model_version").and_then(Json::as_f64) == Some(1.0)
+            });
+        let Some(index) = index else {
+            return (Vec::new(), lines.len() as u64);
+        };
+        let dropped = lines.iter().filter(|l| l.is_none()).count() as u64;
+        let mut loaded: Vec<String> = Vec::new();
+        for id in lines.into_iter().flatten() {
+            if !loaded.contains(&id) {
+                loaded.push(id);
+            }
+        }
+        let Some(listed) = index.get("order").and_then(Json::as_arr) else {
+            return (loaded, dropped);
+        };
+        let mut order: Vec<String> = Vec::new();
+        for id in listed.iter().filter_map(Json::as_str).map(str::to_string) {
+            if loaded.contains(&id) && !order.contains(&id) {
+                order.push(id);
+            }
+        }
+        let mut rest: Vec<String> = loaded
+            .into_iter()
+            .filter(|id| !order.contains(id))
+            .collect();
+        rest.sort();
+        order.extend(rest);
+        (order, dropped)
+    }
+
+    /// Opens `root` holding exactly the given files and checks the open against
+    /// [`expected_load`], then that the first write after the open rewrites what it dropped.
+    fn check_open(root: &Path, store_bytes: &[u8], index_bytes: &[u8], fault: &str) {
+        std::fs::create_dir_all(root).unwrap();
+        std::fs::write(root.join("store.jsonl"), store_bytes).unwrap();
+        std::fs::write(root.join("index.json"), index_bytes).unwrap();
+        let mut back = CacheStore::open(root, 8, 1, 1, &Null)
+            .unwrap_or_else(|e| panic!("{fault}: a corrupt file failed the open: {e}"));
+        let (order, dropped) = expected_load(store_bytes, index_bytes);
+        assert_eq!(back.order, order, "{fault}");
+        let mut ids: Vec<&String> = back.entries.keys().collect();
+        ids.sort();
+        let mut expected: Vec<&String> = order.iter().collect();
+        expected.sort();
+        assert_eq!(ids, expected, "{fault}");
+        assert_eq!(back.invalidated(), dropped, "{fault}");
+
+        back.write_changes().unwrap();
+        let again = CacheStore::open(root, 8, 1, 1, &Null).unwrap();
+        assert_eq!(
+            again.order, back.order,
+            "{fault}: the write kept every entry"
+        );
+        assert_eq!(
+            again.invalidated(),
+            0,
+            "{fault}: the write dropped the bad lines"
+        );
+    }
+
+    /// The offsets just after each newline of `bytes` (and 0), then the middle of each line.
+    fn cuts(bytes: &[u8]) -> Vec<usize> {
+        let mut cuts = vec![0];
+        cuts.extend(
+            (0..bytes.len())
+                .filter(|&at| bytes[at] == b'\n')
+                .map(|at| at + 1),
+        );
+        let mids: Vec<usize> = cuts.windows(2).map(|w| (w[0] + w[1]) / 2).collect();
+        cuts.extend(mids);
+        cuts
+    }
+
+    #[test]
+    fn truncation_at_any_line_boundary_or_mid_line_keeps_what_still_parses() {
+        let root = temp_root("truncate");
+        let [(store, index), _] = generations(&root);
+        for cut in cuts(&store) {
+            check_open(
+                &root,
+                &store[..cut],
+                &index,
+                &format!("store.jsonl cut at {cut}"),
+            );
+        }
+        for cut in cuts(&index) {
+            check_open(
+                &root,
+                &store,
+                &index[..cut],
+                &format!("index.json cut at {cut}"),
+            );
+        }
+        let _ = std::fs::remove_dir_all(&root);
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(96))]
+
+        #[test]
+        fn a_flipped_byte_costs_its_line_or_the_generation_never_the_open(
+            at in 0usize..1 << 20,
+            mask in 1u8..255,
+            in_index in 0u8..2
+        ) {
+            let root = temp_root("flip");
+            let [(mut store, mut index), _] = generations(&root);
+            let bytes = if in_index == 1 { &mut index } else { &mut store };
+            let at = at % bytes.len();
+            bytes[at] ^= mask;
+            let file = if in_index == 1 { "index.json" } else { "store.jsonl" };
+            check_open(&root, &store, &index, &format!("{file} byte {at} ^ {mask:#04x}"));
+            let _ = std::fs::remove_dir_all(&root);
+        }
+    }
+
+    #[test]
+    fn a_repeated_line_or_a_doubly_listed_id_is_loaded_once() {
+        let root = temp_root("repeat");
+        let [(store, index), _] = generations(&root);
+        let lines: Vec<&[u8]> = store.split_inclusive(|b| *b == b'\n').collect();
+        for (i, line) in lines.iter().enumerate() {
+            for at in [i + 1, lines.len()] {
+                let mut repeated = lines.clone();
+                repeated.insert(at, line);
+                check_open(
+                    &root,
+                    &repeated.concat(),
+                    &index,
+                    &format!("line {i} again at {at}"),
+                );
+            }
+        }
+
+        // An index that lists `b` twice over a store whose `d` line is repeated and unlisted.
+        let mut listing = CacheStore::in_memory(8, 1, 1);
+        listing.root = Some(root.clone());
+        listing.order = ["b", "a", "b", "c"].map(str::to_string).to_vec();
+        listing.write(false, true).unwrap();
+        let index = std::fs::read(root.join("index.json")).unwrap();
+        let mut repeated = lines.clone();
+        repeated.push(lines[3]);
+        check_open(
+            &root,
+            &repeated.concat(),
+            &index,
+            "b listed twice, d repeated",
+        );
+        let back = CacheStore::open(&root, 8, 1, 1, &Null).unwrap();
+        assert_eq!(back.order, ["b", "a", "c", "d"]);
+        assert_eq!(
+            back.similar("s", "nvidia", "").len(),
+            4,
+            "one warm-start seed per entry"
+        );
+        let _ = std::fs::remove_dir_all(&root);
+    }
+
+    #[test]
+    fn a_crash_between_the_two_renames_loses_no_entry_either_way() {
+        let root = temp_root("swap");
+        let [(old_store, old_index), (new_store, new_index)] = generations(&root);
+        // Entries {a, b, c, d} in LRU order [a, c, d, b], then {b, c, d, e} in [d, b, e, c].
+        check_open(
+            &root,
+            &new_store,
+            &old_index,
+            "new store.jsonl, old index.json",
+        );
+        assert_eq!(
+            CacheStore::open(&root, 8, 1, 1, &Null).unwrap().order,
+            ["c", "d", "b", "e"]
+        );
+        check_open(
+            &root,
+            &old_store,
+            &new_index,
+            "old store.jsonl, new index.json",
+        );
+        assert_eq!(
+            CacheStore::open(&root, 8, 1, 1, &Null).unwrap().order,
+            ["d", "b", "c", "a"]
+        );
+        let _ = std::fs::remove_dir_all(&root);
     }
 }

@@ -1,7 +1,7 @@
 //! Workspace-level integration tests for the derivation service (`lift-service`): the
 //! differential warm-vs-cold guarantee, request batching/deduplication pinned by
-//! telemetry, warm-started misses, persistence across reopen, and whole-generation
-//! invalidation on a rule-set version bump.
+//! telemetry, warm-started misses, persistence across reopen, which store files a warm hit
+//! writes, and whole-generation invalidation on a rule-set version bump.
 
 use lift::service::{DerivationService, Request, Served, ServiceConfig};
 use lift::telemetry::{counts_by_kind, InMemory, Null};
@@ -201,6 +201,63 @@ fn the_cache_persists_across_service_reopen() {
         "no re-derivation after reopen"
     );
 
+    let _ = std::fs::remove_dir_all(&root);
+}
+
+#[cfg(unix)]
+#[test]
+fn a_warm_hit_rewrites_only_the_index_and_a_repeated_hit_writes_nothing() {
+    use std::os::unix::fs::MetadataExt;
+
+    let root = temp_root("hit-writes");
+    let mut service = DerivationService::open(ServiceConfig {
+        root: Some(root.clone()),
+        ..ServiceConfig::default()
+    })
+    .expect("service opens");
+    let first = small_request(&Workload::dot_product());
+    let second = small_request(&Workload {
+        program: lift::benchmarks::dot_product::high_level_program(256),
+        ..Workload::dot_product()
+    });
+    for request in [first.clone(), second] {
+        let cold = service
+            .request_with(request, &Null)
+            .expect("cold derivation");
+        assert_eq!(cold.served, Served::ColdMiss);
+    }
+    // A file's bytes and inode: a rewrite renames a new file into place, so the inode
+    // changes even when the bytes do not.
+    let file = |name: &str| {
+        let path = root.join(name);
+        let inode = std::fs::metadata(&path).expect("the file exists").ino();
+        (std::fs::read(&path).expect("the file reads"), inode)
+    };
+    let (store_before, index_before) = (file("store.jsonl"), file("index.json"));
+
+    // `first` is least recently used: its hit moves it, and only the order is rewritten.
+    let warm = service
+        .request_with(first.clone(), &Null)
+        .expect("warm hit");
+    assert_eq!(warm.served, Served::WarmHit);
+    assert_eq!(
+        file("store.jsonl"),
+        store_before,
+        "store.jsonl is untouched"
+    );
+    let index_after = file("index.json");
+    assert_ne!(index_after.0, index_before.0, "the LRU order moved");
+
+    // Now most recently used: the same hit moves nothing and writes neither file.
+    let again = service.request_with(first, &Null).expect("warm hit");
+    assert_eq!(again.served, Served::WarmHit);
+    assert_eq!(file("store.jsonl"), store_before);
+    assert_eq!(file("index.json"), index_after);
+
+    // What the drains left is exactly what a full write produces.
+    service.persist().expect("persists");
+    assert_eq!(file("store.jsonl").0, store_before.0);
+    assert_eq!(file("index.json").0, index_after.0);
     let _ = std::fs::remove_dir_all(&root);
 }
 
