@@ -67,11 +67,19 @@ fn lj_host(pi: f32, pj: f32) -> f32 {
     }
 }
 
-/// Host reference.
+/// Host reference. Each particle's terms are summed in `f64` and rounded once, as the
+/// virtual GPU accumulates: at `ProblemSize::Large` an `f32` running sum of terms up to
+/// ~1e8 drifts past the comparison tolerance.
 pub fn host_reference(positions: &[f32]) -> Vec<f32> {
     positions
         .iter()
-        .map(|pi| positions.iter().map(|pj| lj_host(*pi, *pj)).sum())
+        .map(|pi| {
+            let sum: f64 = positions
+                .iter()
+                .map(|pj| f64::from(lj_host(*pi, *pj)))
+                .sum();
+            sum as f32
+        })
         .collect()
 }
 

@@ -268,6 +268,8 @@ pub enum ExploreError {
     Replay(crate::provenance::ReplayError),
     /// An invariant of a [`Search`]'s rewrite or score memo does not hold.
     Memo(&'static str),
+    /// A rule-expansion worker thread panicked; the enumeration it belonged to is lost.
+    WorkerPanicked,
 }
 
 impl std::fmt::Display for ExploreError {
@@ -284,6 +286,7 @@ impl std::fmt::Display for ExploreError {
             }
             ExploreError::Replay(e) => write!(f, "derivation replay failed: {e}"),
             ExploreError::Memo(what) => write!(f, "inconsistent search memo: {what}"),
+            ExploreError::WorkerPanicked => write!(f, "a rule-expansion worker thread panicked"),
         }
     }
 }
@@ -405,6 +408,33 @@ impl Search {
             data: Arc::new(data?),
             scores: ScoreMemo::default(),
         })
+    }
+
+    /// Like [`Search::new`], but validates against the inputs and reference output of
+    /// `reference` instead of evaluating them again: no `interp.reference` span. The caller
+    /// vouches that `reference` was taken ([`Search::reference`]) from a search of the same
+    /// program: candidates are validated against whatever program it was evaluated for.
+    ///
+    /// # Errors
+    ///
+    /// [`ExploreError::Type`] / [`ExploreError::Term`] for a program that does not type or
+    /// convert.
+    pub fn with_reference(
+        program: &Program,
+        reference: &Reference,
+    ) -> Result<Search, ExploreError> {
+        let (_, root) = typed_root::<ExploreError>(program)?;
+        Ok(Search {
+            rewrites: RewriteMemo::new(root),
+            data: Arc::clone(&reference.0),
+            scores: ScoreMemo::default(),
+        })
+    }
+
+    /// The inputs and reference output this search validates against, to seed a later
+    /// [`Search::with_reference`] of the same program and sizes.
+    pub fn reference(&self) -> Reference {
+        Reference(Arc::clone(&self.data))
     }
 
     /// Runs the rule search under the search knobs of `config`, collecting every fully
@@ -826,6 +856,23 @@ enum ScoreError {
     /// typed incident carries the details (boxed: rejections are rare, and every memo
     /// entry is as wide as this enum).
     Unsound(Box<SoundnessIncident>),
+}
+
+/// The generated inputs and reference output of one [`Search`], shared by `Arc`: what
+/// [`Search::with_reference`] reuses instead of running the interpreter again.
+#[derive(Clone, Debug)]
+pub struct Reference(Arc<ScoreData>);
+
+impl Reference {
+    /// The size bindings the inputs and the reference output were generated under.
+    pub fn sizes(&self) -> &Environment {
+        &self.0.sizes
+    }
+
+    /// Hash over the generated inputs and the reference output.
+    pub fn fingerprint(&self) -> u64 {
+        self.0.fingerprint
+    }
 }
 
 /// The launch-independent scoring data of one [`Search`]: the size bindings, the
@@ -1477,10 +1524,11 @@ fn score_all(
         .into_iter()
         .map(|((_, index), scored)| {
             let cand = &complete[index];
-            let kept = materials[index]
-                .take()
-                .unwrap_or_else(|| rematerialise(cand, config));
-            Variant {
+            let kept = match materials[index].take() {
+                Some(kept) => kept,
+                None => rematerialise(cand, config)?,
+            };
+            Ok(Variant {
                 program: kept.program,
                 derivation: cand.steps.clone(),
                 kernel_source: kept.kernel_source,
@@ -1489,9 +1537,9 @@ fn score_all(
                 stage_counters: scored.stage_counters.clone(),
                 stage_names: kept.stage_names,
                 estimated_time: scored.time,
-            }
+            })
         })
-        .collect();
+        .collect::<Result<_, ExploreError>>()?;
     collector.span_end("score");
     if collector.enabled() {
         collector.record(Event::Counter {
@@ -1622,13 +1670,17 @@ fn compile_candidate(
 
 /// Compiles a candidate whose compilation was recalled once more, for the program and
 /// source its [`Variant`] carries.
-fn rematerialise(cand: &Candidate, config: &ExplorationConfig) -> Materials {
+///
+/// # Errors
+///
+/// [`ExploreError::Memo`] if it no longer typechecks or compiles.
+fn rematerialise(cand: &Candidate, config: &ExplorationConfig) -> Result<Materials, ExploreError> {
     let program = typecheck_candidate(cand);
     let compiled = program.and_then(|program| {
         let compiled = compile_typed(&program, &launch_options(config)).0?;
         Ok(Materials::new(program, &compiled))
     });
-    compiled.expect("a candidate the memo recorded as compiled compiles again")
+    compiled.map_err(|_| ExploreError::Memo("a recorded compilation does not repeat"))
 }
 
 #[cfg(test)]

@@ -46,7 +46,8 @@
 //! # Telemetry
 //!
 //! A [`Search`] reports to the [`lift_telemetry::Collector`] each of its calls is handed:
-//! [`Search::new`] an `interp.reference` span around the reference evaluation,
+//! [`Search::new`] an `interp.reference` span around the reference evaluation (a
+//! [`Search::with_reference`] reuses another search's [`Reference`] and emits none),
 //! [`Search::enumerate`] an `enumerate` span with per-round beam statistics (`BeamRound`) and
 //! per-rule fire/reject counts (`RuleRound`), and [`Search::score`] the scoring-phase spans
 //! (`typecheck`/`compile`/`execute`/`score`) and the ranked variants. The one-shot wrappers
@@ -93,7 +94,7 @@ pub mod typecheck;
 
 pub use explore::{
     canonical_key, enumerate, explore, CanonicalKey, DedupKey, DerivationStep, Enumerated,
-    Exploration, ExplorationConfig, ExploreError, Search, Variant,
+    Exploration, ExplorationConfig, ExploreError, Reference, Search, Variant,
 };
 pub use provenance::{explain, replay, ExplainedStep, Explanation, ReplayError};
 pub use rules::{

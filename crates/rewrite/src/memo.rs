@@ -365,7 +365,8 @@ impl RewriteMemo {
             .map(|node| self.plan(*node))
             .collect::<Result<_, _>>()?;
         let chunk = plans.len().div_ceil(workers);
-        let judged: Vec<Option<Result<Vec<Application>, ExploreError>>> = std::thread::scope(|s| {
+        // Every worker is joined before a panic is reported, so the scope never re-raises one.
+        let joined: Vec<_> = std::thread::scope(|s| {
             let handles: Vec<_> = plans
                 .chunks(chunk)
                 .map(|part| {
@@ -376,11 +377,12 @@ impl RewriteMemo {
                     })
                 })
                 .collect();
-            handles
-                .into_iter()
-                .flat_map(|h| h.join().expect("expansion worker panicked"))
-                .collect()
+            handles.into_iter().map(|h| h.join()).collect()
         });
+        let mut judged: Vec<Option<Result<Vec<Application>, ExploreError>>> = Vec::new();
+        for part in joined {
+            judged.extend(part.map_err(|_| ExploreError::WorkerPanicked)?);
+        }
         for ((node, work), judged) in frontier.iter().zip(plans).zip(judged) {
             let judged = match (work, judged) {
                 (Some(work), Some(applications)) => Some((work, applications?)),

@@ -13,7 +13,10 @@
 //!   points,
 //! * the rule-set version ([`lift_rewrite::RULE_SET_VERSION`]) and cost-model version
 //!   ([`lift_vgpu::COST_MODEL_VERSION`]) — recorded chains and scores are meaningless
-//!   across either bump.
+//!   across either bump,
+//! * the symbolic-size bindings ([`ExplorationConfig::sizes`](lift_rewrite::ExplorationConfig)),
+//!   sorted by name and only when there are any — a program over symbolic sizes is
+//!   derived and validated separately at every binding.
 //!
 //! The search *strategy* (budgets, seeds) is deliberately excluded: the cache stores
 //! derivations, not searches, so a request is happy to receive a tuned point found under a
@@ -26,6 +29,7 @@
 
 use std::hash::{Hash, Hasher};
 
+use lift_arith::Environment;
 use lift_ir::Program;
 use lift_rewrite::{canonical_key, ExploreError, StableHasher};
 use lift_tuner::TuningSpace;
@@ -34,7 +38,7 @@ use lift_tuner::TuningSpace;
 #[derive(Clone, Debug, PartialEq, Eq)]
 pub struct CacheKey {
     /// The 16-hex-digit entry address: a stable hash over the program's structural hash,
-    /// the device name, the space fingerprint and both versions.
+    /// the device name, the space fingerprint, both versions and any size bindings.
     pub id: String,
     /// The canonical structural hash of the program ([`lift_rewrite::Term::dedup_key`]).
     pub hash: u64,
@@ -60,7 +64,7 @@ pub fn space_fingerprint(space: &TuningSpace) -> u64 {
     h.finish()
 }
 
-/// Builds the [`CacheKey`] for a derivation request.
+/// Builds the [`CacheKey`] for a derivation request that binds no symbolic size.
 ///
 /// # Errors
 ///
@@ -73,6 +77,31 @@ pub fn cache_key(
     rule_set_version: u32,
     cost_model_version: u32,
 ) -> Result<CacheKey, ExploreError> {
+    cache_key_at(
+        program,
+        device,
+        space,
+        &Environment::new(),
+        rule_set_version,
+        cost_model_version,
+    )
+}
+
+/// Builds the [`CacheKey`] for a derivation request under the size bindings `sizes`. The
+/// bindings are hashed, sorted by name, after everything [`cache_key`] hashes, and only
+/// when there are any, so an empty binding gives [`cache_key`]'s address.
+///
+/// # Errors
+///
+/// See [`cache_key`].
+pub fn cache_key_at(
+    program: &Program,
+    device: &str,
+    space: &TuningSpace,
+    sizes: &Environment,
+    rule_set_version: u32,
+    cost_model_version: u32,
+) -> Result<CacheKey, ExploreError> {
     let canonical = canonical_key(program)?;
     let mut h = StableHasher::new();
     h.write_u64(canonical.hash);
@@ -80,6 +109,11 @@ pub fn cache_key(
     h.write_u64(space_fingerprint(space));
     h.write_u32(rule_set_version);
     h.write_u32(cost_model_version);
+    let mut bindings: Vec<(&str, i64)> = sizes.iter().collect();
+    if !bindings.is_empty() {
+        bindings.sort_unstable();
+        bindings.hash(&mut h);
+    }
     Ok(CacheKey {
         id: format!("{:016x}", h.finish()),
         hash: canonical.hash,
@@ -112,6 +146,35 @@ mod tests {
             a.hash, d.hash,
             "the structural hash itself is version-independent"
         );
+    }
+
+    #[test]
+    fn a_request_binding_no_size_keeps_its_address() {
+        let w = Workload::dot_product();
+        let device = DeviceProfile::nvidia();
+        let space = w.space_for(&device);
+        let key = cache_key(&w.program, &device.name, &space, 1, 1).unwrap();
+        assert_eq!(key.id, "ee6bd51e58ca9313");
+        let unbound = cache_key_at(&w.program, &device.name, &space, &Environment::new(), 1, 1);
+        assert_eq!(unbound.unwrap(), key);
+    }
+
+    #[test]
+    fn size_bindings_are_part_of_the_address_in_any_order() {
+        let w = Workload::dot_product();
+        let device = DeviceProfile::nvidia();
+        let space = w.space_for(&device);
+        let at = |sizes: &Environment| {
+            cache_key_at(&w.program, &device.name, &space, sizes, 1, 1)
+                .unwrap()
+                .id
+        };
+        let unbound = at(&Environment::new());
+        let n64 = at(&Environment::new().bind("N", 64).bind("M", 8));
+        assert_eq!(n64, at(&Environment::new().bind("M", 8).bind("N", 64)));
+        assert_ne!(n64, unbound);
+        assert_ne!(n64, at(&Environment::new().bind("N", 128).bind("M", 8)));
+        assert_ne!(n64, at(&Environment::new().bind("N", 8).bind("M", 64)));
     }
 
     #[test]

@@ -11,7 +11,8 @@
 //!   ([`lift_rewrite::RULE_SET_VERSION`]) or cost model ([`lift_vgpu::COST_MODEL_VERSION`])
 //!   moves,
 //! * [`cache_key`] — the content address: the PR 2 structural dedup hash of the canonical
-//!   program plus the device, the searched tuning grid and both versions; the full
+//!   program plus the device, the searched tuning grid, both versions and any symbolic-size
+//!   bindings ([`cache_key_at`]); the full
 //!   canonical rendering is stored alongside the 8-byte hash as a collision guard,
 //! * [`DerivationService`] — the request queue: concurrent requests for the same key are
 //!   batched and deduplicated (N identical in-flight requests cost one derivation), groups
@@ -23,6 +24,10 @@
 //! machinery ([`lift_rewrite::Search::replay`]) and re-runs compilation (with
 //! the static parallelism-ownership pass), virtual-GPU execution and output validation, so
 //! a stale cache can never serve an unsound kernel — it can only cost a re-derivation.
+//! What a hit does not repeat is the reference output it validates against: the first hit
+//! of an entry evaluates it with the interpreter, and later hits at the same sizes reuse
+//! that [`lift_rewrite::Reference`]. It is kept in memory beside the entry, dropped with
+//! it, and never persisted, so a re-opened service evaluates it once more.
 //!
 //! ```
 //! use lift_service::{DerivationService, Request, Served, ServiceConfig};
@@ -59,7 +64,7 @@ pub mod service;
 pub mod store;
 pub mod wire;
 
-pub use key::{cache_key, space_fingerprint, CacheKey};
+pub use key::{cache_key, cache_key_at, space_fingerprint, CacheKey};
 pub use service::{DerivationService, Request, Response, Served, ServiceConfig, ServiceStats};
 pub use store::{CacheStore, STORE_SCHEMA};
 pub use wire::{CachedDerivation, StoredEntry};

@@ -10,32 +10,35 @@
 //!    work. Exactly one [`Event::CacheHit`] or [`Event::CacheMiss`] is emitted per group,
 //!    so telemetry pins the deduplication factor.
 //! 2. **Lookup** (serial) — each group probes the [`CacheStore`] under the collision guard;
-//!    for misses, the warm-start seeds are collected from structurally similar entries
-//!    (shared [`lift_rewrite::Term::skeleton`], same device).
+//!    a hit also takes the [`Reference`] kept for its entry, if one was generated under the
+//!    request's sizes. For misses, the warm-start seeds are collected from structurally
+//!    similar entries (shared [`lift_rewrite::Term::skeleton`], same device).
 //! 3. **Derive/validate** (parallel) — groups fan out over a bounded deterministic worker
 //!    pool (`ServiceConfig::threads`, the same chunked in-order pattern as
 //!    `ExplorationConfig::threads`). A *hit* replays its recorded chain on a fresh
 //!    [`Search`] ([`Search::replay`], provenance) and re-scores it — re-running
 //!    compilation, the static ownership pass, execution and output validation — so a stale
 //!    cache can never serve an unsound kernel; a replay failure demotes the group to a cold
-//!    derivation and evicts the entry. A *miss* runs the full tuner, hill-climbing from the
-//!    warm-start seeds when any exist.
-//! 4. **Merge** (serial) — cold results are inserted (LRU eviction applies), a
-//!    directory-backed store writes the files the batch changed (only `index.json` when
-//!    hits merely reordered the LRU, nothing when they did not), and responses are
-//!    assembled in submission order.
+//!    derivation and evicts the entry. A hit whose entry has a kept reference validates
+//!    against it ([`Search::with_reference`]) instead of running the interpreter again. A
+//!    *miss* runs the full tuner, hill-climbing from the warm-start seeds when any exist.
+//! 4. **Merge** (serial) — a hit's reference is kept for its entry, in memory only;
+//!    cold results are inserted (LRU eviction applies), a directory-backed store writes the
+//!    files the batch changed (only `index.json` when hits merely reordered the LRU,
+//!    nothing when they did not), and responses are assembled in submission order.
 //!
-//! Wall-clock cost: a warm hit scores exactly one candidate; a cold miss runs a full
+//! Wall-clock cost: a warm hit scores exactly one candidate, and after an entry's first
+//! hit it no longer runs the interpreter; a cold miss runs a full
 //! enumerate+tune search — the orders-of-magnitude gap between `request_ms_p50` on the
 //! benchmark's `warm_replay` and `cold_*` workloads.
 
 use lift_ir::Program;
-use lift_rewrite::{ExplorationConfig, ExploreError, RuleOptions, Search};
+use lift_rewrite::{ExplorationConfig, ExploreError, Reference, RuleOptions, Search};
 use lift_telemetry::{Collector, Event, Null};
 use lift_tuner::{tune_with, BestVariant, PointIndex, Strategy, TuningConfig};
 use lift_vgpu::{LaunchConfig, COST_MODEL_VERSION};
 
-use crate::key::{cache_key, CacheKey};
+use crate::key::{cache_key_at, CacheKey};
 use crate::store::CacheStore;
 use crate::wire::{CachedDerivation, StoredEntry};
 use crate::ServiceError;
@@ -144,8 +147,14 @@ pub struct DerivationService {
 
 /// What the lookup phase decided for one deduplicated group.
 enum Plan {
-    Hit(CachedDerivation),
-    Miss { seeds: Vec<PointIndex> },
+    Hit {
+        payload: CachedDerivation,
+        /// The entry's kept reference, generated under the request's sizes.
+        reference: Option<Reference>,
+    },
+    Miss {
+        seeds: Vec<PointIndex>,
+    },
 }
 
 /// What the derive/validate phase produced for one group.
@@ -157,6 +166,8 @@ struct Outcome {
     replay_failed: bool,
     warm_seeds: usize,
     estimated_time: f64,
+    /// The reference a hit was validated against, to keep for its entry.
+    reference: Option<Reference>,
 }
 
 impl DerivationService {
@@ -260,10 +271,11 @@ impl DerivationService {
         let mut keys: Vec<CacheKey> = Vec::with_capacity(requests.len());
         for request in &requests {
             keys.push(
-                cache_key(
+                cache_key_at(
                     &request.program,
                     &request.config.device.name,
                     &request.config.space,
+                    &request.config.base.sizes,
                     self.config.rule_set_version,
                     self.config.cost_model_version,
                 )
@@ -298,7 +310,13 @@ impl DerivationService {
                             program: request.name.clone(),
                         });
                     }
-                    plans.push(Plan::Hit(payload));
+                    // Looked up only now that the full rendering matched the entry's.
+                    let reference = self
+                        .store
+                        .reference(&key.id)
+                        .filter(|kept| *kept.sizes() == request.config.base.sizes)
+                        .cloned();
+                    plans.push(Plan::Hit { payload, reference });
                 }
                 None => {
                     if telemetry {
@@ -361,7 +379,7 @@ impl DerivationService {
         // order.
         let mut merged: Vec<Outcome> = Vec::with_capacity(firsts.len());
         for (group, (&first, outcome)) in firsts.iter().zip(outcomes).enumerate() {
-            let outcome = outcome?;
+            let mut outcome = outcome?;
             let key = &keys[first];
             let members = group_of.iter().filter(|&&of| of == group).count() as u64;
             if outcome.replay_failed {
@@ -370,6 +388,9 @@ impl DerivationService {
             }
             if outcome.served_hit {
                 self.stats.hits += members;
+                if let Some(reference) = outcome.reference.take() {
+                    self.store.keep_reference(&key.id, reference);
+                }
             } else {
                 self.stats.misses += 1;
                 self.stats.coalesced += members - 1;
@@ -440,25 +461,31 @@ fn worker_count(threads: usize) -> usize {
 
 /// Replays a cached chain and re-proves it end to end (typecheck, compile + ownership pass,
 /// execute, validate against the reference). Any failure is a stale entry, not a served
-/// result.
+/// result. The reference output is the entry's `kept` one when there is one, else it is
+/// evaluated here (`interp.reference` span); either way it is returned for the entry to
+/// keep. It is never persisted, so the first hit after a miss or a re-open evaluates it.
 fn validate_hit(
     request: &Request,
     payload: &CachedDerivation,
+    kept: Option<&Reference>,
     collector: &dyn Collector,
-) -> Result<BestVariant, ExploreError> {
+) -> Result<(BestVariant, Reference), ExploreError> {
     let config = ExplorationConfig {
         rule_options: payload.rule_options.clone(),
         launch: payload.launch,
         device: request.config.device.clone(),
         ..request.config.base.clone()
     };
-    let mut search = Search::new(&request.program, &config.sizes, collector)?;
+    let mut search = match kept {
+        Some(reference) => Search::with_reference(&request.program, reference)?,
+        None => Search::new(&request.program, &config.sizes, collector)?,
+    };
     let replayed = search.replay(&payload.steps, &config.rule_options)?;
     let scored = search.score(&replayed, &config, collector)?;
     let v = scored.variants.first().ok_or_else(|| {
         ExploreError::Reference("cached derivation no longer passes validation".to_string())
     })?;
-    Ok(BestVariant::from(v))
+    Ok((BestVariant::from(v), search.reference()))
 }
 
 /// Seeds a cold-search strategy with warm-start points (no-op for exhaustive walks and
@@ -505,20 +532,23 @@ fn run_group(
     collector: &dyn Collector,
 ) -> Result<Outcome, ServiceError> {
     let (seeds, replay_failed) = match plan {
-        Plan::Hit(payload) => match validate_hit(request, payload, collector) {
-            Ok(variant) => {
-                return Ok(Outcome {
-                    estimated_time: variant.estimated_time,
-                    variant,
-                    rule_options: payload.rule_options.clone(),
-                    launch: payload.launch,
-                    served_hit: true,
-                    replay_failed: false,
-                    warm_seeds: 0,
-                })
+        Plan::Hit { payload, reference } => {
+            match validate_hit(request, payload, reference.as_ref(), collector) {
+                Ok((variant, reference)) => {
+                    return Ok(Outcome {
+                        estimated_time: variant.estimated_time,
+                        variant,
+                        rule_options: payload.rule_options.clone(),
+                        launch: payload.launch,
+                        served_hit: true,
+                        replay_failed: false,
+                        warm_seeds: 0,
+                        reference: Some(reference),
+                    })
+                }
+                Err(_) => (Vec::new(), true),
             }
-            Err(_) => (Vec::new(), true),
-        },
+        }
         Plan::Miss { seeds } => (seeds.clone(), false),
     };
     let mut config = request.config.clone();
@@ -536,5 +566,162 @@ fn run_group(
         served_hit: false,
         replay_failed,
         warm_seeds,
+        reference: None,
     })
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use lift_arith::{ArithExpr, Environment};
+    use lift_ir::{Type, UserFun};
+    use lift_telemetry::InMemory;
+    use lift_tuner::{TuningSpace, Workload};
+    use lift_vgpu::DeviceProfile;
+
+    fn dot_product_request() -> Request {
+        let device = DeviceProfile::nvidia();
+        let workload = Workload::dot_product();
+        let mut config = TuningConfig::new(
+            device.clone(),
+            workload.space_for(&device),
+            Strategy::RandomHillClimb {
+                seed: 1,
+                samples: 2,
+                max_steps: 2,
+            },
+        );
+        config.base.max_candidates = 400;
+        Request {
+            name: workload.name.to_string(),
+            program: workload.program,
+            config,
+        }
+    }
+
+    /// `square` over a symbolic length `N`, as a one-point request at `N = 64`.
+    fn square_request() -> Request {
+        let mut p = Program::new("square");
+        let mult = p.user_fun(UserFun::mult());
+        let sq = p.lambda(&["v"], |p, params| p.apply(mult, [params[0], params[0]]));
+        let m = p.map(sq);
+        p.with_root(
+            vec![("x", Type::array(Type::float(), ArithExpr::size_var("N")))],
+            |p, params| p.apply1(m, params[0]),
+        );
+        let options = RuleOptions::default();
+        let space = TuningSpace {
+            split_sets: vec![options.split_sizes],
+            width_sets: vec![options.vector_widths],
+            tile_sets: vec![options.tile_sizes],
+            launches: vec![LaunchConfig::d1(16, 4)],
+        };
+        let mut config = TuningConfig::new(DeviceProfile::nvidia(), space, Strategy::Exhaustive);
+        config.base.sizes = Environment::new().bind("N", 64);
+        Request {
+            name: "square".to_string(),
+            program: p,
+            config,
+        }
+    }
+
+    fn key_of(service: &DerivationService, request: &Request) -> CacheKey {
+        cache_key_at(
+            &request.program,
+            &request.config.device.name,
+            &request.config.space,
+            &request.config.base.sizes,
+            service.config.rule_set_version,
+            service.config.cost_model_version,
+        )
+        .unwrap()
+    }
+
+    /// Serves `request`; returns how it was served and how many reference outputs the
+    /// interpreter evaluated for it.
+    fn serve(service: &mut DerivationService, request: &Request) -> (Served, usize) {
+        let collector = InMemory::default();
+        let response = service.request_with(request.clone(), &collector).unwrap();
+        let evaluated = collector
+            .events()
+            .iter()
+            .filter(|e| {
+                e.event
+                    == Event::SpanBegin {
+                        name: "interp.reference",
+                    }
+            })
+            .count();
+        (response.served, evaluated)
+    }
+
+    #[test]
+    fn a_kept_reference_fingerprints_like_a_fresh_search() {
+        let mut service = DerivationService::open(ServiceConfig::default()).unwrap();
+        let request = dot_product_request();
+        let key = key_of(&service, &request);
+        serve(&mut service, &request);
+        assert!(
+            service.store.reference(&key.id).is_none(),
+            "a miss keeps none"
+        );
+        assert_eq!(serve(&mut service, &request), (Served::WarmHit, 1));
+        let kept = service.store.reference(&key.id).unwrap().clone();
+        let fresh = Search::new(&request.program, &request.config.base.sizes, &Null).unwrap();
+        assert_eq!(kept.fingerprint(), fresh.reference().fingerprint());
+        assert_eq!(*kept.sizes(), request.config.base.sizes);
+        // The reusing hit validates against, and keeps, the very same data.
+        assert_eq!(serve(&mut service, &request), (Served::WarmHit, 0));
+        let again = service.store.reference(&key.id).unwrap();
+        assert_eq!(again.fingerprint(), kept.fingerprint());
+    }
+
+    #[test]
+    fn a_failed_replay_drops_the_kept_reference() {
+        let mut service = DerivationService::open(ServiceConfig::default()).unwrap();
+        let request = dot_product_request();
+        let key = key_of(&service, &request);
+        serve(&mut service, &request);
+        assert_eq!(serve(&mut service, &request), (Served::WarmHit, 1));
+
+        // Make the entry stale under its kept reference: a chain cut short leaves a
+        // candidate that cannot compile, so its replay fails.
+        let kept = service.store.reference(&key.id).unwrap().clone();
+        let mut payload = service.store.lookup(&key, &Null).unwrap();
+        payload.steps.truncate(1);
+        service.store.insert(
+            StoredEntry {
+                key: key.clone(),
+                payload,
+            },
+            &Null,
+        );
+        service.store.keep_reference(&key.id, kept);
+
+        // The failed replay re-derives; the re-inserted entry's first hit evaluates again.
+        assert_eq!(serve(&mut service, &request), (Served::ColdMiss, 1));
+        assert_eq!(service.stats().replay_failures, 1);
+        assert!(service.store.reference(&key.id).is_none());
+        assert_eq!(serve(&mut service, &request), (Served::WarmHit, 1));
+        assert_eq!(serve(&mut service, &request), (Served::WarmHit, 0));
+    }
+
+    #[test]
+    fn a_kept_reference_of_other_sizes_is_not_reused() {
+        let mut service = DerivationService::open(ServiceConfig::default()).unwrap();
+        let request = square_request();
+        let key = key_of(&service, &request);
+        assert_eq!(serve(&mut service, &request), (Served::ColdMiss, 1));
+        let other_sizes = Environment::new().bind("N", 128);
+        let other = Search::new(&request.program, &other_sizes, &Null).unwrap();
+        service.store.keep_reference(&key.id, other.reference());
+
+        // Validating under the wrong binding would fail the replay; the hit evaluates the
+        // reference for its own sizes instead and keeps that one.
+        assert_eq!(serve(&mut service, &request), (Served::WarmHit, 1));
+        assert_eq!(service.stats().replay_failures, 0);
+        let kept = service.store.reference(&key.id).unwrap();
+        assert_eq!(*kept.sizes(), request.config.base.sizes);
+        assert_eq!(serve(&mut service, &request), (Served::WarmHit, 0));
+    }
 }

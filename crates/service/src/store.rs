@@ -22,11 +22,16 @@
 //! dropped, never served; an id that appears twice is loaded once. Inserting beyond
 //! `capacity` evicts the least recently used entry ([`lift_telemetry::Event::CacheEvict`],
 //! reason `lru`).
+//!
+//! Beside the entries a store keeps, in memory only, the [`Reference`] a hit on an entry was
+//! last proven against, so the next hit need not evaluate it again. A kept reference goes
+//! with its entry (eviction, removal, replacement, a re-open), is never written, and
+//! keeping one changes no file.
 
 use std::collections::{HashMap, HashSet};
 use std::path::{Path, PathBuf};
 
-use lift_rewrite::RuleOptions;
+use lift_rewrite::{Reference, RuleOptions};
 use lift_telemetry::json::{parse, Json};
 use lift_telemetry::{Collector, Event};
 use lift_vgpu::LaunchConfig;
@@ -48,6 +53,9 @@ pub struct CacheStore {
     entries: HashMap<String, StoredEntry>,
     /// LRU order over entry ids, least recently used first.
     order: Vec<String>,
+    /// The reference output a hit on an entry was last validated against, by entry id.
+    /// Never persisted; an id here is always an id of `entries`.
+    references: HashMap<String, Reference>,
     evictions: u64,
     invalidated: u64,
     /// `store.jsonl` is behind the entries (cleared once the rewrite's rename succeeds).
@@ -70,6 +78,7 @@ impl CacheStore {
             cost_model_version,
             entries: HashMap::new(),
             order: Vec::new(),
+            references: HashMap::new(),
             evictions: 0,
             invalidated: 0,
             entries_changed: false,
@@ -258,9 +267,22 @@ impl CacheStore {
         Some(payload)
     }
 
+    /// The reference output the last hit on entry `id` was validated against, if kept.
+    pub(crate) fn reference(&self, id: &str) -> Option<&Reference> {
+        self.references.get(id)
+    }
+
+    /// Keeps `reference` for entry `id` until that entry goes; ignored if it is already gone.
+    pub(crate) fn keep_reference(&mut self, id: &str, reference: Reference) {
+        if self.entries.contains_key(id) {
+            self.references.insert(id.to_string(), reference);
+        }
+    }
+
     /// Removes one entry, counting and reporting the eviction.
     pub(crate) fn remove(&mut self, id: &str, reason: &'static str, collector: &dyn Collector) {
         if self.entries.remove(id).is_some() {
+            self.references.remove(id);
             self.order.retain(|o| o != id);
             self.entries_changed = true;
             self.order_changed = true;
@@ -278,6 +300,7 @@ impl CacheStore {
     /// entries until the store is back within capacity.
     pub(crate) fn insert(&mut self, entry: StoredEntry, collector: &dyn Collector) {
         let id = entry.key.id.clone();
+        self.references.remove(&id);
         if self.entries.insert(id.clone(), entry).is_some() {
             self.touch(&id);
         } else {
@@ -576,6 +599,55 @@ mod tests {
         assert_eq!(store.similar("dot", "amd", "x"), Vec::new());
         let both = store.similar("dot", "nvidia", "zz");
         assert_eq!(both.len(), 2);
+    }
+
+    #[test]
+    fn a_kept_reference_goes_with_its_entry_and_changes_no_file() {
+        let program = lift_tuner::Workload::dot_product().program;
+        let sizes = lift_arith::Environment::new();
+        let reference = lift_rewrite::Search::new(&program, &sizes, &Null)
+            .unwrap()
+            .reference();
+        let root = temp_root("references");
+        let mut store = CacheStore::open(&root, 2, 1, 1, &Null).unwrap();
+        store.insert(entry("a", "ra", "s"), &Null);
+        store.insert(entry("b", "rb", "s"), &Null);
+        store.write_changes().unwrap();
+
+        // Keeping one marks no file as behind; an id without an entry keeps nothing.
+        for id in ["a", "b", "gone"] {
+            store.keep_reference(id, reference.clone());
+        }
+        assert!(!store.entries_changed && !store.order_changed);
+        assert!(store.reference("a").is_some() && store.reference("gone").is_none());
+
+        // LRU eviction: `c` pushes `a` out at capacity 2.
+        store.insert(entry("c", "rc", "s"), &Null);
+        assert!(store.reference("a").is_none() && store.reference("b").is_some());
+        // The collision guard.
+        store.lookup(&entry("b", "another program", "s").key, &Null);
+        assert!(store.reference("b").is_none());
+        // Removal, as after a failed replay.
+        store.keep_reference("c", reference.clone());
+        store.remove("c", "replay_failed", &Null);
+        assert!(store.reference("c").is_none());
+        // Replacement by a new derivation under the same id.
+        store.insert(entry("d", "rd", "s"), &Null);
+        store.keep_reference("d", reference.clone());
+        store.insert(entry("d", "rd", "s"), &Null);
+        assert!(store.reference("d").is_none());
+
+        // Nothing kept is written: the files are what `persist` writes for the entries.
+        store.keep_reference("d", reference);
+        store.write_changes().unwrap();
+        let mirror = temp_root("references-mirror");
+        assert_eq!(files(&root), persisted(&store, &mirror));
+        let reopened = CacheStore::open(&root, 2, 1, 1, &Null).unwrap();
+        assert_eq!(reopened.len(), 1);
+        assert!(reopened.reference("d").is_none(), "a re-open keeps none");
+        for dir in [root, mirror] {
+            let _ = std::fs::remove_dir_all(dir);
+        }
     }
 
     /// Both store files of `root`: (`store.jsonl`, `index.json`).

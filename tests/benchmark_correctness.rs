@@ -1,19 +1,19 @@
 //! Workspace-level integration test: every Table 1 benchmark compiles through the full Lift
 //! pipeline, executes on the virtual GPU at every optimisation level, and both the generated
-//! kernel and the hand-written reference kernel reproduce the host-computed result.
+//! kernel and the hand-written reference kernel reproduce the host-computed result, at both
+//! problem sizes.
 
 use lift::benchmarks::runner::{run_lift, run_reference};
 use lift::benchmarks::{all_benchmarks, ProblemSize};
 use lift::codegen::CompilationOptions;
 
-#[test]
-fn all_benchmarks_generate_correct_kernels() {
-    for case in all_benchmarks(ProblemSize::Small) {
+fn generated_kernels_are_correct(size: ProblemSize) {
+    for case in all_benchmarks(size) {
         let outcome = run_lift(&case, &CompilationOptions::all_optimisations())
-            .unwrap_or_else(|e| panic!("{}: {e}", case.info.name));
+            .unwrap_or_else(|e| panic!("{} ({size:?}): {e}", case.info.name));
         assert!(
             outcome.correct,
-            "{}: generated kernel output does not match the host reference",
+            "{} ({size:?}): generated kernel output does not match the host reference",
             case.info.name
         );
         assert!(
@@ -24,23 +24,22 @@ fn all_benchmarks_generate_correct_kernels() {
     }
 }
 
-#[test]
-fn all_reference_kernels_are_correct() {
-    for case in all_benchmarks(ProblemSize::Small) {
-        let outcome = run_reference(&case).unwrap_or_else(|e| panic!("{}: {e}", case.info.name));
+fn reference_kernels_are_correct(size: ProblemSize) {
+    for case in all_benchmarks(size) {
+        let outcome =
+            run_reference(&case).unwrap_or_else(|e| panic!("{} ({size:?}): {e}", case.info.name));
         assert!(
             outcome.correct,
-            "{}: reference kernel output does not match the host reference",
+            "{} ({size:?}): reference kernel output does not match the host reference",
             case.info.name
         );
     }
 }
 
-#[test]
-fn optimisation_levels_do_not_change_results() {
+fn optimisation_levels_agree(size: ProblemSize) {
     // Check the ablation levels on a representative subset (the cheap benchmarks) so the test
     // stays fast; the figure8 harness exercises all of them.
-    for case in all_benchmarks(ProblemSize::Small)
+    for case in all_benchmarks(size)
         .into_iter()
         .filter(|c| matches!(c.info.name, "NN" | "MRI-Q" | "K-Means" | "Convolution"))
     {
@@ -52,15 +51,45 @@ fn optimisation_levels_do_not_change_results() {
             let outcome = run_lift(&case, &options).unwrap();
             assert!(
                 outcome.correct,
-                "{} at level {}",
+                "{} ({size:?}) at level {}",
                 case.info.name,
                 options.label()
             );
             assert_eq!(
                 outcome.output, reference.output,
-                "{}: optimisations changed the numerical result",
+                "{} ({size:?}): optimisations changed the numerical result",
                 case.info.name
             );
         }
     }
+}
+
+#[test]
+fn all_benchmarks_generate_correct_kernels() {
+    generated_kernels_are_correct(ProblemSize::Small);
+}
+
+#[test]
+fn all_reference_kernels_are_correct() {
+    reference_kernels_are_correct(ProblemSize::Small);
+}
+
+#[test]
+fn optimisation_levels_do_not_change_results() {
+    optimisation_levels_agree(ProblemSize::Small);
+}
+
+#[test]
+fn all_benchmarks_generate_correct_kernels_at_large_size() {
+    generated_kernels_are_correct(ProblemSize::Large);
+}
+
+#[test]
+fn all_reference_kernels_are_correct_at_large_size() {
+    reference_kernels_are_correct(ProblemSize::Large);
+}
+
+#[test]
+fn optimisation_levels_do_not_change_results_at_large_size() {
+    optimisation_levels_agree(ProblemSize::Large);
 }

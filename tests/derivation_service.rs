@@ -1,12 +1,17 @@
 //! Workspace-level integration tests for the derivation service (`lift-service`): the
 //! differential warm-vs-cold guarantee, request batching/deduplication pinned by
 //! telemetry, warm-started misses, persistence across reopen, which store files a warm hit
-//! writes, and whole-generation invalidation on a rule-set version bump.
+//! writes, whole-generation invalidation on a rule-set version bump, and the reference output
+//! a hit reuses from its entry's previous hit.
 
-use lift::service::{DerivationService, Request, Served, ServiceConfig};
-use lift::telemetry::{counts_by_kind, InMemory, Null};
-use lift::tuner::{Strategy, TuningConfig, Workload};
-use lift::vgpu::DeviceProfile;
+use lift::arith::{ArithExpr, Environment};
+use lift::ir::prelude::*;
+use lift::rewrite::RuleOptions;
+use lift::service::{DerivationService, Request, Response, Served, ServiceConfig};
+use lift::telemetry::{counts_by_kind, Event, InMemory, Null};
+use lift::tuner::{Strategy, TuningConfig, TuningSpace, Workload};
+use lift::vgpu::{DeviceProfile, LaunchConfig};
+use lift_bench::autotune_config;
 
 /// A deliberately small but real tuning request: the full pipeline runs (enumerate,
 /// compile with the ownership pass, execute, validate), just over a reduced budget.
@@ -328,5 +333,188 @@ fn bumping_the_rule_set_version_invalidates_prior_entries() {
     .expect("reopen under the original version");
     assert_eq!(original.store().len(), 0);
 
+    let _ = std::fs::remove_dir_all(&root);
+}
+
+/// Serves `request` and counts the `interp.reference` spans it emitted: how many reference
+/// outputs the interpreter evaluated for it.
+fn serve_counting_references(
+    service: &mut DerivationService,
+    request: &Request,
+) -> (Response, usize) {
+    let collector = InMemory::default();
+    let response = service
+        .request_with(request.clone(), &collector)
+        .expect("request succeeds");
+    let reference = Event::SpanBegin {
+        name: "interp.reference",
+    };
+    let evaluated = collector
+        .events()
+        .iter()
+        .filter(|e| e.event == reference)
+        .count();
+    (response, evaluated)
+}
+
+fn served_and_references(service: &mut DerivationService, request: &Request) -> (Served, usize) {
+    let (response, evaluated) = serve_counting_references(service, request);
+    (response.served, evaluated)
+}
+
+#[test]
+fn a_hit_reuses_the_reference_of_its_entry_until_the_entry_is_evicted() {
+    let mut service = DerivationService::open(ServiceConfig {
+        capacity: 1,
+        ..ServiceConfig::default()
+    })
+    .expect("service opens");
+    let first = small_request(&Workload::dot_product());
+    let second = small_request(&Workload {
+        program: lift::benchmarks::dot_product::high_level_program(256),
+        ..Workload::dot_product()
+    });
+    let mut serve = |request: &Request| served_and_references(&mut service, request);
+
+    // The miss evaluates its reference inside the tuner, the first hit once more, and every
+    // later hit reuses what the first one kept.
+    assert_eq!(serve(&first), (Served::ColdMiss, 1));
+    assert_eq!(serve(&first), (Served::WarmHit, 1));
+    assert_eq!(serve(&first), (Served::WarmHit, 0));
+    assert_eq!(serve(&first), (Served::WarmHit, 0));
+
+    // At capacity 1 `second` evicts `first`, and its kept reference goes with it: the
+    // re-inserted entry's first hit evaluates again.
+    assert_eq!(serve(&second), (Served::ColdMiss, 1));
+    assert_eq!(serve(&first), (Served::ColdMiss, 1));
+    assert_eq!(serve(&first), (Served::WarmHit, 1));
+    assert_eq!(serve(&first), (Served::WarmHit, 0));
+    assert_eq!(service.stats().replay_failures, 0);
+}
+
+/// The crate-doc `square` over a symbolic length `N`, as a one-point tuning request at `n`.
+fn square_request(n: i64) -> Request {
+    let mut p = Program::new("square");
+    let mult = p.user_fun(UserFun::mult());
+    let sq = p.lambda(&["v"], |p, params| p.apply(mult, [params[0], params[0]]));
+    let m = p.map(sq);
+    p.with_root(
+        vec![("x", Type::array(Type::float(), ArithExpr::size_var("N")))],
+        |p, params| p.apply1(m, params[0]),
+    );
+    let options = RuleOptions::default();
+    let space = TuningSpace {
+        split_sets: vec![options.split_sizes],
+        width_sets: vec![options.vector_widths],
+        tile_sets: vec![options.tile_sizes],
+        launches: vec![LaunchConfig::d1(16, 4)],
+    };
+    let mut config = TuningConfig::new(DeviceProfile::nvidia(), space, Strategy::Exhaustive);
+    config.base.sizes = Environment::new().bind("N", n);
+    Request {
+        name: format!("square_{n}"),
+        program: p,
+        config,
+    }
+}
+
+#[test]
+fn a_program_over_symbolic_sizes_is_cached_per_binding() {
+    let mut service = DerivationService::open(ServiceConfig::default()).expect("service opens");
+    let (small, large) = (square_request(64), square_request(128));
+    let mut serve = |request: &Request| served_and_references(&mut service, request);
+    assert_eq!(serve(&small), (Served::ColdMiss, 1));
+    assert_eq!(
+        serve(&large),
+        (Served::ColdMiss, 1),
+        "another binding is another entry"
+    );
+    // Each binding's entry keeps the reference of its own sizes.
+    for request in [&small, &large] {
+        assert_eq!(serve(request), (Served::WarmHit, 1));
+        assert_eq!(serve(request), (Served::WarmHit, 0));
+    }
+    assert_eq!(service.store().len(), 2);
+    let stats = service.stats();
+    assert_eq!((stats.misses, stats.hits, stats.replay_failures), (2, 4, 0));
+}
+
+#[test]
+fn hits_that_reuse_a_reference_serve_what_a_fresh_service_serves() {
+    // Every tracked workload at one point of its canonical budgets, so the cold derivations
+    // stay cheap; the hits re-prove whatever they found.
+    let device = DeviceProfile::nvidia();
+    let requests: Vec<Request> = Workload::all()
+        .iter()
+        .map(|workload| {
+            let mut config = autotune_config(workload, &device);
+            config.space = TuningSpace {
+                split_sets: vec![vec![2, 4]],
+                width_sets: vec![vec![4]],
+                tile_sets: vec![workload.tile_sets.first().cloned().unwrap_or_default()],
+                launches: vec![LaunchConfig::d1(64, 16)],
+            };
+            config.strategy = Strategy::Exhaustive;
+            Request {
+                name: workload.name.to_string(),
+                program: workload.program.clone(),
+                config,
+            }
+        })
+        .collect();
+    assert_eq!(requests.len(), 7);
+    let root = temp_root("reuse");
+    let config = ServiceConfig {
+        root: Some(root.clone()),
+        ..ServiceConfig::default()
+    };
+    let mut reusing = DerivationService::open(config.clone()).expect("service opens");
+    for request in &requests {
+        assert_eq!(
+            served_and_references(&mut reusing, request),
+            (Served::ColdMiss, 1),
+            "{}",
+            request.name
+        );
+        assert_eq!(
+            served_and_references(&mut reusing, request),
+            (Served::WarmHit, 1),
+            "{}",
+            request.name
+        );
+    }
+    // A re-opened service keeps no reference: its hits evaluate every one afresh.
+    let mut fresh = DerivationService::open(config).expect("service re-opens");
+    for request in &requests {
+        let (reused, evaluations) = serve_counting_references(&mut reusing, request);
+        assert_eq!(
+            evaluations, 0,
+            "{}: the hit reused its reference",
+            request.name
+        );
+        let (evaluated, evaluations) = serve_counting_references(&mut fresh, request);
+        assert_eq!(evaluations, 1, "{}", request.name);
+        assert_eq!(
+            (reused.served, evaluated.served),
+            (Served::WarmHit, Served::WarmHit)
+        );
+        assert_eq!(reused.name, evaluated.name);
+        // `BestVariant` equality covers the kernel source, the chain and the estimated time
+        // (the cost model's price of the run's counters); the bits pin the time exactly.
+        assert_eq!(
+            reused.variant.estimated_time.to_bits(),
+            evaluated.variant.estimated_time.to_bits(),
+            "{}",
+            request.name
+        );
+        assert_eq!(reused.variant, evaluated.variant, "{}", request.name);
+        assert_eq!(
+            reused.rule_options, evaluated.rule_options,
+            "{}",
+            request.name
+        );
+        assert_eq!(reused.launch, evaluated.launch, "{}", request.name);
+        assert_eq!(reused.warm_seeds, evaluated.warm_seeds, "{}", request.name);
+    }
     let _ = std::fs::remove_dir_all(&root);
 }
