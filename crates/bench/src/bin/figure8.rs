@@ -6,7 +6,8 @@
 //!
 //! Every kernel (generated and reference) is executed on the virtual GPU; the bar heights are
 //! the ratios of estimated execution times under the device profile's cost model. Outputs are
-//! verified against the host reference on every run.
+//! verified against the host reference on every run; the process exits non-zero if a
+//! reference or generated kernel fails to run or produces a wrong output.
 
 use lift_bench::{format_relative, geometric_mean};
 use lift_benchmarks::runner::{relative_performance, run_lift, run_reference};
@@ -35,6 +36,8 @@ fn main() {
         _ => vec![ProblemSize::Small, ProblemSize::Large],
     };
     let devices = [DeviceProfile::amd(), DeviceProfile::nvidia()];
+    // Rows with a failed run or a wrong output, over both device profiles.
+    let mut failed_rows = 0;
 
     println!("Figure 8: performance of generated code relative to hand-written OpenCL");
     println!("(1.0 = parity with the manually optimised reference; higher is better)\n");
@@ -56,6 +59,7 @@ fn main() {
                             case.info.name,
                             size.label()
                         );
+                        failed_rows += 1;
                         continue;
                     }
                 };
@@ -69,8 +73,14 @@ fn main() {
                             all_correct &= outcome.correct;
                             cells.push(format_relative(rel));
                         }
-                        Err(e) => cells.push(format!("error: {e}")),
+                        Err(e) => {
+                            all_correct = false;
+                            cells.push(format!("error: {e}"));
+                        }
                     }
+                }
+                if !all_correct {
+                    failed_rows += 1;
                 }
                 println!(
                     "{:<18} {:>6}  {:>18} {:>18} {:>18}  {}",
@@ -99,4 +109,8 @@ fn main() {
          with the hand-written kernels; disabling array-access simplification costs the most \
          for the benchmarks that transpose or slide over their data (MM, ATAX, Convolution)."
     );
+    if failed_rows > 0 {
+        eprintln!("figure8: {failed_rows} row(s) failed to run or produced a wrong output");
+        std::process::exit(1);
+    }
 }

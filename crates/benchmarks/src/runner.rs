@@ -6,8 +6,8 @@
 //! expected output and returns the cost-model counters from which Figure 8's relative
 //! performance is computed.
 
-use lift_codegen::{compile, CodegenError, CompilationOptions, CompiledKernel};
-use lift_vgpu::{CostCounters, DeviceProfile, ExecutionRequest, VgpuError};
+use lift_codegen::{compile_program, CodegenError, CompilationOptions, CompiledProgram};
+use lift_vgpu::{CostCounters, DeviceProfile, ExecutionRequest, KernelLaunchSpec, VgpuError};
 
 use crate::BenchmarkCase;
 
@@ -16,7 +16,8 @@ use crate::BenchmarkCase;
 pub struct RunOutcome {
     /// The produced output buffer.
     pub output: Vec<f32>,
-    /// The dynamic cost counters of the execution.
+    /// The dynamic cost counters of the execution (summed over the stages of a multi-kernel
+    /// program).
     pub counters: CostCounters,
     /// Whether the output matched the host reference within tolerance.
     pub correct: bool,
@@ -75,11 +76,11 @@ pub fn outputs_match(actual: &[f32], expected: &[f32]) -> bool {
 pub fn compile_case(
     case: &BenchmarkCase,
     options: &CompilationOptions,
-) -> Result<CompiledKernel, RunnerError> {
+) -> Result<CompiledProgram, RunnerError> {
     let options = options
         .clone()
         .with_launch(case.launch.global, case.launch.local);
-    Ok(compile(&case.program, &options)?)
+    Ok(compile_program(&case.program, &options)?)
 }
 
 /// Compiles and executes the benchmark's Lift program at the given optimisation level.
@@ -87,35 +88,36 @@ pub fn run_lift(
     case: &BenchmarkCase,
     options: &CompilationOptions,
 ) -> Result<RunOutcome, RunnerError> {
-    let kernel = compile_case(case, options)?;
-    let (args, output_buffer_index) = kernel
+    let compiled = compile_case(case, options)?;
+    let (args, output_buffer_index) = compiled
         .bind_args(&case.inputs, &case.sizes)
         .map_err(RunnerError::OutputLength)?;
 
-    let result =
-        ExecutionRequest::new(&kernel.module).launch(&kernel.kernel_name, case.launch, args)?;
+    let result = ExecutionRequest::new(&compiled.module)
+        .launch_sequence(&compiled.launch_plan(case.launch), args)?;
     let output = result.buffers[output_buffer_index].clone();
     let correct = outputs_match(&output, &case.expected);
     Ok(RunOutcome {
         output,
-        counters: result.report.counters,
+        counters: result.merged_counters(),
         correct,
-        source_lines: kernel.line_count(),
+        source_lines: compiled.line_count(),
     })
 }
 
 /// Executes the benchmark's hand-written reference kernel.
 pub fn run_reference(case: &BenchmarkCase) -> Result<RunOutcome, RunnerError> {
-    let result = ExecutionRequest::new(&case.reference_module).launch(
-        &case.reference_kernel,
-        case.launch,
-        case.reference_args.clone(),
-    )?;
+    let stage = KernelLaunchSpec {
+        kernel: case.reference_kernel.clone(),
+        launch: case.launch,
+    };
+    let result = ExecutionRequest::new(&case.reference_module)
+        .launch_sequence(&[stage], case.reference_args.clone())?;
     let output = result.buffers[case.reference_output_buffer].clone();
     let correct = outputs_match(&output, &case.expected);
     Ok(RunOutcome {
         output,
-        counters: result.report.counters,
+        counters: result.merged_counters(),
         correct,
         source_lines: 0,
     })

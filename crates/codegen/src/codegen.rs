@@ -141,121 +141,6 @@ pub enum KernelParamInfo {
     },
 }
 
-/// The result of compiling a Lift program.
-#[derive(Clone, Debug, PartialEq)]
-pub struct CompiledKernel {
-    /// The generated OpenCL module (structs, user functions, one kernel).
-    pub module: Module,
-    /// The kernel name.
-    pub kernel_name: String,
-    /// The kernel parameters in order.
-    pub params: Vec<KernelParamInfo>,
-    /// The number of elements of the output buffer (symbolic in the size variables).
-    pub output_len: ArithExpr,
-}
-
-impl CompiledKernel {
-    /// The OpenCL C source of the whole module.
-    pub fn source(&self) -> String {
-        lift_ocl::print_module(&self.module)
-    }
-
-    /// Number of non-empty, non-comment source lines (the code-size metric of Table 1).
-    pub fn line_count(&self) -> usize {
-        count_code_lines(&self.source())
-    }
-
-    /// Marshals launch arguments for the kernel's parameter list (see
-    /// [`CompiledProgram::bind_args`]; single-kernel programs have no temporaries).
-    ///
-    /// # Errors
-    ///
-    /// Returns a message when an input is missing or a length cannot be evaluated.
-    pub fn bind_args(
-        &self,
-        inputs: &[Vec<f32>],
-        sizes: &lift_arith::Environment,
-    ) -> Result<(Vec<lift_vgpu::KernelArg>, usize), String> {
-        bind_launch_args(&self.params, &[], &self.output_len, inputs, sizes)
-    }
-}
-
-/// Counts non-empty, non-comment lines: comment lines (the host-ABI block of multi-kernel
-/// modules, `//` annotations) are not code and must not skew the Table 1 code-size metric.
-fn count_code_lines(source: &str) -> usize {
-    source
-        .lines()
-        .map(str::trim)
-        .filter(|l| {
-            !l.is_empty() && !l.starts_with("//") && !l.starts_with("/*") && !l.starts_with('*')
-        })
-        .count()
-}
-
-/// Marshals launch arguments for a compiled parameter list: input buffers are cloned from
-/// `inputs` (indexed by root parameter), the output and every temporary are zero-filled to
-/// their evaluated lengths, and size parameters are bound from `sizes`. Returns the
-/// arguments and the index of the output among the *buffer* arguments (the index into
-/// [`lift_vgpu::LaunchResult::buffers`] / [`lift_vgpu::SequenceResult::buffers`]).
-fn bind_launch_args(
-    params: &[KernelParamInfo],
-    temps: &[TempBufferInfo],
-    output_len: &ArithExpr,
-    inputs: &[Vec<f32>],
-    sizes: &lift_arith::Environment,
-) -> Result<(Vec<lift_vgpu::KernelArg>, usize), String> {
-    use lift_vgpu::KernelArg;
-    let as_len = |e: &ArithExpr, what: &str| -> Result<usize, String> {
-        let v = e
-            .evaluate(sizes)
-            .map_err(|err| format!("cannot evaluate {what}: {err}"))?;
-        usize::try_from(v).map_err(|_| format!("negative {what}: {v}"))
-    };
-    let out_len = as_len(output_len, "output length")?;
-    let mut args = Vec::with_capacity(params.len());
-    let mut output_index = None;
-    let mut buffers = 0usize;
-    for p in params {
-        match p {
-            KernelParamInfo::Input { index, name } => {
-                let data = inputs
-                    .get(*index)
-                    .ok_or_else(|| format!("missing input {index} for `{name}`"))?;
-                args.push(KernelArg::Buffer(data.clone()));
-                buffers += 1;
-            }
-            KernelParamInfo::ScalarInput { index, name } => {
-                let v = inputs
-                    .get(*index)
-                    .and_then(|d| d.first())
-                    .ok_or_else(|| format!("missing scalar input {index} for `{name}`"))?;
-                args.push(KernelArg::Float(*v));
-            }
-            KernelParamInfo::Output { .. } => {
-                output_index = Some(buffers);
-                args.push(KernelArg::zeros(out_len));
-                buffers += 1;
-            }
-            KernelParamInfo::Temp { index, name } => {
-                let temp = temps
-                    .get(*index)
-                    .ok_or_else(|| format!("missing temp buffer {index} for `{name}`"))?;
-                let len = as_len(&temp.elem_count, "temp buffer length")?;
-                args.push(KernelArg::zeros(len));
-                buffers += 1;
-            }
-            KernelParamInfo::Size { name } => {
-                let v = sizes
-                    .get(name)
-                    .ok_or_else(|| format!("unbound size `{name}`"))?;
-                args.push(KernelArg::Int(v));
-            }
-        }
-    }
-    let output_index = output_index.ok_or_else(|| "no output parameter".to_string())?;
-    Ok((args, output_index))
-}
-
 /// One kernel of a compiled multi-kernel program, in launch order.
 #[derive(Clone, Debug, PartialEq, Eq)]
 pub struct KernelStage {
@@ -287,7 +172,7 @@ pub struct TempBufferInfo {
     pub elem_count: ArithExpr,
 }
 
-/// The result of compiling a Lift program that may span several kernels.
+/// The result of compiling a Lift program: one kernel, or a sequence of them.
 ///
 /// Programs whose intermediates live in global memory are split at each device-wide
 /// synchronisation point into a *sequence* of kernels: the producer stage writes the
@@ -317,21 +202,24 @@ impl CompiledProgram {
 
     /// Number of non-empty, non-comment source lines (the code-size metric of Table 1).
     ///
-    /// Comment lines are excluded so the host-ABI documentation block of multi-kernel
-    /// modules does not inflate the code size relative to single-kernel programs.
+    /// Comment lines (the host-ABI block of multi-kernel modules, `//` annotations) are not
+    /// code and must not inflate the code size relative to single-kernel programs.
     pub fn line_count(&self) -> usize {
-        count_code_lines(&self.source())
+        self.source()
+            .lines()
+            .map(str::trim)
+            .filter(|l| {
+                !l.is_empty() && !l.starts_with("//") && !l.starts_with("/*") && !l.starts_with('*')
+            })
+            .count()
     }
 
-    /// Whether the program compiled to more than one kernel.
-    pub fn is_multi_kernel(&self) -> bool {
-        self.kernels.len() > 1
-    }
-
-    /// Marshals launch arguments for the shared parameter list of the kernel sequence.
-    /// Returns the arguments (pass the same vector to every stage via
+    /// Marshals launch arguments for the shared parameter list of the kernel sequence: input
+    /// buffers are cloned from `inputs` (indexed by root parameter), the output and every
+    /// temporary are zero-filled to their evaluated lengths, and size parameters are bound
+    /// from `sizes`. Returns the arguments (pass the same vector to every stage via
     /// [`lift_vgpu::ExecutionRequest::launch_sequence`]) and the index of the output among
-    /// the *buffer* arguments.
+    /// the *buffer* arguments (the index into [`lift_vgpu::SequenceResult::buffers`]).
     ///
     /// # Errors
     ///
@@ -341,13 +229,57 @@ impl CompiledProgram {
         inputs: &[Vec<f32>],
         sizes: &lift_arith::Environment,
     ) -> Result<(Vec<lift_vgpu::KernelArg>, usize), String> {
-        bind_launch_args(
-            &self.params,
-            &self.temp_buffers,
-            &self.output_len,
-            inputs,
-            sizes,
-        )
+        use lift_vgpu::KernelArg;
+        let as_len = |e: &ArithExpr, what: &str| -> Result<usize, String> {
+            let v = e
+                .evaluate(sizes)
+                .map_err(|err| format!("cannot evaluate {what}: {err}"))?;
+            usize::try_from(v).map_err(|_| format!("negative {what}: {v}"))
+        };
+        let out_len = as_len(&self.output_len, "output length")?;
+        let mut args = Vec::with_capacity(self.params.len());
+        let mut output_index = None;
+        let mut buffers = 0usize;
+        for p in &self.params {
+            match p {
+                KernelParamInfo::Input { index, name } => {
+                    let data = inputs
+                        .get(*index)
+                        .ok_or_else(|| format!("missing input {index} for `{name}`"))?;
+                    args.push(KernelArg::Buffer(data.clone()));
+                    buffers += 1;
+                }
+                KernelParamInfo::ScalarInput { index, name } => {
+                    let v = inputs
+                        .get(*index)
+                        .and_then(|d| d.first())
+                        .ok_or_else(|| format!("missing scalar input {index} for `{name}`"))?;
+                    args.push(KernelArg::Float(*v));
+                }
+                KernelParamInfo::Output { .. } => {
+                    output_index = Some(buffers);
+                    args.push(KernelArg::zeros(out_len));
+                    buffers += 1;
+                }
+                KernelParamInfo::Temp { index, name } => {
+                    let temp = self
+                        .temp_buffers
+                        .get(*index)
+                        .ok_or_else(|| format!("missing temp buffer {index} for `{name}`"))?;
+                    let len = as_len(&temp.elem_count, "temp buffer length")?;
+                    args.push(KernelArg::zeros(len));
+                    buffers += 1;
+                }
+                KernelParamInfo::Size { name } => {
+                    let v = sizes
+                        .get(name)
+                        .ok_or_else(|| format!("unbound size `{name}`"))?;
+                    args.push(KernelArg::Int(v));
+                }
+            }
+        }
+        let output_index = output_index.ok_or_else(|| "no output parameter".to_string())?;
+        Ok((args, output_index))
     }
 
     /// The per-stage launch plan for an execution under `launch`: parallel stages use the
@@ -365,45 +297,12 @@ impl CompiledProgram {
     }
 }
 
-/// Compiles a Lift program into a single OpenCL kernel.
-///
-/// This is the single-kernel entry point: programs whose intermediates force a split into
-/// several kernels (global-memory intermediates) are rejected — use [`compile_program`] for
-/// those. For every program this function accepts, the result is identical to the sole
-/// kernel of [`compile_program`].
-///
-/// # Errors
-///
-/// Returns a [`CodegenError`] if the program is ill-typed, uses an unsupported combination
-/// of patterns, or compiles to more than one kernel.
-pub fn compile(
-    program: &Program,
-    options: &CompilationOptions,
-) -> Result<CompiledKernel, CodegenError> {
-    let compiled = compile_program(program, options)?;
-    if compiled.is_multi_kernel() {
-        return Err(CodegenError::Unsupported(format!(
-            "the program compiles to {} kernels (its global-memory intermediates split it \
-             at device-wide synchronisation points); use `compile_program` and execute the \
-             kernel sequence",
-            compiled.kernels.len()
-        )));
-    }
-    let kernel_name = compiled.kernels[0].name.clone();
-    Ok(CompiledKernel {
-        module: compiled.module,
-        kernel_name,
-        params: compiled.params,
-        output_len: compiled.output_len,
-    })
-}
-
 /// Compiles a Lift program into a sequence of one or more OpenCL kernels.
 ///
 /// Intermediates placed in global memory (via `toGlobal` or address-space inference) are
 /// materialised into host-allocated temporaries, and the program is split after each such
-/// producer: the kernel boundary is the device-wide synchronisation point. Single-kernel
-/// programs compile exactly as with [`compile`].
+/// producer: the kernel boundary is the device-wide synchronisation point. A program
+/// without such intermediates compiles to a single kernel, a one-stage plan.
 ///
 /// # Errors
 ///

@@ -10,13 +10,14 @@
 //! 5. barrier elimination and control-flow simplification,
 //! 6. [`codegen`] — OpenCL code generation.
 //!
-//! The entry point is [`compile`], which turns a Lift [`Program`](lift_ir::Program) into a
-//! [`CompiledKernel`] containing the OpenCL module, the kernel parameter list and metadata.
+//! The entry point is [`compile_program`], which turns a Lift [`Program`](lift_ir::Program)
+//! into a [`CompiledProgram`]: the OpenCL module, its kernels in launch order (one, unless
+//! global-memory intermediates split the program), the shared parameter list and metadata.
 //! The [`CompilationOptions`] select which optimisations run, mirroring the three
 //! configurations compared in Figure 8 of the paper.
 //!
 //! ```
-//! use lift_codegen::{compile, CompilationOptions};
+//! use lift_codegen::{compile_program, CompilationOptions};
 //! use lift_ir::prelude::*;
 //! use lift_arith::ArithExpr;
 //!
@@ -28,8 +29,9 @@
 //! p.with_root(vec![("x", Type::array(Type::float(), n))], |p, params| {
 //!     p.apply1(m, params[0])
 //! });
-//! let kernel = compile(&p, &CompilationOptions::all_optimisations()).unwrap();
-//! assert!(kernel.source().contains("kernel void copy"));
+//! let compiled = compile_program(&p, &CompilationOptions::all_optimisations()).unwrap();
+//! assert_eq!(compiled.kernels.len(), 1);
+//! assert!(compiled.source().contains("kernel void copy"));
 //! ```
 
 pub mod address_space;
@@ -41,8 +43,8 @@ pub use address_space::{
     infer_address_spaces, infer_parallelism, AddressSpaces, ParallelismLevels,
 };
 pub use codegen::{
-    compile, compile_program, compile_program_traced, CodegenError, CompiledKernel,
-    CompiledProgram, KernelParamInfo, KernelStage, TempBufferInfo,
+    compile_program, compile_program_traced, CodegenError, CompiledProgram, KernelParamInfo,
+    KernelStage, TempBufferInfo,
 };
 pub use options::{CompilationOptions, LaunchTrace};
 pub use view::{resolve, AccessBuilder, Resolved, View, ViewError};

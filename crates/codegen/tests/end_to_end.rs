@@ -2,21 +2,21 @@
 //! the results are compared against the reference interpreter.
 
 use lift_arith::{ArithExpr, Environment};
-use lift_codegen::{compile, CompilationOptions, CompiledKernel};
+use lift_codegen::{compile_program, CompilationOptions, CompiledProgram};
 use lift_interp::{evaluate_with_sizes, Value};
 use lift_ir::prelude::*;
-use lift_vgpu::{ExecutionRequest, LaunchConfig, LaunchResult};
+use lift_vgpu::{ExecutionRequest, LaunchConfig, SequenceResult};
 
-/// Launches a compiled kernel with the given input arrays and size bindings.
+/// Launches a compiled program with the given input arrays and size bindings.
 fn run_kernel(
-    kernel: &CompiledKernel,
+    kernel: &CompiledProgram,
     inputs: &[Vec<f32>],
     sizes: &Environment,
     config: LaunchConfig,
-) -> (Vec<f32>, LaunchResult) {
+) -> (Vec<f32>, SequenceResult) {
     let (args, buffer_index) = kernel.bind_args(inputs, sizes).expect("arguments bind");
     let result = ExecutionRequest::new(&kernel.module)
-        .launch(&kernel.kernel_name, config, args)
+        .launch_sequence(&kernel.launch_plan(config), args)
         .expect("kernel executes");
     (result.buffers[buffer_index].clone(), result)
 }
@@ -44,7 +44,7 @@ fn map_glb_id_copies_the_input() {
     });
 
     let options = CompilationOptions::all_optimisations().with_launch_1d(64, 16);
-    let kernel = compile(&p, &options).expect("compiles");
+    let kernel = compile_program(&p, &options).expect("compiles");
     assert!(kernel.source().contains("kernel void copy"));
 
     let input: Vec<f32> = (0..64).map(|i| i as f32).collect();
@@ -89,7 +89,7 @@ fn zipped_multiplication_matches_the_interpreter() {
     .flatten_f32();
 
     let options = CompilationOptions::all_optimisations().with_launch_1d(128, 32);
-    let kernel = compile(&p, &options).expect("compiles");
+    let kernel = compile_program(&p, &options).expect("compiles");
     let (out, _) = run_kernel(
         &kernel,
         &[x.clone(), y.clone()],
@@ -120,7 +120,7 @@ fn split_map_wrg_map_lcl_join_pipeline() {
     let input: Vec<f32> = (0..256).map(|i| i as f32 * 0.5).collect();
     let sizes = Environment::new().bind("N", 256);
     let options = CompilationOptions::all_optimisations().with_launch_1d(256, 32);
-    let kernel = compile(&p, &options).expect("compiles");
+    let kernel = compile_program(&p, &options).expect("compiles");
     let (out, _) = run_kernel(
         &kernel,
         std::slice::from_ref(&input),
@@ -161,7 +161,7 @@ fn per_work_group_reduction() {
         .flatten_f32();
 
     let options = CompilationOptions::all_optimisations().with_launch_1d(64, 16);
-    let kernel = compile(&p, &options).expect("compiles");
+    let kernel = compile_program(&p, &options).expect("compiles");
     let (out, _) = run_kernel(&kernel, &[input], &sizes, LaunchConfig::d1(64, 16));
     assert_close(&out, &expected);
 }
@@ -202,7 +202,7 @@ fn gather_transpose_of_a_matrix() {
     assert_eq!(expected[1], (m) as f32 * 1.0);
 
     let options = CompilationOptions::all_optimisations().with_launch_1d(96, 8);
-    let kernel = compile(&p, &options).expect("compiles");
+    let kernel = compile_program(&p, &options).expect("compiles");
     let (out, _) = run_kernel(&kernel, &[data], &sizes, LaunchConfig::d1(96, 8));
     assert_close(&out, &expected);
 }
@@ -231,7 +231,7 @@ fn slide_based_stencil() {
     assert_eq!(expected.len(), n - 2);
 
     let options = CompilationOptions::all_optimisations().with_launch_1d(62, 31);
-    let kernel = compile(&p, &options).expect("compiles");
+    let kernel = compile_program(&p, &options).expect("compiles");
     let (out, _) = run_kernel(&kernel, &[input], &sizes, LaunchConfig::d1(62, 31));
     assert_close(&out, &expected);
 }
@@ -308,7 +308,7 @@ fn dot_product_kernel_runs_and_matches_the_interpreter() {
         CompilationOptions::none(),
     ] {
         let options = options.with_launch_1d(256, 64);
-        let kernel = compile(&p, &options).expect("compiles");
+        let kernel = compile_program(&p, &options).expect("compiles");
         let (out, _) = run_kernel(
             &kernel,
             &[x.clone(), y.clone()],
@@ -323,7 +323,7 @@ fn dot_product_kernel_runs_and_matches_the_interpreter() {
 fn dot_product_kernel_has_the_figure7_structure() {
     let p = listing1_dot_product(1024);
     let options = CompilationOptions::all_optimisations().with_launch_1d(512, 64);
-    let kernel = compile(&p, &options).expect("compiles");
+    let kernel = compile_program(&p, &options).expect("compiles");
     let source = kernel.source();
     // Work-group loop over the chunks, like Figure 7 line 7.
     assert!(source.contains("get_group_id(0)"), "{source}");
@@ -359,14 +359,14 @@ fn array_access_simplification_reduces_divisions() {
         },
     );
     let opts = |o: CompilationOptions| o.with_launch_1d((n * m).next_power_of_two(), n);
-    let simplified = compile(&p, &opts(CompilationOptions::all_optimisations())).unwrap();
-    let unsimplified = compile(
+    let simplified = compile_program(&p, &opts(CompilationOptions::all_optimisations())).unwrap();
+    let unsimplified = compile_program(
         &p,
         &opts(CompilationOptions::without_array_access_simplification()),
     )
     .unwrap();
     let count =
-        |k: &CompiledKernel| k.source().matches('%').count() + k.source().matches('/').count();
+        |k: &CompiledProgram| k.source().matches('%').count() + k.source().matches('/').count();
     assert!(
         count(&unsimplified) > count(&simplified),
         "expected fewer division/modulo operations with simplification: {} vs {}",
@@ -400,7 +400,7 @@ fn results_are_identical_across_optimisation_levels() {
         CompilationOptions::without_array_access_simplification(),
         CompilationOptions::none(),
     ] {
-        let kernel = compile(&p, &options.with_launch_1d(96, 32)).unwrap();
+        let kernel = compile_program(&p, &options.with_launch_1d(96, 32)).unwrap();
         let (out, _) = run_kernel(
             &kernel,
             &[x.clone(), x.clone()],
@@ -444,7 +444,7 @@ fn padded_stencil_matches_the_interpreter_for_every_mode() {
                 .flatten_f32();
 
         let options = CompilationOptions::all_optimisations().with_launch_1d(n, 8);
-        let kernel = compile(&p, &options).expect("compiles");
+        let kernel = compile_program(&p, &options).expect("compiles");
         // The pad view emits branch-free min/max (or double-mod) index arithmetic; the
         // virtual GPU's bounds checker rejects any out-of-range access, so a successful
         // run proves there are none.
@@ -466,7 +466,7 @@ fn pad_as_final_producer_is_a_typed_error() {
         vec![("x", Type::array(Type::float(), 8usize))],
         |p, params| p.apply1(pad, params[0]),
     );
-    let err = compile(&p, &CompilationOptions::all_optimisations()).unwrap_err();
+    let err = compile_program(&p, &CompilationOptions::all_optimisations()).unwrap_err();
     assert!(
         err.to_string().contains("read-side pattern"),
         "unexpected error: {err}"
@@ -516,7 +516,7 @@ fn two_dimensional_padded_stencil_compiles_as_views() {
         .flatten_f32();
 
     let options = CompilationOptions::all_optimisations().with_launch_1d(rows, 2);
-    let kernel = compile(&p, &options).expect("compiles");
+    let kernel = compile_program(&p, &options).expect("compiles");
     // The mapped layout patterns must not have materialised anything: the kernel contains
     // no temporary arrays, just the compute loops reading through the views.
     assert!(
@@ -562,7 +562,7 @@ fn same_dimension_nested_parallel_maps_are_rejected() {
 
     // mapLcl0 ∘ mapLcl0: rejected with an error naming the dimension.
     let options = CompilationOptions::all_optimisations().with_launch([4, 4, 1], [4, 4, 1]);
-    let err = compile(&build(0), &options).expect_err("same-dim nesting must not compile");
+    let err = compile_program(&build(0), &options).expect_err("same-dim nesting must not compile");
     let message = err.to_string();
     assert!(
         message.contains("mapLcl") && message.contains("dimension 0"),
@@ -570,7 +570,7 @@ fn same_dimension_nested_parallel_maps_are_rejected() {
     );
 
     // mapLcl0 ∘ mapLcl1: the 2D distribution compiles and runs correctly.
-    let kernel = compile(&build(1), &options).expect("distinct dims compile");
+    let kernel = compile_program(&build(1), &options).expect("distinct dims compile");
     let input: Vec<f32> = (0..64).map(|i| i as f32).collect();
     let (out, _) = run_kernel(
         &kernel,
@@ -604,10 +604,11 @@ fn same_dimension_nested_work_group_maps_are_rejected() {
         p
     };
     let options = CompilationOptions::all_optimisations().with_launch([8, 2, 1], [4, 1, 1]);
-    let err = compile(&build(0), &options).expect_err("same-dim work-group nesting rejected");
+    let err =
+        compile_program(&build(0), &options).expect_err("same-dim work-group nesting rejected");
     assert!(
         err.to_string().contains("mapWrg") && err.to_string().contains("dimension 0"),
         "unhelpful rejection: {err}"
     );
-    compile(&build(1), &options).expect("mapWrg1 over mapWrg0 compiles");
+    compile_program(&build(1), &options).expect("mapWrg1 over mapWrg0 compiles");
 }

@@ -360,8 +360,9 @@ enum RowOp {
         dst: u32,
         lanes: u32,
     },
-    /// Evaluate the condition per active thread (charging `int_ops`), push the then-mask if
-    /// any thread took it, else jump to `else_pc`.
+    /// Evaluate the condition per active thread (charging `int_ops`) and push the then-mask
+    /// if any thread took it or the `if` has an `else` (whose row pops it); jump to
+    /// `else_pc` if no thread took it.
     If {
         start: u32,
         len: u32,
@@ -369,8 +370,8 @@ enum RowOp {
         else_pc: usize,
         has_else: bool,
     },
-    /// Pop the then-mask (if pushed), push the saved else-mask if any thread holds it, else
-    /// jump to `end_pc`.
+    /// Pop the then-mask, push the saved else-mask if any thread holds it, else jump to
+    /// `end_pc`.
     Else {
         end_pc: usize,
     },
@@ -987,10 +988,10 @@ impl Compiler<'_> {
             SExpr::ArrayAccess(arr, idx) => {
                 let va = self.expr(arr)?;
                 if !va.shape.is_scalar() {
-                    self.fail(VgpuError::NotAPointer("array expression".to_string()));
+                    self.fail(array_not_a_pointer());
                     return Ok(self.dummy(Shape::Scalar));
                 }
-                let err = self.errid(VgpuError::NotAPointer("array expression".to_string()));
+                let err = self.errid(array_not_a_pointer());
                 self.emit(EOp::PtrChk { src: va.base, err });
                 let vi = self.expr(idx)?;
                 let ri = self.num(vi);
@@ -1311,10 +1312,10 @@ impl Compiler<'_> {
                         let vr = c.expr(rhs)?;
                         let va = c.expr(arr)?;
                         if !va.shape.is_scalar() {
-                            c.fail(VgpuError::NotAPointer("array expression".to_string()));
+                            c.fail(array_not_a_pointer());
                             return Ok(());
                         }
-                        let err = c.errid(VgpuError::NotAPointer("array expression".to_string()));
+                        let err = c.errid(array_not_a_pointer());
                         c.emit(EOp::PtrChk { src: va.base, err });
                         let vi = c.expr(idx)?;
                         let ri = c.num(vi);
@@ -1471,6 +1472,24 @@ fn rd(r: u32, cells: &[V], scratch: &[V]) -> V {
     }
 }
 
+/// Reads the pointer operand of a memory op. The `PtrChk` compiled before every memory op
+/// has already raised `error` for an operand that holds no pointer, so the error arm only
+/// restates that check.
+#[inline(always)]
+fn rd_ptr(
+    r: u32,
+    cells: &[V],
+    scratch: &[V],
+    error: impl FnOnce() -> VgpuError,
+) -> Result<Ptr, VgpuError> {
+    rd(r, cells, scratch).as_ptr().ok_or_else(error)
+}
+
+/// The error of an array access or array-element store through a non-pointer.
+fn array_not_a_pointer() -> VgpuError {
+    VgpuError::NotAPointer("array expression".to_string())
+}
+
 /// Executes a compiled program against prepared launch state, mirroring the interpreter's
 /// group/thread iteration order, mask discipline and counter placement exactly.
 pub(crate) fn run(exec: &mut Exec, prog: &Program) -> Result<(), VgpuError> {
@@ -1503,7 +1522,6 @@ pub(crate) fn run(exec: &mut Exec, prog: &Program) -> Result<(), VgpuError> {
         scratch: vec![V::None; prog.n_scratch as usize],
         masks: Vec::with_capacity(n * 4),
         else_masks: Vec::new(),
-        if_stack: Vec::new(),
         tm: vec![false; n],
         em: vec![false; n],
         threads,
@@ -1536,7 +1554,6 @@ pub(crate) fn run(exec: &mut Exec, prog: &Program) -> Result<(), VgpuError> {
                 vm.masks.clear();
                 vm.masks.resize(n, true);
                 vm.else_masks.clear();
-                vm.if_stack.clear();
                 exec.counters.work_groups += 1;
                 exec.counters.work_items += n as u64;
                 let rows_before = exec.counters.lockstep_rows;
@@ -1560,8 +1577,6 @@ struct Vm<'p> {
     scratch: Vec<V>,
     masks: Vec<bool>,
     else_masks: Vec<bool>,
-    /// Per open `if` with an `else`: whether the then-mask was pushed.
-    if_stack: Vec<bool>,
     /// Transient then-/iteration-mask buffer.
     tm: Vec<bool>,
     /// Transient else-mask buffer.
@@ -1732,20 +1747,16 @@ impl Vm<'_> {
                     exec.flush_accesses();
                     if has_else {
                         self.else_masks.extend_from_slice(&self.em);
-                        self.if_stack.push(any_then);
                     }
-                    if any_then {
+                    // With an `else`, an all-false then-mask is pushed too, so the `Else`
+                    // row always has one to pop.
+                    if any_then || has_else {
                         self.masks.extend_from_slice(&self.tm);
-                        pc += 1;
-                    } else {
-                        pc = else_pc;
                     }
+                    pc = if any_then { pc + 1 } else { else_pc };
                 }
                 RowOp::Else { end_pc } => {
-                    let then_pushed = self.if_stack.pop().expect("balanced if stack");
-                    if then_pushed {
-                        self.masks.truncate(self.masks.len() - n);
-                    }
+                    self.masks.truncate(self.masks.len() - n);
                     let off = self.else_masks.len() - n;
                     let any = self.else_masks[off..].iter().any(|b| *b);
                     if any {
@@ -2028,9 +2039,7 @@ fn run_prog(
                 }
             }
             EOp::Load { dst, ptr, idx } => {
-                let p = rd(ptr, cells, scratch)
-                    .as_ptr()
-                    .expect("pointer verified by PtrChk");
+                let p = rd_ptr(ptr, cells, scratch, array_not_a_pointer)?;
                 let i = rd(idx, cells, scratch).as_i64();
                 let v = exec.load(p, i, group, thread, 1)?;
                 scratch[dst as usize] = V::Float(v.as_f64());
@@ -2042,9 +2051,9 @@ fn run_prog(
                 width,
                 lane,
             } => {
-                let p = rd(ptr, cells, scratch)
-                    .as_ptr()
-                    .expect("pointer verified by PtrChk");
+                let p = rd_ptr(ptr, cells, scratch, || {
+                    VgpuError::NotAPointer(format!("vload{width}"))
+                })?;
                 let i = rd(idx, cells, scratch).as_i64();
                 let v = exec.load(
                     p,
@@ -2060,9 +2069,7 @@ fn run_prog(
                 if !matches!(v, V::Float(_) | V::Int(_) | V::Bool(_)) {
                     return Err(errors[err as usize].clone());
                 }
-                let p = rd(ptr, cells, scratch)
-                    .as_ptr()
-                    .expect("pointer verified by PtrChk");
+                let p = rd_ptr(ptr, cells, scratch, array_not_a_pointer)?;
                 let i = rd(idx, cells, scratch).as_i64();
                 exec.store(p, i, v.as_f64(), group, thread, 1)?;
             }
@@ -2073,9 +2080,9 @@ fn run_prog(
                 width,
                 lane,
             } => {
-                let p = rd(ptr, cells, scratch)
-                    .as_ptr()
-                    .expect("pointer verified by PtrChk");
+                let p = rd_ptr(ptr, cells, scratch, || {
+                    VgpuError::NotAPointer(format!("vstore{width}"))
+                })?;
                 let i = rd(idx, cells, scratch).as_i64();
                 let v = rd(val, cells, scratch).as_f64();
                 exec.store(

@@ -1,30 +1,30 @@
-//! The engine-agnostic launch API.
+//! The launch API.
 //!
 //! A virtual-GPU launch has two halves: the engine-independent prologue (resolve the kernel,
 //! lower it to the slot-indexed form, bind the arguments — [`crate::exec::prepare`]) and the
-//! actual execution of the lowered body. [`Engine`] abstracts the second half, with two
-//! implementations:
+//! execution of the lowered body on one of two tiers ([`EngineSelection`]):
 //!
-//! * [`InterpreterEngine`] — the slotted SIMT tree-walker of `exec.rs` (PR 2), complete and
-//!   the semantic reference.
-//! * [`BytecodeEngine`] — compiles the lowered body once per launch into the flat register
+//! * the interpreter — the slotted SIMT tree-walker of `exec.rs`, complete and the semantic
+//!   reference;
+//! * the bytecode tier — compiles the lowered body once per launch into the flat register
 //!   bytecode of `bytecode.rs` and runs that; counters, buffers and errors are byte-identical
 //!   to the interpreter. Constructs the compiler does not support fall back to the
 //!   interpreter, optionally reporting a telemetry [`Event::EngineFallback`].
 //!
 //! [`ExecutionRequest`] is the builder every caller goes through: it owns the cross-cutting
 //! launch options — device validation, engine selection, race detection, a time budget,
-//! telemetry — so call sites configure a request once.
+//! telemetry — so call sites configure a request once. A single kernel is a one-stage plan:
 //!
 //! ```
 //! # use lift_ocl::*;
 //! # use lift_vgpu::*;
 //! # fn demo(module: &Module, config: LaunchConfig, args: Vec<KernelArg>)
-//! #     -> Result<LaunchResult, VgpuError> {
+//! #     -> Result<SequenceResult, VgpuError> {
+//! let stage = KernelLaunchSpec { kernel: "kernel_0".to_string(), launch: config };
 //! ExecutionRequest::new(module)
 //!     .engine(EngineSelection::Auto)
 //!     .race_detection(true)
-//!     .launch("kernel_0", config, args)
+//!     .launch_sequence(&[stage], args)
 //! # }
 //! ```
 
@@ -37,78 +37,11 @@ use crate::device::{DeviceProfile, LaunchConfig};
 use crate::exec::{prepare, KernelLaunchSpec, LaunchResult, Prepared, SequenceResult, VgpuError};
 use crate::memory::KernelArg;
 
-/// A prepared launch: the lowered kernel body with bound arguments and live execution state,
-/// ready for an [`Engine`] to run. Opaque outside the crate; engines receive it mutably and
-/// leave the executed state behind for the request to turn into a [`LaunchResult`].
-pub struct PreparedLaunch {
-    pub(crate) inner: Prepared,
-}
-
-/// An execution tier of the virtual GPU.
-///
-/// Both engines run the same lowered kernel form against the same state and must produce
-/// byte-identical buffers, [`crate::CostCounters`] and [`VgpuError`]s — the differential test
-/// suite holds them to that. An engine may *decline* a launch it cannot handle by executing
-/// it on the interpreter and returning the reason (see [`Engine::execute`]).
-pub trait Engine: Sync {
-    /// Stable engine name, used in telemetry and benchmark records.
-    fn name(&self) -> &'static str;
-
-    /// Executes the prepared launch to completion.
-    ///
-    /// Returns `Ok(None)` when this engine ran the launch itself and `Ok(Some(reason))` when
-    /// it fell back to the reference interpreter (the launch still completed, with identical
-    /// results).
-    ///
-    /// # Errors
-    ///
-    /// Any [`VgpuError`] the kernel raises during execution.
-    fn execute(&self, prepared: &mut PreparedLaunch) -> Result<Option<String>, VgpuError>;
-}
-
-/// The slotted SIMT tree-walking interpreter (the reference tier).
-#[derive(Clone, Copy, Debug, Default)]
-pub struct InterpreterEngine;
-
-impl Engine for InterpreterEngine {
-    fn name(&self) -> &'static str {
-        "interpreter"
-    }
-
-    fn execute(&self, prepared: &mut PreparedLaunch) -> Result<Option<String>, VgpuError> {
-        let Prepared { body, exec } = &mut prepared.inner;
-        exec.run(body)?;
-        Ok(None)
-    }
-}
-
-/// The bytecode tier: compiles the lowered body once per launch into a flat register-file
-/// program with instrumented counter ops, then runs it. Falls back to the interpreter on
-/// constructs the compiler does not support.
-#[derive(Clone, Copy, Debug, Default)]
-pub struct BytecodeEngine;
-
-impl Engine for BytecodeEngine {
-    fn name(&self) -> &'static str {
-        "bytecode"
-    }
-
-    fn execute(&self, prepared: &mut PreparedLaunch) -> Result<Option<String>, VgpuError> {
-        let Prepared { body, exec } = &mut prepared.inner;
-        match bytecode::compile(body, exec) {
-            Ok(program) => {
-                bytecode::run(exec, &program)?;
-                Ok(None)
-            }
-            Err(reason) => {
-                exec.run(body)?;
-                Ok(Some(reason))
-            }
-        }
-    }
-}
-
 /// Which execution tier an [`ExecutionRequest`] (or an exploration / tuning run) uses.
+///
+/// Both tiers run the same lowered kernel form against the same state and must produce
+/// byte-identical buffers, [`crate::CostCounters`] and [`VgpuError`]s — the differential test
+/// suite holds them to that.
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq, Hash)]
 pub enum EngineSelection {
     /// Always the reference interpreter.
@@ -124,15 +57,7 @@ pub enum EngineSelection {
 }
 
 impl EngineSelection {
-    /// The engine this selection resolves to.
-    pub fn engine(self) -> &'static dyn Engine {
-        match self {
-            EngineSelection::Interpreter => &InterpreterEngine,
-            EngineSelection::Bytecode | EngineSelection::Auto => &BytecodeEngine,
-        }
-    }
-
-    /// Stable lower-snake-case label (used in benchmark JSON and CLI flags).
+    /// Stable lower-snake-case label (used in benchmark JSON).
     pub fn label(self) -> &'static str {
         match self {
             EngineSelection::Interpreter => "interpreter",
@@ -140,21 +65,11 @@ impl EngineSelection {
             EngineSelection::Auto => "auto",
         }
     }
-
-    /// Parses a CLI/JSON label (`interpreter` | `bytecode` | `auto`).
-    pub fn parse(s: &str) -> Option<EngineSelection> {
-        match s {
-            "interpreter" => Some(EngineSelection::Interpreter),
-            "bytecode" => Some(EngineSelection::Bytecode),
-            "auto" => Some(EngineSelection::Auto),
-            _ => None,
-        }
-    }
 }
 
 /// A configured virtual-GPU launch: module, engine, device limits, race detection, budget
-/// and telemetry in one builder, executed with [`ExecutionRequest::launch`] (single kernel) or
-/// [`ExecutionRequest::launch_sequence`] (multi-kernel plan over a shared argument pool).
+/// and telemetry in one builder, executed with [`ExecutionRequest::launch_sequence`] (a plan
+/// of one or more kernels over a shared argument pool).
 #[derive(Clone, Copy)]
 pub struct ExecutionRequest<'a> {
     module: &'a Module,
@@ -204,11 +119,9 @@ impl<'a> ExecutionRequest<'a> {
 
     /// Lets a launch stop as soon as it provably cannot finish within `limit` on the device
     /// of [`ExecutionRequest::on_device`]: at every lock-step row, a lower bound on the
-    /// estimated time is computed from the counters so far — of the kernel
-    /// ([`crate::ExecutionReport::estimated_time`]) for [`ExecutionRequest::launch`], of the
-    /// sequence ([`crate::estimated_sequence_time`]) for
-    /// [`ExecutionRequest::launch_sequence`] — and once it exceeds `limit` the launch fails
-    /// with [`VgpuError::OverBudget`]. A launch that is not stopped runs exactly as without
+    /// estimated time of the sequence ([`crate::estimated_sequence_time`]) is computed from
+    /// the counters so far, and once it exceeds `limit` the launch fails with
+    /// [`VgpuError::OverBudget`]. A launch that is not stopped runs exactly as without
     /// a budget; one whose time exceeds `limit` may still complete, because the bound is
     /// not tight.
     ///
@@ -253,48 +166,32 @@ impl<'a> ExecutionRequest<'a> {
         Budget::new(self.device?, self.budget, spent, groups)
     }
 
+    /// Runs a prepared launch on the selected tier, reporting a bytecode → interpreter
+    /// fallback to the collector.
     fn run_prepared(
         &self,
         kernel_name: &str,
-        mut prepared: PreparedLaunch,
+        mut prepared: Prepared,
     ) -> Result<LaunchResult, VgpuError> {
-        let fallback = self.engine.engine().execute(&mut prepared)?;
-        if let (Some(reason), Some(collector)) = (fallback, self.collector) {
-            if collector.enabled() {
-                collector.record(Event::EngineFallback {
-                    kernel: kernel_name.to_string(),
-                    reason,
-                });
+        let Prepared { body, exec } = &mut prepared;
+        match self.engine {
+            EngineSelection::Interpreter => exec.run(body)?,
+            EngineSelection::Bytecode | EngineSelection::Auto => {
+                match bytecode::compile(body, exec) {
+                    Ok(program) => bytecode::run(exec, &program)?,
+                    Err(reason) => {
+                        exec.run(body)?;
+                        if let Some(collector) = self.collector.filter(|c| c.enabled()) {
+                            collector.record(Event::EngineFallback {
+                                kernel: kernel_name.to_string(),
+                                reason,
+                            });
+                        }
+                    }
+                }
             }
         }
-        Ok(prepared.inner.finish())
-    }
-
-    /// Launches `kernel_name` over the given ND-range.
-    ///
-    /// # Errors
-    ///
-    /// Returns a [`VgpuError`] if the kernel is unknown, the arguments do not match, the
-    /// launch violates the configured device, or the kernel performs an invalid memory
-    /// access (including data races when detection is on).
-    pub fn launch(
-        &self,
-        kernel_name: &str,
-        config: LaunchConfig,
-        args: Vec<KernelArg>,
-    ) -> Result<LaunchResult, VgpuError> {
-        self.validate(&config)?;
-        let prepared = PreparedLaunch {
-            inner: prepare(
-                self.module,
-                kernel_name,
-                config,
-                args,
-                self.race_detection,
-                self.stage_budget(0.0, &config),
-            )?,
-        };
-        self.run_prepared(kernel_name, prepared)
+        Ok(prepared.finish())
     }
 
     /// Executes a sequence of kernels against a persistent pool of arguments.
@@ -335,16 +232,14 @@ impl<'a> ExecutionRequest<'a> {
                     KernelArg::Float(v) => KernelArg::Float(*v),
                 })
                 .collect();
-            let prepared = PreparedLaunch {
-                inner: prepare(
-                    self.module,
-                    &stage.kernel,
-                    stage.launch,
-                    args,
-                    self.race_detection,
-                    self.stage_budget(spent, &stage.launch),
-                )?,
-            };
+            let prepared = prepare(
+                self.module,
+                &stage.kernel,
+                stage.launch,
+                args,
+                self.race_detection,
+                self.stage_budget(spent, &stage.launch),
+            )?;
             let result = self.run_prepared(&stage.kernel, prepared)?;
             // The launch hands back its global buffers in argument order.
             let slots = pool.iter_mut().filter_map(|a| match a {

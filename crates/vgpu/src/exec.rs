@@ -190,14 +190,14 @@ impl fmt::Display for VgpuError {
 
 impl std::error::Error for VgpuError {}
 
-/// The result of a kernel launch: the (possibly modified) global buffers in argument order and
-/// the execution report for the cost model.
+/// The result of one stage's launch: the (possibly modified) global buffers in argument order
+/// and the execution report for the cost model.
 #[derive(Clone, Debug, PartialEq)]
-pub struct LaunchResult {
+pub(crate) struct LaunchResult {
     /// Global buffers after execution, in the order the buffer arguments were passed.
-    pub buffers: Vec<Vec<f32>>,
+    pub(crate) buffers: Vec<Vec<f32>>,
     /// Dynamic execution counters.
-    pub report: ExecutionReport,
+    pub(crate) report: ExecutionReport,
 }
 
 /// One stage of a multi-kernel launch plan: which kernel to run and under which ND-range.
@@ -316,7 +316,7 @@ pub(crate) fn prepare(
     let functions: Vec<std::rc::Rc<SFunction>> = lowerer
         .functions
         .into_iter()
-        .map(|f| std::rc::Rc::new(f.expect("function lowering completed")))
+        .map(std::rc::Rc::new)
         .collect();
     let names = lowerer.names;
 
@@ -504,8 +504,9 @@ pub(crate) struct Lowerer<'m> {
     module: &'m Module,
     slots: VarMap<usize>,
     names: Vec<String>,
-    /// `None` marks a function whose body is still being lowered (recursion-safe).
-    functions: Vec<Option<SFunction>>,
+    /// Lowered functions by index. A function's entry is a placeholder while its body is
+    /// being lowered (recursion-safe); `lower_function` overwrites it before returning.
+    functions: Vec<SFunction>,
     fn_slots: VarMap<usize>,
 }
 
@@ -753,11 +754,14 @@ impl<'m> Lowerer<'m> {
         }
         let fun = self.module.function(name)?;
         let idx = self.functions.len();
-        self.functions.push(None);
+        self.functions.push(SFunction {
+            params: Vec::new(),
+            body: SExpr::Int(0),
+        });
         self.fn_slots.insert(name.to_string(), idx);
         let params: Vec<usize> = fun.params.iter().map(|(n, _)| self.slot(n)).collect();
         let body = self.lower_expr(&fun.body);
-        self.functions[idx] = Some(SFunction { params, body });
+        self.functions[idx] = SFunction { params, body };
         Some(idx)
     }
 }
@@ -1871,8 +1875,16 @@ fn vector_width(name: &str, prefix: &str) -> Option<usize> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::engine::ExecutionRequest;
+    use crate::engine::{EngineSelection, ExecutionRequest};
     use lift_ocl::{CFunction, CType, Fence, Kernel, KernelParam};
+
+    /// The one-stage plan that launches `kernel` under `launch`.
+    fn stage(kernel: &str, launch: LaunchConfig) -> [KernelLaunchSpec; 1] {
+        [KernelLaunchSpec {
+            kernel: kernel.to_string(),
+            launch,
+        }]
+    }
 
     fn copy_kernel() -> Module {
         let mut m = Module::new();
@@ -1906,7 +1918,7 @@ mod tests {
         assert_send_sync::<ExecutionRequest<'static>>();
         assert_send_sync::<Module>();
         assert_send_sync::<KernelArg>();
-        assert_send_sync::<LaunchResult>();
+        assert_send_sync::<SequenceResult>();
         assert_send_sync::<VgpuError>();
         assert_send_sync::<LaunchConfig>();
         assert_send_sync::<crate::DeviceProfile>();
@@ -1918,23 +1930,22 @@ mod tests {
         let m = copy_kernel();
         let input: Vec<f32> = (0..64).map(|i| i as f32).collect();
         let result = ExecutionRequest::new(&m)
-            .launch(
-                "copy",
-                LaunchConfig::d1(64, 16),
+            .launch_sequence(
+                &stage("copy", LaunchConfig::d1(64, 16)),
                 vec![KernelArg::Buffer(input.clone()), KernelArg::zeros(64)],
             )
             .expect("runs");
         assert_eq!(result.buffers[1], input);
-        assert_eq!(result.report.counters.work_items, 64);
-        assert_eq!(result.report.counters.work_groups, 4);
-        assert!(result.report.counters.global_accesses >= 128);
+        assert_eq!(result.reports[0].counters.work_items, 64);
+        assert_eq!(result.reports[0].counters.work_groups, 4);
+        assert!(result.reports[0].counters.global_accesses >= 128);
     }
 
     #[test]
     fn unknown_kernel_is_reported() {
         let m = copy_kernel();
         let err = ExecutionRequest::new(&m)
-            .launch("missing", LaunchConfig::d1(1, 1), vec![])
+            .launch_sequence(&stage("missing", LaunchConfig::d1(1, 1)), vec![])
             .unwrap_err();
         assert_eq!(err, VgpuError::UnknownKernel("missing".into()));
     }
@@ -1943,7 +1954,10 @@ mod tests {
     fn argument_count_is_checked() {
         let m = copy_kernel();
         let err = ExecutionRequest::new(&m)
-            .launch("copy", LaunchConfig::d1(16, 16), vec![KernelArg::zeros(16)])
+            .launch_sequence(
+                &stage("copy", LaunchConfig::d1(16, 16)),
+                vec![KernelArg::zeros(16)],
+            )
             .unwrap_err();
         assert_eq!(
             err,
@@ -1958,9 +1972,8 @@ mod tests {
     fn out_of_bounds_access_is_reported() {
         let m = copy_kernel();
         let err = ExecutionRequest::new(&m)
-            .launch(
-                "copy",
-                LaunchConfig::d1(64, 16),
+            .launch_sequence(
+                &stage("copy", LaunchConfig::d1(64, 16)),
                 vec![KernelArg::Buffer(vec![0.0; 8]), KernelArg::zeros(64)],
             )
             .unwrap_err();
@@ -2032,9 +2045,8 @@ mod tests {
         });
         let input: Vec<f32> = (0..32).map(|i| i as f32).collect();
         let result = ExecutionRequest::new(&m)
-            .launch(
-                "sum4",
-                LaunchConfig::d1(8, 8),
+            .launch_sequence(
+                &stage("sum4", LaunchConfig::d1(8, 8)),
                 vec![KernelArg::Buffer(input), KernelArg::zeros(8)],
             )
             .expect("runs");
@@ -2042,8 +2054,8 @@ mod tests {
             .map(|g| (0..4).map(|i| (g * 4 + i) as f32).sum())
             .collect();
         assert_eq!(result.buffers[1], expected);
-        assert!(result.report.counters.loop_iterations >= 32);
-        assert!(result.report.counters.flops >= 32);
+        assert!(result.reports[0].counters.loop_iterations >= 32);
+        assert!(result.reports[0].counters.flops >= 32);
     }
 
     #[test]
@@ -2083,9 +2095,8 @@ mod tests {
         });
         let input: Vec<f32> = (0..16).map(|i| i as f32).collect();
         let result = ExecutionRequest::new(&m)
-            .launch(
-                "reverse",
-                LaunchConfig::d1(16, 8),
+            .launch_sequence(
+                &stage("reverse", LaunchConfig::d1(16, 8)),
                 vec![KernelArg::Buffer(input), KernelArg::zeros(16)],
             )
             .expect("runs");
@@ -2093,8 +2104,8 @@ mod tests {
             7.0, 6.0, 5.0, 4.0, 3.0, 2.0, 1.0, 0.0, 15.0, 14.0, 13.0, 12.0, 11.0, 10.0, 9.0, 8.0,
         ];
         assert_eq!(result.buffers[1], expected);
-        assert_eq!(result.report.counters.barriers, 2);
-        assert!(result.report.counters.local_accesses >= 32);
+        assert_eq!(result.reports[0].counters.barriers, 2);
+        assert!(result.reports[0].counters.local_accesses >= 32);
     }
 
     #[test]
@@ -2120,12 +2131,68 @@ mod tests {
             }],
         });
         let result = ExecutionRequest::new(&m)
-            .launch("half", LaunchConfig::d1(8, 8), vec![KernelArg::zeros(8)])
+            .launch_sequence(
+                &stage("half", LaunchConfig::d1(8, 8)),
+                vec![KernelArg::zeros(8)],
+            )
             .expect("runs");
         assert_eq!(
             result.buffers[0],
             vec![1.0, 1.0, 1.0, 1.0, 2.0, 2.0, 2.0, 2.0]
         );
+    }
+
+    #[test]
+    fn an_if_no_thread_enters_still_runs_its_else_under_the_enclosing_mask() {
+        // The inner `if` is taken by no thread, so every thread of the outer then-branch runs
+        // the inner `else`; the outer `else` and the statement after both `if`s must still
+        // see their own masks.
+        let out_at =
+            |offset: i64| CExpr::var("out").at(CExpr::global_id(0).add(CExpr::int(offset)));
+        let mut m = Module::new();
+        m.kernels.push(Kernel {
+            name: "nested".into(),
+            params: vec![KernelParam {
+                name: "out".into(),
+                ty: CType::pointer(CType::Float, AddrSpace::Global),
+            }],
+            body: vec![
+                CStmt::If {
+                    cond: CExpr::local_id(0).lt(CExpr::int(4)),
+                    then: vec![CStmt::If {
+                        cond: CExpr::local_id(0).lt(CExpr::int(0)),
+                        then: vec![CStmt::Assign {
+                            lhs: out_at(0),
+                            rhs: CExpr::float(1.0),
+                        }],
+                        otherwise: Some(vec![CStmt::Assign {
+                            lhs: out_at(0),
+                            rhs: CExpr::float(2.0),
+                        }]),
+                    }],
+                    otherwise: Some(vec![CStmt::Assign {
+                        lhs: out_at(0),
+                        rhs: CExpr::float(3.0),
+                    }]),
+                },
+                CStmt::Assign {
+                    lhs: out_at(8),
+                    rhs: CExpr::float(4.0),
+                },
+            ],
+        });
+        let mut expected = vec![2.0, 2.0, 2.0, 2.0, 3.0, 3.0, 3.0, 3.0];
+        expected.extend([4.0; 8]);
+        for engine in [EngineSelection::Interpreter, EngineSelection::Bytecode] {
+            let result = ExecutionRequest::new(&m)
+                .engine(engine)
+                .launch_sequence(
+                    &stage("nested", LaunchConfig::d1(8, 8)),
+                    vec![KernelArg::zeros(16)],
+                )
+                .expect("runs");
+            assert_eq!(result.buffers[0], expected, "{engine:?}");
+        }
     }
 
     #[test]
@@ -2154,14 +2221,13 @@ mod tests {
         });
         let input: Vec<f32> = (0..32).map(|i| i as f32).collect();
         let result = ExecutionRequest::new(&m)
-            .launch(
-                "vcopy",
-                LaunchConfig::d1(8, 8),
+            .launch_sequence(
+                &stage("vcopy", LaunchConfig::d1(8, 8)),
                 vec![KernelArg::Buffer(input.clone()), KernelArg::zeros(32)],
             )
             .expect("runs");
         assert_eq!(result.buffers[1], input);
-        assert!(result.report.counters.vector_accesses >= 64);
+        assert!(result.reports[0].counters.vector_accesses >= 64);
     }
 
     #[test]
@@ -2189,28 +2255,26 @@ mod tests {
             m
         };
         let coalesced = ExecutionRequest::new(&make(1))
-            .launch(
-                "k",
-                LaunchConfig::d1(64, 64),
+            .launch_sequence(
+                &stage("k", LaunchConfig::d1(64, 64)),
                 vec![KernelArg::Buffer(vec![0.0; 64 * 32]), KernelArg::zeros(64)],
             )
             .unwrap();
         let strided = ExecutionRequest::new(&make(32))
-            .launch(
-                "k",
-                LaunchConfig::d1(64, 64),
+            .launch_sequence(
+                &stage("k", LaunchConfig::d1(64, 64)),
                 vec![KernelArg::Buffer(vec![0.0; 64 * 32]), KernelArg::zeros(64)],
             )
             .unwrap();
         assert!(
-            strided.report.counters.global_transactions
-                > 4 * coalesced.report.counters.global_transactions,
+            strided.reports[0].counters.global_transactions
+                > 4 * coalesced.reports[0].counters.global_transactions,
             "strided {} vs coalesced {}",
-            strided.report.counters.global_transactions,
-            coalesced.report.counters.global_transactions
+            strided.reports[0].counters.global_transactions,
+            coalesced.reports[0].counters.global_transactions
         );
-        assert!(strided.report.counters.uncoalesced_accesses > 0);
-        assert_eq!(coalesced.report.counters.uncoalesced_accesses, 0);
+        assert!(strided.reports[0].counters.uncoalesced_accesses > 0);
+        assert_eq!(coalesced.reports[0].counters.uncoalesced_accesses, 0);
     }
 
     #[test]
@@ -2231,7 +2295,10 @@ mod tests {
             }],
         });
         let err = ExecutionRequest::new(&m)
-            .launch("bad", LaunchConfig::d1(8, 8), vec![KernelArg::zeros(8)])
+            .launch_sequence(
+                &stage("bad", LaunchConfig::d1(8, 8)),
+                vec![KernelArg::zeros(8)],
+            )
             .unwrap_err();
         assert_eq!(
             err,
@@ -2261,9 +2328,12 @@ mod tests {
             }],
         });
         let result = ExecutionRequest::new(&m)
-            .launch("ok", LaunchConfig::d1(16, 8), vec![KernelArg::zeros(8)])
+            .launch_sequence(
+                &stage("ok", LaunchConfig::d1(16, 8)),
+                vec![KernelArg::zeros(8)],
+            )
             .expect("uniform barrier executes");
-        assert_eq!(result.report.counters.barriers, 1);
+        assert_eq!(result.reports[0].counters.barriers, 1);
     }
 
     #[test]
@@ -2286,7 +2356,10 @@ mod tests {
             }],
         });
         let err = ExecutionRequest::new(&m)
-            .launch("loopy", LaunchConfig::d1(4, 4), vec![KernelArg::zeros(4)])
+            .launch_sequence(
+                &stage("loopy", LaunchConfig::d1(4, 4)),
+                vec![KernelArg::zeros(4)],
+            )
             .unwrap_err();
         assert!(matches!(err, VgpuError::DivergentBarrier { .. }), "{err:?}");
     }
@@ -2430,10 +2503,13 @@ mod tests {
             ],
         });
         let result = ExecutionRequest::new(&m)
-            .launch("priv", LaunchConfig::d1(4, 2), vec![KernelArg::zeros(4)])
+            .launch_sequence(
+                &stage("priv", LaunchConfig::d1(4, 2)),
+                vec![KernelArg::zeros(4)],
+            )
             .expect("runs");
         assert_eq!(result.buffers[0], vec![0.0, 2.0, 4.0, 6.0]);
-        assert!(result.report.counters.private_accesses > 0);
+        assert!(result.reports[0].counters.private_accesses > 0);
     }
 
     // ------------------------------------------------------------- data-race detection
@@ -2493,12 +2569,12 @@ mod tests {
         // Detector off: executes (with whichever lock-step interleaving the vgpu has) —
         // this is exactly the "filtered only by output luck" failure mode of PR 5.
         ExecutionRequest::new(&m)
-            .launch("racy", LaunchConfig::d1(8, 8), args())
+            .launch_sequence(&stage("racy", LaunchConfig::d1(8, 8)), args())
             .expect("runs without detection");
         // Detector on: the write-write conflict is a typed error.
         let err = ExecutionRequest::new(&m)
             .race_detection(true)
-            .launch("racy", LaunchConfig::d1(8, 8), args())
+            .launch_sequence(&stage("racy", LaunchConfig::d1(8, 8)), args())
             .expect_err("per-item staging races");
         match &err {
             VgpuError::DataRace {
@@ -2562,12 +2638,12 @@ mod tests {
         // 1D launch: dimension 1 is a single work item, so every cell has one writer.
         ExecutionRequest::new(&m)
             .race_detection(true)
-            .launch("dim1", LaunchConfig::d1(4, 4), args())
+            .launch_sequence(&stage("dim1", LaunchConfig::d1(4, 4)), args())
             .expect("1D launch has one writer per cell");
         // 2D launch: (l0, 0) and (l0, 1) both write tmp[l0], with values differing by one.
         let err = ExecutionRequest::new(&m)
             .race_detection(true)
-            .launch("dim1", LaunchConfig::d2((4, 2), (4, 2)), args())
+            .launch_sequence(&stage("dim1", LaunchConfig::d2((4, 2), (4, 2))), args())
             .expect_err("dimension-1 siblings write different values to the same cell");
         match &err {
             VgpuError::DataRace {
@@ -2624,9 +2700,8 @@ mod tests {
         let input: Vec<f32> = (1..=16).map(|i| i as f32).collect();
         let result = ExecutionRequest::new(&m)
             .race_detection(true)
-            .launch(
-                "reverse",
-                LaunchConfig::d1(16, 8),
+            .launch_sequence(
+                &stage("reverse", LaunchConfig::d1(16, 8)),
                 vec![KernelArg::Buffer(input), KernelArg::zeros(16)],
             )
             .expect("barrier-synchronised staging is race-free");
@@ -2643,9 +2718,8 @@ mod tests {
         let input: Vec<f32> = (1..=16).map(|i| i as f32).collect();
         let err = ExecutionRequest::new(&m)
             .race_detection(true)
-            .launch(
-                "reverse",
-                LaunchConfig::d1(16, 8),
+            .launch_sequence(
+                &stage("reverse", LaunchConfig::d1(16, 8)),
                 vec![KernelArg::Buffer(input), KernelArg::zeros(16)],
             )
             .expect_err("unsynchronised read-after-write races");
@@ -2706,7 +2780,10 @@ mod tests {
         };
         let err = ExecutionRequest::new(&make(false))
             .race_detection(true)
-            .launch("sweep", LaunchConfig::d1(8, 8), vec![KernelArg::zeros(8)])
+            .launch_sequence(
+                &stage("sweep", LaunchConfig::d1(8, 8)),
+                vec![KernelArg::zeros(8)],
+            )
             .expect_err("the second sweep races against the first without a barrier");
         assert!(
             matches!(err, VgpuError::DataRace { epoch: 0, .. }),
@@ -2716,7 +2793,10 @@ mod tests {
         // advance per executed barrier and the same access pattern is race-free.
         ExecutionRequest::new(&make(true))
             .race_detection(true)
-            .launch("sweep", LaunchConfig::d1(8, 8), vec![KernelArg::zeros(8)])
+            .launch_sequence(
+                &stage("sweep", LaunchConfig::d1(8, 8)),
+                vec![KernelArg::zeros(8)],
+            )
             .expect("barrier-separated sweeps are race-free");
     }
 
@@ -2740,7 +2820,10 @@ mod tests {
         });
         let result = ExecutionRequest::new(&m)
             .race_detection(true)
-            .launch("uniform", LaunchConfig::d1(8, 8), vec![KernelArg::zeros(1)])
+            .launch_sequence(
+                &stage("uniform", LaunchConfig::d1(8, 8)),
+                vec![KernelArg::zeros(1)],
+            )
             .expect("uniform redundant stores are benign");
         assert_eq!(result.buffers[0], vec![3.0]);
     }
@@ -2767,7 +2850,10 @@ mod tests {
         });
         let err = ExecutionRequest::new(&m)
             .race_detection(true)
-            .launch("clash", LaunchConfig::d1(8, 4), vec![KernelArg::zeros(1)])
+            .launch_sequence(
+                &stage("clash", LaunchConfig::d1(8, 4)),
+                vec![KernelArg::zeros(1)],
+            )
             .expect_err("conflicting cross-group writes race");
         match &err {
             VgpuError::DataRace { buffer, index, .. } => {
@@ -2790,11 +2876,11 @@ mod tests {
         let input: Vec<f32> = (0..64).map(|i| i as f32).collect();
         let args = || vec![KernelArg::Buffer(input.clone()), KernelArg::zeros(64)];
         let plain = ExecutionRequest::new(&m)
-            .launch("copy", LaunchConfig::d1(64, 16), args())
+            .launch_sequence(&stage("copy", LaunchConfig::d1(64, 16)), args())
             .expect("runs");
         let detected = ExecutionRequest::new(&m)
             .race_detection(true)
-            .launch("copy", LaunchConfig::d1(64, 16), args())
+            .launch_sequence(&stage("copy", LaunchConfig::d1(64, 16)), args())
             .expect("runs");
         assert_eq!(plain, detected);
     }

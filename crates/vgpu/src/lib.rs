@@ -4,9 +4,10 @@
 //! hardware with a *virtual GPU*: a SIMT interpreter for the OpenCL AST of `lift-ocl` plus an
 //! analytical cost model.
 //!
-//! * [`ExecutionRequest::launch`] executes a kernel over an ND-range with global buffers,
-//!   work-group local memory, private memory, barriers and divergent control flow (execution
-//!   masks), on the engine the request selects ([`EngineSelection`]).
+//! * [`ExecutionRequest::launch_sequence`] executes a plan of one or more kernels over
+//!   ND-ranges with global buffers, work-group local memory, private memory, barriers and
+//!   divergent control flow (execution masks), on the engine the request selects
+//!   ([`EngineSelection`]).
 //! * The execution produces [`CostCounters`]: dynamic counts of floating-point work, integer
 //!   index arithmetic (divisions/modulos counted separately), global-memory transactions with
 //!   a per-SIMD-group coalescing analysis, local/private traffic, barriers and loop overhead.
@@ -29,10 +30,8 @@ pub use cost::{
     TimeBreakdown, COST_MODEL_VERSION,
 };
 pub use device::{DeviceProfile, LaunchConfig, LaunchError};
-pub use engine::{
-    BytecodeEngine, Engine, EngineSelection, ExecutionRequest, InterpreterEngine, PreparedLaunch,
-};
-pub use exec::{KernelLaunchSpec, LaunchResult, SequenceResult, VgpuError};
+pub use engine::{EngineSelection, ExecutionRequest};
+pub use exec::{KernelLaunchSpec, SequenceResult, VgpuError};
 pub use memory::{GpuValue, KernelArg, Ptr};
 
 /// The workspace-wide tolerance policy for comparing a kernel's output buffer against a

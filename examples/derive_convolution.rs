@@ -27,7 +27,8 @@ fn main() {
         launch: LaunchConfig::d1(128, 32),
         best_n: 6,
         device: DeviceProfile::nvidia(),
-        // `Auto` (the default) prefers the bytecode tier and falls back per kernel.
+        // `Auto` (the default) runs the bytecode tier; no generated kernel falls back to the
+        // interpreter.
         engine: EngineSelection::Auto,
         ..ExplorationConfig::default()
     };

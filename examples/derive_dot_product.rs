@@ -57,8 +57,8 @@ fn main() {
         launch: LaunchConfig::d1(32, 8),
         device: DeviceProfile::nvidia(),
         best_n: 3,
-        // Candidates are validated on the bytecode execution tier; kernels the bytecode
-        // compiler cannot handle fall back to the interpreter with identical results.
+        // Candidates are validated on the bytecode execution tier, which runs every kernel
+        // the code generator emits (its interpreter fallback is for hand-written modules).
         engine: EngineSelection::Bytecode,
         ..ExplorationConfig::default()
     };

@@ -4,7 +4,7 @@
 //! Run with `cargo run --release --example dot_product`.
 
 use lift::benchmarks::dot_product;
-use lift::codegen::{compile, CompilationOptions};
+use lift::codegen::{compile_program, CompilationOptions};
 use lift::vgpu::{DeviceProfile, ExecutionRequest, LaunchConfig};
 
 fn main() {
@@ -15,7 +15,7 @@ fn main() {
     // Compile for 64 threads per work group, one work group per 128-element chunk.
     let launch = LaunchConfig::d1(n / 2, 64);
     let options = CompilationOptions::all_optimisations().with_launch(launch.global, launch.local);
-    let kernel = compile(&program, &options).expect("compiles");
+    let kernel = compile_program(&program, &options).expect("compiles");
     println!(
         "== Generated kernel (compare with Figure 7) ==\n{}",
         kernel.source()
@@ -28,7 +28,7 @@ fn main() {
         .bind_args(&[x.clone(), y.clone()], &Default::default())
         .expect("arguments bind");
     let result = ExecutionRequest::new(&kernel.module)
-        .launch(&kernel.kernel_name, launch, args)
+        .launch_sequence(&kernel.launch_plan(launch), args)
         .expect("runs");
 
     // The kernel produces one partial sum per work group; finish the reduction on the host,
@@ -41,10 +41,11 @@ fn main() {
     assert!((total - expected).abs() < 1e-2 * expected.abs());
 
     let device = DeviceProfile::nvidia();
+    let report = &result.reports[0];
     println!(
         "work groups: {}, barriers: {}, estimated time: {:.1} units",
-        result.report.counters.work_groups,
-        result.report.counters.barriers,
-        result.report.estimated_time(&device)
+        report.counters.work_groups,
+        report.counters.barriers,
+        report.estimated_time(&device)
     );
 }

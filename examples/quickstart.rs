@@ -28,16 +28,15 @@ fn main() {
 
     // 2. Compile it for a concrete launch configuration.
     let options = CompilationOptions::all_optimisations().with_launch_1d(1024, 128);
-    let kernel = compile(&program, &options).expect("the program compiles");
-    println!("== Generated OpenCL ==\n{}", kernel.source());
+    let compiled = compile_program(&program, &options).expect("the program compiles");
+    println!("== Generated OpenCL ==\n{}", compiled.source());
 
-    // 3. Execute the generated kernel on the virtual GPU.
+    // 3. Execute the generated kernel (a one-stage plan) on the virtual GPU.
     let x: Vec<f32> = (0..1024).map(|i| i as f32).collect();
     let y: Vec<f32> = (0..1024).map(|i| 0.5 * i as f32).collect();
-    let result = ExecutionRequest::new(&kernel.module)
-        .launch(
-            &kernel.kernel_name,
-            LaunchConfig::d1(1024, 128),
+    let result = ExecutionRequest::new(&compiled.module)
+        .launch_sequence(
+            &compiled.launch_plan(LaunchConfig::d1(1024, 128)),
             vec![
                 KernelArg::Buffer(x.clone()),
                 KernelArg::Buffer(y.clone()),
@@ -56,7 +55,7 @@ fn main() {
         println!(
             "estimated time on {:<20}: {:.1} units",
             device.name,
-            result.report.estimated_time(&device)
+            result.reports[0].estimated_time(&device)
         );
     }
 }

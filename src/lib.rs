@@ -30,9 +30,10 @@
 //!
 //! // Build the dot-product program of Listing 1, compile it and print the OpenCL kernel.
 //! let program = lift::benchmarks::dot_product::lift_program(1024);
-//! let kernel = lift::codegen::compile(&program, &CompilationOptions::all_optimisations())
+//! let compiled = compile_program(&program, &CompilationOptions::all_optimisations())
 //!     .expect("dot product compiles");
-//! assert!(kernel.source().contains("kernel void"));
+//! assert_eq!(compiled.kernels.len(), 1);
+//! assert!(compiled.source().contains("kernel void"));
 //! ```
 
 pub use lift_arith as arith;
@@ -50,7 +51,7 @@ pub use lift_vgpu as vgpu;
 /// Commonly used items, re-exported for convenience.
 pub mod prelude {
     pub use lift_arith::ArithExpr;
-    pub use lift_codegen::{compile, CompilationOptions};
+    pub use lift_codegen::{compile_program, CompilationOptions};
     pub use lift_interp::Value;
     pub use lift_ir::prelude::*;
     pub use lift_vgpu::{DeviceProfile, EngineSelection, ExecutionRequest};

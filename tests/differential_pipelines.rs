@@ -8,7 +8,7 @@
 //! the kind of view compositions whose index generation (Section 5.3) is the subtle part of
 //! the compiler.
 
-use lift::codegen::{compile, CompilationOptions};
+use lift::codegen::{compile_program, CompilationOptions};
 use lift::interp::{evaluate, Value};
 use lift::ir::prelude::*;
 use lift::vgpu::{ExecutionRequest, LaunchConfig};
@@ -91,12 +91,12 @@ fn run_compiled(program: &Program, input: &[f32], simplify: bool) -> Vec<f32> {
         CompilationOptions::none()
     }
     .with_launch_1d(input.len(), 32);
-    let kernel = compile(program, &options).expect("pipeline compiles");
+    let kernel = compile_program(program, &options).expect("pipeline compiles");
     let (args, out_index) = kernel
         .bind_args(&[input.to_vec()], &Default::default())
         .expect("arguments bind");
     let result = ExecutionRequest::new(&kernel.module)
-        .launch(&kernel.kernel_name, LaunchConfig::d1(input.len(), 32), args)
+        .launch_sequence(&kernel.launch_plan(LaunchConfig::d1(input.len(), 32)), args)
         .expect("pipeline executes");
     result.buffers[out_index].clone()
 }

@@ -16,9 +16,13 @@
 //!    [`VgpuError`] value from both engines.
 //! 4. **Budgets.** The cost bound a budgeted launch is stopped by never exceeds the exact
 //!    time, and both engines stop a launch at the same row with the same bound.
+//! 5. **The paper's evaluation.** Every Table 1 benchmark's hand-written reference kernel
+//!    and its Lift kernel at each of Figure 8's optimisation levels run to bit-identical
+//!    buffers and counters on both engines, and the bytecode tier runs every one itself.
 
-use lift::benchmarks::mm;
-use lift::codegen::{compile, compile_program, CompilationOptions, CompiledProgram};
+use lift::benchmarks::runner::compile_case;
+use lift::benchmarks::{all_benchmarks, mm, ProblemSize};
+use lift::codegen::{compile_program, CompilationOptions, CompiledProgram};
 use lift::ir::prelude::*;
 use lift::rewrite::{
     all_rules, beta_normalize, get, replace, sites, typecheck, Exploration, ExplorationConfig,
@@ -28,7 +32,7 @@ use lift::telemetry::{Event, InMemory, Null};
 use lift::tuner::Workload;
 use lift::vgpu::{
     DeviceProfile, EngineSelection, ExecutionRequest, KernelArg, KernelLaunchSpec, LaunchConfig,
-    LaunchResult, SequenceResult, VgpuError,
+    SequenceResult, VgpuError,
 };
 use lift_arith::ArithExpr;
 use lift_bench::autotune_config;
@@ -234,6 +238,83 @@ fn the_budget_bound_is_sound_and_both_engines_stop_alike() {
     assert!(stopped > 0, "no launch was stopped at half its time");
 }
 
+/// Runs `stages` of `module` on `engine` under an `InMemory` collector, asserting that no
+/// launch fell back to the interpreter.
+fn run_without_fallback(
+    label: &str,
+    module: &lift::ocl::Module,
+    stages: &[KernelLaunchSpec],
+    args: Vec<KernelArg>,
+    engine: EngineSelection,
+) -> SequenceResult {
+    let collector = InMemory::new();
+    let result = ExecutionRequest::new(module)
+        .engine(engine)
+        .collector(&collector)
+        .launch_sequence(stages, args)
+        .unwrap_or_else(|e| panic!("{label}: {engine:?} fails: {e}"));
+    let fallbacks: Vec<Event> = collector
+        .into_events()
+        .into_iter()
+        .map(|e| e.event)
+        .filter(|e| matches!(e, Event::EngineFallback { .. }))
+        .collect();
+    assert!(fallbacks.is_empty(), "{label}: {fallbacks:?}");
+    result
+}
+
+/// Figure 8's evaluation on both engines: for every Table 1 benchmark, the hand-written
+/// reference kernel and the Lift kernel at each of the three optimisation levels (each a
+/// single kernel) produce bit-identical buffers and identical counters on the interpreter
+/// and the bytecode tier, and no launch falls back.
+#[test]
+fn paper_benchmarks_run_identically_on_both_engines_without_fallback() {
+    let levels = [
+        ("none", CompilationOptions::none()),
+        (
+            "barrier+cf",
+            CompilationOptions::without_array_access_simplification(),
+        ),
+        ("barrier+cf+array", CompilationOptions::all_optimisations()),
+    ];
+    for case in all_benchmarks(ProblemSize::Small) {
+        let name = case.info.name;
+        let reference = KernelLaunchSpec {
+            kernel: case.reference_kernel.clone(),
+            launch: case.launch,
+        };
+        let mut launches = vec![(
+            format!("{name} reference"),
+            case.reference_module.clone(),
+            vec![reference],
+            case.reference_args.clone(),
+        )];
+        for (level, options) in &levels {
+            let label = format!("{name} at {level}");
+            let compiled = compile_case(&case, options)
+                .unwrap_or_else(|e| panic!("{label}: compile fails: {e}"));
+            assert_eq!(compiled.kernels.len(), 1, "{label}");
+            assert!(compiled.temp_buffers.is_empty(), "{label}");
+            let (args, _) = compiled
+                .bind_args(&case.inputs, &case.sizes)
+                .expect("arguments bind");
+            let stages = compiled.launch_plan(case.launch);
+            launches.push((label, compiled.module, stages, args));
+        }
+        for (label, module, stages, args) in launches {
+            let [interp, bytecode] = [EngineSelection::Interpreter, EngineSelection::Bytecode]
+                .map(|engine| run_without_fallback(&label, &module, &stages, args.clone(), engine));
+            assert_eq!(interp.buffers.len(), bytecode.buffers.len(), "{label}");
+            for (x, y) in interp.buffers.iter().zip(&bytecode.buffers) {
+                let x_bits: Vec<u32> = x.iter().map(|v| v.to_bits()).collect();
+                let y_bits: Vec<u32> = y.iter().map(|v| v.to_bits()).collect();
+                assert_eq!(x_bits, y_bits, "{label}: buffers differ");
+            }
+            assert_eq!(interp.reports, bytecode.reports, "{label}: counters differ");
+        }
+    }
+}
+
 /// One data-layout step applied before the parallel copy (mirrors the shapes of the
 /// `differential_pipelines` suite).
 #[derive(Clone, Debug)]
@@ -307,16 +388,16 @@ fn run_on(
     input: &[f32],
     engine: EngineSelection,
     detect_races: bool,
-) -> LaunchResult {
+) -> SequenceResult {
     let options = CompilationOptions::all_optimisations().with_launch_1d(input.len(), 32);
-    let kernel = compile(program, &options).expect("pipeline compiles");
+    let kernel = compile_program(program, &options).expect("pipeline compiles");
     let (args, _) = kernel
         .bind_args(&[input.to_vec()], &Default::default())
         .expect("arguments bind");
     ExecutionRequest::new(&kernel.module)
         .engine(engine)
         .race_detection(detect_races)
-        .launch(&kernel.kernel_name, LaunchConfig::d1(input.len(), 32), args)
+        .launch_sequence(&kernel.launch_plan(LaunchConfig::d1(input.len(), 32)), args)
         .expect("pipeline executes")
 }
 
@@ -344,7 +425,7 @@ proptest! {
                 let b_bits: Vec<u32> = b.iter().map(|v| v.to_bits()).collect();
                 prop_assert_eq!(&a_bits, &b_bits, "steps {:?} races {}", &steps, detect_races);
             }
-            prop_assert_eq!(&interp.report, &bytecode.report, "steps {:?}", &steps);
+            prop_assert_eq!(&interp.reports, &bytecode.reports, "steps {:?}", &steps);
         }
     }
 }
@@ -439,7 +520,7 @@ fn tiled_mm_2d_launches_run_identically_on_both_engines() {
         let (program, _) = derive_tiled_mm(M, K, N, tile);
         let options =
             CompilationOptions::all_optimisations().with_launch(launch.global, launch.local);
-        let kernel = compile(&program, &options)
+        let kernel = compile_program(&program, &options)
             .unwrap_or_else(|e| panic!("tile {tile:?}: compile fails: {e}"));
         let (args, out_idx) = kernel
             .bind_args(&[a.clone(), b.clone()], &Default::default())
@@ -448,12 +529,12 @@ fn tiled_mm_2d_launches_run_identically_on_both_engines() {
             let interp = ExecutionRequest::new(&kernel.module)
                 .engine(EngineSelection::Interpreter)
                 .race_detection(detect_races)
-                .launch(&kernel.kernel_name, launch, args.clone())
+                .launch_sequence(&kernel.launch_plan(launch), args.clone())
                 .unwrap_or_else(|e| panic!("tile {tile:?}: interpreter fails: {e}"));
             let bytecode = ExecutionRequest::new(&kernel.module)
                 .engine(EngineSelection::Bytecode)
                 .race_detection(detect_races)
-                .launch(&kernel.kernel_name, launch, args.clone())
+                .launch_sequence(&kernel.launch_plan(launch), args.clone())
                 .unwrap_or_else(|e| panic!("tile {tile:?}: bytecode fails: {e}"));
             assert_eq!(interp.buffers.len(), bytecode.buffers.len());
             for (x, y) in interp.buffers.iter().zip(&bytecode.buffers) {
@@ -462,7 +543,7 @@ fn tiled_mm_2d_launches_run_identically_on_both_engines() {
                 assert_eq!(x_bits, y_bits, "tile {tile:?} races {detect_races}");
             }
             assert_eq!(
-                interp.report, bytecode.report,
+                interp.reports, bytecode.reports,
                 "tile {tile:?} races {detect_races}"
             );
             let out = &interp.buffers[out_idx];
@@ -498,7 +579,7 @@ proptest! {
         let launch = LaunchConfig::d2((n, m), (tn as usize, tm as usize));
         let options =
             CompilationOptions::all_optimisations().with_launch(launch.global, launch.local);
-        let kernel = compile(&program, &options)
+        let kernel = compile_program(&program, &options)
             .unwrap_or_else(|e| panic!("tile {tile:?}: compile fails: {e}"));
         let (a, b) = mm_inputs(m, k, n);
         let expected = mm::host_reference(&a, &b, m, k, n);
@@ -510,7 +591,7 @@ proptest! {
             let result = ExecutionRequest::new(&kernel.module)
                 .engine(engine)
                 .race_detection(true)
-                .launch(&kernel.kernel_name, launch, args.clone())
+                .launch_sequence(&kernel.launch_plan(launch), args.clone())
                 .unwrap_or_else(|e| panic!("{m}x{k}x{n} tile {tile:?}: {engine:?} fails: {e}"));
             let out = &result.buffers[out_idx];
             for (got, want) in out.iter().zip(&expected) {
@@ -555,7 +636,7 @@ fn duplicated_identical_writes_across_dimension_1_are_benign() {
         },
     );
     let options = CompilationOptions::all_optimisations().with_launch([16, 2, 1], [8, 2, 1]);
-    let kernel = compile(&p, &options).expect("compiles");
+    let kernel = compile_program(&p, &options).expect("compiles");
     let input: Vec<f32> = (0..64).map(|i| i as f32).collect();
     let (args, out_idx) = kernel
         .bind_args(std::slice::from_ref(&input), &Default::default())
@@ -570,11 +651,11 @@ fn duplicated_identical_writes_across_dimension_1_are_benign() {
         let result = ExecutionRequest::new(&kernel.module)
             .engine(engine)
             .race_detection(true)
-            .launch(&kernel.kernel_name, launch_2d, args.clone())
+            .launch_sequence(&kernel.launch_plan(launch_2d), args.clone())
             .expect("identical duplicated writes are benign");
         assert_eq!(result.buffers[out_idx], input, "{engine:?}");
         assert_eq!(
-            result.report.counters.work_items, 32,
+            result.reports[0].counters.work_items, 32,
             "{engine:?} must actually drive the 2D grid"
         );
         outputs.push(
@@ -592,7 +673,7 @@ fn duplicated_identical_writes_across_dimension_1_are_benign() {
         let result = ExecutionRequest::new(&kernel.module)
             .engine(engine)
             .race_detection(true)
-            .launch(&kernel.kernel_name, LaunchConfig::d1(16, 8), args.clone())
+            .launch_sequence(&kernel.launch_plan(LaunchConfig::d1(16, 8)), args.clone())
             .expect("1D launch is race-free");
         assert_eq!(result.buffers[out_idx], input, "{engine:?}");
     }
@@ -604,7 +685,7 @@ fn failing_launches_report_the_same_error_on_both_engines() {
     // truncated input reads out of bounds, and both engines must fail identically.
     let program = build_program(&[], false);
     let options = CompilationOptions::all_optimisations().with_launch_1d(128, 32);
-    let kernel = compile(&program, &options).expect("pipeline compiles");
+    let kernel = compile_program(&program, &options).expect("pipeline compiles");
     let full: Vec<f32> = (0..128).map(|i| i as f32).collect();
     let (args, _) = kernel
         .bind_args(&[full], &Default::default())
@@ -626,9 +707,8 @@ fn failing_launches_report_the_same_error_on_both_engines() {
             let err = ExecutionRequest::new(&kernel.module)
                 .engine(engine)
                 .race_detection(detect_races)
-                .launch(
-                    &kernel.kernel_name,
-                    LaunchConfig::d1(128, 32),
+                .launch_sequence(
+                    &kernel.launch_plan(LaunchConfig::d1(128, 32)),
                     truncated.clone(),
                 )
                 .expect_err("truncated input must fail the launch");

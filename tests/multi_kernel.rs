@@ -8,13 +8,12 @@
 //!    temporary and validates on the virtual GPU against the reference interpreter,
 //! 2. the same schedule is **derived automatically** by the `lift-rewrite` exploration from
 //!    the high-level full dot product — no hand-lowering,
-//! 3. the single-kernel ↔ multi-kernel boundary: every program the old single-kernel path
-//!    accepts compiles to exactly one kernel whose source is byte-identical between
-//!    [`compile`] and [`compile_program`] — across the Table 1 benchmark programs and every
-//!    single-kernel variant an exploration derives.
+//! 3. every single-kernel variant an exploration derives recompiles through
+//!    [`compile_program`] to one kernel whose source is byte-identical to the one the
+//!    exploration reported.
 
-use lift::benchmarks::{all_benchmarks, dot_product, ProblemSize};
-use lift::codegen::{compile, compile_program, CodegenError, CompilationOptions, CompiledProgram};
+use lift::benchmarks::dot_product;
+use lift::codegen::{compile_program, CompilationOptions, CompiledProgram};
 use lift::interp::{evaluate, Value};
 use lift::ir::Program;
 use lift::rewrite::{explore, ExplorationConfig, RuleOptions};
@@ -54,7 +53,6 @@ fn hand_lowered_two_stage_dot_compiles_to_two_kernels_and_validates() {
 
     // Two kernels sharing one global temporary; the producer stage is parallel, the final
     // reduction is sequential (launched as a single work item).
-    assert!(compiled.is_multi_kernel());
     assert_eq!(compiled.kernels.len(), 2);
     assert_eq!(compiled.temp_buffers.len(), 1);
     assert!(compiled.kernels[0].parallel, "stage 1 is the mapGlb stage");
@@ -84,14 +82,6 @@ fn hand_lowered_two_stage_dot_compiles_to_two_kernels_and_validates() {
         outputs_match(&actual, &expected),
         "vgpu {actual:?} vs interpreter {expected:?}"
     );
-
-    // The single-kernel entry point rejects the program with a pointer to the new API.
-    match compile(&program, &options) {
-        Err(CodegenError::Unsupported(msg)) => {
-            assert!(msg.contains("compile_program"), "unexpected message: {msg}")
-        }
-        other => panic!("expected an Unsupported error, got {other:?}"),
-    }
 }
 
 #[test]
@@ -147,7 +137,7 @@ fn rewrite_derives_the_two_stage_schedule_without_hand_lowering() {
         .with_launch(config.launch.global, config.launch.local);
     let compiled =
         compile_program(&derived.program, &options).expect("derived two-stage program compiles");
-    assert!(compiled.is_multi_kernel());
+    assert!(compiled.kernels.len() > 1);
     assert!(!compiled.temp_buffers.is_empty());
     let inputs = test_inputs(n);
     let actual = run_program(&compiled, &inputs, config.launch);
@@ -159,33 +149,9 @@ fn rewrite_derives_the_two_stage_schedule_without_hand_lowering() {
 }
 
 #[test]
-fn single_kernel_programs_compile_identically_on_both_paths() {
-    // Property over the Table 1 benchmark programs: everything the old single-kernel path
-    // accepts compiles to exactly one kernel, and `compile` and `compile_program` agree
-    // byte for byte.
-    for case in all_benchmarks(ProblemSize::Small) {
-        let options = CompilationOptions::all_optimisations()
-            .with_launch(case.launch.global, case.launch.local);
-        let single = compile(&case.program, &options)
-            .unwrap_or_else(|e| panic!("{}: single-kernel compile failed: {e}", case.info.name));
-        let multi = compile_program(&case.program, &options)
-            .unwrap_or_else(|e| panic!("{}: compile_program failed: {e}", case.info.name));
-        assert_eq!(multi.kernels.len(), 1, "{}", case.info.name);
-        assert!(multi.temp_buffers.is_empty(), "{}", case.info.name);
-        assert_eq!(single.source(), multi.source(), "{}", case.info.name);
-        assert_eq!(
-            single.kernel_name, multi.kernels[0].name,
-            "{}",
-            case.info.name
-        );
-        assert_eq!(single.params, multi.params, "{}", case.info.name);
-    }
-}
-
-#[test]
-fn explored_single_kernel_variants_are_byte_identical_on_both_paths() {
-    // The same boundary property over machine-derived programs: every single-kernel variant
-    // of a partial-dot exploration compiles identically through both entry points.
+fn explored_single_kernel_variants_recompile_to_their_reported_source() {
+    // Every single-kernel variant of a partial-dot exploration recompiles to one kernel
+    // whose source is the one the exploration reported.
     let program = dot_product::high_level_program(512);
     let config = ExplorationConfig {
         max_depth: 5,
@@ -210,11 +176,9 @@ fn explored_single_kernel_variants_are_byte_identical_on_both_paths() {
         }
         let options = CompilationOptions::all_optimisations()
             .with_launch(config.launch.global, config.launch.local);
-        let single = compile(&variant.program, &options).expect("single-kernel path compiles");
-        let multi = compile_program(&variant.program, &options).expect("program path compiles");
-        assert_eq!(multi.kernels.len(), 1);
-        assert_eq!(single.source(), multi.source());
-        assert_eq!(single.source(), variant.kernel_source);
+        let compiled = compile_program(&variant.program, &options).expect("compiles");
+        assert_eq!(compiled.kernels.len(), 1);
+        assert_eq!(compiled.source(), variant.kernel_source);
         checked += 1;
     }
     assert!(checked > 0, "no single-kernel variants to check");

@@ -5,7 +5,7 @@
 
 use lift::arith::Environment;
 use lift::benchmarks::{convolution, jacobi};
-use lift::codegen::{compile, CompilationOptions};
+use lift::codegen::{compile_program, CompilationOptions};
 use lift::interp::{evaluate, Value};
 use lift::ir::{PadMode, Program, Type, UserFun};
 use lift::rewrite::{explore, ExplorationConfig, RuleOptions};
@@ -67,13 +67,13 @@ proptest! {
         let global = out_len.div_ceil(local) * local;
         let options =
             CompilationOptions::all_optimisations().with_launch_1d(global, local);
-        let kernel = compile(&program, &options).expect("compiles");
+        let kernel = compile_program(&program, &options).expect("compiles");
         let (args, buffer_index) = kernel
             .bind_args(std::slice::from_ref(&input), &Environment::new())
             .expect("arguments bind");
         // Any out-of-bounds access fails the launch with `VgpuError::OutOfBounds`.
         let result = ExecutionRequest::new(&kernel.module)
-            .launch(&kernel.kernel_name, LaunchConfig::d1(global, local), args)
+            .launch_sequence(&kernel.launch_plan(LaunchConfig::d1(global, local)), args)
             .expect("vgpu executes the padded stencil without out-of-bounds accesses");
         let out = &result.buffers[buffer_index];
         prop_assert_eq!(out.len(), expected.len());
