@@ -379,6 +379,11 @@ pub(crate) struct Candidate {
 /// and variants a throwaway `Search` returns; the counters of what was recalled, and the
 /// verdicts on candidates that could not have been returned (a launch pruned under one bar
 /// may run to a rejection under another), can differ. Nothing in a search is persisted.
+///
+/// A search may outlive the run it was made for. The derivation service keeps the one a
+/// cache hit was proven with beside its entry, so the next hit on that entry replays and
+/// scores on it: the score memo recalls the launch's verdict, and the hit executes nothing
+/// while it still replays, types and compiles its candidate.
 #[derive(Debug)]
 pub struct Search {
     data: Arc<ScoreData>,
@@ -410,31 +415,15 @@ impl Search {
         })
     }
 
-    /// Like [`Search::new`], but validates against the inputs and reference output of
-    /// `reference` instead of evaluating them again: no `interp.reference` span. The caller
-    /// vouches that `reference` was taken ([`Search::reference`]) from a search of the same
-    /// program: candidates are validated against whatever program it was evaluated for.
-    ///
-    /// # Errors
-    ///
-    /// [`ExploreError::Type`] / [`ExploreError::Term`] for a program that does not type or
-    /// convert.
-    pub fn with_reference(
-        program: &Program,
-        reference: &Reference,
-    ) -> Result<Search, ExploreError> {
-        let (_, root) = typed_root::<ExploreError>(program)?;
-        Ok(Search {
-            rewrites: RewriteMemo::new(root),
-            data: Arc::clone(&reference.0),
-            scores: ScoreMemo::default(),
-        })
+    /// The size bindings this search's inputs and reference output were generated under:
+    /// the only ones [`Search::score`] accepts.
+    pub fn sizes(&self) -> &Environment {
+        &self.data.sizes
     }
 
-    /// The inputs and reference output this search validates against, to seed a later
-    /// [`Search::with_reference`] of the same program and sizes.
-    pub fn reference(&self) -> Reference {
-        Reference(Arc::clone(&self.data))
+    /// Hash over this search's generated inputs and reference output.
+    pub fn fingerprint(&self) -> u64 {
+        self.data.fingerprint
     }
 
     /// Runs the rule search under the search knobs of `config`, collecting every fully
@@ -459,8 +448,9 @@ impl Search {
     }
 
     /// The one candidate a recorded derivation chain derives, replayed from the search root
-    /// under `options` instead of searched. Scoring it re-runs compile → ownership check →
-    /// execute → validate, so a cached derivation is re-proven on every hit.
+    /// under `options` instead of searched. Scoring it compiles the candidate (ownership
+    /// check included) and executes and validates its launch, unless this search's score
+    /// memo already holds that launch's verdict under the same context.
     ///
     /// # Errors
     ///
@@ -856,23 +846,6 @@ enum ScoreError {
     /// typed incident carries the details (boxed: rejections are rare, and every memo
     /// entry is as wide as this enum).
     Unsound(Box<SoundnessIncident>),
-}
-
-/// The generated inputs and reference output of one [`Search`], shared by `Arc`: what
-/// [`Search::with_reference`] reuses instead of running the interpreter again.
-#[derive(Clone, Debug)]
-pub struct Reference(Arc<ScoreData>);
-
-impl Reference {
-    /// The size bindings the inputs and the reference output were generated under.
-    pub fn sizes(&self) -> &Environment {
-        &self.0.sizes
-    }
-
-    /// Hash over the generated inputs and the reference output.
-    pub fn fingerprint(&self) -> u64 {
-        self.0.fingerprint
-    }
 }
 
 /// The launch-independent scoring data of one [`Search`]: the size bindings, the
@@ -1545,6 +1518,10 @@ fn score_all(
         collector.record(Event::Counter {
             name: "executed_kernels",
             value: stats.executed_kernels as f64,
+        });
+        collector.record(Event::Counter {
+            name: "reused_kernels",
+            value: stats.reused_kernels as f64,
         });
         collector.record(Event::Counter {
             name: "pruned_kernels",

@@ -46,11 +46,11 @@
 //! # Telemetry
 //!
 //! A [`Search`] reports to the [`lift_telemetry::Collector`] each of its calls is handed:
-//! [`Search::new`] an `interp.reference` span around the reference evaluation (a
-//! [`Search::with_reference`] reuses another search's [`Reference`] and emits none),
+//! [`Search::new`] an `interp.reference` span around the reference evaluation,
 //! [`Search::enumerate`] an `enumerate` span with per-round beam statistics (`BeamRound`) and
 //! per-rule fire/reject counts (`RuleRound`), and [`Search::score`] the scoring-phase spans
-//! (`typecheck`/`compile`/`execute`/`score`) and the ranked variants. The one-shot wrappers
+//! (`typecheck`/`compile`/`execute`/`score`), the `executed_kernels`, `reused_kernels` and
+//! `pruned_kernels` counters and the ranked variants. The one-shot wrappers
 //! ([`explore()`], [`enumerate`], [`Enumerated::score`]) use the `Null` collector, whose
 //! disabled state reduces every instrumentation site to a branch — exploration throughput is
 //! unchanged. Setting [`ExplorationConfig::trace_rejections`] additionally emits one
@@ -94,7 +94,7 @@ pub mod typecheck;
 
 pub use explore::{
     canonical_key, enumerate, explore, CanonicalKey, DedupKey, DerivationStep, Enumerated,
-    Exploration, ExplorationConfig, ExploreError, Reference, Search, Variant,
+    Exploration, ExplorationConfig, ExploreError, Search, Variant,
 };
 pub use provenance::{explain, replay, ExplainedStep, Explanation, ReplayError};
 pub use rules::{

@@ -21,13 +21,17 @@
 //!   high-level pattern skeleton, [`lift_rewrite::Term::skeleton`]).
 //!
 //! A warm hit is not trusted blindly: the recorded chain replays through the provenance
-//! machinery ([`lift_rewrite::Search::replay`]) and re-runs compilation (with
-//! the static parallelism-ownership pass), virtual-GPU execution and output validation, so
-//! a stale cache can never serve an unsound kernel — it can only cost a re-derivation.
-//! What a hit does not repeat is the reference output it validates against: the first hit
-//! of an entry evaluates it with the interpreter, and later hits at the same sizes reuse
-//! that [`lift_rewrite::Reference`]. It is kept in memory beside the entry, dropped with
-//! it, and never persisted, so a re-opened service evaluates it once more.
+//! machinery ([`lift_rewrite::Search::replay`]) and is proven by this binary — compiled
+//! (with the static parallelism-ownership pass), executed on the virtual GPU and validated
+//! against the interpreter's reference output — so a stale cache can never serve an
+//! unsound kernel; it can only cost a re-derivation. The first hit on an entry proves all
+//! of it on a fresh [`lift_rewrite::Search`], which the store then keeps beside the entry.
+//! Later hits at the same sizes replay and score on that search: its score memo recalls
+//! the verdict of a launch it already proved under the same device profile, engine, race
+//! detection and compiler options, so neither the interpreter nor the virtual GPU runs
+//! again, while the candidate is still typed and compiled and its kernel source
+//! regenerated. The kept search is in memory only, dropped with its entry, and never
+//! persisted, so a re-opened service proves each entry once more.
 //!
 //! ```
 //! use lift_service::{DerivationService, Request, Served, ServiceConfig};

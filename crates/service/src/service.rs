@@ -10,30 +10,36 @@
 //!    work. Exactly one [`Event::CacheHit`] or [`Event::CacheMiss`] is emitted per group,
 //!    so telemetry pins the deduplication factor.
 //! 2. **Lookup** (serial) — each group probes the [`CacheStore`] under the collision guard;
-//!    a hit also takes the [`Reference`] kept for its entry, if one was generated under the
+//!    a hit also takes out the [`Search`] kept for its entry, if one was made under the
 //!    request's sizes. For misses, the warm-start seeds are collected from structurally
 //!    similar entries (shared [`lift_rewrite::Term::skeleton`], same device).
 //! 3. **Derive/validate** (parallel) — groups fan out over a bounded deterministic worker
 //!    pool (`ServiceConfig::threads`, the same chunked in-order pattern as
-//!    `ExplorationConfig::threads`). A *hit* replays its recorded chain on a fresh
-//!    [`Search`] ([`Search::replay`], provenance) and re-scores it — re-running
-//!    compilation, the static ownership pass, execution and output validation — so a stale
-//!    cache can never serve an unsound kernel; a replay failure demotes the group to a cold
-//!    derivation and evicts the entry. A hit whose entry has a kept reference validates
-//!    against it ([`Search::with_reference`]) instead of running the interpreter again. A
+//!    `ExplorationConfig::threads`), each taking its plan by value. A *hit* replays its
+//!    recorded chain ([`Search::replay`], provenance) and scores it — type inference,
+//!    compilation with the static ownership pass, execution and output validation — so a
+//!    stale cache can never serve an unsound kernel; a replay failure demotes the group to
+//!    a cold derivation and evicts the entry. A hit whose entry has a kept search replays
+//!    and scores on it: the search's score memo recalls the verdict of every launch it
+//!    already proved under the same device profile, engine, race detection, compiler
+//!    options, sizes and data, so neither the interpreter nor the virtual GPU runs; the
+//!    candidate is still typed and compiled, and the served kernel source regenerated. A
 //!    *miss* runs the full tuner, hill-climbing from the warm-start seeds when any exist.
-//! 4. **Merge** (serial) — a hit's reference is kept for its entry, in memory only;
+//! 4. **Merge** (serial) — a hit's search goes back to its entry, in memory only;
 //!    cold results are inserted (LRU eviction applies), a directory-backed store writes the
 //!    files the batch changed (only `index.json` when hits merely reordered the LRU,
-//!    nothing when they did not), and responses are assembled in submission order.
+//!    nothing when they did not), and responses are assembled in submission order. A
+//!    replay failure drops the search, and so does a drain that fails before its group is
+//!    merged: the next hit proves its launch again.
 //!
-//! Wall-clock cost: a warm hit scores exactly one candidate, and after an entry's first
-//! hit it no longer runs the interpreter; a cold miss runs a full
-//! enumerate+tune search — the orders-of-magnitude gap between `request_ms_p50` on the
+//! Wall-clock cost: a warm hit scores exactly one candidate. The first hit on an entry
+//! evaluates the reference output and executes that candidate's launch once; later hits in
+//! the same process do neither, and only replay, type and compile it. A cold miss runs a
+//! full enumerate+tune search — the orders-of-magnitude gap between `request_ms_p50` on the
 //! benchmark's `warm_replay` and `cold_*` workloads.
 
 use lift_ir::Program;
-use lift_rewrite::{ExplorationConfig, ExploreError, Reference, RuleOptions, Search};
+use lift_rewrite::{ExplorationConfig, ExploreError, RuleOptions, Search};
 use lift_telemetry::{Collector, Event, Null};
 use lift_tuner::{tune_with, BestVariant, PointIndex, Strategy, TuningConfig};
 use lift_vgpu::{LaunchConfig, COST_MODEL_VERSION};
@@ -149,8 +155,8 @@ pub struct DerivationService {
 enum Plan {
     Hit {
         payload: CachedDerivation,
-        /// The entry's kept reference, generated under the request's sizes.
-        reference: Option<Reference>,
+        /// The entry's kept search, made under the request's sizes.
+        search: Option<Box<Search>>,
     },
     Miss {
         seeds: Vec<PointIndex>,
@@ -166,8 +172,8 @@ struct Outcome {
     replay_failed: bool,
     warm_seeds: usize,
     estimated_time: f64,
-    /// The reference a hit was validated against, to keep for its entry.
-    reference: Option<Reference>,
+    /// The search a hit was proven with, to keep for its entry.
+    search: Option<Box<Search>>,
 }
 
 impl DerivationService {
@@ -311,12 +317,11 @@ impl DerivationService {
                         });
                     }
                     // Looked up only now that the full rendering matched the entry's.
-                    let reference = self
+                    let search = self
                         .store
-                        .reference(&key.id)
-                        .filter(|kept| *kept.sizes() == request.config.base.sizes)
-                        .cloned();
-                    plans.push(Plan::Hit { payload, reference });
+                        .take_search(&key.id)
+                        .filter(|kept| *kept.sizes() == request.config.base.sizes);
+                    plans.push(Plan::Hit { payload, search });
                 }
                 None => {
                     if telemetry {
@@ -346,22 +351,28 @@ impl DerivationService {
         let work: Vec<(usize, Plan)> = firsts.iter().copied().zip(plans).collect();
         let workers = worker_count(self.config.threads).min(work.len().max(1));
         let outcomes: Vec<Result<Outcome, ServiceError>> = if workers <= 1 {
-            work.iter()
-                .map(|(first, plan)| run_group(&requests[*first], plan, collector))
+            work.into_iter()
+                .map(|(first, plan)| run_group(&requests[first], plan, collector))
                 .collect()
         } else {
             let chunk = work.len().div_ceil(workers);
+            let mut work = work.into_iter();
+            let chunks: Vec<Vec<(usize, Plan)>> = std::iter::from_fn(|| {
+                let next: Vec<_> = work.by_ref().take(chunk).collect();
+                (!next.is_empty()).then_some(next)
+            })
+            .collect();
             // Every worker is joined before any panic is reported, so the scope never
             // re-raises one.
             let joined: Vec<_> = std::thread::scope(|scope| {
-                let handles: Vec<_> = work
-                    .chunks(chunk)
+                let handles: Vec<_> = chunks
+                    .into_iter()
                     .map(|chunk| {
                         let requests = &requests;
                         scope.spawn(move || {
                             chunk
-                                .iter()
-                                .map(|(first, plan)| run_group(&requests[*first], plan, collector))
+                                .into_iter()
+                                .map(|(first, plan)| run_group(&requests[first], plan, collector))
                                 .collect::<Vec<_>>()
                         })
                     })
@@ -388,8 +399,8 @@ impl DerivationService {
             }
             if outcome.served_hit {
                 self.stats.hits += members;
-                if let Some(reference) = outcome.reference.take() {
-                    self.store.keep_reference(&key.id, reference);
+                if let Some(search) = outcome.search.take() {
+                    self.store.keep_search(&key.id, search);
                 }
             } else {
                 self.stats.misses += 1;
@@ -459,17 +470,19 @@ fn worker_count(threads: usize) -> usize {
     }
 }
 
-/// Replays a cached chain and re-proves it end to end (typecheck, compile + ownership pass,
+/// Replays a cached chain and proves it end to end (typecheck, compile + ownership pass,
 /// execute, validate against the reference). Any failure is a stale entry, not a served
-/// result. The reference output is the entry's `kept` one when there is one, else it is
-/// evaluated here (`interp.reference` span); either way it is returned for the entry to
-/// keep. It is never persisted, so the first hit after a miss or a re-open evaluates it.
+/// result. The search is the entry's `kept` one when there is one: its score memo recalls
+/// the verdict of a launch it already proved, so only the replay, typing and compilation
+/// repeat. Otherwise a fresh search evaluates the reference output here (`interp.reference`
+/// span). Either way the search is returned for the entry to keep. It is never persisted,
+/// so the first hit after a miss or a re-open proves everything.
 fn validate_hit(
     request: &Request,
     payload: &CachedDerivation,
-    kept: Option<&Reference>,
+    kept: Option<Box<Search>>,
     collector: &dyn Collector,
-) -> Result<(BestVariant, Reference), ExploreError> {
+) -> Result<(BestVariant, Box<Search>), ExploreError> {
     let config = ExplorationConfig {
         rule_options: payload.rule_options.clone(),
         launch: payload.launch,
@@ -477,15 +490,15 @@ fn validate_hit(
         ..request.config.base.clone()
     };
     let mut search = match kept {
-        Some(reference) => Search::with_reference(&request.program, reference)?,
-        None => Search::new(&request.program, &config.sizes, collector)?,
+        Some(search) => search,
+        None => Box::new(Search::new(&request.program, &config.sizes, collector)?),
     };
     let replayed = search.replay(&payload.steps, &config.rule_options)?;
     let scored = search.score(&replayed, &config, collector)?;
     let v = scored.variants.first().ok_or_else(|| {
         ExploreError::Reference("cached derivation no longer passes validation".to_string())
     })?;
-    Ok((BestVariant::from(v), search.reference()))
+    Ok((BestVariant::from(v), search))
 }
 
 /// Seeds a cold-search strategy with warm-start points (no-op for exhaustive walks and
@@ -528,28 +541,26 @@ fn seeded(strategy: &Strategy, seeds: Vec<PointIndex>) -> Strategy {
 /// replay fails) or cold-derive a miss from its warm-start seeds.
 fn run_group(
     request: &Request,
-    plan: &Plan,
+    plan: Plan,
     collector: &dyn Collector,
 ) -> Result<Outcome, ServiceError> {
     let (seeds, replay_failed) = match plan {
-        Plan::Hit { payload, reference } => {
-            match validate_hit(request, payload, reference.as_ref(), collector) {
-                Ok((variant, reference)) => {
-                    return Ok(Outcome {
-                        estimated_time: variant.estimated_time,
-                        variant,
-                        rule_options: payload.rule_options.clone(),
-                        launch: payload.launch,
-                        served_hit: true,
-                        replay_failed: false,
-                        warm_seeds: 0,
-                        reference: Some(reference),
-                    })
-                }
-                Err(_) => (Vec::new(), true),
+        Plan::Hit { payload, search } => match validate_hit(request, &payload, search, collector) {
+            Ok((variant, search)) => {
+                return Ok(Outcome {
+                    estimated_time: variant.estimated_time,
+                    variant,
+                    rule_options: payload.rule_options,
+                    launch: payload.launch,
+                    served_hit: true,
+                    replay_failed: false,
+                    warm_seeds: 0,
+                    search: Some(search),
+                })
             }
-        }
-        Plan::Miss { seeds } => (seeds.clone(), false),
+            Err(_) => (Vec::new(), true),
+        },
+        Plan::Miss { seeds } => (seeds, false),
     };
     let mut config = request.config.clone();
     let warm_seeds = seeds.len();
@@ -566,7 +577,7 @@ fn run_group(
         served_hit: false,
         replay_failed,
         warm_seeds,
-        reference: None,
+        search: None,
     })
 }
 
@@ -637,13 +648,13 @@ mod tests {
         .unwrap()
     }
 
-    /// Serves `request`; returns how it was served and how many reference outputs the
-    /// interpreter evaluated for it.
-    fn serve(service: &mut DerivationService, request: &Request) -> (Served, usize) {
+    /// Serves `request`; returns how it was served, how many reference outputs the
+    /// interpreter evaluated for it and how many launches the virtual GPU started for it.
+    fn serve(service: &mut DerivationService, request: &Request) -> (Served, usize, usize) {
         let collector = InMemory::default();
         let response = service.request_with(request.clone(), &collector).unwrap();
-        let evaluated = collector
-            .events()
+        let events = collector.events();
+        let evaluated = events
             .iter()
             .filter(|e| {
                 e.event
@@ -652,7 +663,17 @@ mod tests {
                     }
             })
             .count();
-        (response.served, evaluated)
+        let counted = |counter: &str| -> f64 {
+            events
+                .iter()
+                .filter_map(|e| match e.event {
+                    Event::Counter { name, value } if name == counter => Some(value),
+                    _ => None,
+                })
+                .sum()
+        };
+        let started = counted("executed_kernels") - counted("reused_kernels");
+        (response.served, evaluated, started as usize)
     }
 
     #[test]
@@ -662,18 +683,21 @@ mod tests {
         let key = key_of(&service, &request);
         serve(&mut service, &request);
         assert!(
-            service.store.reference(&key.id).is_none(),
+            service.store.take_search(&key.id).is_none(),
             "a miss keeps none"
         );
-        assert_eq!(serve(&mut service, &request), (Served::WarmHit, 1));
-        let kept = service.store.reference(&key.id).unwrap().clone();
+        assert_eq!(serve(&mut service, &request), (Served::WarmHit, 1, 1));
+        let kept = service.store.take_search(&key.id).unwrap();
         let fresh = Search::new(&request.program, &request.config.base.sizes, &Null).unwrap();
-        assert_eq!(kept.fingerprint(), fresh.reference().fingerprint());
+        assert_eq!(kept.fingerprint(), fresh.fingerprint());
         assert_eq!(*kept.sizes(), request.config.base.sizes);
-        // The reusing hit validates against, and keeps, the very same data.
-        assert_eq!(serve(&mut service, &request), (Served::WarmHit, 0));
-        let again = service.store.reference(&key.id).unwrap();
-        assert_eq!(again.fingerprint(), kept.fingerprint());
+        let fingerprint = kept.fingerprint();
+        service.store.keep_search(&key.id, kept);
+        // The reusing hit validates against, and keeps, the very same data, and recalls
+        // its launch's verdict instead of executing it.
+        assert_eq!(serve(&mut service, &request), (Served::WarmHit, 0, 0));
+        let again = service.store.take_search(&key.id).unwrap();
+        assert_eq!(again.fingerprint(), fingerprint);
     }
 
     #[test]
@@ -682,11 +706,11 @@ mod tests {
         let request = dot_product_request();
         let key = key_of(&service, &request);
         serve(&mut service, &request);
-        assert_eq!(serve(&mut service, &request), (Served::WarmHit, 1));
+        assert_eq!(serve(&mut service, &request), (Served::WarmHit, 1, 1));
 
-        // Make the entry stale under its kept reference: a chain cut short leaves a
-        // candidate that cannot compile, so its replay fails.
-        let kept = service.store.reference(&key.id).unwrap().clone();
+        // Make the entry stale under its kept search: a chain cut short leaves a candidate
+        // that cannot compile, so its replay fails.
+        let kept = service.store.take_search(&key.id).unwrap();
         let mut payload = service.store.lookup(&key, &Null).unwrap();
         payload.steps.truncate(1);
         service.store.insert(
@@ -696,14 +720,16 @@ mod tests {
             },
             &Null,
         );
-        service.store.keep_reference(&key.id, kept);
+        service.store.keep_search(&key.id, kept);
 
-        // The failed replay re-derives; the re-inserted entry's first hit evaluates again.
-        assert_eq!(serve(&mut service, &request), (Served::ColdMiss, 1));
+        // The failed replay re-derives; the re-inserted entry's first hit proves again.
+        let (served, evaluated, started) = serve(&mut service, &request);
+        assert_eq!((served, evaluated), (Served::ColdMiss, 1));
+        assert!(started > 0);
         assert_eq!(service.stats().replay_failures, 1);
-        assert!(service.store.reference(&key.id).is_none());
-        assert_eq!(serve(&mut service, &request), (Served::WarmHit, 1));
-        assert_eq!(serve(&mut service, &request), (Served::WarmHit, 0));
+        assert!(service.store.take_search(&key.id).is_none());
+        assert_eq!(serve(&mut service, &request), (Served::WarmHit, 1, 1));
+        assert_eq!(serve(&mut service, &request), (Served::WarmHit, 0, 0));
     }
 
     #[test]
@@ -711,17 +737,19 @@ mod tests {
         let mut service = DerivationService::open(ServiceConfig::default()).unwrap();
         let request = square_request();
         let key = key_of(&service, &request);
-        assert_eq!(serve(&mut service, &request), (Served::ColdMiss, 1));
+        let (served, evaluated, _) = serve(&mut service, &request);
+        assert_eq!((served, evaluated), (Served::ColdMiss, 1));
         let other_sizes = Environment::new().bind("N", 128);
         let other = Search::new(&request.program, &other_sizes, &Null).unwrap();
-        service.store.keep_reference(&key.id, other.reference());
+        service.store.keep_search(&key.id, Box::new(other));
 
         // Validating under the wrong binding would fail the replay; the hit evaluates the
-        // reference for its own sizes instead and keeps that one.
-        assert_eq!(serve(&mut service, &request), (Served::WarmHit, 1));
+        // reference for its own sizes instead and keeps that search.
+        assert_eq!(serve(&mut service, &request), (Served::WarmHit, 1, 1));
         assert_eq!(service.stats().replay_failures, 0);
-        let kept = service.store.reference(&key.id).unwrap();
+        let kept = service.store.take_search(&key.id).unwrap();
         assert_eq!(*kept.sizes(), request.config.base.sizes);
-        assert_eq!(serve(&mut service, &request), (Served::WarmHit, 0));
+        service.store.keep_search(&key.id, kept);
+        assert_eq!(serve(&mut service, &request), (Served::WarmHit, 0, 0));
     }
 }

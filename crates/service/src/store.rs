@@ -23,15 +23,16 @@
 //! `capacity` evicts the least recently used entry ([`lift_telemetry::Event::CacheEvict`],
 //! reason `lru`).
 //!
-//! Beside the entries a store keeps, in memory only, the [`Reference`] a hit on an entry was
-//! last proven against, so the next hit need not evaluate it again. A kept reference goes
-//! with its entry (eviction, removal, replacement, a re-open), is never written, and
-//! keeping one changes no file.
+//! Beside the entries a store keeps, in memory only, the [`Search`] a hit on an entry was
+//! last proven with. The next hit replays and scores on it, so it neither evaluates the
+//! reference output again nor re-executes a launch that search already proved. A kept
+//! search goes with its entry (eviction, removal, replacement, a re-open), is never
+//! written, and keeping one changes no file.
 
 use std::collections::{HashMap, HashSet};
 use std::path::{Path, PathBuf};
 
-use lift_rewrite::{Reference, RuleOptions};
+use lift_rewrite::{RuleOptions, Search};
 use lift_telemetry::json::{parse, Json};
 use lift_telemetry::{Collector, Event};
 use lift_vgpu::LaunchConfig;
@@ -53,9 +54,9 @@ pub struct CacheStore {
     entries: HashMap<String, StoredEntry>,
     /// LRU order over entry ids, least recently used first.
     order: Vec<String>,
-    /// The reference output a hit on an entry was last validated against, by entry id.
-    /// Never persisted; an id here is always an id of `entries`.
-    references: HashMap<String, Reference>,
+    /// The search a hit on an entry was last proven with, by entry id. Never persisted; an
+    /// id here is always an id of `entries`.
+    searches: HashMap<String, Box<Search>>,
     evictions: u64,
     invalidated: u64,
     /// `store.jsonl` is behind the entries (cleared once the rewrite's rename succeeds).
@@ -78,7 +79,7 @@ impl CacheStore {
             cost_model_version,
             entries: HashMap::new(),
             order: Vec::new(),
-            references: HashMap::new(),
+            searches: HashMap::new(),
             evictions: 0,
             invalidated: 0,
             entries_changed: false,
@@ -267,22 +268,22 @@ impl CacheStore {
         Some(payload)
     }
 
-    /// The reference output the last hit on entry `id` was validated against, if kept.
-    pub(crate) fn reference(&self, id: &str) -> Option<&Reference> {
-        self.references.get(id)
+    /// Takes out the search the last hit on entry `id` was proven with, if one is kept.
+    pub(crate) fn take_search(&mut self, id: &str) -> Option<Box<Search>> {
+        self.searches.remove(id)
     }
 
-    /// Keeps `reference` for entry `id` until that entry goes; ignored if it is already gone.
-    pub(crate) fn keep_reference(&mut self, id: &str, reference: Reference) {
+    /// Keeps `search` for entry `id` until that entry goes; ignored if it is already gone.
+    pub(crate) fn keep_search(&mut self, id: &str, search: Box<Search>) {
         if self.entries.contains_key(id) {
-            self.references.insert(id.to_string(), reference);
+            self.searches.insert(id.to_string(), search);
         }
     }
 
     /// Removes one entry, counting and reporting the eviction.
     pub(crate) fn remove(&mut self, id: &str, reason: &'static str, collector: &dyn Collector) {
         if self.entries.remove(id).is_some() {
-            self.references.remove(id);
+            self.searches.remove(id);
             self.order.retain(|o| o != id);
             self.entries_changed = true;
             self.order_changed = true;
@@ -300,7 +301,7 @@ impl CacheStore {
     /// entries until the store is back within capacity.
     pub(crate) fn insert(&mut self, entry: StoredEntry, collector: &dyn Collector) {
         let id = entry.key.id.clone();
-        self.references.remove(&id);
+        self.searches.remove(&id);
         if self.entries.insert(id.clone(), entry).is_some() {
             self.touch(&id);
         } else {
@@ -605,9 +606,8 @@ mod tests {
     fn a_kept_reference_goes_with_its_entry_and_changes_no_file() {
         let program = lift_tuner::Workload::dot_product().program;
         let sizes = lift_arith::Environment::new();
-        let reference = lift_rewrite::Search::new(&program, &sizes, &Null)
-            .unwrap()
-            .reference();
+        let search = || Box::new(lift_rewrite::Search::new(&program, &sizes, &Null).unwrap());
+        let kept = |store: &CacheStore, id: &str| store.searches.contains_key(id);
         let root = temp_root("references");
         let mut store = CacheStore::open(&root, 2, 1, 1, &Null).unwrap();
         store.insert(entry("a", "ra", "s"), &Null);
@@ -616,35 +616,39 @@ mod tests {
 
         // Keeping one marks no file as behind; an id without an entry keeps nothing.
         for id in ["a", "b", "gone"] {
-            store.keep_reference(id, reference.clone());
+            store.keep_search(id, search());
         }
         assert!(!store.entries_changed && !store.order_changed);
-        assert!(store.reference("a").is_some() && store.reference("gone").is_none());
+        assert!(kept(&store, "a") && !kept(&store, "gone"));
+        // Taking one out leaves none behind, and it can be kept again.
+        let taken = store.take_search("a").unwrap();
+        assert!(!kept(&store, "a") && store.take_search("a").is_none());
+        store.keep_search("a", taken);
 
         // LRU eviction: `c` pushes `a` out at capacity 2.
         store.insert(entry("c", "rc", "s"), &Null);
-        assert!(store.reference("a").is_none() && store.reference("b").is_some());
+        assert!(!kept(&store, "a") && kept(&store, "b"));
         // The collision guard.
         store.lookup(&entry("b", "another program", "s").key, &Null);
-        assert!(store.reference("b").is_none());
+        assert!(!kept(&store, "b"));
         // Removal, as after a failed replay.
-        store.keep_reference("c", reference.clone());
+        store.keep_search("c", search());
         store.remove("c", "replay_failed", &Null);
-        assert!(store.reference("c").is_none());
+        assert!(!kept(&store, "c"));
         // Replacement by a new derivation under the same id.
         store.insert(entry("d", "rd", "s"), &Null);
-        store.keep_reference("d", reference.clone());
+        store.keep_search("d", search());
         store.insert(entry("d", "rd", "s"), &Null);
-        assert!(store.reference("d").is_none());
+        assert!(!kept(&store, "d"));
 
         // Nothing kept is written: the files are what `persist` writes for the entries.
-        store.keep_reference("d", reference);
+        store.keep_search("d", search());
         store.write_changes().unwrap();
         let mirror = temp_root("references-mirror");
         assert_eq!(files(&root), persisted(&store, &mirror));
-        let reopened = CacheStore::open(&root, 2, 1, 1, &Null).unwrap();
+        let mut reopened = CacheStore::open(&root, 2, 1, 1, &Null).unwrap();
         assert_eq!(reopened.len(), 1);
-        assert!(reopened.reference("d").is_none(), "a re-open keeps none");
+        assert!(reopened.take_search("d").is_none(), "a re-open keeps none");
         for dir in [root, mirror] {
             let _ = std::fs::remove_dir_all(dir);
         }

@@ -33,7 +33,7 @@
 pub mod json;
 
 use std::fmt::Write as _;
-use std::sync::Mutex;
+use std::sync::{Mutex, PoisonError};
 use std::time::Instant;
 
 /// Why a derived candidate was rejected by the exploration driver.
@@ -696,24 +696,21 @@ impl InMemory {
         }
     }
 
-    /// A snapshot of the recorded events, in record order.
-    ///
-    /// # Panics
-    ///
-    /// Panics if a recording thread panicked while holding the buffer lock.
+    /// A snapshot of the recorded events, in record order. A thread that panicked while
+    /// holding the buffer lock does not make the buffer unreadable: every push is whole.
     pub fn events(&self) -> Vec<TimedEvent> {
-        self.events.lock().expect("telemetry buffer lock").clone()
+        self.events
+            .lock()
+            .unwrap_or_else(PoisonError::into_inner)
+            .clone()
     }
 
-    /// Consumes the sink and returns the recorded events, in record order.
-    ///
-    /// # Panics
-    ///
-    /// Panics if a recording thread panicked while holding the buffer lock.
+    /// Consumes the sink and returns the recorded events, in record order (whether or not
+    /// a thread panicked while holding the buffer lock, as for [`InMemory::events`]).
     pub fn into_events(self) -> Vec<TimedEvent> {
         self.events
             .into_inner()
-            .expect("telemetry buffer lock poisoned")
+            .unwrap_or_else(PoisonError::into_inner)
     }
 }
 
@@ -732,7 +729,7 @@ impl Collector for InMemory {
         let t_us = self.epoch.elapsed().as_micros() as u64;
         self.events
             .lock()
-            .expect("telemetry buffer lock")
+            .unwrap_or_else(PoisonError::into_inner)
             .push(TimedEvent { t_us, event });
     }
 }
@@ -803,6 +800,27 @@ mod tests {
         assert_eq!(events[0].event, Event::SpanBegin { name: "enumerate" });
         assert_eq!(events[2].event, Event::SpanEnd { name: "enumerate" });
         assert!(events.windows(2).all(|w| w[0].t_us <= w[1].t_us));
+    }
+
+    #[test]
+    fn a_panic_while_the_buffer_is_locked_leaves_the_events_readable() {
+        let sink = InMemory::new();
+        sink.span_begin("before");
+        let panicked = std::thread::scope(|scope| {
+            scope
+                .spawn(|| {
+                    let _held = sink.events.lock();
+                    panic!("a recorder fails while holding the buffer");
+                })
+                .join()
+                .is_err()
+        });
+        assert!(panicked && sink.events.is_poisoned());
+        sink.span_end("before");
+        assert_eq!(sink.events().len(), 2);
+        let events = sink.into_events();
+        assert_eq!(events[0].event, Event::SpanBegin { name: "before" });
+        assert_eq!(events[1].event, Event::SpanEnd { name: "before" });
     }
 
     fn at(t_us: u64, event: Event) -> TimedEvent {

@@ -1,8 +1,9 @@
 //! Workspace-level integration tests for the derivation service (`lift-service`): the
 //! differential warm-vs-cold guarantee, request batching/deduplication pinned by
 //! telemetry, warm-started misses, persistence across reopen, which store files a warm hit
-//! writes, whole-generation invalidation on a rule-set version bump, and the reference output
-//! a hit reuses from its entry's previous hit.
+//! writes, whole-generation invalidation on a rule-set version bump, and the search a hit
+//! reuses from its entry's previous hit: its reference output, and the verdict of the
+//! launch it proved.
 
 use lift::arith::{ArithExpr, Environment};
 use lift::ir::prelude::*;
@@ -10,7 +11,7 @@ use lift::rewrite::RuleOptions;
 use lift::service::{DerivationService, Request, Response, Served, ServiceConfig};
 use lift::telemetry::{counts_by_kind, Event, InMemory, Null};
 use lift::tuner::{Strategy, TuningConfig, TuningSpace, Workload};
-use lift::vgpu::{DeviceProfile, LaunchConfig};
+use lift::vgpu::{DeviceProfile, EngineSelection, LaunchConfig};
 use lift_bench::autotune_config;
 
 /// A deliberately small but real tuning request: the full pipeline runs (enumerate,
@@ -336,12 +337,10 @@ fn bumping_the_rule_set_version_invalidates_prior_entries() {
     let _ = std::fs::remove_dir_all(&root);
 }
 
-/// Serves `request` and counts the `interp.reference` spans it emitted: how many reference
-/// outputs the interpreter evaluated for it.
-fn serve_counting_references(
-    service: &mut DerivationService,
-    request: &Request,
-) -> (Response, usize) {
+/// Serves `request` and counts what it was spared: the `interp.reference` spans it emitted
+/// (reference outputs the interpreter evaluated) and the `reused_kernels` counters it
+/// reported (launch verdicts a score memo recalled instead of executing them).
+fn serve_counting(service: &mut DerivationService, request: &Request) -> (Response, usize, usize) {
     let collector = InMemory::default();
     let response = service
         .request_with(request.clone(), &collector)
@@ -349,17 +348,50 @@ fn serve_counting_references(
     let reference = Event::SpanBegin {
         name: "interp.reference",
     };
-    let evaluated = collector
-        .events()
+    let events = collector.events();
+    let evaluated = events.iter().filter(|e| e.event == reference).count();
+    let reused: f64 = events
         .iter()
-        .filter(|e| e.event == reference)
-        .count();
-    (response, evaluated)
+        .filter_map(|e| match e.event {
+            Event::Counter {
+                name: "reused_kernels",
+                value,
+            } => Some(value),
+            _ => None,
+        })
+        .sum();
+    (response, evaluated, reused as usize)
 }
 
 fn served_and_references(service: &mut DerivationService, request: &Request) -> (Served, usize) {
-    let (response, evaluated) = serve_counting_references(service, request);
+    let (response, evaluated, _) = serve_counting(service, request);
     (response.served, evaluated)
+}
+
+/// Serves a hit; returns the response, the reference outputs evaluated and the kernels
+/// reused.
+fn hit(service: &mut DerivationService, request: &Request) -> (Response, usize, usize) {
+    let (response, evaluated, reused) = serve_counting(service, request);
+    assert_eq!(response.served, Served::WarmHit, "{}", request.name);
+    (response, evaluated, reused)
+}
+
+/// Field-for-field equality of two responses, the estimated time's bits included.
+fn assert_same_response(a: &Response, b: &Response) {
+    let name = &a.name;
+    assert_eq!(a.name, b.name);
+    assert_eq!(a.served, b.served, "{name}");
+    // `BestVariant` equality covers the kernel source, the chain and the estimated time
+    // (the cost model's price of the run's counters); the bits pin the time exactly.
+    assert_eq!(
+        a.variant.estimated_time.to_bits(),
+        b.variant.estimated_time.to_bits(),
+        "{name}"
+    );
+    assert_eq!(a.variant, b.variant, "{name}");
+    assert_eq!(a.rule_options, b.rule_options, "{name}");
+    assert_eq!(a.launch, b.launch, "{name}");
+    assert_eq!(a.warm_seeds, b.warm_seeds, "{name}");
 }
 
 #[test]
@@ -439,12 +471,11 @@ fn a_program_over_symbolic_sizes_is_cached_per_binding() {
     assert_eq!((stats.misses, stats.hits, stats.replay_failures), (2, 4, 0));
 }
 
-#[test]
-fn hits_that_reuse_a_reference_serve_what_a_fresh_service_serves() {
-    // Every tracked workload at one point of its canonical budgets, so the cold derivations
-    // stay cheap; the hits re-prove whatever they found.
+/// Every tracked workload at one point of its canonical budgets, so the cold derivations
+/// stay cheap; the hits re-prove whatever they found.
+fn one_point_requests() -> Vec<Request> {
     let device = DeviceProfile::nvidia();
-    let requests: Vec<Request> = Workload::all()
+    Workload::all()
         .iter()
         .map(|workload| {
             let mut config = autotune_config(workload, &device);
@@ -461,60 +492,121 @@ fn hits_that_reuse_a_reference_serve_what_a_fresh_service_serves() {
                 config,
             }
         })
-        .collect();
+        .collect()
+}
+
+#[test]
+fn hits_that_reuse_a_reference_serve_what_a_fresh_service_serves() {
+    let requests = one_point_requests();
     assert_eq!(requests.len(), 7);
     let root = temp_root("reuse");
+    // Room for the seven entries and no more, so one extra request evicts.
     let config = ServiceConfig {
         root: Some(root.clone()),
+        capacity: 7,
         ..ServiceConfig::default()
     };
-    let mut reusing = DerivationService::open(config.clone()).expect("service opens");
+    let mut kept = DerivationService::open(config.clone()).expect("service opens");
     for request in &requests {
         assert_eq!(
-            served_and_references(&mut reusing, request),
+            served_and_references(&mut kept, request),
             (Served::ColdMiss, 1),
             "{}",
             request.name
         );
-        assert_eq!(
-            served_and_references(&mut reusing, request),
-            (Served::WarmHit, 1),
-            "{}",
-            request.name
-        );
+        // The first hit proves everything: it evaluates the reference and runs its launch.
+        let (_, evaluated, reused) = hit(&mut kept, request);
+        assert_eq!((evaluated, reused), (1, 0), "{}", request.name);
     }
-    // A re-opened service keeps no reference: its hits evaluate every one afresh.
-    let mut fresh = DerivationService::open(config).expect("service re-opens");
+    // A re-opened service keeps no search: its hits evaluate and execute every one afresh.
+    // Every later hit on the keeping service recalls both the reference and the verdict.
+    let mut fresh = DerivationService::open(config.clone()).expect("service re-opens");
     for request in &requests {
-        let (reused, evaluations) = serve_counting_references(&mut reusing, request);
+        let (recalled, evaluated, reused) = hit(&mut kept, request);
         assert_eq!(
-            evaluations, 0,
-            "{}: the hit reused its reference",
+            (evaluated, reused),
+            (0, 1),
+            "{}: the hit reused its search",
             request.name
         );
-        let (evaluated, evaluations) = serve_counting_references(&mut fresh, request);
-        assert_eq!(evaluations, 1, "{}", request.name);
-        assert_eq!(
-            (reused.served, evaluated.served),
-            (Served::WarmHit, Served::WarmHit)
-        );
-        assert_eq!(reused.name, evaluated.name);
-        // `BestVariant` equality covers the kernel source, the chain and the estimated time
-        // (the cost model's price of the run's counters); the bits pin the time exactly.
-        assert_eq!(
-            reused.variant.estimated_time.to_bits(),
-            evaluated.variant.estimated_time.to_bits(),
-            "{}",
-            request.name
-        );
-        assert_eq!(reused.variant, evaluated.variant, "{}", request.name);
-        assert_eq!(
-            reused.rule_options, evaluated.rule_options,
-            "{}",
-            request.name
-        );
-        assert_eq!(reused.launch, evaluated.launch, "{}", request.name);
-        assert_eq!(reused.warm_seeds, evaluated.warm_seeds, "{}", request.name);
+        let (proven, evaluated, reused) = hit(&mut fresh, request);
+        assert_eq!((evaluated, reused), (1, 0), "{}", request.name);
+        assert_same_response(&recalled, &proven);
+    }
+
+    // An eviction takes the kept search with the entry. The extra request evicts the least
+    // recently used entry, the first; the other six are touched so the extra is next out.
+    let extra = Request {
+        name: "dot_product_256".to_string(),
+        program: lift::benchmarks::dot_product::high_level_program(256),
+        ..requests[0].clone()
+    };
+    assert_eq!(
+        served_and_references(&mut kept, &extra),
+        (Served::ColdMiss, 1)
+    );
+    for request in &requests[1..] {
+        let (_, evaluated, reused) = hit(&mut kept, request);
+        assert_eq!((evaluated, reused), (0, 1), "{}", request.name);
+    }
+    let evicted = &requests[0];
+    assert_eq!(
+        served_and_references(&mut kept, evicted),
+        (Served::ColdMiss, 1)
+    );
+    let (_, evaluated, reused) = hit(&mut kept, evicted);
+    assert_eq!(
+        (evaluated, reused),
+        (1, 0),
+        "the re-inserted entry proves again"
+    );
+    let (recalled, evaluated, reused) = hit(&mut kept, evicted);
+    assert_eq!((evaluated, reused), (0, 1));
+    assert_same_response(&recalled, &hit(&mut fresh, evicted).0);
+    assert_eq!(kept.stats().replay_failures, 0);
+    assert_eq!(kept.store().len(), 7);
+
+    // A verdict is recalled only under the context it was proven in. Under another engine,
+    // without race detection, or on a profile of the same name (so the same entry) with
+    // other weights, a hit on a kept search executes its launch again, and serves what a
+    // freshly opened service serves under that setting; the reference is still reused.
+    type Setting = (&'static str, fn(&mut TuningConfig));
+    let settings: [Setting; 3] = [
+        ("interpreter engine", |c| {
+            c.base.engine = EngineSelection::Interpreter
+        }),
+        ("no race detection", |c| c.base.detect_races = false),
+        ("reweighted profile", |c| {
+            c.device.global_transaction_cost *= 2.0;
+            c.device.flop_cost *= 3.0;
+        }),
+    ];
+    for (setting, change) in settings {
+        let mut reopened = DerivationService::open(config.clone()).expect("service re-opens");
+        for request in &requests {
+            let mut changed = request.clone();
+            change(&mut changed.config);
+            let (recalled, evaluated, reused) = hit(&mut kept, &changed);
+            assert_eq!(
+                (evaluated, reused),
+                (0, 0),
+                "{} under {setting}: the launch runs again",
+                request.name
+            );
+            let (proven, evaluated, reused) = hit(&mut reopened, &changed);
+            assert_eq!((evaluated, reused), (1, 0), "{}", request.name);
+            assert_same_response(&recalled, &proven);
+            // Both verdicts are on record now.
+            for request in [&changed, request] {
+                let (_, evaluated, reused) = hit(&mut kept, request);
+                assert_eq!(
+                    (evaluated, reused),
+                    (0, 1),
+                    "{} under {setting}",
+                    request.name
+                );
+            }
+        }
     }
     let _ = std::fs::remove_dir_all(&root);
 }
