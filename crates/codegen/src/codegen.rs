@@ -11,6 +11,10 @@
 //! The three optimisations evaluated in the paper are applied here: array-access
 //! simplification (through the [`AccessBuilder`]), control-flow simplification (loops whose
 //! trip count is statically one collapse to a block or an `if`), and barrier elimination.
+//! Two passes then remove work the translation would repeat at every optimisation level:
+//! user functions bind their shared subterms to locals once (`cse.rs`), and each
+//! finished kernel loads the loop-invariant reads of its read-only inputs once, before the
+//! loop (`hoist.rs`).
 
 use std::cmp::Ordering;
 use std::collections::HashMap;
@@ -18,7 +22,7 @@ use std::collections::HashMap;
 use lift_arith::ArithExpr;
 use lift_ir::{
     AddressSpace, ExprId, ExprKind, FunDecl, FunDeclId, Literal, ParallelismLevel, Pattern,
-    Program, Reorder, ScalarExpr, ScalarKind, Type, TypeError, UserFun,
+    Program, Reorder, ScalarKind, Type, TypeError, UserFun,
 };
 use lift_ocl::{
     AddrSpace, CExpr, CFunction, CStmt, CType, Fence, Kernel, KernelParam, Module, StructDef,
@@ -27,6 +31,8 @@ use lift_ocl::{
 use crate::address_space::{
     infer_address_spaces, infer_parallelism, AddressSpaces, ParallelismLevels,
 };
+use crate::cse::user_fun_to_c;
+use crate::hoist::hoist_invariant_loads;
 use crate::options::{CompilationOptions, LaunchExtent, LaunchTrace};
 use crate::view::{resolve, AccessBuilder, LayoutOp, Resolved, View, ViewError};
 
@@ -560,11 +566,12 @@ impl Generator {
             } else {
                 base_name.clone()
             };
-            let kernel = Kernel {
+            let mut kernel = Kernel {
                 name: name.clone(),
                 params: kernel_params.clone(),
                 body: kernel_body,
             };
+            hoist_invariant_loads(&mut kernel);
             let parallel = kernel.uses_work_items();
             self.module.kernels.push(kernel);
             kernels.push(KernelStage { name, parallel });
@@ -1761,6 +1768,8 @@ impl Generator {
     }
 
     /// Registers the OpenCL function generated from a user function, returning its name.
+    /// Repeated subterms of the body that are evaluated on every path become scalar locals
+    /// of the function, evaluated once (see `cse.rs`).
     fn register_user_fun(&mut self, uf: &UserFun, vector_width: Option<usize>) -> String {
         let name = match vector_width {
             Some(w) => format!("{}_v{w}", uf.name()),
@@ -1782,11 +1791,13 @@ impl Generator {
             Some(w) => CType::Vector(Box::new(self.ctype_of(uf.return_type())), w),
             None => self.ctype_of(uf.return_type()),
         };
-        let body = scalar_to_cexpr(uf.body(), uf.param_names());
+        let (locals, body) =
+            user_fun_to_c(uf.body(), uf.param_names(), uf.param_types(), vector_width);
         self.module.add_function(CFunction {
             name: name.clone(),
             ret,
             params,
+            locals,
             body,
         });
         name
@@ -1849,7 +1860,7 @@ fn addr_of(space: AddressSpace) -> AddrSpace {
     }
 }
 
-fn scalar_ctype(ty: &Type) -> CType {
+pub(crate) fn scalar_ctype(ty: &Type) -> CType {
     match ty {
         Type::Scalar(ScalarKind::Float) => CType::Float,
         Type::Scalar(ScalarKind::Double) => CType::Double,
@@ -1994,51 +2005,6 @@ fn store_stmt(
             lhs: CExpr::var(memory).at(CExpr::Index(index.clone())),
             rhs: value,
         }),
-    }
-}
-
-/// Translates a user-function body into a C expression over the parameter names.
-fn scalar_to_cexpr(body: &ScalarExpr, params: &[String]) -> CExpr {
-    match body {
-        ScalarExpr::Param(i) => CExpr::var(&params[*i]),
-        ScalarExpr::ConstFloat(v) => CExpr::float(*v),
-        ScalarExpr::ConstInt(v) => CExpr::int(*v),
-        ScalarExpr::Get(e, i) => scalar_to_cexpr(e, params).field(format!("_{i}")),
-        ScalarExpr::Tuple(es) => CExpr::StructLit(
-            "tuple".into(),
-            es.iter().map(|e| scalar_to_cexpr(e, params)).collect(),
-        ),
-        ScalarExpr::Bin(op, a, b) => {
-            let a = scalar_to_cexpr(a, params);
-            let b = scalar_to_cexpr(b, params);
-            use lift_ir::BinOp::*;
-            match op {
-                Add => a.add(b),
-                Sub => a.sub(b),
-                Mul => a.mul(b),
-                Div => a.div(b),
-                Min => CExpr::Call("fmin".into(), vec![a, b]),
-                Max => CExpr::Call("fmax".into(), vec![a, b]),
-                Lt => a.lt(b),
-                Gt => CExpr::Bin(lift_ocl::CBinOp::Gt, Box::new(a), Box::new(b)),
-            }
-        }
-        ScalarExpr::Un(op, a) => {
-            let a = scalar_to_cexpr(a, params);
-            use lift_ir::UnOp::*;
-            match op {
-                Neg => CExpr::Un(lift_ocl::CUnOp::Neg, Box::new(a)),
-                Sqrt => CExpr::Call("sqrt".into(), vec![a]),
-                Rsqrt => CExpr::Call("rsqrt".into(), vec![a]),
-                Fabs => CExpr::Call("fabs".into(), vec![a]),
-                Exp => CExpr::Call("exp".into(), vec![a]),
-            }
-        }
-        ScalarExpr::Select(c, t, e) => CExpr::Ternary(
-            Box::new(scalar_to_cexpr(c, params)),
-            Box::new(scalar_to_cexpr(t, params)),
-            Box::new(scalar_to_cexpr(e, params)),
-        ),
     }
 }
 

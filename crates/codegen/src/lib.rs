@@ -8,7 +8,9 @@
 //! 4. [`view`] — construction and consumption of views for multi-dimensional array accesses,
 //!    with the symbolic index simplification of Section 5.3,
 //! 5. barrier elimination and control-flow simplification,
-//! 6. [`codegen`] — OpenCL code generation.
+//! 6. [`codegen`] — OpenCL code generation, with user functions emitted with their shared
+//!    subterms bound once and loop-invariant reads of read-only inputs loaded once before
+//!    their loop.
 //!
 //! The entry point is [`compile_program`], which turns a Lift [`Program`](lift_ir::Program)
 //! into a [`CompiledProgram`]: the OpenCL module, its kernels in launch order (one, unless
@@ -36,6 +38,8 @@
 
 pub mod address_space;
 pub mod codegen;
+mod cse;
+mod hoist;
 pub mod options;
 pub mod view;
 

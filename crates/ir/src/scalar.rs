@@ -246,33 +246,46 @@ impl UserFun {
         return_type: Type,
         body: ScalarExpr,
     ) -> Result<Self, UserFunError> {
-        let (param_names, param_types): (Vec<String>, Vec<Type>) =
-            params.into_iter().map(|(n, t)| (n.to_string(), t)).unzip();
-        if param_names.len() != param_types.len() {
+        let f = UserFun::unchecked(name, params, return_type, body);
+        if f.param_names.len() != f.param_types.len() {
             return Err(UserFunError::MismatchedParamLists {
-                names: param_names.len(),
-                types: param_types.len(),
+                names: f.param_names.len(),
+                types: f.param_types.len(),
             });
         }
-        if param_types.iter().any(Type::is_array) || return_type.is_array() {
+        if f.param_types.iter().any(Type::is_array) || f.return_type.is_array() {
             return Err(UserFunError::ArrayTypedParameter);
         }
-        if let Some(max) = body.max_param_index() {
-            if max >= param_types.len() {
+        if let Some(max) = f.body.max_param_index() {
+            if max >= f.arity() {
                 return Err(UserFunError::ParamOutOfRange {
                     index: max,
-                    arity: param_types.len(),
+                    arity: f.arity(),
                 });
             }
         }
-        Ok(UserFun {
+        Ok(f)
+    }
+
+    /// Builds a user function without [`UserFun::new`]'s checks. The standard functions
+    /// below use it: their definitions are fixed and well-formed, which
+    /// `builtin_functions_pass_every_check_of_new` asserts for each of them.
+    fn unchecked(
+        name: impl Into<String>,
+        params: Vec<(&str, Type)>,
+        return_type: Type,
+        body: ScalarExpr,
+    ) -> UserFun {
+        let (param_names, param_types) =
+            params.into_iter().map(|(n, t)| (n.to_string(), t)).unzip();
+        UserFun {
             name: name.into(),
             param_names,
             param_types,
             return_type,
             body,
             associative_commutative: false,
-        })
+        }
     }
 
     /// Marks this binary function as associative and commutative over its domain.
@@ -326,42 +339,39 @@ impl UserFun {
 
     /// `id(x) = x` for `float` (the `id` user function of Listing 1).
     pub fn id_float() -> UserFun {
-        UserFun::new(
+        UserFun::unchecked(
             "id",
             vec![("x", Type::float())],
             Type::float(),
             ScalarExpr::param(0),
         )
-        .expect("well-formed")
     }
 
     /// `add(a, b) = a + b`.
     pub fn add() -> UserFun {
-        UserFun::new(
+        UserFun::unchecked(
             "add",
             vec![("a", Type::float()), ("b", Type::float())],
             Type::float(),
             ScalarExpr::param(0).add(ScalarExpr::param(1)),
         )
-        .expect("well-formed")
         .assoc_commutative()
     }
 
     /// `mult(a, b) = a * b`.
     pub fn mult() -> UserFun {
-        UserFun::new(
+        UserFun::unchecked(
             "mult",
             vec![("a", Type::float()), ("b", Type::float())],
             Type::float(),
             ScalarExpr::param(0).mul(ScalarExpr::param(1)),
         )
-        .expect("well-formed")
         .assoc_commutative()
     }
 
     /// `multAndSumUp(acc, x, y) = acc + x * y`, the fused multiply-accumulate of Listing 1.
     pub fn mult_and_sum_up() -> UserFun {
-        UserFun::new(
+        UserFun::unchecked(
             "multAndSumUp",
             vec![
                 ("acc", Type::float()),
@@ -371,13 +381,12 @@ impl UserFun {
             Type::float(),
             ScalarExpr::param(0).add(ScalarExpr::param(1).mul(ScalarExpr::param(2))),
         )
-        .expect("well-formed")
     }
 
     /// `multAndSumUpPair(acc, xy) = acc + xy._0 * xy._1`, the reduction function applied to a
     /// zipped pair in Listing 1 (line 9).
     pub fn mult_and_sum_up_pair() -> UserFun {
-        UserFun::new(
+        UserFun::unchecked(
             "multAndSumUp",
             vec![
                 ("acc", Type::float()),
@@ -386,12 +395,11 @@ impl UserFun {
             Type::float(),
             ScalarExpr::param(0).add(ScalarExpr::param(1).get(0).mul(ScalarExpr::param(1).get(1))),
         )
-        .expect("well-formed")
     }
 
     /// `multPair(p) = p._0 * p._1` operating on a zipped pair, used by dot-product variants.
     pub fn mult_pair() -> UserFun {
-        UserFun::new(
+        UserFun::unchecked(
             "multPair",
             vec![("xy", Type::pair(Type::float(), Type::float()))],
             Type::float(),
@@ -400,18 +408,16 @@ impl UserFun {
                 .get(0)
                 .mul(ScalarExpr::param(0).get(1)),
         )
-        .expect("well-formed")
     }
 
     /// `max(a, b)`.
     pub fn max_fun() -> UserFun {
-        UserFun::new(
+        UserFun::unchecked(
             "maxf",
             vec![("a", Type::float()), ("b", Type::float())],
             Type::float(),
             ScalarExpr::param(0).max(ScalarExpr::param(1)),
         )
-        .expect("well-formed")
         .assoc_commutative()
     }
 }
@@ -428,6 +434,35 @@ mod tests {
         assert_eq!(UserFun::mult_pair().arity(), 1);
         assert_eq!(UserFun::max_fun().name(), "maxf");
         assert_eq!(*UserFun::add().return_type(), Type::float());
+    }
+
+    #[test]
+    fn builtin_functions_pass_every_check_of_new() {
+        let builtins = [
+            UserFun::id_float(),
+            UserFun::add(),
+            UserFun::mult(),
+            UserFun::mult_and_sum_up(),
+            UserFun::mult_and_sum_up_pair(),
+            UserFun::mult_pair(),
+            UserFun::max_fun(),
+        ];
+        for f in builtins {
+            let params = f
+                .param_names()
+                .iter()
+                .map(String::as_str)
+                .zip(f.param_types().iter().cloned())
+                .collect();
+            let checked = UserFun::new(f.name(), params, f.return_type().clone(), f.body().clone())
+                .unwrap_or_else(|e| panic!("builtin `{}` is ill-formed: {e}", f.name()));
+            let checked = if f.associative_commutative {
+                checked.assoc_commutative()
+            } else {
+                checked
+            };
+            assert_eq!(checked, f);
+        }
     }
 
     #[test]

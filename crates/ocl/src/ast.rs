@@ -472,6 +472,12 @@ impl Kernel {
 }
 
 /// A non-kernel function (generated from a user function).
+///
+/// The body is a straight-line sequence of scalar locals followed by one returned
+/// expression: `T f(params) { T1 l1 = e1; …; return body; }`. Each local's initialiser may
+/// read the parameters and the locals before it; the return expression may read all of
+/// them. The code generator binds a user function's repeated subterms to locals so they are
+/// evaluated once; a function without repeats has no locals.
 #[derive(Clone, Debug, PartialEq)]
 pub struct CFunction {
     /// Function name.
@@ -480,7 +486,9 @@ pub struct CFunction {
     pub ret: CType,
     /// Parameters.
     pub params: Vec<(String, CType)>,
-    /// The returned expression (user functions are single-expression).
+    /// Scalar locals `(name, type, initialiser)`, in evaluation order.
+    pub locals: Vec<(String, CType, CExpr)>,
+    /// The returned expression.
     pub body: CExpr,
 }
 
@@ -623,6 +631,7 @@ mod tests {
             name: "add".into(),
             ret: CType::Float,
             params: vec![],
+            locals: vec![],
             body: CExpr::float(0.0),
         };
         m.add_function(f.clone());

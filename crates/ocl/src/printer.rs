@@ -58,13 +58,17 @@ pub fn print_function(f: &CFunction) -> String {
         .iter()
         .map(|(name, ty)| format!("{} {}", ty.name(), name))
         .collect();
-    format!(
-        "{} {}({}) {{\n  return {};\n}}\n",
-        f.ret.name(),
-        f.name,
-        params.join(", "),
-        print_expr(&f.body)
-    )
+    let mut out = format!("{} {}({}) {{\n", f.ret.name(), f.name, params.join(", "));
+    for (name, ty, init) in &f.locals {
+        out.push_str(&format!(
+            "  {} {} = {};\n",
+            ty.name(),
+            name,
+            print_expr(init)
+        ));
+    }
+    out.push_str(&format!("  return {};\n}}\n", print_expr(&f.body)));
+    out
 }
 
 /// Renders a kernel definition.
@@ -437,11 +441,33 @@ mod tests {
             name: "add".into(),
             ret: CType::Float,
             params: vec![("a".into(), CType::Float), ("b".into(), CType::Float)],
+            locals: vec![],
             body: CExpr::var("a").add(CExpr::var("b")),
         };
         let rendered = print_function(&f);
-        assert!(rendered.contains("float add(float a, float b) {"));
-        assert!(rendered.contains("return a + b;"));
+        assert_eq!(
+            rendered,
+            "float add(float a, float b) {\n  return a + b;\n}\n"
+        );
+    }
+
+    #[test]
+    fn function_locals_print_before_the_return() {
+        let f = CFunction {
+            name: "sq".into(),
+            ret: CType::Float,
+            params: vec![("a".into(), CType::Float), ("b".into(), CType::Float)],
+            locals: vec![(
+                "t0".into(),
+                CType::Float,
+                CExpr::var("a").sub(CExpr::var("b")),
+            )],
+            body: CExpr::var("t0").mul(CExpr::var("t0")),
+        };
+        assert_eq!(
+            print_function(&f),
+            "float sq(float a, float b) {\n  float t0 = a - b;\n  return t0 * t0;\n}\n"
+        );
     }
 
     #[test]
@@ -451,6 +477,7 @@ mod tests {
             name: "id".into(),
             ret: CType::Float,
             params: vec![("x".into(), CType::Float)],
+            locals: vec![],
             body: CExpr::var("x"),
         });
         m.kernels.push(Kernel {

@@ -45,8 +45,8 @@ use std::rc::Rc;
 use lift_ocl::{AddrSpace, CBinOp, CUnOp};
 
 use crate::exec::{
-    compare, CastKind, Exec, Group, Math1, Math2, SExpr, SIndex, SLhs, SStmt, ShadowCell, Thread,
-    VgpuError, WorkItemFn,
+    compare, CastKind, Exec, Group, Math1, Math2, SExpr, SFunction, SIndex, SLhs, SStmt,
+    ShadowCell, Thread, VgpuError, WorkItemFn,
 };
 use crate::memory::{GpuValue, Ptr};
 
@@ -760,6 +760,16 @@ impl Compiler<'_> {
         Ok(dst)
     }
 
+    /// Compiles an inlined function's locals in order, each substituted by the registers
+    /// of its initialiser, then its returned body (the parameters are already substituted).
+    fn inline_locals_and_body(&mut self, fun: &SFunction) -> Result<Val, String> {
+        for (slot, init) in &fun.locals {
+            let v = self.expr(init)?;
+            self.subst.push((*slot, v));
+        }
+        self.expr(&fun.body)
+    }
+
     #[allow(clippy::too_many_lines)]
     fn expr(&mut self, e: &SExpr) -> Result<Val, String> {
         match e {
@@ -969,14 +979,15 @@ impl Compiler<'_> {
                 for a in args {
                     vals.push(self.expr(a)?);
                 }
-                // Inline the body with parameters substituted by the argument registers —
-                // the compile-time image of the interpreter's save/bind/restore.
+                // Inline the body with parameters substituted by the argument registers and
+                // each local by the registers of its initialiser, in order — the
+                // compile-time image of the interpreter's save/bind/restore.
                 let mark = self.subst.len();
                 for (s, v) in fun.params.iter().zip(vals) {
                     self.subst.push((*s, v));
                 }
                 self.fn_stack.push(*fidx);
-                let out = self.expr(&fun.body);
+                let out = self.inline_locals_and_body(&fun);
                 self.fn_stack.pop();
                 self.subst.truncate(mark);
                 out

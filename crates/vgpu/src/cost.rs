@@ -10,12 +10,14 @@
 
 use crate::device::DeviceProfile;
 
-/// Version of the analytical cost model. Bump whenever a change to the counters, their
-/// weighting or the device profiles alters estimated times: scores recorded under a
-/// different version are not comparable, so the derivation-service cache keys its entries
-/// by this constant (alongside the rule-set version) and drops the whole generation when it
-/// moves.
-pub const COST_MODEL_VERSION: u32 = 1;
+/// Version of the analytical cost model. Bump whenever the counters a given derivation
+/// chain produces change, or their weighting or the device profiles alter estimated times
+/// — including through code generation (a generator that emits less work for the same
+/// chain moves its counters just as a new weight would). Scores recorded under a different
+/// version are not comparable, so the derivation-service cache keys its entries by this
+/// constant (alongside the rule-set version) and drops the whole generation when it moves,
+/// instead of ranking chains by stale times.
+pub const COST_MODEL_VERSION: u32 = 2;
 
 /// Dynamic event counters accumulated while executing a kernel.
 #[derive(Clone, Copy, Debug, Default, PartialEq)]

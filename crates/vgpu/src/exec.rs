@@ -494,9 +494,11 @@ pub(crate) enum SStmt {
     },
 }
 
-/// A lowered user function.
+/// A lowered user function: its locals are bound in order after the parameters, then the
+/// body is the returned value.
 pub(crate) struct SFunction {
     pub(crate) params: Vec<usize>,
+    pub(crate) locals: Vec<(usize, SExpr)>,
     pub(crate) body: SExpr,
 }
 
@@ -756,12 +758,22 @@ impl<'m> Lowerer<'m> {
         let idx = self.functions.len();
         self.functions.push(SFunction {
             params: Vec::new(),
+            locals: Vec::new(),
             body: SExpr::Int(0),
         });
         self.fn_slots.insert(name.to_string(), idx);
         let params: Vec<usize> = fun.params.iter().map(|(n, _)| self.slot(n)).collect();
+        let locals = fun
+            .locals
+            .iter()
+            .map(|(n, _, init)| (self.slot(n), self.lower_expr(init)))
+            .collect();
         let body = self.lower_expr(&fun.body);
-        self.functions[idx] = SFunction { params, body };
+        self.functions[idx] = SFunction {
+            params,
+            locals,
+            body,
+        };
         Some(idx)
     }
 }
@@ -1295,16 +1307,27 @@ impl Exec {
                 for a in args {
                     values.push(self.eval(a, group, thread)?);
                 }
-                // Bind parameters with save/restore so nested calls and loop variables are
-                // preserved (moving shadowed values out instead of cloning them).
-                let saved: Vec<Option<GpuValue>> =
-                    fun.params.iter().map(|s| thread.vals[*s].take()).collect();
+                // Bind parameters, then each local in order, with save/restore so nested
+                // calls and loop variables are preserved (moving shadowed values out instead
+                // of cloning them). Restoring in reverse undoes a repeated slot correctly.
+                let saved: Vec<Option<GpuValue>> = fun
+                    .params
+                    .iter()
+                    .chain(fun.locals.iter().map(|(s, _)| s))
+                    .map(|s| thread.vals[*s].take())
+                    .collect();
                 for (s, v) in fun.params.iter().zip(values) {
                     thread.vals[*s] = Some(v);
                 }
-                let result = self.eval(&fun.body, group, thread);
-                for (s, old) in fun.params.iter().zip(saved) {
-                    thread.vals[*s] = old;
+                let result = self.eval_locals_and_body(&fun, group, thread);
+                let n = fun.params.len();
+                for (k, old) in saved.into_iter().enumerate().rev() {
+                    let s = if k < n {
+                        fun.params[k]
+                    } else {
+                        fun.locals[k - n].0
+                    };
+                    thread.vals[s] = old;
                 }
                 result
             }
@@ -1372,6 +1395,21 @@ impl Exec {
                 Ok(GpuValue::Vector(out))
             }
         }
+    }
+
+    /// Binds a called function's locals in order (its parameters are already bound), then
+    /// evaluates its returned body.
+    fn eval_locals_and_body(
+        &mut self,
+        fun: &SFunction,
+        group: &mut Group,
+        thread: &mut Thread,
+    ) -> Result<GpuValue, VgpuError> {
+        for (slot, init) in &fun.locals {
+            let v = self.eval(init, group, thread)?;
+            thread.vals[*slot] = Some(v);
+        }
+        self.eval(&fun.body, group, thread)
     }
 
     /// Evaluates an index expression while charging the cost counters in the same walk
@@ -1997,6 +2035,7 @@ mod tests {
             name: "add".into(),
             ret: CType::Float,
             params: vec![("a".into(), CType::Float), ("b".into(), CType::Float)],
+            locals: vec![],
             body: CExpr::var("a").add(CExpr::var("b")),
         });
         m.kernels.push(Kernel {

@@ -315,6 +315,75 @@ fn paper_benchmarks_run_identically_on_both_engines_without_fallback() {
     }
 }
 
+/// What the code generator adds to a kernel to avoid redundant work runs alike on both
+/// engines: a user function with a local (`d = pj - pi` is used on every path, in the
+/// `Select`'s condition and its else arm), a lazily evaluated `Select` whose then arm repeats
+/// `d * d` inline, and a reduction whose loop-invariant read of its own element is loaded
+/// once before the loop. Buffers are bit-identical, counters equal, and nothing falls back.
+#[test]
+fn function_locals_lazy_selects_and_hoisted_loads_run_identically_on_both_engines() {
+    let d = || ScalarExpr::param(1).sub(ScalarExpr::param(2));
+    let near = ScalarExpr::Bin(BinOp::Lt, Box::new(d()), Box::new(ScalarExpr::cf(0.25)));
+    let pull = d().mul(d()).div(d().mul(d()).add(ScalarExpr::cf(1.0)));
+    let interact = UserFun::new(
+        "interact",
+        vec![
+            ("acc", Type::float()),
+            ("pj", Type::float()),
+            ("pi", Type::float()),
+        ],
+        Type::float(),
+        ScalarExpr::param(0).add(ScalarExpr::Select(
+            Box::new(near),
+            Box::new(pull),
+            Box::new(d()),
+        )),
+    )
+    .expect("well-formed");
+    let n = 64usize;
+    let mut p = Program::new("pairwise");
+    let f = p.user_fun(interact);
+    p.with_root(vec![("pos", Type::array(Type::float(), n))], |p, params| {
+        let pos = params[0];
+        let per_item = p.lambda(&["pi"], |p, lp| {
+            let pi = lp[0];
+            let step = p.lambda(&["acc", "pj"], |p, rp| p.apply(f, [rp[0], rp[1], pi]));
+            let reduce = p.reduce_seq_pattern(step);
+            let init = p.literal_f32(0.0);
+            p.apply(reduce, [init, pos])
+        });
+        let m = p.map_glb(0, per_item);
+        let j = p.join();
+        let mapped = p.apply1(m, pos);
+        p.apply1(j, mapped)
+    });
+    let options = CompilationOptions::all_optimisations().with_launch(LAUNCH.global, LAUNCH.local);
+    let compiled = compile_program(&p, &options).expect("compiles");
+    let source = compiled.source();
+    assert!(source.contains("  float t0 = pj - pi;\n"), "{source}");
+    assert_eq!(source.matches("t0 * t0").count(), 2, "{source}");
+    assert!(source.contains("float pos_0 = pos[gl_id];"), "{source}");
+    let sizes = lift::arith::Environment::new();
+    let pos: Vec<f32> = (0..n).map(|i| ((i * 37) % n) as f32 / 32.0 - 1.0).collect();
+    let (args, _) = compiled.bind_args(&[pos], &sizes).expect("binds");
+    let stages = compiled.launch_plan(LAUNCH);
+    let [interp, bytecode] =
+        [EngineSelection::Interpreter, EngineSelection::Bytecode].map(|engine| {
+            run_without_fallback("pairwise", &compiled.module, &stages, args.clone(), engine)
+        });
+    let bits = |r: &SequenceResult| -> Vec<Vec<u32>> {
+        r.buffers
+            .iter()
+            .map(|b| b.iter().map(|v| v.to_bits()).collect())
+            .collect()
+    };
+    assert_eq!(bits(&interp), bits(&bytecode), "buffers differ");
+    assert_eq!(interp.reports, bytecode.reports, "counters differ");
+    // The hoisted read is one global load per item; the loop reads only `pos[i]`.
+    let counters = interp.reports[0].counters;
+    assert_eq!(counters.global_accesses, (n * (n + 1) + n) as u64);
+}
+
 /// One data-layout step applied before the parallel copy (mirrors the shapes of the
 /// `differential_pipelines` suite).
 #[derive(Clone, Debug)]
