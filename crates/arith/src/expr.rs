@@ -74,14 +74,6 @@ impl Range {
             max_excl: None,
         }
     }
-
-    /// The range `[min, ∞)`.
-    pub fn at_least(min: ArithExpr) -> Self {
-        Range {
-            min: Some(Box::new(min)),
-            max_excl: None,
-        }
-    }
 }
 
 /// A named variable.
@@ -112,14 +104,6 @@ impl Var {
     /// The variable's value range.
     pub fn range(&self) -> &Range {
         &self.range
-    }
-
-    /// Returns a copy of this variable with a different range.
-    pub fn with_range(&self, range: Range) -> Self {
-        Var {
-            name: self.name.clone(),
-            range,
-        }
     }
 }
 
@@ -192,14 +176,6 @@ impl ArithExpr {
         self.as_cst() == Some(c)
     }
 
-    /// Returns the variable if this expression is a single variable.
-    pub fn as_var(&self) -> Option<&Var> {
-        match self {
-            ArithExpr::Var(v) => Some(v),
-            _ => None,
-        }
-    }
-
     /// Builds a normalised sum of the given terms.
     pub fn sum(terms: impl IntoIterator<Item = ArithExpr>) -> Self {
         simplify::make_sum(terms.into_iter().collect())
@@ -264,12 +240,6 @@ impl ArithExpr {
             }
             ArithExpr::Pow(b, _) => b.collect_vars(out),
         }
-    }
-
-    /// Returns `Some(true)` / `Some(false)` when the analysis can prove `self < other` /
-    /// `self >= other`, and `None` when it cannot decide.
-    pub fn is_smaller_than(&self, other: &ArithExpr) -> Option<bool> {
-        simplify::is_smaller(self, other)
     }
 
     /// Number of nodes in the expression tree (used to measure index complexity in the

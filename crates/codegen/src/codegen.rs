@@ -11,28 +11,28 @@
 //! The three optimisations evaluated in the paper are applied here: array-access
 //! simplification (through the [`AccessBuilder`]), control-flow simplification (loops whose
 //! trip count is statically one collapse to a block or an `if`), and barrier elimination.
-//! Two passes then remove work the translation would repeat at every optimisation level:
-//! user functions bind their shared subterms to locals once (`cse.rs`), and each
-//! finished kernel loads the loop-invariant reads of its read-only inputs once, before the
-//! loop (`hoist.rs`).
+//! One pass (`optimise.rs`) then removes work the translation would repeat at every
+//! optimisation level: value numbering with loop-invariant binding, over every finished kernel
+//! and every user function, binds each repeated or loop-invariant pure expression to a local
+//! evaluated once.
 
 use std::cmp::Ordering;
 use std::collections::HashMap;
 
 use lift_arith::ArithExpr;
 use lift_ir::{
-    AddressSpace, ExprId, ExprKind, FunDecl, FunDeclId, Literal, ParallelismLevel, Pattern,
-    Program, Reorder, ScalarKind, Type, TypeError, UserFun,
+    AddressSpace, BinOp, ExprId, ExprKind, FunDecl, FunDeclId, Literal, ParallelismLevel, Pattern,
+    Program, Reorder, ScalarExpr, ScalarKind, Type, TypeError, UnOp, UserFun,
 };
 use lift_ocl::{
-    AddrSpace, CExpr, CFunction, CStmt, CType, Fence, Kernel, KernelParam, Module, StructDef,
+    AddrSpace, CBinOp, CExpr, CFunction, CStmt, CType, CUnOp, Fence, Kernel, KernelParam, Module,
+    StructDef,
 };
 
 use crate::address_space::{
     infer_address_spaces, infer_parallelism, AddressSpaces, ParallelismLevels,
 };
-use crate::cse::user_fun_to_c;
-use crate::hoist::hoist_invariant_loads;
+use crate::optimise::{optimise_function, optimise_kernel};
 use crate::options::{CompilationOptions, LaunchExtent, LaunchTrace};
 use crate::view::{resolve, AccessBuilder, LayoutOp, Resolved, View, ViewError};
 
@@ -508,17 +508,15 @@ impl Generator {
 
         // Split the top-level statement stream into kernel bodies at the split markers
         // (one marker was emitted after each global-temporary producer).
-        let mut segments: Vec<Vec<CStmt>> = vec![Vec::new()];
+        let (mut segments, mut segment) = (Vec::new(), Vec::new());
         for stmt in body_stmts {
             if matches!(&stmt, CStmt::Comment(c) if c == KERNEL_SPLIT_MARKER) {
-                segments.push(Vec::new());
+                segments.push(std::mem::take(&mut segment));
             } else {
-                segments
-                    .last_mut()
-                    .expect("segments is non-empty")
-                    .push(stmt);
+                segment.push(stmt);
             }
         }
+        segments.push(segment);
         // Every marker snapshots one declaration group; a mismatch means a marker was
         // buried below the top level (which the nesting guard forbids) and zipping the two
         // lists would silently drop a kernel body — make it a hard error, not a debug
@@ -571,7 +569,7 @@ impl Generator {
                 params: kernel_params.clone(),
                 body: kernel_body,
             };
-            hoist_invariant_loads(&mut kernel);
+            optimise_kernel(&mut kernel, &self.module.structs);
             let parallel = kernel.uses_work_items();
             self.module.kernels.push(kernel);
             kernels.push(KernelStage { name, parallel });
@@ -1157,13 +1155,10 @@ impl Generator {
         match pattern {
             Pattern::Iterate { .. } => {
                 // Iterate reached with an explicit destination: generate it, then copy.
-                let f = match &self.program.expr(expr).kind {
-                    ExprKind::FunCall { f, .. } => *f,
-                    _ => unreachable!("gen_pattern is only called on calls"),
-                };
-                let args: Vec<ExprId> = match &self.program.expr(expr).kind {
-                    ExprKind::FunCall { args, .. } => args.clone(),
-                    _ => unreachable!("gen_pattern is only called on calls"),
+                let ExprKind::FunCall { f, args } = self.program.expr(expr).kind.clone() else {
+                    return Err(CodegenError::Unsupported(
+                        "internal error: `iterate` generated from a node that is not a call".into(),
+                    ));
                 };
                 let (result_view, mut stmts) = self.gen_iterate(expr, f, &args)?;
                 let out_ty = self.program.type_of(expr).clone();
@@ -1582,8 +1577,8 @@ impl Generator {
             k
         };
 
-        let space = match &input_view {
-            View::Memory { space, .. } => *space,
+        let (space, input_name) = match &input_view {
+            View::Memory { space, name, .. } => (*space, name.clone()),
             _ => {
                 return Err(CodegenError::Unsupported(
                     "iterate input must be materialised in a buffer".into(),
@@ -1601,10 +1596,6 @@ impl Generator {
                     .into(),
             ));
         }
-        let input_name = match &input_view {
-            View::Memory { name, .. } => name.clone(),
-            _ => unreachable!("checked above"),
-        };
         // The double-buffered loop writes the whole ping/pong pair each sweep, so a local
         // iterate is only sound where the group executes it uniformly or its body
         // partitions writes across work items — same ownership rule as `materialise`.
@@ -1769,7 +1760,7 @@ impl Generator {
 
     /// Registers the OpenCL function generated from a user function, returning its name.
     /// Repeated subterms of the body that are evaluated on every path become scalar locals
-    /// of the function, evaluated once (see `cse.rs`).
+    /// of the function, evaluated once (see `optimise.rs`).
     fn register_user_fun(&mut self, uf: &UserFun, vector_width: Option<usize>) -> String {
         let name = match vector_width {
             Some(w) => format!("{}_v{w}", uf.name()),
@@ -1778,28 +1769,25 @@ impl Generator {
         if self.module.function(&name).is_some() {
             return name;
         }
-        let mut params = Vec::with_capacity(uf.arity());
-        for (pname, pty) in uf.param_names().iter().zip(uf.param_types()) {
-            let base = self.ctype_of(pty);
-            let cty = match vector_width {
-                Some(w) => CType::Vector(Box::new(base), w),
-                None => base,
-            };
-            params.push((pname.clone(), cty));
-        }
-        let ret = match vector_width {
-            Some(w) => CType::Vector(Box::new(self.ctype_of(uf.return_type())), w),
-            None => self.ctype_of(uf.return_type()),
+        // Under `mapVec` every scalar is a vector of `vector_width` lanes.
+        let widened = |g: &mut Self, ty: &Type| match (g.ctype_of(ty), vector_width) {
+            (base, Some(w)) => CType::Vector(Box::new(base), w),
+            (base, None) => base,
         };
-        let (locals, body) =
-            user_fun_to_c(uf.body(), uf.param_names(), uf.param_types(), vector_width);
-        self.module.add_function(CFunction {
+        let names = uf.param_names().iter().zip(uf.param_types());
+        let params = names
+            .map(|(n, ty)| (n.clone(), widened(self, ty)))
+            .collect();
+        let ret = widened(self, uf.return_type());
+        let mut function = CFunction {
             name: name.clone(),
             ret,
             params,
-            locals,
-            body,
-        });
+            locals: Vec::new(),
+            body: scalar_to_c(uf.body(), uf.param_names()),
+        };
+        optimise_function(&mut function, &self.module.structs);
+        self.module.add_function(function);
         name
     }
 
@@ -1860,7 +1848,46 @@ fn addr_of(space: AddressSpace) -> AddrSpace {
     }
 }
 
-pub(crate) fn scalar_ctype(ty: &Type) -> CType {
+/// Translates a user-function body into C, term for term (the optimiser then shares its
+/// repeated subterms).
+pub(crate) fn scalar_to_c(e: &ScalarExpr, params: &[String]) -> CExpr {
+    let c = |e: &ScalarExpr| Box::new(scalar_to_c(e, params));
+    match e {
+        ScalarExpr::Param(i) => CExpr::var(&params[*i]),
+        ScalarExpr::ConstFloat(v) => CExpr::float(*v),
+        ScalarExpr::ConstInt(v) => CExpr::int(*v),
+        ScalarExpr::Get(e, i) => CExpr::Field(c(e), format!("_{i}")),
+        ScalarExpr::Tuple(es) => {
+            CExpr::StructLit("tuple".into(), es.iter().map(|e| *c(e)).collect())
+        }
+        ScalarExpr::Bin(op, a, b) => {
+            let op = match op {
+                BinOp::Add => CBinOp::Add,
+                BinOp::Sub => CBinOp::Sub,
+                BinOp::Mul => CBinOp::Mul,
+                BinOp::Div => CBinOp::Div,
+                BinOp::Lt => CBinOp::Lt,
+                BinOp::Gt => CBinOp::Gt,
+                BinOp::Min => return CExpr::Call("fmin".into(), vec![*c(a), *c(b)]),
+                BinOp::Max => return CExpr::Call("fmax".into(), vec![*c(a), *c(b)]),
+            };
+            CExpr::Bin(op, c(a), c(b))
+        }
+        ScalarExpr::Un(op, a) => {
+            let f = match op {
+                UnOp::Neg => return CExpr::Un(CUnOp::Neg, c(a)),
+                UnOp::Sqrt => "sqrt",
+                UnOp::Rsqrt => "rsqrt",
+                UnOp::Fabs => "fabs",
+                UnOp::Exp => "exp",
+            };
+            CExpr::Call(f.into(), vec![*c(a)])
+        }
+        ScalarExpr::Select(cond, t, e) => CExpr::Ternary(c(cond), c(t), c(e)),
+    }
+}
+
+fn scalar_ctype(ty: &Type) -> CType {
     match ty {
         Type::Scalar(ScalarKind::Float) => CType::Float,
         Type::Scalar(ScalarKind::Double) => CType::Double,

@@ -8,9 +8,9 @@
 //! 4. [`view`] — construction and consumption of views for multi-dimensional array accesses,
 //!    with the symbolic index simplification of Section 5.3,
 //! 5. barrier elimination and control-flow simplification,
-//! 6. [`codegen`] — OpenCL code generation, with user functions emitted with their shared
-//!    subterms bound once and loop-invariant reads of read-only inputs loaded once before
-//!    their loop.
+//! 6. [`codegen`] — OpenCL code generation, after which one optimiser (value numbering
+//!    with loop-invariant binding) binds every repeated or loop-invariant pure expression of
+//!    a kernel or user function to a local evaluated once.
 //!
 //! The entry point is [`compile_program`], which turns a Lift [`Program`](lift_ir::Program)
 //! into a [`CompiledProgram`]: the OpenCL module, its kernels in launch order (one, unless
@@ -38,8 +38,7 @@
 
 pub mod address_space;
 pub mod codegen;
-mod cse;
-mod hoist;
+mod optimise;
 pub mod options;
 pub mod view;
 

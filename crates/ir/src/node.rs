@@ -545,16 +545,6 @@ impl Program {
         self.exprs.len()
     }
 
-    /// Number of function declarations in the arena.
-    pub fn decl_count(&self) -> usize {
-        self.decls.len()
-    }
-
-    /// Iterates over all expression ids.
-    pub fn expr_ids(&self) -> impl Iterator<Item = ExprId> {
-        (0..self.exprs.len()).map(ExprId)
-    }
-
     /// Iterates over all function declaration ids.
     pub fn decl_ids(&self) -> impl Iterator<Item = FunDeclId> {
         (0..self.decls.len()).map(FunDeclId)

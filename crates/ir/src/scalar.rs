@@ -203,8 +203,6 @@ pub struct UserFun {
 pub enum UserFunError {
     /// The body references a parameter index that does not exist.
     ParamOutOfRange { index: usize, arity: usize },
-    /// The number of parameter names and parameter types differ.
-    MismatchedParamLists { names: usize, types: usize },
     /// A parameter or return type is an array, which user functions may not manipulate.
     ArrayTypedParameter,
 }
@@ -216,12 +214,6 @@ impl fmt::Display for UserFunError {
                 write!(
                     f,
                     "user function body references parameter {index} but only {arity} exist"
-                )
-            }
-            UserFunError::MismatchedParamLists { names, types } => {
-                write!(
-                    f,
-                    "user function has {names} parameter names but {types} parameter types"
                 )
             }
             UserFunError::ArrayTypedParameter => {
@@ -247,12 +239,6 @@ impl UserFun {
         body: ScalarExpr,
     ) -> Result<Self, UserFunError> {
         let f = UserFun::unchecked(name, params, return_type, body);
-        if f.param_names.len() != f.param_types.len() {
-            return Err(UserFunError::MismatchedParamLists {
-                names: f.param_names.len(),
-                types: f.param_types.len(),
-            });
-        }
         if f.param_types.iter().any(Type::is_array) || f.return_type.is_array() {
             return Err(UserFunError::ArrayTypedParameter);
         }

@@ -129,14 +129,6 @@ impl Type {
         }
     }
 
-    /// Returns the scalar kind of a scalar or vector type.
-    pub fn scalar_kind(&self) -> Option<ScalarKind> {
-        match self {
-            Type::Scalar(k) | Type::Vector(k, _) => Some(*k),
-            _ => None,
-        }
-    }
-
     /// The innermost non-array type (the element type of a possibly multi-dimensional array).
     pub fn innermost(&self) -> &Type {
         match self {

@@ -102,15 +102,6 @@ impl NestContext {
         self.inside_wrg || self.inside_lcl
     }
 
-    /// Inside any map or reduction function.
-    pub fn in_any_map(&self) -> bool {
-        self.inside_glb
-            || self.inside_wrg
-            || self.inside_lcl
-            || self.inside_seq
-            || self.inside_pending
-    }
-
     /// The context of the function nested in `pattern`, for a `pattern` applied in `self`.
     fn inside<F>(mut self, pattern: &Pattern<F>) -> NestContext {
         match pattern {

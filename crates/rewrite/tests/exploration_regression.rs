@@ -205,7 +205,7 @@ fn null_collector_results_match_the_committed_baseline() {
         assert!(result.soundness.is_clean(), "budget {max_candidates}");
         let best = &result.variants[0];
         assert!(
-            (best.estimated_time - 19039.903).abs() < 1e-2,
+            (best.estimated_time - 18283.741).abs() < 1e-2,
             "budget {max_candidates}: best estimated time drifted: {}",
             best.estimated_time
         );

@@ -17,7 +17,7 @@ use crate::device::DeviceProfile;
 /// version are not comparable, so the derivation-service cache keys its entries by this
 /// constant (alongside the rule-set version) and drops the whole generation when it moves,
 /// instead of ranking chains by stale times.
-pub const COST_MODEL_VERSION: u32 = 2;
+pub const COST_MODEL_VERSION: u32 = 3;
 
 /// Dynamic event counters accumulated while executing a kernel.
 #[derive(Clone, Copy, Debug, Default, PartialEq)]

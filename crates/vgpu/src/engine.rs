@@ -145,11 +145,6 @@ impl<'a> ExecutionRequest<'a> {
         self.race_detection
     }
 
-    /// The engine selection of this request.
-    pub fn engine_selection(&self) -> EngineSelection {
-        self.engine
-    }
-
     fn validate(&self, config: &LaunchConfig) -> Result<(), VgpuError> {
         if let Some(device) = self.device {
             device

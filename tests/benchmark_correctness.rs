@@ -99,7 +99,8 @@ fn optimisation_levels_do_not_change_results_at_large_size() {
 /// element once before the loop, so the Lift kernels of MD, both N-Body variants and K-Means
 /// stay at or under the flops and global accesses pinned here. Before that they ran 1.3–2.6×
 /// the flops and up to 2× the global accesses of the hand-written references. The three
-/// single-loop cases match their reference's global accesses to within 5 %.
+/// single-loop cases match their reference's global accesses to within 5 %. Convolution
+/// computes its loop-invariant window offset once per work item (217 088 integer ops before).
 #[test]
 fn generated_kernels_do_not_redo_shared_work() {
     // (case, Lift flops, Lift global accesses, compared with the reference's accesses)
@@ -138,4 +139,14 @@ fn generated_kernels_do_not_redo_shared_work() {
             );
         }
     }
+    // Convolution's window index: the invariant `l_id_1 + 64 * wg_id` is computed once per
+    // work item and shared by the loop's reads and the store after it.
+    let conv = cases.iter().find(|c| c.info.name == "Convolution").unwrap();
+    let lift = run_lift(conv, &CompilationOptions::all_optimisations()).unwrap();
+    assert!(lift.correct, "Convolution: wrong output");
+    assert!(
+        lift.counters.int_ops <= 147_456,
+        "Convolution: {} int ops, pinned at 147456",
+        lift.counters.int_ops
+    );
 }

@@ -318,8 +318,10 @@ fn paper_benchmarks_run_identically_on_both_engines_without_fallback() {
 /// What the code generator adds to a kernel to avoid redundant work runs alike on both
 /// engines: a user function with a local (`d = pj - pi` is used on every path, in the
 /// `Select`'s condition and its else arm), a lazily evaluated `Select` whose then arm repeats
-/// `d * d` inline, and a reduction whose loop-invariant read of its own element is loaded
-/// once before the loop. Buffers are bit-identical, counters equal, and nothing falls back.
+/// `d * d` inline, a reduction whose loop-invariant read of its own element is loaded once
+/// before the loop, and Convolution's `int` local for the invariant part of its window
+/// index, read inside the `Index` terms of the loop and of the store after it. Buffers are
+/// bit-identical, counters equal, and nothing falls back.
 #[test]
 fn function_locals_lazy_selects_and_hoisted_loads_run_identically_on_both_engines() {
     let d = || ScalarExpr::param(1).sub(ScalarExpr::param(2));
@@ -362,7 +364,7 @@ fn function_locals_lazy_selects_and_hoisted_loads_run_identically_on_both_engine
     let source = compiled.source();
     assert!(source.contains("  float t0 = pj - pi;\n"), "{source}");
     assert_eq!(source.matches("t0 * t0").count(), 2, "{source}");
-    assert!(source.contains("float pos_0 = pos[gl_id];"), "{source}");
+    assert!(source.contains("float t0 = pos[gl_id];"), "{source}");
     let sizes = lift::arith::Environment::new();
     let pos: Vec<f32> = (0..n).map(|i| ((i * 37) % n) as f32 / 32.0 - 1.0).collect();
     let (args, _) = compiled.bind_args(&[pos], &sizes).expect("binds");
@@ -382,6 +384,42 @@ fn function_locals_lazy_selects_and_hoisted_loads_run_identically_on_both_engine
     // The hoisted read is one global load per item; the loop reads only `pos[i]`.
     let counters = interp.reports[0].counters;
     assert_eq!(counters.global_accesses, (n * (n + 1) + n) as u64);
+
+    let cases = all_benchmarks(ProblemSize::Small);
+    let conv = cases
+        .iter()
+        .find(|c| c.info.name == "Convolution")
+        .expect("Convolution");
+    let compiled = compile_case(conv, &CompilationOptions::all_optimisations()).expect("compiles");
+    let source = compiled.source();
+    assert!(source.contains("int t0 = l_id_1 + 64 * wg_id;"), "{source}");
+    assert!(
+        source.contains("input[i_3 + t0]") && source.contains("output[t0]"),
+        "{source}"
+    );
+    let (args, _) = compiled
+        .bind_args(&conv.inputs, &conv.sizes)
+        .expect("binds");
+    let stages = compiled.launch_plan(conv.launch);
+    let [interp, bytecode] =
+        [EngineSelection::Interpreter, EngineSelection::Bytecode].map(|engine| {
+            run_without_fallback(
+                "convolution",
+                &compiled.module,
+                &stages,
+                args.clone(),
+                engine,
+            )
+        });
+    assert_eq!(
+        bits(&interp),
+        bits(&bytecode),
+        "convolution: buffers differ"
+    );
+    assert_eq!(
+        interp.reports, bytecode.reports,
+        "convolution: counters differ"
+    );
 }
 
 /// One data-layout step applied before the parallel copy (mirrors the shapes of the
