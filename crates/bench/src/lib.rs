@@ -1,29 +1,20 @@
-//! Shared helpers for the harness binaries that regenerate the paper's evaluation.
+//! Shared helpers for the two binaries in `src/bin`, each the single writer of one committed,
+//! deterministic document at the repository root:
 //!
-//! The binaries in `src/bin`:
-//!
-//! * `table1`  — benchmark overview and code sizes (Table 1),
-//! * `figure6` — the array-index simplification example (Figure 6),
-//! * `figure7` — the generated dot-product kernel (Figure 7),
-//! * `figure8` — relative performance of generated vs hand-written kernels under the three
-//!   optimisation levels and two device profiles (Figure 8),
+//! * `paper_stats` — the paper's evaluation (Table 1, Figures 6, 7 and 8) as
+//!   `BENCH_paper.json`; the [`paper`] module builds its Table 1 rows and Figure 8 cells;
 //! * `autotune_stats` — the auto-tuning search over the seven tracked workloads on both
-//!   device profiles, writing the committed `BENCH_autotune.json`.
+//!   device profiles, as `BENCH_autotune.json`; the [`report`] module builds it.
 //!
-//! Nothing in this crate reads a clock. `BENCH_autotune.json` holds only what the seeded
-//! search and the cost model determine (tuned best-times, kernel launches executed and
-//! recalled, winning chains, trajectories), so it is its own gate: CI regenerates it and
-//! fails on any `git diff`. Wall-clock is measured in one place, the stand-alone
-//! `benchmark/` package. The [`report`] module builds the document.
+//! Nothing in this crate reads a clock. Both documents hold only what the benchmarks, the
+//! seeded search and the cost model determine, so each is its own gate: CI regenerates it and
+//! fails on any `git diff`. Wall-clock is measured in one place, the stand-alone `benchmark/`
+//! package.
 
+pub mod paper;
 pub mod report;
 
 use lift_vgpu::DeviceProfile;
-
-/// Formats a relative-performance number the way the Figure 8 bars are read.
-pub fn format_relative(rel: f64) -> String {
-    format!("{rel:5.2}x")
-}
 
 /// Geometric mean of a list of ratios (used for the "Mean" column of Figure 8).
 pub fn geometric_mean(values: &[f64]) -> f64 {
@@ -119,10 +110,5 @@ mod tests {
     fn geometric_mean_of_equal_values_is_the_value() {
         assert!((geometric_mean(&[2.0, 2.0, 2.0]) - 2.0).abs() < 1e-9);
         assert_eq!(geometric_mean(&[]), 0.0);
-    }
-
-    #[test]
-    fn formatting_is_stable() {
-        assert_eq!(format_relative(1.0), " 1.00x");
     }
 }

@@ -301,11 +301,7 @@ pub fn gemv_case(size: ProblemSize) -> BenchmarkCase {
         info: BenchmarkInfo {
             name: "GEMV",
             source: "CLBlast",
-            local_memory: true,
-            private_memory: false,
-            vectorisation: false,
-            coalescing: true,
-            iteration_space: "1D",
+            characteristics_paper: "local - - coal 1D",
             opencl_loc_paper: 213,
             high_level_loc_paper: 15,
             low_level_loc_paper: 32,
@@ -341,11 +337,7 @@ pub fn atax_case(size: ProblemSize) -> BenchmarkCase {
         info: BenchmarkInfo {
             name: "ATAX",
             source: "CLBlast",
-            local_memory: true,
-            private_memory: false,
-            vectorisation: false,
-            coalescing: true,
-            iteration_space: "1D",
+            characteristics_paper: "local - - coal 1D",
             opencl_loc_paper: 426,
             high_level_loc_paper: 30,
             low_level_loc_paper: 64,
@@ -383,11 +375,7 @@ pub fn gesummv_case(size: ProblemSize) -> BenchmarkCase {
         info: BenchmarkInfo {
             name: "GESUMMV",
             source: "CLBlast",
-            local_memory: true,
-            private_memory: false,
-            vectorisation: false,
-            coalescing: true,
-            iteration_space: "1D",
+            characteristics_paper: "local - - coal 1D",
             opencl_loc_paper: 426,
             high_level_loc_paper: 30,
             low_level_loc_paper: 64,

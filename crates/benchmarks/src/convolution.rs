@@ -162,11 +162,7 @@ pub fn case(size: ProblemSize) -> BenchmarkCase {
         info: BenchmarkInfo {
             name: "Convolution",
             source: "NVIDIA SDK",
-            local_memory: true,
-            private_memory: false,
-            vectorisation: false,
-            coalescing: true,
-            iteration_space: "2D",
+            characteristics_paper: "local - - coal 2D",
             opencl_loc_paper: 92,
             high_level_loc_paper: 48,
             low_level_loc_paper: 48,

@@ -1,8 +1,8 @@
 //! The partial dot product of Listing 1 — the paper's running example.
 //!
 //! This is not one of the Table 1 benchmarks, but it is the program whose generated kernel the
-//! paper shows in Figure 7, so it is used by the `figure7` binary, by the quickstart example
-//! and throughout the test-suite.
+//! paper shows in Figure 7, so it is used by the `paper_stats` binary (which records that
+//! kernel in `BENCH_paper.json`), by the quickstart example and throughout the test-suite.
 
 use lift_arith::ArithExpr;
 use lift_ir::{Program, Type, UserFun};

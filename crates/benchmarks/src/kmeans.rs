@@ -135,11 +135,7 @@ pub fn case(size: ProblemSize) -> BenchmarkCase {
         info: BenchmarkInfo {
             name: "K-Means",
             source: "Rodinia",
-            local_memory: false,
-            private_memory: false,
-            vectorisation: false,
-            coalescing: false,
-            iteration_space: "1D",
+            characteristics_paper: "- - - - 1D",
             opencl_loc_paper: 32,
             high_level_loc_paper: 25,
             low_level_loc_paper: 25,

@@ -172,11 +172,7 @@ pub fn case(size: ProblemSize) -> BenchmarkCase {
         info: BenchmarkInfo {
             name: "MD",
             source: "SHOC",
-            local_memory: false,
-            private_memory: true,
-            vectorisation: false,
-            coalescing: true,
-            iteration_space: "1D",
+            characteristics_paper: "- private - coal 1D",
             opencl_loc_paper: 50,
             high_level_loc_paper: 34,
             low_level_loc_paper: 34,

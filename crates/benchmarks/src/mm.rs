@@ -240,11 +240,7 @@ fn build_case(size: ProblemSize, nvidia: bool) -> BenchmarkCase {
             BenchmarkInfo {
                 name: "MM (NVIDIA)",
                 source: "CLBlast",
-                local_memory: true,
-                private_memory: true,
-                vectorisation: true,
-                coalescing: true,
-                iteration_space: "2D",
+                characteristics_paper: "local private vec coal 2D",
                 opencl_loc_paper: 768,
                 high_level_loc_paper: 17,
                 low_level_loc_paper: 65,
@@ -257,11 +253,7 @@ fn build_case(size: ProblemSize, nvidia: bool) -> BenchmarkCase {
             BenchmarkInfo {
                 name: "MM (AMD)",
                 source: "CLBlast",
-                local_memory: false,
-                private_memory: true,
-                vectorisation: true,
-                coalescing: true,
-                iteration_space: "2D",
+                characteristics_paper: "- private vec coal 2D",
                 opencl_loc_paper: 768,
                 high_level_loc_paper: 17,
                 low_level_loc_paper: 38,

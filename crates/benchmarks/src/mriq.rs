@@ -99,11 +99,7 @@ pub fn case(size: ProblemSize) -> BenchmarkCase {
         info: BenchmarkInfo {
             name: "MRI-Q",
             source: "Parboil",
-            local_memory: false,
-            private_memory: false,
-            vectorisation: false,
-            coalescing: true,
-            iteration_space: "1D",
+            characteristics_paper: "- - - coal 1D",
             opencl_loc_paper: 41,
             high_level_loc_paper: 43,
             low_level_loc_paper: 43,

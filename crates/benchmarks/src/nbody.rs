@@ -291,11 +291,7 @@ fn build_case(size: ProblemSize, nvidia: bool) -> BenchmarkCase {
             BenchmarkInfo {
                 name: "N-Body (NVIDIA)",
                 source: "NVIDIA SDK",
-                local_memory: true,
-                private_memory: true,
-                vectorisation: false,
-                coalescing: true,
-                iteration_space: "1D",
+                characteristics_paper: "local private - coal 1D",
                 opencl_loc_paper: 139,
                 high_level_loc_paper: 34,
                 low_level_loc_paper: 49,
@@ -308,11 +304,7 @@ fn build_case(size: ProblemSize, nvidia: bool) -> BenchmarkCase {
             BenchmarkInfo {
                 name: "N-Body (AMD)",
                 source: "AMD SDK",
-                local_memory: false,
-                private_memory: true,
-                vectorisation: true,
-                coalescing: true,
-                iteration_space: "1D",
+                characteristics_paper: "- private vec coal 1D",
                 opencl_loc_paper: 54,
                 high_level_loc_paper: 34,
                 low_level_loc_paper: 34,
@@ -352,6 +344,7 @@ pub fn amd_case(size: ProblemSize) -> BenchmarkCase {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::characteristics;
     use lift_interp::{evaluate, Value};
 
     #[test]
@@ -375,10 +368,13 @@ mod tests {
 
     #[test]
     fn cases_are_well_formed() {
+        let local_memory = |c: &BenchmarkCase| {
+            let kernel = c.reference_module.kernel(&c.reference_kernel).unwrap();
+            characteristics(kernel, &c.launch, &Default::default()).local_memory
+        };
         let c = nvidia_case(ProblemSize::Small);
         assert_eq!(c.inputs[0].len(), c.expected.len());
-        assert!(c.info.local_memory);
-        let c = amd_case(ProblemSize::Small);
-        assert!(!c.info.local_memory);
+        assert!(local_memory(&c));
+        assert!(!local_memory(&amd_case(ProblemSize::Small)));
     }
 }

@@ -119,11 +119,7 @@ pub fn case(size: ProblemSize) -> BenchmarkCase {
         info: BenchmarkInfo {
             name: "NN",
             source: "Rodinia",
-            local_memory: false,
-            private_memory: false,
-            vectorisation: false,
-            coalescing: true,
-            iteration_space: "1D",
+            characteristics_paper: "- - - coal 1D",
             opencl_loc_paper: 18,
             high_level_loc_paper: 7,
             low_level_loc_paper: 7,

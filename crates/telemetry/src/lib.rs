@@ -27,12 +27,9 @@
 //! * [`Null`] — drops everything; the default everywhere.
 //! * [`InMemory`] — timestamps and buffers events behind a mutex, for tests and in-process
 //!   analysis ([`phase_durations`], [`counts_by_kind`]).
-//!
-//! One recorded event renders as a JSON object with [`TimedEvent::to_json_line`].
 
 pub mod json;
 
-use std::fmt::Write as _;
 use std::sync::{Mutex, PoisonError};
 use std::time::Instant;
 
@@ -406,8 +403,7 @@ pub enum Event {
 }
 
 impl Event {
-    /// Stable lower-snake-case kind label (used as the JSON `kind` field and by
-    /// [`counts_by_kind`]).
+    /// Stable lower-snake-case kind label (used by [`counts_by_kind`]).
     pub fn kind(&self) -> &'static str {
         match self {
             Event::SpanBegin { .. } => "span_begin",
@@ -427,181 +423,6 @@ impl Event {
             Event::CacheInvalidate { .. } => "cache_invalidate",
         }
     }
-
-    /// Writes the variant's fields as JSON object members (without the braces), e.g.
-    /// `"name": "enumerate"`.
-    fn write_fields(&self, out: &mut String) {
-        match self {
-            Event::SpanBegin { name } | Event::SpanEnd { name } => {
-                field_str(out, "name", name);
-            }
-            Event::Counter { name, value } => {
-                field_str(out, "name", name);
-                field_num(out, "value", *value);
-            }
-            Event::BeamRound {
-                depth,
-                frontier,
-                expanded,
-                derived,
-                dedup_hits,
-                rejected,
-                completed,
-                kept,
-                pruned,
-            } => {
-                field_int(out, "depth", u64::from(*depth));
-                field_int(out, "frontier", u64::from(*frontier));
-                field_int(out, "expanded", u64::from(*expanded));
-                field_int(out, "derived", u64::from(*derived));
-                field_int(out, "dedup_hits", u64::from(*dedup_hits));
-                field_int(out, "rejected", u64::from(*rejected));
-                field_int(out, "completed", u64::from(*completed));
-                field_int(out, "kept", u64::from(*kept));
-                field_int(out, "pruned", u64::from(*pruned));
-            }
-            Event::RuleRound {
-                rule,
-                depth,
-                fired,
-                ill_typed,
-                oversize,
-                failed,
-                duplicates,
-            } => {
-                field_str(out, "rule", rule);
-                field_int(out, "depth", u64::from(*depth));
-                field_int(out, "fired", u64::from(*fired));
-                field_int(out, "ill_typed", u64::from(*ill_typed));
-                field_int(out, "oversize", u64::from(*oversize));
-                field_int(out, "failed", u64::from(*failed));
-                field_int(out, "duplicates", u64::from(*duplicates));
-            }
-            Event::Rejection { rule, site, reason } => {
-                field_str(out, "rule", rule);
-                field_str(out, "site", site);
-                field_str(out, "reason", reason.label());
-            }
-            Event::Variant {
-                rank,
-                estimated_time,
-                kernels,
-                steps,
-            } => {
-                field_int(out, "rank", u64::from(*rank));
-                field_num(out, "estimated_time", *estimated_time);
-                field_int(out, "kernels", u64::from(*kernels));
-                field_int(out, "steps", u64::from(*steps));
-            }
-            Event::TunerPoint {
-                index,
-                point,
-                best_time,
-                lowered,
-                variants,
-                improved,
-                cache_hit,
-                kernels_executed,
-                kernels_reused,
-                kernels_pruned,
-            } => {
-                field_int(out, "index", u64::from(*index));
-                field_str(out, "point", point);
-                match best_time {
-                    Some(t) => field_num(out, "best_time", *t),
-                    None => field_raw(out, "best_time", "null"),
-                }
-                field_int(out, "lowered", u64::from(*lowered));
-                field_int(out, "variants", u64::from(*variants));
-                field_raw(out, "improved", if *improved { "true" } else { "false" });
-                field_raw(out, "cache_hit", if *cache_hit { "true" } else { "false" });
-                field_int(out, "kernels_executed", u64::from(*kernels_executed));
-                field_int(out, "kernels_reused", u64::from(*kernels_reused));
-                field_int(out, "kernels_pruned", u64::from(*kernels_pruned));
-            }
-            Event::TunerMove {
-                step,
-                to,
-                best_time,
-            } => {
-                field_int(out, "step", u64::from(*step));
-                field_str(out, "to", to);
-                field_num(out, "best_time", *best_time);
-            }
-            Event::ExecStage {
-                kernel,
-                estimated_time,
-            } => {
-                field_str(out, "kernel", kernel);
-                field_num(out, "estimated_time", *estimated_time);
-            }
-            Event::EngineFallback { kernel, reason } => {
-                field_str(out, "kernel", kernel);
-                field_str(out, "reason", reason);
-            }
-            Event::CacheHit { key, program } | Event::CacheMiss { key, program } => {
-                field_str(out, "key", key);
-                field_str(out, "program", program);
-            }
-            Event::CacheEvict { key, reason } => {
-                field_str(out, "key", key);
-                field_str(out, "reason", reason);
-            }
-            Event::CacheInvalidate { evicted, reason } => {
-                field_int(out, "evicted", u64::from(*evicted));
-                field_str(out, "reason", reason);
-            }
-        }
-    }
-}
-
-fn field_sep(out: &mut String) {
-    if !out.is_empty() {
-        out.push(',');
-    }
-}
-
-fn field_raw(out: &mut String, key: &str, raw: &str) {
-    field_sep(out);
-    let _ = write!(out, "\"{key}\":{raw}");
-}
-
-fn field_int(out: &mut String, key: &str, value: u64) {
-    field_sep(out);
-    let _ = write!(out, "\"{key}\":{value}");
-}
-
-fn field_num(out: &mut String, key: &str, value: f64) {
-    field_sep(out);
-    if value.is_finite() {
-        let _ = write!(out, "\"{key}\":{value}");
-    } else {
-        let _ = write!(out, "\"{key}\":null");
-    }
-}
-
-fn field_str(out: &mut String, key: &str, value: &str) {
-    field_sep(out);
-    let _ = write!(out, "\"{key}\":");
-    write_escaped(out, value);
-}
-
-fn write_escaped(out: &mut String, s: &str) {
-    out.push('"');
-    for c in s.chars() {
-        match c {
-            '"' => out.push_str("\\\""),
-            '\\' => out.push_str("\\\\"),
-            '\n' => out.push_str("\\n"),
-            '\t' => out.push_str("\\t"),
-            '\r' => out.push_str("\\r"),
-            c if (c as u32) < 0x20 => {
-                let _ = write!(out, "\\u{:04x}", c as u32);
-            }
-            c => out.push(c),
-        }
-    }
-    out.push('"');
 }
 
 /// An [`Event`] stamped with the microseconds elapsed since its sink was created.
@@ -611,24 +432,6 @@ pub struct TimedEvent {
     pub t_us: u64,
     /// The event.
     pub event: Event,
-}
-
-impl TimedEvent {
-    /// Renders the event as one JSON object (no trailing newline), e.g.
-    /// `{"t_us":1234,"kind":"span_begin","name":"enumerate"}`.
-    pub fn to_json_line(&self) -> String {
-        let mut fields = String::new();
-        self.event.write_fields(&mut fields);
-        let mut out = String::with_capacity(fields.len() + 40);
-        let _ = write!(out, "{{\"t_us\":{},\"kind\":", self.t_us);
-        write_escaped(&mut out, self.event.kind());
-        if !fields.is_empty() {
-            out.push(',');
-            out.push_str(&fields);
-        }
-        out.push('}');
-        out
-    }
 }
 
 /// A telemetry sink.
@@ -828,45 +631,6 @@ mod tests {
     }
 
     #[test]
-    fn json_lines_are_valid_self_describing_objects() {
-        let lines = [
-            at(
-                0,
-                Event::Rejection {
-                    rule: "split-join",
-                    site: "@root.\"quoted\"".to_string(),
-                    reason: RejectReason::IllTyped,
-                },
-            ),
-            at(
-                1,
-                Event::TunerPoint {
-                    index: 3,
-                    point: "splits=[2] launch=64/16".to_string(),
-                    best_time: None,
-                    lowered: 0,
-                    variants: 0,
-                    improved: false,
-                    cache_hit: true,
-                    kernels_executed: 0,
-                    kernels_reused: 0,
-                    kernels_pruned: 0,
-                },
-            ),
-        ]
-        .map(|e| e.to_json_line());
-        assert!(lines[0].contains("\"kind\":\"rejection\""));
-        assert!(lines[0].contains("\"reason\":\"ill_typed\""));
-        assert!(lines[0].contains("\\\"quoted\\\""), "{}", lines[0]);
-        assert!(lines[1].contains("\"best_time\":null"));
-        assert!(lines[1].contains("\"cache_hit\":true"));
-        assert!(lines[1].contains("\"kernels_reused\":0"));
-        for line in lines {
-            assert!(line.starts_with('{') && line.ends_with('}') && !line.contains('\n'));
-        }
-    }
-
-    #[test]
     fn phase_durations_handle_nesting_and_repeats() {
         let events = vec![
             at(0, Event::SpanBegin { name: "outer" }),
@@ -907,33 +671,5 @@ mod tests {
             counts_by_kind(&events),
             vec![("span_begin", 1), ("counter", 2), ("span_end", 1)]
         );
-    }
-
-    #[test]
-    fn non_finite_numbers_serialize_as_null() {
-        let line = TimedEvent {
-            t_us: 0,
-            event: Event::Counter {
-                name: "bad",
-                value: f64::NAN,
-            },
-        }
-        .to_json_line();
-        assert!(line.contains("\"value\":null"));
-    }
-
-    #[test]
-    fn f64_serialization_is_json_compatible() {
-        let line = TimedEvent {
-            t_us: 1,
-            event: Event::Variant {
-                rank: 0,
-                estimated_time: 19060.278,
-                kernels: 1,
-                steps: 3,
-            },
-        }
-        .to_json_line();
-        assert!(line.contains("\"estimated_time\":19060.278"), "{line}");
     }
 }

@@ -38,7 +38,7 @@ fn reference_kernels_are_correct(size: ProblemSize) {
 
 fn optimisation_levels_agree(size: ProblemSize) {
     // Check the ablation levels on a representative subset (the cheap benchmarks) so the test
-    // stays fast; the figure8 harness exercises all of them.
+    // stays fast; `paper_stats` runs all of them for `BENCH_paper.json`.
     for case in all_benchmarks(size)
         .into_iter()
         .filter(|c| matches!(c.info.name, "NN" | "MRI-Q" | "K-Means" | "Convolution"))
