@@ -64,11 +64,21 @@ pub(crate) fn make_sum(terms: Vec<ArithExpr>) -> ArithExpr {
         out.push(ArithExpr::Cst(constant));
     }
 
-    if out.len() == 1 {
-        out.pop().expect("non-empty")
-    } else {
-        ArithExpr::Sum(out)
+    one_or(out, ArithExpr::Sum)
+}
+
+/// The only element of `items`, or `several(items)` when there is not exactly one.
+fn one_or(items: Vec<ArithExpr>, several: impl FnOnce(Vec<ArithExpr>) -> ArithExpr) -> ArithExpr {
+    match <[ArithExpr; 1]>::try_from(items) {
+        Ok([only]) => only,
+        Err(items) => several(items),
     }
+}
+
+/// A product of already-normalised factors, in canonical order.
+fn sorted_prod(mut factors: Vec<ArithExpr>) -> ArithExpr {
+    factors.sort();
+    ArithExpr::Prod(factors)
 }
 
 /// Splits a term into `(integer coefficient, sorted non-constant factors)`.
@@ -92,24 +102,16 @@ fn split_coefficient(t: ArithExpr) -> (i64, Vec<ArithExpr>) {
 }
 
 /// Rebuilds `coefficient * factors` without re-normalising (the factors are already sorted).
-fn rebuild_term(coeff: i64, mut factors: Vec<ArithExpr>) -> ArithExpr {
+fn rebuild_term(coeff: i64, factors: Vec<ArithExpr>) -> ArithExpr {
     if factors.is_empty() {
         return ArithExpr::Cst(coeff);
-    }
-    if coeff == 1 && factors.len() == 1 {
-        return factors.pop().expect("non-empty");
     }
     let mut fs = Vec::with_capacity(factors.len() + 1);
     if coeff != 1 {
         fs.push(ArithExpr::Cst(coeff));
     }
     fs.extend(factors);
-    if fs.len() == 1 {
-        fs.pop().expect("non-empty")
-    } else {
-        fs.sort();
-        ArithExpr::Prod(fs)
-    }
+    one_or(fs, sorted_prod)
 }
 
 /// Rule 4: if the term list contains both `(x/y) * y` and `x mod y` (each with coefficient 1),
@@ -163,19 +165,16 @@ pub(crate) fn make_prod(factors: Vec<ArithExpr>) -> ArithExpr {
     // Distribute over sums to reach a sum-of-products normal form. This is what lets the
     // division and modulo rules see through expressions like `(a + b*N) * M`.
     if let Some(pos) = flat.iter().position(|f| matches!(f, ArithExpr::Sum(_))) {
-        let sum = flat.remove(pos);
-        let terms = match sum {
-            ArithExpr::Sum(ts) => ts,
-            _ => unreachable!("position matched a sum"),
-        };
-        let mut out_terms = Vec::with_capacity(terms.len());
-        for t in terms {
-            let mut fs = flat.clone();
-            fs.push(t);
-            fs.push(ArithExpr::Cst(coeff));
-            out_terms.push(make_prod(fs));
+        if let ArithExpr::Sum(terms) = flat.remove(pos) {
+            let mut out_terms = Vec::with_capacity(terms.len());
+            for t in terms {
+                let mut fs = flat.clone();
+                fs.push(t);
+                fs.push(ArithExpr::Cst(coeff));
+                out_terms.push(make_prod(fs));
+            }
+            return make_sum(out_terms);
         }
-        return make_sum(out_terms);
     }
 
     // Collect repeated factors into powers.
@@ -202,12 +201,7 @@ pub(crate) fn make_prod(factors: Vec<ArithExpr>) -> ArithExpr {
     if coeff != 1 {
         out.push(ArithExpr::Cst(coeff));
     }
-    if out.len() == 1 {
-        out.pop().expect("non-empty")
-    } else {
-        out.sort();
-        ArithExpr::Prod(out)
-    }
+    one_or(out, sorted_prod)
 }
 
 /// Builds a normalised power.

@@ -93,6 +93,7 @@ pub fn autotune_entry(
         ),
         ("kernels_reused", Json::num(result.kernels_reused as f64)),
         ("kernels_pruned", Json::num(result.kernels_pruned as f64)),
+        ("rows_simulated", Json::num(result.rows_simulated as f64)),
         ("rewrites_judged", Json::num(result.rewrites_judged as f64)),
         (
             "rewrites_recalled",
@@ -240,6 +241,7 @@ mod tests {
             kernels_executed: 0,
             kernels_reused: 0,
             kernels_pruned: 0,
+            rows_simulated: 0,
             rewrites_judged: 0,
             rewrites_recalled: 0,
             candidates_compiled: 0,

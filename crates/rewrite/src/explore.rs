@@ -243,6 +243,12 @@ pub struct Exploration {
     /// could be returned. Pruned candidates are neither variants nor rejections. Always 0
     /// under `best_n = usize::MAX`.
     pub pruned_kernels: usize,
+    /// Lock-step rows the launches started in this pass executed on the virtual GPU: a
+    /// completed launch counts every row of every stage, a pruned one its finished stages
+    /// and the stopped stage up to the row it stopped at (none if its static bound stopped
+    /// it before the first row). A launch that fails with an execution error (a race, a
+    /// divergent barrier, an out-of-bounds access) counts none.
+    pub rows_simulated: u64,
     /// Candidates whose compile outcome was recalled from the [`Search`]'s score memo,
     /// skipping type inference, code generation and argument marshalling — recorded under
     /// this launch or under any other that answers the generator's questions the same way
@@ -1412,7 +1418,7 @@ fn score_all(
     collector.span_begin("execute");
     stats.executed_kernels = needed.len();
     stats.reused_kernels = needed.len() - jobs.len();
-    let run = |job: Job, limit: f64| -> Verdict {
+    let run = |job: Job, limit: f64| -> (Verdict, u64) {
         let result = ExecutionRequest::new(&job.module)
             .on_device(&config.device)
             .engine(config.engine)
@@ -1420,7 +1426,12 @@ fn score_all(
             .budget(limit)
             .collector(collector)
             .launch_sequence(&job.stages, job.args);
-        match result {
+        let rows = match &result {
+            Ok(result) => result.merged_counters().lockstep_rows,
+            Err(VgpuError::OverBudget { row, .. }) => *row,
+            Err(_) => 0,
+        };
+        let verdict = match result {
             Err(VgpuError::OverBudget { lower_bound, .. }) => Verdict::Pruned(lower_bound),
             Err(VgpuError::DataRace {
                 buffer,
@@ -1457,11 +1468,13 @@ fn score_all(
                     Verdict::Rejected(ScoreError::Incorrect)
                 }
             }
-        }
+        };
+        (verdict, rows)
     };
     for (job, candidates) in jobs {
         let launch = job.key;
-        let verdict = run(job, bar.height());
+        let (verdict, rows) = run(job, bar.height());
+        stats.rows_simulated += rows;
         match &verdict {
             Verdict::Scored(scored) => bar.admit(scored.time, candidates),
             Verdict::Pruned(_) => stats.pruned_kernels += 1,

@@ -198,6 +198,10 @@ pub struct TuningResult {
     /// counters proved them slower than the point's `best_n` best known times, so they could
     /// not change the point's result ([`lift_rewrite::Exploration::pruned_kernels`]).
     pub kernels_pruned: usize,
+    /// Lock-step rows the started launches executed, summed over the run's points
+    /// ([`lift_rewrite::Exploration::rows_simulated`]): the exact simulation work behind
+    /// [`TuningResult::kernels_executed`].
+    pub rows_simulated: u64,
     /// Rewrites the run's rule searches judged: a rule applied, the result spliced in,
     /// normalised and type-checked.
     pub rewrites_judged: usize,
@@ -267,6 +271,7 @@ impl Evaluator<'_> {
         result.kernels_executed += executed;
         result.kernels_reused += scored.reused_kernels;
         result.kernels_pruned += scored.pruned_kernels;
+        result.rows_simulated += scored.rows_simulated;
         result.candidates_compiled += scored.lowered - scored.reused_compiles;
         result.compiles_recalled += scored.reused_compiles;
         if self.collector.enabled() {

@@ -7,6 +7,10 @@
 //! time. The model is deliberately simple — it captures exactly the effects the paper's
 //! optimisations target (index arithmetic, memory coalescing, barriers and control flow), so
 //! that the *relative* performance trends of Figure 8 can be reproduced without GPU hardware.
+//!
+//! A [`Budget`] turns the same weights into a proven lower bound on a launch's estimated
+//! time, in two halves: before the launch starts, from a static count of its lowered
+//! kernels (`bound.rs`), and at every lock-step row, from the counters so far.
 
 use crate::device::DeviceProfile;
 
@@ -168,6 +172,15 @@ impl CostCounters {
 ///
 /// A sequence adds the exact times of its finished stages and one launch overhead per stage
 /// (unstarted stages cost at least nothing).
+///
+/// The same bound is also taken before a launch starts, from counters that are not partial
+/// but static: `bound.rs` counts a lower bound on each stage's final counters from its
+/// lowered body (trip counts and conditions evaluated under the launch's ids and `int`
+/// arguments, data-dependent work left out, transactions left zero). Every counter it
+/// reports is at most the executed one, and it counts vector accesses with the accesses they
+/// are made of, so the argument above holds for it unchanged: a sequence whose stages'
+/// static bounds, priced stage by stage, add up above the limit is stopped before its
+/// first row.
 #[derive(Clone, Debug)]
 pub(crate) struct Budget {
     device: DeviceProfile,
@@ -235,9 +248,15 @@ impl Budget {
     /// The bound is shaved by a relative `1e-9`, so floating-point rounding can never put it
     /// above the exactly computed time.
     pub(crate) fn exceeded(&self, counters: &CostCounters) -> Option<f64> {
-        let (compute, memory, sync) = counters.weighted(&self.device);
-        let bound = (self.spent + (compute + memory + sync).max(0.0) * self.scale) * (1.0 - 1e-9);
+        let bound = self.spent_with(counters) * (1.0 - 1e-9);
         (bound > self.limit).then_some(bound)
+    }
+
+    /// What the launch has certainly spent once the running stage's counters reach
+    /// `counters`: the unshaved bound that [`Budget::exceeded`] compares with the limit.
+    pub(crate) fn spent_with(&self, counters: &CostCounters) -> f64 {
+        let (compute, memory, sync) = counters.weighted(&self.device);
+        self.spent + (compute + memory + sync).max(0.0) * self.scale
     }
 }
 

@@ -1,8 +1,8 @@
 //! The launch API.
 //!
 //! A virtual-GPU launch has two halves: the engine-independent prologue (resolve the kernel,
-//! lower it to the slot-indexed form, bind the arguments — [`crate::exec::prepare`]) and the
-//! execution of the lowered body on one of two tiers ([`EngineSelection`]):
+//! lower it to the slot-indexed form — [`crate::exec::lower`] — and bind the arguments) and
+//! the execution of the lowered body on one of two tiers ([`EngineSelection`]):
 //!
 //! * the interpreter — the slotted SIMT tree-walker of `exec.rs`, complete and the semantic
 //!   reference;
@@ -31,10 +31,13 @@
 use lift_ocl::Module;
 use lift_telemetry::{Collector, Event};
 
+use crate::bound::static_counters;
 use crate::bytecode;
-use crate::cost::Budget;
+use crate::cost::{Budget, CostCounters};
 use crate::device::{DeviceProfile, LaunchConfig};
-use crate::exec::{prepare, KernelLaunchSpec, LaunchResult, Prepared, SequenceResult, VgpuError};
+use crate::exec::{
+    lower, KernelLaunchSpec, LaunchResult, Lowered, Prepared, SequenceResult, VgpuError,
+};
 use crate::memory::KernelArg;
 
 /// Which execution tier an [`ExecutionRequest`] (or an exploration / tuning run) uses.
@@ -118,12 +121,17 @@ impl<'a> ExecutionRequest<'a> {
     }
 
     /// Lets a launch stop as soon as it provably cannot finish within `limit` on the device
-    /// of [`ExecutionRequest::on_device`]: at every lock-step row, a lower bound on the
-    /// estimated time of the sequence ([`crate::estimated_sequence_time`]) is computed from
-    /// the counters so far, and once it exceeds `limit` the launch fails with
-    /// [`VgpuError::OverBudget`]. A launch that is not stopped runs exactly as without
-    /// a budget; one whose time exceeds `limit` may still complete, because the bound is
-    /// not tight.
+    /// of [`ExecutionRequest::on_device`], with [`VgpuError::OverBudget`]. A lower bound on
+    /// the estimated time of the sequence ([`crate::estimated_sequence_time`]) is checked
+    /// twice over:
+    ///
+    /// * before the first stage starts, from a static count of every stage's lowered kernel
+    ///   under its launch and the `int` arguments ([`ExecutionRequest::static_counters`]);
+    ///   a sequence stopped there runs no row (`row: 0`);
+    /// * at every lock-step row, from the counters so far.
+    ///
+    /// A launch that is not stopped runs exactly as without a budget; one whose time exceeds
+    /// `limit` may still complete, because the bound is not tight.
     ///
     /// No budget applies without a device, to an infinite or NaN `limit`, or under a device
     /// profile whose weights do not make the bound sound (a negative weight, or a
@@ -161,6 +169,72 @@ impl<'a> ExecutionRequest<'a> {
         Budget::new(self.device?, self.budget, spent, groups)
     }
 
+    /// Resolves and lowers every stage, after validating its launch.
+    fn lower_stages(
+        &self,
+        stages: &[KernelLaunchSpec],
+        arg_count: usize,
+    ) -> Result<Vec<Lowered<'a>>, VgpuError> {
+        for stage in stages {
+            self.validate(&stage.launch)?;
+        }
+        stages
+            .iter()
+            .map(|stage| lower(self.module, &stage.kernel, arg_count))
+            .collect()
+    }
+
+    /// A lower bound on each stage's counters, counted from its lowered kernel before
+    /// anything runs: the work-item ids, the launch sizes and the `int` arguments are known,
+    /// the contents of the buffers are not. Work under a condition or loop bound that reads
+    /// data counts zero, and so do `global_transactions`, `uncoalesced_accesses` and the
+    /// lock-step rows; every other class is at most what a completed run of the sequence
+    /// counts, and equal to it for a kernel whose control reads no data. The walk reads no
+    /// buffer, so what earlier stages write does not change a later stage's count.
+    ///
+    /// # Errors
+    ///
+    /// The errors of [`ExecutionRequest::launch_sequence`] that come before any stage runs:
+    /// an invalid launch, an unknown kernel or an argument-count mismatch.
+    pub fn static_counters(
+        &self,
+        stages: &[KernelLaunchSpec],
+        args: &[KernelArg],
+    ) -> Result<Vec<CostCounters>, VgpuError> {
+        let lowered = self.lower_stages(stages, args.len())?;
+        Ok(stages
+            .iter()
+            .zip(&lowered)
+            .map(|(stage, lowered)| static_counters(lowered, args, stage.launch))
+            .collect())
+    }
+
+    /// The budget's check before the first row: `OverBudget` with `row: 0` once the launch
+    /// overheads and the stages' static bounds, each priced at its stage's scale, clear the
+    /// limit. Counts nothing without a device, a finite limit or sound weights.
+    fn check_before_running(
+        &self,
+        stages: &[KernelLaunchSpec],
+        lowered: &[Lowered],
+        args: &[KernelArg],
+        mut spent: f64,
+    ) -> Result<(), VgpuError> {
+        for (stage, lowered) in stages.iter().zip(lowered) {
+            let Some(budget) = self.stage_budget(spent, &stage.launch) else {
+                return Ok(());
+            };
+            let counters = static_counters(lowered, args, stage.launch);
+            if let Some(lower_bound) = budget.exceeded(&counters) {
+                return Err(VgpuError::OverBudget {
+                    lower_bound,
+                    row: 0,
+                });
+            }
+            spent = budget.spent_with(&counters);
+        }
+        Ok(())
+    }
+
     /// Runs a prepared launch on the selected tier, reporting a bytecode → interpreter
     /// fallback to the collector.
     fn run_prepared(
@@ -196,27 +270,31 @@ impl<'a> ExecutionRequest<'a> {
     /// modifies are visible to the following stages — this is how global-memory
     /// intermediates flow across the device-wide synchronisation points a kernel boundary
     /// represents. When a device is configured, every stage's launch is validated up front,
-    /// before any stage executes.
+    /// and every stage's kernel is resolved and lowered before any stage executes; under a
+    /// [`ExecutionRequest::budget`], the static bound is checked then too.
     ///
     /// # Errors
     ///
     /// Returns [`VgpuError::InvalidLaunch`] if any stage's launch violates the configured
-    /// device, and the first executing stage's [`VgpuError`] otherwise.
+    /// device, [`VgpuError::UnknownKernel`] or [`VgpuError::ArgumentMismatch`] if any stage's
+    /// kernel cannot be launched with the pool, and the first executing stage's
+    /// [`VgpuError`] otherwise; an [`VgpuError::OverBudget`] counts its `row` over the whole
+    /// sequence.
     pub fn launch_sequence(
         &self,
         stages: &[KernelLaunchSpec],
         mut pool: Vec<KernelArg>,
     ) -> Result<SequenceResult, VgpuError> {
-        for stage in stages {
-            self.validate(&stage.launch)?;
-        }
+        let lowered = self.lower_stages(stages, pool.len())?;
         // What the sequence has certainly spent: every stage's launch overhead, then each
         // finished stage's time.
         let mut spent = self
             .device
             .map_or(0.0, |d| stages.len() as f64 * d.launch_overhead);
+        self.check_before_running(stages, &lowered, &pool, spent)?;
         let mut reports = Vec::with_capacity(stages.len());
-        for stage in stages {
+        let mut rows = 0;
+        for (stage, lowered) in stages.iter().zip(lowered) {
             // Move the buffers into the stage's arguments (the launch returns every global
             // buffer), so a sequence never copies buffer contents between stages.
             let args: Vec<KernelArg> = pool
@@ -227,15 +305,22 @@ impl<'a> ExecutionRequest<'a> {
                     KernelArg::Float(v) => KernelArg::Float(*v),
                 })
                 .collect();
-            let prepared = prepare(
-                self.module,
-                &stage.kernel,
+            let prepared = lowered.bind(
                 stage.launch,
                 args,
                 self.race_detection,
                 self.stage_budget(spent, &stage.launch),
-            )?;
-            let result = self.run_prepared(&stage.kernel, prepared)?;
+            );
+            let result = self
+                .run_prepared(&stage.kernel, prepared)
+                .map_err(|e| match e {
+                    VgpuError::OverBudget { lower_bound, row } => VgpuError::OverBudget {
+                        lower_bound,
+                        row: rows + row,
+                    },
+                    other => other,
+                })?;
+            rows += result.report.counters.lockstep_rows;
             // The launch hands back its global buffers in argument order.
             let slots = pool.iter_mut().filter_map(|a| match a {
                 KernelArg::Buffer(b) => Some(b),

@@ -128,13 +128,15 @@ pub enum VgpuError {
         /// since the group started).
         epoch: u64,
     },
-    /// The launch was stopped early: its partial counters prove an estimated time above the
-    /// limit of [`crate::ExecutionRequest::budget`]. Its buffers are lost and it was
-    /// neither completed nor validated.
+    /// The launch was stopped early: its static bound or its partial counters prove an
+    /// estimated time above the limit of [`crate::ExecutionRequest::budget`]. Its buffers
+    /// are lost and it was neither completed nor validated.
     OverBudget {
         /// The proven lower bound on the launch's estimated time.
         lower_bound: f64,
-        /// The stopped stage's lock-step row at which the bound crossed the limit.
+        /// The lock-step row at which the bound crossed the limit, counted over the whole
+        /// sequence (a finished stage counts all its rows). `0` means the launch was stopped
+        /// before its first row: the static bound of its kernels already crossed it.
         row: u64,
     },
 }
@@ -284,28 +286,33 @@ impl Prepared {
     }
 }
 
-/// Resolves the kernel, lowers it once (names interned to slots, call targets resolved,
-/// comments dropped) and binds the launch arguments — the engine-independent prologue of
-/// every launch.
-pub(crate) fn prepare(
-    module: &Module,
+/// A kernel resolved and lowered once (names interned to slots, call targets resolved,
+/// comments dropped), before any argument is bound: what the static bound counts and what
+/// [`Lowered::bind`] turns into a runnable launch.
+pub(crate) struct Lowered<'m> {
+    kernel: &'m lift_ocl::Kernel,
+    pub(crate) param_slots: Vec<usize>,
+    pub(crate) body: Vec<SStmt>,
+    pub(crate) functions: Vec<std::rc::Rc<SFunction>>,
+    pub(crate) names: Vec<String>,
+}
+
+/// Resolves and lowers `kernel_name` for a launch with `arg_count` arguments — the
+/// argument-independent half of every launch's prologue.
+pub(crate) fn lower<'m>(
+    module: &'m Module,
     kernel_name: &str,
-    config: LaunchConfig,
-    args: Vec<KernelArg>,
-    detect_races: bool,
-    budget: Option<Budget>,
-) -> Result<Prepared, VgpuError> {
+    arg_count: usize,
+) -> Result<Lowered<'m>, VgpuError> {
     let kernel = module
         .kernel(kernel_name)
         .ok_or_else(|| VgpuError::UnknownKernel(kernel_name.to_string()))?;
-    if kernel.params.len() != args.len() {
+    if kernel.params.len() != arg_count {
         return Err(VgpuError::ArgumentMismatch {
             expected: kernel.params.len(),
-            found: args.len(),
+            found: arg_count,
         });
     }
-
-    // Lower once: intern names to slots, resolve call targets, drop comments.
     let mut lowerer = Lowerer::new(module);
     let param_slots: Vec<usize> = kernel
         .params
@@ -313,64 +320,89 @@ pub(crate) fn prepare(
         .map(|p| lowerer.slot(&p.name))
         .collect();
     let body = lowerer.lower_block(&kernel.body);
-    let functions: Vec<std::rc::Rc<SFunction>> = lowerer
+    let functions = lowerer
         .functions
         .into_iter()
         .map(std::rc::Rc::new)
         .collect();
-    let names = lowerer.names;
-
-    let mut global: Vec<Vec<f32>> = Vec::new();
-    let mut global_names: Vec<String> = Vec::new();
-    let mut params: Vec<Option<GpuValue>> = vec![None; names.len()];
-    let mut params_by_name: VarMap<GpuValue> = VarMap::default();
-    for ((param, slot), arg) in kernel.params.iter().zip(param_slots).zip(args) {
-        let value = match arg {
-            KernelArg::Buffer(data) => {
-                let idx = global.len();
-                global.push(data);
-                global_names.push(param.name.clone());
-                GpuValue::Ptr(Ptr {
-                    space: AddrSpace::Global,
-                    buffer: idx,
-                    offset: 0,
-                })
-            }
-            KernelArg::Int(v) => GpuValue::Int(v),
-            KernelArg::Float(v) => GpuValue::Float(f64::from(v)),
-        };
-        params_by_name.insert(param.name.clone(), value.clone());
-        params[slot] = Some(value);
-    }
-
-    // Shadow state lives for exactly one launch: each stage of a kernel sequence starts
-    // with clean shadow memory, mirroring the device-wide sync of a kernel boundary.
-    let shadow_global: Vec<Vec<ShadowCell>> = if detect_races {
-        global
-            .iter()
-            .map(|b| vec![ShadowCell::default(); b.len()])
-            .collect()
-    } else {
-        Vec::new()
-    };
-
-    let exec = Exec {
-        config,
-        global,
-        params,
-        params_by_name,
+    Ok(Lowered {
+        kernel,
+        param_slots,
+        body,
         functions,
-        names,
-        counters: CostCounters::default(),
-        access_log: Vec::new(),
-        seg_scratch: Vec::new(),
-        simd_counts: Vec::new(),
-        detect: detect_races,
-        shadow_global,
-        global_names,
-        budget,
-    };
-    Ok(Prepared { body, exec })
+        names: lowerer.names,
+    })
+}
+
+impl Lowered<'_> {
+    /// Binds the launch arguments: everything an execution engine needs to run the kernel
+    /// body against live state.
+    pub(crate) fn bind(
+        self,
+        config: LaunchConfig,
+        args: Vec<KernelArg>,
+        detect_races: bool,
+        budget: Option<Budget>,
+    ) -> Prepared {
+        let Lowered {
+            kernel,
+            param_slots,
+            body,
+            functions,
+            names,
+        } = self;
+        let mut global: Vec<Vec<f32>> = Vec::new();
+        let mut global_names: Vec<String> = Vec::new();
+        let mut params: Vec<Option<GpuValue>> = vec![None; names.len()];
+        let mut params_by_name: VarMap<GpuValue> = VarMap::default();
+        for ((param, slot), arg) in kernel.params.iter().zip(param_slots).zip(args) {
+            let value = match arg {
+                KernelArg::Buffer(data) => {
+                    let idx = global.len();
+                    global.push(data);
+                    global_names.push(param.name.clone());
+                    GpuValue::Ptr(Ptr {
+                        space: AddrSpace::Global,
+                        buffer: idx,
+                        offset: 0,
+                    })
+                }
+                KernelArg::Int(v) => GpuValue::Int(v),
+                KernelArg::Float(v) => GpuValue::Float(f64::from(v)),
+            };
+            params_by_name.insert(param.name.clone(), value.clone());
+            params[slot] = Some(value);
+        }
+
+        // Shadow state lives for exactly one launch: each stage of a kernel sequence starts
+        // with clean shadow memory, mirroring the device-wide sync of a kernel boundary.
+        let shadow_global: Vec<Vec<ShadowCell>> = if detect_races {
+            global
+                .iter()
+                .map(|b| vec![ShadowCell::default(); b.len()])
+                .collect()
+        } else {
+            Vec::new()
+        };
+
+        let exec = Exec {
+            config,
+            global,
+            params,
+            params_by_name,
+            functions,
+            names,
+            counters: CostCounters::default(),
+            access_log: Vec::new(),
+            seg_scratch: Vec::new(),
+            simd_counts: Vec::new(),
+            detect: detect_races,
+            shadow_global,
+            global_names,
+            budget,
+        };
+        Prepared { body, exec }
+    }
 }
 
 // --------------------------------------------------------------------- lowered kernel form

@@ -14,10 +14,14 @@
 //! * A [`DeviceProfile`] (modelled on the paper's AMD and NVIDIA cards) converts the counters
 //!   into an estimated execution time, so experiments can compare *relative* performance the
 //!   way Figure 8 does.
+//! * [`ExecutionRequest::static_counters`] counts a lower bound on those counters from the
+//!   lowered kernels alone, before anything runs; under [`ExecutionRequest::budget`] a launch
+//!   whose static bound already clears the limit is stopped before its first row.
 //!
 //! The functional result of a launch is exact — kernels really execute — so the same run both
 //! validates correctness against the reference interpreter and feeds the performance model.
 
+mod bound;
 mod bytecode;
 mod cost;
 mod device;

@@ -31,8 +31,8 @@ use lift::rewrite::{
 use lift::telemetry::{Event, InMemory, Null};
 use lift::tuner::Workload;
 use lift::vgpu::{
-    DeviceProfile, EngineSelection, ExecutionRequest, KernelArg, KernelLaunchSpec, LaunchConfig,
-    SequenceResult, VgpuError,
+    CostCounters, DeviceProfile, EngineSelection, ExecutionRequest, KernelArg, KernelLaunchSpec,
+    LaunchConfig, SequenceResult, VgpuError,
 };
 use lift_arith::ArithExpr;
 use lift_bench::autotune_config;
@@ -183,6 +183,49 @@ fn run_sequence(
     request.launch_sequence(stages, args.to_vec())
 }
 
+/// One launch of the gated workloads: a distinct validated kernel sequence of a workload's
+/// search, compiled and bound for [`LAUNCH`].
+struct GatedLaunch {
+    label: String,
+    compiled: CompiledProgram,
+    stages: Vec<KernelLaunchSpec>,
+    args: Vec<KernelArg>,
+}
+
+/// Every distinct kernel source the gated workloads' searches validate on `device`, each
+/// compiled and bound for [`LAUNCH`].
+fn gated_launches(device: &DeviceProfile) -> Vec<GatedLaunch> {
+    let mut launches = Vec::new();
+    for workload in Workload::all() {
+        let config = ExplorationConfig {
+            best_n: usize::MAX,
+            detect_races: false,
+            ..workload_config(&workload, device)
+        };
+        let scored = lift::rewrite::explore(&workload.program, &config).expect("scores");
+        let mut sources = std::collections::HashSet::new();
+        for variant in scored.variants {
+            if !sources.insert(variant.kernel_source) {
+                continue;
+            }
+            let options = config
+                .compile_options
+                .clone()
+                .with_launch(LAUNCH.global, LAUNCH.local);
+            let compiled = compile_program(&variant.program, &options).expect("compiles");
+            let inputs = flat_inputs(&variant.program, &config.sizes);
+            let (args, _) = compiled.bind_args(&inputs, &config.sizes).expect("binds");
+            launches.push(GatedLaunch {
+                label: format!("{} on {} ({})", workload.name, device.name, sources.len()),
+                stages: compiled.launch_plan(LAUNCH),
+                compiled,
+                args,
+            });
+        }
+    }
+    launches
+}
+
 /// The cost bound behind `ExecutionRequest::budget` is sound on every distinct kernel the
 /// gated workloads' searches validate, on both device profiles: a launch budgeted at its
 /// exact estimated time completes with unchanged buffers and counters, and a launch
@@ -191,51 +234,186 @@ fn run_sequence(
 #[test]
 fn the_budget_bound_is_sound_and_both_engines_stop_alike() {
     let mut stopped = 0;
+    let mut before_running = 0;
     for device in [DeviceProfile::nvidia(), DeviceProfile::amd()] {
-        for workload in Workload::all() {
-            let config = ExplorationConfig {
-                best_n: usize::MAX,
-                detect_races: false,
-                ..workload_config(&workload, &device)
-            };
-            let scored = lift::rewrite::explore(&workload.program, &config).expect("scores");
-            let mut sources = std::collections::HashSet::new();
-            for variant in scored.variants {
-                if !sources.insert(variant.kernel_source) {
-                    continue;
+        for GatedLaunch {
+            label: at,
+            compiled,
+            stages,
+            args,
+        } in gated_launches(&device)
+        {
+            let run =
+                |engine, budget| run_sequence(&compiled, &stages, &args, &device, engine, budget);
+            let exact = run(EngineSelection::Interpreter, None).expect("runs");
+            let time = exact.estimated_time(&device);
+            for engine in [EngineSelection::Interpreter, EngineSelection::Bytecode] {
+                assert_eq!(run(engine, Some(time)).as_ref(), Ok(&exact), "{at}");
+            }
+            let half = [EngineSelection::Interpreter, EngineSelection::Bytecode]
+                .map(|engine| run(engine, Some(time / 2.0)));
+            assert_eq!(half[0], half[1], "{at}: the engines stop differently");
+            match &half[0] {
+                Ok(completed) => assert_eq!(completed, &exact, "{at}"),
+                Err(VgpuError::OverBudget { lower_bound, row }) => {
+                    assert!(*lower_bound > time / 2.0 && *lower_bound <= time, "{at}");
+                    stopped += 1;
+                    before_running += usize::from(*row == 0);
                 }
-                let options = config
-                    .compile_options
-                    .clone()
-                    .with_launch(LAUNCH.global, LAUNCH.local);
-                let compiled = compile_program(&variant.program, &options).expect("compiles");
-                let inputs = flat_inputs(&variant.program, &config.sizes);
-                let (args, _) = compiled.bind_args(&inputs, &config.sizes).expect("binds");
-                let stages = compiled.launch_plan(LAUNCH);
-                let run = |engine, budget| {
-                    run_sequence(&compiled, &stages, &args, &device, engine, budget)
-                };
-                let exact = run(EngineSelection::Interpreter, None).expect("runs");
-                let time = exact.estimated_time(&device);
-                let at = format!("{} on {}", workload.name, device.name);
-                for engine in [EngineSelection::Interpreter, EngineSelection::Bytecode] {
-                    assert_eq!(run(engine, Some(time)).as_ref(), Ok(&exact), "{at}");
-                }
-                let half = [EngineSelection::Interpreter, EngineSelection::Bytecode]
-                    .map(|engine| run(engine, Some(time / 2.0)));
-                assert_eq!(half[0], half[1], "{at}: the engines stop differently");
-                match &half[0] {
-                    Ok(completed) => assert_eq!(completed, &exact, "{at}"),
-                    Err(VgpuError::OverBudget { lower_bound, .. }) => {
-                        assert!(*lower_bound > time / 2.0 && *lower_bound <= time, "{at}");
-                        stopped += 1;
-                    }
-                    Err(e) => panic!("{at}: {e}"),
-                }
+                Err(e) => panic!("{at}: {e}"),
             }
         }
     }
     assert!(stopped > 0, "no launch was stopped at half its time");
+    assert!(
+        before_running > 0,
+        "no launch was stopped before its first row"
+    );
+}
+
+/// The counter classes the static bound counts: every class but the transactions, the
+/// uncoalesced accesses and the lock-step rows.
+fn counted_classes(c: &CostCounters) -> [(&'static str, u64); 11] {
+    [
+        ("flops", c.flops),
+        ("int_ops", c.int_ops),
+        ("div_mod_ops", c.div_mod_ops),
+        ("global_accesses", c.global_accesses),
+        ("vector_accesses", c.vector_accesses),
+        ("local_accesses", c.local_accesses),
+        ("private_accesses", c.private_accesses),
+        ("barriers", c.barriers),
+        ("loop_iterations", c.loop_iterations),
+        ("work_items", c.work_items),
+        ("work_groups", c.work_groups),
+    ]
+}
+
+/// Counts `stages` statically and runs them, asserting every static class is at most the
+/// executed one and the uncounted classes are zero. Returns whether every counted class is
+/// equal.
+fn static_bound_holds(
+    label: &str,
+    module: &lift::ocl::Module,
+    stages: &[KernelLaunchSpec],
+    args: &[KernelArg],
+    device: &DeviceProfile,
+) -> bool {
+    let request = ExecutionRequest::new(module).on_device(device);
+    let counted = request.static_counters(stages, args).expect("counts");
+    let run = request
+        .launch_sequence(stages, args.to_vec())
+        .expect("runs");
+    let mut exact = true;
+    for (stage, (counted, executed)) in counted.iter().zip(run.stage_counters()).enumerate() {
+        assert_eq!(
+            (
+                counted.global_transactions,
+                counted.uncoalesced_accesses,
+                counted.lockstep_rows,
+                counted.group_span_rows
+            ),
+            (0, 0, 0, 0),
+            "{label}: stage {stage} counts what the walk cannot bound"
+        );
+        for ((class, s), (_, e)) in counted_classes(counted)
+            .into_iter()
+            .zip(counted_classes(&executed))
+        {
+            assert!(
+                s <= e,
+                "{label}: stage {stage} {class} counted {s} > executed {e}"
+            );
+            exact &= s == e;
+        }
+    }
+    exact
+}
+
+/// The static bound is a lower bound on every distinct kernel and launch the gated
+/// workloads validate, on both profiles, and it is exact on them: no control of theirs
+/// reads data, so a walk that left any class short would fail here.
+#[test]
+fn the_static_bound_is_exact_on_the_gated_workloads() {
+    let mut launches = 0;
+    for device in [DeviceProfile::nvidia(), DeviceProfile::amd()] {
+        for launch in gated_launches(&device) {
+            let exact = static_bound_holds(
+                &launch.label,
+                &launch.compiled.module,
+                &launch.stages,
+                &launch.args,
+                &device,
+            );
+            assert!(exact, "{}: the static count is not exact", launch.label);
+            launches += 1;
+        }
+    }
+    assert!(launches > 20, "only {launches} launches");
+}
+
+/// Every kernel launch of Figure 8 at the Small size: each Table 1 benchmark's reference
+/// kernel and its Lift kernel at the three optimisation levels, with labels.
+fn paper_launches() -> Vec<(
+    String,
+    lift::ocl::Module,
+    Vec<KernelLaunchSpec>,
+    Vec<KernelArg>,
+)> {
+    let levels = [
+        ("none", CompilationOptions::none()),
+        (
+            "barrier+cf",
+            CompilationOptions::without_array_access_simplification(),
+        ),
+        ("barrier+cf+array", CompilationOptions::all_optimisations()),
+    ];
+    let mut launches = Vec::new();
+    for case in all_benchmarks(ProblemSize::Small) {
+        let name = case.info.name;
+        let reference = KernelLaunchSpec {
+            kernel: case.reference_kernel.clone(),
+            launch: case.launch,
+        };
+        launches.push((
+            format!("{name} reference"),
+            case.reference_module.clone(),
+            vec![reference],
+            case.reference_args.clone(),
+        ));
+        for (level, options) in &levels {
+            let label = format!("{name} at {level}");
+            let compiled = compile_case(&case, options)
+                .unwrap_or_else(|e| panic!("{label}: compile fails: {e}"));
+            assert_eq!(compiled.kernels.len(), 1, "{label}");
+            assert!(compiled.temp_buffers.is_empty(), "{label}");
+            let (args, _) = compiled
+                .bind_args(&case.inputs, &case.sizes)
+                .expect("arguments bind");
+            let stages = compiled.launch_plan(case.launch);
+            launches.push((label, compiled.module, stages, args));
+        }
+    }
+    launches
+}
+
+/// Figure 8 cases whose kernels branch on loaded data (MD's neighbour cutoff), where the
+/// static bound leaves the arms out.
+const DATA_DEPENDENT: &[&str] = &["MD"];
+
+/// The static bound is a lower bound on all 48 Small Figure 8 launches under both profiles,
+/// exact on every case whose control reads no data, and strictly below on MD's cutoff.
+#[test]
+fn the_static_bound_holds_on_every_figure8_launch() {
+    let launches = paper_launches();
+    assert_eq!(launches.len(), 48);
+    for device in [DeviceProfile::nvidia(), DeviceProfile::amd()] {
+        for (label, module, stages, args) in &launches {
+            let exact = static_bound_holds(label, module, stages, args, &device);
+            let data_dependent = DATA_DEPENDENT.iter().any(|case| label.starts_with(case));
+            assert_eq!(exact, !data_dependent, "{label} on {}", device.name);
+        }
+    }
 }
 
 /// Runs `stages` of `module` on `engine` under an `InMemory` collector, asserting that no
@@ -269,49 +447,16 @@ fn run_without_fallback(
 /// and the bytecode tier, and no launch falls back.
 #[test]
 fn paper_benchmarks_run_identically_on_both_engines_without_fallback() {
-    let levels = [
-        ("none", CompilationOptions::none()),
-        (
-            "barrier+cf",
-            CompilationOptions::without_array_access_simplification(),
-        ),
-        ("barrier+cf+array", CompilationOptions::all_optimisations()),
-    ];
-    for case in all_benchmarks(ProblemSize::Small) {
-        let name = case.info.name;
-        let reference = KernelLaunchSpec {
-            kernel: case.reference_kernel.clone(),
-            launch: case.launch,
-        };
-        let mut launches = vec![(
-            format!("{name} reference"),
-            case.reference_module.clone(),
-            vec![reference],
-            case.reference_args.clone(),
-        )];
-        for (level, options) in &levels {
-            let label = format!("{name} at {level}");
-            let compiled = compile_case(&case, options)
-                .unwrap_or_else(|e| panic!("{label}: compile fails: {e}"));
-            assert_eq!(compiled.kernels.len(), 1, "{label}");
-            assert!(compiled.temp_buffers.is_empty(), "{label}");
-            let (args, _) = compiled
-                .bind_args(&case.inputs, &case.sizes)
-                .expect("arguments bind");
-            let stages = compiled.launch_plan(case.launch);
-            launches.push((label, compiled.module, stages, args));
+    for (label, module, stages, args) in paper_launches() {
+        let [interp, bytecode] = [EngineSelection::Interpreter, EngineSelection::Bytecode]
+            .map(|engine| run_without_fallback(&label, &module, &stages, args.clone(), engine));
+        assert_eq!(interp.buffers.len(), bytecode.buffers.len(), "{label}");
+        for (x, y) in interp.buffers.iter().zip(&bytecode.buffers) {
+            let x_bits: Vec<u32> = x.iter().map(|v| v.to_bits()).collect();
+            let y_bits: Vec<u32> = y.iter().map(|v| v.to_bits()).collect();
+            assert_eq!(x_bits, y_bits, "{label}: buffers differ");
         }
-        for (label, module, stages, args) in launches {
-            let [interp, bytecode] = [EngineSelection::Interpreter, EngineSelection::Bytecode]
-                .map(|engine| run_without_fallback(&label, &module, &stages, args.clone(), engine));
-            assert_eq!(interp.buffers.len(), bytecode.buffers.len(), "{label}");
-            for (x, y) in interp.buffers.iter().zip(&bytecode.buffers) {
-                let x_bits: Vec<u32> = x.iter().map(|v| v.to_bits()).collect();
-                let y_bits: Vec<u32> = y.iter().map(|v| v.to_bits()).collect();
-                assert_eq!(x_bits, y_bits, "{label}: buffers differ");
-            }
-            assert_eq!(interp.reports, bytecode.reports, "{label}: counters differ");
-        }
+        assert_eq!(interp.reports, bytecode.reports, "{label}: counters differ");
     }
 }
 
