@@ -5,20 +5,23 @@
 //! (work item) carries a *weight*, the number of times it runs the statement being walked,
 //! and every integer or boolean the walk can evaluate carries its value in each lane, so
 //! the work-item ids, the launch sizes, the scalar `int` arguments and anything computed
-//! from them are known exactly. The counting rules are those of the interpreter: an `If`
-//! costs its condition and one integer op per active lane, a `For` round its condition and
-//! one integer op per active lane of every group still looping, plus one loop iteration per
-//! lane that enters the body, a `Sum` index term its `len - 1` integer ops, and so on.
+//! from them are known exactly. Every operation is charged by the rules of `charge.rs`,
+//! which the interpreter and the bytecode tier charge too, once per lane that certainly runs
+//! it; what runs is decided as the interpreter decides it: an `If` evaluates its condition
+//! in every active lane, a `For` round its condition in every active lane of each group
+//! still looping, plus one loop iteration and one step per lane that enters the body.
 //!
-//! * A loop whose trip count can be evaluated in every lane, and whose body contains no
-//!   `return` and does not assign its variable, is counted as trips × body: the body is
-//!   walked once, with the loop variable and every slot the body assigns marked as varying
-//!   from round to round. If control inside the body reads such a slot, that walk is
-//!   abandoned and the loop is walked round by round instead.
+//! * A loop whose trip count can be evaluated in every lane, and whose body does not assign
+//!   its variable, is counted as trips × body: the body is walked once, with the loop
+//!   variable and every slot the body assigns marked as varying from round to round. If
+//!   control inside the body reads such a slot, that walk is abandoned and the loop is
+//!   walked round by round instead.
 //! * A condition, loop bound or ternary that depends on loaded data, or on anything the walk
 //!   cannot evaluate, counts only the work that is certain to happen: the arms, and every
 //!   round of the loop after the first undecided one, count zero, and the slots they assign
 //!   are forgotten.
+//! * The first `return` the walk reaches ends it. The walk does not track which lanes have
+//!   returned, so it keeps only what it counted before: all of that certainly ran.
 //! * Transactions and uncoalesced accesses depend on the addresses, and stay zero. Vector
 //!   accesses are counted with the accesses they are made of, so the vector discount the
 //!   cost model subtracts is never larger than the access cost counted beside it.
@@ -28,11 +31,11 @@
 //! they are equal. Lock-step rows are not counted: the budget's bound does not read them.
 
 use std::borrow::Cow;
-use std::cell::RefCell;
 use std::rc::Rc;
 
 use lift_ocl::{AddrSpace, CBinOp, CUnOp};
 
+use crate::charge;
 use crate::cost::CostCounters;
 use crate::device::LaunchConfig;
 use crate::exec::{compare, CastKind, Lowered, SExpr, SIndex, SLhs, SStmt, WorkItemFn};
@@ -44,16 +47,6 @@ const MAX_ROUNDS: u64 = 1024;
 const MAX_STEPS: u64 = 1 << 16;
 /// Nested user-function calls the walk follows.
 const MAX_CALL_DEPTH: usize = 64;
-
-/// Launch configurations whose work-item ids a thread keeps.
-const KEPT_IDS: usize = 4;
-
-thread_local! {
-    /// The work-item ids of the launch configurations walked last on this thread, most
-    /// recent first: the launches a search runs one after another mostly share their
-    /// stages' configurations.
-    static IDS: RefCell<Vec<(LaunchConfig, Ids)>> = const { RefCell::new(Vec::new()) };
-}
 
 /// Work-item ids, by `3 * function + dimension` (global, local, group id).
 type Ids = [Option<Num>; 9];
@@ -78,13 +71,6 @@ pub(crate) fn static_counters(
         items: config.local.iter().product(),
         groups: config.num_groups().iter().product(),
     };
-    let ids = IDS.with(|kept| {
-        let mut kept = kept.borrow_mut();
-        match kept.iter().position(|(c, _)| *c == config) {
-            Some(i) => kept.remove(i).1,
-            None => Ids::default(),
-        }
-    });
     let mut walk = Walk {
         config,
         geo,
@@ -92,20 +78,15 @@ pub(crate) fn static_counters(
         vals: vec![None; lowered.names.len()],
         local: vec![false; lowered.names.len()],
         params,
-        ids,
-        dead: None,
+        ids: Ids::default(),
         counted: 0,
         calls: 0,
         steps: 0,
         counters: CostCounters::default(),
     };
-    // Outside a loop counted as trips × body nothing aborts the walk.
+    // A stop outside every loop counted as trips × body is a `return`: what was counted
+    // before it stands.
     let _ = walk.block(&lowered.body, &Weights::uniform(1, geo));
-    IDS.with(|kept| {
-        let mut kept = kept.borrow_mut();
-        kept.truncate(KEPT_IDS - 1);
-        kept.insert(0, (config, walk.ids));
-    });
     let mut counters = walk.counters;
     counters.work_items = geo.lanes() as u64;
     counters.work_groups = geo.groups as u64;
@@ -537,9 +518,10 @@ impl Weights {
     }
 }
 
-/// Control read a slot that changes from round to round inside a loop being counted as
-/// trips × body: that loop must be walked round by round.
-struct Abort;
+/// The walk cannot go on as it is: control read a slot that changes from round to round
+/// inside a loop being counted as trips × body, which must then be walked round by round,
+/// or a `return` was reached.
+struct Stop;
 
 struct Walk<'a> {
     config: LaunchConfig,
@@ -553,8 +535,6 @@ struct Walk<'a> {
     params: Vec<Option<Val>>,
     /// Work-item ids, computed on first use.
     ids: Ids,
-    /// Lanes that returned or may have returned; they count nothing further.
-    dead: Option<Vec<bool>>,
     /// Depth of loops being counted as trips × body.
     counted: usize,
     calls: usize,
@@ -610,36 +590,10 @@ impl Walk<'_> {
         n
     }
 
-    /// Zeroes the weights of dead lanes.
-    fn live(&self, w: &Weights) -> Weights {
-        match &self.dead {
-            Some(dead) if w.total > 0 => Weights::from_lanes(
-                w.spread(self.geo)
-                    .iter()
-                    .zip(dead)
-                    .map(|(w, dead)| if *dead { 0 } else { *w })
-                    .collect(),
-            ),
-            _ => w.clone(),
-        }
-    }
-
-    /// Marks the lanes active under `w` as returned.
-    fn kill(&mut self, w: &Weights) {
-        if w.total == 0 {
-            return;
-        }
-        let geo = self.geo;
-        let dead = self.dead.get_or_insert_with(|| vec![false; geo.lanes()]);
-        for (d, w) in dead.iter_mut().zip(w.spread(geo).iter()) {
-            *d |= *w > 0;
-        }
-    }
-
     /// The truth of a control value in every lane, or `None` when the walk cannot know it.
-    fn decide(&self, v: &Val, w: &Weights) -> Result<Option<Num>, Abort> {
+    fn decide(&self, v: &Val, w: &Weights) -> Result<Option<Num>, Stop> {
         match v.truth() {
-            Num::Varying if self.counted > 0 && w.total > 0 => Err(Abort),
+            Num::Varying if self.counted > 0 && w.total > 0 => Err(Stop),
             Num::Varying | Num::Unknown => Ok(None),
             known => Ok(Some(known)),
         }
@@ -673,7 +627,7 @@ impl Walk<'_> {
 
     /// Counts an array subscript, whose value no control reads: an `Index` term is counted
     /// without being evaluated.
-    fn subscript(&mut self, e: &SExpr, w: &Weights) -> Result<(), Abort> {
+    fn subscript(&mut self, e: &SExpr, w: &Weights) -> Result<(), Stop> {
         match e {
             SExpr::Index(a) => self.count_index(a, w.total),
             other => {
@@ -685,31 +639,20 @@ impl Walk<'_> {
 
     /// Counts an index term's operations `n` times, as `Exec::eval_index_counting` does.
     fn count_index(&mut self, a: &SIndex, n: u64) {
-        let (int_ops, div_mod): (u64, u64) = match a {
-            SIndex::Cst(_) | SIndex::Var(_) => return,
+        self.counters.charge(charge::index(a), n);
+        match a {
+            SIndex::Cst(_) | SIndex::Var(_) => {}
             SIndex::Sum(ts) | SIndex::Prod(ts) => {
                 for t in ts {
                     self.count_index(t, n);
                 }
-                (ts.len().saturating_sub(1) as u64, 0)
             }
-            SIndex::IntDiv(x, y) | SIndex::Mod(x, y) => {
+            SIndex::Pow(b, _) => self.count_index(b, n),
+            SIndex::IntDiv(x, y) | SIndex::Mod(x, y) | SIndex::Min(x, y) | SIndex::Max(x, y) => {
                 self.count_index(x, n);
                 self.count_index(y, n);
-                (0, 1)
             }
-            SIndex::Pow(b, e) => {
-                self.count_index(b, n);
-                (u64::from(e.saturating_sub(1)), 0)
-            }
-            SIndex::Min(x, y) | SIndex::Max(x, y) => {
-                self.count_index(x, n);
-                self.count_index(y, n);
-                (1, 0)
-            }
-        };
-        add(&mut self.counters.int_ops, int_ops.saturating_mul(n));
-        add(&mut self.counters.div_mod_ops, div_mod.saturating_mul(n));
+        }
     }
 
     fn access(&mut self, space: AddrSpace, n: u64) {
@@ -721,20 +664,16 @@ impl Walk<'_> {
         add(counter, n);
     }
 
-    fn block(&mut self, stmts: &[SStmt], w: &Weights) -> Result<(), Abort> {
-        let mut w = w.clone();
+    fn block(&mut self, stmts: &[SStmt], w: &Weights) -> Result<(), Stop> {
         for stmt in stmts {
-            if self.dead.is_some() {
-                w = self.live(&w);
-            }
-            self.stmt(stmt, &w)?;
+            self.stmt(stmt, w)?;
         }
         Ok(())
     }
 
-    fn stmt(&mut self, stmt: &SStmt, w: &Weights) -> Result<(), Abort> {
+    fn stmt(&mut self, stmt: &SStmt, w: &Weights) -> Result<(), Stop> {
         match stmt {
-            SStmt::Return => self.kill(w),
+            SStmt::Return => return Err(Stop),
             SStmt::Barrier => {
                 add(&mut self.counters.barriers, w.group_rounds(self.geo));
             }
@@ -793,7 +732,7 @@ impl Walk<'_> {
                 otherwise,
             } => {
                 let c = self.eval(cond, w)?;
-                add(&mut self.counters.int_ops, w.total);
+                self.counters.charge(charge::CONTROL, w.total);
                 match self.decide(&c, w)? {
                     Some(truth) if w.total > 0 => {
                         let taken = w.restrict(&truth, true, self.geo);
@@ -808,9 +747,9 @@ impl Walk<'_> {
                         }
                     }
                     _ => {
-                        self.forget(then, w)?;
+                        self.forget(then)?;
                         if let Some(otherwise) = otherwise {
-                            self.forget(otherwise, w)?;
+                            self.forget(otherwise)?;
                         }
                     }
                 }
@@ -838,12 +777,11 @@ impl Walk<'_> {
         Ok(())
     }
 
-    /// Walks statements that may or may not run in the lanes of `w`: they count nothing,
-    /// every slot they assign keeps only a kind both outcomes share, and lanes they could
-    /// return from are dead.
-    fn forget(&mut self, stmts: &[SStmt], w: &Weights) -> Result<(), Abort> {
+    /// Walks statements that may or may not run: they count nothing, and every slot they
+    /// assign keeps only a kind both outcomes share.
+    fn forget(&mut self, stmts: &[SStmt]) -> Result<(), Stop> {
         let mut assigned = Vec::new();
-        let returns = effects(stmts, &mut assigned);
+        assignments(stmts, &mut assigned);
         let before: Vec<Option<Val>> = assigned.iter().map(|s| self.vals[*s].clone()).collect();
         self.block(stmts, &Weights::zero())?;
         for (slot, old) in assigned.into_iter().zip(before) {
@@ -855,9 +793,6 @@ impl Walk<'_> {
                 (old, None) => old,
             };
         }
-        if returns {
-            self.kill(w);
-        }
         Ok(())
     }
 
@@ -868,16 +803,18 @@ impl Walk<'_> {
         step: &SExpr,
         body: &[SStmt],
         w: &Weights,
-    ) -> Result<(), Abort> {
+    ) -> Result<(), Stop> {
         let mut touched = Vec::new();
-        let returns = effects(body, &mut touched);
-        if !returns && !touched.contains(&slot) {
+        assignments(body, &mut touched);
+        if !touched.contains(&slot) {
             touched.push(slot);
             let before = self.counters;
             let saved: Vec<Option<Val>> = touched.iter().map(|s| self.vals[*s].clone()).collect();
             match self.counted_loop(slot, cond, step, body, w, &touched) {
                 Ok(true) => return Ok(()),
-                Ok(false) | Err(Abort) => {
+                // A stop in the body undoes its count: walked round by round, a `return`
+                // keeps only the rounds before it.
+                Ok(false) | Err(Stop) => {
                     self.counters = before;
                     for (s, v) in touched.into_iter().zip(saved) {
                         self.vals[s] = v;
@@ -890,7 +827,7 @@ impl Walk<'_> {
 
     /// Counts the loop as trips × body if its trip count is known in every lane and its
     /// body's control does not change from round to round; `Ok(false)` if the trip count
-    /// is unknown.
+    /// is unknown, `Err(Stop)` if the body's control varies by round or it returns.
     fn counted_loop(
         &mut self,
         slot: usize,
@@ -899,7 +836,7 @@ impl Walk<'_> {
         body: &[SStmt],
         w: &Weights,
         varying: &[usize],
-    ) -> Result<bool, Abort> {
+    ) -> Result<bool, Stop> {
         let SExpr::Bin(op @ (CBinOp::Lt | CBinOp::Le), var, bound) = cond else {
             return Ok(false);
         };
@@ -962,12 +899,12 @@ impl Walk<'_> {
         self.counted += 1;
         let counted = (|| {
             self.eval(cond, &checks)?;
-            add(&mut self.counters.int_ops, checks.total);
+            self.counters.charge(charge::CONTROL, checks.total);
             add(&mut self.counters.loop_iterations, rounds.total);
             if rounds.total > 0 {
                 self.block(body, &rounds)?;
                 self.eval(step, &rounds)?;
-                add(&mut self.counters.int_ops, rounds.total);
+                self.counters.charge(charge::CONTROL, rounds.total);
             }
             Ok(())
         })();
@@ -987,30 +924,26 @@ impl Walk<'_> {
         step: &SExpr,
         body: &[SStmt],
         w: &Weights,
-    ) -> Result<(), Abort> {
+    ) -> Result<(), Stop> {
         let mut checking = w.clone();
         for round in 0.. {
-            if self.dead.is_some() {
-                checking = self.live(&checking);
-            }
             let c = self.eval(cond, &checking)?;
-            add(&mut self.counters.int_ops, checking.total);
+            self.counters.charge(charge::CONTROL, checking.total);
             let (Some(truth), true) = (self.decide(&c, &checking)?, round < MAX_ROUNDS) else {
-                return self.forget_loop(slot, step, body, &checking);
+                return self.forget_loop(slot, step, body);
             };
             let entering = checking.restrict(&truth, true, self.geo);
             if entering.total == 0 {
                 return Ok(());
             }
             if self.steps >= MAX_STEPS {
-                return self.forget_loop(slot, step, body, &checking);
+                return self.forget_loop(slot, step, body);
             }
             self.steps += body.len() as u64 + 1;
             add(&mut self.counters.loop_iterations, entering.total);
             self.block(body, &entering)?;
-            let entering = self.live(&entering);
             let by = self.eval(step, &entering)?;
-            add(&mut self.counters.int_ops, entering.total);
+            self.counters.charge(charge::CONTROL, entering.total);
             let next = self
                 .lookup(slot)
                 .as_num()
@@ -1024,14 +957,8 @@ impl Walk<'_> {
 
     /// The rest of a loop whose next round cannot be decided: it may run any number of
     /// further rounds, which count nothing.
-    fn forget_loop(
-        &mut self,
-        slot: usize,
-        step: &SExpr,
-        body: &[SStmt],
-        w: &Weights,
-    ) -> Result<(), Abort> {
-        self.forget(body, w)?;
+    fn forget_loop(&mut self, slot: usize, step: &SExpr, body: &[SStmt]) -> Result<(), Stop> {
+        self.forget(body)?;
         self.eval(step, &Weights::zero())?;
         self.vals[slot] = Some(self.stepped(slot));
         Ok(())
@@ -1045,7 +972,7 @@ impl Walk<'_> {
         }
     }
 
-    fn eval(&mut self, e: &SExpr, w: &Weights) -> Result<Val, Abort> {
+    fn eval(&mut self, e: &SExpr, w: &Weights) -> Result<Val, Stop> {
         Ok(match e {
             SExpr::Int(v) => Val::Int(Num::All(*v)),
             SExpr::Float(_) => Val::Float,
@@ -1061,19 +988,14 @@ impl Walk<'_> {
             }
             SExpr::Un(op, a) => {
                 let v = self.eval(a, w)?;
+                self.counters.charge(charge::unary(*op), w.total);
                 match op {
-                    CUnOp::Neg => {
-                        add(&mut self.counters.flops, w.total);
-                        match v {
-                            Val::Int(n) => Val::Int(n.map(i64::wrapping_neg)),
-                            Val::Opaque => Val::Opaque,
-                            _ => Val::Float,
-                        }
-                    }
-                    CUnOp::Not => {
-                        add(&mut self.counters.int_ops, w.total);
-                        Val::Bool(v.truth().map(|t| 1 - t))
-                    }
+                    CUnOp::Neg => match v {
+                        Val::Int(n) => Val::Int(n.map(i64::wrapping_neg)),
+                        Val::Opaque => Val::Opaque,
+                        _ => Val::Float,
+                    },
+                    CUnOp::Not => Val::Bool(v.truth().map(|t| 1 - t)),
                 }
             }
             SExpr::WorkItem(f, dim) => match self.eval(dim, w)?.as_num() {
@@ -1100,20 +1022,20 @@ impl Walk<'_> {
             }
             SExpr::Math1(_, a) => {
                 self.eval(a, w)?;
-                add(&mut self.counters.flops, w.total.saturating_mul(4));
+                self.counters.charge(charge::MATH1, w.total);
                 Val::Float
             }
             SExpr::Math2(_, a, b) => {
                 self.eval(a, w)?;
                 self.eval(b, w)?;
-                add(&mut self.counters.flops, w.total);
+                self.counters.charge(charge::MATH2, w.total);
                 Val::Float
             }
             SExpr::Mad(a, b, c) => {
                 self.eval(a, w)?;
                 self.eval(b, w)?;
                 self.eval(c, w)?;
-                add(&mut self.counters.flops, w.total.saturating_mul(2));
+                self.counters.charge(charge::MAD, w.total);
                 Val::Float
             }
             SExpr::CallFun(idx, args) => self.call(*idx, args, w)?,
@@ -1150,7 +1072,7 @@ impl Walk<'_> {
             }
             SExpr::Ternary(c, t, o) => {
                 let cv = self.eval(c, w)?;
-                add(&mut self.counters.int_ops, w.total);
+                self.counters.charge(charge::CONTROL, w.total);
                 match self.decide(&cv, w)? {
                     Some(Num::All(p)) => self.eval(if p != 0 { t } else { o }, w)?,
                     Some(truth) => {
@@ -1170,7 +1092,7 @@ impl Walk<'_> {
         })
     }
 
-    fn eval_all(&mut self, es: &[SExpr], w: &Weights) -> Result<Vec<Val>, Abort> {
+    fn eval_all(&mut self, es: &[SExpr], w: &Weights) -> Result<Vec<Val>, Stop> {
         es.iter().map(|e| self.eval(e, w)).collect()
     }
 
@@ -1182,7 +1104,7 @@ impl Walk<'_> {
         add(&mut self.counters.vector_accesses, n);
     }
 
-    fn call(&mut self, idx: usize, args: &[SExpr], w: &Weights) -> Result<Val, Abort> {
+    fn call(&mut self, idx: usize, args: &[SExpr], w: &Weights) -> Result<Val, Stop> {
         let lowered = self.lowered;
         let fun = &lowered.functions[idx];
         if fun.params.len() != args.len() || self.calls >= MAX_CALL_DEPTH {
@@ -1240,43 +1162,33 @@ impl Walk<'_> {
                     })
                     .collect(),
             ),
-            (Val::Int(x), Val::Int(y)) => match op {
-                CBinOp::Add | CBinOp::Sub | CBinOp::Mul => {
-                    add(&mut self.counters.int_ops, w.total);
-                    Val::Int(x.zip(y, self.geo, |x, y| match op {
-                        CBinOp::Add => x.wrapping_add(y),
-                        CBinOp::Sub => x.wrapping_sub(y),
-                        _ => x.wrapping_mul(y),
-                    }))
-                }
-                CBinOp::Div | CBinOp::Mod => {
-                    add(&mut self.counters.div_mod_ops, w.total);
-                    Val::Int(x.zip(y, self.geo, if op == CBinOp::Div { div } else { rem }))
-                }
-                _ => {
-                    add(&mut self.counters.int_ops, w.total);
-                    Val::Bool(x.zip(y, self.geo, |x, y| {
+            (Val::Int(x), Val::Int(y)) => {
+                self.counters.charge(charge::binary(op, true), w.total);
+                match op {
+                    CBinOp::Add => Val::Int(x.zip(y, self.geo, i64::wrapping_add)),
+                    CBinOp::Sub => Val::Int(x.zip(y, self.geo, i64::wrapping_sub)),
+                    CBinOp::Mul => Val::Int(x.zip(y, self.geo, i64::wrapping_mul)),
+                    CBinOp::Div => Val::Int(x.zip(y, self.geo, div)),
+                    CBinOp::Mod => Val::Int(x.zip(y, self.geo, rem)),
+                    _ => Val::Bool(x.zip(y, self.geo, |x, y| {
                         i64::from(compare(op, x as f64, y as f64))
-                    }))
+                    })),
                 }
-            },
-            _ => match op {
-                CBinOp::Add | CBinOp::Sub | CBinOp::Mul | CBinOp::Div => {
-                    add(&mut self.counters.flops, w.total);
-                    Val::Float
+            }
+            _ => {
+                self.counters.charge(charge::binary(op, false), w.total);
+                match op {
+                    CBinOp::Add | CBinOp::Sub | CBinOp::Mul | CBinOp::Div | CBinOp::Mod => {
+                        Val::Float
+                    }
+                    _ => {
+                        let (x, y) = (a.float_num(), b.float_num());
+                        Val::Bool(x.zip(&y, self.geo, |x, y| {
+                            i64::from(compare(op, x as f64, y as f64))
+                        }))
+                    }
                 }
-                CBinOp::Mod => {
-                    add(&mut self.counters.div_mod_ops, w.total);
-                    Val::Float
-                }
-                _ => {
-                    add(&mut self.counters.int_ops, w.total);
-                    let (x, y) = (a.float_num(), b.float_num());
-                    Val::Bool(x.zip(&y, self.geo, |x, y| {
-                        i64::from(compare(op, x as f64, y as f64))
-                    }))
-                }
-            },
+            }
         }
     }
 
@@ -1357,14 +1269,12 @@ fn rem(x: i64, y: i64) -> i64 {
     }
 }
 
-/// Collects every slot `stmts` may assign, and whether they may `return`.
-fn effects(stmts: &[SStmt], assigned: &mut Vec<usize>) -> bool {
-    let mut returns = false;
+/// Collects every slot `stmts` may assign.
+fn assignments(stmts: &[SStmt], assigned: &mut Vec<usize>) {
     for stmt in stmts {
         match stmt {
-            SStmt::Return => returns = true,
-            SStmt::Barrier | SStmt::DeclLocalArray { .. } | SStmt::Expr(_) => {}
-            SStmt::Block(stmts) => returns |= effects(stmts, assigned),
+            SStmt::Return | SStmt::Barrier | SStmt::DeclLocalArray { .. } | SStmt::Expr(_) => {}
+            SStmt::Block(stmts) => assignments(stmts, assigned),
             SStmt::DeclPrivateArray { slot, .. } | SStmt::DeclScalar { slot, .. } => {
                 assigned.push(*slot);
             }
@@ -1375,18 +1285,17 @@ fn effects(stmts: &[SStmt], assigned: &mut Vec<usize>) -> bool {
             SStmt::If {
                 then, otherwise, ..
             } => {
-                returns |= effects(then, assigned);
+                assignments(then, assigned);
                 if let Some(otherwise) = otherwise {
-                    returns |= effects(otherwise, assigned);
+                    assignments(otherwise, assigned);
                 }
             }
             SStmt::For { slot, body, .. } => {
                 assigned.push(*slot);
-                returns |= effects(body, assigned);
+                assignments(body, assigned);
             }
         }
     }
-    returns
 }
 
 #[cfg(test)]
@@ -1511,6 +1420,68 @@ mod tests {
             (64, 128, 0)
         );
         assert_eq!((executed.global_accesses, executed.flops), (128, 64));
+    }
+
+    #[test]
+    fn an_early_return_ends_the_count_below_the_run() {
+        let gid = || CExpr::global_id(0);
+        // for (i = 0; i < 4; i++) out[gid] = out[gid] + in[gid];
+        // if (gid < 8) return;
+        // out[gid] = in[gid] * 2.0f;
+        let m = kernel(vec![
+            CStmt::For {
+                var: "i".into(),
+                init: CExpr::int(0),
+                cond: CExpr::var("i").lt(CExpr::int(4)),
+                step: CExpr::int(1),
+                body: vec![CStmt::Assign {
+                    lhs: CExpr::var("out").at(gid()),
+                    rhs: CExpr::var("out").at(gid()).add(CExpr::var("in").at(gid())),
+                }],
+            },
+            CStmt::If {
+                cond: gid().lt(CExpr::int(8)),
+                then: vec![CStmt::Return],
+                otherwise: None,
+            },
+            CStmt::Assign {
+                lhs: CExpr::var("out").at(gid()),
+                rhs: CExpr::var("in").at(gid()).mul(CExpr::float(2.0)),
+            },
+        ]);
+        let launch = LaunchConfig::d1(32, 8);
+        let device = DeviceProfile::nvidia();
+        let request = ExecutionRequest::new(&m).on_device(&device);
+        let counted = request
+            .static_counters(&plan(launch), &args(32, 0))
+            .unwrap()[0];
+        let executed = request
+            .launch_sequence(&plan(launch), args(32, 0))
+            .unwrap()
+            .reports[0]
+            .counters;
+        // The loop is counted in full; nothing after the `return` is.
+        assert_eq!((counted.loop_iterations, counted.flops), (4 * 32, 4 * 32));
+        assert_eq!(counted.global_accesses, 3 * 4 * 32);
+        assert_eq!(executed.flops, 4 * 32 + 24);
+        let classes = |c: crate::CostCounters| {
+            [
+                c.flops,
+                c.int_ops,
+                c.div_mod_ops,
+                c.global_accesses,
+                c.vector_accesses,
+                c.local_accesses,
+                c.private_accesses,
+                c.barriers,
+                c.loop_iterations,
+                c.work_items,
+                c.work_groups,
+            ]
+        };
+        for (c, e) in classes(counted).into_iter().zip(classes(executed)) {
+            assert!(c <= e, "{counted:?} against {executed:?}");
+        }
     }
 
     #[test]

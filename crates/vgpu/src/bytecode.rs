@@ -19,9 +19,9 @@
 //!   dense jumps over the row stream with an explicit mask stack (`If`/`Else`/`EndIf`,
 //!   `ForInit`/`ForHead`/`ForStep`).
 //! * **Expression ops** ([`EOp`]) are a register-file bytecode executed per work item. Index
-//!   evaluation is fused into dedicated ops (`RAdd`/`RDivE`/…) that carge the interpreter's
+//!   evaluation is fused into dedicated ops (`RAdd`/`RDivE`/…) that charge the interpreter's
 //!   `int_ops`/`div_mod_ops` exactly; cost counters, pointer checks and memory instrumentation
-//!   are explicit instructions (`ChargeInt`, `PtrChk`, `Load`, `StoreChk`, …), so
+//!   are explicit instructions (`Charge`, `PtrChk`, `Load`, `StoreChk`, …), so
 //!   instrumentation is part of the ISA rather than a property of a tree walk.
 //!
 //! Registers are `u32` operands: bit 31 selects the per-thread *cell file* (persistent
@@ -44,6 +44,7 @@ use std::rc::Rc;
 
 use lift_ocl::{AddrSpace, CBinOp, CUnOp};
 
+use crate::charge::{self, Charge};
 use crate::exec::{
     compare, CastKind, Exec, Group, Math1, Math2, SExpr, SFunction, SIndex, SLhs, SStmt,
     ShadowCell, Thread, VgpuError, WorkItemFn,
@@ -233,12 +234,11 @@ enum EOp {
         dst: u32,
         src: u32,
     },
-    /// `int_ops += n` — index-expression and ternary-condition charges.
-    ChargeInt {
-        n: u64,
+    /// An index-expression node's or a ternary condition's [`Charge`]; a division's is
+    /// charged before the divisor evaluates (interpreter order).
+    Charge {
+        charge: Charge,
     },
-    /// `div_mod_ops += 1`, charged before the divisor evaluates (interpreter order).
-    ChargeDivMod,
     /// `vector_accesses += width` after a `vload`/`vstore`.
     ChargeVec {
         width: u64,
@@ -1065,7 +1065,9 @@ impl Compiler<'_> {
             SExpr::Ternary(c, t, other) => {
                 let vc = self.expr(c)?;
                 let rc = self.cond(vc);
-                self.emit(EOp::ChargeInt { n: 1 });
+                self.emit(EOp::Charge {
+                    charge: charge::CONTROL,
+                });
                 let jz_at = self.code.len();
                 self.emit(EOp::Jz {
                     cond: rc,
@@ -1145,15 +1147,14 @@ impl Compiler<'_> {
     /// Compiles an index expression, charging `int_ops`/`div_mod_ops` exactly where the
     /// interpreter's counting walk does.
     fn index(&mut self, a: &SIndex) -> Result<u32, String> {
+        let charge = charge::index(a);
+        if charge.n > 0 {
+            self.emit(EOp::Charge { charge });
+        }
         match a {
             SIndex::Cst(c) => Ok(self.intc(*c)),
             SIndex::Var(slot) => self.read_idx_var(*slot),
             SIndex::Sum(ts) => {
-                if ts.len() > 1 {
-                    self.emit(EOp::ChargeInt {
-                        n: (ts.len() - 1) as u64,
-                    });
-                }
                 if ts.is_empty() {
                     return Ok(self.intc(0));
                 }
@@ -1167,11 +1168,6 @@ impl Compiler<'_> {
                 Ok(acc)
             }
             SIndex::Prod(fs) => {
-                if fs.len() > 1 {
-                    self.emit(EOp::ChargeInt {
-                        n: (fs.len() - 1) as u64,
-                    });
-                }
                 if fs.is_empty() {
                     return Ok(self.intc(1));
                 }
@@ -1185,7 +1181,6 @@ impl Compiler<'_> {
                 Ok(acc)
             }
             SIndex::IntDiv(a, b) => {
-                self.emit(EOp::ChargeDivMod);
                 let rb = self.index(b)?;
                 self.emit(EOp::ZChk { src: rb });
                 let ra = self.index(a)?;
@@ -1194,7 +1189,6 @@ impl Compiler<'_> {
                 Ok(dst)
             }
             SIndex::Mod(a, b) => {
-                self.emit(EOp::ChargeDivMod);
                 let rb = self.index(b)?;
                 self.emit(EOp::ZChk { src: rb });
                 let ra = self.index(a)?;
@@ -1203,17 +1197,12 @@ impl Compiler<'_> {
                 Ok(dst)
             }
             SIndex::Pow(b, e) => {
-                let n = u64::from(e.saturating_sub(1));
-                if n > 0 {
-                    self.emit(EOp::ChargeInt { n });
-                }
                 let src = self.index(b)?;
                 let dst = self.s1();
                 self.emit(EOp::RPow { dst, src, e: *e });
                 Ok(dst)
             }
             SIndex::Min(a, b) => {
-                self.emit(EOp::ChargeInt { n: 1 });
                 let ra = self.index(a)?;
                 let rb = self.index(b)?;
                 let dst = self.s1();
@@ -1221,7 +1210,6 @@ impl Compiler<'_> {
                 Ok(dst)
             }
             SIndex::Max(a, b) => {
-                self.emit(EOp::ChargeInt { n: 1 });
                 let ra = self.index(a)?;
                 let rb = self.index(b)?;
                 let dst = self.s1();
@@ -1747,7 +1735,7 @@ impl Vm<'_> {
                             &mut self.scratch,
                         )?;
                         let c = rd(cond, tc, &self.scratch).as_bool();
-                        exec.counters.int_ops += 1;
+                        exec.counters.charge(charge::CONTROL, 1);
                         if c {
                             self.tm[i] = true;
                             any_then = true;
@@ -1839,7 +1827,7 @@ impl Vm<'_> {
                             &mut self.scratch,
                         )?;
                         let c = rd(cond, tc, &self.scratch).as_bool();
-                        exec.counters.int_ops += 1;
+                        exec.counters.charge(charge::CONTROL, 1);
                         if c {
                             self.tm[i] = true;
                             any = true;
@@ -1885,7 +1873,7 @@ impl Vm<'_> {
                             ));
                         }
                         let next = V::Int(cur.as_i64() + rd(src, tc, &self.scratch).as_i64());
-                        exec.counters.int_ops += 1;
+                        exec.counters.charge(charge::CONTROL, 1);
                         tc[cell as usize] = next;
                     }
                     self.masks.truncate(self.masks.len() - n);
@@ -1936,14 +1924,14 @@ fn run_prog(
                 scratch[dst as usize] = bin(exec, op, va, vb)?;
             }
             EOp::Neg { dst, src } => {
-                exec.counters.flops += 1;
+                exec.counters.charge(charge::unary(CUnOp::Neg), 1);
                 scratch[dst as usize] = match rd(src, cells, scratch) {
                     V::Int(i) => V::Int(-i),
                     other => V::Float(-other.as_f64()),
                 };
             }
             EOp::Not { dst, src } => {
-                exec.counters.int_ops += 1;
+                exec.counters.charge(charge::unary(CUnOp::Not), 1);
                 scratch[dst as usize] = V::Bool(!rd(src, cells, scratch).as_bool());
             }
             EOp::WorkItem { kind, dst, dim } => {
@@ -1960,7 +1948,7 @@ fn run_prog(
             }
             EOp::Math1 { kind, dst, src } => {
                 let v = rd(src, cells, scratch).as_f64();
-                exec.counters.flops += 4;
+                exec.counters.charge(charge::MATH1, 1);
                 let out = match kind {
                     Math1::Sqrt => v.sqrt(),
                     Math1::Rsqrt => 1.0 / v.sqrt(),
@@ -1974,7 +1962,7 @@ fn run_prog(
             EOp::Math2 { kind, dst, a, b } => {
                 let x = rd(a, cells, scratch).as_f64();
                 let y = rd(b, cells, scratch).as_f64();
-                exec.counters.flops += 1;
+                exec.counters.charge(charge::MATH2, 1);
                 let out = match kind {
                     Math2::Min => x.min(y),
                     Math2::Max => x.max(y),
@@ -1985,7 +1973,7 @@ fn run_prog(
                 let x = rd(a, cells, scratch).as_f64();
                 let y = rd(b, cells, scratch).as_f64();
                 let z = rd(c, cells, scratch).as_f64();
-                exec.counters.flops += 2;
+                exec.counters.charge(charge::MAD, 1);
                 scratch[dst as usize] = V::Float(x * y + z);
             }
             EOp::CastInt { dst, src } => {
@@ -1997,8 +1985,7 @@ fn run_prog(
             EOp::CastBool { dst, src } => {
                 scratch[dst as usize] = V::Bool(rd(src, cells, scratch).as_bool());
             }
-            EOp::ChargeInt { n } => exec.counters.int_ops += n,
-            EOp::ChargeDivMod => exec.counters.div_mod_ops += 1,
+            EOp::Charge { charge } => exec.counters.charge(charge, 1),
             EOp::ChargeVec { width } => exec.counters.vector_accesses += width,
             EOp::ZChk { src } => {
                 if rd(src, cells, scratch).as_i64() == 0 {
@@ -2141,17 +2128,12 @@ fn bin(exec: &mut Exec, op: CBinOp, a: V, b: V) -> Result<V, VgpuError> {
         });
     }
     if let (V::Int(x), V::Int(y)) = (a, b) {
+        exec.counters.charge(charge::binary(op, true), 1);
         return Ok(match op {
-            CBinOp::Add | CBinOp::Sub | CBinOp::Mul => {
-                exec.counters.int_ops += 1;
-                V::Int(match op {
-                    CBinOp::Add => x + y,
-                    CBinOp::Sub => x - y,
-                    _ => x * y,
-                })
-            }
+            CBinOp::Add => V::Int(x + y),
+            CBinOp::Sub => V::Int(x - y),
+            CBinOp::Mul => V::Int(x * y),
             CBinOp::Div | CBinOp::Mod => {
-                exec.counters.div_mod_ops += 1;
                 if y == 0 {
                     return Err(VgpuError::DivisionByZero);
                 }
@@ -2161,30 +2143,17 @@ fn bin(exec: &mut Exec, op: CBinOp, a: V, b: V) -> Result<V, VgpuError> {
                     x.rem_euclid(y)
                 })
             }
-            _ => {
-                exec.counters.int_ops += 1;
-                V::Bool(compare(op, x as f64, y as f64))
-            }
+            _ => V::Bool(compare(op, x as f64, y as f64)),
         });
     }
     let (x, y) = (a.as_f64(), b.as_f64());
+    exec.counters.charge(charge::binary(op, false), 1);
     Ok(match op {
-        CBinOp::Add | CBinOp::Sub | CBinOp::Mul | CBinOp::Div => {
-            exec.counters.flops += 1;
-            V::Float(match op {
-                CBinOp::Add => x + y,
-                CBinOp::Sub => x - y,
-                CBinOp::Mul => x * y,
-                _ => x / y,
-            })
-        }
-        CBinOp::Mod => {
-            exec.counters.div_mod_ops += 1;
-            V::Float(x % y)
-        }
-        _ => {
-            exec.counters.int_ops += 1;
-            V::Bool(compare(op, x, y))
-        }
+        CBinOp::Add => V::Float(x + y),
+        CBinOp::Sub => V::Float(x - y),
+        CBinOp::Mul => V::Float(x * y),
+        CBinOp::Div => V::Float(x / y),
+        CBinOp::Mod => V::Float(x % y),
+        _ => V::Bool(compare(op, x, y)),
     })
 }

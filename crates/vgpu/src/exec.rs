@@ -28,6 +28,7 @@ use std::hash::{BuildHasherDefault, Hasher};
 use lift_arith::ArithExpr;
 use lift_ocl::{AddrSpace, CBinOp, CExpr, CStmt, CType, CUnOp, Module};
 
+use crate::charge;
 use crate::cost::{Budget, CostCounters, ExecutionReport};
 use crate::device::{DeviceProfile, LaunchConfig, LaunchError};
 use crate::memory::{GpuValue, KernelArg, Ptr};
@@ -1100,7 +1101,7 @@ impl Exec {
                         continue;
                     }
                     let c = self.eval(cond, group, &mut threads[i])?.as_bool();
-                    self.counters.int_ops += 1;
+                    self.counters.charge(charge::CONTROL, 1);
                     then_mask[i] = c;
                     else_mask[i] = !c;
                 }
@@ -1140,7 +1141,7 @@ impl Exec {
                             continue;
                         }
                         let c = self.eval(cond, group, &mut threads[i])?.as_bool();
-                        self.counters.int_ops += 1;
+                        self.counters.charge(charge::CONTROL, 1);
                         if c {
                             iter_mask[i] = true;
                             any = true;
@@ -1161,7 +1162,7 @@ impl Exec {
                             .as_ref()
                             .ok_or_else(|| VgpuError::UnknownVariable(self.names[*slot].clone()))?;
                         let next = GpuValue::Int(current.as_i64() + s.as_i64());
-                        self.counters.int_ops += 1;
+                        self.counters.charge(charge::CONTROL, 1);
                         threads[i].vals[*slot] = Some(next);
                     }
                     self.flush_accesses();
@@ -1227,18 +1228,13 @@ impl Exec {
             }
             SExpr::Un(op, a) => {
                 let v = self.eval(a, group, thread)?;
+                self.counters.charge(charge::unary(*op), 1);
                 Ok(match op {
-                    CUnOp::Neg => {
-                        self.counters.flops += 1;
-                        match v {
-                            GpuValue::Int(i) => GpuValue::Int(-i),
-                            other => GpuValue::Float(-other.as_f64()),
-                        }
-                    }
-                    CUnOp::Not => {
-                        self.counters.int_ops += 1;
-                        GpuValue::Bool(!v.as_bool())
-                    }
+                    CUnOp::Neg => match v {
+                        GpuValue::Int(i) => GpuValue::Int(-i),
+                        other => GpuValue::Float(-other.as_f64()),
+                    },
+                    CUnOp::Not => GpuValue::Bool(!v.as_bool()),
                 })
             }
             SExpr::WorkItem(kind, dim) => {
@@ -1299,7 +1295,7 @@ impl Exec {
             }
             SExpr::Math1(kind, a) => {
                 let v = self.eval(a, group, thread)?.as_f64();
-                self.counters.flops += 4;
+                self.counters.charge(charge::MATH1, 1);
                 let out = match kind {
                     Math1::Sqrt => v.sqrt(),
                     Math1::Rsqrt => 1.0 / v.sqrt(),
@@ -1313,7 +1309,7 @@ impl Exec {
             SExpr::Math2(kind, a, b) => {
                 let a = self.eval(a, group, thread)?.as_f64();
                 let b = self.eval(b, group, thread)?.as_f64();
-                self.counters.flops += 1;
+                self.counters.charge(charge::MATH2, 1);
                 let out = match kind {
                     Math2::Min => a.min(b),
                     Math2::Max => a.max(b),
@@ -1324,7 +1320,7 @@ impl Exec {
                 let a = self.eval(a, group, thread)?.as_f64();
                 let b = self.eval(b, group, thread)?.as_f64();
                 let c = self.eval(c, group, thread)?.as_f64();
-                self.counters.flops += 2;
+                self.counters.charge(charge::MAD, 1);
                 Ok(GpuValue::Float(a * b + c))
             }
             SExpr::CallFun(idx, args) => {
@@ -1405,7 +1401,7 @@ impl Exec {
             }
             SExpr::Ternary(c, t, other) => {
                 let c = self.eval(c, group, thread)?.as_bool();
-                self.counters.int_ops += 1;
+                self.counters.charge(charge::CONTROL, 1);
                 if c {
                     self.eval(t, group, thread)
                 } else {
@@ -1448,8 +1444,8 @@ impl Exec {
     /// (the counts match `ArithExpr::op_count`/`div_mod_count`, which a naive implementation
     /// would recompute with two extra tree walks per evaluation — this runs per memory
     /// access in the innermost interpretation loop).
-    fn eval_index_counting(&mut self, a: &SIndex, thread: &Thread) -> Result<i64, VgpuError> {
-        match a {
+    fn eval_index_counting(&mut self, e: &SIndex, thread: &Thread) -> Result<i64, VgpuError> {
+        match e {
             SIndex::Cst(c) => Ok(*c),
             SIndex::Var(slot) => thread.vals[*slot]
                 .as_ref()
@@ -1457,7 +1453,7 @@ impl Exec {
                 .or_else(|| self.params[*slot].as_ref().map(GpuValue::as_i64))
                 .ok_or_else(|| VgpuError::UnknownVariable(self.names[*slot].clone())),
             SIndex::Sum(ts) => {
-                self.counters.int_ops += ts.len().saturating_sub(1) as u64;
+                self.counters.charge(charge::index(e), 1);
                 let mut acc = 0i64;
                 for t in ts {
                     acc += self.eval_index_counting(t, thread)?;
@@ -1465,7 +1461,7 @@ impl Exec {
                 Ok(acc)
             }
             SIndex::Prod(fs) => {
-                self.counters.int_ops += fs.len().saturating_sub(1) as u64;
+                self.counters.charge(charge::index(e), 1);
                 let mut acc = 1i64;
                 for f in fs {
                     acc *= self.eval_index_counting(f, thread)?;
@@ -1473,7 +1469,7 @@ impl Exec {
                 Ok(acc)
             }
             SIndex::IntDiv(a, b) => {
-                self.counters.div_mod_ops += 1;
+                self.counters.charge(charge::index(e), 1);
                 let b = self.eval_index_counting(b, thread)?;
                 if b == 0 {
                     return Err(VgpuError::DivisionByZero);
@@ -1481,25 +1477,25 @@ impl Exec {
                 Ok(self.eval_index_counting(a, thread)?.div_euclid(b))
             }
             SIndex::Mod(a, b) => {
-                self.counters.div_mod_ops += 1;
+                self.counters.charge(charge::index(e), 1);
                 let b = self.eval_index_counting(b, thread)?;
                 if b == 0 {
                     return Err(VgpuError::DivisionByZero);
                 }
                 Ok(self.eval_index_counting(a, thread)?.rem_euclid(b))
             }
-            SIndex::Pow(b, e) => {
-                self.counters.int_ops += u64::from(e.saturating_sub(1));
-                Ok(self.eval_index_counting(b, thread)?.pow(*e))
+            SIndex::Pow(b, power) => {
+                self.counters.charge(charge::index(e), 1);
+                Ok(self.eval_index_counting(b, thread)?.pow(*power))
             }
             SIndex::Min(a, b) => {
-                self.counters.int_ops += 1;
+                self.counters.charge(charge::index(e), 1);
                 Ok(self
                     .eval_index_counting(a, thread)?
                     .min(self.eval_index_counting(b, thread)?))
             }
             SIndex::Max(a, b) => {
-                self.counters.int_ops += 1;
+                self.counters.charge(charge::index(e), 1);
                 Ok(self
                     .eval_index_counting(a, thread)?
                     .max(self.eval_index_counting(b, thread)?))
@@ -1541,17 +1537,12 @@ impl Exec {
         }
         if let (GpuValue::Int(x), GpuValue::Int(y)) = (&a, &b) {
             let (x, y) = (*x, *y);
+            self.counters.charge(charge::binary(op, true), 1);
             return Ok(match op {
-                CBinOp::Add | CBinOp::Sub | CBinOp::Mul => {
-                    self.counters.int_ops += 1;
-                    GpuValue::Int(match op {
-                        CBinOp::Add => x + y,
-                        CBinOp::Sub => x - y,
-                        _ => x * y,
-                    })
-                }
+                CBinOp::Add => GpuValue::Int(x + y),
+                CBinOp::Sub => GpuValue::Int(x - y),
+                CBinOp::Mul => GpuValue::Int(x * y),
                 CBinOp::Div | CBinOp::Mod => {
-                    self.counters.div_mod_ops += 1;
                     if y == 0 {
                         return Err(VgpuError::DivisionByZero);
                     }
@@ -1561,32 +1552,19 @@ impl Exec {
                         x.rem_euclid(y)
                     })
                 }
-                _ => {
-                    self.counters.int_ops += 1;
-                    GpuValue::Bool(compare(op, x as f64, y as f64))
-                }
+                _ => GpuValue::Bool(compare(op, x as f64, y as f64)),
             });
         }
         // Mixed / floating point.
         let (x, y) = (a.as_f64(), b.as_f64());
+        self.counters.charge(charge::binary(op, false), 1);
         Ok(match op {
-            CBinOp::Add | CBinOp::Sub | CBinOp::Mul | CBinOp::Div => {
-                self.counters.flops += 1;
-                GpuValue::Float(match op {
-                    CBinOp::Add => x + y,
-                    CBinOp::Sub => x - y,
-                    CBinOp::Mul => x * y,
-                    _ => x / y,
-                })
-            }
-            CBinOp::Mod => {
-                self.counters.div_mod_ops += 1;
-                GpuValue::Float(x % y)
-            }
-            _ => {
-                self.counters.int_ops += 1;
-                GpuValue::Bool(compare(op, x, y))
-            }
+            CBinOp::Add => GpuValue::Float(x + y),
+            CBinOp::Sub => GpuValue::Float(x - y),
+            CBinOp::Mul => GpuValue::Float(x * y),
+            CBinOp::Div => GpuValue::Float(x / y),
+            CBinOp::Mod => GpuValue::Float(x % y),
+            _ => GpuValue::Bool(compare(op, x, y)),
         })
     }
 

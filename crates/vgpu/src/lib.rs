@@ -23,6 +23,7 @@
 
 mod bound;
 mod bytecode;
+mod charge;
 mod cost;
 mod device;
 mod engine;
