@@ -42,7 +42,7 @@ use std::fmt;
 
 use lift_arith::Environment;
 use lift_ir::Program;
-use lift_ocl::{AddrSpace, CExpr, CStmt, CType, Kernel, Module};
+use lift_ocl::{walk, AddrSpace, CExpr, CStmt, CType, Kernel, Module, Node};
 use lift_vgpu::{CostCounters, KernelArg, LaunchConfig};
 
 /// The two input sizes evaluated in the paper (scaled down for the virtual GPU).
@@ -124,62 +124,25 @@ pub fn characteristics(
         coalescing: counters.uncoalesced_accesses == 0,
         iteration_space: (1..3).rev().find(|&d| launch.global[d] > 1).unwrap_or(0) + 1,
     };
-    let (mut stmts, mut exprs): (Vec<&CStmt>, Vec<&CExpr>) = (kernel.body.iter().collect(), vec![]);
-    while let Some(stmt) = stmts.pop() {
-        match stmt {
-            CStmt::Decl {
+    for node in walk(&kernel.body) {
+        match node {
+            Node::Stmt(CStmt::Decl {
                 ty,
                 addr,
                 array_len,
-                init,
                 ..
-            } => {
+            }) => {
                 c.local_memory |= *addr == Some(AddrSpace::Local);
                 c.private_memory |=
                     array_len.is_some() && matches!(addr, None | Some(AddrSpace::Private));
                 c.vectorisation |= is_vector(ty);
-                exprs.extend(init);
             }
-            CStmt::Assign { lhs, rhs } => exprs.extend([lhs, rhs]),
-            CStmt::Expr(e) => exprs.push(e),
-            CStmt::Block(body) => stmts.extend(body),
-            CStmt::For {
-                init,
-                cond,
-                step,
-                body,
-                ..
-            } => {
-                exprs.extend([init, cond, step]);
-                stmts.extend(body);
-            }
-            CStmt::If {
-                cond,
-                then,
-                otherwise,
-            } => {
-                exprs.push(cond);
-                stmts.extend(then.iter().chain(otherwise.iter().flatten()));
-            }
-            CStmt::Barrier(_) | CStmt::Return | CStmt::Comment(_) => {}
-        }
-    }
-    while let Some(e) = exprs.pop() {
-        match e {
-            CExpr::IntLit(_) | CExpr::FloatLit(_) | CExpr::Var(_) | CExpr::Index(_) => {}
-            CExpr::VectorLit(..) => c.vectorisation = true,
-            CExpr::Call(name, args) => {
+            Node::Expr(CExpr::VectorLit(..)) => c.vectorisation = true,
+            Node::Expr(CExpr::Call(name, _)) => {
                 c.vectorisation |= name.starts_with("vload") || name.starts_with("vstore");
-                exprs.extend(args);
             }
-            CExpr::Cast(ty, a) => {
-                c.vectorisation |= is_vector(ty);
-                exprs.push(a);
-            }
-            CExpr::Bin(_, a, b) | CExpr::ArrayAccess(a, b) => exprs.extend([&**a, &**b]),
-            CExpr::Un(_, a) | CExpr::Field(a, _) => exprs.push(a),
-            CExpr::Ternary(a, b, d) => exprs.extend([&**a, &**b, &**d]),
-            CExpr::StructLit(_, args) => exprs.extend(args),
+            Node::Expr(CExpr::Cast(ty, _)) => c.vectorisation |= is_vector(ty),
+            _ => {}
         }
     }
     c

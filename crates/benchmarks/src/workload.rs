@@ -17,11 +17,6 @@ pub fn random_matrix(seed: u64, rows: usize, cols: usize, lo: f32, hi: f32) -> V
     random_floats(seed, rows * cols, lo, hi)
 }
 
-/// Rounds `n` up to the next multiple of `m`.
-pub fn round_up(n: usize, m: usize) -> usize {
-    n.div_ceil(m) * m
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -43,11 +38,5 @@ mod tests {
         let v = random_floats(3, 100, 0.5, 2.0);
         assert!(v.iter().all(|x| (0.5..2.0).contains(x)));
         assert_eq!(random_matrix(1, 4, 8, 0.0, 1.0).len(), 32);
-    }
-
-    #[test]
-    fn round_up_works() {
-        assert_eq!(round_up(100, 32), 128);
-        assert_eq!(round_up(128, 32), 128);
     }
 }

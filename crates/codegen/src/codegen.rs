@@ -17,7 +17,7 @@
 //! evaluated once.
 
 use std::cmp::Ordering;
-use std::collections::HashMap;
+use std::collections::{HashMap, HashSet};
 
 use lift_arith::ArithExpr;
 use lift_ir::{
@@ -25,8 +25,8 @@ use lift_ir::{
     Program, Reorder, ScalarExpr, ScalarKind, Type, TypeError, UnOp, UserFun,
 };
 use lift_ocl::{
-    AddrSpace, CBinOp, CExpr, CFunction, CStmt, CType, CUnOp, Fence, Kernel, KernelParam, Module,
-    StructDef,
+    walk, AddrSpace, CBinOp, CExpr, CFunction, CStmt, CType, CUnOp, Fence, Kernel, KernelParam,
+    Module, Node, StructDef,
 };
 
 use crate::address_space::{
@@ -532,15 +532,20 @@ impl Generator {
 
         // A value in private or local memory does not survive a kernel boundary: reject any
         // derivation whose later stage reads a declaration of an earlier one.
-        let mut earlier_decls: std::collections::HashSet<String> = std::collections::HashSet::new();
-        for (i, segment) in segments.iter().enumerate() {
-            let decls = &self.segment_decls[i];
-            if i > 0 {
-                if let Some(name) = segment
-                    .iter()
-                    .chain(decls.iter())
-                    .find_map(|s| stmt_reference_in(s, &earlier_decls))
-                {
+        let mut earlier_decls: HashSet<&str> = HashSet::new();
+        for (segment, decls) in segments.iter().zip(&self.segment_decls) {
+            if !earlier_decls.is_empty() {
+                let earlier = |name: &str| earlier_decls.contains(name).then(|| name.to_string());
+                let read = walk(segment)
+                    .chain(walk(decls))
+                    .find_map(|node| match node {
+                        Node::Expr(CExpr::Var(name)) => earlier(name),
+                        Node::Expr(CExpr::Index(a)) => {
+                            a.vars().iter().find_map(|v| earlier(v.name()))
+                        }
+                        _ => None,
+                    });
+                if let Some(name) = read {
                     return Err(CodegenError::Unsupported(format!(
                         "intermediate `{name}` lives in private or local memory but is \
                          consumed after a device-wide synchronisation point; it must be \
@@ -548,8 +553,10 @@ impl Generator {
                     )));
                 }
             }
-            for s in decls.iter().chain(segment.iter()) {
-                collect_decl_names(s, &mut earlier_decls);
+            for node in walk(decls).chain(walk(segment)) {
+                if let Node::Stmt(CStmt::Decl { name, .. } | CStmt::For { var: name, .. }) = node {
+                    earlier_decls.insert(name);
+                }
             }
         }
 
@@ -2032,89 +2039,6 @@ fn store_stmt(
             lhs: CExpr::var(memory).at(CExpr::Index(index.clone())),
             rhs: value,
         }),
-    }
-}
-
-/// Collects every name declared by the statement (top-level declarations, block-scoped
-/// declarations and loop variables) into `out`.
-fn collect_decl_names(stmt: &CStmt, out: &mut std::collections::HashSet<String>) {
-    match stmt {
-        CStmt::Decl { name, .. } => {
-            out.insert(name.clone());
-        }
-        CStmt::Block(body) => {
-            for s in body {
-                collect_decl_names(s, out);
-            }
-        }
-        CStmt::For { var, body, .. } => {
-            out.insert(var.clone());
-            for s in body {
-                collect_decl_names(s, out);
-            }
-        }
-        CStmt::If {
-            then, otherwise, ..
-        } => {
-            for s in then.iter().chain(otherwise.iter().flatten()) {
-                collect_decl_names(s, out);
-            }
-        }
-        _ => {}
-    }
-}
-
-/// Returns the first variable referenced by the statement that is contained in `names`
-/// (used to detect a kernel reading a declaration of an earlier kernel).
-fn stmt_reference_in(stmt: &CStmt, names: &std::collections::HashSet<String>) -> Option<String> {
-    let in_expr = |e: &CExpr| expr_reference_in(e, names);
-    match stmt {
-        CStmt::Comment(_) | CStmt::Return | CStmt::Barrier(_) => None,
-        CStmt::Decl { init, .. } => init.as_ref().and_then(in_expr),
-        CStmt::Assign { lhs, rhs } => in_expr(lhs).or_else(|| in_expr(rhs)),
-        CStmt::Expr(e) => in_expr(e),
-        CStmt::Block(body) => body.iter().find_map(|s| stmt_reference_in(s, names)),
-        CStmt::For {
-            init,
-            cond,
-            step,
-            body,
-            ..
-        } => in_expr(init)
-            .or_else(|| in_expr(cond))
-            .or_else(|| in_expr(step))
-            .or_else(|| body.iter().find_map(|s| stmt_reference_in(s, names))),
-        CStmt::If {
-            cond,
-            then,
-            otherwise,
-        } => in_expr(cond).or_else(|| {
-            then.iter()
-                .chain(otherwise.iter().flatten())
-                .find_map(|s| stmt_reference_in(s, names))
-        }),
-    }
-}
-
-fn expr_reference_in(e: &CExpr, names: &std::collections::HashSet<String>) -> Option<String> {
-    match e {
-        CExpr::IntLit(_) | CExpr::FloatLit(_) => None,
-        CExpr::Var(n) => names.contains(n).then(|| n.clone()),
-        CExpr::Index(a) => a
-            .vars()
-            .into_iter()
-            .find(|v| names.contains(v.name()))
-            .map(|v| v.name().to_string()),
-        CExpr::Bin(_, a, b) | CExpr::ArrayAccess(a, b) => {
-            expr_reference_in(a, names).or_else(|| expr_reference_in(b, names))
-        }
-        CExpr::Un(_, a) | CExpr::Field(a, _) | CExpr::Cast(_, a) => expr_reference_in(a, names),
-        CExpr::Call(_, args) | CExpr::StructLit(_, args) | CExpr::VectorLit(_, args) => {
-            args.iter().find_map(|a| expr_reference_in(a, names))
-        }
-        CExpr::Ternary(c, t, o) => expr_reference_in(c, names)
-            .or_else(|| expr_reference_in(t, names))
-            .or_else(|| expr_reference_in(o, names)),
     }
 }
 

@@ -28,7 +28,7 @@ use std::collections::{HashMap, HashSet};
 use std::hash::{BuildHasherDefault, Hasher};
 
 use lift_arith::ArithExpr;
-use lift_ocl::{AddrSpace, CBinOp, CExpr, CFunction, CStmt, CType, CUnOp, Kernel, StructDef};
+use lift_ocl::{AddrSpace, CBinOp, CExpr, CFunction, CStmt, CType, CUnOp, Kernel, Node, StructDef};
 
 /// Optimises a generated kernel body (see the module docs).
 pub(crate) fn optimise_kernel(kernel: &mut Kernel, structs: &[StructDef]) {
@@ -673,18 +673,16 @@ impl Hasher for Fx {
     }
 }
 
-/// The operations in `e`.
+/// The operations in `e`: its nodes but literals, variables and fields.
 fn operations(e: &CExpr) -> usize {
-    let sum = |es: &[CExpr]| es.iter().map(operations).sum::<usize>();
-    match e {
-        CExpr::IntLit(_) | CExpr::FloatLit(_) | CExpr::Var(_) => 0,
-        CExpr::Index(_) => 1,
-        CExpr::Field(a, _) => operations(a),
-        CExpr::Un(_, a) | CExpr::Cast(_, a) => 1 + operations(a),
-        CExpr::Bin(_, a, b) | CExpr::ArrayAccess(a, b) => 1 + operations(a) + operations(b),
-        CExpr::Ternary(a, b, c) => 1 + operations(a) + operations(b) + operations(c),
-        CExpr::Call(_, es) | CExpr::StructLit(_, es) | CExpr::VectorLit(_, es) => 1 + sum(es),
-    }
+    use CExpr::{Field, FloatLit, IntLit, Var};
+    let free = |node: &Node| {
+        matches!(
+            node,
+            Node::Expr(IntLit(_) | FloatLit(_) | Var(_) | Field(..))
+        )
+    };
+    e.walk().filter(|node| !free(node)).count()
 }
 
 /// The trip count of `for (var = a; var < n; var += s)` with integer constants `a`, `n` and

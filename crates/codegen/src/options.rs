@@ -90,15 +90,6 @@ impl CompilationOptions {
         self.with_launch([global, 1, 1], [local, 1, 1])
     }
 
-    /// Sets a two-dimensional launch configuration.
-    pub fn with_launch_2d(
-        self,
-        global: (usize, usize),
-        local: (usize, usize),
-    ) -> CompilationOptions {
-        self.with_launch([global.0, global.1, 1], [local.0, local.1, 1])
-    }
-
     /// Number of work groups per dimension.
     pub fn num_groups(&self) -> [usize; 3] {
         [
@@ -283,7 +274,7 @@ mod tests {
         assert!(!trace.holds_for(&at(64, 8)));
         assert!(!trace.holds_for(&at(256, 4)));
         // A dimension nobody asked about is free.
-        let wide = CompilationOptions::all_optimisations().with_launch_2d((64, 8), (4, 2));
+        let wide = CompilationOptions::all_optimisations().with_launch([64, 8, 1], [4, 2, 1]);
         assert!(trace.holds_for(&wide));
     }
 
@@ -292,7 +283,7 @@ mod tests {
         let o = CompilationOptions::all_optimisations().with_launch_1d(4096, 256);
         assert_eq!(o.global_size, [4096, 1, 1]);
         assert_eq!(o.num_groups(), [16, 1, 1]);
-        let o = CompilationOptions::all_optimisations().with_launch_2d((64, 32), (16, 8));
+        let o = CompilationOptions::all_optimisations().with_launch([64, 32, 1], [16, 8, 1]);
         assert_eq!(o.num_groups(), [4, 4, 1]);
     }
 }

@@ -540,16 +540,6 @@ impl Program {
         &self.decls[id.0]
     }
 
-    /// Number of expression nodes in the arena.
-    pub fn expr_count(&self) -> usize {
-        self.exprs.len()
-    }
-
-    /// Iterates over all function declaration ids.
-    pub fn decl_ids(&self) -> impl Iterator<Item = FunDeclId> {
-        (0..self.decls.len()).map(FunDeclId)
-    }
-
     /// Sets the root lambda of the program.
     ///
     /// # Panics
@@ -606,7 +596,7 @@ impl Program {
 
     /// The function declarations reachable from the root lambda (in depth-first discovery
     /// order). Rewriting leaves orphan nodes in the arena, so passes that inspect "the
-    /// program" should walk this set rather than all of [`Program::decl_ids`].
+    /// program" should walk this set rather than every declaration in the arena.
     pub fn reachable_decls(&self) -> Vec<FunDeclId> {
         let Some(root) = self.root else {
             return Vec::new();
@@ -680,7 +670,6 @@ mod tests {
         let b = p.add_expr(ExprKind::Literal(Literal::Float(2.0)));
         assert_eq!(a.index(), 0);
         assert_eq!(b.index(), 1);
-        assert_eq!(p.expr_count(), 2);
     }
 
     #[test]

@@ -31,27 +31,6 @@ pub enum BinOp {
     Gt,
 }
 
-impl BinOp {
-    /// The OpenCL C operator or builtin for this operation.
-    pub fn c_symbol(self) -> &'static str {
-        match self {
-            BinOp::Add => "+",
-            BinOp::Sub => "-",
-            BinOp::Mul => "*",
-            BinOp::Div => "/",
-            BinOp::Min => "fmin",
-            BinOp::Max => "fmax",
-            BinOp::Lt => "<",
-            BinOp::Gt => ">",
-        }
-    }
-
-    /// Whether the operation is rendered as a function call rather than an infix operator.
-    pub fn is_call(self) -> bool {
-        matches!(self, BinOp::Min | BinOp::Max)
-    }
-}
-
 /// Unary operators available in user-function bodies.
 #[derive(Clone, Copy, Debug, PartialEq, Eq, Hash)]
 pub enum UnOp {
@@ -395,17 +374,6 @@ impl UserFun {
                 .mul(ScalarExpr::param(0).get(1)),
         )
     }
-
-    /// `max(a, b)`.
-    pub fn max_fun() -> UserFun {
-        UserFun::unchecked(
-            "maxf",
-            vec![("a", Type::float()), ("b", Type::float())],
-            Type::float(),
-            ScalarExpr::param(0).max(ScalarExpr::param(1)),
-        )
-        .assoc_commutative()
-    }
 }
 
 #[cfg(test)]
@@ -418,7 +386,6 @@ mod tests {
         assert_eq!(UserFun::add().arity(), 2);
         assert_eq!(UserFun::mult_and_sum_up().arity(), 3);
         assert_eq!(UserFun::mult_pair().arity(), 1);
-        assert_eq!(UserFun::max_fun().name(), "maxf");
         assert_eq!(*UserFun::add().return_type(), Type::float());
     }
 
@@ -431,7 +398,6 @@ mod tests {
             UserFun::mult_and_sum_up(),
             UserFun::mult_and_sum_up_pair(),
             UserFun::mult_pair(),
-            UserFun::max_fun(),
         ];
         for f in builtins {
             let params = f
@@ -497,10 +463,7 @@ mod tests {
     }
 
     #[test]
-    fn binop_symbols() {
-        assert_eq!(BinOp::Add.c_symbol(), "+");
-        assert!(BinOp::Min.is_call());
-        assert!(!BinOp::Mul.is_call());
+    fn unop_names() {
         assert_eq!(UnOp::Sqrt.c_name(), "sqrt");
     }
 }

@@ -8,6 +8,8 @@
 
 use lift_arith::ArithExpr;
 
+use crate::walk::{walk, Node};
+
 /// OpenCL address spaces.
 #[derive(Clone, Copy, Debug, PartialEq, Eq, Hash)]
 pub enum AddrSpace {
@@ -93,11 +95,6 @@ impl CType {
             CType::Struct(name) => name.clone(),
             CType::Pointer { elem, .. } => format!("{}*", elem.name()),
         }
-    }
-
-    /// Returns `true` if this is a pointer type.
-    pub fn is_pointer(&self) -> bool {
-        matches!(self, CType::Pointer { .. })
     }
 }
 
@@ -285,27 +282,6 @@ impl CExpr {
     pub fn field(self, name: impl Into<String>) -> CExpr {
         CExpr::Field(Box::new(self), name.into())
     }
-
-    /// Counts integer division and modulo operations (including those inside symbolic
-    /// indices); the cost model charges extra for these.
-    pub fn div_mod_count(&self) -> usize {
-        match self {
-            CExpr::IntLit(_) | CExpr::FloatLit(_) | CExpr::Var(_) => 0,
-            CExpr::Index(e) => e.div_mod_count(),
-            CExpr::Bin(op, a, b) => {
-                let own = usize::from(matches!(op, CBinOp::Div | CBinOp::Mod));
-                own + a.div_mod_count() + b.div_mod_count()
-            }
-            CExpr::Un(_, a) => a.div_mod_count(),
-            CExpr::Call(_, args) | CExpr::StructLit(_, args) | CExpr::VectorLit(_, args) => {
-                args.iter().map(CExpr::div_mod_count).sum()
-            }
-            CExpr::ArrayAccess(a, i) => a.div_mod_count() + i.div_mod_count(),
-            CExpr::Field(a, _) => a.div_mod_count(),
-            CExpr::Cast(_, a) => a.div_mod_count(),
-            CExpr::Ternary(c, t, e) => c.div_mod_count() + t.div_mod_count() + e.div_mod_count(),
-        }
-    }
 }
 
 /// The memory fence flags of an OpenCL `barrier` call.
@@ -417,57 +393,22 @@ impl Kernel {
     ///
     /// A kernel that never consults the work-item ids computes the same result in every
     /// thread, so the host may launch it with a single work item; stages of a multi-kernel
-    /// sequence use this to pick per-kernel launch dimensions.
+    /// sequence use this to pick per-kernel launch dimensions. A barrier does not count: it
+    /// only matters when more than one work item runs, and barriers are only emitted around
+    /// work-item parallel code.
     pub fn uses_work_items(&self) -> bool {
-        fn expr(e: &CExpr) -> bool {
-            match e {
-                CExpr::IntLit(_) | CExpr::FloatLit(_) | CExpr::Var(_) | CExpr::Index(_) => false,
-                CExpr::Bin(_, a, b) | CExpr::ArrayAccess(a, b) => expr(a) || expr(b),
-                CExpr::Un(_, a) | CExpr::Field(a, _) | CExpr::Cast(_, a) => expr(a),
-                CExpr::Call(name, args) => {
-                    matches!(
-                        name.as_str(),
-                        "get_global_id"
-                            | "get_local_id"
-                            | "get_group_id"
-                            | "get_global_size"
-                            | "get_local_size"
-                            | "get_num_groups"
-                    ) || args.iter().any(expr)
-                }
-                CExpr::Ternary(a, b, c) => expr(a) || expr(b) || expr(c),
-                CExpr::StructLit(_, es) | CExpr::VectorLit(_, es) => es.iter().any(expr),
-            }
-        }
-        fn stmt(s: &CStmt) -> bool {
-            match s {
-                CStmt::Comment(_) | CStmt::Return => false,
-                // A barrier only matters when more than one work item runs, and barriers
-                // are only emitted around work-item parallel code — treat as sequential.
-                CStmt::Barrier(_) => false,
-                CStmt::Decl { init, .. } => init.as_ref().is_some_and(expr),
-                CStmt::Assign { lhs, rhs } => expr(lhs) || expr(rhs),
-                CStmt::Expr(e) => expr(e),
-                CStmt::Block(b) => b.iter().any(stmt),
-                CStmt::For {
-                    init,
-                    cond,
-                    step,
-                    body,
-                    ..
-                } => expr(init) || expr(cond) || expr(step) || body.iter().any(stmt),
-                CStmt::If {
-                    cond,
-                    then,
-                    otherwise,
-                } => {
-                    expr(cond)
-                        || then.iter().any(stmt)
-                        || otherwise.as_ref().is_some_and(|b| b.iter().any(stmt))
-                }
-            }
-        }
-        self.body.iter().any(stmt)
+        const WORK_ITEM_FUNCTIONS: [&str; 6] = [
+            "get_global_id",
+            "get_local_id",
+            "get_group_id",
+            "get_global_size",
+            "get_local_size",
+            "get_num_groups",
+        ];
+        walk(&self.body).any(|node| match node {
+            Node::Expr(CExpr::Call(name, _)) => WORK_ITEM_FUNCTIONS.contains(&name.as_str()),
+            _ => false,
+        })
     }
 }
 
@@ -596,16 +537,6 @@ mod tests {
     }
 
     #[test]
-    fn div_mod_count_looks_inside_indices() {
-        let n = ArithExpr::size_var("N");
-        let idx = ArithExpr::Mod(Box::new(ArithExpr::var("x")), Box::new(n));
-        let e = CExpr::var("a")
-            .at(CExpr::Index(idx))
-            .add(CExpr::var("b").div(CExpr::int(2)));
-        assert_eq!(e.div_mod_count(), 2);
-    }
-
-    #[test]
     fn ctype_names() {
         assert_eq!(CType::Float.name(), "float");
         assert_eq!(CType::Vector(Box::new(CType::Float), 4).name(), "float4");
@@ -613,8 +544,6 @@ mod tests {
             CType::pointer(CType::Float, AddrSpace::Local).name(),
             "float*"
         );
-        assert!(CType::pointer(CType::Float, AddrSpace::Local).is_pointer());
-        assert!(!CType::Int.is_pointer());
     }
 
     #[test]

@@ -4,7 +4,8 @@
 //! the kernel representation those kernels are generated into:
 //!
 //! * [`ast`] — types, expressions, statements, kernels and modules,
-//! * [`printer`] — pretty printing to OpenCL C source text in the style of Figure 7.
+//! * [`printer`] — pretty printing to OpenCL C source text in the style of Figure 7,
+//! * [`walk`](mod@walk) — the read-only pre-order traversal every analysis of a kernel runs on.
 //!
 //! The AST is also the executable artefact of this reproduction: `lift-vgpu` interprets it
 //! directly on a simulated GPU, which replaces the physical GPUs used in the paper's
@@ -32,6 +33,7 @@
 
 pub mod ast;
 pub mod printer;
+pub mod walk;
 
 pub use ast::{
     AddrSpace, CBinOp, CExpr, CFunction, CStmt, CType, CUnOp, Fence, Kernel, KernelParam, Module,
@@ -40,3 +42,4 @@ pub use ast::{
 pub use printer::{
     print_expr, print_function, print_kernel, print_module, print_stmt, print_struct,
 };
+pub use walk::{walk, Node};

@@ -352,13 +352,6 @@ pub enum Event {
         /// Objective after the move.
         best_time: f64,
     },
-    /// One executed kernel stage of a virtual-GPU launch.
-    ExecStage {
-        /// Kernel name.
-        kernel: String,
-        /// Estimated stage time under the configured device profile.
-        estimated_time: f64,
-    },
     /// A virtual-GPU execution engine declined a launch and delegated to the interpreter
     /// (e.g. the bytecode tier met a construct it does not compile). The launch still
     /// succeeds with identical results; the event records why the faster tier was skipped.
@@ -389,7 +382,7 @@ pub enum Event {
     CacheEvict {
         /// The content-address id of the evicted entry.
         key: String,
-        /// Why it was evicted (`lru`, `collision`, `replay_failed`, `stale`).
+        /// Why it was evicted (`lru`, `collision`, `replay_failed`).
         reason: &'static str,
     },
     /// A whole generation of derivation-service cache entries was dropped at once
@@ -415,7 +408,6 @@ impl Event {
             Event::Variant { .. } => "variant",
             Event::TunerPoint { .. } => "tuner_point",
             Event::TunerMove { .. } => "tuner_move",
-            Event::ExecStage { .. } => "exec_stage",
             Event::EngineFallback { .. } => "engine_fallback",
             Event::CacheHit { .. } => "cache_hit",
             Event::CacheMiss { .. } => "cache_miss",

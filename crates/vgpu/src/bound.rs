@@ -781,7 +781,7 @@ impl Walk<'_> {
     /// assign keeps only a kind both outcomes share.
     fn forget(&mut self, stmts: &[SStmt]) -> Result<(), Stop> {
         let mut assigned = Vec::new();
-        assignments(stmts, &mut assigned);
+        SStmt::walk(stmts, &mut |s| assigned.extend(s.assigned()));
         let before: Vec<Option<Val>> = assigned.iter().map(|s| self.vals[*s].clone()).collect();
         self.block(stmts, &Weights::zero())?;
         for (slot, old) in assigned.into_iter().zip(before) {
@@ -805,7 +805,7 @@ impl Walk<'_> {
         w: &Weights,
     ) -> Result<(), Stop> {
         let mut touched = Vec::new();
-        assignments(body, &mut touched);
+        SStmt::walk(body, &mut |s| touched.extend(s.assigned()));
         if !touched.contains(&slot) {
             touched.push(slot);
             let before = self.counters;
@@ -1266,35 +1266,6 @@ fn rem(x: i64, y: i64) -> i64 {
         0
     } else {
         x.wrapping_rem_euclid(y)
-    }
-}
-
-/// Collects every slot `stmts` may assign.
-fn assignments(stmts: &[SStmt], assigned: &mut Vec<usize>) {
-    for stmt in stmts {
-        match stmt {
-            SStmt::Return | SStmt::Barrier | SStmt::DeclLocalArray { .. } | SStmt::Expr(_) => {}
-            SStmt::Block(stmts) => assignments(stmts, assigned),
-            SStmt::DeclPrivateArray { slot, .. } | SStmt::DeclScalar { slot, .. } => {
-                assigned.push(*slot);
-            }
-            SStmt::Assign { lhs, .. } => match lhs {
-                SLhs::Var(slot) | SLhs::FieldOfVar(slot, _) => assigned.push(*slot),
-                SLhs::Array(..) | SLhs::Invalid(_) => {}
-            },
-            SStmt::If {
-                then, otherwise, ..
-            } => {
-                assignments(then, assigned);
-                if let Some(otherwise) = otherwise {
-                    assignments(otherwise, assigned);
-                }
-            }
-            SStmt::For { slot, body, .. } => {
-                assigned.push(*slot);
-                assignments(body, assigned);
-            }
-        }
     }
 }
 

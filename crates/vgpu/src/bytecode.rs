@@ -486,9 +486,25 @@ pub(crate) fn compile(body: &[SStmt], exec: &Exec) -> Result<Program, String> {
 /// need the interpreter's two-level name resolution, and field assignment mutates only part
 /// of a value.
 fn prescan(body: &[SStmt], nslots: usize, exec: &Exec) -> Result<Vec<bool>, String> {
-    let mut local = vec![false; nslots];
-    let mut assigned = vec![false; nslots];
-    walk(body, &mut local, &mut assigned)?;
+    let (mut local, mut assigned, mut field) = (vec![false; nslots], vec![false; nslots], false);
+    SStmt::walk(body, &mut |s| {
+        if let SStmt::DeclLocalArray { slot, .. } = s {
+            local[*slot] = true;
+        }
+        field |= matches!(
+            s,
+            SStmt::Assign {
+                lhs: SLhs::FieldOfVar(..),
+                ..
+            }
+        );
+        if let Some(slot) = s.assigned() {
+            assigned[slot] = true;
+        }
+    });
+    if field {
+        return Err("assignment to a field of a variable".to_string());
+    }
     for slot in 0..nslots {
         if local[slot] && assigned[slot] {
             return Err(format!(
@@ -498,39 +514,6 @@ fn prescan(body: &[SStmt], nslots: usize, exec: &Exec) -> Result<Vec<bool>, Stri
         }
     }
     Ok(local)
-}
-
-fn walk(stmts: &[SStmt], local: &mut [bool], assigned: &mut [bool]) -> Result<(), String> {
-    for s in stmts {
-        match s {
-            SStmt::Block(ss) => walk(ss, local, assigned)?,
-            SStmt::DeclLocalArray { slot, .. } => local[*slot] = true,
-            SStmt::DeclPrivateArray { slot, .. } | SStmt::DeclScalar { slot, .. } => {
-                assigned[*slot] = true;
-            }
-            SStmt::Assign { lhs, .. } => match lhs {
-                SLhs::Var(slot) => assigned[*slot] = true,
-                SLhs::FieldOfVar(..) => {
-                    return Err("assignment to a field of a variable".to_string())
-                }
-                SLhs::Array(..) | SLhs::Invalid(_) => {}
-            },
-            SStmt::If {
-                then, otherwise, ..
-            } => {
-                walk(then, local, assigned)?;
-                if let Some(o) = otherwise {
-                    walk(o, local, assigned)?;
-                }
-            }
-            SStmt::For { slot, body, .. } => {
-                assigned[*slot] = true;
-                walk(body, local, assigned)?;
-            }
-            SStmt::Return | SStmt::Barrier | SStmt::Expr(_) => {}
-        }
-    }
-    Ok(())
 }
 
 impl Compiler<'_> {

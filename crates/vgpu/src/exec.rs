@@ -527,6 +527,49 @@ pub(crate) enum SStmt {
     },
 }
 
+impl SStmt {
+    /// Calls `f` on every statement of `stmts` and of the blocks nested in them, pre-order: a
+    /// statement before those nested in it. This is the read-only walk of the lowered form; it
+    /// allocates nothing, since the static bound runs it inside its own walk.
+    #[deny(clippy::wildcard_enum_match_arm)]
+    pub(crate) fn walk<'a>(stmts: &'a [SStmt], f: &mut impl FnMut(&'a SStmt)) {
+        for stmt in stmts {
+            f(stmt);
+            match stmt {
+                SStmt::Block(body) | SStmt::For { body, .. } => SStmt::walk(body, f),
+                SStmt::If {
+                    then, otherwise, ..
+                } => {
+                    SStmt::walk(then, f);
+                    SStmt::walk(otherwise.as_deref().unwrap_or_default(), f);
+                }
+                SStmt::Return
+                | SStmt::Barrier
+                | SStmt::DeclLocalArray { .. }
+                | SStmt::DeclPrivateArray { .. }
+                | SStmt::DeclScalar { .. }
+                | SStmt::Assign { .. }
+                | SStmt::Expr(_) => {}
+            }
+        }
+    }
+
+    /// The slot this statement itself assigns, if any: a declared private array or scalar, a
+    /// loop variable, or an assigned variable or field of one.
+    pub(crate) fn assigned(&self) -> Option<usize> {
+        match self {
+            SStmt::DeclPrivateArray { slot, .. }
+            | SStmt::DeclScalar { slot, .. }
+            | SStmt::For { slot, .. }
+            | SStmt::Assign {
+                lhs: SLhs::Var(slot) | SLhs::FieldOfVar(slot, _),
+                ..
+            } => Some(*slot),
+            _ => None,
+        }
+    }
+}
+
 /// A lowered user function: its locals are bound in order after the parameters, then the
 /// body is the returned value.
 pub(crate) struct SFunction {
@@ -1925,6 +1968,54 @@ mod tests {
     use super::*;
     use crate::engine::{EngineSelection, ExecutionRequest};
     use lift_ocl::{CFunction, CType, Fence, Kernel, KernelParam};
+
+    #[test]
+    fn the_walk_finds_every_slot_a_nested_block_assigns() {
+        let assign = |lhs| SStmt::Assign {
+            lhs,
+            rhs: SExpr::Int(0),
+        };
+        let body = vec![
+            SStmt::DeclLocalArray {
+                slot: 0,
+                len: ArithExpr::cst(4),
+            },
+            SStmt::DeclScalar {
+                slot: 1,
+                init: None,
+            },
+            SStmt::Block(vec![
+                SStmt::If {
+                    cond: SExpr::Int(1),
+                    then: vec![assign(SLhs::Var(2)), SStmt::Barrier],
+                    otherwise: Some(vec![SStmt::For {
+                        slot: 3,
+                        init: SExpr::Int(0),
+                        cond: SExpr::Int(0),
+                        step: SExpr::Int(1),
+                        body: vec![
+                            SStmt::DeclPrivateArray {
+                                slot: 4,
+                                len: ArithExpr::cst(2),
+                            },
+                            assign(SLhs::FieldOfVar(5, 0)),
+                            assign(SLhs::Array(SExpr::Var(0), SExpr::Int(0))),
+                            SStmt::Expr(SExpr::Var(6)),
+                        ],
+                    }]),
+                },
+                SStmt::Return,
+            ]),
+            assign(SLhs::Var(7)),
+        ];
+        let (mut visited, mut assigned) = (0, Vec::new());
+        SStmt::walk(&body, &mut |s| {
+            visited += 1;
+            assigned.extend(s.assigned());
+        });
+        assert_eq!(visited, 13);
+        assert_eq!(assigned, [1, 2, 3, 4, 5, 7]);
+    }
 
     /// The one-stage plan that launches `kernel` under `launch`.
     fn stage(kernel: &str, launch: LaunchConfig) -> [KernelLaunchSpec; 1] {
