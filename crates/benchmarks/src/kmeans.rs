@@ -7,7 +7,7 @@
 
 use lift_arith::ArithExpr;
 use lift_ir::{Program, ScalarExpr, Type, UserFun};
-use lift_ocl::{CExpr, CStmt, Kernel};
+use lift_ocl::{Builtin, CExpr, CStmt, Kernel};
 use lift_vgpu::{KernelArg, LaunchConfig};
 
 use crate::refs;
@@ -100,8 +100,8 @@ fn reference_kernel() -> Kernel {
                 ),
                 CStmt::Assign {
                     lhs: CExpr::var("best"),
-                    rhs: CExpr::Call(
-                        "fmin".into(),
+                    rhs: CExpr::Builtin(
+                        Builtin::Fmin,
                         vec![CExpr::var("best"), CExpr::var("d").mul(CExpr::var("d"))],
                     ),
                 },

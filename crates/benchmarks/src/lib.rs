@@ -42,7 +42,7 @@ use std::fmt;
 
 use lift_arith::Environment;
 use lift_ir::Program;
-use lift_ocl::{walk, AddrSpace, CExpr, CStmt, CType, Kernel, Module, Node};
+use lift_ocl::{walk, AddrSpace, Builtin, CExpr, CStmt, CType, Kernel, Module, Node};
 use lift_vgpu::{CostCounters, KernelArg, LaunchConfig};
 
 /// The two input sizes evaluated in the paper (scaled down for the virtual GPU).
@@ -137,11 +137,9 @@ pub fn characteristics(
                     array_len.is_some() && matches!(addr, None | Some(AddrSpace::Private));
                 c.vectorisation |= is_vector(ty);
             }
-            Node::Expr(CExpr::VectorLit(..)) => c.vectorisation = true,
-            Node::Expr(CExpr::Call(name, _)) => {
-                c.vectorisation |= name.starts_with("vload") || name.starts_with("vstore");
+            Node::Expr(CExpr::Builtin(Builtin::VLoad(_) | Builtin::VStore(_), _)) => {
+                c.vectorisation = true;
             }
-            Node::Expr(CExpr::Cast(ty, _)) => c.vectorisation |= is_vector(ty),
             _ => {}
         }
     }
@@ -241,7 +239,10 @@ mod tests {
             rhs,
         };
         let float4 = CType::Vector(Box::new(CType::Float), 4);
-        let vload = CExpr::Call("vload4".into(), vec![CExpr::global_id(0), CExpr::var("in")]);
+        let vload = CExpr::Builtin(
+            Builtin::VLoad(4),
+            vec![CExpr::global_id(0), CExpr::var("in")],
+        );
         let d1 = LaunchConfig::d1(64, 16);
         let clean = CostCounters::default();
         let computed =

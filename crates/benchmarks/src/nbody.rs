@@ -12,7 +12,7 @@
 
 use lift_arith::ArithExpr;
 use lift_ir::{Program, ScalarExpr, Type, UserFun};
-use lift_ocl::{CExpr, CStmt, CType, Fence, Kernel};
+use lift_ocl::{Builtin, CExpr, CStmt, CType, Fence, Kernel};
 use lift_vgpu::{KernelArg, LaunchConfig};
 
 use crate::refs;
@@ -205,8 +205,8 @@ fn nvidia_reference_kernel(n: usize) -> Kernel {
                         ),
                         CStmt::Assign {
                             lhs: CExpr::var("acc"),
-                            rhs: CExpr::var("acc").add(CExpr::var("d").mul(CExpr::Call(
-                                "rsqrt".into(),
+                            rhs: CExpr::var("acc").add(CExpr::var("d").mul(CExpr::Builtin(
+                                Builtin::Rsqrt,
                                 vec![CExpr::var("dist2")
                                     .mul(CExpr::var("dist2"))
                                     .mul(CExpr::var("dist2"))],
@@ -255,8 +255,8 @@ fn amd_reference_kernel() -> Kernel {
                 ),
                 CStmt::Assign {
                     lhs: CExpr::var("acc"),
-                    rhs: CExpr::var("acc").add(CExpr::var("d").mul(CExpr::Call(
-                        "rsqrt".into(),
+                    rhs: CExpr::var("acc").add(CExpr::var("d").mul(CExpr::Builtin(
+                        Builtin::Rsqrt,
                         vec![CExpr::var("dist2")
                             .mul(CExpr::var("dist2"))
                             .mul(CExpr::var("dist2"))],

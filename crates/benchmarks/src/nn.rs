@@ -6,7 +6,7 @@
 
 use lift_arith::ArithExpr;
 use lift_ir::{Program, ScalarExpr, Type, UserFun};
-use lift_ocl::{CExpr, CStmt, Kernel};
+use lift_ocl::{Builtin, CExpr, CStmt, Kernel};
 use lift_vgpu::{KernelArg, LaunchConfig};
 
 use crate::refs;
@@ -92,8 +92,8 @@ fn reference_kernel() -> Kernel {
         ),
         CStmt::Assign {
             lhs: CExpr::var("out").at(gid),
-            rhs: CExpr::Call(
-                "sqrt".into(),
+            rhs: CExpr::Builtin(
+                Builtin::Sqrt,
                 vec![CExpr::var("dlat")
                     .mul(CExpr::var("dlat"))
                     .add(CExpr::var("dlng").mul(CExpr::var("dlng")))],

@@ -25,8 +25,8 @@ use lift_ir::{
     Program, Reorder, ScalarExpr, ScalarKind, Type, TypeError, UnOp, UserFun,
 };
 use lift_ocl::{
-    walk, AddrSpace, CBinOp, CExpr, CFunction, CStmt, CType, CUnOp, Fence, Kernel, KernelParam,
-    Module, Node, StructDef,
+    walk, AddrSpace, Builtin, CBinOp, CExpr, CFunction, CStmt, CType, CUnOp, Fence, Kernel,
+    KernelParam, Module, Node, StructDef,
 };
 
 use crate::address_space::{
@@ -1875,20 +1875,20 @@ pub(crate) fn scalar_to_c(e: &ScalarExpr, params: &[String]) -> CExpr {
                 BinOp::Div => CBinOp::Div,
                 BinOp::Lt => CBinOp::Lt,
                 BinOp::Gt => CBinOp::Gt,
-                BinOp::Min => return CExpr::Call("fmin".into(), vec![*c(a), *c(b)]),
-                BinOp::Max => return CExpr::Call("fmax".into(), vec![*c(a), *c(b)]),
+                BinOp::Min => return CExpr::Builtin(Builtin::Fmin, vec![*c(a), *c(b)]),
+                BinOp::Max => return CExpr::Builtin(Builtin::Fmax, vec![*c(a), *c(b)]),
             };
             CExpr::Bin(op, c(a), c(b))
         }
         ScalarExpr::Un(op, a) => {
             let f = match op {
                 UnOp::Neg => return CExpr::Un(CUnOp::Neg, c(a)),
-                UnOp::Sqrt => "sqrt",
-                UnOp::Rsqrt => "rsqrt",
-                UnOp::Fabs => "fabs",
-                UnOp::Exp => "exp",
+                UnOp::Sqrt => Builtin::Sqrt,
+                UnOp::Rsqrt => Builtin::Rsqrt,
+                UnOp::Fabs => Builtin::Fabs,
+                UnOp::Exp => Builtin::Exp,
             };
-            CExpr::Call(f.into(), vec![*c(a)])
+            CExpr::Builtin(f, vec![*c(a)])
         }
         ScalarExpr::Select(cond, t, e) => CExpr::Ternary(c(cond), c(t), c(e)),
     }
@@ -1991,8 +1991,8 @@ fn load_expr(resolved: &Resolved, builder: &AccessBuilder) -> CExpr {
             } else {
                 ArithExpr::IntDiv(Box::new(index.clone()), Box::new(ArithExpr::cst(*w as i64)))
             };
-            CExpr::Call(
-                format!("vload{w}"),
+            CExpr::Builtin(
+                Builtin::VLoad(*w),
                 vec![CExpr::Index(vec_index), CExpr::var(memory)],
             )
         }
@@ -2030,8 +2030,8 @@ fn store_stmt(
             } else {
                 ArithExpr::IntDiv(Box::new(index.clone()), Box::new(ArithExpr::cst(*w as i64)))
             };
-            Ok(CStmt::Expr(CExpr::Call(
-                format!("vstore{w}"),
+            Ok(CStmt::Expr(CExpr::Builtin(
+                Builtin::VStore(*w),
                 vec![value, CExpr::Index(vec_index), CExpr::var(memory)],
             )))
         }

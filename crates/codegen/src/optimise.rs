@@ -14,8 +14,8 @@
 //! * **Placement.** A use is evaluated at the outermost scope, below the innermost block,
 //!   branch, loop body or ternary arm declaring a variable it reads, where it runs on every
 //!   path: it leaves blocks and loops of constant init, bound and step and two trips or more,
-//!   never an `if` branch, a ternary arm (both vgpu tiers evaluate them lazily) or a scope
-//!   holding a `return`. A binding also serves the later uses nested below it.
+//!   never an `if` branch or a ternary arm (both vgpu tiers evaluate them lazily). A binding
+//!   also serves the later uses nested below it.
 //! * **Binding.** A non-trivial node of a scalar or vector type gets a fresh local when it is
 //!   evaluated there for two uses or more, or hoisted out of a loop. Variables, literals and
 //!   their fields are trivial; untyped nodes (comparisons, vectors mixed with scalars) and
@@ -28,7 +28,9 @@ use std::collections::{HashMap, HashSet};
 use std::hash::{BuildHasherDefault, Hasher};
 
 use lift_arith::ArithExpr;
-use lift_ocl::{AddrSpace, CBinOp, CExpr, CFunction, CStmt, CType, CUnOp, Kernel, Node, StructDef};
+use lift_ocl::{
+    AddrSpace, Builtin, CBinOp, CExpr, CFunction, CStmt, CType, CUnOp, Kernel, Node, StructDef,
+};
 
 /// Optimises a generated kernel body (see the module docs).
 pub(crate) fn optimise_kernel(kernel: &mut Kernel, structs: &[StructDef]) {
@@ -91,8 +93,8 @@ fn optimise<'p>(
 }
 
 /// How a use leaves a scope on its way to its binding: a `Block` freely, a `Loop` of two or
-/// more constant trips by evaluating once; the root, an `if` branch, any other loop or a
-/// scope holding a `return` (`Fixed`) never, nor a ternary `Arm`, which has no locals either.
+/// more constant trips by evaluating once; the root, an `if` branch or any other loop
+/// (`Fixed`) never, nor a ternary `Arm`, which has no locals either.
 #[derive(Clone, Copy, PartialEq, Eq)]
 enum Kind {
     Block,
@@ -128,8 +130,8 @@ enum Op {
     Max,
     Bin(CBinOp),
     Un(CUnOp),
-    /// A builtin, by its index in [`BUILTINS`].
-    Call(usize),
+    /// A math builtin.
+    Call(Builtin),
     Field(String),
     /// `buffer[index]`, stable only where the buffer is a read-only input.
     Load,
@@ -265,14 +267,6 @@ impl Optimiser<'_> {
                 }
                 self.block(body, inner);
             }
-            // No scope holding a `return` is left: it may run only in part.
-            CStmt::Return => {
-                let mut scope = site.0;
-                while scope > 0 {
-                    self.scopes[scope].2 = Kind::Fixed;
-                    scope = self.scopes[scope].0;
-                }
-            }
             CStmt::Barrier(_) | CStmt::Comment(_) => {}
         }
     }
@@ -320,10 +314,15 @@ impl Optimiser<'_> {
             CExpr::Un(op, a) => (Op::Un(*op), self.operands([&mut **a], site)?),
             CExpr::Field(a, f) => (Op::Field(f.clone()), self.operands([&mut **a], site)?),
             CExpr::ArrayAccess(a, i) => (Op::Load, self.operands([&mut **a, &mut **i], site)?),
-            CExpr::Call(f, args) if BUILTINS.contains(&f.as_str()) => {
-                let builtin = BUILTINS.iter().position(|b| b == f).unwrap_or_default();
-                (Op::Call(builtin), self.operands(args, site)?)
-            }
+            CExpr::Builtin(
+                f @ (Builtin::Sqrt
+                | Builtin::Rsqrt
+                | Builtin::Fabs
+                | Builtin::Exp
+                | Builtin::Fmin
+                | Builtin::Fmax),
+                args,
+            ) => (Op::Call(*f), self.operands(args, site)?),
             CExpr::Ternary(c, t, f) => {
                 self.expr(c, site);
                 for arm in [t, f] {
@@ -332,12 +331,10 @@ impl Optimiser<'_> {
                 }
                 return None;
             }
-            CExpr::Call(_, es) | CExpr::StructLit(_, es) | CExpr::VectorLit(_, es) => {
+            CExpr::Builtin(_, es) | CExpr::Call(_, es) | CExpr::StructLit(_, es) => {
                 es.iter_mut().for_each(|e| self.expr(e, site));
                 return None;
             }
-            // The generator emits no casts.
-            CExpr::Cast(..) => return None,
         };
         let n = self.node(op, k);
         self.read(e, n, site, (|e| e, |v| CExpr::var(v)));
@@ -477,12 +474,12 @@ impl Optimiser<'_> {
             let fields = &self.structs.iter().find(|d| d.name == s)?.fields;
             fields.iter().find(|(n, _)| n == f).map(|(_, t)| t.clone())
         };
-        use CBinOp::{Add, Div, Mod, Mul, Sub};
+        use CBinOp::{Add, Div, Mul, Sub};
         match op {
             Op::Int(_) | Op::Sum | Op::Prod | Op::Div | Op::Mod | Op::Pow(_) => Some(CType::Int),
             Op::Min | Op::Max => Some(CType::Int),
             Op::Float(_) => Some(CType::Float),
-            Op::Bin(Add | Sub | Mul | Div | Mod) | Op::Call(_) => same(ty(0)?),
+            Op::Bin(Add | Sub | Mul | Div) | Op::Call(_) => same(ty(0)?),
             Op::Un(CUnOp::Neg) => ty(0),
             Op::Field(f) => match ty(0)? {
                 CType::Struct(s) => field(&s, f),
@@ -492,7 +489,7 @@ impl Optimiser<'_> {
                 CType::Pointer { elem, .. } => Some(*elem),
                 _ => None,
             },
-            Op::Var(_) | Op::Bin(_) | Op::Un(_) => None,
+            Op::Var(_) | Op::Bin(_) => None,
         }
     }
 
@@ -649,8 +646,6 @@ impl Optimiser<'_> {
         *ts = keep.iter().filter_map(pick).collect();
     }
 }
-
-const BUILTINS: [&str; 6] = ["sqrt", "rsqrt", "fabs", "exp", "fmin", "fmax"];
 
 /// The optimiser's maps: its keys are its own, so a fast hash (FxHash) is safe.
 type Map<K, V> = HashMap<K, V, BuildHasherDefault<Fx>>;

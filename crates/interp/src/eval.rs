@@ -212,8 +212,10 @@ impl<'a> Interpreter<'a> {
                 }),
             },
             Pattern::Reduce { f } | Pattern::ReduceSeq { f } => {
-                let input = args.pop().expect("reduce has two arguments");
-                let mut acc = args.pop().expect("reduce has two arguments");
+                let [mut acc, input] =
+                    <[Value; 2]>::try_from(args).map_err(|_| InterpError::ShapeMismatch {
+                        context: "reduce arguments".into(),
+                    })?;
                 let xs = self.expect_array(input, "reduce input")?;
                 for x in xs {
                     acc = self.apply_fun(*f, vec![acc, x])?;

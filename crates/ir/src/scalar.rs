@@ -46,19 +46,6 @@ pub enum UnOp {
     Exp,
 }
 
-impl UnOp {
-    /// The OpenCL C builtin for this operation (negation is handled separately).
-    pub fn c_name(self) -> &'static str {
-        match self {
-            UnOp::Neg => "-",
-            UnOp::Sqrt => "sqrt",
-            UnOp::Rsqrt => "rsqrt",
-            UnOp::Fabs => "fabs",
-            UnOp::Exp => "exp",
-        }
-    }
-}
-
 /// The body of a user function: an expression over the function's parameters.
 #[derive(Clone, Debug, PartialEq)]
 pub enum ScalarExpr {
@@ -460,10 +447,5 @@ mod tests {
         let body = ScalarExpr::Tuple(vec![ScalarExpr::param(0), ScalarExpr::param(4).sqrt()]);
         assert_eq!(body.max_param_index(), Some(4));
         assert_eq!(ScalarExpr::cf(0.0).max_param_index(), None);
-    }
-
-    #[test]
-    fn unop_names() {
-        assert_eq!(UnOp::Sqrt.c_name(), "sqrt");
     }
 }

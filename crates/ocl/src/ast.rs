@@ -6,6 +6,8 @@
 //! (`lift-vgpu`), which is how this reproduction runs the generated kernels without physical
 //! GPU hardware.
 
+use std::fmt;
+
 use lift_arith::ArithExpr;
 
 use crate::walk::{walk, Node};
@@ -35,8 +37,6 @@ impl AddrSpace {
 /// OpenCL C types.
 #[derive(Clone, Debug, PartialEq)]
 pub enum CType {
-    /// `void`
-    Void,
     /// `bool`
     Bool,
     /// `int`
@@ -86,7 +86,6 @@ impl CType {
     /// The C source name of this type.
     pub fn name(&self) -> String {
         match self {
-            CType::Void => "void".into(),
             CType::Bool => "bool".into(),
             CType::Int => "int".into(),
             CType::Float => "float".into(),
@@ -109,24 +108,12 @@ pub enum CBinOp {
     Mul,
     /// `/`
     Div,
-    /// `%`
-    Mod,
     /// `<`
     Lt,
-    /// `<=`
-    Le,
     /// `>`
     Gt,
-    /// `>=`
-    Ge,
     /// `==`
     Eq,
-    /// `!=`
-    Ne,
-    /// `&&`
-    And,
-    /// `||`
-    Or,
 }
 
 impl CBinOp {
@@ -137,15 +124,9 @@ impl CBinOp {
             CBinOp::Sub => "-",
             CBinOp::Mul => "*",
             CBinOp::Div => "/",
-            CBinOp::Mod => "%",
             CBinOp::Lt => "<",
-            CBinOp::Le => "<=",
             CBinOp::Gt => ">",
-            CBinOp::Ge => ">=",
             CBinOp::Eq => "==",
-            CBinOp::Ne => "!=",
-            CBinOp::And => "&&",
-            CBinOp::Or => "||",
         }
     }
 }
@@ -155,8 +136,85 @@ impl CBinOp {
 pub enum CUnOp {
     /// `-x`
     Neg,
-    /// `!x`
-    Not,
+}
+
+/// The OpenCL work-item functions: each takes a dimension and returns an id or a size.
+#[derive(Clone, Copy, Debug, PartialEq, Eq, Hash)]
+pub enum WorkItem {
+    /// `get_global_id`
+    GlobalId,
+    /// `get_local_id`
+    LocalId,
+    /// `get_group_id`
+    GroupId,
+    /// `get_global_size`
+    GlobalSize,
+    /// `get_local_size`
+    LocalSize,
+    /// `get_num_groups`
+    NumGroups,
+}
+
+/// The OpenCL builtin functions the code generator calls. Each one's name and arity are
+/// stated here and nowhere else.
+#[derive(Clone, Copy, Debug, PartialEq, Eq, Hash)]
+pub enum Builtin {
+    /// A work-item function `f(dim)`.
+    WorkItem(WorkItem),
+    /// `vloadN(index, pointer)`: the `index`-th vector of `N` lanes.
+    VLoad(usize),
+    /// `vstoreN(value, index, pointer)`.
+    VStore(usize),
+    /// `sqrt(x)`
+    Sqrt,
+    /// `rsqrt(x)`
+    Rsqrt,
+    /// `fabs(x)`
+    Fabs,
+    /// `exp(x)`
+    Exp,
+    /// `fmin(x, y)`
+    Fmin,
+    /// `fmax(x, y)`
+    Fmax,
+}
+
+impl Builtin {
+    /// The number of arguments the builtin takes.
+    pub fn arity(self) -> usize {
+        match self {
+            Builtin::WorkItem(_)
+            | Builtin::Sqrt
+            | Builtin::Rsqrt
+            | Builtin::Fabs
+            | Builtin::Exp => 1,
+            Builtin::VLoad(_) | Builtin::Fmin | Builtin::Fmax => 2,
+            Builtin::VStore(_) => 3,
+        }
+    }
+}
+
+impl fmt::Display for Builtin {
+    /// The OpenCL C name of the builtin.
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        let name = match self {
+            Builtin::WorkItem(WorkItem::GlobalId) => "get_global_id",
+            Builtin::WorkItem(WorkItem::LocalId) => "get_local_id",
+            Builtin::WorkItem(WorkItem::GroupId) => "get_group_id",
+            Builtin::WorkItem(WorkItem::GlobalSize) => "get_global_size",
+            Builtin::WorkItem(WorkItem::LocalSize) => "get_local_size",
+            Builtin::WorkItem(WorkItem::NumGroups) => "get_num_groups",
+            Builtin::VLoad(width) => return write!(f, "vload{width}"),
+            Builtin::VStore(width) => return write!(f, "vstore{width}"),
+            Builtin::Sqrt => "sqrt",
+            Builtin::Rsqrt => "rsqrt",
+            Builtin::Fabs => "fabs",
+            Builtin::Exp => "exp",
+            Builtin::Fmin => "fmin",
+            Builtin::Fmax => "fmax",
+        };
+        f.write_str(name)
+    }
 }
 
 /// OpenCL C expressions.
@@ -175,20 +233,18 @@ pub enum CExpr {
     Bin(CBinOp, Box<CExpr>, Box<CExpr>),
     /// Unary operation.
     Un(CUnOp, Box<CExpr>),
-    /// Function or builtin call (`get_global_id(0)`, `sqrt(x)`, user functions, …).
+    /// A call of a builtin (`get_global_id(0)`, `sqrt(x)`, …).
+    Builtin(Builtin, Vec<CExpr>),
+    /// A call of a function defined in the module (a user function).
     Call(String, Vec<CExpr>),
     /// Array subscript `array[index]`.
     ArrayAccess(Box<CExpr>, Box<CExpr>),
     /// Struct field access `value.field`.
     Field(Box<CExpr>, String),
-    /// `(type) expr`
-    Cast(CType, Box<CExpr>),
     /// `cond ? then : otherwise`
     Ternary(Box<CExpr>, Box<CExpr>, Box<CExpr>),
     /// A struct literal `(T){a, b}` used to build tuple values.
     StructLit(String, Vec<CExpr>),
-    /// A vector literal `(float4)(a, b, c, d)`.
-    VectorLit(CType, Vec<CExpr>),
 }
 
 #[allow(clippy::should_implement_trait)] // builder methods, not operator impls
@@ -208,34 +264,39 @@ impl CExpr {
         CExpr::FloatLit(v)
     }
 
+    /// `f(dim)` for a work-item function `f`.
+    fn work_item(f: WorkItem, dim: u8) -> CExpr {
+        CExpr::Builtin(Builtin::WorkItem(f), vec![CExpr::int(i64::from(dim))])
+    }
+
     /// `get_global_id(dim)`
     pub fn global_id(dim: u8) -> CExpr {
-        CExpr::Call("get_global_id".into(), vec![CExpr::int(i64::from(dim))])
+        CExpr::work_item(WorkItem::GlobalId, dim)
     }
 
     /// `get_local_id(dim)`
     pub fn local_id(dim: u8) -> CExpr {
-        CExpr::Call("get_local_id".into(), vec![CExpr::int(i64::from(dim))])
+        CExpr::work_item(WorkItem::LocalId, dim)
     }
 
     /// `get_group_id(dim)`
     pub fn group_id(dim: u8) -> CExpr {
-        CExpr::Call("get_group_id".into(), vec![CExpr::int(i64::from(dim))])
+        CExpr::work_item(WorkItem::GroupId, dim)
     }
 
     /// `get_global_size(dim)`
     pub fn global_size(dim: u8) -> CExpr {
-        CExpr::Call("get_global_size".into(), vec![CExpr::int(i64::from(dim))])
+        CExpr::work_item(WorkItem::GlobalSize, dim)
     }
 
     /// `get_local_size(dim)`
     pub fn local_size(dim: u8) -> CExpr {
-        CExpr::Call("get_local_size".into(), vec![CExpr::int(i64::from(dim))])
+        CExpr::work_item(WorkItem::LocalSize, dim)
     }
 
     /// `get_num_groups(dim)`
     pub fn num_groups(dim: u8) -> CExpr {
-        CExpr::Call("get_num_groups".into(), vec![CExpr::int(i64::from(dim))])
+        CExpr::work_item(WorkItem::NumGroups, dim)
     }
 
     /// `self + rhs`
@@ -256,11 +317,6 @@ impl CExpr {
     /// `self / rhs`
     pub fn div(self, rhs: CExpr) -> CExpr {
         CExpr::Bin(CBinOp::Div, Box::new(self), Box::new(rhs))
-    }
-
-    /// `self % rhs`
-    pub fn rem(self, rhs: CExpr) -> CExpr {
-        CExpr::Bin(CBinOp::Mod, Box::new(self), Box::new(rhs))
     }
 
     /// `self < rhs`
@@ -362,8 +418,6 @@ pub enum CStmt {
     },
     /// `barrier(...)`
     Barrier(Fence),
-    /// `return;`
-    Return,
     /// A comment line.
     Comment(String),
 }
@@ -397,18 +451,8 @@ impl Kernel {
     /// only matters when more than one work item runs, and barriers are only emitted around
     /// work-item parallel code.
     pub fn uses_work_items(&self) -> bool {
-        const WORK_ITEM_FUNCTIONS: [&str; 6] = [
-            "get_global_id",
-            "get_local_id",
-            "get_group_id",
-            "get_global_size",
-            "get_local_size",
-            "get_num_groups",
-        ];
-        walk(&self.body).any(|node| match node {
-            Node::Expr(CExpr::Call(name, _)) => WORK_ITEM_FUNCTIONS.contains(&name.as_str()),
-            _ => false,
-        })
+        walk(&self.body)
+            .any(|node| matches!(node, Node::Expr(CExpr::Builtin(Builtin::WorkItem(_), _))))
     }
 }
 
@@ -528,12 +572,21 @@ mod tests {
     fn builtin_id_helpers() {
         assert_eq!(
             CExpr::local_id(0),
-            CExpr::Call("get_local_id".into(), vec![CExpr::IntLit(0)])
+            CExpr::Builtin(Builtin::WorkItem(WorkItem::LocalId), vec![CExpr::IntLit(0)])
         );
         assert_eq!(
             CExpr::num_groups(1),
-            CExpr::Call("get_num_groups".into(), vec![CExpr::IntLit(1)])
+            CExpr::Builtin(
+                Builtin::WorkItem(WorkItem::NumGroups),
+                vec![CExpr::IntLit(1)]
+            )
         );
+        assert_eq!(
+            Builtin::WorkItem(WorkItem::NumGroups).to_string(),
+            "get_num_groups"
+        );
+        assert_eq!(Builtin::VLoad(4).to_string(), "vload4");
+        assert_eq!(Builtin::VStore(4).arity(), 3);
     }
 
     #[test]

@@ -115,6 +115,10 @@ fn print_param(ty: &CType, name: &str) -> String {
 }
 
 /// Renders a statement at the given indentation level.
+#[deny(
+    clippy::wildcard_enum_match_arm,
+    clippy::match_wildcard_for_single_variants
+)]
 pub fn print_stmt(stmt: &CStmt, indent: usize) -> String {
     let pad = "  ".repeat(indent);
     match stmt {
@@ -132,18 +136,7 @@ pub fn print_stmt(stmt: &CStmt, indent: usize) -> String {
                     s.push(' ');
                 }
             }
-            match ty {
-                CType::Pointer {
-                    elem,
-                    addr: ptr_addr,
-                    ..
-                } => {
-                    s.push_str(&format!("{} {} *{}", ptr_addr.keyword(), elem.name(), name));
-                }
-                other => {
-                    s.push_str(&format!("{} {}", other.name(), name));
-                }
-            }
+            s.push_str(&declarator(ty, name));
             if let Some(len) = array_len {
                 s.push_str(&format!("[{len}]"));
             }
@@ -206,8 +199,15 @@ pub fn print_stmt(stmt: &CStmt, indent: usize) -> String {
             s
         }
         CStmt::Barrier(fence) => format!("{pad}barrier({});\n", fence_flags(*fence)),
-        CStmt::Return => format!("{pad}return;\n"),
         CStmt::Comment(text) => format!("{pad}// {text}\n"),
+    }
+}
+
+/// `T name`, or `addr T *name` for a pointer.
+fn declarator(ty: &CType, name: &str) -> String {
+    match ty {
+        CType::Pointer { elem, addr, .. } => format!("{} {} *{name}", addr.keyword(), elem.name()),
+        other => format!("{} {name}", other.name()),
     }
 }
 
@@ -224,6 +224,10 @@ pub fn print_expr(e: &CExpr) -> String {
     print_expr_prec(e, 0)
 }
 
+#[deny(
+    clippy::wildcard_enum_match_arm,
+    clippy::match_wildcard_for_single_variants
+)]
 fn print_expr_prec(e: &CExpr, parent_prec: u8) -> String {
     let (s, prec) = match e {
         CExpr::IntLit(v) => (v.to_string(), 10),
@@ -257,23 +261,14 @@ fn print_expr_prec(e: &CExpr, parent_prec: u8) -> String {
             );
             (s, prec)
         }
-        CExpr::Un(op, a) => {
-            let sym = match op {
-                CUnOp::Neg => "-",
-                CUnOp::Not => "!",
-            };
-            (format!("{sym}{}", print_expr_prec(a, 9)), 9)
-        }
-        CExpr::Call(name, args) => {
-            let rendered: Vec<String> = args.iter().map(print_expr).collect();
-            (format!("{name}({})", rendered.join(", ")), 10)
-        }
+        CExpr::Un(CUnOp::Neg, a) => (format!("-{}", print_expr_prec(a, 9)), 9),
+        CExpr::Builtin(builtin, args) => (format!("{builtin}({})", print_args(args)), 10),
+        CExpr::Call(name, args) => (format!("{name}({})", print_args(args)), 10),
         CExpr::ArrayAccess(arr, idx) => (
             format!("{}[{}]", print_expr_prec(arr, 10), print_expr(idx)),
             10,
         ),
         CExpr::Field(obj, field) => (format!("{}.{}", print_expr_prec(obj, 10), field), 10),
-        CExpr::Cast(ty, inner) => (format!("({}){}", ty.name(), print_expr_prec(inner, 9)), 9),
         CExpr::Ternary(c, t, other) => (
             format!(
                 "({}) ? ({}) : ({})",
@@ -283,14 +278,7 @@ fn print_expr_prec(e: &CExpr, parent_prec: u8) -> String {
             ),
             1,
         ),
-        CExpr::StructLit(name, fields) => {
-            let rendered: Vec<String> = fields.iter().map(print_expr).collect();
-            (format!("({name}){{{}}}", rendered.join(", ")), 10)
-        }
-        CExpr::VectorLit(ty, elems) => {
-            let rendered: Vec<String> = elems.iter().map(print_expr).collect();
-            (format!("({})({})", ty.name(), rendered.join(", ")), 10)
-        }
+        CExpr::StructLit(name, fields) => (format!("({name}){{{}}}", print_args(fields)), 10),
     };
     if prec < parent_prec {
         format!("({s})")
@@ -299,14 +287,18 @@ fn print_expr_prec(e: &CExpr, parent_prec: u8) -> String {
     }
 }
 
+/// Comma-separated arguments.
+fn print_args(args: &[CExpr]) -> String {
+    let rendered: Vec<String> = args.iter().map(print_expr).collect();
+    rendered.join(", ")
+}
+
 fn bin_prec(op: CBinOp) -> u8 {
     match op {
-        CBinOp::Or => 2,
-        CBinOp::And => 3,
-        CBinOp::Eq | CBinOp::Ne => 4,
-        CBinOp::Lt | CBinOp::Le | CBinOp::Gt | CBinOp::Ge => 5,
+        CBinOp::Eq => 4,
+        CBinOp::Lt | CBinOp::Gt => 5,
         CBinOp::Add | CBinOp::Sub => 6,
-        CBinOp::Mul | CBinOp::Div | CBinOp::Mod => 7,
+        CBinOp::Mul | CBinOp::Div => 7,
     }
 }
 
@@ -418,14 +410,14 @@ mod tests {
                     ty: CType::Int,
                 },
             ],
-            body: vec![CStmt::Return],
+            body: vec![CStmt::Barrier(Fence::local())],
         };
         let s = print_kernel(&k);
         assert!(
             s.starts_with("kernel void KERNEL(const global float *restrict x, int N) {"),
             "{s}"
         );
-        assert!(s.contains("return;"));
+        assert!(s.contains("barrier(CLK_LOCAL_MEM_FENCE);"));
     }
 
     #[test]

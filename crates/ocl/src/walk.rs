@@ -44,7 +44,10 @@ impl CExpr {
 impl<'a> Iterator for Walk<'a> {
     type Item = Node<'a>;
 
-    #[deny(clippy::wildcard_enum_match_arm)]
+    #[deny(
+        clippy::wildcard_enum_match_arm,
+        clippy::match_wildcard_for_single_variants
+    )]
     fn next(&mut self) -> Option<Node<'a>> {
         let node = self.stack.pop()?;
         let top = self.stack.len();
@@ -77,16 +80,16 @@ impl<'a> Iterator for Walk<'a> {
                             .map(Node::Stmt),
                     );
                 }
-                CStmt::Barrier(_) | CStmt::Return | CStmt::Comment(_) => {}
+                CStmt::Barrier(_) | CStmt::Comment(_) => {}
             },
             Node::Expr(expr) => match expr {
                 CExpr::IntLit(_) | CExpr::FloatLit(_) | CExpr::Var(_) | CExpr::Index(_) => {}
-                CExpr::Un(_, a) | CExpr::Field(a, _) | CExpr::Cast(_, a) => s.push(Node::Expr(a)),
+                CExpr::Un(_, a) | CExpr::Field(a, _) => s.push(Node::Expr(a)),
                 CExpr::Bin(_, a, b) | CExpr::ArrayAccess(a, b) => {
                     s.extend([&**a, &**b].map(Node::Expr));
                 }
                 CExpr::Ternary(a, b, c) => s.extend([&**a, &**b, &**c].map(Node::Expr)),
-                CExpr::Call(_, es) | CExpr::StructLit(_, es) | CExpr::VectorLit(_, es) => {
+                CExpr::Builtin(_, es) | CExpr::Call(_, es) | CExpr::StructLit(_, es) => {
                     s.extend(es.iter().map(Node::Expr));
                 }
             },
@@ -99,7 +102,7 @@ impl<'a> Iterator for Walk<'a> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::ast::{CBinOp, CType, CUnOp, Fence, Kernel};
+    use crate::ast::{Builtin, CBinOp, CType, CUnOp, Fence, Kernel};
     use crate::printer::print_expr;
     use lift_arith::ArithExpr;
 
@@ -110,21 +113,16 @@ mod tests {
     /// A kernel body holding every statement and expression form, with `at(name)` in six
     /// named expression positions.
     fn every_form(at: &dyn Fn(&str) -> CExpr) -> Vec<CStmt> {
-        let (v, float4) = (CExpr::var, CType::Vector(Box::new(CType::Float), 4));
+        let v = CExpr::var;
         vec![
             CStmt::Decl {
-                ty: float4.clone(),
+                ty: CType::Float,
                 name: "w".into(),
                 addr: None,
                 array_len: None,
-                init: Some(CExpr::VectorLit(
-                    float4,
-                    vec![
-                        at("vector"),
-                        CExpr::Cast(CType::Float, b(at("cast"))),
-                        CExpr::float(2.5),
-                        CExpr::Index(ArithExpr::var("x")),
-                    ],
+                init: Some(CExpr::Builtin(
+                    Builtin::Fmin,
+                    vec![at("builtin"), CExpr::float(2.5)],
                 )),
             },
             CStmt::For {
@@ -134,9 +132,9 @@ mod tests {
                 step: at("step"),
                 body: vec![
                     CStmt::If {
-                        cond: CExpr::Un(CUnOp::Not, b(v("p"))),
+                        cond: CExpr::Un(CUnOp::Neg, b(at("neg"))),
                         then: vec![CStmt::Barrier(Fence::local())],
-                        otherwise: Some(vec![CStmt::Expr(at("else")), CStmt::Return]),
+                        otherwise: Some(vec![CStmt::Expr(at("else"))]),
                     },
                     CStmt::Block(vec![
                         CStmt::Comment("c".into()),
@@ -151,7 +149,7 @@ mod tests {
                 ],
             },
             CStmt::Assign {
-                lhs: v("out").at(v("i")),
+                lhs: v("out").at(CExpr::Index(ArithExpr::var("x"))),
                 rhs: CExpr::Ternary(b(v("q")), b(at("ternary")), b(CExpr::float(0.0))),
             },
         ]
@@ -180,12 +178,9 @@ mod tests {
         let labels: Vec<String> = walk(&body).map(label).collect();
         let expected = [
             "Decl",
-            "(float4)(vector, (float)cast, 2.5f, x)",
-            "vector",
-            "(float)cast",
-            "cast",
+            "fmin(builtin, 2.5f)",
+            "builtin",
             "2.5f",
-            "x",
             "For",
             "0",
             "i < n",
@@ -193,12 +188,11 @@ mod tests {
             "n",
             "step",
             "If",
-            "!p",
-            "p",
+            "-neg",
+            "neg",
             "Barrier",
             "Expr",
             "else",
-            "Return",
             "Block",
             "Comment",
             "Expr",
@@ -208,9 +202,9 @@ mod tests {
             "s",
             "call",
             "Assign",
-            "out[i]",
+            "out[x]",
             "out",
-            "i",
+            "x",
             "(q) ? (ternary) : (0.0f)",
             "q",
             "ternary",
@@ -218,11 +212,11 @@ mod tests {
         ];
         assert_eq!(labels, expected);
 
-        // Every form is there: nine statement and thirteen expression variants.
+        // Every form is there: eight statement and twelve expression variants.
         let mut forms: Vec<String> = walk(&body).map(form).collect();
         forms.sort();
         forms.dedup();
-        assert_eq!(forms.len(), 9 + 13, "{forms:?}");
+        assert_eq!(forms.len(), 8 + 12, "{forms:?}");
 
         let CStmt::Assign { rhs, .. } = &body[2] else {
             unreachable!()
@@ -239,7 +233,7 @@ mod tests {
             body,
         };
         assert!(!kernel(every_form(&|name| CExpr::var(name))).uses_work_items());
-        for at in ["step", "else", "ternary", "cast", "vector", "call"] {
+        for at in ["step", "else", "ternary", "builtin", "neg", "call"] {
             let body = every_form(&|name| match name == at {
                 true => CExpr::local_id(0),
                 false => CExpr::var(name),

@@ -20,8 +20,6 @@
 //!   cannot evaluate, counts only the work that is certain to happen: the arms, and every
 //!   round of the loop after the first undecided one, count zero, and the slots they assign
 //!   are forgotten.
-//! * The first `return` the walk reaches ends it. The walk does not track which lanes have
-//!   returned, so it keeps only what it counted before: all of that certainly ran.
 //! * Transactions and uncoalesced accesses depend on the addresses, and stay zero. Vector
 //!   accesses are counted with the accesses they are made of, so the vector discount the
 //!   cost model subtracts is never larger than the access cost counted beside it.
@@ -33,12 +31,12 @@
 use std::borrow::Cow;
 use std::rc::Rc;
 
-use lift_ocl::{AddrSpace, CBinOp, CUnOp};
+use lift_ocl::{AddrSpace, CBinOp, CUnOp, WorkItem};
 
 use crate::charge;
 use crate::cost::CostCounters;
 use crate::device::LaunchConfig;
-use crate::exec::{compare, CastKind, Lowered, SExpr, SIndex, SLhs, SStmt, WorkItemFn};
+use crate::exec::{compare, Lowered, SExpr, SIndex, SLhs, SStmt};
 use crate::memory::KernelArg;
 
 /// Rounds a loop is walked one at a time before the walk stops counting it.
@@ -84,8 +82,7 @@ pub(crate) fn static_counters(
         steps: 0,
         counters: CostCounters::default(),
     };
-    // A stop outside every loop counted as trips × body is a `return`: what was counted
-    // before it stands.
+    // A stop is raised only inside a loop counted as trips × body, which catches it.
     let _ = walk.block(&lowered.body, &Weights::uniform(1, geo));
     let mut counters = walk.counters;
     counters.work_items = geo.lanes() as u64;
@@ -519,8 +516,7 @@ impl Weights {
 }
 
 /// The walk cannot go on as it is: control read a slot that changes from round to round
-/// inside a loop being counted as trips × body, which must then be walked round by round,
-/// or a `return` was reached.
+/// inside a loop being counted as trips × body, which must then be walked round by round.
 struct Stop;
 
 struct Walk<'a> {
@@ -550,16 +546,16 @@ fn coordinate(i: usize, extent: [usize; 3], dim: usize) -> i64 {
 }
 
 impl Walk<'_> {
-    fn id(&mut self, f: WorkItemFn, dim: usize) -> Num {
+    fn id(&mut self, f: WorkItem, dim: usize) -> Num {
         let c = self.config;
         let groups = c.num_groups();
         let which = match f {
-            WorkItemFn::GlobalSize => return Num::All(c.global[dim] as i64),
-            WorkItemFn::LocalSize => return Num::All(c.local[dim] as i64),
-            WorkItemFn::NumGroups => return Num::All(groups[dim] as i64),
-            WorkItemFn::GlobalId => 0,
-            WorkItemFn::LocalId => 1,
-            WorkItemFn::GroupId => 2,
+            WorkItem::GlobalSize => return Num::All(c.global[dim] as i64),
+            WorkItem::LocalSize => return Num::All(c.local[dim] as i64),
+            WorkItem::NumGroups => return Num::All(groups[dim] as i64),
+            WorkItem::GlobalId => 0,
+            WorkItem::LocalId => 1,
+            WorkItem::GroupId => 2,
         };
         if let Some(n) = &self.ids[3 * which + dim] {
             return n.clone();
@@ -567,9 +563,9 @@ impl Walk<'_> {
         let n = match which {
             // The global id is `group id · local size + local id`.
             0 => {
-                let local = self.id(WorkItemFn::LocalId, dim);
+                let local = self.id(WorkItem::LocalId, dim);
                 let size = c.local[dim] as i64;
-                self.id(WorkItemFn::GroupId, dim)
+                self.id(WorkItem::GroupId, dim)
                     .zip(&local, self.geo, |g, l| g * size + l)
             }
             1 if c.local[dim] > 1 => Num::Lanes(
@@ -673,7 +669,6 @@ impl Walk<'_> {
 
     fn stmt(&mut self, stmt: &SStmt, w: &Weights) -> Result<(), Stop> {
         match stmt {
-            SStmt::Return => return Err(Stop),
             SStmt::Barrier => {
                 add(&mut self.counters.barriers, w.group_rounds(self.geo));
             }
@@ -812,8 +807,7 @@ impl Walk<'_> {
             let saved: Vec<Option<Val>> = touched.iter().map(|s| self.vals[*s].clone()).collect();
             match self.counted_loop(slot, cond, step, body, w, &touched) {
                 Ok(true) => return Ok(()),
-                // A stop in the body undoes its count: walked round by round, a `return`
-                // keeps only the rounds before it.
+                // A stop in the body undoes its count; the loop is walked round by round.
                 Ok(false) | Err(Stop) => {
                     self.counters = before;
                     for (s, v) in touched.into_iter().zip(saved) {
@@ -827,7 +821,7 @@ impl Walk<'_> {
 
     /// Counts the loop as trips × body if its trip count is known in every lane and its
     /// body's control does not change from round to round; `Ok(false)` if the trip count
-    /// is unknown, `Err(Stop)` if the body's control varies by round or it returns.
+    /// is unknown, `Err(Stop)` if the body's control varies by round.
     fn counted_loop(
         &mut self,
         slot: usize,
@@ -837,7 +831,7 @@ impl Walk<'_> {
         w: &Weights,
         varying: &[usize],
     ) -> Result<bool, Stop> {
-        let SExpr::Bin(op @ (CBinOp::Lt | CBinOp::Le), var, bound) = cond else {
+        let SExpr::Bin(CBinOp::Lt, var, bound) = cond else {
             return Ok(false);
         };
         if !matches!(&**var, SExpr::Var(s) if *s == slot) {
@@ -856,9 +850,8 @@ impl Walk<'_> {
         ) else {
             return Ok(false);
         };
-        let le = i64::from(*op == CBinOp::Le);
         // `None` for a lane whose loop would never end.
-        let trip = |s: i64, e: i64, b: i64| match e.saturating_add(le).saturating_sub(s) {
+        let trip = |s: i64, e: i64, b: i64| match e.saturating_sub(s) {
             span if span <= 0 => Some(0),
             _ if b <= 0 => None,
             span => Some((span - 1) / b + 1),
@@ -995,7 +988,6 @@ impl Walk<'_> {
                         Val::Opaque => Val::Opaque,
                         _ => Val::Float,
                     },
-                    CUnOp::Not => Val::Bool(v.truth().map(|t| 1 - t)),
                 }
             }
             SExpr::WorkItem(f, dim) => match self.eval(dim, w)?.as_num() {
@@ -1031,15 +1023,8 @@ impl Walk<'_> {
                 self.counters.charge(charge::MATH2, w.total);
                 Val::Float
             }
-            SExpr::Mad(a, b, c) => {
-                self.eval(a, w)?;
-                self.eval(b, w)?;
-                self.eval(c, w)?;
-                self.counters.charge(charge::MAD, w.total);
-                Val::Float
-            }
             SExpr::CallFun(idx, args) => self.call(*idx, args, w)?,
-            SExpr::UnknownCall(_) => Val::Opaque,
+            SExpr::Fail(_) => Val::Opaque,
             SExpr::ArrayAccess(arr, idx) => {
                 let ptr = self.eval(arr, w)?;
                 self.subscript(idx, w)?;
@@ -1055,21 +1040,6 @@ impl Walk<'_> {
                 Val::Struct(fs) | Val::Vector(fs) => fs.get(*idx).cloned().unwrap_or(Val::Opaque),
                 other => other,
             },
-            SExpr::Cast(kind, inner) => {
-                let v = self.eval(inner, w)?;
-                match kind {
-                    CastKind::Int => match v {
-                        Val::Opaque => Val::Opaque,
-                        other => Val::Int(other.as_num()),
-                    },
-                    CastKind::Float => Val::Float,
-                    CastKind::Bool => match v {
-                        Val::Opaque => Val::Opaque,
-                        other => Val::Bool(other.truth()),
-                    },
-                    CastKind::Keep => v,
-                }
-            }
             SExpr::Ternary(c, t, o) => {
                 let cv = self.eval(c, w)?;
                 self.counters.charge(charge::CONTROL, w.total);
@@ -1088,7 +1058,6 @@ impl Walk<'_> {
                 }
             }
             SExpr::StructLit(fields) => Val::Struct(self.eval_all(fields, w)?.into()),
-            SExpr::VectorLit(elems) => Val::Vector(self.eval_all(elems, w)?.into()),
         })
     }
 
@@ -1147,7 +1116,7 @@ impl Walk<'_> {
             (Val::Opaque, _) | (Val::Int(_), Val::Opaque) => Val::Opaque,
             (Val::Ptr(space), _) => match op {
                 CBinOp::Add | CBinOp::Sub => Val::Ptr(*space),
-                CBinOp::Eq | CBinOp::Ne => Val::Bool(Num::Unknown),
+                CBinOp::Eq => Val::Bool(Num::Unknown),
                 _ => Val::Opaque,
             },
             (Val::Vector(xs), _) => Val::Vector(
@@ -1169,7 +1138,6 @@ impl Walk<'_> {
                     CBinOp::Sub => Val::Int(x.zip(y, self.geo, i64::wrapping_sub)),
                     CBinOp::Mul => Val::Int(x.zip(y, self.geo, i64::wrapping_mul)),
                     CBinOp::Div => Val::Int(x.zip(y, self.geo, div)),
-                    CBinOp::Mod => Val::Int(x.zip(y, self.geo, rem)),
                     _ => Val::Bool(x.zip(y, self.geo, |x, y| {
                         i64::from(compare(op, x as f64, y as f64))
                     })),
@@ -1178,9 +1146,7 @@ impl Walk<'_> {
             _ => {
                 self.counters.charge(charge::binary(op, false), w.total);
                 match op {
-                    CBinOp::Add | CBinOp::Sub | CBinOp::Mul | CBinOp::Div | CBinOp::Mod => {
-                        Val::Float
-                    }
+                    CBinOp::Add | CBinOp::Sub | CBinOp::Mul | CBinOp::Div => Val::Float,
                     _ => {
                         let (x, y) = (a.float_num(), b.float_num());
                         Val::Bool(x.zip(&y, self.geo, |x, y| {
@@ -1394,75 +1360,13 @@ mod tests {
     }
 
     #[test]
-    fn an_early_return_ends_the_count_below_the_run() {
-        let gid = || CExpr::global_id(0);
-        // for (i = 0; i < 4; i++) out[gid] = out[gid] + in[gid];
-        // if (gid < 8) return;
-        // out[gid] = in[gid] * 2.0f;
-        let m = kernel(vec![
-            CStmt::For {
-                var: "i".into(),
-                init: CExpr::int(0),
-                cond: CExpr::var("i").lt(CExpr::int(4)),
-                step: CExpr::int(1),
-                body: vec![CStmt::Assign {
-                    lhs: CExpr::var("out").at(gid()),
-                    rhs: CExpr::var("out").at(gid()).add(CExpr::var("in").at(gid())),
-                }],
-            },
-            CStmt::If {
-                cond: gid().lt(CExpr::int(8)),
-                then: vec![CStmt::Return],
-                otherwise: None,
-            },
-            CStmt::Assign {
-                lhs: CExpr::var("out").at(gid()),
-                rhs: CExpr::var("in").at(gid()).mul(CExpr::float(2.0)),
-            },
-        ]);
-        let launch = LaunchConfig::d1(32, 8);
-        let device = DeviceProfile::nvidia();
-        let request = ExecutionRequest::new(&m).on_device(&device);
-        let counted = request
-            .static_counters(&plan(launch), &args(32, 0))
-            .unwrap()[0];
-        let executed = request
-            .launch_sequence(&plan(launch), args(32, 0))
-            .unwrap()
-            .reports[0]
-            .counters;
-        // The loop is counted in full; nothing after the `return` is.
-        assert_eq!((counted.loop_iterations, counted.flops), (4 * 32, 4 * 32));
-        assert_eq!(counted.global_accesses, 3 * 4 * 32);
-        assert_eq!(executed.flops, 4 * 32 + 24);
-        let classes = |c: crate::CostCounters| {
-            [
-                c.flops,
-                c.int_ops,
-                c.div_mod_ops,
-                c.global_accesses,
-                c.vector_accesses,
-                c.local_accesses,
-                c.private_accesses,
-                c.barriers,
-                c.loop_iterations,
-                c.work_items,
-                c.work_groups,
-            ]
-        };
-        for (c, e) in classes(counted).into_iter().zip(classes(executed)) {
-            assert!(c <= e, "{counted:?} against {executed:?}");
-        }
-    }
-
-    #[test]
     fn a_strided_loop_totals_exactly_n_iterations() {
         // for (int i = gid; i < n; i += get_global_size(0)) out[i] = in[i];
         let m = kernel(vec![CStmt::For {
             var: "i".into(),
             init: CExpr::global_id(0),
             cond: CExpr::var("i").lt(CExpr::var("n")),
-            step: CExpr::Call("get_global_size".into(), vec![CExpr::int(0)]),
+            step: CExpr::global_size(0),
             body: vec![CStmt::Assign {
                 lhs: CExpr::var("out").at(CExpr::var("i")),
                 rhs: CExpr::var("in").at(CExpr::var("i")),

@@ -42,12 +42,12 @@
 
 use std::rc::Rc;
 
-use lift_ocl::{AddrSpace, CBinOp, CUnOp};
+use lift_ocl::{AddrSpace, Builtin, CBinOp, CUnOp, WorkItem};
 
 use crate::charge::{self, Charge};
 use crate::exec::{
-    compare, CastKind, Exec, Group, Math1, Math2, SExpr, SFunction, SIndex, SLhs, SStmt,
-    ShadowCell, Thread, VgpuError, WorkItemFn,
+    compare, Exec, Group, Math1, Math2, SExpr, SFunction, SIndex, SLhs, SStmt, ShadowCell, Thread,
+    VgpuError,
 };
 use crate::memory::{GpuValue, Ptr};
 
@@ -196,43 +196,21 @@ enum EOp {
         dst: u32,
         src: u32,
     },
-    Not {
-        dst: u32,
-        src: u32,
-    },
     WorkItem {
-        kind: WorkItemFn,
+        kind: WorkItem,
         dst: u32,
         dim: u32,
     },
     Math1 {
-        kind: Math1,
+        f: Math1,
         dst: u32,
         src: u32,
     },
     Math2 {
-        kind: Math2,
+        f: Math2,
         dst: u32,
         a: u32,
         b: u32,
-    },
-    Mad {
-        dst: u32,
-        a: u32,
-        b: u32,
-        c: u32,
-    },
-    CastInt {
-        dst: u32,
-        src: u32,
-    },
-    CastFloat {
-        dst: u32,
-        src: u32,
-    },
-    CastBool {
-        dst: u32,
-        src: u32,
     },
     /// An index-expression node's or a ternary condition's [`Charge`]; a division's is
     /// charged before the divisor evaluates (interpreter order).
@@ -334,7 +312,6 @@ enum EOp {
 /// Row-level ops: each handles the per-thread loop of one lock-step statement row.
 #[derive(Clone, Copy)]
 enum RowOp {
-    Ret,
     Barrier,
     /// Group-wide `__local` allocation; writes the pointer into every thread's cell.
     DeclLocal {
@@ -813,19 +790,11 @@ impl Compiler<'_> {
                     }
                 }
             }
-            SExpr::Un(op, a) => {
+            SExpr::Un(CUnOp::Neg, a) => {
                 let va = self.expr(a)?;
                 let dst = self.s1();
-                match op {
-                    CUnOp::Neg => {
-                        let src = self.num(va);
-                        self.emit(EOp::Neg { dst, src });
-                    }
-                    CUnOp::Not => {
-                        let src = self.cond(va);
-                        self.emit(EOp::Not { dst, src });
-                    }
-                }
+                let src = self.num(va);
+                self.emit(EOp::Neg { dst, src });
                 Ok(Val::scalar(dst))
             }
             SExpr::WorkItem(kind, dim) => {
@@ -844,11 +813,12 @@ impl Compiler<'_> {
                 let vi = self.expr(idx)?;
                 let ri = self.num(vi);
                 let vp = self.expr(ptr)?;
+                let not_a_pointer = VgpuError::NotAPointer(Builtin::VLoad(*width).to_string());
                 if !vp.shape.is_scalar() {
-                    self.fail(VgpuError::NotAPointer(format!("vload{width}")));
+                    self.fail(not_a_pointer);
                     return Ok(self.dummy(Shape::Vector(w)));
                 }
-                let err = self.errid(VgpuError::NotAPointer(format!("vload{width}")));
+                let err = self.errid(not_a_pointer);
                 self.emit(EOp::PtrChk { src: vp.base, err });
                 let dst = self.sn(w);
                 for lane in 0..w {
@@ -881,11 +851,12 @@ impl Compiler<'_> {
                 let vi = self.expr(idx)?;
                 let ri = self.num(vi);
                 let vp = self.expr(ptr)?;
+                let not_a_pointer = VgpuError::NotAPointer(Builtin::VStore(*width).to_string());
                 if !vp.shape.is_scalar() {
-                    self.fail(VgpuError::NotAPointer(format!("vstore{width}")));
+                    self.fail(not_a_pointer);
                     return Ok(self.dummy(Shape::Scalar));
                 }
-                let err = self.errid(VgpuError::NotAPointer(format!("vstore{width}")));
+                let err = self.errid(not_a_pointer);
                 self.emit(EOp::PtrChk { src: vp.base, err });
                 for lane in 0..nlanes {
                     self.emit(EOp::StoreLane {
@@ -905,44 +876,24 @@ impl Compiler<'_> {
                 });
                 Ok(Val::scalar(self.intc(0)))
             }
-            SExpr::Math1(kind, a) => {
+            SExpr::Math1(f, a) => {
                 let va = self.expr(a)?;
                 let src = self.num(va);
                 let dst = self.s1();
-                self.emit(EOp::Math1 {
-                    kind: *kind,
-                    dst,
-                    src,
-                });
+                self.emit(EOp::Math1 { f: *f, dst, src });
                 Ok(Val::scalar(dst))
             }
-            SExpr::Math2(kind, a, b) => {
+            SExpr::Math2(f, a, b) => {
                 let va = self.expr(a)?;
                 let vb = self.expr(b)?;
                 let ra = self.num(va);
                 let rb = self.num(vb);
                 let dst = self.s1();
                 self.emit(EOp::Math2 {
-                    kind: *kind,
+                    f: *f,
                     dst,
                     a: ra,
                     b: rb,
-                });
-                Ok(Val::scalar(dst))
-            }
-            SExpr::Mad(a, b, c) => {
-                let va = self.expr(a)?;
-                let vb = self.expr(b)?;
-                let vc = self.expr(c)?;
-                let ra = self.num(va);
-                let rb = self.num(vb);
-                let rc = self.num(vc);
-                let dst = self.s1();
-                self.emit(EOp::Mad {
-                    dst,
-                    a: ra,
-                    b: rb,
-                    c: rc,
                 });
                 Ok(Val::scalar(dst))
             }
@@ -975,8 +926,8 @@ impl Compiler<'_> {
                 self.subst.truncate(mark);
                 out
             }
-            SExpr::UnknownCall(name) => {
-                self.fail(VgpuError::UnknownFunction(name.clone()));
+            SExpr::Fail(e) => {
+                self.fail((**e).clone());
                 Ok(self.dummy(Shape::Scalar))
             }
             SExpr::ArrayAccess(arr, idx) => {
@@ -1010,39 +961,6 @@ impl Compiler<'_> {
                     }
                     // Projecting a field out of a scalar passes the value through.
                     Shape::Scalar => Ok(vo),
-                }
-            }
-            SExpr::Cast(kind, inner) => {
-                let v = self.expr(inner)?;
-                match kind {
-                    CastKind::Keep => Ok(v),
-                    CastKind::Int => {
-                        if v.shape.is_scalar() {
-                            let dst = self.s1();
-                            self.emit(EOp::CastInt { dst, src: v.base });
-                            Ok(Val::scalar(dst))
-                        } else {
-                            Ok(Val::scalar(self.intc(0)))
-                        }
-                    }
-                    CastKind::Float => {
-                        if v.shape.is_scalar() {
-                            let dst = self.s1();
-                            self.emit(EOp::CastFloat { dst, src: v.base });
-                            Ok(Val::scalar(dst))
-                        } else {
-                            Ok(Val::scalar(self.floatc(f64::NAN)))
-                        }
-                    }
-                    CastKind::Bool => {
-                        if v.shape.is_scalar() {
-                            let dst = self.s1();
-                            self.emit(EOp::CastBool { dst, src: v.base });
-                            Ok(Val::scalar(dst))
-                        } else {
-                            Ok(Val::scalar(self.boolc(false)))
-                        }
-                    }
                 }
             }
             SExpr::Ternary(c, t, other) => {
@@ -1093,21 +1011,6 @@ impl Compiler<'_> {
                 Ok(Val {
                     base: dst,
                     shape: Shape::Struct(n),
-                })
-            }
-            SExpr::VectorLit(elems) => {
-                let parts = self.scalar_parts(elems)?;
-                let n = parts.len() as u32;
-                let dst = self.sn(n);
-                for (k, r) in parts.into_iter().enumerate() {
-                    self.emit(EOp::Mov {
-                        dst: dst + k as u32,
-                        src: r,
-                    });
-                }
-                Ok(Val {
-                    base: dst,
-                    shape: Shape::Vector(n),
                 })
             }
         }
@@ -1213,10 +1116,6 @@ impl Compiler<'_> {
     fn stmt(&mut self, s: &SStmt) -> Result<(), String> {
         match s {
             SStmt::Block(ss) => self.block(ss),
-            SStmt::Return => {
-                self.rows.push(RowOp::Ret);
-                Ok(())
-            }
             SStmt::Barrier => {
                 self.rows.push(RowOp::Barrier);
                 Ok(())
@@ -1490,7 +1389,6 @@ pub(crate) fn run(exec: &mut Exec, prog: &Program) -> Result<(), VgpuError> {
                     linear: lx + local[0] * (ly + local[1] * lz),
                     vals: Vec::new(),
                     private: Vec::new(),
-                    returned: false,
                 });
             }
         }
@@ -1528,7 +1426,6 @@ pub(crate) fn run(exec: &mut Exec, prog: &Program) -> Result<(), VgpuError> {
                         gz * local[2] + t.lid[2],
                     ];
                     t.private.clear();
-                    t.returned = false;
                 }
                 for t in 0..n {
                     vm.cells[t * ncells..(t + 1) * ncells].copy_from_slice(&prog.proto);
@@ -1574,34 +1471,15 @@ impl Vm<'_> {
         let mut pc = 0usize;
         while pc < self.prog.rows.len() {
             match self.prog.rows[pc] {
-                RowOp::Ret => {
-                    exec.row()?;
-                    let top = self.masks.len() - n;
-                    for i in 0..n {
-                        if self.masks[top + i] {
-                            self.threads[i].returned = true;
-                        }
-                    }
-                    pc += 1;
-                }
                 RowOp::Barrier => {
                     exec.row()?;
                     let top = self.masks.len() - n;
-                    let mut arrived = 0;
-                    let mut expected = 0;
-                    for i in 0..n {
-                        if !self.threads[i].returned {
-                            expected += 1;
-                            if self.masks[top + i] {
-                                arrived += 1;
-                            }
-                        }
-                    }
-                    if arrived != expected {
+                    let arrived = self.masks[top..].iter().filter(|&&m| m).count();
+                    if arrived != n {
                         return Err(VgpuError::DivergentBarrier {
                             group: group.id,
                             arrived,
-                            expected,
+                            expected: n,
                         });
                     }
                     exec.counters.barriers += 1;
@@ -1632,7 +1510,7 @@ impl Vm<'_> {
                     exec.row()?;
                     let top = self.masks.len() - n;
                     for i in 0..n {
-                        if !self.masks[top + i] || self.threads[i].returned {
+                        if !self.masks[top + i] {
                             continue;
                         }
                         let t = &mut self.threads[i];
@@ -1650,7 +1528,7 @@ impl Vm<'_> {
                     exec.row()?;
                     let top = self.masks.len() - n;
                     for i in 0..n {
-                        if self.masks[top + i] && !self.threads[i].returned {
+                        if self.masks[top + i] {
                             self.cells[i * ncells + cell as usize] = V::Float(0.0);
                         }
                     }
@@ -1667,7 +1545,7 @@ impl Vm<'_> {
                     let code = &self.prog.code[start as usize..(start + len) as usize];
                     let top = self.masks.len() - n;
                     for i in 0..n {
-                        if !self.masks[top + i] || self.threads[i].returned {
+                        if !self.masks[top + i] {
                             continue;
                         }
                         let tc = &mut self.cells[i * ncells..(i + 1) * ncells];
@@ -1704,7 +1582,7 @@ impl Vm<'_> {
                     self.em.fill(false);
                     let mut any_then = false;
                     for i in 0..n {
-                        if !self.masks[top + i] || self.threads[i].returned {
+                        if !self.masks[top + i] {
                             continue;
                         }
                         let tc = &mut self.cells[i * ncells..(i + 1) * ncells];
@@ -1764,7 +1642,7 @@ impl Vm<'_> {
                     let code = &self.prog.code[start as usize..(start + len) as usize];
                     let top = self.masks.len() - n;
                     for i in 0..n {
-                        if !self.masks[top + i] || self.threads[i].returned {
+                        if !self.masks[top + i] {
                             continue;
                         }
                         let tc = &mut self.cells[i * ncells..(i + 1) * ncells];
@@ -1796,7 +1674,7 @@ impl Vm<'_> {
                     self.tm.fill(false);
                     let mut any = false;
                     for i in 0..n {
-                        if !self.masks[top + i] || self.threads[i].returned {
+                        if !self.masks[top + i] {
                             continue;
                         }
                         let tc = &mut self.cells[i * ncells..(i + 1) * ncells];
@@ -1836,7 +1714,7 @@ impl Vm<'_> {
                     let code = &self.prog.code[start as usize..(start + len) as usize];
                     let top = self.masks.len() - n;
                     for i in 0..n {
-                        if !self.masks[top + i] || self.threads[i].returned {
+                        if !self.masks[top + i] {
                             continue;
                         }
                         let tc = &mut self.cells[i * ncells..(i + 1) * ncells];
@@ -1913,60 +1791,28 @@ fn run_prog(
                     other => V::Float(-other.as_f64()),
                 };
             }
-            EOp::Not { dst, src } => {
-                exec.counters.charge(charge::unary(CUnOp::Not), 1);
-                scratch[dst as usize] = V::Bool(!rd(src, cells, scratch).as_bool());
-            }
             EOp::WorkItem { kind, dst, dim } => {
                 let d = rd(dim, cells, scratch).as_i64() as usize;
                 let v = match kind {
-                    WorkItemFn::GlobalId => thread.gid[d],
-                    WorkItemFn::LocalId => thread.lid[d],
-                    WorkItemFn::GroupId => group.id[d],
-                    WorkItemFn::GlobalSize => exec.config.global[d],
-                    WorkItemFn::LocalSize => exec.config.local[d],
-                    WorkItemFn::NumGroups => exec.config.num_groups()[d],
+                    WorkItem::GlobalId => thread.gid[d],
+                    WorkItem::LocalId => thread.lid[d],
+                    WorkItem::GroupId => group.id[d],
+                    WorkItem::GlobalSize => exec.config.global[d],
+                    WorkItem::LocalSize => exec.config.local[d],
+                    WorkItem::NumGroups => exec.config.num_groups()[d],
                 };
                 scratch[dst as usize] = V::Int(v as i64);
             }
-            EOp::Math1 { kind, dst, src } => {
+            EOp::Math1 { f, dst, src } => {
                 let v = rd(src, cells, scratch).as_f64();
                 exec.counters.charge(charge::MATH1, 1);
-                let out = match kind {
-                    Math1::Sqrt => v.sqrt(),
-                    Math1::Rsqrt => 1.0 / v.sqrt(),
-                    Math1::Fabs => v.abs(),
-                    Math1::Exp => v.exp(),
-                    Math1::Log => v.ln(),
-                    Math1::Floor => v.floor(),
-                };
-                scratch[dst as usize] = V::Float(out);
+                scratch[dst as usize] = V::Float(f(v));
             }
-            EOp::Math2 { kind, dst, a, b } => {
+            EOp::Math2 { f, dst, a, b } => {
                 let x = rd(a, cells, scratch).as_f64();
                 let y = rd(b, cells, scratch).as_f64();
                 exec.counters.charge(charge::MATH2, 1);
-                let out = match kind {
-                    Math2::Min => x.min(y),
-                    Math2::Max => x.max(y),
-                };
-                scratch[dst as usize] = V::Float(out);
-            }
-            EOp::Mad { dst, a, b, c } => {
-                let x = rd(a, cells, scratch).as_f64();
-                let y = rd(b, cells, scratch).as_f64();
-                let z = rd(c, cells, scratch).as_f64();
-                exec.counters.charge(charge::MAD, 1);
-                scratch[dst as usize] = V::Float(x * y + z);
-            }
-            EOp::CastInt { dst, src } => {
-                scratch[dst as usize] = V::Int(rd(src, cells, scratch).as_i64());
-            }
-            EOp::CastFloat { dst, src } => {
-                scratch[dst as usize] = V::Float(rd(src, cells, scratch).as_f64());
-            }
-            EOp::CastBool { dst, src } => {
-                scratch[dst as usize] = V::Bool(rd(src, cells, scratch).as_bool());
+                scratch[dst as usize] = V::Float(f(x, y));
             }
             EOp::Charge { charge } => exec.counters.charge(charge, 1),
             EOp::ChargeVec { width } => exec.counters.vector_accesses += width,
@@ -2033,7 +1879,7 @@ fn run_prog(
                 lane,
             } => {
                 let p = rd_ptr(ptr, cells, scratch, || {
-                    VgpuError::NotAPointer(format!("vload{width}"))
+                    VgpuError::NotAPointer(Builtin::VLoad(width as usize).to_string())
                 })?;
                 let i = rd(idx, cells, scratch).as_i64();
                 let v = exec.load(
@@ -2062,7 +1908,7 @@ fn run_prog(
                 lane,
             } => {
                 let p = rd_ptr(ptr, cells, scratch, || {
-                    VgpuError::NotAPointer(format!("vstore{width}"))
+                    VgpuError::NotAPointer(Builtin::VStore(width as usize).to_string())
                 })?;
                 let i = rd(idx, cells, scratch).as_i64();
                 let v = rd(val, cells, scratch).as_f64();
@@ -2106,7 +1952,6 @@ fn bin(exec: &mut Exec, op: CBinOp, a: V, b: V) -> Result<V, VgpuError> {
                 ..p
             }),
             CBinOp::Eq => V::Bool(Some(p) == b.as_ptr()),
-            CBinOp::Ne => V::Bool(Some(p) != b.as_ptr()),
             _ => return Err(VgpuError::NotAPointer("invalid pointer operation".into())),
         });
     }
@@ -2116,15 +1961,11 @@ fn bin(exec: &mut Exec, op: CBinOp, a: V, b: V) -> Result<V, VgpuError> {
             CBinOp::Add => V::Int(x + y),
             CBinOp::Sub => V::Int(x - y),
             CBinOp::Mul => V::Int(x * y),
-            CBinOp::Div | CBinOp::Mod => {
+            CBinOp::Div => {
                 if y == 0 {
                     return Err(VgpuError::DivisionByZero);
                 }
-                V::Int(if op == CBinOp::Div {
-                    x.div_euclid(y)
-                } else {
-                    x.rem_euclid(y)
-                })
+                V::Int(x.div_euclid(y))
             }
             _ => V::Bool(compare(op, x as f64, y as f64)),
         });
@@ -2136,7 +1977,6 @@ fn bin(exec: &mut Exec, op: CBinOp, a: V, b: V) -> Result<V, VgpuError> {
         CBinOp::Sub => V::Float(x - y),
         CBinOp::Mul => V::Float(x * y),
         CBinOp::Div => V::Float(x / y),
-        CBinOp::Mod => V::Float(x % y),
         _ => V::Bool(compare(op, x, y)),
     })
 }

@@ -36,27 +36,23 @@ pub(crate) const CONTROL: Charge = charge(Class::Int, 1);
 pub(crate) const MATH1: Charge = charge(Class::Flop, 4);
 /// `fmin` / `fmax`.
 pub(crate) const MATH2: Charge = charge(Class::Flop, 1);
-/// `mad(a, b, c)`: a multiply and an add.
-pub(crate) const MAD: Charge = charge(Class::Flop, 2);
 
 /// A binary operation on two integers (`ints`) or on any other non-pointer operands: integer
-/// `+ - *` are integer ops and `/ %` div/mod ops; otherwise `+ - * /` are flops and `%` a
-/// div/mod op. Comparisons and logic are integer ops either way. Pointer arithmetic and
-/// comparison charge nothing.
+/// `+ - *` are integer ops and `/` a div/mod op; otherwise `+ - * /` are flops. Comparisons
+/// are integer ops either way. Pointer arithmetic and comparison charge nothing.
 pub(crate) fn binary(op: CBinOp, ints: bool) -> Charge {
     match (op, ints) {
         (CBinOp::Add | CBinOp::Sub | CBinOp::Mul, true) => charge(Class::Int, 1),
-        (CBinOp::Div | CBinOp::Mod, true) | (CBinOp::Mod, false) => charge(Class::DivMod, 1),
+        (CBinOp::Div, true) => charge(Class::DivMod, 1),
         (CBinOp::Add | CBinOp::Sub | CBinOp::Mul | CBinOp::Div, false) => charge(Class::Flop, 1),
-        _ => charge(Class::Int, 1),
+        (CBinOp::Lt | CBinOp::Gt | CBinOp::Eq, _) => charge(Class::Int, 1),
     }
 }
 
-/// A unary operation: negation is a flop (on integers too), `!` an integer op.
+/// A unary operation: negation is a flop (on integers too).
 pub(crate) fn unary(op: CUnOp) -> Charge {
     match op {
         CUnOp::Neg => charge(Class::Flop, 1),
-        CUnOp::Not => charge(Class::Int, 1),
     }
 }
 

@@ -148,11 +148,6 @@ impl<'a> ExecutionRequest<'a> {
         self
     }
 
-    /// Whether launches of this request run the data-race detector.
-    pub fn race_detection_enabled(&self) -> bool {
-        self.race_detection
-    }
-
     fn validate(&self, config: &LaunchConfig) -> Result<(), VgpuError> {
         if let Some(device) = self.device {
             device

@@ -14,9 +14,9 @@
 //!
 //! Launching first *lowers* the kernel into a slot-indexed form ([`SStmt`]/[`SExpr`]): every
 //! identifier (parameter, declaration, loop variable, user-function parameter) is interned
-//! to a dense slot, call targets (work-item builtins, `vload`/`vstore`, math builtins, user
-//! functions) are resolved once, and comments disappear. The interpreter then runs the
-//! lowered form with plain vector indexing for variable access — the innermost loop performs
+//! to a dense slot, builtins become the operations they name, user-function calls are
+//! resolved once, and comments disappear. The interpreter then runs the lowered form with
+//! plain vector indexing for variable access — the innermost loop performs
 //! no string hashing, no name-based dispatch and no AST cloning. Exploration executes
 //! thousands of candidate kernels per search, which makes this path the throughput limit of
 //! the whole rewrite engine.
@@ -26,7 +26,7 @@ use std::fmt;
 use std::hash::{BuildHasherDefault, Hasher};
 
 use lift_arith::ArithExpr;
-use lift_ocl::{AddrSpace, CBinOp, CExpr, CStmt, CType, CUnOp, Module};
+use lift_ocl::{AddrSpace, Builtin, CBinOp, CExpr, CStmt, CUnOp, Module, WorkItem};
 
 use crate::charge;
 use crate::cost::{Budget, CostCounters, ExecutionReport};
@@ -70,9 +70,10 @@ pub enum VgpuError {
     UnknownKernel(String),
     /// A variable was referenced but never defined.
     UnknownVariable(String),
-    /// A called function is neither a builtin nor defined in the module.
+    /// A called function is not defined in the module.
     UnknownFunction(String),
-    /// The number of kernel arguments does not match the kernel signature.
+    /// The number of kernel arguments does not match the kernel signature, or a call passes
+    /// a function or builtin the wrong number of arguments.
     ArgumentMismatch {
         /// Parameters expected.
         expected: usize,
@@ -108,7 +109,7 @@ pub enum VgpuError {
         group: [usize; 3],
         /// Work items of the group that reached the barrier.
         arrived: usize,
-        /// Live (non-returned) work items of the group.
+        /// Work items of the group.
         expected: usize,
     },
     /// Two work items touched the same memory cell without a synchronising barrier between
@@ -408,43 +409,10 @@ impl Lowered<'_> {
 
 // --------------------------------------------------------------------- lowered kernel form
 
-/// The work-item functions of OpenCL.
-#[derive(Clone, Copy)]
-pub(crate) enum WorkItemFn {
-    GlobalId,
-    LocalId,
-    GroupId,
-    GlobalSize,
-    LocalSize,
-    NumGroups,
-}
-
-/// Unary math builtins (charged 4 flops, like a special-function unit).
-#[derive(Clone, Copy)]
-pub(crate) enum Math1 {
-    Sqrt,
-    Rsqrt,
-    Fabs,
-    Exp,
-    Log,
-    Floor,
-}
-
-/// Binary math builtins (charged 1 flop).
-#[derive(Clone, Copy)]
-pub(crate) enum Math2 {
-    Min,
-    Max,
-}
-
-/// How a cast behaves at runtime.
-#[derive(Clone, Copy)]
-pub(crate) enum CastKind {
-    Int,
-    Float,
-    Bool,
-    Keep,
-}
+/// A one-argument math builtin on `f64` (charged 4 flops, like a special-function unit).
+pub(crate) type Math1 = fn(f64) -> f64;
+/// A two-argument math builtin on `f64` (charged 1 flop).
+pub(crate) type Math2 = fn(f64, f64) -> f64;
 
 /// A lowered index expression: [`ArithExpr`] with variables resolved to slots.
 pub(crate) enum SIndex {
@@ -467,20 +435,19 @@ pub(crate) enum SExpr {
     Index(SIndex),
     Bin(CBinOp, Box<SExpr>, Box<SExpr>),
     Un(CUnOp, Box<SExpr>),
-    WorkItem(WorkItemFn, Box<SExpr>),
+    WorkItem(WorkItem, Box<SExpr>),
     VLoad(usize, Box<SExpr>, Box<SExpr>),
     VStore(usize, Box<SExpr>, Box<SExpr>, Box<SExpr>),
     Math1(Math1, Box<SExpr>),
     Math2(Math2, Box<SExpr>, Box<SExpr>),
-    Mad(Box<SExpr>, Box<SExpr>, Box<SExpr>),
     CallFun(usize, Vec<SExpr>),
-    UnknownCall(String),
+    /// A call that cannot run (an unknown function, a builtin given the wrong number of
+    /// arguments): the error is raised where the call is evaluated.
+    Fail(Box<VgpuError>),
     ArrayAccess(Box<SExpr>, Box<SExpr>),
     Field(Box<SExpr>, usize, String),
-    Cast(CastKind, Box<SExpr>),
     Ternary(Box<SExpr>, Box<SExpr>, Box<SExpr>),
     StructLit(Vec<SExpr>),
-    VectorLit(Vec<SExpr>),
 }
 
 /// A lowered assignment target.
@@ -493,7 +460,6 @@ pub(crate) enum SLhs {
 
 /// A lowered statement. Comments are dropped during lowering.
 pub(crate) enum SStmt {
-    Return,
     Barrier,
     Block(Vec<SStmt>),
     DeclLocalArray {
@@ -531,7 +497,10 @@ impl SStmt {
     /// Calls `f` on every statement of `stmts` and of the blocks nested in them, pre-order: a
     /// statement before those nested in it. This is the read-only walk of the lowered form; it
     /// allocates nothing, since the static bound runs it inside its own walk.
-    #[deny(clippy::wildcard_enum_match_arm)]
+    #[deny(
+        clippy::wildcard_enum_match_arm,
+        clippy::match_wildcard_for_single_variants
+    )]
     pub(crate) fn walk<'a>(stmts: &'a [SStmt], f: &mut impl FnMut(&'a SStmt)) {
         for stmt in stmts {
             f(stmt);
@@ -543,8 +512,7 @@ impl SStmt {
                     SStmt::walk(then, f);
                     SStmt::walk(otherwise.as_deref().unwrap_or_default(), f);
                 }
-                SStmt::Return
-                | SStmt::Barrier
+                SStmt::Barrier
                 | SStmt::DeclLocalArray { .. }
                 | SStmt::DeclPrivateArray { .. }
                 | SStmt::DeclScalar { .. }
@@ -613,10 +581,13 @@ impl<'m> Lowerer<'m> {
         stmts.iter().filter_map(|s| self.lower_stmt(s)).collect()
     }
 
+    #[deny(
+        clippy::wildcard_enum_match_arm,
+        clippy::match_wildcard_for_single_variants
+    )]
     fn lower_stmt(&mut self, stmt: &CStmt) -> Option<SStmt> {
         Some(match stmt {
             CStmt::Comment(_) => return None,
-            CStmt::Return => SStmt::Return,
             CStmt::Barrier(_) => SStmt::Barrier,
             CStmt::Block(stmts) => SStmt::Block(self.lower_block(stmts)),
             CStmt::Decl {
@@ -711,6 +682,10 @@ impl<'m> Lowerer<'m> {
         }
     }
 
+    #[deny(
+        clippy::wildcard_enum_match_arm,
+        clippy::match_wildcard_for_single_variants
+    )]
     fn lower_expr(&mut self, e: &CExpr) -> SExpr {
         match e {
             CExpr::IntLit(v) => SExpr::Int(*v),
@@ -723,7 +698,11 @@ impl<'m> Lowerer<'m> {
                 Box::new(self.lower_expr(b)),
             ),
             CExpr::Un(op, a) => SExpr::Un(*op, Box::new(self.lower_expr(a))),
-            CExpr::Call(name, args) => self.lower_call(name, args),
+            CExpr::Builtin(builtin, args) => self.lower_builtin(*builtin, args),
+            CExpr::Call(name, args) => match self.lower_function(name) {
+                Some(idx) => SExpr::CallFun(idx, args.iter().map(|a| self.lower_expr(a)).collect()),
+                None => SExpr::Fail(Box::new(VgpuError::UnknownFunction(name.clone()))),
+            },
             CExpr::ArrayAccess(arr, idx) => SExpr::ArrayAccess(
                 Box::new(self.lower_expr(arr)),
                 Box::new(self.lower_expr(idx)),
@@ -733,15 +712,6 @@ impl<'m> Lowerer<'m> {
                 field_index(field),
                 field.clone(),
             ),
-            CExpr::Cast(ty, inner) => {
-                let kind = match ty {
-                    CType::Int => CastKind::Int,
-                    CType::Float | CType::Double => CastKind::Float,
-                    CType::Bool => CastKind::Bool,
-                    _ => CastKind::Keep,
-                };
-                SExpr::Cast(kind, Box::new(self.lower_expr(inner)))
-            }
             CExpr::Ternary(c, t, o) => SExpr::Ternary(
                 Box::new(self.lower_expr(c)),
                 Box::new(self.lower_expr(t)),
@@ -750,77 +720,33 @@ impl<'m> Lowerer<'m> {
             CExpr::StructLit(_, fields) => {
                 SExpr::StructLit(fields.iter().map(|f| self.lower_expr(f)).collect())
             }
-            CExpr::VectorLit(_, elems) => {
-                SExpr::VectorLit(elems.iter().map(|e| self.lower_expr(e)).collect())
-            }
         }
     }
 
-    /// Resolves a call target, in the same precedence order the string-dispatching
-    /// interpreter used: work-item functions, vector loads/stores, math builtins, then
-    /// user functions defined in the module.
-    fn lower_call(&mut self, name: &str, args: &[CExpr]) -> SExpr {
-        let wi = match name {
-            "get_global_id" => Some(WorkItemFn::GlobalId),
-            "get_local_id" => Some(WorkItemFn::LocalId),
-            "get_group_id" => Some(WorkItemFn::GroupId),
-            "get_global_size" => Some(WorkItemFn::GlobalSize),
-            "get_local_size" => Some(WorkItemFn::LocalSize),
-            "get_num_groups" => Some(WorkItemFn::NumGroups),
-            _ => None,
-        };
-        if let Some(kind) = wi {
-            return SExpr::WorkItem(kind, Box::new(self.lower_expr(&args[0])));
+    /// Lowers a builtin call to the operation it names. A call with the wrong number of
+    /// arguments fails where it is evaluated, as a user function's does.
+    #[deny(
+        clippy::wildcard_enum_match_arm,
+        clippy::match_wildcard_for_single_variants
+    )]
+    fn lower_builtin(&mut self, builtin: Builtin, args: &[CExpr]) -> SExpr {
+        if args.len() != builtin.arity() {
+            return SExpr::Fail(Box::new(VgpuError::ArgumentMismatch {
+                expected: builtin.arity(),
+                found: args.len(),
+            }));
         }
-        if let Some(width) = vector_width(name, "vload") {
-            return SExpr::VLoad(
-                width,
-                Box::new(self.lower_expr(&args[0])),
-                Box::new(self.lower_expr(&args[1])),
-            );
-        }
-        if let Some(width) = vector_width(name, "vstore") {
-            return SExpr::VStore(
-                width,
-                Box::new(self.lower_expr(&args[0])),
-                Box::new(self.lower_expr(&args[1])),
-                Box::new(self.lower_expr(&args[2])),
-            );
-        }
-        let m1 = match name {
-            "sqrt" | "native_sqrt" => Some(Math1::Sqrt),
-            "rsqrt" => Some(Math1::Rsqrt),
-            "fabs" => Some(Math1::Fabs),
-            "exp" => Some(Math1::Exp),
-            "log" => Some(Math1::Log),
-            "floor" => Some(Math1::Floor),
-            _ => None,
-        };
-        if let Some(kind) = m1 {
-            return SExpr::Math1(kind, Box::new(self.lower_expr(&args[0])));
-        }
-        let m2 = match name {
-            "fmin" | "min" => Some(Math2::Min),
-            "fmax" | "max" => Some(Math2::Max),
-            _ => None,
-        };
-        if let Some(kind) = m2 {
-            return SExpr::Math2(
-                kind,
-                Box::new(self.lower_expr(&args[0])),
-                Box::new(self.lower_expr(&args[1])),
-            );
-        }
-        if name == "mad" || name == "fma" {
-            return SExpr::Mad(
-                Box::new(self.lower_expr(&args[0])),
-                Box::new(self.lower_expr(&args[1])),
-                Box::new(self.lower_expr(&args[2])),
-            );
-        }
-        match self.lower_function(name) {
-            Some(idx) => SExpr::CallFun(idx, args.iter().map(|a| self.lower_expr(a)).collect()),
-            None => SExpr::UnknownCall(name.to_string()),
+        let mut arg = |i: usize| Box::new(self.lower_expr(&args[i]));
+        match builtin {
+            Builtin::WorkItem(f) => SExpr::WorkItem(f, arg(0)),
+            Builtin::VLoad(width) => SExpr::VLoad(width, arg(0), arg(1)),
+            Builtin::VStore(width) => SExpr::VStore(width, arg(0), arg(1), arg(2)),
+            Builtin::Sqrt => SExpr::Math1(f64::sqrt, arg(0)),
+            Builtin::Rsqrt => SExpr::Math1(|v| 1.0 / v.sqrt(), arg(0)),
+            Builtin::Fabs => SExpr::Math1(f64::abs, arg(0)),
+            Builtin::Exp => SExpr::Math1(f64::exp, arg(0)),
+            Builtin::Fmin => SExpr::Math2(f64::min, arg(0), arg(1)),
+            Builtin::Fmax => SExpr::Math2(f64::max, arg(0), arg(1)),
         }
     }
 
@@ -905,7 +831,6 @@ pub(crate) struct Thread {
     /// slot → value; `None` falls through to local arrays, then kernel parameters.
     pub(crate) vals: Vec<Option<GpuValue>>,
     pub(crate) private: Vec<Vec<f32>>,
-    pub(crate) returned: bool,
 }
 
 pub(crate) struct Exec {
@@ -985,7 +910,6 @@ impl Exec {
                                     linear,
                                     vals: vec![None; nslots],
                                     private: Vec::new(),
-                                    returned: false,
                                 });
                             }
                         }
@@ -1018,10 +942,6 @@ impl Exec {
         Ok(())
     }
 
-    fn active(&self, threads: &[Thread], mask: &[bool], i: usize) -> bool {
-        mask[i] && !threads[i].returned
-    }
-
     fn exec_stmt(
         &mut self,
         stmt: &SStmt,
@@ -1035,23 +955,13 @@ impl Exec {
             self.row()?;
         }
         match stmt {
-            SStmt::Return => {
-                for i in 0..threads.len() {
-                    if mask[i] {
-                        threads[i].returned = true;
-                    }
-                }
-                Ok(())
-            }
             SStmt::Barrier => {
-                // OpenCL requires a barrier to be reached by every live work item of the
-                // group. A barrier under a lane-divergent branch or loop is undefined
-                // behaviour on real hardware — report it instead of silently synchronising
-                // the subset that arrived.
-                let arrived = (0..threads.len())
-                    .filter(|&i| self.active(threads, mask, i))
-                    .count();
-                let expected = threads.iter().filter(|t| !t.returned).count();
+                // OpenCL requires a barrier to be reached by every work item of the group. A
+                // barrier under a lane-divergent branch or loop is undefined behaviour on
+                // real hardware — report it instead of silently synchronising the subset
+                // that arrived.
+                let arrived = mask.iter().filter(|&&m| m).count();
+                let expected = threads.len();
                 if arrived != expected {
                     return Err(VgpuError::DivergentBarrier {
                         group: group.id,
@@ -1083,7 +993,7 @@ impl Exec {
                 // A private array per work item (register blocking).
                 let len = self.resolve_len(len)?;
                 for i in 0..threads.len() {
-                    if !self.active(threads, mask, i) {
+                    if !mask[i] {
                         continue;
                     }
                     let t = &mut threads[i];
@@ -1099,7 +1009,7 @@ impl Exec {
             }
             SStmt::DeclScalar { slot, init } => {
                 for i in 0..threads.len() {
-                    if !self.active(threads, mask, i) {
+                    if !mask[i] {
                         continue;
                     }
                     let value = match init {
@@ -1113,7 +1023,7 @@ impl Exec {
             }
             SStmt::Assign { lhs, rhs } => {
                 for i in 0..threads.len() {
-                    if !self.active(threads, mask, i) {
+                    if !mask[i] {
                         continue;
                     }
                     let value = self.eval(rhs, group, &mut threads[i])?;
@@ -1124,7 +1034,7 @@ impl Exec {
             }
             SStmt::Expr(e) => {
                 for i in 0..threads.len() {
-                    if !self.active(threads, mask, i) {
+                    if !mask[i] {
                         continue;
                     }
                     self.eval(e, group, &mut threads[i])?;
@@ -1140,7 +1050,7 @@ impl Exec {
                 let mut then_mask = vec![false; threads.len()];
                 let mut else_mask = vec![false; threads.len()];
                 for i in 0..threads.len() {
-                    if !self.active(threads, mask, i) {
+                    if !mask[i] {
                         continue;
                     }
                     let c = self.eval(cond, group, &mut threads[i])?.as_bool();
@@ -1167,7 +1077,7 @@ impl Exec {
                 body,
             } => {
                 for i in 0..threads.len() {
-                    if !self.active(threads, mask, i) {
+                    if !mask[i] {
                         continue;
                     }
                     let v = self.eval(init, group, &mut threads[i])?;
@@ -1180,7 +1090,7 @@ impl Exec {
                     let mut iter_mask = vec![false; threads.len()];
                     let mut any = false;
                     for i in 0..threads.len() {
-                        if !self.active(threads, mask, i) {
+                        if !mask[i] {
                             continue;
                         }
                         let c = self.eval(cond, group, &mut threads[i])?.as_bool();
@@ -1197,7 +1107,7 @@ impl Exec {
                     }
                     self.exec_block(body, group, threads, &iter_mask)?;
                     for i in 0..threads.len() {
-                        if !iter_mask[i] || threads[i].returned {
+                        if !iter_mask[i] {
                             continue;
                         }
                         let s = self.eval(step, group, &mut threads[i])?;
@@ -1277,19 +1187,18 @@ impl Exec {
                         GpuValue::Int(i) => GpuValue::Int(-i),
                         other => GpuValue::Float(-other.as_f64()),
                     },
-                    CUnOp::Not => GpuValue::Bool(!v.as_bool()),
                 })
             }
             SExpr::WorkItem(kind, dim) => {
                 let dim = self.eval(dim, group, thread)?.as_i64() as usize;
                 let groups = self.config.num_groups();
                 let v = match kind {
-                    WorkItemFn::GlobalId => thread.gid[dim],
-                    WorkItemFn::LocalId => thread.lid[dim],
-                    WorkItemFn::GroupId => group.id[dim],
-                    WorkItemFn::GlobalSize => self.config.global[dim],
-                    WorkItemFn::LocalSize => self.config.local[dim],
-                    WorkItemFn::NumGroups => groups[dim],
+                    WorkItem::GlobalId => thread.gid[dim],
+                    WorkItem::LocalId => thread.lid[dim],
+                    WorkItem::GroupId => group.id[dim],
+                    WorkItem::GlobalSize => self.config.global[dim],
+                    WorkItem::LocalSize => self.config.local[dim],
+                    WorkItem::NumGroups => groups[dim],
                 };
                 Ok(GpuValue::Int(v as i64))
             }
@@ -1298,7 +1207,7 @@ impl Exec {
                 let ptr = self
                     .eval(ptr, group, thread)?
                     .as_ptr()
-                    .ok_or_else(|| VgpuError::NotAPointer(format!("vload{width}")))?;
+                    .ok_or_else(|| VgpuError::NotAPointer(Builtin::VLoad(*width).to_string()))?;
                 let mut lanes = Vec::with_capacity(*width);
                 for lane in 0..*width {
                     lanes.push(self.load(
@@ -1318,7 +1227,7 @@ impl Exec {
                 let ptr = self
                     .eval(ptr, group, thread)?
                     .as_ptr()
-                    .ok_or_else(|| VgpuError::NotAPointer(format!("vstore{width}")))?;
+                    .ok_or_else(|| VgpuError::NotAPointer(Builtin::VStore(*width).to_string()))?;
                 let lanes = match value {
                     GpuValue::Vector(lanes) => lanes,
                     other => vec![other; *width],
@@ -1336,35 +1245,16 @@ impl Exec {
                 self.counters.vector_accesses += *width as u64;
                 Ok(GpuValue::Int(0))
             }
-            SExpr::Math1(kind, a) => {
+            SExpr::Math1(f, a) => {
                 let v = self.eval(a, group, thread)?.as_f64();
                 self.counters.charge(charge::MATH1, 1);
-                let out = match kind {
-                    Math1::Sqrt => v.sqrt(),
-                    Math1::Rsqrt => 1.0 / v.sqrt(),
-                    Math1::Fabs => v.abs(),
-                    Math1::Exp => v.exp(),
-                    Math1::Log => v.ln(),
-                    Math1::Floor => v.floor(),
-                };
-                Ok(GpuValue::Float(out))
+                Ok(GpuValue::Float(f(v)))
             }
-            SExpr::Math2(kind, a, b) => {
+            SExpr::Math2(f, a, b) => {
                 let a = self.eval(a, group, thread)?.as_f64();
                 let b = self.eval(b, group, thread)?.as_f64();
                 self.counters.charge(charge::MATH2, 1);
-                let out = match kind {
-                    Math2::Min => a.min(b),
-                    Math2::Max => a.max(b),
-                };
-                Ok(GpuValue::Float(out))
-            }
-            SExpr::Mad(a, b, c) => {
-                let a = self.eval(a, group, thread)?.as_f64();
-                let b = self.eval(b, group, thread)?.as_f64();
-                let c = self.eval(c, group, thread)?.as_f64();
-                self.counters.charge(charge::MAD, 1);
-                Ok(GpuValue::Float(a * b + c))
+                Ok(GpuValue::Float(f(a, b)))
             }
             SExpr::CallFun(idx, args) => {
                 let fun = std::rc::Rc::clone(&self.functions[*idx]);
@@ -1402,7 +1292,7 @@ impl Exec {
                 }
                 result
             }
-            SExpr::UnknownCall(name) => Err(VgpuError::UnknownFunction(name.clone())),
+            SExpr::Fail(e) => Err((**e).clone()),
             SExpr::ArrayAccess(arr, idx) => {
                 let ptr = self
                     .eval(arr, group, thread)?
@@ -1433,15 +1323,6 @@ impl Exec {
                     other => Ok(other),
                 }
             }
-            SExpr::Cast(kind, inner) => {
-                let v = self.eval(inner, group, thread)?;
-                Ok(match kind {
-                    CastKind::Int => GpuValue::Int(v.as_i64()),
-                    CastKind::Float => GpuValue::Float(v.as_f64()),
-                    CastKind::Bool => GpuValue::Bool(v.as_bool()),
-                    CastKind::Keep => v,
-                })
-            }
             SExpr::Ternary(c, t, other) => {
                 let c = self.eval(c, group, thread)?.as_bool();
                 self.counters.charge(charge::CONTROL, 1);
@@ -1457,13 +1338,6 @@ impl Exec {
                     out.push(self.eval(f, group, thread)?);
                 }
                 Ok(GpuValue::Struct(out))
-            }
-            SExpr::VectorLit(elems) => {
-                let mut out = Vec::with_capacity(elems.len());
-                for e in elems {
-                    out.push(self.eval(e, group, thread)?);
-                }
-                Ok(GpuValue::Vector(out))
             }
         }
     }
@@ -1559,7 +1433,6 @@ impl Exec {
                     ..p
                 }),
                 CBinOp::Eq => GpuValue::Bool(Some(p) == b.as_ptr()),
-                CBinOp::Ne => GpuValue::Bool(Some(p) != b.as_ptr()),
                 _ => return Err(VgpuError::NotAPointer("invalid pointer operation".into())),
             });
         }
@@ -1585,15 +1458,11 @@ impl Exec {
                 CBinOp::Add => GpuValue::Int(x + y),
                 CBinOp::Sub => GpuValue::Int(x - y),
                 CBinOp::Mul => GpuValue::Int(x * y),
-                CBinOp::Div | CBinOp::Mod => {
+                CBinOp::Div => {
                     if y == 0 {
                         return Err(VgpuError::DivisionByZero);
                     }
-                    GpuValue::Int(if op == CBinOp::Div {
-                        x.div_euclid(y)
-                    } else {
-                        x.rem_euclid(y)
-                    })
+                    GpuValue::Int(x.div_euclid(y))
                 }
                 _ => GpuValue::Bool(compare(op, x as f64, y as f64)),
             });
@@ -1606,7 +1475,6 @@ impl Exec {
             CBinOp::Sub => GpuValue::Float(x - y),
             CBinOp::Mul => GpuValue::Float(x * y),
             CBinOp::Div => GpuValue::Float(x / y),
-            CBinOp::Mod => GpuValue::Float(x % y),
             _ => GpuValue::Bool(compare(op, x, y)),
         })
     }
@@ -1929,14 +1797,9 @@ fn data_race(buffer: &str, index: i64, earlier: usize, current: usize, epoch: u6
 pub(crate) fn compare(op: CBinOp, x: f64, y: f64) -> bool {
     match op {
         CBinOp::Lt => x < y,
-        CBinOp::Le => x <= y,
         CBinOp::Gt => x > y,
-        CBinOp::Ge => x >= y,
         CBinOp::Eq => x == y,
-        CBinOp::Ne => x != y,
-        CBinOp::And => x != 0.0 && y != 0.0,
-        CBinOp::Or => x != 0.0 || y != 0.0,
-        _ => false,
+        CBinOp::Add | CBinOp::Sub | CBinOp::Mul | CBinOp::Div => false,
     }
 }
 
@@ -1952,12 +1815,6 @@ fn field_index(field: &str) -> usize {
             "w" => 3,
             _ => 0,
         })
-}
-
-fn vector_width(name: &str, prefix: &str) -> Option<usize> {
-    name.strip_prefix(prefix)
-        .and_then(|rest| rest.parse::<usize>().ok())
-        .filter(|w| matches!(w, 2 | 4 | 8 | 16))
 }
 
 // The unit tests launch through `ExecutionRequest` with its default `EngineSelection::Auto`,
@@ -1984,28 +1841,25 @@ mod tests {
                 slot: 1,
                 init: None,
             },
-            SStmt::Block(vec![
-                SStmt::If {
-                    cond: SExpr::Int(1),
-                    then: vec![assign(SLhs::Var(2)), SStmt::Barrier],
-                    otherwise: Some(vec![SStmt::For {
-                        slot: 3,
-                        init: SExpr::Int(0),
-                        cond: SExpr::Int(0),
-                        step: SExpr::Int(1),
-                        body: vec![
-                            SStmt::DeclPrivateArray {
-                                slot: 4,
-                                len: ArithExpr::cst(2),
-                            },
-                            assign(SLhs::FieldOfVar(5, 0)),
-                            assign(SLhs::Array(SExpr::Var(0), SExpr::Int(0))),
-                            SStmt::Expr(SExpr::Var(6)),
-                        ],
-                    }]),
-                },
-                SStmt::Return,
-            ]),
+            SStmt::Block(vec![SStmt::If {
+                cond: SExpr::Int(1),
+                then: vec![assign(SLhs::Var(2)), SStmt::Barrier],
+                otherwise: Some(vec![SStmt::For {
+                    slot: 3,
+                    init: SExpr::Int(0),
+                    cond: SExpr::Int(0),
+                    step: SExpr::Int(1),
+                    body: vec![
+                        SStmt::DeclPrivateArray {
+                            slot: 4,
+                            len: ArithExpr::cst(2),
+                        },
+                        assign(SLhs::FieldOfVar(5, 0)),
+                        assign(SLhs::Array(SExpr::Var(0), SExpr::Int(0))),
+                        SStmt::Expr(SExpr::Var(6)),
+                    ],
+                }]),
+            }]),
             assign(SLhs::Var(7)),
         ];
         let (mut visited, mut assigned) = (0, Vec::new());
@@ -2013,7 +1867,7 @@ mod tests {
             visited += 1;
             assigned.extend(s.assigned());
         });
-        assert_eq!(visited, 13);
+        assert_eq!(visited, 12);
         assert_eq!(assigned, [1, 2, 3, 4, 5, 7]);
     }
 
@@ -2105,6 +1959,40 @@ mod tests {
                 found: 1
             }
         );
+    }
+
+    #[test]
+    fn a_call_with_the_wrong_number_of_arguments_is_a_typed_error() {
+        let call = |builtin, args: Vec<CExpr>| {
+            let mut m = copy_kernel();
+            m.kernels[0]
+                .body
+                .push(CStmt::Expr(CExpr::Builtin(builtin, args)));
+            m
+        };
+        let cases = [
+            (call(Builtin::WorkItem(WorkItem::GlobalId), vec![]), 1, 0),
+            (call(Builtin::VLoad(4), vec![CExpr::int(0)]), 2, 1),
+            (call(Builtin::Fmin, vec![CExpr::float(1.0)]), 2, 1),
+        ];
+        // A function the module does not define is unknown, whatever OpenCL calls it.
+        let mut unknown = copy_kernel();
+        unknown.kernels[0].body.push(CStmt::Expr(CExpr::Call(
+            "log".into(),
+            vec![CExpr::float(1.0)],
+        )));
+        let launch = stage("copy", LaunchConfig::d1(16, 16));
+        let args = || vec![KernelArg::zeros(16), KernelArg::zeros(16)];
+        for engine in [EngineSelection::Interpreter, EngineSelection::Bytecode] {
+            let request = |m| ExecutionRequest::new(m).engine(engine);
+            for (m, expected, found) in &cases {
+                let err = request(m).launch_sequence(&launch, args()).unwrap_err();
+                let (expected, found) = (*expected, *found);
+                assert_eq!(err, VgpuError::ArgumentMismatch { expected, found });
+            }
+            let err = request(&unknown).launch_sequence(&launch, args());
+            assert_eq!(err, Err(VgpuError::UnknownFunction("log".into())));
+        }
     }
 
     #[test]
@@ -2350,10 +2238,13 @@ mod tests {
                     ty: CType::pointer(CType::Float, AddrSpace::Global),
                 },
             ],
-            body: vec![CStmt::Expr(CExpr::Call(
-                "vstore4".into(),
+            body: vec![CStmt::Expr(CExpr::Builtin(
+                Builtin::VStore(4),
                 vec![
-                    CExpr::Call("vload4".into(), vec![CExpr::global_id(0), CExpr::var("in")]),
+                    CExpr::Builtin(
+                        Builtin::VLoad(4),
+                        vec![CExpr::global_id(0), CExpr::var("in")],
+                    ),
                     CExpr::global_id(0),
                     CExpr::var("out"),
                 ],
@@ -2629,9 +2520,10 @@ mod tests {
                     init: CExpr::int(0),
                     cond: CExpr::var("i").lt(CExpr::int(4)),
                     step: CExpr::int(1),
+                    // An array store converts the `int` id to a `float`.
                     body: vec![CStmt::Assign {
                         lhs: CExpr::var("regs").at(CExpr::var("i")),
-                        rhs: CExpr::Cast(CType::Float, Box::new(CExpr::global_id(0))),
+                        rhs: CExpr::global_id(0),
                     }],
                 },
                 CStmt::Assign {
@@ -2689,7 +2581,7 @@ mod tests {
                         lhs: CExpr::var("tmp").at(CExpr::var("i")),
                         rhs: CExpr::var("in")
                             .at(CExpr::global_id(0))
-                            .add(CExpr::Cast(CType::Float, Box::new(CExpr::var("i")))),
+                            .add(CExpr::var("i")),
                     }],
                 },
                 CStmt::Assign {
@@ -2736,7 +2628,7 @@ mod tests {
     #[test]
     fn race_detector_distinguishes_work_item_dimensions() {
         // Two work items that differ ONLY in their dimension-1 id write different values
-        // to the same local cell: `tmp[l0] = in[g0] + (float)l1`. A detector that collapsed
+        // to the same local cell: `tmp[l0] = in[g0] + l1`. A detector that collapsed
         // the id space to dimension 0 would see one thread re-writing its own cell and stay
         // silent; distinguishing dimensions makes it a write-write race.
         let mut m = Module::new();
@@ -2764,7 +2656,7 @@ mod tests {
                     lhs: CExpr::var("tmp").at(CExpr::local_id(0)),
                     rhs: CExpr::var("in")
                         .at(CExpr::global_id(0))
-                        .add(CExpr::Cast(CType::Float, Box::new(CExpr::local_id(1)))),
+                        .add(CExpr::local_id(1)),
                 },
                 CStmt::Barrier(Fence::local()),
                 CStmt::Assign {
@@ -2874,13 +2766,11 @@ mod tests {
         // loop back-edge would see different epochs and miss the race entirely — this is
         // the false-negative mode the barrier-epoch audit pins down.
         let loop_body = |with_barrier: bool| {
+            // tmp[(l + i) % 8] = l + 1, with l = get_local_id(0).
+            let wrapped = (ArithExpr::var("l") + ArithExpr::var("i")) % ArithExpr::cst(8);
             let mut body = vec![CStmt::Assign {
-                lhs: CExpr::var("tmp")
-                    .at(CExpr::local_id(0).add(CExpr::var("i")).rem(CExpr::int(8))),
-                rhs: CExpr::Cast(
-                    CType::Float,
-                    Box::new(CExpr::local_id(0).add(CExpr::int(1))),
-                ),
+                lhs: CExpr::var("tmp").at(CExpr::Index(wrapped)),
+                rhs: CExpr::var("l").add(CExpr::int(1)),
             }];
             if with_barrier {
                 body.push(CStmt::Barrier(Fence::local()));
@@ -2902,6 +2792,13 @@ mod tests {
                         addr: Some(AddrSpace::Local),
                         array_len: Some(ArithExpr::cst(8)),
                         init: None,
+                    },
+                    CStmt::Decl {
+                        ty: CType::Int,
+                        name: "l".into(),
+                        addr: None,
+                        array_len: None,
+                        init: Some(CExpr::local_id(0)),
                     },
                     CStmt::For {
                         var: "i".into(),
@@ -2982,10 +2879,7 @@ mod tests {
             }],
             body: vec![CStmt::Assign {
                 lhs: CExpr::var("out").at(CExpr::int(0)),
-                rhs: CExpr::Cast(
-                    CType::Float,
-                    Box::new(CExpr::group_id(0).add(CExpr::int(1))),
-                ),
+                rhs: CExpr::group_id(0).add(CExpr::int(1)),
             }],
         });
         let err = ExecutionRequest::new(&m)
@@ -3005,12 +2899,8 @@ mod tests {
     }
 
     #[test]
-    fn race_detection_flag_is_visible() {
+    fn race_detection_leaves_results_unchanged() {
         let m = copy_kernel();
-        assert!(!ExecutionRequest::new(&m).race_detection_enabled());
-        assert!(ExecutionRequest::new(&m)
-            .race_detection(true)
-            .race_detection_enabled());
         // Shadow state never leaks into results: a clean kernel produces identical buffers
         // and counters with and without detection.
         let input: Vec<f32> = (0..64).map(|i| i as f32).collect();
