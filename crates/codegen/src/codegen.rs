@@ -25,8 +25,8 @@ use lift_ir::{
     Program, Reorder, ScalarExpr, ScalarKind, Type, TypeError, UnOp, UserFun,
 };
 use lift_ocl::{
-    walk, AddrSpace, Builtin, CBinOp, CExpr, CFunction, CStmt, CType, CUnOp, Fence, Kernel,
-    KernelParam, Module, Node, StructDef,
+    walk, AddrSpace, Builtin, CBinOp, CExpr, CFunction, CStmt, CType, Fence, Kernel, KernelParam,
+    Module, Node, StructDef,
 };
 
 use crate::address_space::{
@@ -1882,7 +1882,7 @@ pub(crate) fn scalar_to_c(e: &ScalarExpr, params: &[String]) -> CExpr {
         }
         ScalarExpr::Un(op, a) => {
             let f = match op {
-                UnOp::Neg => return CExpr::Un(CUnOp::Neg, c(a)),
+                UnOp::Neg => return CExpr::Neg(c(a)),
                 UnOp::Sqrt => Builtin::Sqrt,
                 UnOp::Rsqrt => Builtin::Rsqrt,
                 UnOp::Fabs => Builtin::Fabs,

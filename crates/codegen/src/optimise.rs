@@ -29,7 +29,7 @@ use std::hash::{BuildHasherDefault, Hasher};
 
 use lift_arith::ArithExpr;
 use lift_ocl::{
-    AddrSpace, Builtin, CBinOp, CExpr, CFunction, CStmt, CType, CUnOp, Kernel, Node, StructDef,
+    AddrSpace, Builtin, CBinOp, CExpr, CFunction, CStmt, CType, Kernel, Node, StructDef,
 };
 
 /// Optimises a generated kernel body (see the module docs).
@@ -129,7 +129,7 @@ enum Op {
     Min,
     Max,
     Bin(CBinOp),
-    Un(CUnOp),
+    Neg,
     /// A math builtin.
     Call(Builtin),
     Field(String),
@@ -311,7 +311,7 @@ impl Optimiser<'_> {
             CExpr::Var(v) => return Some(self.var(v)),
             CExpr::Index(a) => return Some(self.index(a, site)),
             CExpr::Bin(op, a, b) => (Op::Bin(*op), self.operands([&mut **a, &mut **b], site)?),
-            CExpr::Un(op, a) => (Op::Un(*op), self.operands([&mut **a], site)?),
+            CExpr::Neg(a) => (Op::Neg, self.operands([&mut **a], site)?),
             CExpr::Field(a, f) => (Op::Field(f.clone()), self.operands([&mut **a], site)?),
             CExpr::ArrayAccess(a, i) => (Op::Load, self.operands([&mut **a, &mut **i], site)?),
             CExpr::Builtin(
@@ -480,7 +480,7 @@ impl Optimiser<'_> {
             Op::Min | Op::Max => Some(CType::Int),
             Op::Float(_) => Some(CType::Float),
             Op::Bin(Add | Sub | Mul | Div) | Op::Call(_) => same(ty(0)?),
-            Op::Un(CUnOp::Neg) => ty(0),
+            Op::Neg => ty(0),
             Op::Field(f) => match ty(0)? {
                 CType::Struct(s) => field(&s, f),
                 _ => None,

@@ -131,13 +131,6 @@ impl CBinOp {
     }
 }
 
-/// Unary operators.
-#[derive(Clone, Copy, Debug, PartialEq, Eq, Hash)]
-pub enum CUnOp {
-    /// `-x`
-    Neg,
-}
-
 /// The OpenCL work-item functions: each takes a dimension and returns an id or a size.
 #[derive(Clone, Copy, Debug, PartialEq, Eq, Hash)]
 pub enum WorkItem {
@@ -231,8 +224,8 @@ pub enum CExpr {
     Index(ArithExpr),
     /// Binary operation.
     Bin(CBinOp, Box<CExpr>, Box<CExpr>),
-    /// Unary operation.
-    Un(CUnOp, Box<CExpr>),
+    /// Negation `-x`.
+    Neg(Box<CExpr>),
     /// A call of a builtin (`get_global_id(0)`, `sqrt(x)`, …).
     Builtin(Builtin, Vec<CExpr>),
     /// A call of a function defined in the module (a user function).

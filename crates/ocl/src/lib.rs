@@ -36,8 +36,8 @@ pub mod printer;
 pub mod walk;
 
 pub use ast::{
-    AddrSpace, Builtin, CBinOp, CExpr, CFunction, CStmt, CType, CUnOp, Fence, Kernel, KernelParam,
-    Module, StructDef, TempBufferDecl, WorkItem,
+    AddrSpace, Builtin, CBinOp, CExpr, CFunction, CStmt, CType, Fence, Kernel, KernelParam, Module,
+    StructDef, TempBufferDecl, WorkItem,
 };
 pub use printer::{
     print_expr, print_function, print_kernel, print_module, print_stmt, print_struct,

@@ -5,7 +5,7 @@
 //! loops appear as plain `for` loops over the OpenCL id functions.
 
 use crate::ast::{
-    AddrSpace, CBinOp, CExpr, CFunction, CStmt, CType, CUnOp, Fence, Kernel, Module, StructDef,
+    AddrSpace, CBinOp, CExpr, CFunction, CStmt, CType, Fence, Kernel, Module, StructDef,
 };
 
 /// Renders a whole module (structs, helper functions, kernels) as OpenCL C source.
@@ -261,7 +261,7 @@ fn print_expr_prec(e: &CExpr, parent_prec: u8) -> String {
             );
             (s, prec)
         }
-        CExpr::Un(CUnOp::Neg, a) => (format!("-{}", print_expr_prec(a, 9)), 9),
+        CExpr::Neg(a) => (format!("-{}", print_expr_prec(a, 9)), 9),
         CExpr::Builtin(builtin, args) => (format!("{builtin}({})", print_args(args)), 10),
         CExpr::Call(name, args) => (format!("{name}({})", print_args(args)), 10),
         CExpr::ArrayAccess(arr, idx) => (

@@ -84,7 +84,7 @@ impl<'a> Iterator for Walk<'a> {
             },
             Node::Expr(expr) => match expr {
                 CExpr::IntLit(_) | CExpr::FloatLit(_) | CExpr::Var(_) | CExpr::Index(_) => {}
-                CExpr::Un(_, a) | CExpr::Field(a, _) => s.push(Node::Expr(a)),
+                CExpr::Neg(a) | CExpr::Field(a, _) => s.push(Node::Expr(a)),
                 CExpr::Bin(_, a, b) | CExpr::ArrayAccess(a, b) => {
                     s.extend([&**a, &**b].map(Node::Expr));
                 }
@@ -102,7 +102,7 @@ impl<'a> Iterator for Walk<'a> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::ast::{Builtin, CBinOp, CType, CUnOp, Fence, Kernel};
+    use crate::ast::{Builtin, CBinOp, CType, Fence, Kernel};
     use crate::printer::print_expr;
     use lift_arith::ArithExpr;
 
@@ -132,7 +132,7 @@ mod tests {
                 step: at("step"),
                 body: vec![
                     CStmt::If {
-                        cond: CExpr::Un(CUnOp::Neg, b(at("neg"))),
+                        cond: CExpr::Neg(b(at("neg"))),
                         then: vec![CStmt::Barrier(Fence::local())],
                         otherwise: Some(vec![CStmt::Expr(at("else"))]),
                     },

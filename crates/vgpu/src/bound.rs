@@ -5,11 +5,12 @@
 //! (work item) carries a *weight*, the number of times it runs the statement being walked,
 //! and every integer or boolean the walk can evaluate carries its value in each lane, so
 //! the work-item ids, the launch sizes, the scalar `int` arguments and anything computed
-//! from them are known exactly. Every operation is charged by the rules of `charge.rs`,
-//! which the interpreter and the bytecode tier charge too, once per lane that certainly runs
-//! it; what runs is decided as the interpreter decides it: an `If` evaluates its condition
-//! in every active lane, a `For` round its condition in every active lane of each group
-//! still looping, plus one loop iteration and one step per lane that enters the body.
+//! from them are known exactly. Every operation is computed and charged as `ops.rs` states
+//! it, which is how the interpreter and the bytecode tier compute and charge it, once per
+//! lane that certainly runs it; what runs is decided as the interpreter decides it: an `If`
+//! evaluates its condition in every active lane, a `For` round its condition in every
+//! active lane of each group still looping, plus one loop iteration and one step per lane
+//! that enters the body.
 //!
 //! * A loop whose trip count can be evaluated in every lane, and whose body does not assign
 //!   its variable, is counted as trips × body: the body is walked once, with the loop
@@ -31,13 +32,13 @@
 use std::borrow::Cow;
 use std::rc::Rc;
 
-use lift_ocl::{AddrSpace, CBinOp, CUnOp, WorkItem};
+use lift_ocl::{AddrSpace, CBinOp, WorkItem};
 
-use crate::charge;
 use crate::cost::CostCounters;
 use crate::device::LaunchConfig;
-use crate::exec::{compare, Lowered, SExpr, SIndex, SLhs, SStmt};
-use crate::memory::KernelArg;
+use crate::exec::{Lowered, SExpr, SIndex, SLhs, SStmt};
+use crate::memory::{KernelArg, Scalar};
+use crate::ops::{self, IntOp};
 
 /// Rounds a loop is walked one at a time before the walk stops counting it.
 const MAX_ROUNDS: u64 = 1024;
@@ -250,7 +251,7 @@ enum Val {
 }
 
 impl Val {
-    /// The value as an integer (`GpuValue::as_i64`).
+    /// The value as an integer (`Scalar::as_i64`).
     fn as_num(&self) -> Num {
         match self {
             Val::Int(n) | Val::Bool(n) => n.clone(),
@@ -259,7 +260,7 @@ impl Val {
         }
     }
 
-    /// The value as a condition (`GpuValue::as_bool`): 0 or 1.
+    /// The value as a condition (`Scalar::as_bool`): 0 or 1.
     fn truth(&self) -> Num {
         match self {
             Val::Bool(n) => n.clone(),
@@ -633,18 +634,22 @@ impl Walk<'_> {
         Ok(())
     }
 
-    /// Counts an index term's operations `n` times, as `Exec::eval_index_counting` does.
+    /// Counts an index term's operations `n` times, as `Exec::eval_index` does.
+    #[deny(
+        clippy::wildcard_enum_match_arm,
+        clippy::match_wildcard_for_single_variants
+    )]
     fn count_index(&mut self, a: &SIndex, n: u64) {
-        self.counters.charge(charge::index(a), n);
+        self.counters.charge(ops::index_charge(a), n);
         match a {
             SIndex::Cst(_) | SIndex::Var(_) => {}
-            SIndex::Sum(ts) | SIndex::Prod(ts) => {
+            SIndex::Fold(_, ts) => {
                 for t in ts {
                     self.count_index(t, n);
                 }
             }
             SIndex::Pow(b, _) => self.count_index(b, n),
-            SIndex::IntDiv(x, y) | SIndex::Mod(x, y) | SIndex::Min(x, y) | SIndex::Max(x, y) => {
+            SIndex::Pair(_, x, y) => {
                 self.count_index(x, n);
                 self.count_index(y, n);
             }
@@ -727,7 +732,7 @@ impl Walk<'_> {
                 otherwise,
             } => {
                 let c = self.eval(cond, w)?;
-                self.counters.charge(charge::CONTROL, w.total);
+                self.counters.charge(ops::CONTROL, w.total);
                 match self.decide(&c, w)? {
                     Some(truth) if w.total > 0 => {
                         let taken = w.restrict(&truth, true, self.geo);
@@ -892,12 +897,12 @@ impl Walk<'_> {
         self.counted += 1;
         let counted = (|| {
             self.eval(cond, &checks)?;
-            self.counters.charge(charge::CONTROL, checks.total);
+            self.counters.charge(ops::CONTROL, checks.total);
             add(&mut self.counters.loop_iterations, rounds.total);
             if rounds.total > 0 {
                 self.block(body, &rounds)?;
                 self.eval(step, &rounds)?;
-                self.counters.charge(charge::CONTROL, rounds.total);
+                self.counters.charge(ops::CONTROL, rounds.total);
             }
             Ok(())
         })();
@@ -921,7 +926,7 @@ impl Walk<'_> {
         let mut checking = w.clone();
         for round in 0.. {
             let c = self.eval(cond, &checking)?;
-            self.counters.charge(charge::CONTROL, checking.total);
+            self.counters.charge(ops::CONTROL, checking.total);
             let (Some(truth), true) = (self.decide(&c, &checking)?, round < MAX_ROUNDS) else {
                 return self.forget_loop(slot, step, body);
             };
@@ -936,11 +941,13 @@ impl Walk<'_> {
             add(&mut self.counters.loop_iterations, entering.total);
             self.block(body, &entering)?;
             let by = self.eval(step, &entering)?;
-            self.counters.charge(charge::CONTROL, entering.total);
+            self.counters.charge(ops::CONTROL, entering.total);
             let next = self
                 .lookup(slot)
                 .as_num()
-                .zip(&by.as_num(), self.geo, i64::wrapping_add);
+                .zip(&by.as_num(), self.geo, |x, y| {
+                    ops::step(Scalar::Int(x), Scalar::Int(y)).as_i64()
+                });
             self.set(slot, Val::Int(next), &entering);
             // A group whose lanes all failed the condition is done: it checks no more.
             checking = checking.scale(&entering.group_max(&Num::All(1), self.geo), self.geo);
@@ -979,15 +986,13 @@ impl Walk<'_> {
                 let b = self.eval(b, w)?;
                 self.bin(*op, &a, &b, w)
             }
-            SExpr::Un(op, a) => {
+            SExpr::Neg(a) => {
                 let v = self.eval(a, w)?;
-                self.counters.charge(charge::unary(*op), w.total);
-                match op {
-                    CUnOp::Neg => match v {
-                        Val::Int(n) => Val::Int(n.map(i64::wrapping_neg)),
-                        Val::Opaque => Val::Opaque,
-                        _ => Val::Float,
-                    },
+                self.counters.charge(ops::NEG, w.total);
+                match v {
+                    Val::Int(n) => Val::Int(n.map(|x| ops::neg(Scalar::Int(x)).as_i64())),
+                    Val::Opaque => Val::Opaque,
+                    _ => Val::Float,
                 }
             }
             SExpr::WorkItem(f, dim) => match self.eval(dim, w)?.as_num() {
@@ -1014,13 +1019,13 @@ impl Walk<'_> {
             }
             SExpr::Math1(_, a) => {
                 self.eval(a, w)?;
-                self.counters.charge(charge::MATH1, w.total);
+                self.counters.charge(ops::MATH1, w.total);
                 Val::Float
             }
             SExpr::Math2(_, a, b) => {
                 self.eval(a, w)?;
                 self.eval(b, w)?;
-                self.counters.charge(charge::MATH2, w.total);
+                self.counters.charge(ops::MATH2, w.total);
                 Val::Float
             }
             SExpr::CallFun(idx, args) => self.call(*idx, args, w)?,
@@ -1042,7 +1047,7 @@ impl Walk<'_> {
             },
             SExpr::Ternary(c, t, o) => {
                 let cv = self.eval(c, w)?;
-                self.counters.charge(charge::CONTROL, w.total);
+                self.counters.charge(ops::CONTROL, w.total);
                 match self.decide(&cv, w)? {
                     Some(Num::All(p)) => self.eval(if p != 0 { t } else { o }, w)?,
                     Some(truth) => {
@@ -1109,7 +1114,7 @@ impl Walk<'_> {
         result
     }
 
-    /// A binary operation, counted and typed as `Exec::eval_bin` does.
+    /// A binary operation, counted and typed as `ops::binary` counts and types it.
     fn bin(&mut self, op: CBinOp, a: &Val, b: &Val, w: &Weights) -> Val {
         match (a, b) {
             // Whether `Int op ?` takes the integer path is unknown.
@@ -1132,26 +1137,21 @@ impl Walk<'_> {
                     .collect(),
             ),
             (Val::Int(x), Val::Int(y)) => {
-                self.counters.charge(charge::binary(op, true), w.total);
-                match op {
-                    CBinOp::Add => Val::Int(x.zip(y, self.geo, i64::wrapping_add)),
-                    CBinOp::Sub => Val::Int(x.zip(y, self.geo, i64::wrapping_sub)),
-                    CBinOp::Mul => Val::Int(x.zip(y, self.geo, i64::wrapping_mul)),
-                    CBinOp::Div => Val::Int(x.zip(y, self.geo, div)),
-                    _ => Val::Bool(x.zip(y, self.geo, |x, y| {
-                        i64::from(compare(op, x as f64, y as f64))
-                    })),
+                self.counters.charge(ops::binary_charge(op, true), w.total);
+                let n = x.zip(y, self.geo, lanes(op, Scalar::Int));
+                match ops::int_op(op) {
+                    Some(_) => Val::Int(n),
+                    None => Val::Bool(n),
                 }
             }
             _ => {
-                self.counters.charge(charge::binary(op, false), w.total);
-                match op {
-                    CBinOp::Add | CBinOp::Sub | CBinOp::Mul | CBinOp::Div => Val::Float,
-                    _ => {
+                self.counters.charge(ops::binary_charge(op, false), w.total);
+                match ops::int_op(op) {
+                    Some(_) => Val::Float,
+                    None => {
+                        let as_float = |v| Scalar::Float(v as f64);
                         let (x, y) = (a.float_num(), b.float_num());
-                        Val::Bool(x.zip(&y, self.geo, |x, y| {
-                            i64::from(compare(op, x as f64, y as f64))
-                        }))
+                        Val::Bool(x.zip(&y, self.geo, lanes(op, as_float)))
                     }
                 }
             }
@@ -1159,28 +1159,28 @@ impl Walk<'_> {
     }
 
     /// An index term's value.
+    #[deny(
+        clippy::wildcard_enum_match_arm,
+        clippy::match_wildcard_for_single_variants
+    )]
     fn index_value(&self, a: &SIndex) -> Num {
-        let fold = |terms: &[SIndex], unit: i64, f: fn(i64, i64) -> i64| {
-            terms.iter().fold(Num::All(unit), |acc, t| {
-                acc.zip(&self.index_value(t), self.geo, f)
-            })
-        };
-        let pair = |x: &SIndex, y: &SIndex, f: fn(i64, i64) -> i64| {
-            self.index_value(x).zip(&self.index_value(y), self.geo, f)
-        };
         match a {
             SIndex::Cst(c) => Num::All(*c),
             SIndex::Var(slot) => self.vals[*slot]
                 .as_ref()
                 .or(self.params[*slot].as_ref())
                 .map_or(Num::Unknown, Val::as_num),
-            SIndex::Sum(ts) => fold(ts, 0, i64::wrapping_add),
-            SIndex::Prod(fs) => fold(fs, 1, i64::wrapping_mul),
-            SIndex::IntDiv(x, y) => pair(x, y, div),
-            SIndex::Mod(x, y) => pair(x, y, rem),
-            SIndex::Pow(b, e) => self.index_value(b).map(|b| b.wrapping_pow(*e)),
-            SIndex::Min(x, y) => pair(x, y, i64::min),
-            SIndex::Max(x, y) => pair(x, y, i64::max),
+            SIndex::Fold(op, ts) => ts.iter().fold(Num::All(op.unit()), |acc, t| {
+                acc.zip(&self.index_value(t), self.geo, int_lanes(*op))
+            }),
+            SIndex::Pair(op, x, y) => {
+                self.index_value(x)
+                    .zip(&self.index_value(y), self.geo, int_lanes(*op))
+            }
+            SIndex::Pow(b, e) => {
+                let e = Num::All(i64::from(*e));
+                self.index_value(b).zip(&e, self.geo, int_lanes(IntOp::Pow))
+            }
         }
     }
 }
@@ -1216,23 +1216,16 @@ fn add(counter: &mut u64, n: u64) {
     *counter = counter.saturating_add(n);
 }
 
-/// Integer division as `Exec` computes it. `Exec` fails on a zero divisor, so any value
-/// will do for a lane that divides by zero.
-fn div(x: i64, y: i64) -> i64 {
-    if y == 0 {
-        0
-    } else {
-        x.wrapping_div_euclid(y)
-    }
+/// A binary operation on two known values, each read as `kind`, lane by lane: its value as
+/// an integer (a comparison is 0 or 1). The engines fail a lane that divides by zero, so any
+/// value will do there.
+fn lanes(op: CBinOp, kind: fn(i64) -> Scalar) -> impl Fn(i64, i64) -> i64 {
+    move |x, y| ops::value(op, kind(x), kind(y)).map_or(0, Scalar::as_i64)
 }
 
-/// Integer modulo as `Exec` computes it (see [`div`]).
-fn rem(x: i64, y: i64) -> i64 {
-    if y == 0 {
-        0
-    } else {
-        x.wrapping_rem_euclid(y)
-    }
+/// An integer operation lane by lane (see [`lanes`]).
+fn int_lanes(op: IntOp) -> impl Fn(i64, i64) -> i64 {
+    move |x, y| ops::int(op, x, y).unwrap_or(0)
 }
 
 #[cfg(test)]

@@ -19,8 +19,8 @@
 //!   dense jumps over the row stream with an explicit mask stack (`If`/`Else`/`EndIf`,
 //!   `ForInit`/`ForHead`/`ForStep`).
 //! * **Expression ops** ([`EOp`]) are a register-file bytecode executed per work item. Index
-//!   evaluation is fused into dedicated ops (`RAdd`/`RDivE`/…) that charge the interpreter's
-//!   `int_ops`/`div_mod_ops` exactly; cost counters, pointer checks and memory instrumentation
+//!   operations are `Int` ops over [`ops::int`], charged by the same per-node `Charge` the
+//!   interpreter charges; cost counters, pointer checks and memory instrumentation
 //!   are explicit instructions (`Charge`, `PtrChk`, `Load`, `StoreChk`, …), so
 //!   instrumentation is part of the ISA rather than a property of a tree walk.
 //!
@@ -42,78 +42,18 @@
 
 use std::rc::Rc;
 
-use lift_ocl::{AddrSpace, Builtin, CBinOp, CUnOp, WorkItem};
+use lift_ocl::{AddrSpace, Builtin, CBinOp, WorkItem};
 
-use crate::charge::{self, Charge};
 use crate::exec::{
-    compare, Exec, Group, Math1, Math2, SExpr, SFunction, SIndex, SLhs, SStmt, ShadowCell, Thread,
-    VgpuError,
+    Exec, Group, Math1, Math2, SExpr, SFunction, SIndex, SLhs, SStmt, ShadowCell, Thread, VgpuError,
 };
-use crate::memory::{GpuValue, Ptr};
+use crate::memory::{Ptr, Scalar};
+use crate::ops::{self, Charge, IntOp};
 
 /// Register operand bit selecting the per-thread cell file over the scratch file.
 const CELL_BIT: u32 = 1 << 31;
 /// "Discard the result" destination marker for [`RowOp::Eval`].
 const NO_DST: u32 = u32::MAX;
-
-/// A runtime value of the bytecode tier: the scalar subset of [`GpuValue`] plus `None` for
-/// cells that hold no value yet (the interpreter's unset `thread.vals` entry). Aggregates
-/// never exist at runtime — they are scalarised into consecutive registers.
-#[derive(Clone, Copy, Debug, PartialEq)]
-pub(crate) enum V {
-    /// No value: reading this as a variable is [`VgpuError::UnknownVariable`].
-    None,
-    Float(f64),
-    Int(i64),
-    Bool(bool),
-    Ptr(Ptr),
-}
-
-impl V {
-    /// Mirrors [`GpuValue::as_f64`] (`None` converts like an aggregate).
-    fn as_f64(self) -> f64 {
-        match self {
-            V::Float(v) => v,
-            V::Int(v) => v as f64,
-            V::Bool(b) => {
-                if b {
-                    1.0
-                } else {
-                    0.0
-                }
-            }
-            V::Ptr(_) | V::None => f64::NAN,
-        }
-    }
-
-    /// Mirrors [`GpuValue::as_i64`].
-    fn as_i64(self) -> i64 {
-        match self {
-            V::Int(v) => v,
-            V::Float(v) => v as i64,
-            V::Bool(b) => i64::from(b),
-            V::Ptr(_) | V::None => 0,
-        }
-    }
-
-    /// Mirrors [`GpuValue::as_bool`].
-    fn as_bool(self) -> bool {
-        match self {
-            V::Bool(b) => b,
-            V::Int(v) => v != 0,
-            V::Float(v) => v != 0.0,
-            V::Ptr(_) | V::None => false,
-        }
-    }
-
-    /// Mirrors [`GpuValue::as_ptr`].
-    fn as_ptr(self) -> Option<Ptr> {
-        match self {
-            V::Ptr(p) => Some(p),
-            _ => None,
-        }
-    }
-}
 
 /// The compile-time shape of an expression value: a single register or `n` consecutive
 /// registers for a scalarised aggregate. Vectors and structs are tracked separately because
@@ -167,9 +107,9 @@ enum EOp {
         dst: u32,
         v: f64,
     },
-    BoolC {
+    /// `dst = None`: an aggregate read in scalar position.
+    NoneC {
         dst: u32,
-        v: bool,
     },
     Mov {
         dst: u32,
@@ -185,7 +125,7 @@ enum EOp {
         dst: u32,
         src: u32,
     },
-    /// The interpreter's `eval_bin` on two scalar values, charging by the runtime path.
+    /// [`ops::binary`] on two scalar values, charging by the runtime path.
     Bin {
         op: CBinOp,
         dst: u32,
@@ -221,42 +161,14 @@ enum EOp {
     ChargeVec {
         width: u64,
     },
-    /// Errors with [`VgpuError::DivisionByZero`] if the register is integer zero.
+    /// Errors with [`VgpuError::DivisionByZero`] if the register, read as an integer, is
+    /// zero ([`ops::divisor`]).
     ZChk {
         src: u32,
     },
-    /// Fused index ops over `i64` (`Int` registers).
-    RAdd {
-        dst: u32,
-        a: u32,
-        b: u32,
-    },
-    RMul {
-        dst: u32,
-        a: u32,
-        b: u32,
-    },
-    RDivE {
-        dst: u32,
-        a: u32,
-        b: u32,
-    },
-    RRemE {
-        dst: u32,
-        a: u32,
-        b: u32,
-    },
-    RPow {
-        dst: u32,
-        src: u32,
-        e: u32,
-    },
-    RMin {
-        dst: u32,
-        a: u32,
-        b: u32,
-    },
-    RMax {
+    /// An index operation, [`ops::int`] on two `Int` registers.
+    Int {
+        op: IntOp,
         dst: u32,
         a: u32,
         b: u32,
@@ -391,7 +303,7 @@ pub(crate) struct Program {
     rows: Vec<RowOp>,
     code: Vec<EOp>,
     errors: Vec<VgpuError>,
-    proto: Vec<V>,
+    proto: Vec<Scalar>,
     n_scratch: u32,
 }
 
@@ -414,7 +326,7 @@ struct Compiler<'a> {
     errors: Vec<VgpuError>,
     cells: Vec<Option<CellInfo>>,
     n_cell_regs: u32,
-    proto: Vec<V>,
+    proto: Vec<Scalar>,
     /// Start of the current row program in `code` (jump targets are relative to it).
     prog_start: usize,
     scratch_top: u32,
@@ -522,12 +434,6 @@ impl Compiler<'_> {
         dst
     }
 
-    fn boolc(&mut self, v: bool) -> u32 {
-        let dst = self.s1();
-        self.emit(EOp::BoolC { dst, v });
-        dst
-    }
-
     fn errid(&mut self, e: VgpuError) -> u32 {
         if let Some(i) = self.errors.iter().position(|x| *x == e) {
             return i as u32;
@@ -550,23 +456,15 @@ impl Compiler<'_> {
         }
     }
 
-    /// A register usable in `as_f64`/`as_i64`/`as_ptr` position: aggregates convert exactly
-    /// like a `Float(NaN)` placeholder (`NaN`, `0`, `None` respectively).
-    fn num(&mut self, v: Val) -> u32 {
+    /// A register holding `v` in scalar position: an aggregate reads as `Scalar::None`, as
+    /// the interpreter reads it through `GpuValue::scalar`.
+    fn scalar(&mut self, v: Val) -> u32 {
         if v.shape.is_scalar() {
-            v.base
-        } else {
-            self.floatc(f64::NAN)
+            return v.base;
         }
-    }
-
-    /// A register usable in `as_bool` position: aggregates read as `false`.
-    fn cond(&mut self, v: Val) -> u32 {
-        if v.shape.is_scalar() {
-            v.base
-        } else {
-            self.boolc(false)
-        }
+        let dst = self.s1();
+        self.emit(EOp::NoneC { dst });
+        dst
     }
 
     fn movn(&mut self, dst: u32, src: u32, n: u32) {
@@ -610,39 +508,19 @@ impl Compiler<'_> {
         let base = self.n_cell_regs;
         let lanes = shape.lanes();
         self.n_cell_regs += lanes;
-        let param = self.exec.params[slot].as_ref();
+        let param = self.exec.params[slot];
         let nonnull = if shape.is_scalar() {
-            match param {
-                Some(p) => {
-                    let v = match p {
-                        GpuValue::Float(v) => V::Float(*v),
-                        GpuValue::Int(v) => V::Int(*v),
-                        GpuValue::Bool(b) => V::Bool(*b),
-                        GpuValue::Ptr(p) => V::Ptr(*p),
-                        GpuValue::Vector(_) | GpuValue::Struct(_) => {
-                            return Err(format!(
-                                "aggregate kernel parameter `{}`",
-                                self.exec.names[slot]
-                            ))
-                        }
-                    };
-                    self.proto.push(v);
-                    true
-                }
-                None => {
-                    self.proto.push(V::None);
-                    false
-                }
-            }
+            self.proto.push(param);
+            param != Scalar::None
         } else {
-            if param.is_some() {
+            if param != Scalar::None {
                 return Err(format!(
                     "slot `{}` shadows a kernel parameter with an aggregate",
                     self.exec.names[slot]
                 ));
             }
             for _ in 0..lanes {
-                self.proto.push(V::None);
+                self.proto.push(Scalar::None);
             }
             false
         };
@@ -689,7 +567,7 @@ impl Compiler<'_> {
     fn read_idx_var(&mut self, slot: usize) -> Result<u32, String> {
         if let Some(v) = self.lookup_subst(slot) {
             if !v.shape.is_scalar() {
-                // An aggregate value reads as integer 0, like `GpuValue::as_i64`.
+                // An aggregate value reads as integer 0, like `Scalar::None`.
                 return Ok(self.intc(0));
             }
             let dst = self.s1();
@@ -761,7 +639,7 @@ impl Compiler<'_> {
                         })
                     }
                     (Shape::Vector(n), _) => {
-                        let rb = self.num(vb);
+                        let rb = self.scalar(vb);
                         let dst = self.sn(n);
                         for i in 0..n {
                             self.emit(EOp::Bin {
@@ -777,8 +655,8 @@ impl Compiler<'_> {
                         })
                     }
                     _ => {
-                        let ra = self.num(va);
-                        let rb = self.num(vb);
+                        let ra = self.scalar(va);
+                        let rb = self.scalar(vb);
                         let dst = self.s1();
                         self.emit(EOp::Bin {
                             op: *op,
@@ -790,16 +668,16 @@ impl Compiler<'_> {
                     }
                 }
             }
-            SExpr::Un(CUnOp::Neg, a) => {
+            SExpr::Neg(a) => {
                 let va = self.expr(a)?;
                 let dst = self.s1();
-                let src = self.num(va);
+                let src = self.scalar(va);
                 self.emit(EOp::Neg { dst, src });
                 Ok(Val::scalar(dst))
             }
             SExpr::WorkItem(kind, dim) => {
                 let vd = self.expr(dim)?;
-                let dim = self.num(vd);
+                let dim = self.scalar(vd);
                 let dst = self.s1();
                 self.emit(EOp::WorkItem {
                     kind: *kind,
@@ -811,7 +689,7 @@ impl Compiler<'_> {
             SExpr::VLoad(width, idx, ptr) => {
                 let w = *width as u32;
                 let vi = self.expr(idx)?;
-                let ri = self.num(vi);
+                let ri = self.scalar(vi);
                 let vp = self.expr(ptr)?;
                 let not_a_pointer = VgpuError::NotAPointer(Builtin::VLoad(*width).to_string());
                 if !vp.shape.is_scalar() {
@@ -842,14 +720,13 @@ impl Compiler<'_> {
                 let w = *width as u32;
                 let vv = self.expr(value)?;
                 // A vector value stores its own lanes; anything else is broadcast `width`
-                // times (a struct converts to NaN, like the interpreter's `as_f64`).
+                // times (a struct reads as `Scalar::None`, like the interpreter's).
                 let (lane_base, nlanes, broadcast) = match vv.shape {
                     Shape::Vector(n) => (vv.base, n, false),
-                    Shape::Struct(_) => (self.floatc(f64::NAN), w, true),
-                    Shape::Scalar => (vv.base, w, true),
+                    Shape::Struct(_) | Shape::Scalar => (self.scalar(vv), w, true),
                 };
                 let vi = self.expr(idx)?;
-                let ri = self.num(vi);
+                let ri = self.scalar(vi);
                 let vp = self.expr(ptr)?;
                 let not_a_pointer = VgpuError::NotAPointer(Builtin::VStore(*width).to_string());
                 if !vp.shape.is_scalar() {
@@ -878,7 +755,7 @@ impl Compiler<'_> {
             }
             SExpr::Math1(f, a) => {
                 let va = self.expr(a)?;
-                let src = self.num(va);
+                let src = self.scalar(va);
                 let dst = self.s1();
                 self.emit(EOp::Math1 { f: *f, dst, src });
                 Ok(Val::scalar(dst))
@@ -886,8 +763,8 @@ impl Compiler<'_> {
             SExpr::Math2(f, a, b) => {
                 let va = self.expr(a)?;
                 let vb = self.expr(b)?;
-                let ra = self.num(va);
-                let rb = self.num(vb);
+                let ra = self.scalar(va);
+                let rb = self.scalar(vb);
                 let dst = self.s1();
                 self.emit(EOp::Math2 {
                     f: *f,
@@ -939,7 +816,7 @@ impl Compiler<'_> {
                 let err = self.errid(array_not_a_pointer());
                 self.emit(EOp::PtrChk { src: va.base, err });
                 let vi = self.expr(idx)?;
-                let ri = self.num(vi);
+                let ri = self.scalar(vi);
                 let dst = self.s1();
                 self.emit(EOp::Load {
                     dst,
@@ -965,9 +842,9 @@ impl Compiler<'_> {
             }
             SExpr::Ternary(c, t, other) => {
                 let vc = self.expr(c)?;
-                let rc = self.cond(vc);
+                let rc = self.scalar(vc);
                 self.emit(EOp::Charge {
-                    charge: charge::CONTROL,
+                    charge: ops::CONTROL,
                 });
                 let jz_at = self.code.len();
                 self.emit(EOp::Jz {
@@ -1032,77 +909,54 @@ impl Compiler<'_> {
 
     /// Compiles an index expression, charging `int_ops`/`div_mod_ops` exactly where the
     /// interpreter's counting walk does.
+    #[deny(
+        clippy::wildcard_enum_match_arm,
+        clippy::match_wildcard_for_single_variants
+    )]
     fn index(&mut self, a: &SIndex) -> Result<u32, String> {
-        let charge = charge::index(a);
+        let charge = ops::index_charge(a);
         if charge.n > 0 {
             self.emit(EOp::Charge { charge });
         }
         match a {
             SIndex::Cst(c) => Ok(self.intc(*c)),
             SIndex::Var(slot) => self.read_idx_var(*slot),
-            SIndex::Sum(ts) => {
-                if ts.is_empty() {
-                    return Ok(self.intc(0));
-                }
-                let mut acc = self.index(&ts[0])?;
-                for t in &ts[1..] {
+            SIndex::Fold(op, ts) => {
+                let Some((first, rest)) = ts.split_first() else {
+                    return Ok(self.intc(op.unit()));
+                };
+                let mut acc = self.index(first)?;
+                for t in rest {
                     let r = self.index(t)?;
-                    let dst = self.s1();
-                    self.emit(EOp::RAdd { dst, a: acc, b: r });
-                    acc = dst;
+                    acc = self.int(*op, acc, r);
                 }
                 Ok(acc)
             }
-            SIndex::Prod(fs) => {
-                if fs.is_empty() {
-                    return Ok(self.intc(1));
-                }
-                let mut acc = self.index(&fs[0])?;
-                for f in &fs[1..] {
-                    let r = self.index(f)?;
-                    let dst = self.s1();
-                    self.emit(EOp::RMul { dst, a: acc, b: r });
-                    acc = dst;
-                }
-                Ok(acc)
-            }
-            SIndex::IntDiv(a, b) => {
+            // The divisor is checked before the dividend is evaluated, as the interpreter does.
+            SIndex::Pair(op, a, b) if op.divides() => {
                 let rb = self.index(b)?;
                 self.emit(EOp::ZChk { src: rb });
                 let ra = self.index(a)?;
-                let dst = self.s1();
-                self.emit(EOp::RDivE { dst, a: ra, b: rb });
-                Ok(dst)
+                Ok(self.int(*op, ra, rb))
             }
-            SIndex::Mod(a, b) => {
-                let rb = self.index(b)?;
-                self.emit(EOp::ZChk { src: rb });
+            SIndex::Pair(op, a, b) => {
                 let ra = self.index(a)?;
-                let dst = self.s1();
-                self.emit(EOp::RRemE { dst, a: ra, b: rb });
-                Ok(dst)
+                let rb = self.index(b)?;
+                Ok(self.int(*op, ra, rb))
             }
             SIndex::Pow(b, e) => {
-                let src = self.index(b)?;
-                let dst = self.s1();
-                self.emit(EOp::RPow { dst, src, e: *e });
-                Ok(dst)
-            }
-            SIndex::Min(a, b) => {
-                let ra = self.index(a)?;
                 let rb = self.index(b)?;
-                let dst = self.s1();
-                self.emit(EOp::RMin { dst, a: ra, b: rb });
-                Ok(dst)
-            }
-            SIndex::Max(a, b) => {
-                let ra = self.index(a)?;
-                let rb = self.index(b)?;
-                let dst = self.s1();
-                self.emit(EOp::RMax { dst, a: ra, b: rb });
-                Ok(dst)
+                let re = self.intc(i64::from(*e));
+                Ok(self.int(IntOp::Pow, rb, re))
             }
         }
+    }
+
+    /// Emits `op` on two index registers into a new one.
+    fn int(&mut self, op: IntOp, a: u32, b: u32) -> u32 {
+        let dst = self.s1();
+        self.emit(EOp::Int { op, dst, a, b });
+        dst
     }
 
     fn block(&mut self, stmts: &[SStmt]) -> Result<(), String> {
@@ -1199,7 +1053,7 @@ impl Compiler<'_> {
                         let err = c.errid(array_not_a_pointer());
                         c.emit(EOp::PtrChk { src: va.base, err });
                         let vi = c.expr(idx)?;
-                        let ri = c.num(vi);
+                        let ri = c.scalar(vi);
                         if vr.shape.is_scalar() {
                             let err = c.errid(VgpuError::InvalidStore("array element".to_string()));
                             c.emit(EOp::StoreChk {
@@ -1258,7 +1112,7 @@ impl Compiler<'_> {
             } => {
                 let (start, len, rc) = self.row_prog(|c| {
                     let v = c.expr(cond)?;
-                    Ok(c.cond(v))
+                    Ok(c.scalar(v))
                 })?;
                 let if_at = self.rows.len();
                 self.rows.push(RowOp::If {
@@ -1311,7 +1165,7 @@ impl Compiler<'_> {
                 let head_at = self.rows.len();
                 let (cstart, clen, rc) = self.row_prog(|c| {
                     let v = c.expr(cond)?;
-                    Ok(c.cond(v))
+                    Ok(c.scalar(v))
                 })?;
                 self.rows.push(RowOp::ForHead {
                     start: cstart,
@@ -1322,7 +1176,7 @@ impl Compiler<'_> {
                 self.block(body)?;
                 let (sstart, slen, rs) = self.row_prog(|c| {
                     let v = c.expr(step)?;
-                    Ok(c.num(v))
+                    Ok(c.scalar(v))
                 })?;
                 self.rows.push(RowOp::ForStep {
                     start: sstart,
@@ -1345,7 +1199,7 @@ impl Compiler<'_> {
 // ------------------------------------------------------------------------------- execution
 
 #[inline(always)]
-fn rd(r: u32, cells: &[V], scratch: &[V]) -> V {
+fn rd(r: u32, cells: &[Scalar], scratch: &[Scalar]) -> Scalar {
     if r & CELL_BIT != 0 {
         cells[(r ^ CELL_BIT) as usize]
     } else {
@@ -1359,8 +1213,8 @@ fn rd(r: u32, cells: &[V], scratch: &[V]) -> V {
 #[inline(always)]
 fn rd_ptr(
     r: u32,
-    cells: &[V],
-    scratch: &[V],
+    cells: &[Scalar],
+    scratch: &[Scalar],
     error: impl FnOnce() -> VgpuError,
 ) -> Result<Ptr, VgpuError> {
     rd(r, cells, scratch).as_ptr().ok_or_else(error)
@@ -1398,8 +1252,8 @@ pub(crate) fn run(exec: &mut Exec, prog: &Program) -> Result<(), VgpuError> {
         prog,
         n,
         ncells,
-        cells: vec![V::None; ncells * n],
-        scratch: vec![V::None; prog.n_scratch as usize],
+        cells: vec![Scalar::None; ncells * n],
+        scratch: vec![Scalar::None; prog.n_scratch as usize],
         masks: Vec::with_capacity(n * 4),
         else_masks: Vec::new(),
         tm: vec![false; n],
@@ -1452,8 +1306,8 @@ struct Vm<'p> {
     prog: &'p Program,
     n: usize,
     ncells: usize,
-    cells: Vec<V>,
-    scratch: Vec<V>,
+    cells: Vec<Scalar>,
+    scratch: Vec<Scalar>,
     masks: Vec<bool>,
     else_masks: Vec<bool>,
     /// Transient then-/iteration-mask buffer.
@@ -1494,7 +1348,7 @@ impl Vm<'_> {
                         group.shadow_local.push(vec![ShadowCell::default(); len]);
                         group.local_names.push(exec.names[slot as usize].clone());
                     }
-                    let p = V::Ptr(Ptr {
+                    let p = Scalar::Ptr(Ptr {
                         space: AddrSpace::Local,
                         buffer: idx,
                         offset: 0,
@@ -1516,7 +1370,7 @@ impl Vm<'_> {
                         let t = &mut self.threads[i];
                         let idx = t.private.len();
                         t.private.push(vec![0.0; len]);
-                        self.cells[i * ncells + cell as usize] = V::Ptr(Ptr {
+                        self.cells[i * ncells + cell as usize] = Scalar::Ptr(Ptr {
                             space: AddrSpace::Private,
                             buffer: idx,
                             offset: 0,
@@ -1529,7 +1383,7 @@ impl Vm<'_> {
                     let top = self.masks.len() - n;
                     for i in 0..n {
                         if self.masks[top + i] {
-                            self.cells[i * ncells + cell as usize] = V::Float(0.0);
+                            self.cells[i * ncells + cell as usize] = Scalar::Float(0.0);
                         }
                     }
                     pc += 1;
@@ -1596,7 +1450,7 @@ impl Vm<'_> {
                             &mut self.scratch,
                         )?;
                         let c = rd(cond, tc, &self.scratch).as_bool();
-                        exec.counters.charge(charge::CONTROL, 1);
+                        exec.counters.charge(ops::CONTROL, 1);
                         if c {
                             self.tm[i] = true;
                             any_then = true;
@@ -1688,7 +1542,7 @@ impl Vm<'_> {
                             &mut self.scratch,
                         )?;
                         let c = rd(cond, tc, &self.scratch).as_bool();
-                        exec.counters.charge(charge::CONTROL, 1);
+                        exec.counters.charge(ops::CONTROL, 1);
                         if c {
                             self.tm[i] = true;
                             any = true;
@@ -1728,13 +1582,13 @@ impl Vm<'_> {
                             &mut self.scratch,
                         )?;
                         let cur = tc[cell as usize];
-                        if matches!(cur, V::None) {
+                        if matches!(cur, Scalar::None) {
                             return Err(VgpuError::UnknownVariable(
                                 exec.names[slot as usize].clone(),
                             ));
                         }
-                        let next = V::Int(cur.as_i64() + rd(src, tc, &self.scratch).as_i64());
-                        exec.counters.charge(charge::CONTROL, 1);
+                        let next = ops::step(cur, rd(src, tc, &self.scratch));
+                        exec.counters.charge(ops::CONTROL, 1);
                         tc[cell as usize] = next;
                     }
                     self.masks.truncate(self.masks.len() - n);
@@ -1759,106 +1613,61 @@ fn run_prog(
     exec: &mut Exec,
     group: &mut Group,
     thread: &mut Thread,
-    cells: &mut [V],
-    scratch: &mut [V],
+    cells: &mut [Scalar],
+    scratch: &mut [Scalar],
 ) -> Result<(), VgpuError> {
     let mut pc = 0usize;
     while pc < code.len() {
         match code[pc] {
-            EOp::IntC { dst, v } => scratch[dst as usize] = V::Int(v),
-            EOp::FloatC { dst, v } => scratch[dst as usize] = V::Float(v),
-            EOp::BoolC { dst, v } => scratch[dst as usize] = V::Bool(v),
+            EOp::IntC { dst, v } => scratch[dst as usize] = Scalar::Int(v),
+            EOp::FloatC { dst, v } => scratch[dst as usize] = Scalar::Float(v),
+            EOp::NoneC { dst } => scratch[dst as usize] = Scalar::None,
             EOp::Mov { dst, src } => scratch[dst as usize] = rd(src, cells, scratch),
             EOp::SlotChk { cell, slot } => {
-                if matches!(cells[cell as usize], V::None) {
+                if matches!(cells[cell as usize], Scalar::None) {
                     return Err(VgpuError::UnknownVariable(
                         exec.names[slot as usize].clone(),
                     ));
                 }
             }
             EOp::IdxOf { dst, src } => {
-                scratch[dst as usize] = V::Int(rd(src, cells, scratch).as_i64());
+                scratch[dst as usize] = Scalar::Int(rd(src, cells, scratch).as_i64());
             }
             EOp::Bin { op, dst, a, b } => {
                 let va = rd(a, cells, scratch);
                 let vb = rd(b, cells, scratch);
-                scratch[dst as usize] = bin(exec, op, va, vb)?;
+                scratch[dst as usize] = ops::binary(op, va, vb, &mut exec.counters)?;
             }
             EOp::Neg { dst, src } => {
-                exec.counters.charge(charge::unary(CUnOp::Neg), 1);
-                scratch[dst as usize] = match rd(src, cells, scratch) {
-                    V::Int(i) => V::Int(-i),
-                    other => V::Float(-other.as_f64()),
-                };
+                exec.counters.charge(ops::NEG, 1);
+                scratch[dst as usize] = ops::neg(rd(src, cells, scratch));
             }
             EOp::WorkItem { kind, dst, dim } => {
-                let d = rd(dim, cells, scratch).as_i64() as usize;
-                let v = match kind {
-                    WorkItem::GlobalId => thread.gid[d],
-                    WorkItem::LocalId => thread.lid[d],
-                    WorkItem::GroupId => group.id[d],
-                    WorkItem::GlobalSize => exec.config.global[d],
-                    WorkItem::LocalSize => exec.config.local[d],
-                    WorkItem::NumGroups => exec.config.num_groups()[d],
-                };
-                scratch[dst as usize] = V::Int(v as i64);
+                let dim = rd(dim, cells, scratch);
+                scratch[dst as usize] = Scalar::Int(exec.work_item(kind, dim, group, thread));
             }
             EOp::Math1 { f, dst, src } => {
                 let v = rd(src, cells, scratch).as_f64();
-                exec.counters.charge(charge::MATH1, 1);
-                scratch[dst as usize] = V::Float(f(v));
+                exec.counters.charge(ops::MATH1, 1);
+                scratch[dst as usize] = Scalar::Float(f(v));
             }
             EOp::Math2 { f, dst, a, b } => {
                 let x = rd(a, cells, scratch).as_f64();
                 let y = rd(b, cells, scratch).as_f64();
-                exec.counters.charge(charge::MATH2, 1);
-                scratch[dst as usize] = V::Float(f(x, y));
+                exec.counters.charge(ops::MATH2, 1);
+                scratch[dst as usize] = Scalar::Float(f(x, y));
             }
             EOp::Charge { charge } => exec.counters.charge(charge, 1),
             EOp::ChargeVec { width } => exec.counters.vector_accesses += width,
             EOp::ZChk { src } => {
-                if rd(src, cells, scratch).as_i64() == 0 {
-                    return Err(VgpuError::DivisionByZero);
-                }
+                ops::divisor(rd(src, cells, scratch).as_i64())?;
             }
-            EOp::RAdd { dst, a, b } => {
-                scratch[dst as usize] =
-                    V::Int(rd(a, cells, scratch).as_i64() + rd(b, cells, scratch).as_i64());
-            }
-            EOp::RMul { dst, a, b } => {
-                scratch[dst as usize] =
-                    V::Int(rd(a, cells, scratch).as_i64() * rd(b, cells, scratch).as_i64());
-            }
-            EOp::RDivE { dst, a, b } => {
-                scratch[dst as usize] = V::Int(
-                    rd(a, cells, scratch)
-                        .as_i64()
-                        .div_euclid(rd(b, cells, scratch).as_i64()),
+            EOp::Int { op, dst, a, b } => {
+                let (x, y) = (
+                    rd(a, cells, scratch).as_i64(),
+                    rd(b, cells, scratch).as_i64(),
                 );
-            }
-            EOp::RRemE { dst, a, b } => {
-                scratch[dst as usize] = V::Int(
-                    rd(a, cells, scratch)
-                        .as_i64()
-                        .rem_euclid(rd(b, cells, scratch).as_i64()),
-                );
-            }
-            EOp::RPow { dst, src, e } => {
-                scratch[dst as usize] = V::Int(rd(src, cells, scratch).as_i64().pow(e));
-            }
-            EOp::RMin { dst, a, b } => {
-                scratch[dst as usize] = V::Int(
-                    rd(a, cells, scratch)
-                        .as_i64()
-                        .min(rd(b, cells, scratch).as_i64()),
-                );
-            }
-            EOp::RMax { dst, a, b } => {
-                scratch[dst as usize] = V::Int(
-                    rd(a, cells, scratch)
-                        .as_i64()
-                        .max(rd(b, cells, scratch).as_i64()),
-                );
+                scratch[dst as usize] = Scalar::Int(ops::int(op, x, y)?);
             }
             EOp::PtrChk { src, err } => {
                 if rd(src, cells, scratch).as_ptr().is_none() {
@@ -1868,8 +1677,7 @@ fn run_prog(
             EOp::Load { dst, ptr, idx } => {
                 let p = rd_ptr(ptr, cells, scratch, array_not_a_pointer)?;
                 let i = rd(idx, cells, scratch).as_i64();
-                let v = exec.load(p, i, group, thread, 1)?;
-                scratch[dst as usize] = V::Float(v.as_f64());
+                scratch[dst as usize] = Scalar::Float(exec.load(p, i, group, thread, 1)?);
             }
             EOp::LoadLane {
                 dst,
@@ -1881,19 +1689,13 @@ fn run_prog(
                 let p = rd_ptr(ptr, cells, scratch, || {
                     VgpuError::NotAPointer(Builtin::VLoad(width as usize).to_string())
                 })?;
-                let i = rd(idx, cells, scratch).as_i64();
-                let v = exec.load(
-                    p,
-                    i * i64::from(width) + i64::from(lane),
-                    group,
-                    thread,
-                    width as usize,
-                )?;
-                scratch[dst as usize] = V::Float(v.as_f64());
+                let (width, lane) = (width as usize, lane as usize);
+                let at = ops::vector_lane(rd(idx, cells, scratch).as_i64(), width, lane);
+                scratch[dst as usize] = Scalar::Float(exec.load(p, at, group, thread, width)?);
             }
             EOp::StoreChk { ptr, idx, val, err } => {
                 let v = rd(val, cells, scratch);
-                if !matches!(v, V::Float(_) | V::Int(_) | V::Bool(_)) {
+                if !v.is_number() {
                     return Err(errors[err as usize].clone());
                 }
                 let p = rd_ptr(ptr, cells, scratch, array_not_a_pointer)?;
@@ -1910,16 +1712,10 @@ fn run_prog(
                 let p = rd_ptr(ptr, cells, scratch, || {
                     VgpuError::NotAPointer(Builtin::VStore(width as usize).to_string())
                 })?;
-                let i = rd(idx, cells, scratch).as_i64();
+                let (width, lane) = (width as usize, lane as usize);
+                let at = ops::vector_lane(rd(idx, cells, scratch).as_i64(), width, lane);
                 let v = rd(val, cells, scratch).as_f64();
-                exec.store(
-                    p,
-                    i * i64::from(width) + i64::from(lane),
-                    v,
-                    group,
-                    thread,
-                    width as usize,
-                )?;
+                exec.store(p, at, v, group, thread, width)?;
             }
             EOp::Jz { cond, target } => {
                 if !rd(cond, cells, scratch).as_bool() {
@@ -1936,47 +1732,4 @@ fn run_prog(
         pc += 1;
     }
     Ok(())
-}
-
-/// The interpreter's `eval_bin` over scalar runtime values, charging by the dynamic path:
-/// pointer arithmetic/comparison, integer ops, then mixed/floating point.
-fn bin(exec: &mut Exec, op: CBinOp, a: V, b: V) -> Result<V, VgpuError> {
-    if let V::Ptr(p) = a {
-        return Ok(match op {
-            CBinOp::Add => V::Ptr(Ptr {
-                offset: p.offset + b.as_i64(),
-                ..p
-            }),
-            CBinOp::Sub => V::Ptr(Ptr {
-                offset: p.offset - b.as_i64(),
-                ..p
-            }),
-            CBinOp::Eq => V::Bool(Some(p) == b.as_ptr()),
-            _ => return Err(VgpuError::NotAPointer("invalid pointer operation".into())),
-        });
-    }
-    if let (V::Int(x), V::Int(y)) = (a, b) {
-        exec.counters.charge(charge::binary(op, true), 1);
-        return Ok(match op {
-            CBinOp::Add => V::Int(x + y),
-            CBinOp::Sub => V::Int(x - y),
-            CBinOp::Mul => V::Int(x * y),
-            CBinOp::Div => {
-                if y == 0 {
-                    return Err(VgpuError::DivisionByZero);
-                }
-                V::Int(x.div_euclid(y))
-            }
-            _ => V::Bool(compare(op, x as f64, y as f64)),
-        });
-    }
-    let (x, y) = (a.as_f64(), b.as_f64());
-    exec.counters.charge(charge::binary(op, false), 1);
-    Ok(match op {
-        CBinOp::Add => V::Float(x + y),
-        CBinOp::Sub => V::Float(x - y),
-        CBinOp::Mul => V::Float(x * y),
-        CBinOp::Div => V::Float(x / y),
-        _ => V::Bool(compare(op, x, y)),
-    })
 }

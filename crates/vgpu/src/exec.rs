@@ -26,12 +26,12 @@ use std::fmt;
 use std::hash::{BuildHasherDefault, Hasher};
 
 use lift_arith::ArithExpr;
-use lift_ocl::{AddrSpace, Builtin, CBinOp, CExpr, CStmt, CUnOp, Module, WorkItem};
+use lift_ocl::{AddrSpace, Builtin, CBinOp, CExpr, CStmt, Module, WorkItem};
 
-use crate::charge;
 use crate::cost::{Budget, CostCounters, ExecutionReport};
 use crate::device::{DeviceProfile, LaunchConfig, LaunchError};
-use crate::memory::{GpuValue, KernelArg, Ptr};
+use crate::memory::{GpuValue, KernelArg, Ptr, Scalar};
+use crate::ops::{self, IntOp};
 
 /// Number of consecutive work items considered for memory-coalescing analysis.
 const COALESCE_GROUP: usize = 32;
@@ -95,7 +95,7 @@ pub enum VgpuError {
     SymbolicLength(String),
     /// A value that cannot be stored to memory (e.g. a struct) was stored.
     InvalidStore(String),
-    /// Integer division or modulo by zero while evaluating an index expression.
+    /// Integer division or modulo by zero: an `int` `/`, or an index term's `/` or `%`.
     DivisionByZero,
     /// The launch configuration violates the target device's limits
     /// (see [`DeviceProfile::validate_launch`]).
@@ -355,25 +355,25 @@ impl Lowered<'_> {
         } = self;
         let mut global: Vec<Vec<f32>> = Vec::new();
         let mut global_names: Vec<String> = Vec::new();
-        let mut params: Vec<Option<GpuValue>> = vec![None; names.len()];
-        let mut params_by_name: VarMap<GpuValue> = VarMap::default();
+        let mut params = vec![Scalar::None; names.len()];
+        let mut params_by_name: VarMap<Scalar> = VarMap::default();
         for ((param, slot), arg) in kernel.params.iter().zip(param_slots).zip(args) {
             let value = match arg {
                 KernelArg::Buffer(data) => {
                     let idx = global.len();
                     global.push(data);
                     global_names.push(param.name.clone());
-                    GpuValue::Ptr(Ptr {
+                    Scalar::Ptr(Ptr {
                         space: AddrSpace::Global,
                         buffer: idx,
                         offset: 0,
                     })
                 }
-                KernelArg::Int(v) => GpuValue::Int(v),
-                KernelArg::Float(v) => GpuValue::Float(f64::from(v)),
+                KernelArg::Int(v) => Scalar::Int(v),
+                KernelArg::Float(v) => Scalar::Float(f64::from(v)),
             };
-            params_by_name.insert(param.name.clone(), value.clone());
-            params[slot] = Some(value);
+            params_by_name.insert(param.name.clone(), value);
+            params[slot] = value;
         }
 
         // Shadow state lives for exactly one launch: each stage of a kernel sequence starts
@@ -414,17 +414,16 @@ pub(crate) type Math1 = fn(f64) -> f64;
 /// A two-argument math builtin on `f64` (charged 1 flop).
 pub(crate) type Math2 = fn(f64, f64) -> f64;
 
-/// A lowered index expression: [`ArithExpr`] with variables resolved to slots.
+/// A lowered index expression: [`ArithExpr`] with variables resolved to slots and each
+/// operation named by the [`IntOp`] that computes it.
 pub(crate) enum SIndex {
     Cst(i64),
     Var(usize),
-    Sum(Vec<SIndex>),
-    Prod(Vec<SIndex>),
-    IntDiv(Box<SIndex>, Box<SIndex>),
-    Mod(Box<SIndex>, Box<SIndex>),
+    /// A sum or a product: `op` over the terms, left to right.
+    Fold(IntOp, Vec<SIndex>),
+    /// `/`, `%`, `min` or `max` of two terms.
+    Pair(IntOp, Box<SIndex>, Box<SIndex>),
     Pow(Box<SIndex>, u32),
-    Min(Box<SIndex>, Box<SIndex>),
-    Max(Box<SIndex>, Box<SIndex>),
 }
 
 /// A lowered expression: variables are slots, call targets are resolved.
@@ -434,7 +433,7 @@ pub(crate) enum SExpr {
     Var(usize),
     Index(SIndex),
     Bin(CBinOp, Box<SExpr>, Box<SExpr>),
-    Un(CUnOp, Box<SExpr>),
+    Neg(Box<SExpr>),
     WorkItem(WorkItem, Box<SExpr>),
     VLoad(usize, Box<SExpr>, Box<SExpr>),
     VStore(usize, Box<SExpr>, Box<SExpr>, Box<SExpr>),
@@ -660,26 +659,31 @@ impl<'m> Lowerer<'m> {
         }
     }
 
+    #[deny(
+        clippy::wildcard_enum_match_arm,
+        clippy::match_wildcard_for_single_variants
+    )]
     fn lower_index(&mut self, a: &ArithExpr) -> SIndex {
-        match a {
-            ArithExpr::Cst(c) => SIndex::Cst(*c),
-            ArithExpr::Var(v) => SIndex::Var(self.slot(v.name())),
-            ArithExpr::Sum(ts) => SIndex::Sum(ts.iter().map(|t| self.lower_index(t)).collect()),
-            ArithExpr::Prod(fs) => SIndex::Prod(fs.iter().map(|f| self.lower_index(f)).collect()),
-            ArithExpr::IntDiv(a, b) => {
-                SIndex::IntDiv(Box::new(self.lower_index(a)), Box::new(self.lower_index(b)))
-            }
-            ArithExpr::Mod(a, b) => {
-                SIndex::Mod(Box::new(self.lower_index(a)), Box::new(self.lower_index(b)))
-            }
-            ArithExpr::Pow(b, e) => SIndex::Pow(Box::new(self.lower_index(b)), *e),
-            ArithExpr::Min(a, b) => {
-                SIndex::Min(Box::new(self.lower_index(a)), Box::new(self.lower_index(b)))
-            }
-            ArithExpr::Max(a, b) => {
-                SIndex::Max(Box::new(self.lower_index(a)), Box::new(self.lower_index(b)))
-            }
-        }
+        let (op, x, y) = match a {
+            ArithExpr::Cst(c) => return SIndex::Cst(*c),
+            ArithExpr::Var(v) => return SIndex::Var(self.slot(v.name())),
+            ArithExpr::Sum(ts) => return self.lower_fold(IntOp::Add, ts),
+            ArithExpr::Prod(fs) => return self.lower_fold(IntOp::Mul, fs),
+            ArithExpr::Pow(b, e) => return SIndex::Pow(Box::new(self.lower_index(b)), *e),
+            ArithExpr::IntDiv(x, y) => (IntOp::Div, x, y),
+            ArithExpr::Mod(x, y) => (IntOp::Mod, x, y),
+            ArithExpr::Min(x, y) => (IntOp::Min, x, y),
+            ArithExpr::Max(x, y) => (IntOp::Max, x, y),
+        };
+        SIndex::Pair(
+            op,
+            Box::new(self.lower_index(x)),
+            Box::new(self.lower_index(y)),
+        )
+    }
+
+    fn lower_fold(&mut self, op: IntOp, terms: &[ArithExpr]) -> SIndex {
+        SIndex::Fold(op, terms.iter().map(|t| self.lower_index(t)).collect())
     }
 
     #[deny(
@@ -697,7 +701,7 @@ impl<'m> Lowerer<'m> {
                 Box::new(self.lower_expr(a)),
                 Box::new(self.lower_expr(b)),
             ),
-            CExpr::Un(op, a) => SExpr::Un(*op, Box::new(self.lower_expr(a))),
+            CExpr::Neg(a) => SExpr::Neg(Box::new(self.lower_expr(a))),
             CExpr::Builtin(builtin, args) => self.lower_builtin(*builtin, args),
             CExpr::Call(name, args) => match self.lower_function(name) {
                 Some(idx) => SExpr::CallFun(idx, args.iter().map(|a| self.lower_expr(a)).collect()),
@@ -836,10 +840,10 @@ pub(crate) struct Thread {
 pub(crate) struct Exec {
     pub(crate) config: LaunchConfig,
     pub(crate) global: Vec<Vec<f32>>,
-    /// slot → kernel-argument value.
-    pub(crate) params: Vec<Option<GpuValue>>,
+    /// slot → kernel-argument value (`None` for a slot that is no parameter).
+    pub(crate) params: Vec<Scalar>,
     /// Name-keyed arguments, for resolving symbolic array lengths.
-    params_by_name: VarMap<GpuValue>,
+    params_by_name: VarMap<Scalar>,
     pub(crate) functions: Vec<std::rc::Rc<SFunction>>,
     /// slot → name, for error messages.
     pub(crate) names: Vec<String>,
@@ -1053,8 +1057,8 @@ impl Exec {
                     if !mask[i] {
                         continue;
                     }
-                    let c = self.eval(cond, group, &mut threads[i])?.as_bool();
-                    self.counters.charge(charge::CONTROL, 1);
+                    let c = self.eval(cond, group, &mut threads[i])?.scalar().as_bool();
+                    self.counters.charge(ops::CONTROL, 1);
                     then_mask[i] = c;
                     else_mask[i] = !c;
                 }
@@ -1093,8 +1097,8 @@ impl Exec {
                         if !mask[i] {
                             continue;
                         }
-                        let c = self.eval(cond, group, &mut threads[i])?.as_bool();
-                        self.counters.charge(charge::CONTROL, 1);
+                        let c = self.eval(cond, group, &mut threads[i])?.scalar().as_bool();
+                        self.counters.charge(ops::CONTROL, 1);
                         if c {
                             iter_mask[i] = true;
                             any = true;
@@ -1114,9 +1118,9 @@ impl Exec {
                         let current = threads[i].vals[*slot]
                             .as_ref()
                             .ok_or_else(|| VgpuError::UnknownVariable(self.names[*slot].clone()))?;
-                        let next = GpuValue::Int(current.as_i64() + s.as_i64());
-                        self.counters.charge(charge::CONTROL, 1);
-                        threads[i].vals[*slot] = Some(next);
+                        let next = ops::step(current.scalar(), s.scalar());
+                        self.counters.charge(ops::CONTROL, 1);
+                        threads[i].vals[*slot] = Some(next.into());
                     }
                     self.flush_accesses();
                 }
@@ -1126,7 +1130,7 @@ impl Exec {
     }
 
     pub(crate) fn resolve_len(&self, e: &ArithExpr) -> Result<usize, VgpuError> {
-        let lookup = |name: &str| self.params_by_name.get(name).map(GpuValue::as_i64);
+        let lookup = |name: &str| self.params_by_name.get(name).map(|v| v.as_i64());
         let v = e
             .evaluate_with(&lookup)
             .map_err(|_| VgpuError::SymbolicLength(e.to_string()))?;
@@ -1153,10 +1157,10 @@ impl Exec {
                 offset: 0,
             }));
         }
-        if let Some(v) = &self.params[slot] {
-            return Ok(v.clone());
+        match self.params[slot] {
+            Scalar::None => Err(VgpuError::UnknownVariable(self.names[slot].clone())),
+            v => Ok(v.into()),
         }
-        Err(VgpuError::UnknownVariable(self.names[slot].clone()))
     }
 
     #[allow(clippy::too_many_lines)]
@@ -1170,62 +1174,42 @@ impl Exec {
             SExpr::Int(v) => Ok(GpuValue::Int(*v)),
             SExpr::Float(v) => Ok(GpuValue::Float(*v)),
             SExpr::Var(slot) => self.lookup_var(*slot, group, thread),
-            SExpr::Index(a) => {
-                let v = self.eval_index_counting(a, thread)?;
-                Ok(GpuValue::Int(v))
-            }
+            SExpr::Index(a) => Ok(GpuValue::Int(self.eval_index(a, thread)?)),
             SExpr::Bin(op, a, b) => {
                 let a = self.eval(a, group, thread)?;
                 let b = self.eval(b, group, thread)?;
                 self.eval_bin(*op, a, b)
             }
-            SExpr::Un(op, a) => {
+            SExpr::Neg(a) => {
                 let v = self.eval(a, group, thread)?;
-                self.counters.charge(charge::unary(*op), 1);
-                Ok(match op {
-                    CUnOp::Neg => match v {
-                        GpuValue::Int(i) => GpuValue::Int(-i),
-                        other => GpuValue::Float(-other.as_f64()),
-                    },
-                })
+                self.counters.charge(ops::NEG, 1);
+                Ok(ops::neg(v.scalar()).into())
             }
             SExpr::WorkItem(kind, dim) => {
-                let dim = self.eval(dim, group, thread)?.as_i64() as usize;
-                let groups = self.config.num_groups();
-                let v = match kind {
-                    WorkItem::GlobalId => thread.gid[dim],
-                    WorkItem::LocalId => thread.lid[dim],
-                    WorkItem::GroupId => group.id[dim],
-                    WorkItem::GlobalSize => self.config.global[dim],
-                    WorkItem::LocalSize => self.config.local[dim],
-                    WorkItem::NumGroups => groups[dim],
-                };
-                Ok(GpuValue::Int(v as i64))
+                let dim = self.eval(dim, group, thread)?.scalar();
+                Ok(GpuValue::Int(self.work_item(*kind, dim, group, thread)))
             }
             SExpr::VLoad(width, idx, ptr) => {
-                let idx = self.eval(idx, group, thread)?.as_i64();
+                let idx = self.eval(idx, group, thread)?.scalar().as_i64();
                 let ptr = self
                     .eval(ptr, group, thread)?
+                    .scalar()
                     .as_ptr()
                     .ok_or_else(|| VgpuError::NotAPointer(Builtin::VLoad(*width).to_string()))?;
                 let mut lanes = Vec::with_capacity(*width);
                 for lane in 0..*width {
-                    lanes.push(self.load(
-                        ptr,
-                        idx * *width as i64 + lane as i64,
-                        group,
-                        thread,
-                        *width,
-                    )?);
+                    let at = ops::vector_lane(idx, *width, lane);
+                    lanes.push(GpuValue::Float(self.load(ptr, at, group, thread, *width)?));
                 }
                 self.counters.vector_accesses += *width as u64;
                 Ok(GpuValue::Vector(lanes))
             }
             SExpr::VStore(width, value, idx, ptr) => {
                 let value = self.eval(value, group, thread)?;
-                let idx = self.eval(idx, group, thread)?.as_i64();
+                let idx = self.eval(idx, group, thread)?.scalar().as_i64();
                 let ptr = self
                     .eval(ptr, group, thread)?
+                    .scalar()
                     .as_ptr()
                     .ok_or_else(|| VgpuError::NotAPointer(Builtin::VStore(*width).to_string()))?;
                 let lanes = match value {
@@ -1233,27 +1217,21 @@ impl Exec {
                     other => vec![other; *width],
                 };
                 for (lane, v) in lanes.iter().enumerate() {
-                    self.store(
-                        ptr,
-                        idx * *width as i64 + lane as i64,
-                        v.as_f64(),
-                        group,
-                        thread,
-                        *width,
-                    )?;
+                    let at = ops::vector_lane(idx, *width, lane);
+                    self.store(ptr, at, v.scalar().as_f64(), group, thread, *width)?;
                 }
                 self.counters.vector_accesses += *width as u64;
                 Ok(GpuValue::Int(0))
             }
             SExpr::Math1(f, a) => {
-                let v = self.eval(a, group, thread)?.as_f64();
-                self.counters.charge(charge::MATH1, 1);
+                let v = self.eval(a, group, thread)?.scalar().as_f64();
+                self.counters.charge(ops::MATH1, 1);
                 Ok(GpuValue::Float(f(v)))
             }
             SExpr::Math2(f, a, b) => {
-                let a = self.eval(a, group, thread)?.as_f64();
-                let b = self.eval(b, group, thread)?.as_f64();
-                self.counters.charge(charge::MATH2, 1);
+                let a = self.eval(a, group, thread)?.scalar().as_f64();
+                let b = self.eval(b, group, thread)?.scalar().as_f64();
+                self.counters.charge(ops::MATH2, 1);
                 Ok(GpuValue::Float(f(a, b)))
             }
             SExpr::CallFun(idx, args) => {
@@ -1296,10 +1274,11 @@ impl Exec {
             SExpr::ArrayAccess(arr, idx) => {
                 let ptr = self
                     .eval(arr, group, thread)?
+                    .scalar()
                     .as_ptr()
                     .ok_or_else(|| VgpuError::NotAPointer("array expression".to_string()))?;
-                let idx = self.eval(idx, group, thread)?.as_i64();
-                self.load(ptr, idx, group, thread, 1)
+                let idx = self.eval(idx, group, thread)?.scalar().as_i64();
+                Ok(GpuValue::Float(self.load(ptr, idx, group, thread, 1)?))
             }
             SExpr::Field(obj, idx, field) => {
                 // Fast path for `var._i`: project the field straight out of the thread
@@ -1324,8 +1303,8 @@ impl Exec {
                 }
             }
             SExpr::Ternary(c, t, other) => {
-                let c = self.eval(c, group, thread)?.as_bool();
-                self.counters.charge(charge::CONTROL, 1);
+                let c = self.eval(c, group, thread)?.scalar().as_bool();
+                self.counters.charge(ops::CONTROL, 1);
                 if c {
                     self.eval(t, group, thread)
                 } else {
@@ -1361,122 +1340,85 @@ impl Exec {
     /// (the counts match `ArithExpr::op_count`/`div_mod_count`, which a naive implementation
     /// would recompute with two extra tree walks per evaluation — this runs per memory
     /// access in the innermost interpretation loop).
-    fn eval_index_counting(&mut self, e: &SIndex, thread: &Thread) -> Result<i64, VgpuError> {
+    #[deny(
+        clippy::wildcard_enum_match_arm,
+        clippy::match_wildcard_for_single_variants
+    )]
+    fn eval_index(&mut self, e: &SIndex, thread: &Thread) -> Result<i64, VgpuError> {
+        self.counters.charge(ops::index_charge(e), 1);
         match e {
             SIndex::Cst(c) => Ok(*c),
-            SIndex::Var(slot) => thread.vals[*slot]
-                .as_ref()
-                .map(GpuValue::as_i64)
-                .or_else(|| self.params[*slot].as_ref().map(GpuValue::as_i64))
-                .ok_or_else(|| VgpuError::UnknownVariable(self.names[*slot].clone())),
-            SIndex::Sum(ts) => {
-                self.counters.charge(charge::index(e), 1);
-                let mut acc = 0i64;
+            SIndex::Var(slot) => match (&thread.vals[*slot], self.params[*slot]) {
+                (Some(v), _) => Ok(v.scalar().as_i64()),
+                (None, Scalar::None) => Err(VgpuError::UnknownVariable(self.names[*slot].clone())),
+                (None, param) => Ok(param.as_i64()),
+            },
+            SIndex::Fold(op, ts) => {
+                let mut acc = op.unit();
                 for t in ts {
-                    acc += self.eval_index_counting(t, thread)?;
+                    acc = ops::int(*op, acc, self.eval_index(t, thread)?)?;
                 }
                 Ok(acc)
             }
-            SIndex::Prod(fs) => {
-                self.counters.charge(charge::index(e), 1);
-                let mut acc = 1i64;
-                for f in fs {
-                    acc *= self.eval_index_counting(f, thread)?;
-                }
-                Ok(acc)
+            // The divisor is checked before the dividend is evaluated.
+            SIndex::Pair(op, a, b) if op.divides() => {
+                let y = ops::divisor(self.eval_index(b, thread)?)?;
+                ops::int(*op, self.eval_index(a, thread)?, y)
             }
-            SIndex::IntDiv(a, b) => {
-                self.counters.charge(charge::index(e), 1);
-                let b = self.eval_index_counting(b, thread)?;
-                if b == 0 {
-                    return Err(VgpuError::DivisionByZero);
-                }
-                Ok(self.eval_index_counting(a, thread)?.div_euclid(b))
-            }
-            SIndex::Mod(a, b) => {
-                self.counters.charge(charge::index(e), 1);
-                let b = self.eval_index_counting(b, thread)?;
-                if b == 0 {
-                    return Err(VgpuError::DivisionByZero);
-                }
-                Ok(self.eval_index_counting(a, thread)?.rem_euclid(b))
+            SIndex::Pair(op, a, b) => {
+                let x = self.eval_index(a, thread)?;
+                ops::int(*op, x, self.eval_index(b, thread)?)
             }
             SIndex::Pow(b, power) => {
-                self.counters.charge(charge::index(e), 1);
-                Ok(self.eval_index_counting(b, thread)?.pow(*power))
-            }
-            SIndex::Min(a, b) => {
-                self.counters.charge(charge::index(e), 1);
-                Ok(self
-                    .eval_index_counting(a, thread)?
-                    .min(self.eval_index_counting(b, thread)?))
-            }
-            SIndex::Max(a, b) => {
-                self.counters.charge(charge::index(e), 1);
-                Ok(self
-                    .eval_index_counting(a, thread)?
-                    .max(self.eval_index_counting(b, thread)?))
+                ops::int(IntOp::Pow, self.eval_index(b, thread)?, i64::from(*power))
             }
         }
     }
 
+    /// A binary operation: lane by lane on a vector left operand, otherwise on the scalar
+    /// views of both operands.
     fn eval_bin(&mut self, op: CBinOp, a: GpuValue, b: GpuValue) -> Result<GpuValue, VgpuError> {
-        // Pointer arithmetic and comparison.
-        if let Some(p) = a.as_ptr() {
-            return Ok(match op {
-                CBinOp::Add => GpuValue::Ptr(Ptr {
-                    offset: p.offset + b.as_i64(),
-                    ..p
-                }),
-                CBinOp::Sub => GpuValue::Ptr(Ptr {
-                    offset: p.offset - b.as_i64(),
-                    ..p
-                }),
-                CBinOp::Eq => GpuValue::Bool(Some(p) == b.as_ptr()),
-                _ => return Err(VgpuError::NotAPointer("invalid pointer operation".into())),
-            });
-        }
-        // Lane-wise vector arithmetic.
-        if let GpuValue::Vector(lanes_a) = &a {
+        if let GpuValue::Vector(lanes_a) = a {
             let out: Result<Vec<GpuValue>, VgpuError> = lanes_a
-                .iter()
+                .into_iter()
                 .enumerate()
                 .map(|(i, la)| {
                     let lb = match &b {
                         GpuValue::Vector(lanes_b) => lanes_b[i].clone(),
                         other => other.clone(),
                     };
-                    self.eval_bin(op, la.clone(), lb)
+                    self.eval_bin(op, la, lb)
                 })
                 .collect();
             return Ok(GpuValue::Vector(out?));
         }
-        if let (GpuValue::Int(x), GpuValue::Int(y)) = (&a, &b) {
-            let (x, y) = (*x, *y);
-            self.counters.charge(charge::binary(op, true), 1);
-            return Ok(match op {
-                CBinOp::Add => GpuValue::Int(x + y),
-                CBinOp::Sub => GpuValue::Int(x - y),
-                CBinOp::Mul => GpuValue::Int(x * y),
-                CBinOp::Div => {
-                    if y == 0 {
-                        return Err(VgpuError::DivisionByZero);
-                    }
-                    GpuValue::Int(x.div_euclid(y))
-                }
-                _ => GpuValue::Bool(compare(op, x as f64, y as f64)),
-            });
-        }
-        // Mixed / floating point.
-        let (x, y) = (a.as_f64(), b.as_f64());
-        self.counters.charge(charge::binary(op, false), 1);
-        Ok(match op {
-            CBinOp::Add => GpuValue::Float(x + y),
-            CBinOp::Sub => GpuValue::Float(x - y),
-            CBinOp::Mul => GpuValue::Float(x * y),
-            CBinOp::Div => GpuValue::Float(x / y),
-            _ => GpuValue::Bool(compare(op, x, y)),
-        })
+        ops::binary(op, a.scalar(), b.scalar(), &mut self.counters).map(GpuValue::from)
+    }
+
+    /// A work-item function of `dim` in `thread` of `group`. A dimension outside `0..3`
+    /// reads as OpenCL defines it: an id of 0 and a size of 1.
+    pub(crate) fn work_item(
+        &self,
+        f: WorkItem,
+        dim: Scalar,
+        group: &Group,
+        thread: &Thread,
+    ) -> i64 {
+        let Some(d) = usize::try_from(dim.as_i64()).ok().filter(|d| *d < 3) else {
+            return i64::from(matches!(
+                f,
+                WorkItem::GlobalSize | WorkItem::LocalSize | WorkItem::NumGroups
+            ));
+        };
+        let v = match f {
+            WorkItem::GlobalId => thread.gid[d],
+            WorkItem::LocalId => thread.lid[d],
+            WorkItem::GroupId => group.id[d],
+            WorkItem::GlobalSize => self.config.global[d],
+            WorkItem::LocalSize => self.config.local[d],
+            WorkItem::NumGroups => self.config.num_groups()[d],
+        };
+        v as i64
     }
 
     // ------------------------------------------------------------------ memory
@@ -1495,8 +1437,8 @@ impl Exec {
         group: &mut Group,
         thread: &Thread,
         vector_width: usize,
-    ) -> Result<GpuValue, VgpuError> {
-        let addr = ptr.offset + idx;
+    ) -> Result<f64, VgpuError> {
+        let addr = ops::int(IntOp::Add, ptr.offset, idx)?;
         let value = match ptr.space {
             AddrSpace::Global => {
                 let buf = &self.global[ptr.buffer];
@@ -1564,7 +1506,7 @@ impl Exec {
                     cell.reader_group = group.linear;
                     cell.read_epoch = group.epoch;
                 }
-                return Ok(GpuValue::Float(f64::from(value)));
+                return Ok(f64::from(value));
             }
             AddrSpace::Private => {
                 let buf = &thread.private[ptr.buffer];
@@ -1580,7 +1522,7 @@ impl Exec {
                 buf[slot]
             }
         };
-        Ok(GpuValue::Float(f64::from(value)))
+        Ok(f64::from(value))
     }
 
     pub(crate) fn store(
@@ -1592,7 +1534,7 @@ impl Exec {
         thread: &mut Thread,
         vector_width: usize,
     ) -> Result<(), VgpuError> {
-        let addr = ptr.offset + idx;
+        let addr = ops::int(IntOp::Add, ptr.offset, idx)?;
         match ptr.space {
             AddrSpace::Global => {
                 let buf = &mut self.global[ptr.buffer];
@@ -1714,10 +1656,12 @@ impl Exec {
             SLhs::Array(arr, idx) => {
                 let ptr = self
                     .eval(arr, group, thread)?
+                    .scalar()
                     .as_ptr()
                     .ok_or_else(|| VgpuError::NotAPointer("array expression".to_string()))?;
-                let idx = self.eval(idx, group, thread)?.as_i64();
-                if !value.is_scalar() {
+                let idx = self.eval(idx, group, thread)?.scalar().as_i64();
+                let value = value.scalar();
+                if !value.is_number() {
                     return Err(VgpuError::InvalidStore("array element".to_string()));
                 }
                 self.store(ptr, idx, value.as_f64(), group, thread, 1)
@@ -1791,15 +1735,6 @@ fn data_race(buffer: &str, index: i64, earlier: usize, current: usize, epoch: u6
         index,
         writers: [earlier - 1, current - 1],
         epoch,
-    }
-}
-
-pub(crate) fn compare(op: CBinOp, x: f64, y: f64) -> bool {
-    match op {
-        CBinOp::Lt => x < y,
-        CBinOp::Gt => x > y,
-        CBinOp::Eq => x == y,
-        CBinOp::Add | CBinOp::Sub | CBinOp::Mul | CBinOp::Div => false,
     }
 }
 
@@ -1932,6 +1867,27 @@ mod tests {
         assert_eq!(result.reports[0].counters.work_items, 64);
         assert_eq!(result.reports[0].counters.work_groups, 4);
         assert!(result.reports[0].counters.global_accesses >= 128);
+    }
+
+    #[test]
+    fn a_work_item_function_outside_three_dimensions_reads_as_opencl_defines_it() {
+        // out[gid] = get_global_id(3) + 10 * get_global_size(-1): an id of 0, a size of 1.
+        let f = |kind, dim| CExpr::Builtin(Builtin::WorkItem(kind), vec![CExpr::int(dim)]);
+        let mut m = copy_kernel();
+        m.kernels[0].body = vec![CStmt::Assign {
+            lhs: CExpr::var("out").at(CExpr::global_id(0)),
+            rhs: f(WorkItem::GlobalId, 3).add(CExpr::int(10).mul(f(WorkItem::GlobalSize, -1))),
+        }];
+        for engine in [EngineSelection::Interpreter, EngineSelection::Bytecode] {
+            let run = ExecutionRequest::new(&m)
+                .engine(engine)
+                .launch_sequence(
+                    &stage("copy", LaunchConfig::d1(4, 2)),
+                    vec![KernelArg::zeros(4), KernelArg::zeros(4)],
+                )
+                .unwrap();
+            assert_eq!(run.buffers[1], [10.0; 4], "{engine:?}");
+        }
     }
 
     #[test]

@@ -23,12 +23,12 @@
 
 mod bound;
 mod bytecode;
-mod charge;
 mod cost;
 mod device;
 mod engine;
 mod exec;
 mod memory;
+mod ops;
 
 pub use cost::{
     estimated_sequence_time, CostCounters, ExecutionProfile, ExecutionReport, StageProfile,
@@ -37,7 +37,7 @@ pub use cost::{
 pub use device::{DeviceProfile, LaunchConfig, LaunchError};
 pub use engine::{EngineSelection, ExecutionRequest};
 pub use exec::{KernelLaunchSpec, SequenceResult, VgpuError};
-pub use memory::{GpuValue, KernelArg, Ptr};
+pub use memory::KernelArg;
 
 /// The workspace-wide tolerance policy for comparing a kernel's output buffer against a
 /// reference: element-wise `|a - e| <= 2e-3 * (1 + |e|)` and equal lengths. Shared by the

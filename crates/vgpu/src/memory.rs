@@ -23,18 +23,18 @@ impl KernelArg {
 
 /// A pointer value: an address space, a buffer id within that space and an element offset.
 #[derive(Clone, Copy, Debug, PartialEq)]
-pub struct Ptr {
+pub(crate) struct Ptr {
     /// The address space of the pointee.
-    pub space: AddrSpace,
+    pub(crate) space: AddrSpace,
     /// Index into the buffer table of that space.
-    pub buffer: usize,
+    pub(crate) buffer: usize,
     /// Offset in elements from the start of the buffer.
-    pub offset: i64,
+    pub(crate) offset: i64,
 }
 
 /// A runtime value manipulated by the kernel interpreter.
 #[derive(Clone, Debug, PartialEq)]
-pub enum GpuValue {
+pub(crate) enum GpuValue {
     /// A floating-point value.
     Float(f64),
     /// An integer value.
@@ -50,56 +50,86 @@ pub enum GpuValue {
 }
 
 impl GpuValue {
-    /// Interprets the value as a float.
-    pub fn as_f64(&self) -> f64 {
+    /// The value in scalar position: an aggregate reads as [`Scalar::None`].
+    pub(crate) fn scalar(&self) -> Scalar {
+        match *self {
+            GpuValue::Float(v) => Scalar::Float(v),
+            GpuValue::Int(v) => Scalar::Int(v),
+            GpuValue::Bool(b) => Scalar::Bool(b),
+            GpuValue::Ptr(p) => Scalar::Ptr(p),
+            GpuValue::Vector(_) | GpuValue::Struct(_) => Scalar::None,
+        }
+    }
+}
+
+impl From<Scalar> for GpuValue {
+    /// `None` becomes an empty struct, which reads back as `None`.
+    fn from(v: Scalar) -> GpuValue {
+        match v {
+            Scalar::Float(v) => GpuValue::Float(v),
+            Scalar::Int(v) => GpuValue::Int(v),
+            Scalar::Bool(b) => GpuValue::Bool(b),
+            Scalar::Ptr(p) => GpuValue::Ptr(p),
+            Scalar::None => GpuValue::Struct(Vec::new()),
+        }
+    }
+}
+
+/// A scalar runtime value: a register of the bytecode tier, and a [`GpuValue`] read in
+/// scalar position. `None` is a cell that holds no value yet, or an aggregate; it converts
+/// as an aggregate does.
+#[derive(Clone, Copy, Debug, PartialEq)]
+pub(crate) enum Scalar {
+    /// No scalar: reading an unset cell as a variable is [`crate::VgpuError::UnknownVariable`].
+    None,
+    Float(f64),
+    Int(i64),
+    Bool(bool),
+    Ptr(Ptr),
+}
+
+impl Scalar {
+    /// The value as a float (`NaN` for a pointer or `None`).
+    pub(crate) fn as_f64(self) -> f64 {
         match self {
-            GpuValue::Float(v) => *v,
-            GpuValue::Int(v) => *v as f64,
-            GpuValue::Bool(b) => {
-                if *b {
-                    1.0
-                } else {
-                    0.0
-                }
-            }
-            _ => f64::NAN,
+            Scalar::Float(v) => v,
+            Scalar::Int(v) => v as f64,
+            Scalar::Bool(b) => f64::from(u8::from(b)),
+            Scalar::Ptr(_) | Scalar::None => f64::NAN,
         }
     }
 
-    /// Interprets the value as an integer (truncating floats).
-    pub fn as_i64(&self) -> i64 {
+    /// The value as an integer, truncating a float (0 for a pointer or `None`).
+    pub(crate) fn as_i64(self) -> i64 {
         match self {
-            GpuValue::Int(v) => *v,
-            GpuValue::Float(v) => *v as i64,
-            GpuValue::Bool(b) => i64::from(*b),
-            _ => 0,
+            Scalar::Int(v) => v,
+            Scalar::Float(v) => v as i64,
+            Scalar::Bool(b) => i64::from(b),
+            Scalar::Ptr(_) | Scalar::None => 0,
         }
     }
 
-    /// Interprets the value as a boolean (non-zero = true).
-    pub fn as_bool(&self) -> bool {
+    /// The value as a condition: non-zero is true (a pointer or `None` is false).
+    pub(crate) fn as_bool(self) -> bool {
         match self {
-            GpuValue::Bool(b) => *b,
-            GpuValue::Int(v) => *v != 0,
-            GpuValue::Float(v) => *v != 0.0,
-            _ => false,
+            Scalar::Bool(b) => b,
+            Scalar::Int(v) => v != 0,
+            Scalar::Float(v) => v != 0.0,
+            Scalar::Ptr(_) | Scalar::None => false,
         }
     }
 
-    /// Returns the pointer if this value is one.
-    pub fn as_ptr(&self) -> Option<Ptr> {
+    /// The pointer, if the value is one.
+    pub(crate) fn as_ptr(self) -> Option<Ptr> {
         match self {
-            GpuValue::Ptr(p) => Some(*p),
+            Scalar::Ptr(p) => Some(p),
             _ => None,
         }
     }
 
-    /// Returns `true` if the value is numeric (float, int or bool).
-    pub fn is_scalar(&self) -> bool {
-        matches!(
-            self,
-            GpuValue::Float(_) | GpuValue::Int(_) | GpuValue::Bool(_)
-        )
+    /// Whether the value is a number (float, int or bool): what an array element stores.
+    pub(crate) fn is_number(self) -> bool {
+        matches!(self, Scalar::Float(_) | Scalar::Int(_) | Scalar::Bool(_))
     }
 }
 
@@ -109,12 +139,19 @@ mod tests {
 
     #[test]
     fn conversions_between_scalar_kinds() {
-        assert_eq!(GpuValue::Float(2.5).as_f64(), 2.5);
-        assert_eq!(GpuValue::Int(3).as_f64(), 3.0);
-        assert_eq!(GpuValue::Float(2.9).as_i64(), 2);
-        assert!(GpuValue::Int(1).as_bool());
-        assert!(!GpuValue::Float(0.0).as_bool());
-        assert!(GpuValue::Bool(true).is_scalar());
+        assert_eq!(GpuValue::Float(2.5).scalar().as_f64(), 2.5);
+        assert_eq!(GpuValue::Int(3).scalar().as_f64(), 3.0);
+        assert_eq!(GpuValue::Bool(true).scalar().as_f64(), 1.0);
+        assert_eq!(GpuValue::Float(2.9).scalar().as_i64(), 2);
+        assert!(GpuValue::Int(1).scalar().as_bool());
+        assert!(!GpuValue::Float(0.0).scalar().as_bool());
+        assert!(GpuValue::Bool(true).scalar().is_number());
+        // An aggregate converts like `None`.
+        let pair = GpuValue::Struct(vec![GpuValue::Int(1), GpuValue::Int(2)]);
+        assert_eq!(pair.scalar(), Scalar::None);
+        assert!(Scalar::None.as_f64().is_nan());
+        assert_eq!((Scalar::None.as_i64(), Scalar::None.as_bool()), (0, false));
+        assert_eq!(GpuValue::from(Scalar::None).scalar(), Scalar::None);
     }
 
     #[test]
@@ -124,10 +161,10 @@ mod tests {
             buffer: 1,
             offset: 16,
         };
-        let v = GpuValue::Ptr(p);
+        let v = GpuValue::Ptr(p).scalar();
         assert_eq!(v.as_ptr(), Some(p));
-        assert!(!v.is_scalar());
-        assert_eq!(GpuValue::Int(0).as_ptr(), None);
+        assert!(!v.is_number());
+        assert_eq!(GpuValue::Int(0).scalar().as_ptr(), None);
     }
 
     #[test]
