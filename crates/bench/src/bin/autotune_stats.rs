@@ -16,6 +16,10 @@
 //! Every field is deterministic, so the committed file is its own gate: CI runs this binary
 //! and fails when `git diff --exit-code -- BENCH_autotune.json` is not clean. A PR that
 //! changes a number on purpose commits the regenerated file.
+//!
+//! After the file is written, the process's peak resident set (`VmHWM` of
+//! `/proc/self/status`) is printed to stdout, never into the file: the peak memory of the
+//! whole canonical sweep. Where `/proc` is absent the line is skipped.
 
 use std::path::PathBuf;
 
@@ -108,4 +112,14 @@ fn main() {
     std::fs::write(&out_path, autotune_report(entries).render())
         .unwrap_or_else(|e| panic!("write {}: {e}", out_path.display()));
     println!("wrote {}", out_path.display());
+    if let Some(peak) = peak_resident_set() {
+        println!("peak resident set (VmHWM): {peak}");
+    }
+}
+
+/// The `VmHWM` value of `/proc/self/status` (e.g. `16712 kB`), if the file exists and has it.
+fn peak_resident_set() -> Option<String> {
+    let status = std::fs::read_to_string("/proc/self/status").ok()?;
+    let line = status.lines().find(|l| l.starts_with("VmHWM:"))?;
+    Some(line["VmHWM:".len()..].trim().to_string())
 }

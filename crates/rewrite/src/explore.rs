@@ -37,7 +37,8 @@
 //!   byte-identical OpenCL, and an auto-tuner meets the same candidates at many of its
 //!   points — is never run again, and a candidate is compiled once per *answer* the launch
 //!   gives the code generator, not once per launch: [`Search::score`] goes through a score
-//!   memo that recalls the first verdict,
+//!   memo that recalls the first verdict and keeps the compiled program, from which every
+//!   later launch and returned variant of the candidate is built,
 //! * scoring is branch and bound: launches run in candidate order, each under a budget
 //!   ([`ExecutionRequest::budget`]) of the [`ExplorationConfig::best_n`]-th best time known
 //!   so far, and the virtual GPU stops one as soon as its partial counters prove it cannot
@@ -56,12 +57,10 @@ use lift_codegen::{
 };
 use lift_interp::{evaluate_with_sizes, Value};
 use lift_ir::{infer_types, Program, Type, TypeError};
-use lift_ocl::Module;
 use lift_telemetry::{Collector, Event, Null, RejectReason, SoundnessIncident, SoundnessReport};
 use lift_vgpu::{
     estimated_sequence_time, outputs_match, CostCounters, DeviceProfile, EngineSelection,
-    ExecutionProfile, ExecutionRequest, KernelArg, KernelLaunchSpec, LaunchConfig, LaunchError,
-    VgpuError,
+    ExecutionProfile, ExecutionRequest, KernelArg, LaunchConfig, LaunchError, VgpuError,
 };
 
 use crate::memo::{NodeId, Outcome, OutcomeKind, RewriteMemo, ROOT};
@@ -243,16 +242,18 @@ pub struct Exploration {
     /// could be returned. Pruned candidates are neither variants nor rejections. Always 0
     /// under `best_n = usize::MAX`.
     pub pruned_kernels: usize,
-    /// Lock-step rows the launches started in this pass executed on the virtual GPU: a
-    /// completed launch counts every row of every stage, a pruned one its finished stages
-    /// and the stopped stage up to the row it stopped at (none if its static bound stopped
-    /// it before the first row). A launch that fails with an execution error (a race, a
-    /// divergent barrier, an out-of-bounds access) counts none.
+    /// Rows of launches that completed or were pruned: the lock-step rows the launches
+    /// started in this pass executed on the virtual GPU. A completed launch counts every row
+    /// of every stage, a pruned one its finished stages and the stopped stage up to the row
+    /// it stopped at (none if its static bound stopped it before the first row). A launch
+    /// that fails with an execution error (a race, a divergent barrier, an out-of-bounds
+    /// access) counts none.
     pub rows_simulated: u64,
     /// Candidates whose compile outcome was recalled from the [`Search`]'s score memo,
-    /// skipping type inference, code generation and argument marshalling — recorded under
-    /// this launch or under any other that answers the generator's questions the same way
-    /// ([`LaunchTrace::holds_for`]). Always 0 under a fresh memo.
+    /// skipping type inference and code generation — recorded under this launch or under any
+    /// other that answers the generator's questions the same way
+    /// ([`LaunchTrace::holds_for`]). A launch such a candidate must run, and the variant it
+    /// may become, are built from the program the memo kept. Always 0 under a fresh memo.
     pub reused_compiles: usize,
 }
 
@@ -362,12 +363,13 @@ pub fn canonical_key(program: &Program) -> Result<CanonicalKey, ExploreError> {
     })
 }
 
-/// A fully lowered candidate as scoring sees it. The term is the one the search's
-/// [`RewriteMemo`] holds for the node, shared by every enumeration that reaches it.
+/// A fully lowered candidate as scoring sees it. The term and the derivation chain are the
+/// ones the search's [`RewriteMemo`] holds for the node, built once and shared by every
+/// enumeration that reaches it.
 #[derive(Clone, Debug)]
 pub(crate) struct Candidate {
     pub(crate) term: Arc<Term>,
-    pub(crate) steps: Vec<DerivationStep>,
+    pub(crate) steps: Arc<[DerivationStep]>,
     /// Cached [`Term::dedup_key`]: the enumeration's dedup key and the candidate half of the
     /// [`ScoreMemo`] compile key.
     pub(crate) key: DedupKey,
@@ -388,12 +390,13 @@ pub(crate) struct Candidate {
 ///
 /// A search may outlive the run it was made for. The derivation service keeps the one a
 /// cache hit was proven with beside its entry, so the next hit on that entry replays and
-/// scores on it: the score memo recalls the launch's verdict, and the hit executes nothing
-/// while it still replays, types and compiles its candidate.
+/// scores on it: the score memo recalls the candidate's compilation and its launch's
+/// verdict, and the hit compiles and executes nothing while it still replays and types its
+/// candidate and prints its source from the kept program.
 #[derive(Debug)]
 pub struct Search {
     data: Arc<ScoreData>,
-    rewrites: RewriteMemo,
+    pub(crate) rewrites: RewriteMemo,
     scores: ScoreMemo,
 }
 
@@ -456,7 +459,7 @@ impl Search {
     /// The one candidate a recorded derivation chain derives, replayed from the search root
     /// under `options` instead of searched. Scoring it compiles the candidate (ownership
     /// check included) and executes and validates its launch, unless this search's score
-    /// memo already holds that launch's verdict under the same context.
+    /// memo already holds that compilation and that launch's verdict under the same context.
     ///
     /// # Errors
     ///
@@ -471,7 +474,7 @@ impl Search {
         let term = crate::provenance::replay_from(root, steps, options)?;
         let candidate = Candidate {
             key: term.dedup_key(),
-            steps: steps.to_vec(),
+            steps: steps.into(),
             term: Arc::new(term),
         };
         Ok(Enumerated {
@@ -520,7 +523,7 @@ impl Search {
 /// `RuleOptions` at every launch instead of repeating the rule search.
 #[derive(Clone, Debug)]
 pub struct Enumerated {
-    complete: Vec<Candidate>,
+    pub(crate) complete: Vec<Candidate>,
     data: Arc<ScoreData>,
     search: Exploration,
 }
@@ -536,7 +539,7 @@ impl Enumerated {
     /// [`DerivationStep::alternative`]), so [`crate::provenance::replay`] reproduces each
     /// term exactly.
     pub fn lowered_candidates(&self) -> impl Iterator<Item = (&Term, &[DerivationStep])> {
-        self.complete.iter().map(|c| (&*c.term, c.steps.as_slice()))
+        self.complete.iter().map(|c| (&*c.term, &*c.steps))
     }
 
     /// [`Search::replay`] on a throwaway [`Search`] of `program` under `config.sizes` and
@@ -749,7 +752,8 @@ fn beam_search(
                                 round.completed += 1;
                             }
                         }
-                        // A fully lowered term is held from here on: scoring shares it.
+                        // A fully lowered term is held from here on: scoring shares it. Any
+                        // other is rebuilt from its parent's if the node is expanded.
                         if high_level_left == 0 {
                             memo.hold(node, term.as_ref());
                             complete.push(memo.candidate(node)?);
@@ -758,7 +762,6 @@ fn beam_search(
                             node,
                             high_level_left,
                             size,
-                            term,
                         });
                     }
                 }
@@ -780,11 +783,7 @@ fn beam_search(
         // Beam selection: lowering progress first, then smaller terms (heap-based select-k,
         // equivalent to a stable sort by `(high_level_left, size)` plus truncation).
         let selected = select_beam(next, config.beam_width).into_iter();
-        let selected = selected.map(|reached| {
-            memo.hold(reached.node, reached.term.as_ref());
-            reached.node
-        });
-        parents = std::mem::replace(&mut frontier, selected.collect());
+        parents = std::mem::replace(&mut frontier, selected.map(|r| r.node).collect());
         if telemetry {
             round.emit(collector, depth as u32, frontier_len, frontier.len() as u32);
         }
@@ -815,8 +814,6 @@ struct Reached {
     node: NodeId,
     high_level_left: usize,
     size: usize,
-    /// The term, if it was derived in this round.
-    term: Option<Arc<Term>>,
 }
 
 /// Keeps the `width` best candidates by `(high_level_left, size)` in stable order, using a
@@ -1098,16 +1095,21 @@ enum Verdict {
     Pruned(f64),
 }
 
-/// What a candidate compiled to under one launch: its rejection, or the key of its launch.
-type CompileOutcome = Result<ExecKey, ScoreError>;
+/// A compiled candidate as the score memo keeps it: the program every launch of it runs, and
+/// the seed of those launches' keys. Candidates whose seeds are equal share one.
+#[derive(Debug)]
+struct Kept {
+    seed: LaunchSeed,
+    program: CompiledProgram,
+}
 
 /// What a candidate compiles to under every launch that answers the generator's questions
-/// the way `trace` records them ([`LaunchTrace::holds_for`]): its rejection, or the seed of
-/// its launch key.
+/// the way `trace` records them ([`LaunchTrace::holds_for`]): its rejection, or the program
+/// it compiled to.
 #[derive(Debug)]
 struct Compiled {
     trace: LaunchTrace,
-    outcome: Result<LaunchSeed, ScoreError>,
+    outcome: Result<Arc<Kept>, ScoreError>,
 }
 
 /// The verdicts of one [`Search`]: what every candidate compiled to, and what every
@@ -1117,12 +1119,13 @@ struct Compiled {
 /// records what it had to work out, on two levels:
 ///
 /// * **compilation** — [`Term::dedup_key`] → per [`LaunchTrace`], the compile rejection or
-///   the launch-independent part of the key of the launch the candidate compiled to. Code
-///   generation looks at the launch only through the comparisons its trace records
-///   ([`lift_codegen::compile_program_traced`]), so an entry answers for every launch its
-///   trace holds for — not only the one it was compiled under — and the launch key is
-///   completed from the launch at hand. A recalled candidate skips type inference, code
-///   generation and argument marshalling.
+///   the program the candidate compiled to, with the launch-independent part of its launch
+///   key. Code generation looks at the launch only through the comparisons its trace
+///   records ([`lift_codegen::compile_program_traced`]), so an entry answers for every launch
+///   its trace holds for — not only the one it was compiled under — and the launch key is
+///   completed from the launch at hand. A recalled candidate skips type inference and code
+///   generation: the launch it must run and the variant it may become are built from the
+///   kept program, one per distinct [`LaunchSeed`] however many candidates compile to it.
 /// * **execution** — launch key (kernel source + marshalled arguments + launch plan) → the
 ///   [`Verdict`]: counters, estimated time and per-stage counters, the typed rejection
 ///   ([`SoundnessIncident`] included), or the lower bound a pruned launch was stopped at. A
@@ -1132,15 +1135,17 @@ struct Compiled {
 /// Every launch is still executed under the configured race detection and validated against
 /// the interpreter's reference the first time the memo sees it; only byte-identical repeats
 /// are elided, so scoring through a shared memo returns the variants scoring through a fresh
-/// one returns. No module is retained: a recalled compilation whose launch must run is
-/// compiled once more for the job. Entries are bound to the context they were recorded
-/// under (device, engine, race detection, compiler options, size bindings, input data):
-/// under any other context they are not found.
+/// one returns. Code generation runs once per candidate, context and trace: no launch and
+/// no variant compiles a candidate again. Entries are bound to the context they were recorded under (device,
+/// engine, race detection, compiler options, size bindings, input data): under any other
+/// context they are not found.
 #[derive(Debug, Default)]
 struct ScoreMemo {
     contexts: Vec<ScoreContext>,
     /// Compile outcomes per context and candidate ([`Term::dedup_key`]), one per trace.
     compiled: HashMap<(usize, DedupKey), Vec<Compiled>>,
+    /// Every kept program, by the source hash of its seed.
+    kept: HashMap<u64, Vec<Arc<Kept>>>,
     executed: HashMap<ExecKey, Verdict>,
 }
 
@@ -1163,40 +1168,24 @@ impl ScoreMemo {
                 self.contexts.len() - 1
             })
     }
-}
 
-/// The parts of a compiled candidate a returned [`Variant`] carries.
-struct Materials {
-    program: Program,
-    kernel_source: String,
-    stage_names: Vec<String>,
-}
-
-impl Materials {
-    fn new(program: Program, compiled: &CompiledProgram) -> Materials {
-        Materials {
-            program,
-            kernel_source: compiled.source(),
-            stage_names: compiled.kernels.iter().map(|k| k.name.clone()).collect(),
+    /// The kept program of `seed`: the one kept for an equal seed, or else `program`.
+    fn keep(&mut self, seed: LaunchSeed, program: CompiledProgram) -> Arc<Kept> {
+        let same_source = self.kept.entry(seed.source).or_default();
+        if let Some(kept) = same_source.iter().find(|kept| kept.seed == seed) {
+            return Arc::clone(kept);
         }
+        let kept = Arc::new(Kept { seed, program });
+        same_source.push(Arc::clone(&kept));
+        kept
     }
-}
-
-/// A launch without a final verdict, readied for execution.
-struct Job {
-    key: ExecKey,
-    module: Module,
-    /// The kernel sequence in launch order (one entry for single-kernel candidates).
-    stages: Vec<KernelLaunchSpec>,
-    args: Vec<KernelArg>,
-    output_buffer_index: usize,
 }
 
 /// A launch a scoring pass needs a verdict for.
 struct Needed {
     key: ExecKey,
-    /// The first candidate that makes it.
-    first: usize,
+    /// The program its candidates compiled to.
+    kept: Arc<Kept>,
     /// How many candidates make it.
     candidates: usize,
 }
@@ -1244,7 +1233,7 @@ impl Bar {
 /// Phase-1 result for one candidate.
 enum Staged {
     /// The memo knows what the candidate compiles to under this launch.
-    Known(CompileOutcome),
+    Known(Result<Arc<Kept>, ScoreError>),
     /// The candidate has to be compiled; this is its typed arena form.
     Typed(Result<Program, ScoreError>),
 }
@@ -1276,8 +1265,6 @@ fn score_all(
         .map_err(ExploreError::Launch)?;
     let mut stats = enumerated.search.clone();
     let context = memo.context(config, data);
-    let executed = &mut memo.executed;
-    let compiled = &mut memo.compiled;
     let options = launch_options(config);
 
     // Phase 1 (cheap, serial): arena conversion + type inference for every candidate whose
@@ -1286,146 +1273,100 @@ fn score_all(
     let staged: Vec<Staged> = complete
         .iter()
         .map(|cand| {
-            let known = compiled.get(&(context, cand.key)).and_then(|known| {
+            let known = memo.compiled.get(&(context, cand.key)).and_then(|known| {
                 let holds = known.iter().find(|c| c.trace.holds_for(&options))?;
-                Some(
-                    holds
-                        .outcome
-                        .as_ref()
-                        .map(|seed| ExecKey::new(context, seed, config.launch)),
-                )
+                Some(holds.outcome.clone())
             });
             match known {
-                Some(outcome) => Staged::Known(outcome.map_err(Clone::clone)),
+                Some(outcome) => Staged::Known(outcome),
                 None => Staged::Typed(typecheck_candidate(cand)),
             }
         })
         .collect();
     collector.span_end("typecheck");
 
-    // Phase 2 (serial): compilation + argument marshalling of every candidate whose compile
-    // outcome is not on record, streamed. A candidate is reduced to its launch key as soon
-    // as it is compiled; the module and arguments survive only as the job of a launch that
-    // may have to run, the program and source only as the materials of a possible variant.
+    // Phase 2 (serial): compilation of every candidate whose compile outcome is not on
+    // record, streamed. A compiled candidate is reduced to the kept program of its seed and
+    // the launch that program makes here; candidates that make the same launch share one.
     collector.span_begin("compile");
-    let mut outcomes: Vec<CompileOutcome> = Vec::with_capacity(complete.len());
-    let mut materials: Vec<Option<Materials>> = Vec::with_capacity(complete.len());
+    let mut outcomes: Vec<Result<usize, ScoreError>> = Vec::with_capacity(complete.len());
     let mut needed: Vec<Needed> = Vec::new();
     let mut slots: HashMap<ExecKey, usize> = HashMap::new();
-    let mut ready: HashMap<ExecKey, Job> = HashMap::new();
-    for (index, (cand, staged)) in complete.iter().zip(staged).enumerate() {
+    for (cand, staged) in complete.iter().zip(staged) {
         let outcome = match staged {
             Staged::Known(outcome) => {
                 stats.reused_compiles += 1;
-                materials.push(None);
                 outcome
             }
             Staged::Typed(program) => {
                 let (fresh, trace) = match program {
-                    Ok(program) => compile_candidate(program, data, config, context),
+                    Ok(program) => compile_candidate(&program, data, &options),
                     // The arena form does not type, whatever the launch.
                     Err(e) => (Err(e), LaunchTrace::default()),
                 };
-                let outcome = match &fresh {
-                    Ok((_, seed, _)) => Ok(seed.clone()),
-                    Err(e) => Err(e.clone()),
-                };
-                let traces = compiled.entry((context, cand.key)).or_default();
-                traces.push(Compiled { trace, outcome });
-                match fresh {
-                    Ok((kept, _, job)) => {
-                        let launch = job.key;
-                        // Only a scored or rejected launch is settled before the bar is.
-                        if matches!(executed.get(&launch), None | Some(Verdict::Pruned(_))) {
-                            ready.entry(launch).or_insert(job);
-                        }
-                        materials.push(Some(kept));
-                        Ok(launch)
-                    }
-                    Err(e) => {
-                        materials.push(None);
-                        Err(e)
-                    }
-                }
+                let outcome = fresh.map(|(seed, program)| memo.keep(seed, program));
+                let traces = memo.compiled.entry((context, cand.key)).or_default();
+                traces.push(Compiled {
+                    trace,
+                    outcome: outcome.clone(),
+                });
+                outcome
             }
         };
-        if let Ok(launch) = &outcome {
-            let slot = *slots.entry(*launch).or_insert_with(|| {
+        outcomes.push(outcome.map(|kept| {
+            let key = ExecKey::new(context, &kept.seed, config.launch);
+            let slot = *slots.entry(key).or_insert_with(|| {
                 needed.push(Needed {
-                    key: *launch,
-                    first: index,
+                    key,
+                    kept,
                     candidates: 0,
                 });
                 needed.len() - 1
             });
             needed[slot].candidates += 1;
-        }
-        outcomes.push(outcome);
+            slot
+        }));
     }
     drop(slots);
-
-    // The bar the recorded verdicts set. A launch an earlier point pruned stays pruned if its
-    // bound clears this bar (which only drops while the point runs), and runs again
-    // otherwise, as does a launch without a verdict: under the job of a fresh compile, or —
-    // when every candidate recalled its compilation — of its first candidate compiled again.
-    let mut bar = Bar::new(config.best_n);
-    for launch in &needed {
-        if let Some(Verdict::Scored(scored)) = executed.get(&launch.key) {
-            bar.admit(scored.time, launch.candidates);
-        }
-    }
-    let recorded_bar = bar.height();
-    let mut jobs: Vec<(Job, usize)> = Vec::new();
-    for launch in &needed {
-        match executed.get(&launch.key) {
-            None => {}
-            Some(Verdict::Pruned(bound)) if *bound <= recorded_bar => {}
-            Some(_) => continue,
-        }
-        let job = match ready.remove(&launch.key) {
-            Some(job) => job,
-            None => {
-                let cand = &complete[launch.first];
-                let (fresh, trace) = match typecheck_candidate(cand) {
-                    Ok(program) => compile_candidate(program, data, config, context),
-                    Err(e) => (Err(e), LaunchTrace::default()),
-                };
-                let Ok((kept, seed, job)) = fresh else {
-                    return Err(ExploreError::Memo("a recorded compilation does not repeat"));
-                };
-                debug_assert!(
-                    compiled
-                        .get(&(context, cand.key))
-                        .is_some_and(|traces| traces
-                            .iter()
-                            .any(|c| c.trace == trace && c.outcome.as_ref().ok() == Some(&seed))),
-                    "compiling again asked the launch other questions, or came out different"
-                );
-                stats.reused_compiles -= 1;
-                materials[launch.first] = Some(kept);
-                job
-            }
-        };
-        jobs.push((job, launch.candidates));
-    }
-    drop(ready);
     collector.span_end("compile");
 
     // Phase 3 (serial): execute each launch that needs running once, in first-occurrence
     // order, under a budget of the bar so far: a launch whose cost bound rises above it is
     // outranked by `best_n` candidates already, and is stopped as pruned. The order alone
-    // decides what is pruned.
+    // decides what is pruned. The bar starts from the recorded verdicts; a launch an earlier
+    // point pruned stays pruned if its bound clears that bar (which only drops while the
+    // point runs), and runs again otherwise, as does a launch without a verdict.
     collector.span_begin("execute");
+    let mut bar = Bar::new(config.best_n);
+    for launch in &needed {
+        if let Some(Verdict::Scored(scored)) = memo.executed.get(&launch.key) {
+            bar.admit(scored.time, launch.candidates);
+        }
+    }
+    let recorded_bar = bar.height();
+    let to_run: Vec<&Needed> = needed
+        .iter()
+        .filter(|launch| match memo.executed.get(&launch.key) {
+            None => true,
+            Some(Verdict::Pruned(bound)) => *bound <= recorded_bar,
+            Some(_) => false,
+        })
+        .collect();
     stats.executed_kernels = needed.len();
-    stats.reused_kernels = needed.len() - jobs.len();
-    let run = |job: Job, limit: f64| -> (Verdict, u64) {
-        let result = ExecutionRequest::new(&job.module)
+    stats.reused_kernels = needed.len() - to_run.len();
+    // A launch's arguments are marshalled from the kept program just before it runs, so only
+    // one launch's buffers are alive at a time.
+    let run = |program: &CompiledProgram, limit: f64| -> (Verdict, u64) {
+        let Ok((args, output)) = program.bind_args(&data.inputs, &data.sizes) else {
+            return (Verdict::Rejected(ScoreError::Compile), 0);
+        };
+        let result = ExecutionRequest::new(&program.module)
             .on_device(&config.device)
             .engine(config.engine)
             .race_detection(config.detect_races)
             .budget(limit)
             .collector(collector)
-            .launch_sequence(&job.stages, job.args);
+            .launch_sequence(&program.launch_plan(config.launch), args);
         let rows = match &result {
             Ok(result) => result.merged_counters().lockstep_rows,
             Err(VgpuError::OverBudget { row, .. }) => *row,
@@ -1457,7 +1398,7 @@ fn score_all(
             ))),
             Err(_) => Verdict::Rejected(ScoreError::Incorrect),
             Ok(result) => {
-                if outputs_match(&result.buffers[job.output_buffer_index], &data.reference) {
+                if outputs_match(&result.buffers[output], &data.reference) {
                     let stage_counters = result.stage_counters();
                     Verdict::Scored(Scored {
                         counters: result.merged_counters(),
@@ -1471,34 +1412,35 @@ fn score_all(
         };
         (verdict, rows)
     };
-    for (job, candidates) in jobs {
-        let launch = job.key;
-        let (verdict, rows) = run(job, bar.height());
+    for launch in to_run {
+        let (verdict, rows) = run(&launch.kept.program, bar.height());
         stats.rows_simulated += rows;
         match &verdict {
-            Verdict::Scored(scored) => bar.admit(scored.time, candidates),
+            Verdict::Scored(scored) => bar.admit(scored.time, launch.candidates),
             Verdict::Pruned(_) => stats.pruned_kernels += 1,
             Verdict::Rejected(_) => {}
         }
-        executed.insert(launch, verdict);
+        memo.executed.insert(launch.key, verdict);
     }
     collector.span_end("execute");
 
     // Phase 4 (serial): per-candidate verdicts in candidate order, then ranking. A pruned
-    // candidate is outranked, not rejected. Only the `best_n` survivors become full variants;
-    // one whose compilation was recalled is compiled again here for its program and source.
+    // candidate is outranked, not rejected. Only the `best_n` survivors become full variants,
+    // typed again and printed from the program their launch ran.
     collector.span_begin("score");
-    let mut ranked: Vec<((f64, usize), &Scored)> = Vec::new();
+    let mut ranked: Vec<((f64, usize), &Scored, &Kept)> = Vec::new();
     for (index, (cand, outcome)) in complete.iter().zip(outcomes).enumerate() {
-        let verdict = match outcome {
-            Ok(launch) => executed.get(&launch),
+        let launch = match outcome {
+            Ok(slot) => &needed[slot],
             Err(e) => {
                 reject_candidate(&mut stats, collector, cand, e);
                 continue;
             }
         };
-        match verdict {
-            Some(Verdict::Scored(scored)) => ranked.push(((scored.time, index), scored)),
+        match memo.executed.get(&launch.key) {
+            Some(Verdict::Scored(scored)) => {
+                ranked.push(((scored.time, index), scored, &launch.kept));
+            }
             Some(Verdict::Rejected(e)) => reject_candidate(&mut stats, collector, cand, e.clone()),
             Some(Verdict::Pruned(_)) => {}
             None => return Err(ExploreError::Memo("a needed launch has no verdict")),
@@ -1508,20 +1450,23 @@ fn score_all(
     ranked.truncate(config.best_n);
     stats.variants = ranked
         .into_iter()
-        .map(|((_, index), scored)| {
+        .map(|((_, index), scored, kept)| {
             let cand = &complete[index];
-            let kept = match materials[index].take() {
-                Some(kept) => kept,
-                None => rematerialise(cand, config)?,
-            };
+            let program = typecheck_candidate(cand)
+                .map_err(|_| ExploreError::Memo("a compiled candidate no longer types"))?;
             Ok(Variant {
-                program: kept.program,
-                derivation: cand.steps.clone(),
-                kernel_source: kept.kernel_source,
+                program,
+                derivation: cand.steps.to_vec(),
+                kernel_source: kept.program.source(),
                 kernel_count: scored.stage_counters.len(),
                 counters: scored.counters,
                 stage_counters: scored.stage_counters.clone(),
-                stage_names: kept.stage_names,
+                stage_names: kept
+                    .program
+                    .kernels
+                    .iter()
+                    .map(|k| k.name.clone())
+                    .collect(),
                 estimated_time: scored.time,
             })
         })
@@ -1627,50 +1572,26 @@ fn launch_options(config: &ExplorationConfig) -> CompilationOptions {
         .with_launch(config.launch.global, config.launch.local)
 }
 
-/// Phase-2 work for one typed candidate: code generation and argument marshalling, down to
-/// the launch seed and the job of the launch under `config.launch` — and the trace under
-/// which any of it, the rejection included, repeats.
+/// Phase-2 work for one typed candidate: code generation under `options` (which carry the
+/// launch) and the launch seed of the program — and the trace under which any of it, the
+/// rejection included, repeats.
 fn compile_candidate(
-    program: Program,
+    program: &Program,
     data: &ScoreData,
-    config: &ExplorationConfig,
-    context: usize,
+    options: &CompilationOptions,
 ) -> (
-    Result<(Materials, LaunchSeed, Job), ScoreError>,
+    Result<(LaunchSeed, CompiledProgram), ScoreError>,
     LaunchTrace,
 ) {
-    let (compiled, trace) = compile_typed(&program, &launch_options(config));
-    let readied = compiled.and_then(|compiled| {
-        let (args, output_buffer_index) = compiled
+    let (compiled, trace) = compile_typed(program, options);
+    let seeded = compiled.and_then(|compiled| {
+        let (args, _) = compiled
             .bind_args(&data.inputs, &data.sizes)
             .map_err(|_| ScoreError::Compile)?;
-        let kept = Materials::new(program, &compiled);
-        let seed = LaunchSeed::new(&kept.kernel_source, &args, &compiled.kernels, data);
-        let job = Job {
-            key: ExecKey::new(context, &seed, config.launch),
-            stages: compiled.launch_plan(config.launch),
-            module: compiled.module,
-            args,
-            output_buffer_index,
-        };
-        Ok((kept, seed, job))
+        let seed = LaunchSeed::new(&compiled.source(), &args, &compiled.kernels, data);
+        Ok((seed, compiled))
     });
-    (readied, trace)
-}
-
-/// Compiles a candidate whose compilation was recalled once more, for the program and
-/// source its [`Variant`] carries.
-///
-/// # Errors
-///
-/// [`ExploreError::Memo`] if it no longer typechecks or compiles.
-fn rematerialise(cand: &Candidate, config: &ExplorationConfig) -> Result<Materials, ExploreError> {
-    let program = typecheck_candidate(cand);
-    let compiled = program.and_then(|program| {
-        let compiled = compile_typed(&program, &launch_options(config)).0?;
-        Ok(Materials::new(program, &compiled))
-    });
-    compiled.map_err(|_| ExploreError::Memo("a recorded compilation does not repeat"))
+    (seeded, trace)
 }
 
 #[cfg(test)]
@@ -1947,6 +1868,94 @@ mod tests {
             recalled.rejected_race
         );
         assert!(sound.soundness.is_clean());
+    }
+
+    /// A dot-product search scored at `d1(16, 4)`, and the configuration of a second launch,
+    /// `d1(32, 4)`, that answers the code generator's questions alike but is another launch.
+    fn scored_at_two_launches() -> (Search, Enumerated, ExplorationConfig, ExplorationConfig) {
+        let program = high_level_partial_dot(512);
+        let config = ExplorationConfig {
+            max_depth: 5,
+            beam_width: 32,
+            max_candidates: 1500,
+            rule_options: RuleOptions {
+                split_sizes: vec![2, 4],
+                vector_widths: vec![4],
+                tile_sizes: vec![],
+            },
+            launch: LaunchConfig::d1(16, 4),
+            best_n: 3,
+            ..ExplorationConfig::default()
+        };
+        let wider = ExplorationConfig {
+            launch: LaunchConfig::d1(32, 4),
+            ..config.clone()
+        };
+        let mut search = Search::new(&program, &config.sizes, &Null).expect("input types");
+        let enumerated = search.enumerate(&config, &Null).expect("enumeration runs");
+        let first = search
+            .score(&enumerated, &config, &Null)
+            .expect("scoring runs");
+        assert_eq!(first.reused_compiles, 0);
+        (search, enumerated, config, wider)
+    }
+
+    #[test]
+    fn a_recalled_candidate_runs_its_launch_without_compiling_again() {
+        let (mut search, enumerated, _, wider) = scored_at_two_launches();
+        let again = search
+            .score(&enumerated, &wider, &Null)
+            .expect("scoring runs");
+        // Every compilation holds for the second launch, and some of its launches run.
+        assert_eq!(again.reused_compiles, again.lowered);
+        assert!(again.reused_kernels < again.executed_kernels);
+        // The variants are those of a fresh memo, which compiles every candidate.
+        let fresh = enumerated.score(&wider).expect("scoring runs");
+        assert_eq!(fresh.reused_compiles, 0);
+        assert!(!fresh.variants.is_empty());
+        assert_eq!(again.variants.len(), fresh.variants.len());
+        for (a, b) in again.variants.iter().zip(&fresh.variants) {
+            assert_eq!(a.kernel_source, b.kernel_source);
+            assert_eq!(a.estimated_time.to_bits(), b.estimated_time.to_bits());
+            assert_eq!(a.derivation, b.derivation);
+            assert_eq!(a.stage_names, b.stage_names);
+            assert_eq!(a.program.to_string(), b.program.to_string());
+        }
+    }
+
+    #[test]
+    fn the_kept_program_is_what_compiling_the_candidate_again_gives() {
+        let (mut search, enumerated, config, wider) = scored_at_two_launches();
+        search
+            .score(&enumerated, &wider, &Null)
+            .expect("scoring runs");
+        let mut kept = 0;
+        for config in [&config, &wider] {
+            let options = launch_options(config);
+            let context = search.scores.context(config, &enumerated.data);
+            for cand in &enumerated.complete {
+                let recorded = search.scores.compiled[&(context, cand.key)]
+                    .iter()
+                    .find(|c| c.trace.holds_for(&options))
+                    .expect("every candidate's compilation is on record");
+                let program = typecheck_candidate(cand).expect("a lowered candidate types");
+                let (fresh, trace) = compile_typed(&program, &options);
+                assert_eq!(trace, recorded.trace);
+                match (&recorded.outcome, fresh) {
+                    (Ok(recorded), Ok(fresh)) => {
+                        assert_eq!(recorded.program, fresh);
+                        kept += 1;
+                    }
+                    (Err(recorded), Err(fresh)) => {
+                        assert_eq!(format!("{recorded:?}"), format!("{fresh:?}"));
+                    }
+                    (recorded, fresh) => {
+                        panic!("recorded {recorded:?}, compiled again {fresh:?}")
+                    }
+                }
+            }
+        }
+        assert!(kept > 0);
     }
 
     #[test]

@@ -12,11 +12,13 @@
 //! What the memo holds is the search *graph*, not the terms: a node per term any
 //! enumeration reached, identified by its derivation, with the outcomes of the rule
 //! applications at the nodes that were expanded. A term is held only while a search is
-//! working at it or scoring has a use for it (the fully lowered ones, shared with every
-//! [`Enumerated`](crate::Enumerated) that contains them); any other is one rule application
-//! away from its parent's ([`crate::provenance`]) should a later search need it.
+//! expanding it or its children, or when scoring has a use for it: a fully lowered one is
+//! held, with its derivation chain, from the moment a search finds it, and both are shared
+//! with every [`Enumerated`](crate::Enumerated) that contains the node. Any other term is one
+//! rule application away from its parent's ([`crate::provenance`]), and is rebuilt from it
+//! when a search comes to expand the node.
 
-use std::collections::VecDeque;
+use std::collections::{HashMap, VecDeque};
 use std::sync::Arc;
 
 use lift_telemetry::RejectReason;
@@ -45,8 +47,9 @@ pub(crate) enum OutcomeKind {
     /// outgrew `max_term_size`, or the derived term failed the (term-level) typecheck.
     /// Counted against the candidate budget, like always.
     Rejected(RejectReason),
-    /// A well-typed derived candidate: its memo node, and its term if it was derived just
-    /// now (a recalled candidate's term is rebuilt only if something needs it).
+    /// A well-typed derived candidate: its memo node, and its term if it is fully lowered
+    /// and was derived just now. Any other term is rebuilt from its parent's only if a search
+    /// comes to expand the node.
     Derived {
         node: NodeId,
         term: Option<Arc<Term>>,
@@ -71,8 +74,8 @@ pub(crate) struct Node {
     pub(crate) high_level_left: usize,
     /// Held while a search works at the node (it is in the beam being expanded or in the
     /// one before) and, if it is fully lowered, from the moment a search finds it. At any
-    /// other time the node is its origin only, and the term is rebuilt from that should a
-    /// search have to judge at it.
+    /// other time the node is its origin only, and the term is rebuilt from that when a
+    /// search has to judge at it.
     term: Option<Arc<Term>>,
     /// What the rules did at the term's sites: one entry per `(site, rule)` that produced a
     /// rewrite or read an option list, in site-major, rule-minor order. Every other pair
@@ -117,9 +120,11 @@ enum Judged<T> {
     Derived(T),
 }
 
-/// A freshly derived, well-typed term with what the search ranks and dedups it by.
+/// A freshly derived, well-typed term with what the search ranks and dedups it by. Only a
+/// fully lowered term is kept; any other is dropped as soon as it is judged, and rebuilt
+/// from its parent's if a search comes to expand its node.
 struct Derived {
-    term: Term,
+    term: Option<Term>,
     key: DedupKey,
     size: usize,
     high_level_left: usize,
@@ -148,9 +153,9 @@ struct Application {
 /// and records what it had to work out. A rule application is a function of the term, the
 /// site and the [`RuleOptions`] lists the rule *read* ([`Rule::applications_logged`]); the
 /// memo records the outcome together with those lists, and a later enumeration under other
-/// options applies the rule again only if one of them differs. A recalled outcome is a node,
-/// not a term: the term of a node is held only while a search expands it or scoring has a
-/// use for it.
+/// options applies the rule again only if one of them differs. An outcome is a node, not a
+/// term: the term of a node is held only while a search expands it or its children, or, for
+/// a fully lowered node, for scoring.
 ///
 /// Recalling is exact. A node is identified by its derivation (parent node, site, rule,
 /// lists read, alternative); the root is shared, and a rule application draws its fresh
@@ -172,6 +177,9 @@ pub(crate) struct RewriteMemo {
     current: usize,
     /// Per entry of `options`: the lists on which it agrees with the current options.
     agreeing: Vec<OptionAxes>,
+    /// The derivation chain of every fully lowered node a search found, built the first time
+    /// and shared by every [`Candidate`] of the node from then on.
+    chains: HashMap<NodeId, Arc<[DerivationStep]>>,
     /// Rewrites judged so far: a rule applied, the result spliced in, normalised and
     /// type-checked.
     pub(crate) judged: usize,
@@ -207,6 +215,7 @@ impl RewriteMemo {
         if self.max_term_size != config.max_term_size {
             self.nodes.truncate(1);
             self.nodes[ROOT].entries = None;
+            self.chains.clear();
             self.max_term_size = config.max_term_size;
             self.options.clear();
         }
@@ -293,7 +302,7 @@ impl RewriteMemo {
         steps
     }
 
-    /// Holds `term` as the node's from here on, if the node holds none yet.
+    /// Holds `term` as the fully lowered node's from here on, if the node holds none yet.
     pub(crate) fn hold(&mut self, node: NodeId, term: Option<&Arc<Term>>) {
         if let (slot @ None, Some(term)) = (&mut self.nodes[node].term, term) {
             *slot = Some(Arc::clone(term));
@@ -302,8 +311,8 @@ impl RewriteMemo {
 
     /// Lets go of the terms of beam nodes whose children have all been planned for: of a
     /// search's terms only the root and the fully lowered ones (which its
-    /// [`Enumerated`](crate::Enumerated) shares) outlive it, the others are rebuilt if a
-    /// later search has to judge at them.
+    /// [`Enumerated`](crate::Enumerated) shares) outlive it, the others are rebuilt when a
+    /// search has to judge at them.
     pub(crate) fn release(&mut self, beam: &[NodeId]) {
         for node in beam {
             let node = &mut self.nodes[*node];
@@ -313,11 +322,20 @@ impl RewriteMemo {
         }
     }
 
-    /// The fully lowered candidate a node is, as scoring takes it.
+    /// The fully lowered candidate a node is, as scoring takes it: the node's term and chain,
+    /// shared with every other candidate of the node.
     pub(crate) fn candidate(&mut self, node: NodeId) -> Result<Candidate, ExploreError> {
+        let steps = match self.chains.get(&node) {
+            Some(steps) => Arc::clone(steps),
+            None => {
+                let steps: Arc<[DerivationStep]> = self.steps(node).into();
+                self.chains.insert(node, Arc::clone(&steps));
+                steps
+            }
+        };
         Ok(Candidate {
             term: self.term(node)?,
-            steps: self.steps(node),
+            steps,
             key: self.nodes[node].key,
         })
     }
@@ -467,8 +485,8 @@ impl RewriteMemo {
         out
     }
 
-    /// Records what `work` came to. Returns the derived terms, in the order
-    /// [`RewriteMemo::outcomes`] meets their nodes.
+    /// Records what `work` came to. Returns the derived terms of fully lowered nodes, in the
+    /// order [`RewriteMemo::outcomes`] meets their nodes.
     fn record(
         &mut self,
         node: NodeId,
@@ -505,7 +523,7 @@ impl RewriteMemo {
     }
 
     /// One application's judgement under the current options, with a node created for every
-    /// term it derived (and the term appended to `terms`).
+    /// term it derived (and the term appended to `terms` if it is fully lowered).
     fn judgement(
         &mut self,
         parent: NodeId,
@@ -535,7 +553,9 @@ impl RewriteMemo {
                         term: None,
                         entries: None,
                     });
-                    terms.push_back((child, Arc::new(derived.term)));
+                    if let Some(term) = derived.term {
+                        terms.push_back((child, Arc::new(term)));
+                    }
                     Judged::Derived(child)
                 }
             })
@@ -592,11 +612,12 @@ fn judge(
                 if typecheck(&term).is_err() {
                     return Judged::Rejected(RejectReason::IllTyped);
                 }
+                let high_level_left = high_level_count(&term.body);
                 Judged::Derived(Derived {
                     key: term.dedup_key(),
                     size,
-                    high_level_left: high_level_count(&term.body),
-                    term,
+                    high_level_left,
+                    term: (high_level_left == 0).then_some(term),
                 })
             })
             .collect();
@@ -649,6 +670,81 @@ pub(crate) fn high_level_count(e: &TermExpr) -> usize {
         TermExpr::Literal(_) | TermExpr::Param(_) => 0,
         TermExpr::Apply { f, args } => {
             count_fun(f) + args.iter().map(high_level_count).sum::<usize>()
+        }
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use std::sync::Arc;
+
+    use lift_benchmarks::dot_product::high_level_program;
+    use lift_telemetry::Null;
+
+    use super::ROOT;
+    use crate::explore::{ExplorationConfig, Search};
+    use crate::rules::RuleOptions;
+
+    fn config(split_sizes: Vec<i64>) -> ExplorationConfig {
+        ExplorationConfig {
+            max_depth: 5,
+            beam_width: 32,
+            max_candidates: 1500,
+            rule_options: RuleOptions {
+                split_sizes,
+                vector_widths: vec![4],
+                tile_sizes: vec![],
+            },
+            ..ExplorationConfig::default()
+        }
+    }
+
+    #[test]
+    fn enumerations_that_reach_a_lowered_node_share_its_term_and_chain() {
+        let program = high_level_program(512);
+        let (small, large) = (config(vec![2, 4]), config(vec![8, 16]));
+        let mut search = Search::new(&program, &small.sizes, &Null).expect("input types");
+        let first = search.enumerate(&small, &Null).expect("enumeration runs");
+        let second = search.enumerate(&large, &Null).expect("enumeration runs");
+        // Under other split sizes a chain that splits derives another term, so equal chains
+        // with equal keys are the same node, reached by both enumerations.
+        let (mut shared, mut apart) = (0, 0);
+        for a in &first.complete {
+            let same = second
+                .complete
+                .iter()
+                .find(|b| b.key == a.key && b.steps == a.steps);
+            match same {
+                Some(b) => {
+                    assert!(Arc::ptr_eq(&a.term, &b.term));
+                    assert!(Arc::ptr_eq(&a.steps, &b.steps));
+                    shared += 1;
+                }
+                None => apart += 1,
+            }
+        }
+        assert!(shared > 0 && apart > 0, "shared {shared}, apart {apart}");
+    }
+
+    #[test]
+    fn only_the_root_and_the_lowered_nodes_hold_a_term_after_an_enumeration() {
+        let program = high_level_program(512);
+        let mut search = Search::new(&program, &config(vec![2]).sizes, &Null).expect("types");
+        for splits in [vec![2, 4], vec![8, 16], vec![2, 4]] {
+            let enumerated = search.enumerate(&config(splits), &Null).expect("runs");
+            let nodes = &search.rewrites.nodes;
+            assert!(nodes.len() > enumerated.complete.len() + 1);
+            for (id, node) in nodes.iter().enumerate() {
+                assert!(
+                    node.term.is_none() || id == ROOT || node.high_level_left == 0,
+                    "node {id} with {} high-level patterns left holds its term",
+                    node.high_level_left
+                );
+            }
+            for candidate in &enumerated.complete {
+                let held = nodes.iter().filter_map(|n| n.term.as_ref());
+                assert!(held.into_iter().any(|t| Arc::ptr_eq(t, &candidate.term)));
+            }
         }
     }
 }

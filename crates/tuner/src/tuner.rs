@@ -198,9 +198,11 @@ pub struct TuningResult {
     /// counters proved them slower than the point's `best_n` best known times, so they could
     /// not change the point's result ([`lift_rewrite::Exploration::pruned_kernels`]).
     pub kernels_pruned: usize,
-    /// Lock-step rows the started launches executed, summed over the run's points
-    /// ([`lift_rewrite::Exploration::rows_simulated`]): the exact simulation work behind
-    /// [`TuningResult::kernels_executed`].
+    /// Rows of launches that completed or were pruned: the lock-step rows the started
+    /// launches executed, summed over the run's points
+    /// ([`lift_rewrite::Exploration::rows_simulated`]) — the exact simulation work behind
+    /// [`TuningResult::kernels_executed`]. A launch that fails with an execution error
+    /// counts none.
     pub rows_simulated: u64,
     /// Rewrites the run's rule searches judged: a rule applied, the result spliced in,
     /// normalised and type-checked.

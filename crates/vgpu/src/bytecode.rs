@@ -622,7 +622,11 @@ impl Compiler<'_> {
                     // Lane-wise only when the left operand is a vector (interpreter rule).
                     (Shape::Vector(n), Shape::Vector(m)) => {
                         if m < n {
-                            return Err("vector operands of mismatched width".to_string());
+                            self.fail(VgpuError::LaneMismatch {
+                                left: n as usize,
+                                right: m as usize,
+                            });
+                            return Ok(self.dummy(Shape::Vector(n)));
                         }
                         let dst = self.sn(n);
                         for i in 0..n {

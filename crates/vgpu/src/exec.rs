@@ -97,6 +97,14 @@ pub enum VgpuError {
     InvalidStore(String),
     /// Integer division or modulo by zero: an `int` `/`, or an index term's `/` or `%`.
     DivisionByZero,
+    /// A binary operation on two vectors whose right operand has fewer lanes than the left
+    /// (`vload4(..) + vload2(..)`): the operation is lane by lane over the left operand.
+    LaneMismatch {
+        /// Lanes of the left operand.
+        left: usize,
+        /// Lanes of the right operand.
+        right: usize,
+    },
     /// The launch configuration violates the target device's limits
     /// (see [`DeviceProfile::validate_launch`]).
     InvalidLaunch(LaunchError),
@@ -162,6 +170,10 @@ impl fmt::Display for VgpuError {
             VgpuError::SymbolicLength(e) => write!(f, "cannot resolve symbolic length `{e}`"),
             VgpuError::InvalidStore(e) => write!(f, "cannot store value: {e}"),
             VgpuError::DivisionByZero => write!(f, "division by zero in index expression"),
+            VgpuError::LaneMismatch { left, right } => write!(
+                f,
+                "binary operation on a {left}-lane vector and a {right}-lane vector"
+            ),
             VgpuError::InvalidLaunch(e) => write!(f, "invalid launch configuration: {e}"),
             VgpuError::DivergentBarrier {
                 group,
@@ -1375,10 +1387,18 @@ impl Exec {
         }
     }
 
-    /// A binary operation: lane by lane on a vector left operand, otherwise on the scalar
-    /// views of both operands.
+    /// A binary operation: lane by lane on a vector left operand (a vector right operand
+    /// needs as many lanes), otherwise on the scalar views of both operands.
     fn eval_bin(&mut self, op: CBinOp, a: GpuValue, b: GpuValue) -> Result<GpuValue, VgpuError> {
         if let GpuValue::Vector(lanes_a) = a {
+            if let GpuValue::Vector(lanes_b) = &b {
+                if lanes_b.len() < lanes_a.len() {
+                    return Err(VgpuError::LaneMismatch {
+                        left: lanes_a.len(),
+                        right: lanes_b.len(),
+                    });
+                }
+            }
             let out: Result<Vec<GpuValue>, VgpuError> = lanes_a
                 .into_iter()
                 .enumerate()

@@ -103,7 +103,7 @@ pub(crate) fn divisor(y: i64) -> Result<i64, VgpuError> {
 }
 
 /// The integer operation a binary operator is on two `int` operands; `None` for a
-/// comparison, which compares them as floats.
+/// comparison, which compares them as integers ([`compare`]).
 #[deny(
     clippy::wildcard_enum_match_arm,
     clippy::match_wildcard_for_single_variants
@@ -129,16 +129,29 @@ fn float(op: CBinOp, x: f64, y: f64) -> Scalar {
         CBinOp::Sub => Scalar::Float(x - y),
         CBinOp::Mul => Scalar::Float(x * y),
         CBinOp::Div => Scalar::Float(x / y),
-        CBinOp::Lt => Scalar::Bool(x < y),
-        CBinOp::Gt => Scalar::Bool(x > y),
-        CBinOp::Eq => Scalar::Bool(x == y),
+        CBinOp::Lt | CBinOp::Gt | CBinOp::Eq => Scalar::Bool(compare(op, x, y)),
+    }
+}
+
+/// What a comparison operator yields on two operands of one type, compared as that type
+/// (two `int`s are never rounded to floats first); `false` for an arithmetic operator.
+#[deny(
+    clippy::wildcard_enum_match_arm,
+    clippy::match_wildcard_for_single_variants
+)]
+fn compare<T: PartialOrd>(op: CBinOp, x: T, y: T) -> bool {
+    match op {
+        CBinOp::Lt => x < y,
+        CBinOp::Gt => x > y,
+        CBinOp::Eq => x == y,
+        CBinOp::Add | CBinOp::Sub | CBinOp::Mul | CBinOp::Div => false,
     }
 }
 
 /// What a binary operation computes on two scalars. On a pointer `p`, `p + n` and `p - n`
 /// move it by `n` elements, `p == q` compares, and any other operation fails. On two
-/// integers it is [`int`] arithmetic, or a comparison; on anything else it is the float
-/// operation on the operands read as floats. A comparison yields a boolean.
+/// integers it is [`int`] arithmetic, or an integer comparison; on anything else it is the
+/// float operation on the operands read as floats. A comparison yields a boolean.
 #[deny(
     clippy::wildcard_enum_match_arm,
     clippy::match_wildcard_for_single_variants
@@ -157,8 +170,11 @@ pub(crate) fn value(op: CBinOp, a: Scalar, b: Scalar) -> Result<Scalar, VgpuErro
         let offset = int(step, p.offset, b.as_i64())?;
         return Ok(Scalar::Ptr(Ptr { offset, ..p }));
     }
-    match (int_op(op), a, b) {
-        (Some(op), Scalar::Int(x), Scalar::Int(y)) => int(op, x, y).map(Scalar::Int),
+    match (a, b) {
+        (Scalar::Int(x), Scalar::Int(y)) => match int_op(op) {
+            Some(op) => int(op, x, y).map(Scalar::Int),
+            None => Ok(Scalar::Bool(compare(op, x, y))),
+        },
         _ => Ok(float(op, a.as_f64(), b.as_f64())),
     }
 }
@@ -378,5 +394,71 @@ mod tests {
         let min = i64::MIN as f32;
         let out = run(&m).unwrap();
         assert_eq!(out, [min, min, -4.0, 1.0, min, -2.0, 1.0, 0.0]);
+    }
+
+    #[test]
+    fn vectors_of_too_few_lanes_fail_the_launch_on_both_engines() {
+        use lift_ocl::Builtin;
+        let vload = |width| {
+            CExpr::Builtin(
+                Builtin::VLoad(width),
+                vec![CExpr::int(0), CExpr::var("out")],
+            )
+        };
+        let mismatch = VgpuError::LaneMismatch { left: 4, right: 2 };
+        let m = kernel(vec![vload(4).add(vload(2))], Vec::new());
+        assert_eq!(run(&m), Err(mismatch.clone()));
+        // The bytecode tier takes the shape (nothing falls back to the interpreter), and a
+        // right operand with lanes to spare is read up to the left one's width.
+        let plan = [KernelLaunchSpec {
+            kernel: "k".into(),
+            launch: LaunchConfig::d1(1, 1),
+        }];
+        let args = vec![
+            KernelArg::zeros(8),
+            KernelArg::Int(1),
+            KernelArg::Int(0),
+            KernelArg::Int(-7),
+        ];
+        let collector = lift_telemetry::InMemory::new();
+        let auto = ExecutionRequest::new(&m)
+            .collector(&collector)
+            .launch_sequence(&plan, args);
+        assert_eq!(auto, Err(mismatch));
+        let fallbacks = collector.events().into_iter();
+        let mut fallbacks =
+            fallbacks.filter(|t| matches!(t.event, lift_telemetry::Event::EngineFallback { .. }));
+        assert!(fallbacks.next().is_none());
+        let wider = kernel(vec![vload(2).add(vload(4))], Vec::new());
+        assert!(run(&wider).is_err_and(|e| matches!(e, VgpuError::InvalidStore(_))));
+    }
+
+    #[test]
+    fn integers_compare_as_integers_on_both_engines_and_in_the_static_bound() {
+        // `i64::MAX` and `i64::MAX - 1` read as `f64` are the same float, so each comparison
+        // here would come out the other way. The branch taken on one is what the static bound
+        // counts, and `run` holds its count to the engines'.
+        let (max, n) = (|| CExpr::int(i64::MAX), || CExpr::var("n"));
+        let below = || max().sub(n());
+        let store = |at: i64| CStmt::Assign {
+            lhs: CExpr::var("out").at(CExpr::int(at)),
+            rhs: CExpr::float(1.0),
+        };
+        let branch = CStmt::If {
+            cond: max().eq(below()),
+            then: vec![store(6), store(7)],
+            otherwise: Some(vec![store(7)]),
+        };
+        let m = kernel(
+            vec![
+                max().eq(below()),
+                below().lt(max()),
+                CExpr::Bin(CBinOp::Gt, Box::new(max()), Box::new(below())),
+                max().lt(below()),
+                max().eq(max()),
+            ],
+            vec![branch],
+        );
+        assert_eq!(run(&m).unwrap(), [0.0, 1.0, 1.0, 0.0, 1.0, 0.0, 0.0, 1.0]);
     }
 }
