@@ -39,16 +39,18 @@
 //!   gives the code generator, not once per launch: [`Search::score`] goes through a score
 //!   memo that recalls the first verdict and keeps the compiled program, from which every
 //!   later launch and returned variant of the candidate is built,
-//! * scoring is branch and bound: launches run in candidate order, each under a budget
-//!   ([`ExecutionRequest::budget`]) of the [`ExplorationConfig::best_n`]-th best time known
-//!   so far, and the virtual GPU stops one as soon as its partial counters prove it cannot
-//!   beat that time — it could not be returned, so winners and their order are those of
-//!   running it to the end ([`Exploration::pruned_kernels`]), and
+//! * scoring is branch and bound: every launch is counted before any runs
+//!   ([`ExecutionRequest::static_counters`]), and launches run cheapest count first, each
+//!   under a budget ([`ExecutionRequest::budget`]) of the [`ExplorationConfig::best_n`]-th
+//!   best time known so far. The virtual GPU stops one as soon as its count or its partial
+//!   counters prove it cannot beat that time — before its first row where the count is
+//!   exact — so it could not be returned, and winners and their order are those of running
+//!   it to the end ([`Exploration::pruned_kernels`]), and
 //! * beam selection keeps the best `beam_width` candidates with a bounded binary heap
 //!   instead of sorting the whole frontier expansion.
 
 use std::collections::{BinaryHeap, HashMap, HashSet};
-use std::sync::Arc;
+use std::sync::{Arc, OnceLock};
 
 use lift_arith::Environment;
 use lift_codegen::{
@@ -60,7 +62,8 @@ use lift_ir::{infer_types, Program, Type, TypeError};
 use lift_telemetry::{Collector, Event, Null, RejectReason, SoundnessIncident, SoundnessReport};
 use lift_vgpu::{
     estimated_sequence_time, outputs_match, CostCounters, DeviceProfile, EngineSelection,
-    ExecutionProfile, ExecutionRequest, KernelArg, LaunchConfig, LaunchError, VgpuError,
+    ExecutionProfile, ExecutionRequest, KernelArg, LaunchConfig, LaunchError, StaticCount,
+    VgpuError,
 };
 
 use crate::memo::{NodeId, Outcome, OutcomeKind, RewriteMemo, ROOT};
@@ -1101,6 +1104,15 @@ enum Verdict {
 struct Kept {
     seed: LaunchSeed,
     program: CompiledProgram,
+    /// The program's printed source, once a point returns it as a variant.
+    source: OnceLock<String>,
+}
+
+impl Kept {
+    /// The printed source of the program, printed the first time it is asked for.
+    fn source(&self) -> &str {
+        self.source.get_or_init(|| self.program.source())
+    }
 }
 
 /// What a candidate compiles to under every launch that answers the generator's questions
@@ -1175,7 +1187,11 @@ impl ScoreMemo {
         if let Some(kept) = same_source.iter().find(|kept| kept.seed == seed) {
             return Arc::clone(kept);
         }
-        let kept = Arc::new(Kept { seed, program });
+        let kept = Arc::new(Kept {
+            seed,
+            program,
+            source: OnceLock::new(),
+        });
         same_source.push(Arc::clone(&kept));
         kept
     }
@@ -1330,12 +1346,16 @@ fn score_all(
     drop(slots);
     collector.span_end("compile");
 
-    // Phase 3 (serial): execute each launch that needs running once, in first-occurrence
-    // order, under a budget of the bar so far: a launch whose cost bound rises above it is
-    // outranked by `best_n` candidates already, and is stopped as pruned. The order alone
-    // decides what is pruned. The bar starts from the recorded verdicts; a launch an earlier
-    // point pruned stays pruned if its bound clears that bar (which only drops while the
-    // point runs), and runs again otherwise, as does a launch without a verdict.
+    // Phase 3 (serial): execute each launch that needs running once, under a budget of the
+    // bar so far: a launch whose cost bound rises above it is outranked by `best_n`
+    // candidates already, and is stopped as pruned. The order alone decides what is pruned.
+    // The bar starts from the recorded verdicts; a launch an earlier point pruned stays
+    // pruned if its bound clears that bar (which only drops while the point runs), and runs
+    // again otherwise, as does a launch without a verdict. Where the bar can fall below
+    // infinity, every launch is counted first and they run in ascending order of the bound
+    // their count prices them at, first occurrence first among equal bounds: the cheapest
+    // launches set the bar, and an exactly counted launch over it is stopped before its
+    // first row, with the count it was handed.
     collector.span_begin("execute");
     let mut bar = Bar::new(config.best_n);
     for launch in &needed {
@@ -1354,19 +1374,46 @@ fn score_all(
         .collect();
     stats.executed_kernels = needed.len();
     stats.reused_kernels = needed.len() - to_run.len();
+    // With no more candidates than `best_n` the bar stays infinite and nothing is pruned.
+    let prunable = needed.iter().map(|n| n.candidates).sum::<usize>() > config.best_n;
+    // The count reads the kinds of the arguments and the values of the `int` ones, not the
+    // buffers: it is handed arguments bound from one element of each input.
+    let hollow: Vec<Vec<f32>> = data
+        .inputs
+        .iter()
+        .map(|input| input.iter().take(1).copied().collect())
+        .collect();
+    let mut queue: Vec<(f64, &Needed, Option<StaticCount>)> = to_run
+        .into_iter()
+        .map(|launch| {
+            let program = &launch.kept.program;
+            let plan = program.launch_plan(config.launch);
+            let count = prunable
+                .then(|| program.bind_args(&hollow, &data.sizes).ok())
+                .flatten()
+                .and_then(|(args, _)| {
+                    let request = scoring_request(program, config, collector);
+                    request.static_counters(&plan, &args).ok()
+                });
+            let bound = count.as_ref().map_or(0.0, |count| {
+                scoring_request(program, config, collector).static_bound(&plan, count)
+            });
+            (bound, launch, count)
+        })
+        .collect();
+    queue.sort_by(|a, b| a.0.total_cmp(&b.0));
     // A launch's arguments are marshalled from the kept program just before it runs, so only
     // one launch's buffers are alive at a time.
-    let run = |program: &CompiledProgram, limit: f64| -> (Verdict, u64) {
+    let run = |program: &CompiledProgram, limit: f64, count: Option<&StaticCount>| {
         let Ok((args, output)) = program.bind_args(&data.inputs, &data.sizes) else {
             return (Verdict::Rejected(ScoreError::Compile), 0);
         };
-        let result = ExecutionRequest::new(&program.module)
-            .on_device(&config.device)
-            .engine(config.engine)
-            .race_detection(config.detect_races)
-            .budget(limit)
-            .collector(collector)
-            .launch_sequence(&program.launch_plan(config.launch), args);
+        let request = scoring_request(program, config, collector).budget(limit);
+        let request = match count {
+            Some(count) => request.counted(count),
+            None => request,
+        };
+        let result = request.launch_sequence(&program.launch_plan(config.launch), args);
         let rows = match &result {
             Ok(result) => result.merged_counters().lockstep_rows,
             Err(VgpuError::OverBudget { row, .. }) => *row,
@@ -1412,8 +1459,8 @@ fn score_all(
         };
         (verdict, rows)
     };
-    for launch in to_run {
-        let (verdict, rows) = run(&launch.kept.program, bar.height());
+    for (_, launch, count) in &queue {
+        let (verdict, rows) = run(&launch.kept.program, bar.height(), count.as_ref());
         stats.rows_simulated += rows;
         match &verdict {
             Verdict::Scored(scored) => bar.admit(scored.time, launch.candidates),
@@ -1457,7 +1504,7 @@ fn score_all(
             Ok(Variant {
                 program,
                 derivation: cand.steps.to_vec(),
-                kernel_source: kept.program.source(),
+                kernel_source: kept.source().to_string(),
                 kernel_count: scored.stage_counters.len(),
                 counters: scored.counters,
                 stage_counters: scored.stage_counters.clone(),
@@ -1495,6 +1542,19 @@ fn score_all(
         }
     }
     Ok(stats)
+}
+
+/// The launch request scoring under `config` makes of `program`, before its budget.
+fn scoring_request<'a>(
+    program: &'a CompiledProgram,
+    config: &'a ExplorationConfig,
+    collector: &'a dyn Collector,
+) -> ExecutionRequest<'a> {
+    ExecutionRequest::new(&program.module)
+        .on_device(&config.device)
+        .engine(config.engine)
+        .race_detection(config.detect_races)
+        .collector(collector)
 }
 
 /// Counts one rejected candidate. Soundness rejections additionally record the typed

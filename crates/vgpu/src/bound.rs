@@ -1,5 +1,6 @@
-//! The static half of the budget: a lower bound on a launch's counters, counted from its
-//! lowered body before the first row runs.
+//! The static half of the budget: a launch's counters, counted from its lowered body before
+//! the first row runs — exactly where its control reads no data, and as a lower bound
+//! elsewhere.
 //!
 //! [`static_counters`] walks the slot-indexed body once for the whole ND-range. Every lane
 //! (work item) carries a *weight*, the number of times it runs the statement being walked,
@@ -13,21 +14,33 @@
 //! that enters the body.
 //!
 //! * A loop whose trip count can be evaluated in every lane, and whose body does not assign
-//!   its variable, is counted as trips × body: the body is walked once, with the loop
-//!   variable and every slot the body assigns marked as varying from round to round. If
-//!   control inside the body reads such a slot, that walk is abandoned and the loop is
+//!   its variable, is counted as trips × body: the body is walked once, with every slot the
+//!   body assigns marked as varying from round to round, and the loop variable known as its
+//!   start plus the round times its step where the step is the same in every lane. If
+//!   control inside the body reads a varying slot, that walk is abandoned and the loop is
 //!   walked round by round instead.
 //! * A condition, loop bound or ternary that depends on loaded data, or on anything the walk
 //!   cannot evaluate, counts only the work that is certain to happen: the arms, and every
 //!   round of the loop after the first undecided one, count zero, and the slots they assign
 //!   are forgotten.
-//! * Transactions and uncoalesced accesses depend on the addresses, and stay zero. Vector
-//!   accesses are counted with the accesses they are made of, so the vector discount the
-//!   cost model subtracts is never larger than the access cost counted beside it.
+//! * Lock-step rows are counted as the engines count them: every statement, and every round
+//!   check of a loop, in each group with an active lane, once per round of the counted loops
+//!   around it in which one of the group's lanes runs it.
+//! * Transactions are counted as the engines group accesses: the distinct `(buffer,
+//!   32-element segment)` pairs of each statement's global accesses, per row and per SIMD
+//!   group of 32 work items, and an access beyond `ceil(accesses / 32)` of them is
+//!   uncoalesced. Inside a counted loop an address is its lanes' values plus the rounds
+//!   times coefficients the same in every lane, so the segments a SIMD group touches repeat
+//!   with a period of `32 / gcd(coefficient, 32)` rounds: one period is counted per band of
+//!   rounds with the same active lanes, not every round. Vector accesses are counted with
+//!   the accesses they are made of, so the vector discount the cost model subtracts is
+//!   never larger than the access cost counted beside it.
 //!
 //! Every counted event is one the interpreter counts too, so each class is a lower bound on
-//! the executed one for any launch that completes; for a kernel whose control reads no data
-//! they are equal. Lock-step rows are not counted: the budget's bound does not read them.
+//! the executed one for any launch that completes. The walk says whether it is *exact*: no
+//! control and no global address read data or anything else the walk cannot evaluate, and
+//! no `MAX_ROUNDS` / `MAX_STEPS` / `MAX_SEGMENT_WORK` cap was hit. An exact count equals the
+//! counters of every completed run in every class.
 
 use std::borrow::Cow;
 use std::rc::Rc;
@@ -37,6 +50,7 @@ use lift_ocl::{AddrSpace, CBinOp, WorkItem};
 use crate::cost::CostCounters;
 use crate::device::LaunchConfig;
 use crate::exec::{Lowered, SExpr, SIndex, SLhs, SStmt};
+use crate::exec::{COALESCE_GROUP as SIMD, SEGMENT_ELEMS as SEGMENT};
 use crate::memory::{KernelArg, Scalar};
 use crate::ops::{self, IntOp};
 
@@ -46,22 +60,29 @@ const MAX_ROUNDS: u64 = 1024;
 const MAX_STEPS: u64 = 1 << 16;
 /// Nested user-function calls the walk follows.
 const MAX_CALL_DEPTH: usize = 64;
+/// Lane addresses one statement's transactions may evaluate before the walk stops counting
+/// them.
+const MAX_SEGMENT_WORK: u64 = 1 << 22;
 
 /// Work-item ids, by `3 * function + dimension` (global, local, group id).
 type Ids = [Option<Num>; 9];
 
-/// A lower bound on the counters of launching `lowered` under `config` with `args` (only the
-/// kinds of the arguments and the values of the `int` ones are read). `lockstep_rows`,
-/// `group_span_rows`, `global_transactions` and `uncoalesced_accesses` are left zero.
+/// The counters of launching `lowered` under `config` with `args` (only the kinds of the
+/// arguments and the values of the `int` ones are read), and whether they are exact: each
+/// class is at most what a completed run counts, and equal to it when the flag is set.
 pub(crate) fn static_counters(
     lowered: &Lowered,
     args: &[KernelArg],
     config: LaunchConfig,
-) -> CostCounters {
+) -> (CostCounters, bool) {
     let mut params = vec![None; lowered.names.len()];
+    let mut buffers = 0;
     for (slot, arg) in lowered.param_slots.iter().zip(args) {
         params[*slot] = Some(match arg {
-            KernelArg::Buffer(_) => Val::Ptr(AddrSpace::Global),
+            KernelArg::Buffer(_) => {
+                buffers += 1;
+                Val::Ptr(AddrSpace::Global, Some(buffers - 1))
+            }
             KernelArg::Int(v) => Val::Int(Num::All(*v)),
             KernelArg::Float(_) => Val::Float,
         });
@@ -78,17 +99,49 @@ pub(crate) fn static_counters(
         local: vec![false; lowered.names.len()],
         params,
         ids: Ids::default(),
-        counted: 0,
+        levels: Vec::new(),
+        uneven: 0,
+        touches: Vec::new(),
         calls: 0,
         steps: 0,
-        counters: CostCounters::default(),
+        tally: Tally {
+            counters: CostCounters::default(),
+            rows: 0,
+            group_rows: None,
+            exact: true,
+        },
     };
     // A stop is raised only inside a loop counted as trips × body, which catches it.
     let _ = walk.block(&lowered.body, &Weights::uniform(1, geo));
-    let mut counters = walk.counters;
+    let Tally {
+        mut counters,
+        rows,
+        group_rows,
+        mut exact,
+    } = walk.tally;
+    let groups = geo.groups as u64;
+    let (rows_sum, rows_max) = group_rows.map_or((0, 0), |by| {
+        (sum(&by), by.iter().copied().max().unwrap_or(0))
+    });
+    counters.lockstep_rows = rows.saturating_mul(groups).saturating_add(rows_sum);
+    counters.group_span_rows = rows.saturating_add(rows_max);
     counters.work_items = geo.lanes() as u64;
-    counters.work_groups = geo.groups as u64;
-    counters
+    counters.work_groups = groups;
+    // A saturated counter is not the count.
+    exact &= [
+        counters.lockstep_rows,
+        counters.flops,
+        counters.int_ops,
+        counters.div_mod_ops,
+        counters.global_accesses,
+        counters.global_transactions,
+        counters.local_accesses,
+        counters.private_accesses,
+        counters.loop_iterations,
+    ]
+    .iter()
+    .all(|c| *c < u64::MAX);
+    (counters, exact)
 }
 
 /// How a launch's lanes are laid out: lane `k` is work item `k % items` of work group
@@ -146,10 +199,22 @@ enum Num {
     All(i64),
     /// One value per item, group or lane.
     Lanes(By, Rc<[i64]>),
-    /// Changes from round to round of a loop being counted as trips × body.
+    /// Changes from round to round of the loops being counted as trips × body, as a
+    /// function of the rounds the walk can evaluate.
+    Rounds(Rc<Rounds>),
+    /// Changes from round to round of a loop being counted as trips × body, otherwise.
     Varying,
     /// Depends on data, or on something the walk cannot evaluate.
     Unknown,
+}
+
+/// A value that changes from round to round of the loops being counted as trips × body.
+enum Rounds {
+    /// `base + Σ coefs[j] · round of level j` (see [`Walk::levels`]), where `base` is `All`
+    /// or `Lanes`; a missing coefficient is 0.
+    Linear { base: Num, coefs: Vec<i64> },
+    /// An integer operation on two values the walk can evaluate, one of which varies.
+    Op(IntOp, Num, Num),
 }
 
 impl Num {
@@ -164,12 +229,87 @@ impl Num {
                     .collect(),
             ),
             Num::All(v) => Cow::Owned(vec![*v; by.len(geo)]),
-            Num::Varying | Num::Unknown => Cow::Owned(vec![0; by.len(geo)]),
+            Num::Rounds(_) | Num::Varying | Num::Unknown => Cow::Owned(vec![0; by.len(geo)]),
+        }
+    }
+
+    /// The value in lane `lane` at round `round[j]` of each level `j` (0 where unknown).
+    fn at(&self, lane: usize, round: &[i64], geo: Geo) -> i64 {
+        match self {
+            Num::All(v) => *v,
+            Num::Lanes(By::Item, vs) => vs[lane % geo.items],
+            Num::Lanes(By::Group, vs) => vs[lane / geo.items],
+            Num::Lanes(By::Lane, vs) => vs[lane],
+            Num::Rounds(r) => match &**r {
+                Rounds::Linear { base, coefs } => coefs
+                    .iter()
+                    .zip(round)
+                    .fold(base.at(lane, round, geo), |v, (c, r)| {
+                        v.wrapping_add(c.wrapping_mul(*r))
+                    }),
+                Rounds::Op(op, a, b) => {
+                    let (a, b) = (a.at(lane, round, geo), b.at(lane, round, geo));
+                    ops::int(*op, a, b).unwrap_or(0)
+                }
+            },
+            Num::Varying | Num::Unknown => 0,
+        }
+    }
+
+    /// The value in lane `lane` at each of the rounds `rounds` (each `depth` long, one per
+    /// level) appended to `out`: [`Num::at`] over many rounds, each node evaluated once for
+    /// all of them.
+    fn at_rounds(&self, lane: usize, rounds: &[i64], depth: usize, geo: Geo, out: &mut Vec<i64>) {
+        let n = rounds.len() / depth.max(1);
+        match self {
+            Num::Rounds(r) => match &**r {
+                Rounds::Linear { base, coefs } => {
+                    let base = base.at(lane, &[], geo);
+                    out.extend(rounds.chunks(depth.max(1)).take(n).map(|round| {
+                        coefs
+                            .iter()
+                            .zip(round)
+                            .fold(base, |v, (c, r)| v.wrapping_add(c.wrapping_mul(*r)))
+                    }));
+                }
+                Rounds::Op(op, a, b) => {
+                    let (mut x, mut y) = (Vec::with_capacity(n), Vec::with_capacity(n));
+                    a.at_rounds(lane, rounds, depth, geo, &mut x);
+                    b.at_rounds(lane, rounds, depth, geo, &mut y);
+                    out.extend(
+                        x.iter()
+                            .zip(&y)
+                            .map(|(x, y)| ops::int(*op, *x, *y).unwrap_or(0)),
+                    );
+                }
+            },
+            other => out.extend(std::iter::repeat_n(other.at(lane, &[], geo), n)),
         }
     }
 
     fn is_known(&self) -> bool {
         matches!(self, Num::All(_) | Num::Lanes(..))
+    }
+
+    /// Whether the walk can evaluate the value in every lane at every round.
+    fn is_counted(&self) -> bool {
+        matches!(self, Num::All(_) | Num::Lanes(..) | Num::Rounds(_))
+    }
+
+    /// Whether the value is the same in all lanes of each group.
+    fn is_even(&self, geo: Geo) -> bool {
+        let same = |vs: &[i64]| vs.iter().all(|v| *v == vs[0]);
+        match self {
+            Num::All(_) | Num::Lanes(By::Group, _) => true,
+            Num::Lanes(By::Item, vs) => same(vs),
+            Num::Lanes(By::Lane, vs) => vs.chunks(geo.items).all(same),
+            Num::Rounds(_) | Num::Varying | Num::Unknown => false,
+        }
+    }
+
+    /// Whether the value varies by round.
+    fn by_rounds(&self) -> bool {
+        matches!(self, Num::Rounds(_))
     }
 
     /// The same knowledge without a value: what a slot holds once a round may change it.
@@ -180,10 +320,31 @@ impl Num {
         }
     }
 
+    /// The value once the loops it varies with are left: it is no longer known.
+    fn settled(&self) -> Num {
+        match self {
+            Num::Rounds(_) => Num::Varying,
+            other => other.clone(),
+        }
+    }
+
+    /// The value as a known base and a coefficient per level, where it is one.
+    fn linear(&self) -> Option<(&Num, &[i64])> {
+        match self {
+            Num::All(_) | Num::Lanes(..) => Some((self, &[])),
+            Num::Rounds(r) => match &**r {
+                Rounds::Linear { base, coefs } => Some((base, coefs)),
+                Rounds::Op(..) => None,
+            },
+            Num::Varying | Num::Unknown => None,
+        }
+    }
+
     fn map(&self, mut f: impl FnMut(i64) -> i64) -> Num {
         match self {
             Num::All(v) => Num::All(f(*v)),
             Num::Lanes(by, vs) => Num::Lanes(*by, vs.iter().map(|v| f(*v)).collect()),
+            Num::Rounds(_) => Num::Varying,
             other => other.clone(),
         }
     }
@@ -192,7 +353,7 @@ impl Num {
     fn zip(&self, other: &Num, geo: Geo, mut f: impl FnMut(i64, i64) -> i64) -> Num {
         match (self, other) {
             (Num::Unknown, _) | (_, Num::Unknown) => Num::Unknown,
-            (Num::Varying, _) | (_, Num::Varying) => Num::Varying,
+            (Num::Varying | Num::Rounds(_), _) | (_, Num::Varying | Num::Rounds(_)) => Num::Varying,
             (Num::All(a), Num::All(b)) => Num::All(f(*a, *b)),
             (Num::Lanes(by, a), Num::All(b)) => {
                 Num::Lanes(*by, a.iter().map(|a| f(*a, *b)).collect())
@@ -213,12 +374,55 @@ impl Num {
         }
     }
 
+    /// An integer operation lane by lane, as `ops::int` computes it. On a value that varies
+    /// by round it is a function of the rounds, linear where both operands are and the
+    /// operation is a sum, a difference or a scaling by a constant.
+    fn int(&self, op: IntOp, other: &Num, geo: Geo) -> Num {
+        let by_rounds = self.by_rounds() || other.by_rounds();
+        if !by_rounds || !self.is_counted() || !other.is_counted() {
+            return self.zip(other, geo, int_lanes(op));
+        }
+        // An operation with its identity on either side is the other operand.
+        match (op, self, other) {
+            (IntOp::Add | IntOp::Sub, _, Num::All(0)) | (IntOp::Mul, _, Num::All(1)) => {
+                return self.clone()
+            }
+            (IntOp::Add, Num::All(0), _) | (IntOp::Mul, Num::All(1), _) => return other.clone(),
+            _ => {}
+        }
+        let (Some((a, ca)), Some((b, cb))) = (self.linear(), other.linear()) else {
+            return Num::Rounds(Rc::new(Rounds::Op(op, self.clone(), other.clone())));
+        };
+        let coefs: Vec<i64> = match (op, a, b) {
+            (IntOp::Add | IntOp::Sub, _, _) => (0..ca.len().max(cb.len()))
+                .map(|j| {
+                    let (x, y) = (ca.get(j).copied(), cb.get(j).copied());
+                    ops::int(op, x.unwrap_or(0), y.unwrap_or(0)).unwrap_or(0)
+                })
+                .collect(),
+            (IntOp::Mul, _, Num::All(k)) if cb.is_empty() => {
+                ca.iter().map(|c| c.wrapping_mul(*k)).collect()
+            }
+            (IntOp::Mul, Num::All(k), _) if ca.is_empty() => {
+                cb.iter().map(|c| c.wrapping_mul(*k)).collect()
+            }
+            _ => return Num::Rounds(Rc::new(Rounds::Op(op, self.clone(), other.clone()))),
+        };
+        let base = a.zip(b, geo, int_lanes(op));
+        if coefs.iter().all(|c| *c == 0) {
+            return base;
+        }
+        Num::Rounds(Rc::new(Rounds::Linear { base, coefs }))
+    }
+
     /// `pick ? self : other`, lane by lane. An unknown `pick` keeps only what both agree on.
     fn select(&self, other: &Num, pick: &Num, geo: Geo) -> Num {
         match (pick, self, other) {
             (Num::All(p), _, _) => if *p != 0 { self } else { other }.clone(),
             (_, Num::Unknown, _) | (_, _, Num::Unknown) => Num::Unknown,
-            (_, Num::Varying, _) | (_, _, Num::Varying) => Num::Varying,
+            (_, Num::Varying | Num::Rounds(_), _) | (_, _, Num::Varying | Num::Rounds(_)) => {
+                Num::Varying
+            }
             (_, Num::All(a), Num::All(b)) if a == b => Num::All(*a),
             (Num::Lanes(..), a, b) => {
                 let by = common_shape(&[pick, a, b]);
@@ -243,7 +447,9 @@ enum Val {
     Int(Num),
     Bool(Num),
     Float,
-    Ptr(AddrSpace),
+    /// A pointer into a space; into global buffer `n` (by argument order) at offset 0 where
+    /// that is known.
+    Ptr(AddrSpace, Option<usize>),
     Vector(Rc<[Val]>),
     Struct(Rc<[Val]>),
     /// A value of a kind the walk cannot tell; operations on it count nothing.
@@ -256,7 +462,7 @@ impl Val {
         match self {
             Val::Int(n) | Val::Bool(n) => n.clone(),
             Val::Float | Val::Opaque => Num::Unknown,
-            Val::Ptr(_) | Val::Vector(_) | Val::Struct(_) => Num::All(0),
+            Val::Ptr(..) | Val::Vector(_) | Val::Struct(_) => Num::All(0),
         }
     }
 
@@ -266,7 +472,7 @@ impl Val {
             Val::Bool(n) => n.clone(),
             Val::Int(n) => n.map(|v| i64::from(v != 0)),
             Val::Float | Val::Opaque => Num::Unknown,
-            Val::Ptr(_) | Val::Vector(_) | Val::Struct(_) => Num::All(0),
+            Val::Ptr(..) | Val::Vector(_) | Val::Struct(_) => Num::All(0),
         }
     }
 
@@ -295,7 +501,9 @@ impl Val {
             (Val::Int(a), Val::Int(b)) => Val::Int(a.select(b, pick, geo)),
             (Val::Bool(a), Val::Bool(b)) => Val::Bool(a.select(b, pick, geo)),
             (Val::Float, Val::Float) => Val::Float,
-            (Val::Ptr(a), Val::Ptr(b)) if a == b => Val::Ptr(*a),
+            (Val::Ptr(a, x), Val::Ptr(b, y)) if a == b => {
+                Val::Ptr(*a, if x == y { *x } else { None })
+            }
             (Val::Vector(a), Val::Vector(b)) => fields(a, b).map_or(Val::Opaque, Val::Vector),
             (Val::Struct(a), Val::Struct(b)) => fields(a, b).map_or(Val::Opaque, Val::Struct),
             _ => Val::Opaque,
@@ -305,6 +513,15 @@ impl Val {
     /// The same kind with every value forgotten.
     fn forgotten(&self) -> Val {
         self.map_nums(&|_| Num::Unknown)
+    }
+
+    /// Whether some integer in the value varies by round.
+    fn by_rounds(&self) -> bool {
+        match self {
+            Val::Int(n) | Val::Bool(n) => n.by_rounds(),
+            Val::Vector(vs) | Val::Struct(vs) => vs.iter().any(Val::by_rounds),
+            Val::Float | Val::Ptr(..) | Val::Opaque => false,
+        }
     }
 }
 
@@ -389,6 +606,18 @@ impl Weights {
         }
     }
 
+    /// The weight of lane `lane`.
+    fn at(&self, lane: usize, geo: Geo) -> u64 {
+        match &self.form {
+            Form::Product { scale, group, item } => {
+                let g = group.as_ref().map_or(1, |ws| ws[lane / geo.items]);
+                let i = item.as_ref().map_or(1, |ws| ws[lane % geo.items]);
+                scale.saturating_mul(g).saturating_mul(i)
+            }
+            Form::Lanes(ws) => ws[lane],
+        }
+    }
+
     /// Each lane's weight times its known, non-negative `factor`.
     fn scale(&self, factor: &Num, geo: Geo) -> Weights {
         let scaled = |f: &Option<Rc<[u64]>>, fs: &[i64]| -> Option<Rc<[u64]>> {
@@ -398,7 +627,7 @@ impl Weights {
             })
         };
         match (&self.form, factor) {
-            (_, Num::Varying | Num::Unknown) => Weights::zero(),
+            (_, Num::Rounds(_) | Num::Varying | Num::Unknown) => Weights::zero(),
             (Form::Product { scale, group, item }, Num::All(f)) => {
                 Weights::product(times(*scale, *f), group.clone(), item.clone(), geo)
             }
@@ -428,6 +657,27 @@ impl Weights {
         }
     }
 
+    /// Whether these are `other`'s weights (told by identity, so `false` may be wrong).
+    fn same(&self, other: &Weights) -> bool {
+        let same = |a: &Option<Rc<[u64]>>, b: &Option<Rc<[u64]>>| match (a, b) {
+            (None, None) => true,
+            (Some(a), Some(b)) => Rc::ptr_eq(a, b),
+            _ => false,
+        };
+        match (&self.form, &other.form) {
+            (
+                Form::Product { scale, group, item },
+                Form::Product {
+                    scale: s,
+                    group: g,
+                    item: i,
+                },
+            ) => scale == s && same(group, g) && same(item, i),
+            (Form::Lanes(a), Form::Lanes(b)) => Rc::ptr_eq(a, b),
+            _ => false,
+        }
+    }
+
     /// Whether every lane is active.
     fn is_full(&self) -> bool {
         matches!(self.form, Form::Product { scale, group: None, item: None } if scale > 0)
@@ -445,6 +695,18 @@ impl Weights {
             }
             Form::Lanes(ws) => on(ws, By::Lane),
         }
+    }
+
+    /// Whether some group has a lane active here but not in `part`, and another active in
+    /// `part`.
+    fn splits(&self, part: &Weights, geo: Geo) -> bool {
+        let (all, part) = (self.spread(geo), part.spread(geo));
+        all.chunks(geo.items)
+            .zip(part.chunks(geo.items))
+            .any(|(all, part)| {
+                let entered = part.iter().any(|w| *w > 0);
+                entered && all.iter().zip(part).any(|(a, p)| *a > 0 && *p == 0)
+            })
     }
 
     /// For each group, the largest `of` over its active lanes (0 where none is active).
@@ -497,21 +759,33 @@ impl Weights {
         )
     }
 
-    /// The sum over groups of each group's largest weight: how many times the groups run
-    /// a statement they run together (a barrier).
-    fn group_rounds(&self, geo: Geo) -> u64 {
+    /// Each group's largest weight, as a factor times an optional weight per group: how many
+    /// times each group runs a statement its lanes run at these weights, in lock step.
+    fn group_tops(&self, geo: Geo) -> (u64, Option<Rc<[u64]>>) {
         match &self.form {
             Form::Product { scale, group, item } => {
                 let top = item
                     .as_deref()
                     .map_or(1, |ws| ws.iter().copied().max().unwrap_or(0));
-                let groups = group.as_deref().map_or(geo.groups as u64, sum);
-                scale.saturating_mul(top).saturating_mul(groups)
+                (scale.saturating_mul(top), group.clone())
             }
-            Form::Lanes(ws) => ws
-                .chunks(geo.items)
-                .map(|g| g.iter().copied().max().unwrap_or(0))
-                .fold(0, u64::saturating_add),
+            Form::Lanes(ws) => (
+                1,
+                Some(
+                    ws.chunks(geo.items)
+                        .map(|g| g.iter().copied().max().unwrap_or(0))
+                        .collect(),
+                ),
+            ),
+        }
+    }
+
+    /// The sum over groups of each group's largest weight: how many times the groups run
+    /// a statement they run together (a barrier).
+    fn group_rounds(&self, geo: Geo) -> u64 {
+        match self.group_tops(geo) {
+            (top, None) => top.saturating_mul(geo.groups as u64),
+            (top, Some(groups)) => top.saturating_mul(sum(&groups)),
         }
     }
 }
@@ -519,6 +793,36 @@ impl Weights {
 /// The walk cannot go on as it is: control read a slot that changes from round to round
 /// inside a loop being counted as trips × body, which must then be walked round by round.
 struct Stop;
+
+/// One global access of the statement being walked: `elems` consecutive elements of buffer
+/// `buffer` from `addr` on, in every lane active under `weights`, each element spanning
+/// `width` elements (a vector of `width` is `width` such accesses, as the engines log it).
+struct Touch {
+    buffer: usize,
+    addr: Num,
+    elems: usize,
+    width: usize,
+    weights: Weights,
+}
+
+/// A loop being counted as trips × body.
+struct Level {
+    /// Its trip count in each lane.
+    trips: Num,
+    /// The weights its body runs at.
+    rounds: Weights,
+}
+
+/// What the walk has counted so far, undone together when a counted loop is abandoned.
+#[derive(Clone)]
+struct Tally {
+    counters: CostCounters,
+    /// Rows every group runs.
+    rows: u64,
+    /// Rows per group on top of `rows`, once some group's differ.
+    group_rows: Option<Vec<u64>>,
+    exact: bool,
+}
 
 struct Walk<'a> {
     config: LaunchConfig,
@@ -532,12 +836,17 @@ struct Walk<'a> {
     params: Vec<Option<Val>>,
     /// Work-item ids, computed on first use.
     ids: Ids,
-    /// Depth of loops being counted as trips × body.
-    counted: usize,
+    /// The loops being counted as trips × body, outermost first: the levels a
+    /// [`Num::Rounds`] coefficient belongs to.
+    levels: Vec<Level>,
+    /// How many of `levels` take different trip counts within a group.
+    uneven: usize,
+    /// The global accesses of the statement being walked.
+    touches: Vec<Touch>,
     calls: usize,
     /// Statements walked inside loops walked round by round.
     steps: u64,
-    counters: CostCounters,
+    tally: Tally,
 }
 
 /// Coordinate `dim` of the linear index `i` of a grid of `extent` (dimension 0 fastest).
@@ -587,11 +896,22 @@ impl Walk<'_> {
         n
     }
 
+    fn counters(&mut self) -> &mut CostCounters {
+        &mut self.tally.counters
+    }
+
+    /// Marks the count inexact if lanes run what it just left out.
+    fn unsure(&mut self, w: &Weights) {
+        if w.total > 0 {
+            self.tally.exact = false;
+        }
+    }
+
     /// The truth of a control value in every lane, or `None` when the walk cannot know it.
     fn decide(&self, v: &Val, w: &Weights) -> Result<Option<Num>, Stop> {
         match v.truth() {
-            Num::Varying if self.counted > 0 && w.total > 0 => Err(Stop),
-            Num::Varying | Num::Unknown => Ok(None),
+            Num::Varying | Num::Rounds(_) if !self.levels.is_empty() && w.total > 0 => Err(Stop),
+            Num::Varying | Num::Rounds(_) | Num::Unknown => Ok(None),
             known => Ok(Some(known)),
         }
     }
@@ -601,15 +921,18 @@ impl Walk<'_> {
             return v.clone();
         }
         if self.local[slot] {
-            return Val::Ptr(AddrSpace::Local);
+            return Val::Ptr(AddrSpace::Local, None);
         }
         self.params[slot].clone().unwrap_or(Val::Opaque)
     }
 
-    /// Binds `slot` to `v` in the lanes active under `w`.
+    /// Binds `slot` to `v` in the lanes active under `w`. A value that varies by round is
+    /// bound in every lane when `w` are the weights of the innermost counted loop's body:
+    /// the other lanes never run that body, and the value is forgotten when it ends.
     fn set(&mut self, slot: usize, v: Val, w: &Weights) {
+        let whole_body = v.by_rounds() && self.levels.last().is_some_and(|l| l.rounds.same(w));
         let merged = match &self.vals[slot] {
-            Some(old) if !w.is_full() && w.total > 0 => {
+            Some(old) if !w.is_full() && w.total > 0 && !whole_body => {
                 let pick = if v.has_lanes(old) {
                     w.active(self.geo)
                 } else {
@@ -622,16 +945,20 @@ impl Walk<'_> {
         self.vals[slot] = Some(merged);
     }
 
-    /// Counts an array subscript, whose value no control reads: an `Index` term is counted
-    /// without being evaluated.
-    fn subscript(&mut self, e: &SExpr, w: &Weights) -> Result<(), Stop> {
+    /// Counts an array subscript and returns its value where `wanted` (an `Index` term no
+    /// one needs the value of is counted without being evaluated).
+    fn subscript(&mut self, e: &SExpr, w: &Weights, wanted: bool) -> Result<Num, Stop> {
         match e {
-            SExpr::Index(a) => self.count_index(a, w.total),
-            other => {
-                self.eval(other, w)?;
+            SExpr::Index(a) => {
+                self.count_index(a, w.total);
+                Ok(if wanted {
+                    self.index_value(a)
+                } else {
+                    Num::Unknown
+                })
             }
+            other => Ok(self.eval(other, w)?.as_num()),
         }
-        Ok(())
     }
 
     /// Counts an index term's operations `n` times, as `Exec::eval_index` does.
@@ -640,7 +967,7 @@ impl Walk<'_> {
         clippy::match_wildcard_for_single_variants
     )]
     fn count_index(&mut self, a: &SIndex, n: u64) {
-        self.counters.charge(ops::index_charge(a), n);
+        self.counters().charge(ops::index_charge(a), n);
         match a {
             SIndex::Cst(_) | SIndex::Var(_) => {}
             SIndex::Fold(_, ts) => {
@@ -656,13 +983,66 @@ impl Walk<'_> {
         }
     }
 
-    fn access(&mut self, space: AddrSpace, n: u64) {
-        let counter = match space {
-            AddrSpace::Global => &mut self.counters.global_accesses,
-            AddrSpace::Local => &mut self.counters.local_accesses,
-            AddrSpace::Private => &mut self.counters.private_accesses,
+    /// Counts `elems` accesses per lane under `w` through `ptr` at element `index` of it.
+    fn access(&mut self, ptr: (AddrSpace, Option<usize>), index: Num, elems: usize, w: &Weights) {
+        let n = (elems as u64).saturating_mul(w.total);
+        let counters = &mut self.tally.counters;
+        let counter = match ptr.0 {
+            AddrSpace::Global => &mut counters.global_accesses,
+            AddrSpace::Local => &mut counters.local_accesses,
+            AddrSpace::Private => &mut counters.private_accesses,
         };
         add(counter, n);
+        if ptr.0 != AddrSpace::Global || w.total == 0 {
+            return;
+        }
+        match (ptr.1, index.is_counted()) {
+            (Some(buffer), true) => self.touches.push(Touch {
+                buffer,
+                addr: index,
+                elems,
+                width: elems,
+                weights: w.clone(),
+            }),
+            _ => self.tally.exact = false,
+        }
+    }
+
+    /// Counts the transactions of the statement just walked, whose global accesses are
+    /// `touches`, and clears them.
+    fn flush(&mut self) {
+        if self.touches.is_empty() {
+            return;
+        }
+        let touches = std::mem::take(&mut self.touches);
+        match transactions(&touches, &self.levels, self.geo) {
+            Some((transactions, uncoalesced)) => {
+                let counters = &mut self.tally.counters;
+                add(&mut counters.global_transactions, transactions);
+                add(&mut counters.uncoalesced_accesses, uncoalesced);
+            }
+            None => self.tally.exact = false,
+        }
+        self.touches = touches;
+        self.touches.clear();
+    }
+
+    /// Counts the lock-step rows of a statement or loop check its lanes run at weights `w`.
+    fn rows(&mut self, w: &Weights) {
+        if w.total == 0 {
+            return;
+        }
+        let groups = self.geo.groups;
+        let tally = &mut self.tally;
+        match w.group_tops(self.geo) {
+            (top, None) => add(&mut tally.rows, top),
+            (top, Some(by_group)) => {
+                let rows = tally.group_rows.get_or_insert_with(|| vec![0; groups]);
+                for (rows, g) in rows.iter_mut().zip(by_group.iter()) {
+                    add(rows, top.saturating_mul(*g));
+                }
+            }
+        }
     }
 
     fn block(&mut self, stmts: &[SStmt], w: &Weights) -> Result<(), Stop> {
@@ -673,20 +1053,25 @@ impl Walk<'_> {
     }
 
     fn stmt(&mut self, stmt: &SStmt, w: &Weights) -> Result<(), Stop> {
+        if !matches!(stmt, SStmt::Block(_)) {
+            self.rows(w);
+        }
         match stmt {
             SStmt::Barrier => {
-                add(&mut self.counters.barriers, w.group_rounds(self.geo));
+                let n = w.group_rounds(self.geo);
+                add(&mut self.counters().barriers, n);
             }
             SStmt::Block(stmts) => self.block(stmts, w)?,
             SStmt::DeclLocalArray { slot, .. } => self.local[*slot] = true,
             SStmt::DeclPrivateArray { slot, .. } => {
-                self.set(*slot, Val::Ptr(AddrSpace::Private), w);
+                self.set(*slot, Val::Ptr(AddrSpace::Private, None), w);
             }
             SStmt::DeclScalar { slot, init } => {
                 let v = match init {
                     Some(e) => self.eval(e, w)?,
                     None => Val::Float,
                 };
+                self.flush();
                 self.set(*slot, v, w);
             }
             SStmt::Assign { lhs, rhs } => {
@@ -695,10 +1080,13 @@ impl Walk<'_> {
                     SLhs::Var(slot) => self.set(*slot, v, w),
                     SLhs::Array(arr, idx) => {
                         let ptr = self.eval(arr, w)?;
-                        self.subscript(idx, w)?;
-                        if let (Val::Ptr(space), Val::Int(_) | Val::Bool(_) | Val::Float) = (ptr, v)
-                        {
-                            self.access(space, w.total);
+                        let global = matches!(ptr, Val::Ptr(AddrSpace::Global, _));
+                        let index = self.subscript(idx, w, global)?;
+                        match (ptr, v) {
+                            (Val::Ptr(space, buffer), Val::Int(_) | Val::Bool(_) | Val::Float) => {
+                                self.access((space, buffer), index, 1, w);
+                            }
+                            _ => self.unsure(w),
                         }
                     }
                     SLhs::FieldOfVar(slot, idx) => {
@@ -722,9 +1110,11 @@ impl Walk<'_> {
                     }
                     SLhs::Invalid(_) => {}
                 }
+                self.flush();
             }
             SStmt::Expr(e) => {
                 self.eval(e, w)?;
+                self.flush();
             }
             SStmt::If {
                 cond,
@@ -732,7 +1122,8 @@ impl Walk<'_> {
                 otherwise,
             } => {
                 let c = self.eval(cond, w)?;
-                self.counters.charge(ops::CONTROL, w.total);
+                self.flush();
+                self.counters().charge(ops::CONTROL, w.total);
                 match self.decide(&c, w)? {
                     Some(truth) if w.total > 0 => {
                         let taken = w.restrict(&truth, true, self.geo);
@@ -747,6 +1138,7 @@ impl Walk<'_> {
                         }
                     }
                     _ => {
+                        self.unsure(w);
                         self.forget(then)?;
                         if let Some(otherwise) = otherwise {
                             self.forget(otherwise)?;
@@ -762,6 +1154,7 @@ impl Walk<'_> {
                 body,
             } => {
                 let start = self.eval(init, w)?;
+                self.flush();
                 self.set(*slot, start, w);
                 if w.total == 0 {
                     // A walk for kinds only: the body once, counting nothing.
@@ -808,13 +1201,24 @@ impl Walk<'_> {
         SStmt::walk(body, &mut |s| touched.extend(s.assigned()));
         if !touched.contains(&slot) {
             touched.push(slot);
-            let before = self.counters;
+            let before = self.tally.clone();
             let saved: Vec<Option<Val>> = touched.iter().map(|s| self.vals[*s].clone()).collect();
-            match self.counted_loop(slot, cond, step, body, w, &touched) {
-                Ok(true) => return Ok(()),
+            let (levels, uneven) = (self.levels.len(), self.uneven);
+            let counted = self.counted_loop(slot, cond, step, body, w, &touched);
+            self.levels.truncate(levels);
+            self.uneven = uneven;
+            match counted {
+                Ok(true) => {
+                    // What varied with the loop's rounds is no longer known after it.
+                    for s in &touched {
+                        self.vals[*s] = self.vals[*s].as_ref().map(|v| v.map_nums(&Num::settled));
+                    }
+                    return Ok(());
+                }
                 // A stop in the body undoes its count; the loop is walked round by round.
                 Ok(false) | Err(Stop) => {
-                    self.counters = before;
+                    self.tally = before;
+                    self.touches.clear();
                     for (s, v) in touched.into_iter().zip(saved) {
                         self.vals[s] = v;
                     }
@@ -826,7 +1230,8 @@ impl Walk<'_> {
 
     /// Counts the loop as trips × body if its trip count is known in every lane and its
     /// body's control does not change from round to round; `Ok(false)` if the trip count
-    /// is unknown, `Err(Stop)` if the body's control varies by round.
+    /// is unknown, `Err(Stop)` if the body's control varies by round. Pushes the loop's
+    /// level, which the caller pops.
     fn counted_loop(
         &mut self,
         slot: usize,
@@ -888,26 +1293,51 @@ impl Walk<'_> {
         };
         let rounds = w.scale(&trips, self.geo);
         // Every active lane of a group checks the condition once per round of its group,
-        // plus the final check that ends it.
-        let rounds_of_group = match &trips {
-            Num::All(_) => trips.clone(),
-            _ => w.group_max(&trips, self.geo),
+        // plus the final check that ends it. Where the rounds around the loop are the same
+        // for all of a group's lanes, the group's rounds are its lanes' most; where they are
+        // not, each lane's own rounds are what it certainly checks.
+        let checks = if self.uneven == 0 {
+            let rounds_of_group = match &trips {
+                Num::All(_) => trips.clone(),
+                _ => w.group_max(&trips, self.geo),
+            };
+            w.scale(&rounds_of_group.map(|t| t.saturating_add(1)), self.geo)
+        } else {
+            w.scale(&trips.map(|t| t.saturating_add(1)), self.geo)
         };
-        let checks = w.scale(&rounds_of_group.map(|t| t.saturating_add(1)), self.geo);
-        self.counted += 1;
-        let counted = (|| {
-            self.eval(cond, &checks)?;
-            self.counters.charge(ops::CONTROL, checks.total);
-            add(&mut self.counters.loop_iterations, rounds.total);
-            if rounds.total > 0 {
-                self.block(body, &rounds)?;
-                self.eval(step, &rounds)?;
-                self.counters.charge(ops::CONTROL, rounds.total);
-            }
-            Ok(())
-        })();
-        self.counted -= 1;
-        counted?;
+        // The rounds of this loop are a level of the rounds around what it runs; a group's
+        // rows are its lanes' most only while at most one level differs within a group.
+        self.uneven += usize::from(!trips.is_even(self.geo));
+        if self.uneven > 1 {
+            self.tally.exact = false;
+        }
+        if let (Num::All(by), true) = (&by, start.is_known()) {
+            let mut coefs = vec![0; self.levels.len()];
+            coefs.push(*by);
+            self.vals[slot] = Some(Val::Int(Num::Rounds(Rc::new(Rounds::Linear {
+                base: start,
+                coefs,
+            }))));
+        }
+        self.levels.push(Level {
+            trips,
+            rounds: rounds.clone(),
+        });
+        self.eval(cond, &checks)?;
+        if !self.touches.is_empty() {
+            // A condition's accesses are made at every check, which the rounds do not give.
+            self.touches.clear();
+            self.unsure(&checks);
+        }
+        self.rows(&checks);
+        self.counters().charge(ops::CONTROL, checks.total);
+        add(&mut self.counters().loop_iterations, rounds.total);
+        if rounds.total > 0 {
+            self.block(body, &rounds)?;
+            self.eval(step, &rounds)?;
+            self.flush();
+            self.counters().charge(ops::CONTROL, rounds.total);
+        }
         // The variable's last value is not tracked: emitted kernels scope it to the loop.
         self.vals[slot] = Some(Val::Int(Num::Unknown));
         Ok(true)
@@ -926,8 +1356,11 @@ impl Walk<'_> {
         let mut checking = w.clone();
         for round in 0.. {
             let c = self.eval(cond, &checking)?;
-            self.counters.charge(ops::CONTROL, checking.total);
+            self.flush();
+            self.rows(&checking);
+            self.counters().charge(ops::CONTROL, checking.total);
             let (Some(truth), true) = (self.decide(&c, &checking)?, round < MAX_ROUNDS) else {
+                self.unsure(&checking);
                 return self.forget_loop(slot, step, body);
             };
             let entering = checking.restrict(&truth, true, self.geo);
@@ -935,13 +1368,15 @@ impl Walk<'_> {
                 return Ok(());
             }
             if self.steps >= MAX_STEPS {
+                self.unsure(&entering);
                 return self.forget_loop(slot, step, body);
             }
             self.steps += body.len() as u64 + 1;
-            add(&mut self.counters.loop_iterations, entering.total);
+            add(&mut self.counters().loop_iterations, entering.total);
             self.block(body, &entering)?;
             let by = self.eval(step, &entering)?;
-            self.counters.charge(ops::CONTROL, entering.total);
+            self.flush();
+            self.counters().charge(ops::CONTROL, entering.total);
             let next = self
                 .lookup(slot)
                 .as_num()
@@ -949,8 +1384,18 @@ impl Walk<'_> {
                     ops::step(Scalar::Int(x), Scalar::Int(y)).as_i64()
                 });
             self.set(slot, Val::Int(next), &entering);
-            // A group whose lanes all failed the condition is done: it checks no more.
-            checking = checking.scale(&entering.group_max(&Num::All(1), self.geo), self.geo);
+            checking = if self.uneven == 0 {
+                // A group whose lanes all failed the condition is done: it checks no more.
+                checking.scale(&entering.group_max(&Num::All(1), self.geo), self.geo)
+            } else {
+                // The rounds around the loop differ within a group, so whether a group
+                // still loops depends on the round: each lane certainly checks its own
+                // rounds, which are all of its group's unless the group's lanes part.
+                if checking.splits(&entering, self.geo) {
+                    self.tally.exact = false;
+                }
+                entering
+            };
         }
         Ok(())
     }
@@ -988,7 +1433,7 @@ impl Walk<'_> {
             }
             SExpr::Neg(a) => {
                 let v = self.eval(a, w)?;
-                self.counters.charge(ops::NEG, w.total);
+                self.counters().charge(ops::NEG, w.total);
                 match v {
                     Val::Int(n) => Val::Int(n.map(|x| ops::neg(Scalar::Int(x)).as_i64())),
                     Val::Opaque => Val::Opaque,
@@ -1000,45 +1445,55 @@ impl Walk<'_> {
                 _ => Val::Int(Num::Unknown),
             },
             SExpr::VLoad(width, idx, ptr) => {
-                self.subscript(idx, w)?;
-                match self.eval(ptr, w)? {
-                    Val::Ptr(space) => {
-                        self.vector(space, *width, w);
+                let ptr = self.eval(ptr, w)?;
+                let index = self.vector_index(idx, *width, &ptr, w)?;
+                match ptr {
+                    Val::Ptr(space, buffer) => {
+                        self.vector((space, buffer), index, *width, w);
                         Val::Vector(vec![Val::Float; *width].into())
                     }
-                    _ => Val::Opaque,
+                    _ => {
+                        self.unsure(w);
+                        Val::Opaque
+                    }
                 }
             }
             SExpr::VStore(width, value, idx, ptr) => {
                 self.eval(value, w)?;
-                self.subscript(idx, w)?;
-                if let Val::Ptr(space) = self.eval(ptr, w)? {
-                    self.vector(space, *width, w);
+                let ptr = self.eval(ptr, w)?;
+                let index = self.vector_index(idx, *width, &ptr, w)?;
+                match ptr {
+                    Val::Ptr(space, buffer) => self.vector((space, buffer), index, *width, w),
+                    _ => self.unsure(w),
                 }
                 Val::Int(Num::All(0))
             }
             SExpr::Math1(_, a) => {
                 self.eval(a, w)?;
-                self.counters.charge(ops::MATH1, w.total);
+                self.counters().charge(ops::MATH1, w.total);
                 Val::Float
             }
             SExpr::Math2(_, a, b) => {
                 self.eval(a, w)?;
                 self.eval(b, w)?;
-                self.counters.charge(ops::MATH2, w.total);
+                self.counters().charge(ops::MATH2, w.total);
                 Val::Float
             }
             SExpr::CallFun(idx, args) => self.call(*idx, args, w)?,
             SExpr::Fail(_) => Val::Opaque,
             SExpr::ArrayAccess(arr, idx) => {
                 let ptr = self.eval(arr, w)?;
-                self.subscript(idx, w)?;
+                let global = matches!(ptr, Val::Ptr(AddrSpace::Global, _));
+                let index = self.subscript(idx, w, global)?;
                 match ptr {
-                    Val::Ptr(space) => {
-                        self.access(space, w.total);
+                    Val::Ptr(space, buffer) => {
+                        self.access((space, buffer), index, 1, w);
                         Val::Float
                     }
-                    _ => Val::Opaque,
+                    _ => {
+                        self.unsure(w);
+                        Val::Opaque
+                    }
                 }
             }
             SExpr::Field(obj, idx, _) => match self.eval(obj, w)? {
@@ -1047,7 +1502,7 @@ impl Walk<'_> {
             },
             SExpr::Ternary(c, t, o) => {
                 let cv = self.eval(c, w)?;
-                self.counters.charge(ops::CONTROL, w.total);
+                self.counters().charge(ops::CONTROL, w.total);
                 match self.decide(&cv, w)? {
                     Some(Num::All(p)) => self.eval(if p != 0 { t } else { o }, w)?,
                     Some(truth) => {
@@ -1056,6 +1511,7 @@ impl Walk<'_> {
                         vt.choose(&vo, &truth, self.geo)
                     }
                     None => {
+                        self.unsure(w);
                         let vt = self.eval(t, &Weights::zero())?;
                         let vo = self.eval(o, &Weights::zero())?;
                         vt.choose(&vo, &Num::Unknown, self.geo)
@@ -1070,18 +1526,33 @@ impl Walk<'_> {
         es.iter().map(|e| self.eval(e, w)).collect()
     }
 
-    /// A vector load or store of `width` lanes: each lane is an access of its space and a
-    /// vector access.
-    fn vector(&mut self, space: AddrSpace, width: usize, w: &Weights) {
+    /// The first element a vector access of `width` lanes at vector index `idx` through
+    /// `ptr` reaches (`ops::vector_lane`), counting the index.
+    fn vector_index(
+        &mut self,
+        idx: &SExpr,
+        width: usize,
+        ptr: &Val,
+        w: &Weights,
+    ) -> Result<Num, Stop> {
+        let global = matches!(ptr, Val::Ptr(AddrSpace::Global, _));
+        let index = self.subscript(idx, w, global)?;
+        Ok(index.int(IntOp::Mul, &Num::All(width as i64), self.geo))
+    }
+
+    /// A vector load or store of `width` lanes from element `index` on: each lane is an
+    /// access of its space and a vector access.
+    fn vector(&mut self, ptr: (AddrSpace, Option<usize>), index: Num, width: usize, w: &Weights) {
+        self.access(ptr, index, width, w);
         let n = (width as u64).saturating_mul(w.total);
-        self.access(space, n);
-        add(&mut self.counters.vector_accesses, n);
+        add(&mut self.counters().vector_accesses, n);
     }
 
     fn call(&mut self, idx: usize, args: &[SExpr], w: &Weights) -> Result<Val, Stop> {
         let lowered = self.lowered;
         let fun = &lowered.functions[idx];
         if fun.params.len() != args.len() || self.calls >= MAX_CALL_DEPTH {
+            self.unsure(w);
             return Ok(Val::Opaque);
         }
         // The argument values, then — once each is bound — what its parameter shadowed,
@@ -1118,9 +1589,12 @@ impl Walk<'_> {
     fn bin(&mut self, op: CBinOp, a: &Val, b: &Val, w: &Weights) -> Val {
         match (a, b) {
             // Whether `Int op ?` takes the integer path is unknown.
-            (Val::Opaque, _) | (Val::Int(_), Val::Opaque) => Val::Opaque,
-            (Val::Ptr(space), _) => match op {
-                CBinOp::Add | CBinOp::Sub => Val::Ptr(*space),
+            (Val::Opaque, _) | (Val::Int(_), Val::Opaque) => {
+                self.unsure(w);
+                Val::Opaque
+            }
+            (Val::Ptr(space, _), _) => match op {
+                CBinOp::Add | CBinOp::Sub => Val::Ptr(*space, None),
                 CBinOp::Eq => Val::Bool(Num::Unknown),
                 _ => Val::Opaque,
             },
@@ -1137,15 +1611,16 @@ impl Walk<'_> {
                     .collect(),
             ),
             (Val::Int(x), Val::Int(y)) => {
-                self.counters.charge(ops::binary_charge(op, true), w.total);
-                let n = x.zip(y, self.geo, lanes(op, Scalar::Int));
+                self.counters()
+                    .charge(ops::binary_charge(op, true), w.total);
                 match ops::int_op(op) {
-                    Some(_) => Val::Int(n),
-                    None => Val::Bool(n),
+                    Some(op) => Val::Int(x.int(op, y, self.geo)),
+                    None => Val::Bool(x.zip(y, self.geo, lanes(op, Scalar::Int))),
                 }
             }
             _ => {
-                self.counters.charge(ops::binary_charge(op, false), w.total);
+                self.counters()
+                    .charge(ops::binary_charge(op, false), w.total);
                 match ops::int_op(op) {
                     Some(_) => Val::Float,
                     None => {
@@ -1171,15 +1646,12 @@ impl Walk<'_> {
                 .or(self.params[*slot].as_ref())
                 .map_or(Num::Unknown, Val::as_num),
             SIndex::Fold(op, ts) => ts.iter().fold(Num::All(op.unit()), |acc, t| {
-                acc.zip(&self.index_value(t), self.geo, int_lanes(*op))
+                acc.int(*op, &self.index_value(t), self.geo)
             }),
-            SIndex::Pair(op, x, y) => {
-                self.index_value(x)
-                    .zip(&self.index_value(y), self.geo, int_lanes(*op))
-            }
+            SIndex::Pair(op, x, y) => self.index_value(x).int(*op, &self.index_value(y), self.geo),
             SIndex::Pow(b, e) => {
                 let e = Num::All(i64::from(*e));
-                self.index_value(b).zip(&e, self.geo, int_lanes(IntOp::Pow))
+                self.index_value(b).int(IntOp::Pow, &e, self.geo)
             }
         }
     }
@@ -1211,6 +1683,457 @@ impl Val {
     }
 }
 
+/// The transactions and uncoalesced accesses of one statement's global accesses `touches`
+/// inside the counted loops `levels`, as the engines count them: per row and per SIMD group,
+/// the distinct `(buffer, segment)` pairs, of which those beyond `max(1, ceil(accesses /
+/// 32))` are uncoalesced. `None` once that takes more than [`MAX_SEGMENT_WORK`] lane
+/// addresses.
+///
+/// A lane runs the statement at the round `r` of the levels when its weight is positive and
+/// `r[j]` is below its trip count at every level `j`. Between two trip counts of a SIMD
+/// group's lanes the active lanes stay the same (a *band*), and every address moves by
+/// `Σ coefs[j] · r[j]`; moving level `j` by `32 / gcd(32, its coefficients)` rounds moves
+/// each address by whole segments, which touches as many segments as before unless one
+/// buffer is reached with two different coefficient lists. So each band counts one such
+/// period of rounds, each weighted by how often it recurs in the band. Two SIMD groups
+/// whose lanes are active alike, loop alike and reach each buffer at addresses a whole
+/// number of segments apart count alike, and are counted once.
+fn transactions(touches: &[Touch], levels: &[Level], geo: Geo) -> Option<(u64, u64)> {
+    let depth = levels.len();
+    let coefs: Vec<Vec<i64>> = touches
+        .iter()
+        .map(|t| {
+            let mut c = t.addr.linear().map_or(Vec::new(), |(_, c)| c.to_vec());
+            c.resize(depth, 0);
+            c
+        })
+        .collect();
+    let linear = touches.iter().all(|t| t.addr.linear().is_some());
+    // An address that is not linear in the rounds has no period, and neither do two
+    // addresses of one buffer that move apart from round to round.
+    let tangled = !linear
+        || touches.iter().enumerate().any(|(i, a)| {
+            touches[..i]
+                .iter()
+                .zip(&coefs)
+                .any(|(b, c)| b.buffer == a.buffer && *c != coefs[i])
+        });
+    // The rounds after which level `j` repeats its segments (`None`: never).
+    let period: Vec<Option<i64>> = (0..depth)
+        .map(|j| {
+            let g = coefs
+                .iter()
+                .fold(0, |g, c| gcd(g, c[j].rem_euclid(SEGMENT)));
+            (!tangled).then(|| if g == 0 { 1 } else { SEGMENT / gcd(g, SEGMENT) })
+        })
+        .collect();
+    let mut simd = Simd {
+        touches,
+        levels,
+        coefs: &coefs,
+        linear,
+        period: &period,
+        geo,
+        work: 0,
+        active: vec![Vec::new(); touches.len()],
+        live: vec![Vec::new(); touches.len()],
+        bases: vec![Vec::new(); touches.len()],
+        listed: Vec::new(),
+        union: Vec::new(),
+        segments: Vec::new(),
+        ends: vec![Vec::new(); depth],
+        band: vec![0; depth],
+        span: vec![(0, 0); depth],
+        reps: vec![0; depth],
+        residue: vec![0; depth],
+        round: vec![0; depth],
+    };
+    // The shapes counted so far, with a hash of each, and their counts.
+    let mut seen: Vec<(u64, Vec<i64>, (u64, u64))> = Vec::new();
+    let mut shape = Vec::new();
+    let (mut total, mut uncoalesced) = (0u64, 0u64);
+    let classes = group_classes(touches, levels, geo)
+        .unwrap_or_else(|| (0..geo.groups).map(|g| (g, 1)).collect());
+    for (group, alike) in classes {
+        for first in (0..geo.items).step_by(SIMD) {
+            let lanes =
+                group * geo.items + first..group * geo.items + (first + SIMD).min(geo.items);
+            if !simd.gather(lanes) {
+                continue;
+            }
+            let counted = if linear {
+                simd.shape(&mut shape);
+                let hash = shape.iter().fold(0u64, |h, v| {
+                    (h.rotate_left(5) ^ *v as u64).wrapping_mul(0x517c_c1b7_2722_0a95)
+                });
+                match seen
+                    .iter()
+                    .find(|(h, known, _)| *h == hash && *known == shape)
+                {
+                    Some((_, _, counted)) => *counted,
+                    None => {
+                        let counted = simd.count()?;
+                        seen.push((hash, shape.clone(), counted));
+                        counted
+                    }
+                }
+            } else {
+                simd.count()?
+            };
+            total = total.saturating_add(counted.0.saturating_mul(alike));
+            uncoalesced = uncoalesced.saturating_add(counted.1.saturating_mul(alike));
+        }
+    }
+    Some((total, uncoalesced))
+}
+
+/// The groups that count alike, as one group of each kind and how many there are, where
+/// each active group runs the statement as the first active one does: with the same lanes
+/// active, the same trip counts and each buffer's addresses moved by one amount, so that
+/// groups whose amounts leave the same remainders by the segment length count alike.
+/// `None` where the groups differ otherwise.
+fn group_classes(touches: &[Touch], levels: &[Level], geo: Geo) -> Option<Vec<(usize, u64)>> {
+    let items = geo.items;
+    let per_group = |vs: &[i64]| vs.chunks(items).all(|c| c == &vs[..items]);
+    for level in levels {
+        let alike = match &level.trips {
+            Num::All(_) | Num::Lanes(By::Item, _) => true,
+            Num::Lanes(By::Group, vs) => vs.iter().all(|v| *v == vs[0]),
+            Num::Lanes(By::Lane, vs) => per_group(vs),
+            Num::Rounds(_) | Num::Varying | Num::Unknown => false,
+        };
+        if !alike {
+            return None;
+        }
+    }
+    // Which groups are active: the same ones for every touch.
+    let mut active: Option<&Option<Rc<[u64]>>> = None;
+    for t in touches {
+        let Form::Product { scale, group, .. } = &t.weights.form else {
+            return None;
+        };
+        let same = active.is_none_or(|a| match (a, group) {
+            (None, None) => true,
+            (Some(a), Some(b)) => a.iter().zip(b.iter()).all(|(a, b)| (*a > 0) == (*b > 0)),
+            _ => false,
+        });
+        if *scale == 0 || !same {
+            return None;
+        }
+        active = Some(group);
+    }
+    let groups: Vec<usize> = match active.and_then(Option::as_ref) {
+        Some(ws) => (0..geo.groups).filter(|g| ws[*g] > 0).collect(),
+        None => (0..geo.groups).collect(),
+    };
+    let first = *groups.first()?;
+    // Per buffer, how far each group's addresses lie from the first group's.
+    let mut moved: Vec<(usize, Vec<i64>)> = Vec::new();
+    for t in touches {
+        let (base, _) = t.addr.linear()?;
+        let by: Vec<i64> = match base {
+            Num::All(_) | Num::Lanes(By::Item, _) => vec![0; geo.groups],
+            Num::Lanes(By::Group, vs) => vs.iter().map(|v| v.wrapping_sub(vs[first])).collect(),
+            Num::Lanes(By::Lane, vs) => {
+                let at = |g: usize| &vs[g * items..(g + 1) * items];
+                let mut by = vec![0; geo.groups];
+                for g in &groups {
+                    let d = at(*g)[0].wrapping_sub(at(first)[0]);
+                    if at(*g)
+                        .iter()
+                        .zip(at(first))
+                        .any(|(v, u)| v.wrapping_sub(*u) != d)
+                    {
+                        return None;
+                    }
+                    by[*g] = d;
+                }
+                by
+            }
+            Num::Rounds(_) | Num::Varying | Num::Unknown => return None,
+        };
+        match moved.iter().find(|(b, _)| *b == t.buffer) {
+            Some((_, known)) if groups.iter().any(|g| known[*g] != by[*g]) => return None,
+            Some(_) => {}
+            None => moved.push((t.buffer, by)),
+        }
+    }
+    let mut classes: Vec<(Vec<i64>, usize, u64)> = Vec::new();
+    for g in groups {
+        let key: Vec<i64> = moved
+            .iter()
+            .map(|(_, by)| by[g].rem_euclid(SEGMENT))
+            .collect();
+        match classes.iter_mut().find(|(k, _, _)| *k == key) {
+            Some((_, _, n)) => *n += 1,
+            None => classes.push((key, g, 1)),
+        }
+    }
+    Some(classes.into_iter().map(|(_, g, n)| (g, n)).collect())
+}
+
+/// The transactions of one statement in one SIMD group at a time (see [`transactions`]),
+/// with its scratch space.
+struct Simd<'t> {
+    touches: &'t [Touch],
+    levels: &'t [Level],
+    /// Per touch, the coefficient of each level in its address, where every address is
+    /// linear in the rounds (`linear`).
+    coefs: &'t [Vec<i64>],
+    linear: bool,
+    period: &'t [Option<i64>],
+    geo: Geo,
+    /// Lane addresses evaluated so far.
+    work: u64,
+    /// Per touch, the SIMD group's lanes that make it.
+    active: Vec<Vec<usize>>,
+    /// Per touch, those of its lanes that run the band being counted, and their addresses
+    /// at the first round (for addresses that are not linear, at every round of `listed`,
+    /// lane after lane).
+    live: Vec<Vec<usize>>,
+    bases: Vec<Vec<i64>>,
+    /// The rounds of the band being counted, one after the other, where an address is not
+    /// linear.
+    listed: Vec<i64>,
+    /// The lanes that make any of the touches.
+    union: Vec<usize>,
+    segments: Vec<(usize, i64)>,
+    /// Per level: the ends of its bands, the band, its span, the residues of one period
+    /// of it, the residue and the round being counted.
+    ends: Vec<Vec<i64>>,
+    band: Vec<usize>,
+    span: Vec<(i64, i64)>,
+    reps: Vec<usize>,
+    residue: Vec<usize>,
+    round: Vec<i64>,
+}
+
+impl Simd<'_> {
+    /// Takes the SIMD group of `lanes`; `false` if none of them makes an access.
+    fn gather(&mut self, lanes: std::ops::Range<usize>) -> bool {
+        self.union.clear();
+        for (t, active) in self.touches.iter().zip(&mut self.active) {
+            active.clear();
+            active.extend(lanes.clone().filter(|l| t.weights.at(*l, self.geo) > 0));
+            self.union.extend(active.iter().copied());
+        }
+        self.union.sort_unstable();
+        self.union.dedup();
+        !self.union.is_empty()
+    }
+
+    /// What the count of the gathered SIMD group depends on, with every buffer's addresses
+    /// taken relative to the segment of its first one: the lanes of each touch, their
+    /// addresses and the trip counts of the lanes. Only for addresses linear in the rounds,
+    /// whose coefficients are the same in every SIMD group.
+    fn shape(&self, shape: &mut Vec<i64>) {
+        shape.clear();
+        let first = self.union[0];
+        let mut anchors: Vec<(usize, i64)> = Vec::new();
+        for (t, active) in self.touches.iter().zip(&self.active) {
+            shape.push(active.len() as i64);
+            for l in active {
+                let addr = t.addr.at(*l, &[], self.geo);
+                let anchor = match anchors.iter().find(|(b, _)| *b == t.buffer) {
+                    Some((_, anchor)) => *anchor,
+                    None => {
+                        let anchor = addr.div_euclid(SEGMENT) * SEGMENT;
+                        anchors.push((t.buffer, anchor));
+                        anchor
+                    }
+                };
+                shape.push((l - first) as i64);
+                shape.push(addr.wrapping_sub(anchor));
+            }
+        }
+        for level in self.levels {
+            if !matches!(level.trips, Num::All(_)) {
+                shape.extend(self.union.iter().map(|l| level.trips.at(*l, &[], self.geo)));
+            }
+        }
+    }
+
+    /// The transactions and uncoalesced accesses of the gathered SIMD group.
+    fn count(&mut self) -> Option<(u64, u64)> {
+        let Simd {
+            touches,
+            levels,
+            coefs,
+            linear,
+            period,
+            geo,
+            work,
+            active,
+            live,
+            bases,
+            listed,
+            union,
+            segments,
+            ends,
+            band,
+            span,
+            reps,
+            residue,
+            round,
+        } = self;
+        let linear = *linear;
+        let geo = *geo;
+        // Each level's band ends: the distinct trip counts of the active lanes.
+        for (ends, level) in ends.iter_mut().zip(levels.iter()) {
+            ends.clear();
+            match level.trips {
+                Num::All(t) => ends.push(t),
+                _ => ends.extend(union.iter().map(|l| level.trips.at(*l, &[], geo))),
+            }
+            ends.sort_unstable();
+            ends.dedup();
+            ends.retain(|e| *e > 0);
+        }
+        let bands: Vec<usize> = ends.iter().map(Vec::len).collect();
+        band.fill(0);
+        let (mut total, mut uncoalesced) = (0u64, 0u64);
+        let mut more = !bands.contains(&0);
+        while more {
+            // Band `band[j]` of level `j` is `[start, end)`; its lanes reach `end`.
+            for (j, b) in band.iter().enumerate() {
+                span[j] = (if *b == 0 { 0 } else { ends[j][b - 1] }, ends[j][*b]);
+            }
+            more = advance(band, &bands);
+            let alive = |l: &usize| {
+                levels
+                    .iter()
+                    .zip(span.iter())
+                    .all(|(level, s)| level.trips.at(*l, &[], geo) >= s.1)
+            };
+            let mut accesses = 0;
+            for (((t, active), live), bases) in touches
+                .iter()
+                .zip(active.iter())
+                .zip(live.iter_mut())
+                .zip(bases.iter_mut())
+            {
+                live.clear();
+                live.extend(active.iter().copied().filter(&alive));
+                accesses += live.len() * t.elems;
+                bases.clear();
+                bases.extend(live.iter().map(|l| t.addr.at(*l, &[], geo)));
+            }
+            if accesses == 0 {
+                continue;
+            }
+            let ideal = accesses.div_ceil(SIMD).max(1) as u64;
+            // Each level's residues: the first rounds of one period of the band.
+            for (j, (start, end)) in span.iter().enumerate() {
+                reps[j] = period[j].map_or(end - start, |p| p.min(end - start)) as usize;
+            }
+            residue.fill(0);
+            // An address that is not linear takes every round of the band: each is worked
+            // out for all of them at once, in the order the rounds are counted.
+            let mut at = 0;
+            if !linear {
+                let rounds: usize = reps.iter().product();
+                *work = work.saturating_add((accesses * rounds) as u64);
+                if *work > MAX_SEGMENT_WORK {
+                    return None;
+                }
+                listed.clear();
+                loop {
+                    listed.extend(
+                        residue
+                            .iter()
+                            .zip(span.iter())
+                            .map(|(r, s)| s.0 + *r as i64),
+                    );
+                    if !advance(residue, reps) {
+                        break;
+                    }
+                }
+                for ((t, live), bases) in touches.iter().zip(live.iter()).zip(bases.iter_mut()) {
+                    bases.clear();
+                    for l in live {
+                        t.addr.at_rounds(*l, listed, levels.len(), geo, bases);
+                    }
+                }
+            }
+            loop {
+                if linear {
+                    *work = work.saturating_add(accesses as u64);
+                    if *work > MAX_SEGMENT_WORK {
+                        return None;
+                    }
+                }
+                let mut times = 1u64;
+                for (j, r) in residue.iter().enumerate() {
+                    let (start, end) = span[j];
+                    round[j] = start + *r as i64;
+                    let recurs = period[j].map_or(1, |p| (end - round[j] + p - 1) / p);
+                    times = times.saturating_mul(recurs as u64);
+                }
+                segments.clear();
+                for ((t, live), (coefs, bases)) in touches
+                    .iter()
+                    .zip(live.iter())
+                    .zip(coefs.iter().zip(bases.iter()))
+                {
+                    // A linear address moves by the same amount in every lane.
+                    let shift = coefs
+                        .iter()
+                        .zip(round.iter())
+                        .fold(0i64, |s, (c, r)| s.wrapping_add(c.wrapping_mul(*r)));
+                    // The elements from `addr` on, each spanning `width`, reach the
+                    // segments of `addr ..= addr + elems + width - 2`.
+                    let reach = (t.elems + t.width) as i64 - 2;
+                    let rounds = listed.len() / levels.len().max(1);
+                    for (k, base) in bases.iter().enumerate().take(live.len()) {
+                        let addr = match linear {
+                            true => base.wrapping_add(shift),
+                            false => bases[k * rounds + at],
+                        };
+                        let last = addr.wrapping_add(reach).div_euclid(SEGMENT);
+                        for segment in addr.div_euclid(SEGMENT)..=last {
+                            segments.push((t.buffer, segment));
+                        }
+                    }
+                }
+                if !segments.is_sorted() {
+                    segments.sort_unstable();
+                }
+                segments.dedup();
+                let n = segments.len() as u64;
+                total = total.saturating_add(n.saturating_mul(times));
+                uncoalesced =
+                    uncoalesced.saturating_add(n.saturating_sub(ideal).saturating_mul(times));
+                at += 1;
+                if !advance(residue, reps) {
+                    break;
+                }
+            }
+        }
+        Some((total, uncoalesced))
+    }
+}
+
+/// Steps `digits` to the next combination of one index below each of `lens`, the last
+/// fastest; `false` once every combination was taken (and `digits` is back at zero).
+fn advance(digits: &mut [usize], lens: &[usize]) -> bool {
+    for (d, len) in digits.iter_mut().zip(lens).rev() {
+        *d += 1;
+        if *d < *len {
+            return true;
+        }
+        *d = 0;
+    }
+    false
+}
+
+fn gcd(a: i64, b: i64) -> i64 {
+    if b == 0 {
+        a
+    } else {
+        gcd(b, a % b)
+    }
+}
+
 /// Adds `n` events to a counter (a huge trip count saturates it rather than wrapping).
 fn add(counter: &mut u64, n: u64) {
     *counter = counter.saturating_add(n);
@@ -1232,9 +2155,10 @@ fn int_lanes(op: IntOp) -> impl Fn(i64, i64) -> i64 {
 mod tests {
     use lift_ocl::{AddrSpace, CExpr, CStmt, CType, Kernel, KernelParam, Module};
 
-    use crate::cost::Budget;
-    use crate::{DeviceProfile, ExecutionRequest, KernelArg, KernelLaunchSpec, LaunchConfig};
-    use crate::{EngineSelection, VgpuError};
+    use lift_ocl::Builtin;
+
+    use crate::{CostCounters, DeviceProfile, ExecutionRequest, KernelArg, KernelLaunchSpec};
+    use crate::{EngineSelection, LaunchConfig, StaticCount, VgpuError};
 
     /// A module of one kernel `k(const global float* in, global float* out, int n)`.
     fn kernel(body: Vec<CStmt>) -> Module {
@@ -1274,6 +2198,159 @@ mod tests {
         ]
     }
 
+    /// Every counter class, named.
+    fn classes(c: &CostCounters) -> [(&'static str, u64); 15] {
+        [
+            ("flops", c.flops),
+            ("int_ops", c.int_ops),
+            ("div_mod_ops", c.div_mod_ops),
+            ("global_accesses", c.global_accesses),
+            ("vector_accesses", c.vector_accesses),
+            ("global_transactions", c.global_transactions),
+            ("uncoalesced_accesses", c.uncoalesced_accesses),
+            ("local_accesses", c.local_accesses),
+            ("private_accesses", c.private_accesses),
+            ("barriers", c.barriers),
+            ("loop_iterations", c.loop_iterations),
+            ("work_items", c.work_items),
+            ("work_groups", c.work_groups),
+            ("lockstep_rows", c.lockstep_rows),
+            ("group_span_rows", c.group_span_rows),
+        ]
+    }
+
+    /// The static count of `m`'s kernel under `launch`, and the counters a run of it counts
+    /// (the same on both engines).
+    fn counted_and_run(
+        m: &Module,
+        launch: LaunchConfig,
+        args: &[KernelArg],
+    ) -> (StaticCount, CostCounters) {
+        let device = DeviceProfile::nvidia();
+        let request = ExecutionRequest::new(m).on_device(&device);
+        let counted = request.static_counters(&plan(launch), args).unwrap();
+        let [interpreted, bytecode] = [EngineSelection::Interpreter, EngineSelection::Bytecode]
+            .map(|engine| {
+                let run = request
+                    .engine(engine)
+                    .launch_sequence(&plan(launch), args.to_vec());
+                run.unwrap().reports[0].counters
+            });
+        assert_eq!(interpreted, bytecode);
+        (counted, interpreted)
+    }
+
+    /// Asserts that the count is exact and equals the run's counters.
+    fn assert_exact(m: &Module, launch: LaunchConfig, args: &[KernelArg]) -> CostCounters {
+        let (counted, executed) = counted_and_run(m, launch, args);
+        assert!(counted.exact);
+        for ((class, s), (_, e)) in classes(&counted.stages[0])
+            .into_iter()
+            .zip(classes(&executed))
+        {
+            assert_eq!(s, e, "{class}");
+        }
+        executed
+    }
+
+    /// `out[gid] = in[<index>]`.
+    fn copy(index: CExpr) -> Module {
+        kernel(vec![CStmt::Assign {
+            lhs: CExpr::var("out").at(CExpr::global_id(0)),
+            rhs: CExpr::var("in").at(index),
+        }])
+    }
+
+    #[test]
+    fn coalesced_and_strided_loads_count_their_transactions() {
+        let launch = LaunchConfig::d1(64, 32);
+        let args = args(64 * 32, 0);
+        // Per SIMD group of 32: one segment of `in` and one of `out` for 64 accesses.
+        let coalesced = assert_exact(&copy(CExpr::global_id(0)), launch, &args);
+        assert_eq!(
+            (
+                coalesced.global_transactions,
+                coalesced.uncoalesced_accesses
+            ),
+            (4, 0)
+        );
+        // A stride of 32 puts each load in a segment of its own: 33 segments where 2 would do.
+        let strided = copy(CExpr::global_id(0).mul(CExpr::int(32)));
+        let strided = assert_exact(&strided, launch, &args);
+        assert_eq!(
+            (strided.global_transactions, strided.uncoalesced_accesses),
+            (66, 62)
+        );
+    }
+
+    #[test]
+    fn a_vector_access_that_straddles_two_segments_counts_both() {
+        // vstore4(vload4(gid, in), gid, out): each of a vector's four element accesses spans
+        // four elements, so the last ones reach into the next segment.
+        let vector = |builtin, args| CExpr::Builtin(builtin, args);
+        let load = vector(
+            Builtin::VLoad(4),
+            vec![CExpr::global_id(0), CExpr::var("in")],
+        );
+        let m = kernel(vec![CStmt::Expr(vector(
+            Builtin::VStore(4),
+            vec![load, CExpr::global_id(0), CExpr::var("out")],
+        ))]);
+        let executed = assert_exact(&m, LaunchConfig::d1(16, 16), &args(64, 0));
+        // Elements 0..=66 of each buffer: segments 0, 1 and 2 of `in` and of `out`, for 128
+        // accesses that 4 transactions would carry.
+        assert_eq!(
+            (
+                executed.global_transactions,
+                executed.uncoalesced_accesses,
+                executed.vector_accesses
+            ),
+            (6, 2, 128)
+        );
+    }
+
+    #[test]
+    fn a_loop_with_stride_eight_repeats_its_segments_every_four_rounds() {
+        // for (int i = 0; i < n; i += 1) out[gid] = out[gid] + in[gid + 8 * i];
+        let gid = CExpr::global_id(0);
+        let m = kernel(vec![CStmt::For {
+            var: "i".into(),
+            init: CExpr::int(0),
+            cond: CExpr::var("i").lt(CExpr::var("n")),
+            step: CExpr::int(1),
+            body: vec![CStmt::Assign {
+                lhs: CExpr::var("out").at(gid.clone()),
+                rhs: CExpr::var("out")
+                    .at(gid.clone())
+                    .add(CExpr::var("in").at(gid.add(CExpr::int(8).mul(CExpr::var("i"))))),
+            }],
+        }]);
+        // Groups of 16 start at element 0 or 16, so a group's 16 loads fill one segment in
+        // two rounds of four and straddle two in the others; 19 rounds end mid-period.
+        let executed = assert_exact(&m, LaunchConfig::d1(32, 16), &args(32 + 8 * 19, 19));
+        assert!(executed.uncoalesced_accesses > 0);
+    }
+
+    #[test]
+    fn a_loop_whose_trips_differ_between_groups_spans_its_busiest_group() {
+        // for (int i = 0; i < get_group_id(0) + 1; i += 1) out[gid] = out[gid] + 1;
+        let gid = CExpr::global_id(0);
+        let m = kernel(vec![CStmt::For {
+            var: "i".into(),
+            init: CExpr::int(0),
+            cond: CExpr::var("i").lt(CExpr::group_id(0).add(CExpr::int(1))),
+            step: CExpr::int(1),
+            body: vec![CStmt::Assign {
+                lhs: CExpr::var("out").at(gid.clone()),
+                rhs: CExpr::var("out").at(gid).add(CExpr::float(1.0)),
+            }],
+        }]);
+        let executed = assert_exact(&m, LaunchConfig::d1(32, 8), &args(32, 0));
+        // Group g runs the loop statement, g + 2 checks and g + 1 bodies.
+        assert_eq!(executed.lockstep_rows, (0..4).map(|g| 2 * g + 4).sum());
+        assert_eq!(executed.group_span_rows, 2 * 3 + 4);
+    }
+
     #[test]
     fn a_launch_whose_static_bound_clears_the_limit_runs_no_row() {
         // The first statement stores out of bounds, so any executed row would fail.
@@ -1296,13 +2373,15 @@ mod tests {
         let launch = LaunchConfig::d1(32, 8);
         let device = DeviceProfile::nvidia();
         let request = ExecutionRequest::new(&m).on_device(&device);
-        let counted = request.static_counters(&plan(launch), &args(4, 4)).unwrap();
-        assert_eq!(counted[0].loop_iterations, 32 * 256);
-        assert_eq!(counted[0].global_accesses, 32 * (1 + 2 * 256));
-        // A limit above what the sequence has spent before its first row, below its bound.
+        let count = request.static_counters(&plan(launch), &args(4, 4)).unwrap();
+        assert!(count.exact);
+        let counted = count.stages[0];
+        assert_eq!(counted.loop_iterations, 32 * 256);
+        assert_eq!(counted.global_accesses, 32 * (1 + 2 * 256));
+        // The count is exact, so the bound is the sequence's estimated time.
+        let bound = crate::estimated_sequence_time(&[counted], &device);
         let overhead = device.launch_overhead;
-        let budget = Budget::new(&device, 0.0, overhead, 4).unwrap();
-        let bound = budget.spent_with(&counted[0]);
+        // A limit above what the sequence has spent before its first row, below its bound.
         let limit = overhead + (bound - overhead) / 2.0;
         for engine in [EngineSelection::Interpreter, EngineSelection::Bytecode] {
             let request = request.engine(engine);
@@ -1314,6 +2393,9 @@ mod tests {
                     if lower_bound > limit && lower_bound <= bound),
                 "{stopped:?}"
             );
+            // Handed the count, the launch stops alike without walking its kernel again.
+            let handed = request.counted(&count).budget(limit);
+            assert_eq!(handed.launch_sequence(&plan(launch), args(4, 4)), stopped);
             let run = request.launch_sequence(&plan(launch), args(4, 4));
             assert!(matches!(run, Err(VgpuError::OutOfBounds { .. })), "{run:?}");
         }
@@ -1333,23 +2415,20 @@ mod tests {
                 rhs: CExpr::float(3.0).mul(CExpr::float(4.0)),
             }]),
         }]);
-        let launch = LaunchConfig::d1(64, 16);
-        let device = DeviceProfile::amd();
-        let request = ExecutionRequest::new(&m).on_device(&device);
-        let counted = request
-            .static_counters(&plan(launch), &args(64, 0))
-            .unwrap()[0];
-        let executed = request
-            .launch_sequence(&plan(launch), args(64, 0))
-            .unwrap()
-            .reports[0]
-            .counters;
+        let (counted, executed) = counted_and_run(&m, LaunchConfig::d1(64, 16), &args(64, 0));
+        assert!(!counted.exact);
+        let counted = counted.stages[0];
+        for ((class, s), (_, e)) in classes(&counted).into_iter().zip(classes(&executed)) {
+            assert!(s <= e, "{class}: {s} > {e}");
+        }
         // The condition's load and comparison and the `If`'s own op, per work item; no arm.
         assert_eq!(
             (counted.global_accesses, counted.int_ops, counted.flops),
             (64, 128, 0)
         );
         assert_eq!((executed.global_accesses, executed.flops), (128, 64));
+        // Only the condition's loads are counted, at the condition's row.
+        assert!(counted.global_transactions < executed.global_transactions);
     }
 
     #[test]
@@ -1367,27 +2446,7 @@ mod tests {
         }]);
         // 100 elements over 32 work items: the first four take a fourth round, and every
         // work item of their group checks the condition once more.
-        let launch = LaunchConfig::d1(32, 8);
-        let device = DeviceProfile::nvidia();
-        let request = ExecutionRequest::new(&m).on_device(&device);
-        let counted = request
-            .static_counters(&plan(launch), &args(100, 100))
-            .unwrap()[0];
-        assert_eq!(counted.loop_iterations, 100);
-        let executed = request
-            .launch_sequence(&plan(launch), args(100, 100))
-            .unwrap()
-            .reports[0]
-            .counters;
-        assert_eq!(
-            counted,
-            crate::CostCounters {
-                global_transactions: 0,
-                uncoalesced_accesses: 0,
-                lockstep_rows: 0,
-                group_span_rows: 0,
-                ..executed
-            }
-        );
+        let executed = assert_exact(&m, LaunchConfig::d1(32, 8), &args(100, 100));
+        assert_eq!(executed.loop_iterations, 100);
     }
 }

@@ -10,7 +10,8 @@
 //!
 //! A [`Budget`] turns the same weights into a proven lower bound on a launch's estimated
 //! time, in two halves: before the launch starts, from a static count of its lowered
-//! kernels (`bound.rs`), and at every lock-step row, from the counters so far.
+//! kernels (`bound.rs`; the estimated time itself where that count is exact), and at every
+//! lock-step row, from the counters so far.
 
 use crate::device::DeviceProfile;
 
@@ -174,13 +175,15 @@ impl CostCounters {
 /// (unstarted stages cost at least nothing).
 ///
 /// The same bound is also taken before a launch starts, from counters that are not partial
-/// but static: `bound.rs` counts a lower bound on each stage's final counters from its
-/// lowered body (trip counts and conditions evaluated under the launch's ids and `int`
-/// arguments, data-dependent work left out, transactions left zero). Every counter it
-/// reports is at most the executed one, and it counts vector accesses with the accesses they
-/// are made of, so the argument above holds for it unchanged: a sequence whose stages'
-/// static bounds, priced stage by stage, add up above the limit is stopped before its
-/// first row.
+/// but static: `bound.rs` counts each stage's final counters from its lowered body (trip
+/// counts, conditions and global addresses evaluated under the launch's ids and `int`
+/// arguments), every class of them, transactions and lock-step rows included. Where control
+/// or an address reads data it leaves that work out and says the count is not exact; every
+/// counter it reports is at most the executed one, and it counts vector accesses with the
+/// accesses they are made of, so the argument above holds for it unchanged. An exact count
+/// is priced at the sequence's [`estimated_sequence_time`] itself (shaved as above), an
+/// inexact one at the launch overheads plus each stage's `W(c) · scale`; a sequence priced
+/// above the limit is stopped before its first row ([`static_bound`]).
 #[derive(Clone, Debug)]
 pub(crate) struct Budget {
     device: DeviceProfile,
@@ -204,14 +207,11 @@ impl Budget {
         if !limit.is_finite() || !Budget::sound_for(device) {
             return None;
         }
-        let cu = device.compute_units as f64;
-        let scale =
-            1.0 / (cu * device.simd_width as f64) + (1.0 / groups.max(1) as f64).max(1.0 / cu);
         Some(Budget {
             device: device.clone(),
             limit,
             spent,
-            scale,
+            scale: stage_scale(device, groups),
         })
     }
 
@@ -219,7 +219,7 @@ impl Budget {
     /// vector lane's discount never exceeds the cheapest access it is also counted as,
     /// `min(global, local, private access cost) · simd_width ≥ global_transaction_cost ·
     /// (1 − vector_access_discount)`.
-    fn sound_for(device: &DeviceProfile) -> bool {
+    pub(crate) fn sound_for(device: &DeviceProfile) -> bool {
         let weights = [
             device.flop_cost,
             device.int_op_cost,
@@ -248,16 +248,60 @@ impl Budget {
     /// The bound is shaved by a relative `1e-9`, so floating-point rounding can never put it
     /// above the exactly computed time.
     pub(crate) fn exceeded(&self, counters: &CostCounters) -> Option<f64> {
-        let bound = self.spent_with(counters) * (1.0 - 1e-9);
+        let bound = shaved(self.spent_with(counters));
         (bound > self.limit).then_some(bound)
     }
 
     /// What the launch has certainly spent once the running stage's counters reach
     /// `counters`: the unshaved bound that [`Budget::exceeded`] compares with the limit.
     pub(crate) fn spent_with(&self, counters: &CostCounters) -> f64 {
-        let (compute, memory, sync) = counters.weighted(&self.device);
-        self.spent + (compute + memory + sync).max(0.0) * self.scale
+        self.spent + relaxed(&self.device, counters, self.scale)
     }
+}
+
+/// `1/(CU·simd) + max(1/G, 1/CU)` for a stage of `groups` work groups.
+fn stage_scale(device: &DeviceProfile, groups: usize) -> f64 {
+    let cu = device.compute_units as f64;
+    1.0 / (cu * device.simd_width as f64) + (1.0 / groups.max(1) as f64).max(1.0 / cu)
+}
+
+/// `W(c) · scale`: the budget's lower bound on the time of a stage whose counters are at
+/// least `counters`.
+fn relaxed(device: &DeviceProfile, counters: &CostCounters, scale: f64) -> f64 {
+    let (compute, memory, sync) = counters.weighted(device);
+    (compute + memory + sync).max(0.0) * scale
+}
+
+/// A bound shaved by a relative `1e-9`, so floating-point rounding can never put it above
+/// the exactly computed time.
+pub(crate) fn shaved(bound: f64) -> f64 {
+    bound * (1.0 - 1e-9)
+}
+
+/// The unshaved lower bound on the estimated time of a sequence whose stages, each of
+/// `groups` work groups, count at least `counters`: with `exact` counters their
+/// [`estimated_sequence_time`]; otherwise one launch overhead per stage plus each stage's
+/// `W(c) · (1/(CU·simd) + max(1/G, 1/CU))`, which holds for any counters at least these
+/// ([`Budget`]). `None` under weights the bound does not hold for.
+pub(crate) fn static_bound(
+    device: &DeviceProfile,
+    stages: &[(CostCounters, usize)],
+    exact: bool,
+) -> Option<f64> {
+    if !Budget::sound_for(device) {
+        return None;
+    }
+    if exact {
+        let counters: Vec<CostCounters> = stages.iter().map(|(c, _)| *c).collect();
+        return Some(estimated_sequence_time(&counters, device));
+    }
+    Some(
+        stages
+            .iter()
+            .map(|(c, groups)| relaxed(device, c, stage_scale(device, *groups)))
+            .sum::<f64>()
+            + stages.len() as f64 * device.launch_overhead,
+    )
 }
 
 /// The decomposition of one kernel's estimated time (see [`CostCounters::time_breakdown`]).

@@ -33,7 +33,7 @@ use lift_telemetry::{Collector, Event};
 
 use crate::bound::static_counters;
 use crate::bytecode;
-use crate::cost::{Budget, CostCounters};
+use crate::cost::{self, Budget, CostCounters};
 use crate::device::{DeviceProfile, LaunchConfig};
 use crate::exec::{
     lower, KernelLaunchSpec, LaunchResult, Lowered, Prepared, SequenceResult, VgpuError,
@@ -70,6 +70,19 @@ impl EngineSelection {
     }
 }
 
+/// What the static walk counts for a launch sequence before anything runs
+/// ([`ExecutionRequest::static_counters`]).
+#[derive(Clone, Debug, PartialEq)]
+pub struct StaticCount {
+    /// Per stage, in launch order: at most what a completed run of the stage counts, in
+    /// every class.
+    pub stages: Vec<CostCounters>,
+    /// Whether every stage's count equals what a completed run counts, in every class: no
+    /// control and no global address of any stage reads data, and no cap of the walk was
+    /// hit.
+    pub exact: bool,
+}
+
 /// A configured virtual-GPU launch: module, engine, device limits, race detection, budget
 /// and telemetry in one builder, executed with [`ExecutionRequest::launch_sequence`] (a plan
 /// of one or more kernels over a shared argument pool).
@@ -80,6 +93,7 @@ pub struct ExecutionRequest<'a> {
     engine: EngineSelection,
     race_detection: bool,
     budget: f64,
+    counted: Option<&'a StaticCount>,
     collector: Option<&'a dyn Collector>,
 }
 
@@ -93,6 +107,7 @@ impl<'a> ExecutionRequest<'a> {
             engine: EngineSelection::default(),
             race_detection: false,
             budget: f64::INFINITY,
+            counted: None,
             collector: None,
         }
     }
@@ -126,18 +141,31 @@ impl<'a> ExecutionRequest<'a> {
     /// twice over:
     ///
     /// * before the first stage starts, from a static count of every stage's lowered kernel
-    ///   under its launch and the `int` arguments ([`ExecutionRequest::static_counters`]);
-    ///   a sequence stopped there runs no row (`row: 0`);
+    ///   under its launch and the `int` arguments ([`ExecutionRequest::static_counters`],
+    ///   priced by [`ExecutionRequest::static_bound`]); a sequence stopped there runs no row
+    ///   (`row: 0`). An exact count prices the sequence at its estimated time, so an exactly
+    ///   counted launch over `limit` never runs;
     /// * at every lock-step row, from the counters so far.
     ///
     /// A launch that is not stopped runs exactly as without a budget; one whose time exceeds
-    /// `limit` may still complete, because the bound is not tight.
+    /// `limit` may still complete where its static count is not exact, because the bound is
+    /// not tight.
     ///
     /// No budget applies without a device, to an infinite or NaN `limit`, or under a device
     /// profile whose weights do not make the bound sound (a negative weight, or a
     /// vector-access discount larger than the cheapest access).
     pub fn budget(mut self, limit: f64) -> ExecutionRequest<'a> {
         self.budget = limit;
+        self
+    }
+
+    /// Hands [`ExecutionRequest::launch_sequence`] the static count of the sequence it is
+    /// about to launch, so its check before the first row prices `count` instead of walking
+    /// the stages again. `count` must be what [`ExecutionRequest::static_counters`] returns
+    /// for the same stages and arguments: a count of another launch would stop this one
+    /// wrongly.
+    pub fn counted(mut self, count: &'a StaticCount) -> ExecutionRequest<'a> {
+        self.counted = Some(count);
         self
     }
 
@@ -160,8 +188,7 @@ impl<'a> ExecutionRequest<'a> {
     /// The budget of a stage launched under `config` (validated against the device, which
     /// a budget needs) once the launch has `spent` for sure.
     fn stage_budget(&self, spent: f64, config: &LaunchConfig) -> Option<Budget> {
-        let groups = config.num_groups().iter().product();
-        Budget::new(self.device?, self.budget, spent, groups)
+        Budget::new(self.device?, self.budget, spent, groups(config))
     }
 
     /// Resolves and lowers every stage, after validating its launch.
@@ -179,13 +206,14 @@ impl<'a> ExecutionRequest<'a> {
             .collect()
     }
 
-    /// A lower bound on each stage's counters, counted from its lowered kernel before
-    /// anything runs: the work-item ids, the launch sizes and the `int` arguments are known,
-    /// the contents of the buffers are not. Work under a condition or loop bound that reads
-    /// data counts zero, and so do `global_transactions`, `uncoalesced_accesses` and the
-    /// lock-step rows; every other class is at most what a completed run of the sequence
-    /// counts, and equal to it for a kernel whose control reads no data. The walk reads no
-    /// buffer, so what earlier stages write does not change a later stage's count.
+    /// Each stage's counters, counted from its lowered kernel before anything runs: the
+    /// work-item ids, the launch sizes and the `int` arguments are known, the contents of
+    /// the buffers are not. Work under a condition or loop bound that reads data counts
+    /// zero, and so do the transactions of an access whose address reads data; every class,
+    /// the transactions, uncoalesced accesses and lock-step rows included, is at most what a
+    /// completed run of the sequence counts, and equal to it where the count says it is
+    /// [`StaticCount::exact`]. The walk reads no buffer, so what earlier stages write does
+    /// not change a later stage's count.
     ///
     /// # Errors
     ///
@@ -195,37 +223,59 @@ impl<'a> ExecutionRequest<'a> {
         &self,
         stages: &[KernelLaunchSpec],
         args: &[KernelArg],
-    ) -> Result<Vec<CostCounters>, VgpuError> {
+    ) -> Result<StaticCount, VgpuError> {
         let lowered = self.lower_stages(stages, args.len())?;
-        Ok(stages
-            .iter()
-            .zip(&lowered)
-            .map(|(stage, lowered)| static_counters(lowered, args, stage.launch))
-            .collect())
+        Ok(count_stages(stages, &lowered, args))
     }
 
-    /// The budget's check before the first row: `OverBudget` with `row: 0` once the launch
-    /// overheads and the stages' static bounds, each priced at its stage's scale, clear the
-    /// limit. Counts nothing without a device, a finite limit or sound weights.
+    /// The lower bound on the sequence's estimated time that its check before the first
+    /// row compares with the budget, from its static count: the estimated time itself
+    /// ([`crate::estimated_sequence_time`]) when `count` is exact; otherwise the launch
+    /// overheads plus each stage's device-weighted counters at the scale of its work
+    /// groups (see the cost model's budget). 0 without a device, and under a device whose
+    /// weights the bound does not hold for.
+    pub fn static_bound(&self, stages: &[KernelLaunchSpec], count: &StaticCount) -> f64 {
+        let sized: Vec<(CostCounters, usize)> = count
+            .stages
+            .iter()
+            .zip(stages)
+            .map(|(counters, stage)| (*counters, groups(&stage.launch)))
+            .collect();
+        self.device
+            .and_then(|device| cost::static_bound(device, &sized, count.exact))
+            .unwrap_or(0.0)
+    }
+
+    /// The budget's check before the first row: `OverBudget` with `row: 0` once the static
+    /// bound of the sequence ([`ExecutionRequest::static_bound`]) clears the limit. Counts
+    /// nothing without a device, a finite limit or sound weights, and counts nothing again
+    /// when the request was handed the count ([`ExecutionRequest::counted`]).
     fn check_before_running(
         &self,
         stages: &[KernelLaunchSpec],
         lowered: &[Lowered],
         args: &[KernelArg],
-        mut spent: f64,
     ) -> Result<(), VgpuError> {
-        for (stage, lowered) in stages.iter().zip(lowered) {
-            let Some(budget) = self.stage_budget(spent, &stage.launch) else {
-                return Ok(());
-            };
-            let counters = static_counters(lowered, args, stage.launch);
-            if let Some(lower_bound) = budget.exceeded(&counters) {
-                return Err(VgpuError::OverBudget {
-                    lower_bound,
-                    row: 0,
-                });
+        let Some(device) = self.device else {
+            return Ok(());
+        };
+        if !self.budget.is_finite() || !Budget::sound_for(device) {
+            return Ok(());
+        }
+        let walked;
+        let count = match self.counted {
+            Some(count) => count,
+            None => {
+                walked = count_stages(stages, lowered, args);
+                &walked
             }
-            spent = budget.spent_with(&counters);
+        };
+        let lower_bound = cost::shaved(self.static_bound(stages, count));
+        if lower_bound > self.budget {
+            return Err(VgpuError::OverBudget {
+                lower_bound,
+                row: 0,
+            });
         }
         Ok(())
     }
@@ -286,7 +336,7 @@ impl<'a> ExecutionRequest<'a> {
         let mut spent = self
             .device
             .map_or(0.0, |d| stages.len() as f64 * d.launch_overhead);
-        self.check_before_running(stages, &lowered, &pool, spent)?;
+        self.check_before_running(stages, &lowered, &pool)?;
         let mut reports = Vec::with_capacity(stages.len());
         let mut rows = 0;
         for (stage, lowered) in stages.iter().zip(lowered) {
@@ -338,4 +388,28 @@ impl<'a> ExecutionRequest<'a> {
             .collect();
         Ok(SequenceResult { buffers, reports })
     }
+}
+
+/// The work groups of a launch.
+fn groups(config: &LaunchConfig) -> usize {
+    config.num_groups().iter().product()
+}
+
+/// The static count of `stages`, lowered as `lowered`, with `args`.
+fn count_stages(
+    stages: &[KernelLaunchSpec],
+    lowered: &[Lowered],
+    args: &[KernelArg],
+) -> StaticCount {
+    let mut exact = true;
+    let stages = stages
+        .iter()
+        .zip(lowered)
+        .map(|(stage, lowered)| {
+            let (counters, stage_exact) = static_counters(lowered, args, stage.launch);
+            exact &= stage_exact;
+            counters
+        })
+        .collect();
+    StaticCount { stages, exact }
 }

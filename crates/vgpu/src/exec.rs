@@ -34,9 +34,9 @@ use crate::memory::{GpuValue, KernelArg, Ptr, Scalar};
 use crate::ops::{self, IntOp};
 
 /// Number of consecutive work items considered for memory-coalescing analysis.
-const COALESCE_GROUP: usize = 32;
+pub(crate) const COALESCE_GROUP: usize = 32;
 /// Number of consecutive `float` elements that form one memory transaction segment.
-const SEGMENT_ELEMS: i64 = 32;
+pub(crate) const SEGMENT_ELEMS: i64 = 32;
 
 /// A fast word-at-a-time FxHash-style hasher for the few remaining string-keyed maps (name
 /// interning during lowering, symbolic-length parameters). DoS resistance is pointless for

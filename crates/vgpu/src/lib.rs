@@ -14,9 +14,10 @@
 //! * A [`DeviceProfile`] (modelled on the paper's AMD and NVIDIA cards) converts the counters
 //!   into an estimated execution time, so experiments can compare *relative* performance the
 //!   way Figure 8 does.
-//! * [`ExecutionRequest::static_counters`] counts a lower bound on those counters from the
-//!   lowered kernels alone, before anything runs; under [`ExecutionRequest::budget`] a launch
-//!   whose static bound already clears the limit is stopped before its first row.
+//! * [`ExecutionRequest::static_counters`] counts those counters from the lowered kernels
+//!   alone, before anything runs: exactly where no control or global address reads data, and
+//!   as a lower bound elsewhere. Under [`ExecutionRequest::budget`] a launch whose static
+//!   bound already clears the limit is stopped before its first row.
 //!
 //! The functional result of a launch is exact — kernels really execute — so the same run both
 //! validates correctness against the reference interpreter and feeds the performance model.
@@ -35,7 +36,7 @@ pub use cost::{
     TimeBreakdown, COST_MODEL_VERSION,
 };
 pub use device::{DeviceProfile, LaunchConfig, LaunchError};
-pub use engine::{EngineSelection, ExecutionRequest};
+pub use engine::{EngineSelection, ExecutionRequest, StaticCount};
 pub use exec::{KernelLaunchSpec, SequenceResult, VgpuError};
 pub use memory::KernelArg;
 

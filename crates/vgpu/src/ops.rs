@@ -275,8 +275,7 @@ mod tests {
     use lift_ocl::{AddrSpace, CBinOp, CExpr, CStmt, CType, Kernel, KernelParam, Module};
 
     use crate::{
-        CostCounters, EngineSelection, ExecutionRequest, KernelArg, KernelLaunchSpec, LaunchConfig,
-        VgpuError,
+        EngineSelection, ExecutionRequest, KernelArg, KernelLaunchSpec, LaunchConfig, VgpuError,
     };
 
     /// `k(global float* out, int n, int z, int m)` running `body`, which stores `values[i]`
@@ -326,19 +325,10 @@ mod tests {
             .map(|engine| request.engine(engine).launch_sequence(&plan, args.clone()));
         assert_eq!(interpreted, bytecode);
         let mut run = interpreted?;
-        // The static bound counts every class but these, and counts them exactly here.
-        let counted = request.static_counters(&plan, &args)?[0];
-        let executed = run.reports[0].counters;
-        assert_eq!(
-            counted,
-            CostCounters {
-                global_transactions: 0,
-                uncoalesced_accesses: 0,
-                lockstep_rows: 0,
-                group_span_rows: 0,
-                ..executed
-            }
-        );
+        // The static count is exact here, in every class.
+        let counted = request.static_counters(&plan, &args)?;
+        assert!(counted.exact);
+        assert_eq!(counted.stages, [run.reports[0].counters]);
         Ok(run.buffers.swap_remove(0))
     }
 
